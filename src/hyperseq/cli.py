@@ -50,6 +50,15 @@ _SAMPLE_PARAMS = ("x", "y", "z", "w")
 _SERIES_CAP = 512
 
 
+#: Audit settings that are both a config key and a flag: the type the
+#: value parses to, its range check, and the rule an error message states.
+_AUDIT_SETTINGS = {
+    "tolerance": (float, lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
+    "counterexamples": (int, lambda v: v > 0, "must be positive"),
+    "workers": (int, lambda v: v > 0, "must be positive"),
+}
+
+
 @dataclass
 class CliConfig:
     bounds: dict = field(default_factory=dict)  # param name -> (lo, hi)
@@ -78,25 +87,16 @@ def _parse_config_file(path: str) -> CliConfig:
             if bound <= 0:
                 raise ConfigError(f"{path}:{lineno}: bounds must be positive")
             cfg.bounds[key[4:]] = (1, bound)
-        elif key == "tolerance":
-            tol = float(value)
-            if not 0.0 < tol < 1.0:
-                raise ConfigError(f"{path}:{lineno}: tolerance must be in (0, 1)")
-            cfg.tolerance = tol
+        elif key in _AUDIT_SETTINGS:
+            kind, valid, rule = _AUDIT_SETTINGS[key]
+            setting = kind(value)
+            if not valid(setting):
+                raise ConfigError(f"{path}:{lineno}: {key} {rule}")
+            setattr(cfg, key, setting)
         elif key == "format":
             if value not in ("json", "csv", "text"):
                 raise ConfigError(f"{path}:{lineno}: unknown format {value!r}")
             cfg.format = value
-        elif key == "counterexamples":
-            cap = int(value)
-            if cap <= 0:
-                raise ConfigError(f"{path}:{lineno}: cap must be positive")
-            cfg.counterexamples = cap
-        elif key == "workers":
-            workers = int(value)
-            if workers <= 0:
-                raise ConfigError(f"{path}:{lineno}: workers must be positive")
-            cfg.workers = workers
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     return cfg
@@ -323,6 +323,17 @@ def _cmd_table(args, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
+def _audit_setting(args, cfg: CliConfig, key: str):
+    """The flag's value, checked by its config key's rule; else the config's."""
+    value = getattr(args, key)
+    if value is None:
+        return getattr(cfg, key)
+    _, valid, rule = _AUDIT_SETTINGS[key]
+    if not valid(value):
+        raise ValueError(f"--{key} {rule}, got {value}")
+    return value
+
+
 def _cmd_audit(args, cfg: CliConfig) -> int:
     suites = set(args.suite or [])
     tags = frozenset() if (not suites or "all" in suites) else frozenset(suites)
@@ -332,9 +343,9 @@ def _cmd_audit(args, cfg: CliConfig) -> int:
         only=only,
         max_bound=args.max,
         param_bounds=_collect_bounds(args, cfg) or None,
-        counterexample_cap=args.counterexamples or cfg.counterexamples,
-        workers=args.workers or cfg.workers,
-        tolerance_override=args.tolerance or cfg.tolerance,
+        counterexample_cap=_audit_setting(args, cfg, "counterexamples"),
+        workers=_audit_setting(args, cfg, "workers"),
+        tolerance_override=_audit_setting(args, cfg, "tolerance"),
     )
     if only and not report.entries:
         print(f"error: no identity matches --only {args.only!r}", file=sys.stderr)

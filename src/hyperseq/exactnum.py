@@ -5,8 +5,18 @@ arbitrary-precision fraction that is always reduced, has a positive
 denominator, and represents zero uniquely as 0/1.  The alias
 ``ExactRational`` names that contract.  On top of it this module provides
 the factorial, rising/falling factorial and binomial-coefficient
-primitives the sequence and operator modules build on, plus the canonical
+primitives the sequence and operator modules build on, the exact dot
+product every binomial-weighted sum goes through, plus the canonical
 ``p/q`` text rendering used by the CLI and report files.
+
+``dot(coeffs, values)`` is the exact sum of ``c * v`` over two sequences
+of equal length (a length mismatch raises ``ValueError``).  Its inputs
+must be ints or ``Fraction``s; anything else, a float or a certified
+float included, raises ``TypeError``, so an inexact value can never leak
+into an exact sum.  The terms are accumulated as plain integers over one
+common denominator, the ``math.lcm`` of the term denominators, and the
+result is normalized once, by the single ``Fraction`` built at the end.
+An empty sum is 0.
 
 Factorials and small binomial coefficients are memoized up to
 ``MEMO_CAP`` because the identity audit evaluates the same coefficients
@@ -95,26 +105,63 @@ def binomial_int(n: int, k: int) -> int:
     return -top if k % 2 else top
 
 
+def dot(coeffs, values) -> Fraction:
+    """Exact sum of c * v over paired ints and Fractions, normalized once."""
+    nums = []
+    dens = []
+    for c, v in zip(coeffs, values, strict=True):
+        if type(c) is int and type(v) is Fraction:  # the common case, first
+            nums.append(c * v.numerator)
+            dens.append(v.denominator)
+            continue
+        if isinstance(c, int):
+            cn, cd = c, 1
+        elif isinstance(c, Fraction):
+            cn, cd = c.numerator, c.denominator
+        else:
+            raise TypeError(f"dot needs ints or Fractions, got {type(c).__name__}")
+        if isinstance(v, int):
+            nums.append(cn * v)
+            dens.append(cd)
+        elif isinstance(v, Fraction):
+            nums.append(cn * v.numerator)
+            dens.append(cd * v.denominator)
+        else:
+            raise TypeError(f"dot needs ints or Fractions, got {type(v).__name__}")
+    scale = math.lcm(*dens)
+    if scale == 1:
+        return Fraction(sum(nums))
+    return Fraction(sum([p * (scale // q) for p, q in zip(nums, dens)]), scale)
+
+
+def _num_den(x) -> tuple[int, int]:
+    if isinstance(x, int):
+        return x, 1
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _shifted_product(x, n: int, step: int) -> tuple[int, int]:
+    """(numerator, denominator) of x(x+step)...(x+(n-1)step) as ints."""
+    p, q = _num_den(x)
+    num = 1
+    for i in range(n):
+        num *= p + step * i * q
+    return num, q**n
+
+
 def rising_factorial(x, n: int) -> Fraction:
     """x(x+1)...(x+n-1); the empty product (n = 0) is 1."""
     if n < 0:
         raise ValueError("rising factorial needs n >= 0")
-    x = Fraction(x)
-    out = Fraction(1)
-    for i in range(n):
-        out *= x + i
-    return out
+    return Fraction(*_shifted_product(x, n, 1))
 
 
 def falling_factorial(x, n: int) -> Fraction:
     """x(x-1)...(x-n+1); the empty product (n = 0) is 1."""
     if n < 0:
         raise ValueError("falling factorial needs n >= 0")
-    x = Fraction(x)
-    out = Fraction(1)
-    for i in range(n):
-        out *= x - i
-    return out
+    return Fraction(*_shifted_product(x, n, -1))
 
 
 def binomial_general(x, n: int) -> Fraction:
@@ -123,4 +170,7 @@ def binomial_general(x, n: int) -> Fraction:
     Equals falling_factorial(x, n) / n!; agrees with ``binomial_int`` on
     integer x of either sign.
     """
-    return falling_factorial(x, n) / factorial(n)
+    if n < 0:
+        raise ValueError("falling factorial needs n >= 0")
+    num, den = _shifted_product(x, n, -1)
+    return Fraction(num, den * factorial(n))

@@ -40,6 +40,7 @@ from .errors import DomainError
 from .exactnum import (
     binomial_general,
     binomial_int,
+    dot,
     factorial,
     falling_factorial,
     format_rational,
@@ -285,6 +286,8 @@ def _assignments(identity, max_bound, param_bounds):
 
 def _values_agree(identity, lv, rv, tol_override) -> bool:
     if identity.mode == "exact":
+        if type(lv) is type(rv) is F:
+            return lv == rv
         return F(lv) == F(rv)
     lc, rc = as_certified(lv), as_certified(rv)
     tol = identity.tol if tol_override is None else tol_override
@@ -301,7 +304,7 @@ def _evaluate_pair(identity, lhs, rhs, assignments, cap, tol_override):
         try:
             lv = lhs(pa)
             rv = rhs(pa)
-        except (DomainError, ZeroDivisionError) as exc:
+        except DomainError as exc:
             skipped += 1
             if len(skip_reasons) < 3:
                 skip_reasons.append(
@@ -445,6 +448,23 @@ def _alt_half(n: int, w) -> Fraction:
     return hyperharmonic_half_integer_alt(n, w)
 
 
+def _bsum(lo: int, hi: int, coeff, term) -> Fraction:
+    """sum_{i=lo..hi} coeff(i) term(i), as one exact dot product."""
+    idx = range(lo, hi + 1)
+    return dot([coeff(i) for i in idx], [term(i) for i in idx])
+
+
+def _alt_sum(k: int, term, lo: int = 0) -> Fraction:
+    """sum_{i=lo..k} (-1)^(k-i) C(k,i) term(i), the k-th difference form."""
+    return _bsum(lo, k, lambda i: (-1) ** (k - i) * binomial_int(k, i), term)
+
+
+def _total(values) -> Fraction:
+    """Plain exact sum of a finite sequence of ints and Fractions."""
+    values = list(values)
+    return dot([1] * len(values), values)
+
+
 @lru_cache(maxsize=None)
 def _gf_hyper_cached(r: int, order: int):
     return gf_hyperharmonic(r, order)
@@ -546,8 +566,11 @@ def _core_recurrences():
         "prop-5",
         "sum_{s=1..n} h(s,r-1) - sum_{k=1..r} h(n-1,k) = 1/n",
         (IntRange("n", 1, 25), IntRange("r", 1, 12)),
-        lambda v: sum((_hz(s, v["r"] - 1) for s in range(1, v["n"] + 1)), F(0))
-        - sum((_hz(v["n"] - 1, k) for k in range(1, v["r"] + 1)), F(0)),
+        lambda v: dot(
+            [1] * v["n"] + [-1] * v["r"],
+            [_hz(s, v["r"] - 1) for s in range(1, v["n"] + 1)]
+            + [_hz(v["n"] - 1, k) for k in range(1, v["r"] + 1)],
+        ),
         lambda v: F(1, v["n"]),
         {"core"},
     )
@@ -557,9 +580,7 @@ def _core_recurrences():
         "h(n,r) = sum h(n-1,k) + 1/n form)",
         (IntRange("n", 1, 25), IntRange("r", 1, 12), IntRange("s", 0, 6)),
         lambda v: _hz(v["n"], v["r"] + v["s"]) - _hz(v["n"], v["s"]),
-        lambda v: sum(
-            (_hz(v["n"] - 1, k + v["s"]) for k in range(1, v["r"] + 1)), F(0)
-        ),
+        lambda v: _total(_hz(v["n"] - 1, k + v["s"]) for k in range(1, v["r"] + 1)),
         {"core"},
     )
     _add(
@@ -614,7 +635,7 @@ def _core_recurrences():
         "prop-bt",
         "sum_{k=0..n} beta(k,r) = alpha(n,r) beta(n,r) / (alpha(n,r) - 1)",
         (IntRange("n", 1, 25), IntRange("r", 1, 12)),
-        lambda v: sum((beta(k, v["r"]) for k in range(v["n"] + 1)), F(0)),
+        lambda v: _total(beta(k, v["r"]) for k in range(v["n"] + 1)),
         lambda v: alpha(v["n"], v["r"])
         * beta(v["n"], v["r"])
         / (alpha(v["n"], v["r"]) - 1),
@@ -624,13 +645,11 @@ def _core_recurrences():
         "prop-falling",
         "sum_{k=0..n} C(k+r,r)/(k+r)^falling(m) = C(n+r-m+1,n)/r^falling(m)",
         (IntRange("m", 1, 12), IntRange("r", 1, 12), IntRange("n", 0, 25)),
-        lambda v: sum(
-            (
-                binomial_int(k + v["r"], v["r"])
-                / falling_factorial(F(k + v["r"]), v["m"])
-                for k in range(v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            0,
+            v["n"],
+            lambda k: binomial_int(k + v["r"], v["r"]),
+            lambda k: 1 / falling_factorial(k + v["r"], v["m"]),
         ),
         lambda v: binomial_int(v["n"] + v["r"] - v["m"] + 1, v["n"])
         / falling_factorial(F(v["r"]), v["m"]),
@@ -705,7 +724,7 @@ def _core_derivatives():
 
     def _pd_rhs(v):
         n, z = v["n"], v["z"]
-        tele = sum((1 / (z + i) for i in range(n)), F(0))
+        tele = _total(1 / (z + i) for i in range(n))
         return rising_factorial(z, n) * tele
 
     _add(
@@ -726,12 +745,8 @@ def _core_derivatives():
             IntRange("r", 1, 8),
             RationalChoice("x", SAMPLE_RATIONALS),
         ),
-        lambda v: sum(
-            (
-                binomial_general(v["x"] + j + v["r"] - 1, j)
-                for j in range(v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _total(
+            binomial_general(v["x"] + (j + v["r"] - 1), j) for j in range(v["n"] + 1)
         ),
         lambda v: (1 + F(v["n"]) / (v["x"] + v["r"]))
         * binomial_general(v["x"] + v["n"] + v["r"] - 1, v["n"]),
@@ -779,12 +794,11 @@ def _core_differences():
         "prop-son1",
         "sum_i (-1)^(i+1) C(k,i) H(n+i) = (k-1)!/(n+1)^rising(k)",
         (IntRange("k", 1, 10), IntRange("n", 0, 20)),
-        lambda v: sum(
-            (
-                (-1) ** (i + 1) * binomial_int(v["k"], i) * harmonic(v["n"] + i)
-                for i in range(v["k"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            0,
+            v["k"],
+            lambda i: (-1) ** (i + 1) * binomial_int(v["k"], i),
+            lambda i: harmonic(v["n"] + i),
         ),
         lambda v: factorial(v["k"] - 1)
         / rising_factorial(F(v["n"] + 1), v["k"]),
@@ -794,12 +808,8 @@ def _core_differences():
         "cor-son4",
         "sum_{i=1..k} (-1)^(i+1) C(k,i) H(i) = 1/k",
         (IntRange("k", 1, 25),),
-        lambda v: sum(
-            (
-                (-1) ** (i + 1) * binomial_int(v["k"], i) * harmonic(i)
-                for i in range(1, v["k"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1, v["k"], lambda i: (-1) ** (i + 1) * binomial_int(v["k"], i), harmonic
         ),
         lambda v: F(1, v["k"]),
         {"core"},
@@ -808,12 +818,11 @@ def _core_differences():
         "eq-hrp",
         "sum_{i=1..k} (-1)^(i+1) C(k,i)/i = H(k)",
         (IntRange("k", 1, 25),),
-        lambda v: sum(
-            (
-                F((-1) ** (i + 1) * binomial_int(v["k"], i), i)
-                for i in range(1, v["k"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["k"],
+            lambda i: (-1) ** (i + 1) * binomial_int(v["k"], i),
+            lambda i: F(1, i),
         ),
         lambda v: harmonic(v["k"]),
         {"core"},
@@ -822,15 +831,11 @@ def _core_differences():
         "prop-son8",
         "sum_i (-1)^i C(k,i)(n+i) H(n+i) = (k-2)!/(n+1)^rising(k-1), k >= 2",
         (IntRange("k", 2, 12), IntRange("n", 0, 20)),
-        lambda v: sum(
-            (
-                (-1) ** i
-                * binomial_int(v["k"], i)
-                * (v["n"] + i)
-                * harmonic(v["n"] + i)
-                for i in range(v["k"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            0,
+            v["k"],
+            lambda i: (-1) ** i * binomial_int(v["k"], i) * (v["n"] + i),
+            lambda i: harmonic(v["n"] + i),
         ),
         lambda v: factorial(v["k"] - 2)
         / rising_factorial(F(v["n"] + 1), v["k"] - 1),
@@ -840,12 +845,8 @@ def _core_differences():
         "cor-bih",
         "sum_{i=1..k} (-1)^i C(k,i) i H(i) = 1/(k-1), k >= 2",
         (IntRange("k", 2, 25),),
-        lambda v: sum(
-            (
-                (-1) ** i * binomial_int(v["k"], i) * i * harmonic(i)
-                for i in range(1, v["k"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1, v["k"], lambda i: (-1) ** i * binomial_int(v["k"], i) * i, harmonic
         ),
         lambda v: F(1, v["k"] - 1),
         {"core"},
@@ -855,12 +856,11 @@ def _core_differences():
         "k (H(k) - 1) = sum_{i=2..k} C(k,i) (-1)^i/(i-1)",
         (IntRange("k", 1, 25),),
         lambda v: v["k"] * (harmonic(v["k"]) - 1),
-        lambda v: sum(
-            (
-                F(binomial_int(v["k"], i) * (-1) ** i, i - 1)
-                for i in range(2, v["k"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            2,
+            v["k"],
+            lambda i: binomial_int(v["k"], i) * (-1) ** i,
+            lambda i: F(1, i - 1),
         ),
         {"core"},
     )
@@ -869,12 +869,11 @@ def _core_differences():
         "sum_{i=1..n-1} (-1)^(i+1) C(n+1,i+1) H(i) = 2 H(n) for even n, 0 "
         "for odd n",
         (IntRange("n", 1, 30),),
-        lambda v: sum(
-            (
-                (-1) ** (i + 1) * binomial_int(v["n"] + 1, i + 1) * harmonic(i)
-                for i in range(1, v["n"])
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"] - 1,
+            lambda i: (-1) ** (i + 1) * binomial_int(v["n"] + 1, i + 1),
+            harmonic,
         ),
         lambda v: 2 * harmonic(v["n"]) if v["n"] % 2 == 0 else F(0),
         {"core"},
@@ -906,15 +905,7 @@ def _core_negative_orders():
         "h(n+k,r-k) = sum_i (-1)^(k-i) C(k,i) h(n+i,r)",
         (IntRange("n", 0, 25), IntRange("k", 0, 25), IntRange("r", -6, 12)),
         lambda v: _hz(v["n"] + v["k"], v["r"] - v["k"]),
-        lambda v: sum(
-            (
-                (-1) ** (v["k"] - i)
-                * binomial_int(v["k"], i)
-                * _hz(v["n"] + i, v["r"])
-                for i in range(v["k"] + 1)
-            ),
-            F(0),
-        ),
+        lambda v: _alt_sum(v["k"], lambda i: _hz(v["n"] + i, v["r"])),
         {"core"},
         valid=lambda v: v["r"] >= 1 or v["n"] >= 1 - v["r"],
     )
@@ -923,15 +914,7 @@ def _core_negative_orders():
         "h(n-k,r+k) = sum_i (-1)^(k-i) C(k,i) h(n,r+i), k <= n",
         (IntRange("n", 1, 25), IntRange("k", 0, 12), IntRange("r", -6, 12)),
         lambda v: _hz(v["n"] - v["k"], v["r"] + v["k"]),
-        lambda v: sum(
-            (
-                (-1) ** (v["k"] - i)
-                * binomial_int(v["k"], i)
-                * _hz(v["n"], v["r"] + i)
-                for i in range(v["k"] + 1)
-            ),
-            F(0),
-        ),
+        lambda v: _alt_sum(v["k"], lambda i: _hz(v["n"], v["r"] + i)),
         {"core"},
         valid=lambda v: v["k"] <= v["n"]
         and (v["r"] >= 1 or v["n"] >= v["k"] + 1 - v["r"]),
@@ -940,27 +923,11 @@ def _core_negative_orders():
     def _shift_lhs(v):
         if v["part"] == 0:
             return _hz(v["n"] - v["k"], v["k"])
-        return sum(
-            (
-                (-1) ** (v["k"] - i)
-                * binomial_int(v["k"], i)
-                * _hz(v["k"], v["r"] + i)
-                for i in range(v["k"] + 1)
-            ),
-            F(0),
-        )
+        return _alt_sum(v["k"], lambda i: _hz(v["k"], v["r"] + i))
 
     def _shift_rhs(v):
         if v["part"] == 0:
-            return sum(
-                (
-                    (-1) ** (v["k"] - i)
-                    * binomial_int(v["k"], i)
-                    * _hz(v["n"], i)
-                    for i in range(v["k"] + 1)
-                ),
-                F(0),
-            )
+            return _alt_sum(v["k"], lambda i: _hz(v["n"], i))
         return F(0)
 
     _add(
@@ -986,13 +953,7 @@ def _core_negative_orders():
         "h(n+k,-k) = sum_i (-1)^(k-i) C(k,i) / (n+i)",
         (IntRange("n", 1, 25), IntRange("k", 1, 12)),
         lambda v: hyperharmonic_neg(v["n"] + v["k"], v["k"]),
-        lambda v: sum(
-            (
-                F((-1) ** (v["k"] - i) * binomial_int(v["k"], i), v["n"] + i)
-                for i in range(v["k"] + 1)
-            ),
-            F(0),
-        ),
+        lambda v: _alt_sum(v["k"], lambda i: F(1, v["n"] + i)),
         {"core"},
     )
     _add(
@@ -1000,13 +961,7 @@ def _core_negative_orders():
         "h(k,r-k) = sum_{i=1..k} (-1)^(k-i) C(k,i) h(i,r)",
         (IntRange("k", 1, 12), IntRange("r", 1, 12)),
         lambda v: _hz(v["k"], v["r"] - v["k"]),
-        lambda v: sum(
-            (
-                (-1) ** (v["k"] - i) * binomial_int(v["k"], i) * _hz(i, v["r"])
-                for i in range(1, v["k"] + 1)
-            ),
-            F(0),
-        ),
+        lambda v: _alt_sum(v["k"], lambda i: _hz(i, v["r"]), lo=1),
         {"core"},
     )
     _add(
@@ -1014,12 +969,8 @@ def _core_negative_orders():
         "1/(k+1) = sum_i C(k,i) h(i+1,-i)",
         (IntRange("k", 0, 25),),
         lambda v: F(1, v["k"] + 1),
-        lambda v: sum(
-            (
-                binomial_int(v["k"], i) * _hz(i + 1, -i)
-                for i in range(v["k"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            0, v["k"], lambda i: binomial_int(v["k"], i), lambda i: _hz(i + 1, -i)
         ),
         {"core"},
     )
@@ -1028,12 +979,8 @@ def _core_negative_orders():
         "H(n) = sum_{i=1..n} C(n,i) h(i,1-i)",
         (IntRange("n", 1, 25),),
         lambda v: harmonic(v["n"]),
-        lambda v: sum(
-            (
-                binomial_int(v["n"], i) * _hz(i, 1 - i)
-                for i in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1, v["n"], lambda i: binomial_int(v["n"], i), lambda i: _hz(i, 1 - i)
         ),
         {"core"},
     )
@@ -1043,14 +990,8 @@ def _core_negative_orders():
         "1/k = sum_i (-1)^(k-i) C(k,i) h(i,k)",
         (IntRange("part", 0, 1), IntRange("k", 1, 20)),
         lambda v: harmonic(v["k"]) if v["part"] == 0 else F(1, v["k"]),
-        lambda v: sum(
-            (
-                (-1) ** (v["k"] - i)
-                * binomial_int(v["k"], i)
-                * hyperharmonic(i, v["k"] + 1 - v["part"])
-                for i in range(1, v["k"] + 1)
-            ),
-            F(0),
+        lambda v: _alt_sum(
+            v["k"], lambda i: hyperharmonic(i, v["k"] + 1 - v["part"]), lo=1
         ),
         {"core"},
     )
@@ -1059,13 +1000,17 @@ def _core_negative_orders():
         "H(n) = sum_{1<=i<=k<=n} (-1)^(k-i) C(k,i) h(i,k)",
         (IntRange("n", 1, 20),),
         lambda v: harmonic(v["n"]),
-        lambda v: sum(
-            (
-                (-1) ** (k - i) * binomial_int(k, i) * hyperharmonic(i, k)
+        lambda v: dot(
+            [
+                (-1) ** (k - i) * binomial_int(k, i)
                 for k in range(1, v["n"] + 1)
                 for i in range(1, k + 1)
-            ),
-            F(0),
+            ],
+            [
+                hyperharmonic(i, k)
+                for k in range(1, v["n"] + 1)
+                for i in range(1, k + 1)
+            ],
         ),
         {"core"},
     )
@@ -1077,17 +1022,7 @@ def _core_fibonacci():
         "F(n-k) = sum_i (-1)^(k-i) C(k,i) F(n+i)",
         (IntRange("n", 0, 25), IntRange("k", 0, 25)),
         lambda v: F(fibonacci(v["n"] - v["k"])),
-        lambda v: sum(
-            (
-                F(
-                    (-1) ** (v["k"] - i)
-                    * binomial_int(v["k"], i)
-                    * fibonacci(v["n"] + i)
-                )
-                for i in range(v["k"] + 1)
-            ),
-            F(0),
-        ),
+        lambda v: _alt_sum(v["k"], lambda i: fibonacci(v["n"] + i)),
         {"core"},
     )
     _add(
@@ -1095,13 +1030,8 @@ def _core_fibonacci():
         "F(-k) = sum_i (-1)^(k-i) C(k,i) F(i)",
         (IntRange("k", 0, 40),),
         lambda v: F(fibonacci(-v["k"])),
-        lambda v: sum(
-            (
-                F((-1) ** (v["k"] - i) * binomial_int(v["k"], i) * fibonacci(i))
-                for i in range(v["k"] + 1)
-            ),
-            F(0),
-        ),
+        lambda v: _alt_sum(v["k"], fibonacci),
+
         {"core"},
     )
     _add(
@@ -1212,12 +1142,11 @@ def _table1_rows():
         "t1-1.41",
         "Gould (1.41): sum_k (-1)^(k-1) C(n,k)/k = H(n)",
         (IntRange("n", 1, 25),),
-        lambda v: sum(
-            (
-                F((-1) ** (k - 1) * binomial_int(v["n"], k), k)
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: (-1) ** (k - 1) * binomial_int(v["n"], k),
+            lambda k: F(1, k),
         ),
         lambda v: harmonic(v["n"]),
         {"table1"},
@@ -1226,12 +1155,8 @@ def _table1_rows():
         "t1-1.42",
         "Gould (1.42): sum_k (-1)^(k-1) C(n,k) H(k) = 1/n",
         (IntRange("n", 1, 25),),
-        lambda v: sum(
-            (
-                (-1) ** (k - 1) * binomial_int(v["n"], k) * harmonic(k)
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1, v["n"], lambda k: (-1) ** (k - 1) * binomial_int(v["n"], k), harmonic
         ),
         lambda v: F(1, v["n"]),
         {"table1"},
@@ -1240,26 +1165,25 @@ def _table1_rows():
         "t1-1.44",
         "Gould (1.44): sum_k (-1)^(k-1) C(n+1,k+1) H(k) = H(n)",
         (IntRange("n", 1, 25),),
-        lambda v: sum(
-            (
-                (-1) ** (k - 1) * binomial_int(v["n"] + 1, k + 1) * harmonic(k)
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: (-1) ** (k - 1) * binomial_int(v["n"] + 1, k + 1),
+            harmonic,
         ),
         lambda v: harmonic(v["n"]),
         {"table1"},
     )
 
     def _t1_216_lhs(v):
-        partial = sum((harmonic(k) / factorial(k) for k in range(1, 31)), F(0))
+        partial = _bsum(1, 30, lambda k: F(1, factorial(k)), harmonic)
         tail = 2.0 / math.factorial(30)
         val = float(partial)
         return CertifiedReal(val, abs(val) * 4 * _ULP + tail)
 
     def _t1_216_rhs(v):
-        partial = sum(
-            (F((-1) ** (k - 1), factorial(k) * k) for k in range(1, 31)), F(0)
+        partial = _bsum(
+            1, 30, lambda k: (-1) ** (k - 1), lambda k: F(1, factorial(k) * k)
         )
         tail = math.e / (math.factorial(31) * 31)
         val = math.e * float(partial)
@@ -1279,12 +1203,11 @@ def _table1_rows():
         "t1-3.2",
         "Gould (3.2): sum_k C(r-2+n-k,n-k) H(k) = h(n,r)",
         (IntRange("n", 1, 25), IntRange("r", 1, 25)),
-        lambda v: sum(
-            (
-                binomial_int(v["r"] - 2 + v["n"] - k, v["n"] - k) * harmonic(k)
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: binomial_int(v["r"] - 2 + v["n"] - k, v["n"] - k),
+            harmonic,
         ),
         lambda v: hyperharmonic(v["n"], v["r"]),
         {"table1"},
@@ -1293,25 +1216,20 @@ def _table1_rows():
         "t1-3.36",
         "Gould (3.36): 2 sum_{k=1..2n} (-1)^k H(k) = H(n)",
         (IntRange("n", 1, 25),),
-        lambda v: 2
-        * sum(((-1) ** k * harmonic(k) for k in range(1, 2 * v["n"] + 1)), F(0)),
+        lambda v: _bsum(1, 2 * v["n"], lambda k: 2 * (-1) ** k, harmonic),
         lambda v: harmonic(v["n"]),
         {"table1"},
     )
 
     def _t1_395_lhs(v):
         n = v["n"]
-        return sum(
-            (
-                F(
-                    (-1) ** k
-                    * binomial_int(2 * n - 2 * k, n - k)
-                    * binomial_int(2 * k, k),
-                    k,
-                )
-                for k in range(1, n + 1)
-            ),
-            F(0),
+        return _bsum(
+            1,
+            n,
+            lambda k: (-1) ** k
+            * binomial_int(2 * n - 2 * k, n - k)
+            * binomial_int(2 * k, k),
+            lambda k: F(1, k),
         )
 
     def _t1_395_rhs(hw):
@@ -1339,29 +1257,23 @@ def _table1_rows():
         "t1-3.100",
         "Gould (3.100): sum_k (-1)^k C(n+k,2k) C(2k,k)/k = -2 H(n)",
         (IntRange("n", 1, 25),),
-        lambda v: sum(
-            (
-                F(
-                    (-1) ** k
-                    * binomial_int(v["n"] + k, 2 * k)
-                    * binomial_int(2 * k, k),
-                    k,
-                )
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: (-1) ** k
+            * binomial_int(v["n"] + k, 2 * k)
+            * binomial_int(2 * k, k),
+            lambda k: F(1, k),
         ),
         lambda v: -2 * harmonic(v["n"]),
         {"table1"},
     )
 
     def _t1_3108_side(n, m):
-        return sum(
-            (
-                binomial_int(k + m + 1, m) * harmonic(k) + hyperharmonic(m, k + 2)
-                for k in range(n + 1)
-            ),
-            F(0),
+        return dot(
+            [binomial_int(k + m + 1, m) for k in range(n + 1)] + [1] * (n + 1),
+            [harmonic(k) for k in range(n + 1)]
+            + [hyperharmonic(m, k + 2) for k in range(n + 1)],
         )
 
     _add(
@@ -1375,31 +1287,20 @@ def _table1_rows():
 
     def _t1_43_lhs(v):
         n, x = v["n"], v["x"]
-        return sum(
-            (
-                (-1) ** (k - 1)
-                * binomial_int(n, k)
-                * x**k
-                * harmonic(k)
-                for k in range(1, n + 1)
-            ),
-            F(0),
+        return _bsum(
+            1,
+            n,
+            lambda k: (-1) ** (k - 1) * binomial_int(n, k),
+            lambda k: x**k * harmonic(k),
         )
 
     def _t1_43_rhs(v):
         n, x = v["n"], v["x"]
-        total = n * (1 - x) ** (n - 1)
-        total += sum(
-            (
-                binomial_int(n, k)
-                * (x - k) ** k
-                * (1 - x + k) ** (n - k)
-                / k
-                for k in range(1, n + 1)
-            ),
-            F(0),
+        return dot(
+            [n] + [binomial_int(n, k) for k in range(1, n + 1)],
+            [(1 - x) ** (n - 1)]
+            + [(x - k) ** k * (1 - x + k) ** (n - k) / k for k in range(1, n + 1)],
         )
-        return total
 
     _add(
         "t1-4.3",
@@ -1414,14 +1315,11 @@ def _table1_rows():
         "t1-6.19",
         "Gould (6.19): sum_k C(n,k) C(r,k) h(n+r,1-k) = H(n) + H(r)",
         (IntRange("n", 1, 25), IntRange("r", 1, 25)),
-        lambda v: sum(
-            (
-                binomial_int(v["n"], k)
-                * binomial_int(v["r"], k)
-                * _hz(v["n"] + v["r"], 1 - k)
-                for k in range(v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            0,
+            v["n"],
+            lambda k: binomial_int(v["n"], k) * binomial_int(v["r"], k),
+            lambda k: _hz(v["n"] + v["r"], 1 - k),
         ),
         lambda v: harmonic(v["n"]) + harmonic(v["r"]),
         {"table1"},
@@ -1431,17 +1329,13 @@ def _table1_rows():
         "Gould (6.22): sum_k (-1)^k C(2n,k) C(2n-k,n)^2/k = "
         "C(2n,n)(h(n,n+1) - C(2n,n) H(n))",
         (IntRange("n", 1, 25),),
-        lambda v: sum(
-            (
-                F(
-                    (-1) ** k
-                    * binomial_int(2 * v["n"], k)
-                    * binomial_int(2 * v["n"] - k, v["n"]) ** 2,
-                    k,
-                )
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: (-1) ** k
+            * binomial_int(2 * v["n"], k)
+            * binomial_int(2 * v["n"] - k, v["n"]) ** 2,
+            lambda k: F(1, k),
         ),
         lambda v: binomial_int(2 * v["n"], v["n"])
         * (
@@ -1454,12 +1348,11 @@ def _table1_rows():
         "t1-7.2",
         "Gould (7.2): sum_k C(n,k) C(r,k) H(k) = C(r+n,n) H(n) - h(n,r+1)",
         (IntRange("n", 1, 25), IntRange("r", 1, 25)),
-        lambda v: sum(
-            (
-                binomial_int(v["n"], k) * binomial_int(v["r"], k) * harmonic(k)
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: binomial_int(v["n"], k) * binomial_int(v["r"], k),
+            harmonic,
         ),
         lambda v: binomial_int(v["r"] + v["n"], v["n"]) * harmonic(v["n"])
         - hyperharmonic(v["n"], v["r"] + 1),
@@ -1468,14 +1361,14 @@ def _table1_rows():
 
     def _t1_79_lhs(v):
         n = v["n"]
-        return sum(
-            (
-                F((-1) ** k * binomial_int(n, k) * 4**k, (2 * k + 1))
-                / binomial_int(2 * k, k)
-                * harmonic(k)
-                for k in range(1, n + 1)
+        return _bsum(
+            1,
+            n,
+            lambda k: F(
+                (-1) ** k * binomial_int(n, k) * 4**k,
+                (2 * k + 1) * binomial_int(2 * k, k),
             ),
-            F(0),
+            harmonic,
         )
 
     def _t1_79_rhs(hw):
@@ -1503,22 +1396,16 @@ def _table1_rows():
         "Gould (7.13): sum_k (-1)^(k-1) C(n,k) C(2n-k,n-k) H(k) = "
         "sum_k C(n,k)^2/k",
         (IntRange("n", 1, 25),),
-        lambda v: sum(
-            (
-                (-1) ** (k - 1)
-                * binomial_int(v["n"], k)
-                * binomial_int(2 * v["n"] - k, v["n"] - k)
-                * harmonic(k)
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: (-1) ** (k - 1)
+            * binomial_int(v["n"], k)
+            * binomial_int(2 * v["n"] - k, v["n"] - k),
+            harmonic,
         ),
-        lambda v: sum(
-            (
-                F(binomial_int(v["n"], k) ** 2, k)
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1, v["n"], lambda k: binomial_int(v["n"], k) ** 2, lambda k: F(1, k)
         ),
         {"table1"},
     )
@@ -1526,14 +1413,11 @@ def _table1_rows():
         "t1-7.15",
         "Gould (7.15): sum_k C(n,k) C(r,k) (H(k)^2 + H(k,2)) in closed form",
         (IntRange("n", 1, 25), IntRange("r", 1, 25)),
-        lambda v: sum(
-            (
-                binomial_int(v["n"], k)
-                * binomial_int(v["r"], k)
-                * (harmonic(k) ** 2 + gen_harmonic(k, 2))
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: binomial_int(v["n"], k) * binomial_int(v["r"], k),
+            lambda k: harmonic(k) ** 2 + gen_harmonic(k, 2),
         ),
         lambda v: binomial_int(v["r"] + v["n"], v["n"])
         * (
@@ -1551,19 +1435,16 @@ def _table1_rows():
 
     def _t1_129a_lhs(v):
         n, x = v["n"], v["x"]
-        total = F(0)
+        prefs, inners = [], []
         for k in range(n + 1):
             big = binomial_general(x + k + 1 + n, n)
-            pref = (
-                F(binomial_int(n, k))
-                / binomial_general(x + k, k)
-                / big
+            prefs.append(binomial_int(n, k) / binomial_general(x + k, k) / big)
+            inners.append(
+                (x + 2 * k + 1) / (x + k + 1) * (
+                    harmonic(k) - _h_any_order(n, x + k + 2) / big
+                ) - F(k) / (x + k + 1) ** 2
             )
-            inner = (x + 2 * k + 1) / (x + k + 1) * (
-                harmonic(k) - _h_any_order(n, x + k + 2) / big
-            ) - F(k) / (x + k + 1) ** 2
-            total += pref * inner
-        return total
+        return dot(prefs, inners)
 
     _add(
         "t1-12.9a",
@@ -1577,15 +1458,17 @@ def _table1_rows():
 
     def _t1_129b_lhs(v):
         n, y = v["n"], v["y"]
-        total = F(0)
+        prefs, inners = [], []
         for k in range(n + 1):
             big = binomial_general(y + k + 1 + n, n)
-            pref = F(binomial_int(n, k)) * binomial_general(y + k, k) / big
-            inner = (y + 2 * k + 1) / (y + k + 1) * (
-                harmonic(k) + _h_any_order(n, y + k + 2) / big
-            ) - F(k) / (y + k + 1) ** 2
-            total += pref * inner
-        return total
+            prefs.append(binomial_int(n, k) * binomial_general(y + k, k) / big)
+            inners.append(
+                (y + 2 * k + 1) / (y + k + 1) * (
+                    harmonic(k) + _h_any_order(n, y + k + 2) / big
+                ) - F(k) / (y + k + 1) ** 2
+            )
+        return dot(prefs, inners)
+
 
     _add(
         "t1-12.9b",
@@ -1651,13 +1534,11 @@ def _table2_rows():
         "Gould (1.41), order-r form: sum_k (-1)^(k-1) C(n,k) k/(k+r-1)^2 = "
         "h(n,r)/C(r-1+n,n)^2",
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda v: sum(
-            (
-                F((-1) ** (k - 1) * binomial_int(v["n"], k) * k)
-                / (k + v["r"] - 1) ** 2
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: (-1) ** (k - 1) * binomial_int(v["n"], k) * k,
+            lambda k: F(1, (k + v["r"] - 1) ** 2),
         ),
         lambda v: hyperharmonic(v["n"], v["r"])
         / binomial_int(v["r"] - 1 + v["n"], v["n"]) ** 2,
@@ -1668,15 +1549,11 @@ def _table2_rows():
         "Gould (1.42), order-r form: sum_k (-1)^(k-1) C(n,k) "
         "h(k,r)/C(k+r-1,k)^2 = 1/(n+r-1)",
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda v: sum(
-            (
-                (-1) ** (k - 1)
-                * binomial_int(v["n"], k)
-                * hyperharmonic(k, v["r"])
-                / binomial_int(k + v["r"] - 1, k) ** 2
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: (-1) ** (k - 1) * binomial_int(v["n"], k),
+            lambda k: hyperharmonic(k, v["r"]) / binomial_int(k + v["r"] - 1, k) ** 2,
         ),
         lambda v: F(1, v["n"] + v["r"] - 1),
         {"table2"},
@@ -1686,32 +1563,25 @@ def _table2_rows():
         "Gould (1.44), order-r form: sum_k (-1)^(k-1) C(n+1,k+1) "
         "h(k,r)/C(r-1+k,k)^2 = sum_k k/(k+r-1)^2",
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda v: sum(
-            (
-                (-1) ** (k - 1)
-                * binomial_int(v["n"] + 1, k + 1)
-                * hyperharmonic(k, v["r"])
-                / binomial_int(v["r"] - 1 + k, k) ** 2
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: (-1) ** (k - 1) * binomial_int(v["n"] + 1, k + 1),
+            lambda k: hyperharmonic(k, v["r"]) / binomial_int(v["r"] - 1 + k, k) ** 2,
         ),
-        lambda v: sum(
-            (F(k) / (k + v["r"] - 1) ** 2 for k in range(1, v["n"] + 1)), F(0)
+        lambda v: _bsum(
+            1, v["n"], lambda k: k, lambda k: F(1, (k + v["r"] - 1) ** 2)
         ),
         {"table2"},
     )
 
     def _t2_216_lhs(v):
         r = v["r"]
-        partial = sum(
-            (
-                hyperharmonic(k, r)
-                / binomial_int(r - 1 + k, k) ** 2
-                / factorial(k)
-                for k in range(1, 31)
-            ),
-            F(0),
+        partial = _bsum(
+            1,
+            30,
+            lambda k: F(1, binomial_int(r - 1 + k, k) ** 2 * factorial(k)),
+            lambda k: hyperharmonic(k, r),
         )
         tail = 2.0 * float(31 + r) ** r / math.factorial(31)
         val = float(partial)
@@ -1719,12 +1589,8 @@ def _table2_rows():
 
     def _t2_216_rhs(v):
         r = v["r"]
-        partial = sum(
-            (
-                F((-1) ** k, (r + k) ** 2 * factorial(k))
-                for k in range(31)
-            ),
-            F(0),
+        partial = _bsum(
+            0, 30, lambda k: (-1) ** k, lambda k: F(1, (r + k) ** 2 * factorial(k))
         )
         tail = math.e / (float(r + 31) ** 2 * math.factorial(31))
         val = math.e * float(partial)
@@ -1747,13 +1613,11 @@ def _table2_rows():
         "(the printed superscript r+n+1 coincides only at n = r; the "
         "convolution of the generating functions fixes it to 2r+1)",
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda v: sum(
-            (
-                binomial_int(v["r"] + v["n"] - k, v["n"] - k)
-                * hyperharmonic(k, v["r"])
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: binomial_int(v["r"] + v["n"] - k, v["n"] - k),
+            lambda k: hyperharmonic(k, v["r"]),
         ),
         lambda v: hyperharmonic(v["n"], 2 * v["r"] + 1),
         {"table2"},
@@ -1763,15 +1627,13 @@ def _table2_rows():
         "Gould (3.36), order-r form: 2 sum_{k<=2n} (-1)^k C(r-1+2n-k,2n-k) "
         "h(k,r) = h(n,r)",
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda v: 2
-        * sum(
-            (
-                (-1) ** k
-                * binomial_int(v["r"] - 1 + 2 * v["n"] - k, 2 * v["n"] - k)
-                * hyperharmonic(k, v["r"])
-                for k in range(1, 2 * v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            2 * v["n"],
+            lambda k: 2
+            * (-1) ** k
+            * binomial_int(v["r"] - 1 + 2 * v["n"] - k, 2 * v["n"] - k),
+            lambda k: hyperharmonic(k, v["r"]),
         ),
         lambda v: hyperharmonic(v["n"], v["r"]),
         {"table2"},
@@ -1779,18 +1641,14 @@ def _table2_rows():
 
     def _t2_395_lhs(v):
         n, r = v["n"], v["r"]
-        return sum(
-            (
-                F(
-                    (-1) ** k
-                    * binomial_int(2 * n - 2 * k, n - k)
-                    * binomial_int(2 * k, k)
-                    * k
-                )
-                / (r - 1 + k) ** 2
-                for k in range(1, n + 1)
-            ),
-            F(0),
+        return _bsum(
+            1,
+            n,
+            lambda k: (-1) ** k
+            * binomial_int(2 * n - 2 * k, n - k)
+            * binomial_int(2 * k, k)
+            * k,
+            lambda k: F(1, (r - 1 + k) ** 2),
         )
 
     def _t2_395_rhs(hw):
@@ -1824,18 +1682,14 @@ def _table2_rows():
         "t2-3.100",
         "Gould (3.100), order-r form with the negative order r-n-1",
         (IntRange("n", 1, 20), IntRange("r", 2, 12)),
-        lambda v: sum(
-            (
-                F(
-                    (-1) ** k
-                    * binomial_int(v["n"] + k, 2 * k)
-                    * binomial_int(2 * k, k)
-                    * k
-                )
-                / (v["r"] - 1 + k) ** 2
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: (-1) ** k
+            * binomial_int(v["n"] + k, 2 * k)
+            * binomial_int(2 * k, k)
+            * k,
+            lambda k: F(1, (v["r"] - 1 + k) ** 2),
         ),
         lambda v: F((-1) ** v["n"])
         / binomial_int(v["r"] - 1 + v["n"], v["n"])
@@ -1849,13 +1703,11 @@ def _table2_rows():
     )
 
     def _t2_3108_side(n, m, r):
-        return sum(
-            (
-                binomial_int(k + r + m, m) * hyperharmonic(k, r)
-                + binomial_int(k + r - 1, k) * hyperharmonic(m, k + r + 1)
-                for k in range(n + 1)
-            ),
-            F(0),
+        return dot(
+            [binomial_int(k + r + m, m) for k in range(n + 1)]
+            + [binomial_int(k + r - 1, k) for k in range(n + 1)],
+            [hyperharmonic(k, r) for k in range(n + 1)]
+            + [hyperharmonic(m, k + r + 1) for k in range(n + 1)],
         )
 
     _add(
@@ -1869,17 +1721,13 @@ def _table2_rows():
 
     def _t2_43_lhs(v):
         n, r, x = v["n"], v["r"], v["x"]
-        total = F(0)
-        for k in range(1, n + 1):
+        u = x + r - 1
+
+        def term(k):
             c = binomial_int(r - 1 + k, k)
-            total += (
-                (-1) ** k
-                * binomial_int(n, k)
-                * (x + r - 1) ** (k - 1)
-                / c
-                * (k - (x + r - 1) * hyperharmonic(k, r) / c)
-            )
-        return total
+            return u ** (k - 1) / c * (k - u * hyperharmonic(k, r) / c)
+
+        return _bsum(1, n, lambda k: (-1) ** k * binomial_int(n, k), term)
 
     _add(
         "t2-4.3",
@@ -1890,16 +1738,13 @@ def _table2_rows():
             RationalChoice("x", SAMPLE_RATIONALS),
         ),
         _t2_43_lhs,
-        lambda v: sum(
-            (
-                binomial_int(v["n"], k)
-                * (v["x"] - k) ** k
-                * (1 - v["x"] + k) ** (v["n"] - k)
-                * k
-                / (v["r"] - 1 + k) ** 2
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: binomial_int(v["n"], k) * k,
+            lambda k: (v["x"] - k) ** k
+            * (1 - v["x"] + k) ** (v["n"] - k)
+            / (v["r"] - 1 + k) ** 2,
         ),
         {"table2"},
     )
@@ -1908,14 +1753,11 @@ def _table2_rows():
         "Gould (6.19), order-j form: sum_k C(n,k) C(r,k) h(n+r,j-k) = "
         "h(r,j) C(n+j-1,n) + C(r+j-1,r) h(n,j)",
         (IntRange("n", 1, 20), IntRange("r", 1, 20), IntRange("j", 1, 12)),
-        lambda v: sum(
-            (
-                binomial_int(v["n"], k)
-                * binomial_int(v["r"], k)
-                * _hz(v["n"] + v["r"], v["j"] - k)
-                for k in range(v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            0,
+            v["n"],
+            lambda k: binomial_int(v["n"], k) * binomial_int(v["r"], k),
+            lambda k: _hz(v["n"] + v["r"], v["j"] - k),
         ),
         lambda v: hyperharmonic(v["r"], v["j"])
         * binomial_int(v["n"] + v["j"] - 1, v["n"])
@@ -1927,18 +1769,14 @@ def _table2_rows():
         "t2-6.22",
         "Gould (6.22), order-r form",
         (IntRange("n", 1, 15), IntRange("r", 1, 8)),
-        lambda v: sum(
-            (
-                F(
-                    (-1) ** k
-                    * binomial_int(2 * v["n"], k)
-                    * binomial_int(2 * v["n"] - k, v["n"]) ** 2
-                    * k
-                )
-                / (v["r"] - 1 + k) ** 2
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: (-1) ** k
+            * binomial_int(2 * v["n"], k)
+            * binomial_int(2 * v["n"] - k, v["n"]) ** 2
+            * k,
+            lambda k: F(1, (v["r"] - 1 + k) ** 2),
         ),
         lambda v: F(
             binomial_int(2 * v["n"], v["n"]),
@@ -1957,15 +1795,11 @@ def _table2_rows():
         "Gould (7.2), order-r form: sum_k C(n,k) C(m,k) h(k,r)/C(r-1+k,k)^2 "
         "in closed form",
         (IntRange("n", 1, 20), IntRange("m", 1, 20), IntRange("r", 1, 8)),
-        lambda v: sum(
-            (
-                binomial_int(v["n"], k)
-                * binomial_int(v["m"], k)
-                * hyperharmonic(k, v["r"])
-                / binomial_int(v["r"] - 1 + k, k) ** 2
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: binomial_int(v["n"], k) * binomial_int(v["m"], k),
+            lambda k: hyperharmonic(k, v["r"]) / binomial_int(v["r"] - 1 + k, k) ** 2,
         ),
         lambda v: (
             binomial_int(v["r"] - 1 + v["m"] + v["n"], v["n"])
@@ -1979,14 +1813,14 @@ def _table2_rows():
 
     def _t2_79_lhs(v):
         n, r = v["n"], v["r"]
-        return sum(
-            (
-                F((-1) ** k * binomial_int(n, k) * 4**k, 2 * k + 1)
-                / binomial_int(2 * k, k)
-                * hyperharmonic(k, r)
-                for k in range(1, n + 1)
+        return _bsum(
+            1,
+            n,
+            lambda k: F(
+                (-1) ** k * binomial_int(n, k) * 4**k,
+                (2 * k + 1) * binomial_int(2 * k, k),
             ),
-            F(0),
+            lambda k: hyperharmonic(k, r),
         )
 
     def _t2_79_rhs(hw):
@@ -2014,23 +1848,17 @@ def _table2_rows():
         "t2-7.13",
         "Gould (7.13), order-j form with the negative upper index C(-n-1,n-k)",
         (IntRange("n", 1, 20), IntRange("j", 1, 12)),
-        lambda v: sum(
-            (
-                binomial_int(v["n"], k)
-                * binomial_int(-v["n"] - 1, v["n"] - k)
-                * hyperharmonic(k, v["j"])
-                / binomial_int(v["j"] - 1 + k, k) ** 2
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: binomial_int(v["n"], k) * binomial_int(-v["n"] - 1, v["n"] - k),
+            lambda k: hyperharmonic(k, v["j"]) / binomial_int(v["j"] - 1 + k, k) ** 2,
         ),
-        lambda v: (-1) ** (v["n"] + 1)
-        * sum(
-            (
-                F(binomial_int(v["n"], k) ** 2 * k) / (k + v["j"] - 1) ** 2
-                for k in range(1, v["n"] + 1)
-            ),
-            F(0),
+        lambda v: _bsum(
+            1,
+            v["n"],
+            lambda k: (-1) ** (v["n"] + 1) * binomial_int(v["n"], k) ** 2 * k,
+            lambda k: F(1, (k + v["j"] - 1) ** 2),
         ),
         {"table2"},
     )
@@ -2039,29 +1867,22 @@ def _table2_rows():
         # d/dj F(upper, 1/2, n+r+j; 4) at j = 0, term by term: the k-th
         # coefficient rising(upper,k) rising(1/2,k) 4^k / k! multiplies the
         # derivative of the reciprocal rising factorial of (n+r).
-        c = F(n + r)
-        total = F(0)
-        for k in range(1, -upper + 1):
-            coeff = (
-                rising_factorial(F(upper), k)
-                * rising_factorial(F(1, 2), k)
-                * F(4) ** k
-                / factorial(k)
-            )
-            total += coeff * dx_reciprocal_rising(c, k)
-        return total
+        return _bsum(
+            1,
+            -upper,
+            lambda k: rising_factorial(upper, k)
+            * rising_factorial(F(1, 2), k)
+            * 4**k
+            / factorial(k),
+            lambda k: dx_reciprocal_rising(n + r, k),
+        )
 
     def _gould_hypergeom_rhs(n, r, m):
-        return sum(
-            (
-                (-1) ** (k + 1)
-                * binomial_int(m, k)
-                * binomial_int(2 * k, k)
-                * hyperharmonic(k, n + r)
-                / binomial_int(n + r - 1 + k, k) ** 2
-                for k in range(1, m + 1)
-            ),
-            F(0),
+        return _bsum(
+            1,
+            m,
+            lambda k: (-1) ** (k + 1) * binomial_int(m, k) * binomial_int(2 * k, k),
+            lambda k: hyperharmonic(k, n + r) / binomial_int(n + r - 1 + k, k) ** 2,
         )
 
     _add(
@@ -2085,19 +1906,18 @@ def _table2_rows():
 
     def _t2_129a_lhs(v):
         n, r, x = v["n"], v["r"], v["x"]
-        total = F(0)
+        prefs, inners = [], []
         for k in range(n + 1):
             big = binomial_general(x + r + k + n, n)
             c = binomial_int(r - 1 + k, k)
-            pref = F(binomial_int(n, k)) / binomial_general(x + k, k) / big * c
+            prefs.append(binomial_int(n, k) / binomial_general(x + k, k) / big * c)
             ratio = (x + r + 2 * k) / (x + r + k)
-            inner = (
+            inners.append(
                 ratio * hyperharmonic(k, r) / c
                 - ratio * _h_any_order(n, x + k + r + 1) / big
                 - F(k) / (x + r + k) ** 2
             )
-            total += pref * inner
-        return total
+        return dot(prefs, inners)
 
     _add(
         "t2-12.9a",
@@ -2115,19 +1935,19 @@ def _table2_rows():
 
     def _t2_129b_lhs(v):
         n, r, y = v["n"], v["r"], v["y"]
-        total = F(0)
+        prefs, inners = [], []
         for k in range(n + 1):
             big = binomial_general(r + y + k + n, n)
             c = binomial_int(r - 1 + k, k)
-            pref = F(binomial_int(n, k)) * binomial_general(y + k, k) / big / c
+            prefs.append(binomial_int(n, k) * binomial_general(y + k, k) / big / c)
             ratio = (r + y + 2 * k) / (r + y + k)
-            inner = (
+            inners.append(
                 ratio * hyperharmonic(k, r) / c
                 + ratio * _h_any_order(n, y + k + r + 1) / big
                 + F(k) / (r + y + k) ** 2
             )
-            total += pref * inner
-        return total
+        return dot(prefs, inners)
+
 
     _add(
         "t2-12.9b",

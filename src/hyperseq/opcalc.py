@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import ComputationIntegrityError, DomainError
-from .exactnum import binomial_int, factorial, format_rational, rising_factorial
+from .exactnum import binomial_int, dot, factorial, format_rational, rising_factorial
 
 _F = Fraction
 
@@ -46,10 +46,8 @@ def forward_difference(
         row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
     iterated = row[0]
 
-    alternating = sum(
-        ((-1) ** (k - i) * binomial_int(k, i) * vals[i] for i in range(k + 1)),
-        _F(0),
-    )
+    signed = [(-1) ** (k - i) * binomial_int(k, i) for i in range(k + 1)]
+    alternating = dot(signed, vals)
     if iterated != alternating:
         raise ComputationIntegrityError(
             f"difference algorithms disagree at k={k}, x={x}: "
@@ -62,7 +60,7 @@ def binomial_transform(b: Sequence) -> list[Fraction]:
     """a_k = sum_i binom(k, i) b_i."""
     b = [_F(v) for v in b]
     return [
-        sum((binomial_int(k, i) * b[i] for i in range(k + 1)), _F(0))
+        dot([binomial_int(k, i) for i in range(k + 1)], b[: k + 1])
         for k in range(len(b))
     ]
 
@@ -71,10 +69,7 @@ def inverse_binomial_transform(a: Sequence) -> list[Fraction]:
     """b_k = sum_i (-1)**(k+i) binom(k, i) a_i; inverse of the transform."""
     a = [_F(v) for v in a]
     return [
-        sum(
-            ((-1) ** (k + i) * binomial_int(k, i) * a[i] for i in range(k + 1)),
-            _F(0),
-        )
+        dot([(-1) ** (k + i) * binomial_int(k, i) for i in range(k + 1)], a[: k + 1])
         for k in range(len(a))
     ]
 
@@ -143,11 +138,13 @@ def dx_reciprocal_rising(c, k: int) -> Fraction:
     c = _F(c)
     if k == 0:
         return _F(0)
-    s = _F(0)
-    for i in range(k):
-        if c + i == 0:
-            raise DomainError(f"pole at i={i} in the rising factorial of {c}")
-        s += 1 / (c + i)
+    p, q = c.numerator, c.denominator
+    shifted = [p + i * q for i in range(k)]  # q (c + i)
+    if 0 in shifted:
+        raise DomainError(
+            f"pole at i={shifted.index(0)} in the rising factorial of {c}"
+        )
+    s = dot([q] * k, [_F(1, m) for m in shifted])
     return -s / rising_factorial(c, k)
 
 
@@ -206,15 +203,10 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         order = min(self.order, other.order)
-        out = [_F(0)] * (order + 1)
-        for i, ci in enumerate(self.coeffs[: order + 1]):
-            if ci == 0:
-                continue
-            for j in range(order + 1 - i):
-                cj = other.coeffs[j]
-                if cj != 0:
-                    out[i + j] += ci * cj
-        return PowerSeries(tuple(out))
+        a, b = self.coeffs, other.coeffs
+        return PowerSeries(
+            tuple(dot(a[: n + 1], b[n::-1]) for n in range(order + 1))
+        )
 
     def scale(self, s) -> "PowerSeries":
         s = _F(s)
@@ -223,14 +215,6 @@ class PowerSeries:
     def to_json_list(self) -> list[str]:
         """Coefficients as canonical rational strings, index = exponent."""
         return [format_rational(c) for c in self.coeffs]
-
-
-def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    return a * b
-
-
-def ps_coeff(series: PowerSeries, n: int) -> Fraction:
-    return series.coeff(n)
 
 
 def log_series(order: int) -> PowerSeries:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .exactnum import binomial_general, binomial_int, factorial
+from .exactnum import binomial_general, binomial_int
 
 _F = Fraction
 
@@ -54,13 +54,15 @@ def gen_harmonic(n: int, m: int) -> Fraction:
     """
     if n <= 0:
         return _F(0)
-    with _lock:
-        row = _gen_harmonic_prefix.setdefault(m, [_F(0)])
-        while len(row) <= n:
-            k = len(row)
-            term = _F(1, k**m) if m > 0 else _F(k ** (-m))
-            row.append(row[k - 1] + term)
-    return _gen_harmonic_prefix[m][n]
+    row = _gen_harmonic_prefix.get(m)
+    if row is None or n >= len(row):
+        with _lock:
+            row = _gen_harmonic_prefix.setdefault(m, [_F(0)])
+            while len(row) <= n:
+                k = len(row)
+                term = _F(1, k**m) if m > 0 else _F(k ** (-m))
+                row.append(row[k - 1] + term)
+    return row[n]
 
 
 class HyperharmonicMethod(enum.Enum):
@@ -92,6 +94,11 @@ def _hyper_def(n: int, r: int) -> Fraction:
         return _def_rows[r][n]
 
 
+#: Entries kept by the closed-form memo; a full audit needs about 1,200.
+CLOSED_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=CLOSED_MEMO_SIZE)
 def _hyper_closed(n: int, r: int) -> Fraction:
     return binomial_int(n + r - 1, r - 1) * (harmonic(n + r - 1) - harmonic(r - 1))
 
@@ -140,14 +147,16 @@ def hyperharmonic(
         return _F(1, n)
     if n == 0:
         return _F(0)
+    if method is HyperharmonicMethod.CLOSED:  # the audit's path; no enum hash
+        return _hyper_closed(n, r)
     return _METHOD_IMPL[method](n, r)
 
 
 def hyperharmonic_neg(n: int, r: int) -> Fraction:
     """Negative-ordered hyperharmonic number h(n, -r) for n, r >= 1.
 
-    Piecewise: (-1)**r r! / (n falling r+1) when n > r, zero when
-    r >= n > 1, and 1 when n = 1.
+    Piecewise: (-1)**r r! / (n falling r+1) = (-1)**r / ((r+1) C(n, r+1))
+    when n > r, zero when r >= n > 1, and 1 when n = 1.
     """
     if n < 1 or r < 1:
         raise DomainError(f"hyperharmonic_neg needs n >= 1 and r >= 1, got ({n}, {r})")
@@ -155,11 +164,8 @@ def hyperharmonic_neg(n: int, r: int) -> Fraction:
         return _F(1)
     if r >= n:
         return _F(0)
-    ff = 1
-    for i in range(r + 1):
-        ff *= n - i
     sign = -1 if r % 2 else 1
-    return _F(sign * factorial(r), ff)
+    return _F(sign, (r + 1) * binomial_int(n, r + 1))
 
 
 @lru_cache(maxsize=None)

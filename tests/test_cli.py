@@ -1,8 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyperseq
 from hyperseq.cli import main
+
+
+def run_module(*argv):
+    """``python -m hyperseq ...`` in a child that imports this same package."""
+    src = str(Path(hyperseq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hyperseq", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def run_cli(capsys, *argv):
@@ -232,29 +249,39 @@ class TestConfig:
         assert code == 2
 
 
+class TestAuditFlags:
+    @pytest.mark.parametrize("flag", ["--tolerance", "--counterexamples", "--workers"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_out_of_range_flag_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "audit", "--only", "prop-5", "--max", "2", flag, value
+        )
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    def test_flag_wins_over_config(self, tmp_path, capsys):
+        cfg = tmp_path / "hyperseq.conf"
+        cfg.write_text("counterexamples = 4\n")
+        code, out, _ = run_cli(
+            capsys, "--config", str(cfg), "audit", "--suite", "table2",
+            "--only", "1.42", "--max", "4", "--format", "json",
+            "--counterexamples", "1",
+        )
+        assert code == 3
+        assert len(json.loads(out)[0]["counterexamples"]) == 1
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "hyperseq", "compute", "hyperharmonic",
-             "--n", "3", "--r", "2"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("compute", "hyperharmonic", "--n", "3", "--r", "2")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "13/3"
 
     def test_exit_code_three_through_process(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "hyperseq", "audit", "--suite", "table2",
-             "--only", "1.42", "--max", "3", "--format", "json"],
-            capture_output=True,
-            text=True,
+        proc = run_module(
+            "audit", "--suite", "table2", "--only", "1.42", "--max", "3",
+            "--format", "json",
         )
         assert proc.returncode == 3
 

@@ -1,12 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperseq.analytic import CertifiedReal
 from hyperseq.exactnum import (
     binomial_general,
     binomial_int,
+    dot,
     factorial,
     falling_factorial,
     format_rational,
@@ -145,3 +148,152 @@ class TestReducedClosure:
             q = a / b
             assert q.denominator > 0
             assert math.gcd(abs(q.numerator), q.denominator) == 1
+
+
+# -- the exact dot product ---------------------------------------------------
+
+_ints = st.integers(min_value=-(10**30), max_value=10**30)
+_scalars = st.one_of(_ints, _rationals)
+
+
+def _oracle_dot(coeffs, values):
+    return sum((c * v for c, v in zip(coeffs, values)), F(0))
+
+
+def _assert_canonical(v):
+    assert type(v) is F
+    assert v.denominator > 0
+    assert math.gcd(abs(v.numerator), v.denominator) == 1
+
+
+class TestDot:
+    @given(st.lists(st.tuples(_scalars, _scalars), max_size=40))
+    def test_matches_fraction_sum(self, pairs):
+        coeffs = [c for c, _ in pairs]
+        values = [v for _, v in pairs]
+        got = dot(coeffs, values)
+        assert got == _oracle_dot(coeffs, values)
+        _assert_canonical(got)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-50, 50),
+                st.integers(1, 10**6),
+                st.integers(-50, 50),
+                st.integers(1, 10**6),
+            ),
+            max_size=25,
+        )
+    )
+    def test_fraction_coefficients_with_unreduced_denominator_products(self, quads):
+        # Denominators that share factors make the term denominators'
+        # product far larger than their lcm.
+        coeffs = [F(a, b * 6) for a, b, _, _ in quads]
+        values = [F(c, d * 10) for _, _, c, d in quads]
+        got = dot(coeffs, values)
+        assert got == _oracle_dot(coeffs, values)
+        _assert_canonical(got)
+
+    @given(st.lists(st.tuples(st.integers(-5, 5), _rationals), max_size=30))
+    def test_zero_and_negative_int_coefficients(self, pairs):
+        coeffs = [c for c, _ in pairs]
+        values = [v for _, v in pairs]
+        assert dot(coeffs, values) == _oracle_dot(coeffs, values)
+
+    def test_empty_is_zero(self):
+        got = dot([], [])
+        assert got == 0
+        _assert_canonical(got)
+
+    def test_cancels_to_canonical_zero(self):
+        got = dot([1, -1, 2], [F(1, 3), F(1, 3), F(0)])
+        assert (got.numerator, got.denominator) == (0, 1)
+
+    def test_mixed_ints_and_fractions(self):
+        assert dot([2, F(1, 2), 3], [F(1, 4), 6, 5]) == F(37, 2)
+
+    def test_accepts_iterators(self):
+        assert dot(iter([1, 2]), (F(1, 2), F(1, 3))) == F(7, 6)
+
+    @pytest.mark.parametrize(
+        "coeffs,values", [([1, 2], [F(1)]), ([1], [F(1), F(2)]), ([], [F(1)])]
+    )
+    def test_length_mismatch(self, coeffs, values):
+        with pytest.raises(ValueError):
+            dot(coeffs, values)
+
+    @pytest.mark.parametrize(
+        "bad", [0.5, 1.0, CertifiedReal(1.0, 0.0), "1/2", None]
+    )
+    def test_inexact_inputs_rejected(self, bad):
+        with pytest.raises(TypeError):
+            dot([1, 2], [F(1, 2), bad])
+        with pytest.raises(TypeError):
+            dot([bad, 2], [F(1, 2), 3])
+
+
+# -- integer-product factorials against the plain loop definitions ----------
+
+
+def _loop_rising(x, n):
+    x = F(x)
+    out = F(1)
+    for i in range(n):
+        out *= x + i
+    return out
+
+
+def _loop_falling(x, n):
+    x = F(x)
+    out = F(1)
+    for i in range(n):
+        out *= x - i
+    return out
+
+
+def _loop_binomial_general(x, n):
+    return _loop_falling(x, n) / math.factorial(n)
+
+
+_upper = st.one_of(st.integers(-40, 40), _rationals)
+
+
+class TestFactorialOracles:
+    @given(_upper, st.integers(0, 30))
+    def test_rising(self, x, n):
+        got = rising_factorial(x, n)
+        assert got == _loop_rising(x, n)
+        _assert_canonical(got)
+
+    @given(_upper, st.integers(0, 30))
+    def test_falling(self, x, n):
+        got = falling_factorial(x, n)
+        assert got == _loop_falling(x, n)
+        _assert_canonical(got)
+
+    @given(_upper, st.integers(0, 30))
+    def test_binomial_general(self, x, n):
+        got = binomial_general(x, n)
+        assert got == _loop_binomial_general(x, n)
+        _assert_canonical(got)
+
+    @pytest.mark.parametrize("x", [0, 1, -1, -7, F(0), F(-5, 3), F(7, 2)])
+    def test_empty_products(self, x):
+        assert rising_factorial(x, 0) == 1
+        assert falling_factorial(x, 0) == 1
+        assert binomial_general(x, 0) == 1
+
+    def test_negative_integer_arguments(self):
+        for x in range(-10, 0):
+            for n in range(12):
+                assert rising_factorial(x, n) == _loop_rising(x, n)
+                assert falling_factorial(x, n) == _loop_falling(x, n)
+                assert binomial_general(x, n) == binomial_int(x, n)
+
+    @pytest.mark.parametrize(
+        "fn", [rising_factorial, falling_factorial, binomial_general]
+    )
+    def test_negative_order_rejected(self, fn):
+        with pytest.raises(ValueError):
+            fn(F(1, 2), -1)

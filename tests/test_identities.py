@@ -164,6 +164,21 @@ class TestVerify:
         assert reasons[0]["params"] == {"n": 0}
         assert "h(0, 0)" in reasons[0]["reason"]
 
+    def test_evaluator_bug_is_raised_not_skipped(self, monkeypatch):
+        # Only DomainError marks a case as outside the domain; a division
+        # by zero inside an evaluator is a bug and must surface.
+        probe = Identity(
+            key="probe-zero",
+            anchor="1/(n-n) = 0",
+            params=(IntRange("n", 1, 3),),
+            lhs=lambda v: F(1, v["n"] - v["n"]),
+            rhs=lambda v: F(0),
+            tags=frozenset({"probe"}),
+        )
+        monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
+        with pytest.raises(ZeroDivisionError):
+            verify("probe-zero")
+
 
 class TestRunSuite:
     def test_core_all_pass_small(self):
