@@ -95,14 +95,14 @@ _PSI_SHIFT = 10.0
 
 
 def digamma(x: Exactish) -> CertifiedReal:
-    """psi(x) for real x > 0.
+    """psi(x) for finite real x > 0.
 
     Shifts the argument above 10 by psi(x+1) = psi(x) + 1/x, then sums
     the asymptotic expansion through the 1/x**12 term.
     """
     x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"digamma needs x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"digamma needs finite x > 0, got {x}")
     acc = 0.0
     acc_abs = 0.0
     ops = 0
@@ -150,11 +150,11 @@ _HALF_LOG_TWO_PI = 0.9189385332046727
 
 
 def log_gamma(x: Exactish) -> CertifiedReal:
-    """ln Gamma(x) for real x > 0, by shift-and-Stirling with an explicit
+    """ln Gamma(x) for finite real x > 0, by shift-and-Stirling with an explicit
     remainder bound."""
     x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"log_gamma needs x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"log_gamma needs finite x > 0, got {x}")
     shift = 0.0
     shift_abs = 0.0
     ops = 0

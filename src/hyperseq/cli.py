@@ -55,17 +55,17 @@ _SERIES_CAP = 512
 _AUDIT_SETTINGS = {
     "tolerance": (float, lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
     "counterexamples": (int, lambda v: v > 0, "must be positive"),
-    "workers": (int, lambda v: v > 0, "must be positive"),
 }
+
+_SUITES = ("core", "table1", "table2", "float", "all")
 
 
 @dataclass
 class CliConfig:
-    bounds: dict = field(default_factory=dict)  # param name -> (lo, hi)
+    bounds: dict = field(default_factory=dict)  # param name -> (None, cap)
     tolerance: float | None = None
     format: str = "text"
     counterexamples: int = 5
-    workers: int = 1
 
 
 def _parse_config_file(path: str) -> CliConfig:
@@ -86,7 +86,7 @@ def _parse_config_file(path: str) -> CliConfig:
             bound = int(value)
             if bound <= 0:
                 raise ConfigError(f"{path}:{lineno}: bounds must be positive")
-            cfg.bounds[key[4:]] = (1, bound)
+            cfg.bounds[key[4:]] = (None, bound)  # clamp only the top
         elif key in _AUDIT_SETTINGS:
             kind, valid, rule = _AUDIT_SETTINGS[key]
             setting = kind(value)
@@ -128,9 +128,12 @@ def _render_exact(value: Fraction, decimal: int | None) -> str:
 
 
 def _parse_span(text: str) -> tuple[int, int]:
+    """``V`` or ``LO:HI``; ``HI = LO - 1`` is the empty span, lower is an error."""
     if ":" in text:
-        lo, hi = text.split(":", 1)
-        return int(lo), int(hi)
+        lo, hi = (int(part) for part in text.split(":", 1))
+        if hi < lo - 1:
+            raise ValueError(f"span {text!r} runs backwards")
+        return lo, hi
     v = int(text)
     return v, v
 
@@ -218,20 +221,21 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument(
         "--suite",
         action="append",
-        choices=["core", "table1", "table2", "float", "all"],
+        choices=_SUITES,
         help="tag filter; repeatable (default: all)",
     )
     audit.add_argument("--only", help="comma-separated id suffixes, e.g. 3.95")
     audit.add_argument("--max", type=int, help="clamp every integer domain")
     audit.add_argument("--format", choices=["json", "csv", "text"])
     audit.add_argument("--out", help="write the report to this path")
-    audit.add_argument("--workers", type=int)
     audit.add_argument("--counterexamples", type=int, metavar="CAP")
     audit.add_argument("--tolerance", type=float)
     _add_bound_flags(audit)
 
     ids = sub.add_parser("identities", help="list registered identity ids")
-    ids.add_argument("--suite", action="append", help="tag filter")
+    ids.add_argument(
+        "--suite", action="append", choices=_SUITES, help="tag filter"
+    )
 
     return parser
 
@@ -242,6 +246,8 @@ def _cmd_compute(args) -> int:
             raise ValueError(f"{args.sequence} requires --{flag}")
         return value
 
+    if args.decimal is not None and args.decimal < 0:
+        raise ValueError(f"--decimal must be non-negative, got {args.decimal}")
     seq = args.sequence
     if seq == "digamma":
         raw = need("arg", args.arg)
@@ -344,7 +350,6 @@ def _cmd_audit(args, cfg: CliConfig) -> int:
         max_bound=args.max,
         param_bounds=_collect_bounds(args, cfg) or None,
         counterexample_cap=_audit_setting(args, cfg, "counterexamples"),
-        workers=_audit_setting(args, cfg, "workers"),
         tolerance_override=_audit_setting(args, cfg, "tolerance"),
     )
     if only and not report.entries:

@@ -3,10 +3,11 @@
 Each :class:`Identity` is a claim: two evaluators over a declared
 finite parameter domain, compared either exactly (rational equality) or
 within a tolerance plus certified error bounds.  ``verify`` checks one
-identity, ``run_suite`` a tagged subset; failures are first-class data
-recorded as counterexamples, never exceptions, because part of the
-point of the audit is to document table rows that do not balance as
-printed.
+identity, ``run_suite`` a tagged subset, one row after another in key
+order.  Failures are first-class data recorded as counterexamples, never
+exceptions, because part of the point of the audit is to document table
+rows that do not balance as printed.  A report passes only when every
+row is PASS: a row with no tested case (SKIPPED) proves nothing.
 
 Table rows keep the summation numbering of Gould's "Combinatorial
 Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
@@ -14,10 +15,11 @@ Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
 ``float`` the transcendental ones.
 
 Half-integer hyperharmonic orders default to the exact digamma-telescoped
-evaluation; rows whose verdict depends on that convention are evaluated
-additionally under the alternative reading
-(:func:`hyperseq.sequences.hyperharmonic_half_integer_alt`) and the
-report records the verdict under each.
+evaluation.  A row whose verdict depends on that convention also carries
+``alt_rhs``, its right side under the alternative reading
+(:func:`hyperseq.sequences.hyperharmonic_half_integer_alt`), which is
+checked against the same left side; the report records the verdict under
+each.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -114,14 +115,13 @@ class Identity:
     mode: str = "exact"  # "exact" | "float"
     tol: float = 0.0
     valid: Optional[Callable[[Params], bool]] = None
-    # Evaluators under the alternative half-integer convention, when the
-    # row's verdict depends on it.
-    alt_lhs: Optional[Evaluator] = None
+    # The right side under the alternative half-integer convention, when
+    # the row's verdict depends on it; it is checked against ``lhs``.
     alt_rhs: Optional[Evaluator] = None
 
     @property
     def dual_convention(self) -> bool:
-        return self.alt_lhs is not None
+        return self.alt_rhs is not None
 
 
 @dataclass
@@ -173,7 +173,7 @@ class AuditReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(e.verdict != "FAIL" for e in self.entries)
+        return all(e.verdict == "PASS" for e in self.entries)
 
     def counts(self) -> dict:
         out = {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
@@ -258,13 +258,17 @@ def _axis_values(p, max_bound, param_bounds):
     override = (param_bounds or {}).get(p.name)
     if isinstance(p, IntRange):
         lo, hi = p.lo, p.hi
-        if override is not None:
-            if isinstance(override, int):
-                lo = hi = override
-            else:
-                lo, hi = override
-        elif max_bound is not None:
-            hi = min(hi, max_bound)
+        if isinstance(override, int):
+            lo = hi = override
+        elif override is not None and override[0] is not None:
+            lo, hi = override
+        else:
+            # No override, or a (None, cap) one: keep the row's own lower
+            # bound and clamp only the top.
+            if override is not None:
+                hi = min(hi, override[1])
+            if max_bound is not None:
+                hi = min(hi, max_bound)
         return [(p.name, v) for v in range(lo, hi + 1)]
     values = p.values
     if override is not None:
@@ -365,7 +369,7 @@ def verify(
     if identity.dual_convention:
         a_verdict, a_tested, a_skipped, a_cex, _ = _evaluate_pair(
             identity,
-            identity.alt_lhs,
+            identity.lhs,
             identity.alt_rhs,
             _assignments(identity, max_bound, param_bounds),
             counterexample_cap,
@@ -383,16 +387,13 @@ def run_suite(
     max_bound: int | None = None,
     param_bounds: dict | None = None,
     counterexample_cap: int = 5,
-    workers: int = 1,
     tolerance_override: float | None = None,
 ) -> AuditReport:
     """Run every identity matching the tag filter (empty = everything).
 
     ``only`` optionally restricts to keys equal to, or ending with, one
     of the given tokens (so ``3.95`` selects ``t1-3.95`` inside the
-    table1 suite).  Identities run in deterministic key order; with
-    ``workers > 1`` they are evaluated concurrently but assembled in the
-    same order.
+    table1 suite).  Identities run one after another in key order.
     """
     tags = frozenset(tags)
     keys = []
@@ -406,22 +407,18 @@ def run_suite(
                 continue
         keys.append(key)
 
-    def job(key):
-        return verify(
-            key,
-            max_bound=max_bound,
-            param_bounds=param_bounds,
-            counterexample_cap=counterexample_cap,
-            tolerance_override=tolerance_override,
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(job, keys))
-    else:
-        entries = [job(key) for key in keys]
-    entries.sort(key=lambda e: e.key)
-    return AuditReport(entries)
+    return AuditReport(
+        [
+            verify(
+                key,
+                max_bound=max_bound,
+                param_bounds=param_bounds,
+                counterexample_cap=counterexample_cap,
+                tolerance_override=tolerance_override,
+            )
+            for key in keys
+        ]
+    )
 
 
 # --------------------------------------------------------------------------
@@ -442,10 +439,6 @@ def _h_any_order(n: int, w) -> Fraction:
     if w.denominator == 1:
         return _hz(n, int(w))
     return hyperharmonic_rational_order(n, w)
-
-
-def _alt_half(n: int, w) -> Fraction:
-    return hyperharmonic_half_integer_alt(n, w)
 
 
 def _bsum(lo: int, hi: int, coeff, term) -> Fraction:
@@ -471,7 +464,7 @@ def _gf_hyper_cached(r: int, order: int):
 
 
 def _gf_hyper_coeff(r: int, n: int) -> Fraction:
-    order = 64 * ((n // 64) + 1)
+    order = 64 * max(1, (n + 63) // 64)  # n rounded up to a multiple of 64
     return _gf_hyper_cached(r, order).coeff(n)
 
 
@@ -532,7 +525,7 @@ _REGISTRY: dict[str, Identity] = {}
 
 
 def _add(key, anchor, params, lhs, rhs, tags, mode="exact", tol=0.0,
-         valid=None, alt_lhs=None, alt_rhs=None):
+         valid=None, alt_rhs=None):
     if key in _REGISTRY:
         raise ValueError(f"duplicate identity key {key}")
     _REGISTRY[key] = Identity(
@@ -545,7 +538,6 @@ def _add(key, anchor, params, lhs, rhs, tags, mode="exact", tol=0.0,
         mode=mode,
         tol=tol,
         valid=valid,
-        alt_lhs=alt_lhs,
         alt_rhs=alt_rhs,
     )
 
@@ -1250,8 +1242,7 @@ def _table1_rows():
         _t1_395_lhs,
         _t1_395_rhs(hyperharmonic_rational_order),
         {"table1"},
-        alt_lhs=_t1_395_lhs,
-        alt_rhs=_t1_395_rhs(_alt_half),
+        alt_rhs=_t1_395_rhs(hyperharmonic_half_integer_alt),
     )
     _add(
         "t1-3.100",
@@ -1388,8 +1379,7 @@ def _table1_rows():
         _t1_79_lhs,
         _t1_79_rhs(hyperharmonic_rational_order),
         {"table1"},
-        alt_lhs=_t1_79_lhs,
-        alt_rhs=_t1_79_rhs(_alt_half),
+        alt_rhs=_t1_79_rhs(hyperharmonic_half_integer_alt),
     )
     _add(
         "t1-7.13",
@@ -1501,8 +1491,7 @@ def _table1_rows():
         lambda v: harmonic(2 * v["n"]),
         _t1_z58_rhs(hyperharmonic_rational_order),
         {"table1"},
-        alt_lhs=lambda v: harmonic(2 * v["n"]),
-        alt_rhs=_t1_z58_rhs(_alt_half),
+        alt_rhs=_t1_z58_rhs(hyperharmonic_half_integer_alt),
     )
 
 
@@ -1675,8 +1664,7 @@ def _table2_rows():
         _t2_395_lhs,
         _t2_395_rhs(hyperharmonic_rational_order),
         {"table2"},
-        alt_lhs=_t2_395_lhs,
-        alt_rhs=_t2_395_rhs(_alt_half),
+        alt_rhs=_t2_395_rhs(hyperharmonic_half_integer_alt),
     )
     _add(
         "t2-3.100",
@@ -1841,8 +1829,7 @@ def _table2_rows():
         _t2_79_lhs,
         _t2_79_rhs(hyperharmonic_rational_order),
         {"table2"},
-        alt_lhs=_t2_79_lhs,
-        alt_rhs=_t2_79_rhs(_alt_half),
+        alt_rhs=_t2_79_rhs(hyperharmonic_half_integer_alt),
     )
     _add(
         "t2-7.13",
@@ -1983,9 +1970,7 @@ def _table2_rows():
         * hyperharmonic(2 * v["n"], 2 * v["r"] - 1),
         _t2_z58_rhs(hyperharmonic_rational_order),
         {"table2"},
-        alt_lhs=lambda v: binomial_int(2 * v["n"], v["n"])
-        * hyperharmonic(2 * v["n"], 2 * v["r"] - 1),
-        alt_rhs=_t2_z58_rhs(_alt_half),
+        alt_rhs=_t2_z58_rhs(hyperharmonic_half_integer_alt),
     )
 
 

@@ -42,6 +42,11 @@ class TestDigamma:
         with pytest.raises(DomainError):
             digamma(-2.5)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_domain_error(self, x):
+        with pytest.raises(DomainError):
+            digamma(x)
+
     def test_bound_is_honest_and_small(self):
         for i in range(1, 400):
             x = i / 8.0
@@ -88,6 +93,11 @@ class TestLogGamma:
     def test_domain(self):
         with pytest.raises(DomainError):
             log_gamma(0.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_domain_error(self, x):
+        with pytest.raises(DomainError):
+            log_gamma(x)
 
 
 class TestHyperharmonicReal:

@@ -10,16 +10,21 @@ import hyperseq
 from hyperseq.cli import main
 
 
-def run_module(*argv):
-    """``python -m hyperseq ...`` in a child that imports this same package."""
+def run_python(*argv):
+    """``python ...`` in a fresh child that imports this same package."""
     src = str(Path(hyperseq.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "hyperseq", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_module(*argv):
+    """``python -m hyperseq ...`` in a child that imports this same package."""
+    return run_python("-m", "hyperseq", *argv)
 
 
 def run_cli(capsys, *argv):
@@ -175,8 +180,7 @@ class TestAudit:
         assert json.loads(out)[0]["tested"] == 1
 
     def test_byte_identical_json(self, capsys):
-        args = ("audit", "--suite", "float", "--max", "5", "--format", "json",
-                "--workers", "3")
+        args = ("audit", "--suite", "float", "--max", "5", "--format", "json")
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
@@ -214,11 +218,23 @@ class TestAudit:
         assert lines[1].startswith("t2-Z.58,exact,FAIL")
         assert lines[1].endswith(",PASS")  # alternative-convention verdict
 
+    def test_vacuous_audit_exit_three(self, capsys):
+        code, out, err = run_cli(capsys, "audit", "--max", "0", "--format", "json")
+        assert code == 3
+        verdicts = {row["verdict"] for row in json.loads(out)}
+        assert verdicts == {"PASS", "SKIPPED"}
+        assert "0 FAIL" in err
+
+    def test_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--only", "prop-5", "--max", "2", "--workers", "2"])
+        assert exc.value.code == 2
+
 
 class TestConfig:
     def test_config_file_applies(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "hyperseq.conf"
-        cfg.write_text("max_n = 2\nformat = json\nworkers = 2\n")
+        cfg.write_text("max_n = 2\nformat = json\n")
         monkeypatch.setenv("HYPERSEQ_CONFIG", str(cfg))
         code, out, _ = run_cli(capsys, "audit", "--suite", "table1", "--only", "1.41")
         assert code == 0
@@ -241,6 +257,28 @@ class TestConfig:
         assert code == 2
         assert "unknown key" in err
 
+    def test_workers_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "hyperseq.conf"
+        cfg.write_text("workers = 2\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg), "audit",
+                               "--only", "prop-5", "--max", "2")
+        assert code == 2
+        assert "unknown key" in err
+
+    @pytest.mark.parametrize("key, line, span", [
+        ("eq-hhr", "max_r = 5", "--r=-8:5"),
+        ("prop-leap-rel", "max_n = 4", "--n=2:4"),
+    ])
+    def test_max_key_clamps_only_the_top(self, tmp_path, capsys, key, line, span):
+        cfg = tmp_path / "hyperseq.conf"
+        cfg.write_text(line + "\n")
+        code, via_config, _ = run_cli(
+            capsys, "--config", str(cfg), "audit", "--only", key, "--format", "json"
+        )
+        assert code == 0
+        _, via_flag, _ = run_cli(capsys, "audit", "--only", key, span, "--format", "json")
+        assert via_config == via_flag
+
     def test_bad_tolerance_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "hyperseq.conf"
         cfg.write_text("tolerance = 2.0\n")
@@ -250,7 +288,7 @@ class TestConfig:
 
 
 class TestAuditFlags:
-    @pytest.mark.parametrize("flag", ["--tolerance", "--counterexamples", "--workers"])
+    @pytest.mark.parametrize("flag", ["--tolerance", "--counterexamples"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_out_of_range_flag_is_usage_error(self, capsys, flag, value):
         code, out, err = run_cli(
@@ -272,6 +310,41 @@ class TestAuditFlags:
         assert len(json.loads(out)[0]["counterexamples"]) == 1
 
 
+class TestGarbageInput:
+    """Inputs that used to print plausible output and exit 0."""
+
+    @pytest.mark.parametrize("arg", ["nan", "inf", "-inf"])
+    def test_non_finite_digamma_is_domain_error(self, capsys, arg):
+        code, out, err = run_cli(capsys, "compute", "digamma", f"--arg={arg}")
+        assert (code, out) == (4, "")
+        assert "finite" in err
+
+    @pytest.mark.parametrize("sequence, flags", [
+        ("harmonic", ("--n", "3")),
+        ("hyperharmonic", ("--n", "3", "--r", "2")),
+    ])
+    def test_negative_decimal_is_usage_error(self, capsys, sequence, flags):
+        code, out, err = run_cli(capsys, "compute", sequence, *flags, "--decimal", "-1")
+        assert (code, out) == (2, "")
+        assert "--decimal" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "hyperharmonic", "--n", "5:1", "--r", "1:2"),
+        ("table", "beta", "--n", "1:2", "--r", "3:1"),
+        ("audit", "--only", "prop-5", "--n", "5:1"),
+    ])
+    def test_backwards_span_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "runs backwards" in err
+
+    @pytest.mark.parametrize("command", ["identities", "audit"])
+    def test_unknown_suite_is_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--suite", "bogus"])
+        assert exc.value.code == 2
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):
         proc = run_module("compute", "hyperharmonic", "--n", "3", "--r", "2")
@@ -284,6 +357,15 @@ class TestModuleEntryPoint:
             "--format", "json",
         )
         assert proc.returncode == 3
+
+    def test_import_loads_no_thread_pool_or_logging(self):
+        proc = run_python(
+            "-c",
+            "import sys, hyperseq.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestIdentitiesListing:

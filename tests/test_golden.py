@@ -55,7 +55,7 @@ def row_digests() -> dict:
         out[key] = _side_digest(identity, identity.lhs, identity.rhs)
         if identity.dual_convention:
             out[key + "@alt"] = _side_digest(
-                identity, identity.alt_lhs, identity.alt_rhs
+                identity, identity.lhs, identity.alt_rhs
             )
     return out
 

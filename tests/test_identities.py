@@ -194,10 +194,19 @@ class TestRunSuite:
         rep = run_suite({"table1"}, only=["3.95"], max_bound=3)
         assert [e.key for e in rep.entries] == ["t1-3.95"]
 
-    def test_workers_match_serial(self):
-        serial = run_suite({"core"}, max_bound=5)
-        parallel = run_suite({"core"}, max_bound=5, workers=4)
-        assert serial.to_json() == parallel.to_json()
+    def test_vacuous_run_does_not_pass(self):
+        # --max 0 empties most domains: a SKIPPED row proves nothing.
+        rep = run_suite(max_bound=0)
+        counts = rep.counts()
+        assert counts["SKIPPED"] > 0 and counts["FAIL"] == 0
+        assert rep.all_pass is False
+
+    def test_gf_rows_build_one_series_per_r(self):
+        # n <= 64 is served by the order-64 series; none of order 128.
+        ident._gf_hyper_cached.cache_clear()
+        for key in ("gf-harmonic", "gf-hyperharmonic"):
+            assert verify(key).verdict == "PASS"
+        assert ident._gf_hyper_cached.cache_info().currsize == 8
 
     def test_json_schema(self):
         rep = run_suite({"table2"}, only=["1.42"], max_bound=4)
