@@ -1,5 +1,9 @@
 """hyperseq: exact harmonic-family sequences, operator calculus, and a
-machine-audited registry of the identities relating them."""
+machine-audited registry of the identities relating them.
+
+The registry's names (``run_suite``, ``verify``, ``Identity``, ...) load
+on first access, so importing the package for the sequences alone does
+not build it."""
 
 from .analytic import (
     CertifiedReal,
@@ -27,8 +31,6 @@ from .exactnum import (
     parse_rational,
     rising_factorial,
 )
-from .identities import AuditReport, Identity, SequenceValue, get_identity
-from .identities import list_identities, run_suite, verify
 from .opcalc import (
     PowerSeries,
     binomial_transform,
@@ -58,3 +60,29 @@ from .sequences import (
 )
 
 __version__ = "0.1.0"
+
+#: Names served from :mod:`hyperseq.identities` on first use, so that
+#: ``import hyperseq`` does not build the identity registry.
+_IDENTITIES_EXPORTS = frozenset(
+    {
+        "AuditReport",
+        "Identity",
+        "SequenceValue",
+        "get_identity",
+        "list_identities",
+        "run_suite",
+        "verify",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _IDENTITIES_EXPORTS:
+        from . import identities
+
+        return getattr(identities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _IDENTITIES_EXPORTS)

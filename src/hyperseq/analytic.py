@@ -11,7 +11,6 @@ asymptotic series; no negative real arguments are supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -21,13 +20,46 @@ _EPS = 2.0**-52
 
 Exactish = Union[Fraction, int, float]
 
+_setattr = object.__setattr__  # sets a field of an immutable record
 
-@dataclass(frozen=True)
+
 class CertifiedReal:
-    """A double plus an absolute error bound containing the true value."""
+    """A double plus an absolute error bound containing the true value.
 
-    value: float
-    abs_error_bound: float
+    Immutable and hashable; compares and prints by its two fields.
+    """
+
+    __slots__ = ("value", "abs_error_bound")
+
+    def __init__(self, value: float, abs_error_bound: float):
+        _setattr(self, "value", value)
+        _setattr(self, "abs_error_bound", abs_error_bound)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.abs_error_bound) == (
+            other.value,
+            other.abs_error_bound,
+        )
+
+    def __hash__(self):
+        return hash((self.value, self.abs_error_bound))
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return (CertifiedReal, (self.value, self.abs_error_bound))
+
+    def __repr__(self):
+        return (
+            f"CertifiedReal(value={self.value!r}, "
+            f"abs_error_bound={self.abs_error_bound!r})"
+        )
 
     @staticmethod
     def from_exact(x: Fraction | int) -> "CertifiedReal":

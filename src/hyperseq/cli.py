@@ -19,10 +19,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import identities
 from .analytic import digamma
 from .errors import ConfigError, DomainError
 from .exactnum import format_rational, parse_rational
@@ -60,12 +58,47 @@ _AUDIT_SETTINGS = {
 _SUITES = ("core", "table1", "table2", "float", "all")
 
 
-@dataclass
 class CliConfig:
-    bounds: dict = field(default_factory=dict)  # param name -> (None, cap)
-    tolerance: float | None = None
-    format: str = "text"
-    counterexamples: int = 5
+    """Settings read from the config file; flags override them."""
+
+    __slots__ = ("bounds", "tolerance", "format", "counterexamples")
+
+    def __init__(
+        self,
+        bounds: dict | None = None,  # param name -> (None, cap)
+        tolerance: float | None = None,
+        format: str = "text",
+        counterexamples: int = 5,
+    ):
+        self.bounds = {} if bounds is None else bounds
+        self.tolerance = tolerance
+        self.format = format
+        self.counterexamples = counterexamples
+
+    def _fields(self) -> tuple:
+        return (self.bounds, self.tolerance, self.format, self.counterexamples)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"CliConfig(bounds={self.bounds!r}, tolerance={self.tolerance!r}, "
+            f"format={self.format!r}, counterexamples={self.counterexamples!r})"
+        )
+
+
+def _convert(kind, value: str, where: str):
+    """``kind(value)``; a value that does not convert is a ConfigError."""
+    try:
+        return kind(value)
+    except ValueError:
+        message = f"{where} is not a valid {kind.__name__}: {value!r}"
+        raise ConfigError(message) from None
 
 
 def _parse_config_file(path: str) -> CliConfig:
@@ -83,13 +116,13 @@ def _parse_config_file(path: str) -> CliConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition("="))
         if key.startswith("max_") and key[4:] in _BOUND_PARAMS:
-            bound = int(value)
+            bound = _convert(int, value, f"{path}:{lineno}: {key}")
             if bound <= 0:
                 raise ConfigError(f"{path}:{lineno}: bounds must be positive")
             cfg.bounds[key[4:]] = (None, bound)  # clamp only the top
         elif key in _AUDIT_SETTINGS:
             kind, valid, rule = _AUDIT_SETTINGS[key]
-            setting = kind(value)
+            setting = _convert(kind, value, f"{path}:{lineno}: {key}")
             if not valid(setting):
                 raise ConfigError(f"{path}:{lineno}: {key} {rule}")
             setattr(cfg, key, setting)
@@ -253,7 +286,7 @@ def _cmd_compute(args) -> int:
         raw = need("arg", args.arg)
         try:
             x = float(Fraction(raw)) if "/" in raw else float(raw)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             print(f"error: bad argument {raw!r}", file=sys.stderr)
             return EXIT_USAGE
         value = digamma(x)
@@ -341,6 +374,9 @@ def _audit_setting(args, cfg: CliConfig, key: str):
 
 
 def _cmd_audit(args, cfg: CliConfig) -> int:
+    # Only audit and identities load the registry; other commands skip it.
+    from . import identities
+
     suites = set(args.suite or [])
     tags = frozenset() if (not suites or "all" in suites) else frozenset(suites)
     only = args.only.split(",") if args.only else None
@@ -376,6 +412,8 @@ def _cmd_audit(args, cfg: CliConfig) -> int:
 
 
 def _cmd_identities(args) -> int:
+    from . import identities
+
     suites = set(args.suite or [])
     tags = frozenset() if (not suites or "all" in suites) else frozenset(suites)
     for key in identities.list_identities():

@@ -58,11 +58,15 @@ def parse_rational(text: str) -> Fraction:
     """Parse the canonical rendering, plus an optional leading sign.
 
     Accepts exactly ``[+-]?digits`` or ``[+-]?digits/digits``; anything
-    else (whitespace, decimals, signed denominators) is rejected.
+    else (whitespace, decimals, signed denominators, a zero denominator)
+    is rejected with ``ValueError``.
     """
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a canonical rational: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 @lru_cache(maxsize=None)

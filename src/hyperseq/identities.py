@@ -24,13 +24,11 @@ each.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Union
@@ -87,63 +85,229 @@ PSI_SAMPLES = (F(1), F(1, 2), F(3, 2), F(5))
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__  # sets a field of an immutable record
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
 class IntRange:
-    name: str
-    lo: int
-    hi: int
+    """An integer parameter running over lo..hi inclusive; immutable."""
+
+    __slots__ = ("name", "lo", "hi")
+
+    def __init__(self, name: str, lo: int, hi: int):
+        _setattr(self, "name", name)
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.lo, self.hi) == (other.name, other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.name, self.lo, self.hi))
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return (IntRange, (self.name, self.lo, self.hi))
+
+    def __repr__(self):
+        return f"IntRange(name={self.name!r}, lo={self.lo!r}, hi={self.hi!r})"
 
 
-@dataclass(frozen=True)
 class RationalChoice:
-    name: str
-    values: tuple
+    """A rational parameter sampled from a fixed tuple; immutable."""
+
+    __slots__ = ("name", "values")
+
+    def __init__(self, name: str, values: tuple):
+        _setattr(self, "name", name)
+        _setattr(self, "values", values)
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.values) == (other.name, other.values)
+
+    def __hash__(self):
+        return hash((self.name, self.values))
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return (RationalChoice, (self.name, self.values))
+
+    def __repr__(self):
+        return f"RationalChoice(name={self.name!r}, values={self.values!r})"
 
 
 Params = dict
 Evaluator = Callable[[Params], object]
 
 
-@dataclass(frozen=True)
 class Identity:
-    key: str
-    anchor: str
-    params: tuple
-    lhs: Evaluator
-    rhs: Evaluator
-    tags: frozenset
-    mode: str = "exact"  # "exact" | "float"
-    tol: float = 0.0
-    valid: Optional[Callable[[Params], bool]] = None
-    # The right side under the alternative half-integer convention, when
-    # the row's verdict depends on it; it is checked against ``lhs``.
-    alt_rhs: Optional[Evaluator] = None
+    """One registry row: two evaluators over a parameter domain; immutable.
+
+    ``mode`` is "exact" or "float"; ``valid`` filters assignments;
+    ``alt_rhs``, when set, is the right side under the alternative
+    half-integer convention, checked against ``lhs``.
+    """
+
+    __slots__ = (
+        "key", "anchor", "params", "lhs", "rhs", "tags",
+        "mode", "tol", "valid", "alt_rhs",
+    )
+
+    def __init__(
+        self,
+        key: str,
+        anchor: str,
+        params: tuple,
+        lhs: Evaluator,
+        rhs: Evaluator,
+        tags: frozenset,
+        mode: str = "exact",
+        tol: float = 0.0,
+        valid: Optional[Callable[[Params], bool]] = None,
+        alt_rhs: Optional[Evaluator] = None,
+    ):
+        _setattr(self, "key", key)
+        _setattr(self, "anchor", anchor)
+        _setattr(self, "params", params)
+        _setattr(self, "lhs", lhs)
+        _setattr(self, "rhs", rhs)
+        _setattr(self, "tags", tags)
+        _setattr(self, "mode", mode)
+        _setattr(self, "tol", tol)
+        _setattr(self, "valid", valid)
+        _setattr(self, "alt_rhs", alt_rhs)
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def _fields(self) -> tuple:
+        return (
+            self.key, self.anchor, self.params, self.lhs, self.rhs,
+            self.tags, self.mode, self.tol, self.valid, self.alt_rhs,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return (Identity, self._fields())
+
+    def __repr__(self):
+        return (
+            f"Identity(key={self.key!r}, anchor={self.anchor!r}, "
+            f"params={self.params!r}, lhs={self.lhs!r}, rhs={self.rhs!r}, "
+            f"tags={self.tags!r}, mode={self.mode!r}, tol={self.tol!r}, "
+            f"valid={self.valid!r}, alt_rhs={self.alt_rhs!r})"
+        )
 
     @property
     def dual_convention(self) -> bool:
         return self.alt_rhs is not None
 
 
-@dataclass
 class ConventionResult:
-    verdict: str
-    tested: int
-    skipped: int
-    counterexamples: list
+    """The verdict of one row under the alternative convention."""
+
+    __slots__ = ("verdict", "tested", "skipped", "counterexamples")
+
+    def __init__(self, verdict: str, tested: int, skipped: int, counterexamples: list):
+        self.verdict = verdict
+        self.tested = tested
+        self.skipped = skipped
+        self.counterexamples = counterexamples
+
+    def _fields(self) -> tuple:
+        return (self.verdict, self.tested, self.skipped, self.counterexamples)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"ConventionResult(verdict={self.verdict!r}, tested={self.tested!r}, "
+            f"skipped={self.skipped!r}, counterexamples={self.counterexamples!r})"
+        )
 
 
-@dataclass
 class IdentityReport:
-    key: str
-    anchor: str
-    mode: str
-    verdict: str
-    tested: int
-    skipped: int
-    counterexamples: list
-    skip_reasons: list = field(default_factory=list)
-    alternative: Optional[ConventionResult] = None
-    elapsed: float = 0.0
+    """The outcome of verifying one row."""
+
+    __slots__ = (
+        "key", "anchor", "mode", "verdict", "tested", "skipped",
+        "counterexamples", "skip_reasons", "alternative", "elapsed",
+    )
+
+    def __init__(
+        self,
+        key: str,
+        anchor: str,
+        mode: str,
+        verdict: str,
+        tested: int,
+        skipped: int,
+        counterexamples: list,
+        skip_reasons: Optional[list] = None,
+        alternative: Optional[ConventionResult] = None,
+        elapsed: float = 0.0,
+    ):
+        self.key = key
+        self.anchor = anchor
+        self.mode = mode
+        self.verdict = verdict
+        self.tested = tested
+        self.skipped = skipped
+        self.counterexamples = counterexamples
+        self.skip_reasons = [] if skip_reasons is None else skip_reasons
+        self.alternative = alternative
+        self.elapsed = elapsed
+
+    def _fields(self) -> tuple:
+        return (
+            self.key, self.anchor, self.mode, self.verdict, self.tested,
+            self.skipped, self.counterexamples, self.skip_reasons,
+            self.alternative, self.elapsed,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"IdentityReport(key={self.key!r}, anchor={self.anchor!r}, "
+            f"mode={self.mode!r}, verdict={self.verdict!r}, "
+            f"tested={self.tested!r}, skipped={self.skipped!r}, "
+            f"counterexamples={self.counterexamples!r}, "
+            f"skip_reasons={self.skip_reasons!r}, "
+            f"alternative={self.alternative!r}, elapsed={self.elapsed!r})"
+        )
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -167,9 +331,23 @@ class IdentityReport:
         return obj
 
 
-@dataclass
 class AuditReport:
-    entries: list
+    """The reports of an audit's rows, in key order."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list):
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"AuditReport(entries={self.entries!r})"
 
     @property
     def all_pass(self) -> bool:
@@ -187,6 +365,8 @@ class AuditReport:
         )
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(

@@ -12,7 +12,6 @@ rational; determinism is the caller's contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -171,20 +170,41 @@ def hypergeometric_terminating(a: int, b, c, z) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
 class PowerSeries:
     """Truncated formal power series with exact rational coefficients.
 
     Arithmetic never reads beyond the truncation order; sums and
     products truncate to the smaller order of the two operands.
+    Immutable and hashable; compares and prints by its coefficients.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_F(v) for v in self.coeffs))
-        if not self.coeffs:
+    def __init__(self, coeffs: Iterable):
+        coeffs = tuple(_F(v) for v in coeffs)
+        if not coeffs:
             raise ValueError("a power series needs at least the constant term")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return (PowerSeries, (self.coeffs,))
+
+    def __repr__(self):
+        return f"PowerSeries(coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:

@@ -286,6 +286,17 @@ class TestConfig:
                                "harmonic", "--n", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("line", ["max_n = abc", "tolerance = x"])
+    def test_unconvertible_value_names_file_line_and_key(self, tmp_path, capsys, line):
+        cfg = tmp_path / "hyperseq.conf"
+        cfg.write_text("# comment\n" + line + "\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "compute",
+                                 "harmonic", "--n", "1")
+        assert (code, out) == (2, "")
+        key, _, value = (part.strip() for part in line.partition("="))
+        assert err.startswith(f"error: {cfg}:2: {key} ")
+        assert repr(value) in err
+
 
 class TestAuditFlags:
     @pytest.mark.parametrize("flag", ["--tolerance", "--counterexamples"])
@@ -338,6 +349,16 @@ class TestGarbageInput:
         assert (code, out) == (2, "")
         assert "runs backwards" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("compute", "digamma", "--arg", "1/0"),
+        ("compute", "hyperharmonic-q", "--n", "2", "--w", "1/0"),
+        ("audit", "--only", "prop-5", "--x", "1/0"),
+    ], ids=["digamma", "hyperharmonic-q", "audit-x"])
+    def test_zero_denominator_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "1/0" in err
+
     @pytest.mark.parametrize("command", ["identities", "audit"])
     def test_unknown_suite_is_usage_error(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
@@ -359,13 +380,43 @@ class TestModuleEntryPoint:
         assert proc.returncode == 3
 
     def test_import_loads_no_thread_pool_or_logging(self):
-        proc = run_python(
-            "-c",
-            "import sys, hyperseq.cli; "
-            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))",
+        # A cold start loads neither the identity registry nor the
+        # modules only it or the CSV writer needs.
+        unwanted = (
+            "{'concurrent.futures', 'logging', 'hyperseq.identities', "
+            "'dataclasses', 'inspect', 'csv'}"
         )
+        report = f"print(sorted({unwanted} & set(sys.modules)))"
+        proc = run_python("-c", f"import sys, hyperseq.cli; {report}")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+        proc = run_python(
+            "-c",
+            "import atexit, runpy, sys; "
+            f"atexit.register(lambda: {report}); "
+            "sys.argv = ['hyperseq', 'compute', 'harmonic', '--n', '5']; "
+            "runpy.run_module('hyperseq', run_name='__main__', alter_sys=True)",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["137/60", "[]"]
+
+        # The registry's names still resolve from the package, on first use.
+        proc = run_python(
+            "-c",
+            "import sys, hyperseq; "
+            "loaded = 'hyperseq.identities' in sys.modules; "
+            "from hyperseq import (AuditReport, Identity, SequenceValue, "
+            "get_identity, list_identities, run_suite, verify); "
+            "from hyperseq import identities; "
+            "print(loaded, run_suite is identities.run_suite, "
+            "get_identity('prop-5').key, len(list_identities()))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True", "prop-5", "82"]
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hyperseq.no_such_name
 
 
 class TestIdentitiesListing:
