@@ -217,7 +217,9 @@ def hyperharmonic_real(z: Exactish, w: Exactish) -> CertifiedReal:
     argument stays positive.  Bounds are honest: below 1e-10 while the
     result stays of order ten, and growing roughly like 2e-12 times the
     magnitude of the result beyond that (the log-gamma route cannot
-    certify a fixed absolute bound for large values in doubles).
+    certify a fixed absolute bound for large values in doubles).  From z
+    around 1e13 the log-gamma error makes the bound exceed the value, and
+    past about 3e15 the bound is infinite.
     """
     z = float(z)
     w = float(w)
@@ -230,9 +232,16 @@ def hyperharmonic_real(z: Exactish, w: Exactish) -> CertifiedReal:
     lgw = log_gamma(w)
     log_pref = (lg - lg1) - lgw
     pref_value = math.exp(log_pref.value)
-    # |e^(v+d) - e^v| <= e^v (e^|d| - 1) <= 1.2 |d| e^v for |d| <= 0.3
+    # |e^(v+d) - e^v| <= e^v (e^|d| - 1), and e^|d| - 1 <= 1.2 |d| for |d| <= 0.3
     d = log_pref.abs_error_bound
-    pref = CertifiedReal(pref_value, pref_value * (1.2 * d + 2 * _EPS))
+    if d <= 0.3:
+        rel = 1.2 * d
+    else:
+        try:
+            rel = math.expm1(d) * (1.0 + 4 * _EPS)  # rounded up
+        except OverflowError:
+            rel = math.inf
+    pref = CertifiedReal(pref_value, pref_value * (rel + 2 * _EPS))
     diff = digamma(z + w) - digamma(w)
     return pref * diff
 

@@ -18,9 +18,16 @@ common denominator, the ``math.lcm`` of the term denominators, and the
 result is normalized once, by the single ``Fraction`` built at the end.
 An empty sum is 0.
 
-Factorials and small binomial coefficients are memoized up to
-``MEMO_CAP`` because the identity audit evaluates the same coefficients
-millions of times; larger arguments fall through to ``math`` directly.
+``signed_binomial_row(k)`` is the tuple of the k-th difference weights,
+``(-1)**(k-i) * C(k, i)`` for i = 0..k, as ints (so it can be sliced and
+passed to ``dot`` as the coefficients).  A negative k raises
+``ValueError``.  Rows with k <= ``MEMO_CAP`` are built once and shared,
+which is safe because tuples are immutable.
+
+Factorials, small binomial coefficients and signed binomial rows are
+memoized up to ``MEMO_CAP`` because the identity audit evaluates the
+same coefficients millions of times; larger arguments fall through to
+``math`` directly.
 """
 
 from __future__ import annotations
@@ -107,6 +114,27 @@ def binomial_int(n: int, k: int) -> int:
     m = k - n - 1
     top = _comb_cached(m, k) if m <= MEMO_CAP else math.comb(m, k)
     return -top if k % 2 else top
+
+
+def _signed_row(k: int) -> tuple:
+    row = []
+    c = 1
+    for i in range(k + 1):  # c = C(k, i)
+        row.append(-c if (k - i) % 2 else c)
+        c = c * (k - i) // (i + 1)
+    return tuple(row)
+
+
+_signed_row_cached = lru_cache(maxsize=None)(_signed_row)
+
+
+def signed_binomial_row(k: int) -> tuple:
+    """((-1)**(k-i) C(k, i) for i = 0..k), memoized for k <= MEMO_CAP."""
+    if k < 0:
+        raise ValueError("signed binomial row of a negative order")
+    if k <= MEMO_CAP:
+        return _signed_row_cached(k)
+    return _signed_row(k)
 
 
 def dot(coeffs, values) -> Fraction:

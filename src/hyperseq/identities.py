@@ -8,6 +8,10 @@ order.  Failures are first-class data recorded as counterexamples, never
 exceptions, because part of the point of the audit is to document table
 rows that do not balance as printed.  A report passes only when every
 row is PASS: a row with no tested case (SKIPPED) proves nothing.
+Values that repeat across one row's cases (h(n, r) at any integer
+order, h(k, r)/C(r-1+k, k)^2, generalized binomials, the polynomial
+oracle's points) are memoized for that row only; ``verify`` empties
+those memos when the row ends, even when it raises.
 
 Table rows keep the summation numbering of Gould's "Combinatorial
 Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
@@ -24,26 +28,27 @@ each.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import json
 import math
 import time
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from .analytic import CertifiedReal, as_certified, digamma, sum_series
 from .analytic import delta_hyperbolic_closed_form
 from .errors import DomainError
+from . import exactnum
 from .exactnum import (
-    binomial_general,
     binomial_int,
     dot,
     factorial,
     falling_factorial,
     format_rational,
     rising_factorial,
+    signed_binomial_row,
 )
 from .opcalc import (
     dx_reciprocal_rising,
@@ -526,15 +531,30 @@ def verify(
     """Check one registered identity over its (possibly overridden) domain."""
     identity = get_identity(key)
     start = time.monotonic()
-    verdict, tested, skipped, cex, reasons = _evaluate_pair(
-        identity,
-        identity.lhs,
-        identity.rhs,
-        _assignments(identity, max_bound, param_bounds),
-        counterexample_cap,
-        tolerance_override,
-    )
-    report = IdentityReport(
+    try:
+        verdict, tested, skipped, cex, reasons = _evaluate_pair(
+            identity,
+            identity.lhs,
+            identity.rhs,
+            _assignments(identity, max_bound, param_bounds),
+            counterexample_cap,
+            tolerance_override,
+        )
+        alternative = None
+        if identity.dual_convention:
+            a_verdict, a_tested, a_skipped, a_cex, _ = _evaluate_pair(
+                identity,
+                identity.lhs,
+                identity.alt_rhs,
+                _assignments(identity, max_bound, param_bounds),
+                counterexample_cap,
+                tolerance_override,
+            )
+            alternative = ConventionResult(a_verdict, a_tested, a_skipped, a_cex)
+    finally:
+        for memo in _ROW_MEMOS:  # hold at most one row's working set
+            memo.cache_clear()
+    return IdentityReport(
         key=identity.key,
         anchor=identity.anchor,
         mode=(
@@ -545,19 +565,9 @@ def verify(
         skipped=skipped,
         counterexamples=cex,
         skip_reasons=reasons,
+        alternative=alternative,
+        elapsed=time.monotonic() - start,
     )
-    if identity.dual_convention:
-        a_verdict, a_tested, a_skipped, a_cex, _ = _evaluate_pair(
-            identity,
-            identity.lhs,
-            identity.alt_rhs,
-            _assignments(identity, max_bound, param_bounds),
-            counterexample_cap,
-            tolerance_override,
-        )
-        report.alternative = ConventionResult(a_verdict, a_tested, a_skipped, a_cex)
-    report.elapsed = time.monotonic() - start
-    return report
 
 
 def run_suite(
@@ -606,6 +616,28 @@ def run_suite(
 # --------------------------------------------------------------------------
 
 
+#: Every row-scoped memo; ``verify`` empties them all when a row ends.
+_ROW_MEMOS: list = []
+
+
+def _row_memo(fn):
+    """Memoize ``fn`` for the duration of one audit row.
+
+    A row evaluates the same h(n, r), binomial and oracle values case
+    after case; between rows the values mostly differ, so holding them
+    for the life of the process would only grow memory.
+    """
+    memo = functools.lru_cache(maxsize=None)(fn)
+    _ROW_MEMOS.append(memo)
+    return memo
+
+
+#: The rows' generalized binomial, memoized per row; the library's
+#: ``exactnum.binomial_general`` stays unmemoized.
+binomial_general = _row_memo(exactnum.binomial_general)
+
+
+@_row_memo
 def _hz(n: int, order: int) -> Fraction:
     """h(n, order) for any integer order (positive, zero, or negative)."""
     if order >= 0:
@@ -629,7 +661,7 @@ def _bsum(lo: int, hi: int, coeff, term) -> Fraction:
 
 def _alt_sum(k: int, term, lo: int = 0) -> Fraction:
     """sum_{i=lo..k} (-1)^(k-i) C(k,i) term(i), the k-th difference form."""
-    return _bsum(lo, k, lambda i: (-1) ** (k - i) * binomial_int(k, i), term)
+    return dot(signed_binomial_row(k)[lo:], [term(i) for i in range(lo, k + 1)])
 
 
 def _total(values) -> Fraction:
@@ -638,7 +670,7 @@ def _total(values) -> Fraction:
     return dot([1] * len(values), values)
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _gf_hyper_cached(r: int, order: int):
     return gf_hyperharmonic(r, order)
 
@@ -648,19 +680,27 @@ def _gf_hyper_coeff(r: int, n: int) -> Fraction:
     return _gf_hyper_cached(r, order).coeff(n)
 
 
-@lru_cache(maxsize=None)
+@_row_memo
+def _h_over_c2(k: int, r: int) -> Fraction:
+    """h(k, r) / C(r-1+k, k)^2, a function of (k, r) alone."""
+    return hyperharmonic(k, r) / binomial_int(r - 1 + k, k) ** 2
+
+
+@_row_memo
+def _poly_point(deg: int, t) -> Fraction:
+    """The fixed degree-``deg`` test polynomial at t, by Horner's rule.
+
+    Its coefficients are (-1)^j (j+1)/(j+2) for j = 0..deg.
+    """
+    acc = F(0)
+    for j in range(deg, -1, -1):
+        acc = acc * t + F((-1) ** j * (j + 1), j + 2)
+    return acc
+
+
 def _fixed_poly(deg: int):
     """Deterministic degree-``deg`` polynomial oracle for operator checks."""
-    coeffs = tuple(F((-1) ** j * (j + 1), j + 2) for j in range(deg + 1))
-
-    def f(t):
-        t = F(t)
-        acc = F(0)
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
-
-    return f
+    return functools.partial(_poly_point, deg)
 
 
 def _poly_coeffs_from_shifts(shifts) -> list:
@@ -687,8 +727,7 @@ def _poly_derivative_at(coeffs, t) -> Fraction:
 def _alternating_certified_sum(k: int, values) -> CertifiedReal:
     """sum_i (-1)**(k-i) binom(k, i) values[i] with error tracking."""
     total = CertifiedReal(0.0, 0.0)
-    for i, v in enumerate(values):
-        coeff = (-1) ** (k - i) * binomial_int(k, i)
+    for coeff, v in zip(signed_binomial_row(k), values, strict=True):
         total = total + as_certified(v).scaled(coeff)
     return total
 
@@ -1174,9 +1213,9 @@ def _core_negative_orders():
         lambda v: harmonic(v["n"]),
         lambda v: dot(
             [
-                (-1) ** (k - i) * binomial_int(k, i)
+                c
                 for k in range(1, v["n"] + 1)
-                for i in range(1, k + 1)
+                for c in signed_binomial_row(k)[1:]
             ],
             [
                 hyperharmonic(i, k)
@@ -1722,7 +1761,7 @@ def _table2_rows():
             1,
             v["n"],
             lambda k: (-1) ** (k - 1) * binomial_int(v["n"], k),
-            lambda k: hyperharmonic(k, v["r"]) / binomial_int(k + v["r"] - 1, k) ** 2,
+            lambda k: _h_over_c2(k, v["r"]),
         ),
         lambda v: F(1, v["n"] + v["r"] - 1),
         {"table2"},
@@ -1736,7 +1775,7 @@ def _table2_rows():
             1,
             v["n"],
             lambda k: (-1) ** (k - 1) * binomial_int(v["n"] + 1, k + 1),
-            lambda k: hyperharmonic(k, v["r"]) / binomial_int(v["r"] - 1 + k, k) ** 2,
+            lambda k: _h_over_c2(k, v["r"]),
         ),
         lambda v: _bsum(
             1, v["n"], lambda k: k, lambda k: F(1, (k + v["r"] - 1) ** 2)
@@ -1870,6 +1909,7 @@ def _table2_rows():
         {"table2"},
     )
 
+    @_row_memo
     def _t2_3108_side(n, m, r):
         return dot(
             [binomial_int(k + r + m, m) for k in range(n + 1)]
@@ -1967,7 +2007,7 @@ def _table2_rows():
             1,
             v["n"],
             lambda k: binomial_int(v["n"], k) * binomial_int(v["m"], k),
-            lambda k: hyperharmonic(k, v["r"]) / binomial_int(v["r"] - 1 + k, k) ** 2,
+            lambda k: _h_over_c2(k, v["r"]),
         ),
         lambda v: (
             binomial_int(v["r"] - 1 + v["m"] + v["n"], v["n"])
@@ -2019,7 +2059,7 @@ def _table2_rows():
             1,
             v["n"],
             lambda k: binomial_int(v["n"], k) * binomial_int(-v["n"] - 1, v["n"] - k),
-            lambda k: hyperharmonic(k, v["j"]) / binomial_int(v["j"] - 1 + k, k) ** 2,
+            lambda k: _h_over_c2(k, v["j"]),
         ),
         lambda v: _bsum(
             1,
@@ -2049,7 +2089,7 @@ def _table2_rows():
             1,
             m,
             lambda k: (-1) ** (k + 1) * binomial_int(m, k) * binomial_int(2 * k, k),
-            lambda k: hyperharmonic(k, n + r) / binomial_int(n + r - 1 + k, k) ** 2,
+            lambda k: _h_over_c2(k, n + r),
         )
 
     _add(

@@ -16,7 +16,14 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import ComputationIntegrityError, DomainError
-from .exactnum import binomial_int, dot, factorial, format_rational, rising_factorial
+from .exactnum import (
+    binomial_int,
+    dot,
+    factorial,
+    format_rational,
+    rising_factorial,
+    signed_binomial_row,
+)
 
 _F = Fraction
 
@@ -45,8 +52,7 @@ def forward_difference(
         row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
     iterated = row[0]
 
-    signed = [(-1) ** (k - i) * binomial_int(k, i) for i in range(k + 1)]
-    alternating = dot(signed, vals)
+    alternating = dot(signed_binomial_row(k), vals)
     if iterated != alternating:
         raise ComputationIntegrityError(
             f"difference algorithms disagree at k={k}, x={x}: "
@@ -67,10 +73,7 @@ def binomial_transform(b: Sequence) -> list[Fraction]:
 def inverse_binomial_transform(a: Sequence) -> list[Fraction]:
     """b_k = sum_i (-1)**(k+i) binom(k, i) a_i; inverse of the transform."""
     a = [_F(v) for v in a]
-    return [
-        dot([(-1) ** (k + i) * binomial_int(k, i) for i in range(k + 1)], a[: k + 1])
-        for k in range(len(a))
-    ]
+    return [dot(signed_binomial_row(k), a[: k + 1]) for k in range(len(a))]
 
 
 def derivative_at_zero_linear_factors(a: Iterable, c) -> Fraction:

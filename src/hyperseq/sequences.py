@@ -94,7 +94,8 @@ def _hyper_def(n: int, r: int) -> Fraction:
         return _def_rows[r][n]
 
 
-#: Entries kept by the closed-form memo; a full audit needs about 1,200.
+#: Entries kept by each bounded h memo (closed form, rational orders); a
+#: full audit needs about 1,200 closed-form and 440 rational-order values.
 CLOSED_MEMO_SIZE = 4096
 
 
@@ -168,7 +169,7 @@ def hyperharmonic_neg(n: int, r: int) -> Fraction:
     return _F(sign, (r + 1) * binomial_int(n, r + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLOSED_MEMO_SIZE)
 def hyperharmonic_rational_order(n: int, w) -> Fraction:
     """h(n, w) for integer n >= 1 and rational order w.
 
@@ -188,7 +189,7 @@ def hyperharmonic_rational_order(n: int, w) -> Fraction:
     return binomial_general(w + n - 1, n) * tele
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLOSED_MEMO_SIZE)
 def hyperharmonic_half_integer_alt(n: int, w) -> Fraction:
     """Alternative reading of half-integer-order hyperharmonic numbers.
 

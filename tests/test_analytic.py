@@ -141,6 +141,22 @@ class TestHyperharmonicReal:
             v = hyperharmonic_real(float(n), 2.5)
             assert v.abs_error_bound <= 5e-12 * max(abs(v.value), 1.0)
 
+    @pytest.mark.parametrize("w", [0.5, 7.5])
+    @pytest.mark.parametrize("z", [1e13, 1e15, 3e15])
+    def test_interval_contains_true_value_at_huge_z(self, z, w):
+        # The log-gamma error is far above 0.3 here, so the linear bound
+        # on e^|d| - 1 no longer holds.
+        import mpmath
+        with mpmath.workdps(60):
+            zz, ww = mpmath.mpf(z), mpmath.mpf(w)
+            true = (
+                mpmath.gamma(zz + ww)
+                / (mpmath.gamma(zz + 1) * mpmath.gamma(ww))
+                * (mpmath.digamma(zz + ww) - mpmath.digamma(ww))
+            )
+            v = hyperharmonic_real(z, w)
+            assert abs(true - mpmath.mpf(v.value)) <= v.abs_error_bound
+
 
 class TestSumSeries:
     def test_harmonic_over_powers_of_two(self):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hyperseq.analytic import CertifiedReal
 from hyperseq.exactnum import (
+    MEMO_CAP,
     binomial_general,
     binomial_int,
     dot,
@@ -16,6 +17,7 @@ from hyperseq.exactnum import (
     make_rational,
     parse_rational,
     rising_factorial,
+    signed_binomial_row,
 )
 
 F = Fraction
@@ -129,6 +131,28 @@ class TestBinomials:
                 assert sum(binomial_int(k, i) for k in range(i, n + 1)) == binomial_int(
                     n + 1, i + 1
                 )
+
+
+class TestSignedBinomialRow:
+    def test_matches_list_comprehension(self):
+        # both sides of the memo cap
+        for k in range(MEMO_CAP + 4):
+            row = signed_binomial_row(k)
+            assert isinstance(row, tuple)
+            assert row == tuple(
+                [(-1) ** (k - i) * binomial_int(k, i) for i in range(k + 1)]
+            )
+
+    def test_is_the_kth_difference(self):
+        values = [F(1, i + 1) for i in range(9)]
+        row = values
+        for _ in range(8):
+            row = [b - a for a, b in zip(row, row[1:])]
+        assert dot(signed_binomial_row(8), values) == row[0]
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            signed_binomial_row(-1)
 
 
 _rationals = st.fractions(

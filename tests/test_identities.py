@@ -180,6 +180,53 @@ class TestVerify:
             verify("probe-zero")
 
 
+@pytest.fixture(scope="module")
+def full_audit():
+    return run_suite()
+
+
+class TestRowMemos:
+    def _sizes(self):
+        return [memo.cache_info().currsize for memo in ident._ROW_MEMOS]
+
+    def test_every_memo_is_empty_after_a_full_run(self, full_audit):
+        assert len(full_audit.entries) == len(list_identities())
+        assert self._sizes() == [0] * len(ident._ROW_MEMOS)
+
+    def test_memos_are_emptied_when_a_row_raises(self, monkeypatch):
+        def lhs(v):
+            # fill every row memo, then fail with a bug
+            ident._hz(v["n"] + 1, -1)
+            ident._h_over_c2(v["n"], 2)
+            ident.binomial_general(F(1, 2), v["n"])
+            ident._fixed_poly(2)(v["n"])
+            get_identity("t2-3.108").lhs({"n": 1, "m": 2, "r": 1})
+            return F(1, 0)
+
+        probe = Identity(
+            key="probe-raise",
+            anchor="fills the row memos, then divides by zero",
+            params=(IntRange("n", 1, 3),),
+            lhs=lhs,
+            rhs=lambda v: F(0),
+            tags=frozenset({"probe"}),
+        )
+        monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
+        with pytest.raises(ZeroDivisionError):
+            verify("probe-raise")
+        assert len(ident._ROW_MEMOS) == 5  # the lhs above fills each one
+        assert self._sizes() == [0] * 5
+
+    @pytest.mark.parametrize(
+        "key", ["t2-3.108", "prop-teo4", "t2-7.2", "prop-one1-n", "t2-12.9a"]
+    )
+    def test_row_alone_matches_the_row_in_a_full_run(self, full_audit, key):
+        in_suite = next(e for e in full_audit.entries if e.key == key)
+        alone = verify(key)
+        # every field but elapsed
+        assert alone.to_json_obj() == in_suite.to_json_obj()
+
+
 class TestRunSuite:
     def test_core_all_pass_small(self):
         rep = run_suite({"core"}, max_bound=8)

@@ -56,10 +56,12 @@ class TestForwardDifference:
     def test_cross_check_catches_corrupted_algorithm(self, monkeypatch):
         import hyperseq.opcalc as opcalc
 
-        good = opcalc.binomial_int
-        monkeypatch.setattr(
-            opcalc, "binomial_int", lambda n, k: good(n, k) + (n == 2 and k == 1)
-        )
+        good = opcalc.signed_binomial_row
+
+        def corrupted(k):
+            return tuple(c + (k == 2 and i == 1) for i, c in enumerate(good(k)))
+
+        monkeypatch.setattr(opcalc, "signed_binomial_row", corrupted)
         with pytest.raises(ComputationIntegrityError):
             forward_difference(harmonic, 2, 1)
 

@@ -4,6 +4,7 @@ import pytest
 
 from hyperseq.errors import DomainError
 from hyperseq.sequences import (
+    CLOSED_MEMO_SIZE,
     HyperharmonicMethod,
     alpha,
     beta,
@@ -152,6 +153,24 @@ class TestRationalOrder:
     def test_alt_convention_rejects_non_half(self):
         with pytest.raises(DomainError):
             hyperharmonic_half_integer_alt(3, F(1, 3))
+
+
+class TestBoundedMemos:
+    @pytest.mark.parametrize(
+        "fn, order",
+        [
+            (hyperharmonic_rational_order, lambda i: F(1, i + 2)),
+            (hyperharmonic_half_integer_alt, lambda i: F(2 * i + 1, 2)),
+        ],
+    )
+    def test_distinct_orders_stay_within_the_bound(self, fn, order):
+        fn.cache_clear()
+        try:
+            for i in range(CLOSED_MEMO_SIZE + 10):
+                fn(1, order(i))
+            assert fn.cache_info().currsize <= CLOSED_MEMO_SIZE
+        finally:
+            fn.cache_clear()
 
 
 class TestCoefficients:
