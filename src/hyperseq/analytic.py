@@ -14,52 +14,20 @@ import math
 from fractions import Fraction
 from typing import Callable, Union
 
+from ._records import record
 from .errors import ConvergenceError, DomainError
 
 _EPS = 2.0**-52
 
 Exactish = Union[Fraction, int, float]
 
-_setattr = object.__setattr__  # sets a field of an immutable record
-
-
-class CertifiedReal:
+class CertifiedReal(record("CertifiedReal", ("value", "abs_error_bound"), frozen=True)):
     """A double plus an absolute error bound containing the true value.
 
     Immutable and hashable; compares and prints by its two fields.
     """
 
-    __slots__ = ("value", "abs_error_bound")
-
-    def __init__(self, value: float, abs_error_bound: float):
-        _setattr(self, "value", value)
-        _setattr(self, "abs_error_bound", abs_error_bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.abs_error_bound) == (
-            other.value,
-            other.abs_error_bound,
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.abs_error_bound))
-
-    def __reduce__(self):  # copy and pickle through __init__
-        return (CertifiedReal, (self.value, self.abs_error_bound))
-
-    def __repr__(self):
-        return (
-            f"CertifiedReal(value={self.value!r}, "
-            f"abs_error_bound={self.abs_error_bound!r})"
-        )
+    __slots__ = ()
 
     @staticmethod
     def from_exact(x: Fraction | int) -> "CertifiedReal":

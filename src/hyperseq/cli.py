@@ -21,6 +21,7 @@ import os
 import sys
 from fractions import Fraction
 
+from ._records import record
 from .analytic import digamma
 from .errors import ConfigError, DomainError
 from .exactnum import format_rational, parse_rational
@@ -58,38 +59,19 @@ _AUDIT_SETTINGS = {
 _SUITES = ("core", "table1", "table2", "float", "all")
 
 
-class CliConfig:
-    """Settings read from the config file; flags override them."""
+class CliConfig(
+    record(
+        "CliConfig",
+        ("bounds", "tolerance", "format", "counterexamples"),
+        {"bounds": {}, "tolerance": None, "format": "text", "counterexamples": 5},
+    )
+):
+    """Settings read from the config file; flags override them.
 
-    __slots__ = ("bounds", "tolerance", "format", "counterexamples")
+    ``bounds`` maps a parameter name to ``(None, cap)``.
+    """
 
-    def __init__(
-        self,
-        bounds: dict | None = None,  # param name -> (None, cap)
-        tolerance: float | None = None,
-        format: str = "text",
-        counterexamples: int = 5,
-    ):
-        self.bounds = {} if bounds is None else bounds
-        self.tolerance = tolerance
-        self.format = format
-        self.counterexamples = counterexamples
-
-    def _fields(self) -> tuple:
-        return (self.bounds, self.tolerance, self.format, self.counterexamples)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (
-            f"CliConfig(bounds={self.bounds!r}, tolerance={self.tolerance!r}, "
-            f"format={self.format!r}, counterexamples={self.counterexamples!r})"
-        )
+    __slots__ = ()
 
 
 def _convert(kind, value: str, where: str):

@@ -10,8 +10,9 @@ rows that do not balance as printed.  A report passes only when every
 row is PASS: a row with no tested case (SKIPPED) proves nothing.
 Values that repeat across one row's cases (h(n, r) at any integer
 order, h(k, r)/C(r-1+k, k)^2, generalized binomials, the polynomial
-oracle's points) are memoized for that row only; ``verify`` empties
-those memos when the row ends, even when it raises.
+oracle's points) are memoized for that row only; ``verify`` runs each
+row in ``row_scope()``, which empties those memos when the row ends,
+even when it raises.
 
 Table rows keep the summation numbering of Gould's "Combinatorial
 Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
@@ -28,6 +29,7 @@ each.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import itertools
@@ -35,8 +37,9 @@ import json
 import math
 import time
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Union
 
+from ._records import record
 from .analytic import CertifiedReal, as_certified, digamma, sum_series
 from .analytic import delta_hyperbolic_closed_form
 from .errors import DomainError
@@ -90,229 +93,69 @@ PSI_SAMPLES = (F(1), F(1, 2), F(3, 2), F(5))
 # --------------------------------------------------------------------------
 
 
-_setattr = object.__setattr__  # sets a field of an immutable record
-
-
-def _frozen_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-class IntRange:
+class IntRange(record("IntRange", ("name", "lo", "hi"), frozen=True)):
     """An integer parameter running over lo..hi inclusive; immutable."""
 
-    __slots__ = ("name", "lo", "hi")
-
-    def __init__(self, name: str, lo: int, hi: int):
-        _setattr(self, "name", name)
-        _setattr(self, "lo", lo)
-        _setattr(self, "hi", hi)
-
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.lo, self.hi) == (other.name, other.lo, other.hi)
-
-    def __hash__(self):
-        return hash((self.name, self.lo, self.hi))
-
-    def __reduce__(self):  # copy and pickle through __init__
-        return (IntRange, (self.name, self.lo, self.hi))
-
-    def __repr__(self):
-        return f"IntRange(name={self.name!r}, lo={self.lo!r}, hi={self.hi!r})"
+    __slots__ = ()
 
 
-class RationalChoice:
+class RationalChoice(record("RationalChoice", ("name", "values"), frozen=True)):
     """A rational parameter sampled from a fixed tuple; immutable."""
 
-    __slots__ = ("name", "values")
-
-    def __init__(self, name: str, values: tuple):
-        _setattr(self, "name", name)
-        _setattr(self, "values", values)
-
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.values) == (other.name, other.values)
-
-    def __hash__(self):
-        return hash((self.name, self.values))
-
-    def __reduce__(self):  # copy and pickle through __init__
-        return (RationalChoice, (self.name, self.values))
-
-    def __repr__(self):
-        return f"RationalChoice(name={self.name!r}, values={self.values!r})"
+    __slots__ = ()
 
 
 Params = dict
-Evaluator = Callable[[Params], object]
 
 
-class Identity:
+class Identity(
+    record(
+        "Identity",
+        (
+            "key", "anchor", "params", "lhs", "rhs", "tags",
+            "mode", "tol", "valid", "alt_rhs",
+        ),
+        {"mode": "exact", "tol": 0.0, "valid": None, "alt_rhs": None},
+        frozen=True,
+    )
+):
     """One registry row: two evaluators over a parameter domain; immutable.
 
-    ``mode`` is "exact" or "float"; ``valid`` filters assignments;
-    ``alt_rhs``, when set, is the right side under the alternative
-    half-integer convention, checked against ``lhs``.
+    ``params`` is a tuple of :class:`IntRange`/:class:`RationalChoice`;
+    ``lhs``/``rhs`` map an assignment dict to a value.  ``mode`` is
+    "exact" or "float"; ``valid`` filters assignments; ``alt_rhs``, when
+    set, is the right side under the alternative half-integer
+    convention, checked against ``lhs``.
     """
 
-    __slots__ = (
-        "key", "anchor", "params", "lhs", "rhs", "tags",
-        "mode", "tol", "valid", "alt_rhs",
-    )
-
-    def __init__(
-        self,
-        key: str,
-        anchor: str,
-        params: tuple,
-        lhs: Evaluator,
-        rhs: Evaluator,
-        tags: frozenset,
-        mode: str = "exact",
-        tol: float = 0.0,
-        valid: Optional[Callable[[Params], bool]] = None,
-        alt_rhs: Optional[Evaluator] = None,
-    ):
-        _setattr(self, "key", key)
-        _setattr(self, "anchor", anchor)
-        _setattr(self, "params", params)
-        _setattr(self, "lhs", lhs)
-        _setattr(self, "rhs", rhs)
-        _setattr(self, "tags", tags)
-        _setattr(self, "mode", mode)
-        _setattr(self, "tol", tol)
-        _setattr(self, "valid", valid)
-        _setattr(self, "alt_rhs", alt_rhs)
-
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def _fields(self) -> tuple:
-        return (
-            self.key, self.anchor, self.params, self.lhs, self.rhs,
-            self.tags, self.mode, self.tol, self.valid, self.alt_rhs,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):  # copy and pickle through __init__
-        return (Identity, self._fields())
-
-    def __repr__(self):
-        return (
-            f"Identity(key={self.key!r}, anchor={self.anchor!r}, "
-            f"params={self.params!r}, lhs={self.lhs!r}, rhs={self.rhs!r}, "
-            f"tags={self.tags!r}, mode={self.mode!r}, tol={self.tol!r}, "
-            f"valid={self.valid!r}, alt_rhs={self.alt_rhs!r})"
-        )
+    __slots__ = ()
 
     @property
     def dual_convention(self) -> bool:
         return self.alt_rhs is not None
 
 
-class ConventionResult:
+class ConventionResult(
+    record("ConventionResult", ("verdict", "tested", "skipped", "counterexamples"))
+):
     """The verdict of one row under the alternative convention."""
 
-    __slots__ = ("verdict", "tested", "skipped", "counterexamples")
-
-    def __init__(self, verdict: str, tested: int, skipped: int, counterexamples: list):
-        self.verdict = verdict
-        self.tested = tested
-        self.skipped = skipped
-        self.counterexamples = counterexamples
-
-    def _fields(self) -> tuple:
-        return (self.verdict, self.tested, self.skipped, self.counterexamples)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (
-            f"ConventionResult(verdict={self.verdict!r}, tested={self.tested!r}, "
-            f"skipped={self.skipped!r}, counterexamples={self.counterexamples!r})"
-        )
+    __slots__ = ()
 
 
-class IdentityReport:
+class IdentityReport(
+    record(
+        "IdentityReport",
+        (
+            "key", "anchor", "mode", "verdict", "tested", "skipped",
+            "counterexamples", "skip_reasons", "alternative", "elapsed",
+        ),
+        {"skip_reasons": [], "alternative": None, "elapsed": 0.0},
+    )
+):
     """The outcome of verifying one row."""
 
-    __slots__ = (
-        "key", "anchor", "mode", "verdict", "tested", "skipped",
-        "counterexamples", "skip_reasons", "alternative", "elapsed",
-    )
-
-    def __init__(
-        self,
-        key: str,
-        anchor: str,
-        mode: str,
-        verdict: str,
-        tested: int,
-        skipped: int,
-        counterexamples: list,
-        skip_reasons: Optional[list] = None,
-        alternative: Optional[ConventionResult] = None,
-        elapsed: float = 0.0,
-    ):
-        self.key = key
-        self.anchor = anchor
-        self.mode = mode
-        self.verdict = verdict
-        self.tested = tested
-        self.skipped = skipped
-        self.counterexamples = counterexamples
-        self.skip_reasons = [] if skip_reasons is None else skip_reasons
-        self.alternative = alternative
-        self.elapsed = elapsed
-
-    def _fields(self) -> tuple:
-        return (
-            self.key, self.anchor, self.mode, self.verdict, self.tested,
-            self.skipped, self.counterexamples, self.skip_reasons,
-            self.alternative, self.elapsed,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (
-            f"IdentityReport(key={self.key!r}, anchor={self.anchor!r}, "
-            f"mode={self.mode!r}, verdict={self.verdict!r}, "
-            f"tested={self.tested!r}, skipped={self.skipped!r}, "
-            f"counterexamples={self.counterexamples!r}, "
-            f"skip_reasons={self.skip_reasons!r}, "
-            f"alternative={self.alternative!r}, elapsed={self.elapsed!r})"
-        )
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -328,31 +171,15 @@ class IdentityReport:
             obj["skip_reasons"] = self.skip_reasons
         if self.alternative is not None:
             obj["alternative"] = {
-                "verdict": self.alternative.verdict,
-                "tested": self.alternative.tested,
-                "skipped": self.alternative.skipped,
-                "counterexamples": self.alternative.counterexamples,
+                f: getattr(self.alternative, f) for f in ConventionResult._fields
             }
         return obj
 
 
-class AuditReport:
+class AuditReport(record("AuditReport", ("entries",))):
     """The reports of an audit's rows, in key order."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: list):
-        self.entries = entries
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"AuditReport(entries={self.entries!r})"
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
@@ -531,7 +358,7 @@ def verify(
     """Check one registered identity over its (possibly overridden) domain."""
     identity = get_identity(key)
     start = time.monotonic()
-    try:
+    with row_scope():
         verdict, tested, skipped, cex, reasons = _evaluate_pair(
             identity,
             identity.lhs,
@@ -551,9 +378,6 @@ def verify(
                 tolerance_override,
             )
             alternative = ConventionResult(a_verdict, a_tested, a_skipped, a_cex)
-    finally:
-        for memo in _ROW_MEMOS:  # hold at most one row's working set
-            memo.cache_clear()
     return IdentityReport(
         key=identity.key,
         anchor=identity.anchor,
@@ -616,8 +440,22 @@ def run_suite(
 # --------------------------------------------------------------------------
 
 
-#: Every row-scoped memo; ``verify`` empties them all when a row ends.
+#: Every row-scoped memo; ``row_scope`` empties them all when a row ends.
 _ROW_MEMOS: list = []
+
+
+@contextlib.contextmanager
+def row_scope():
+    """Evaluate one row's cases; empty every row memo on exit, even on error.
+
+    ``verify`` runs each row in one; so should any caller that evaluates
+    ``lhs``/``rhs`` directly, or the memos keep that row's values.
+    """
+    try:
+        yield
+    finally:
+        for memo in _ROW_MEMOS:  # hold at most one row's working set
+            memo.cache_clear()
 
 
 def _row_memo(fn):
@@ -684,6 +522,17 @@ def _gf_hyper_coeff(r: int, n: int) -> Fraction:
 def _h_over_c2(k: int, r: int) -> Fraction:
     """h(k, r) / C(r-1+k, k)^2, a function of (k, r) alone."""
     return hyperharmonic(k, r) / binomial_int(r - 1 + k, k) ** 2
+
+
+@_row_memo
+def _t2_3108_side(n: int, m: int, r: int) -> Fraction:
+    """One side of Gould (3.108) at order r; ``t1-3.108`` is r = 1."""
+    return dot(
+        [binomial_int(k + r + m, m) for k in range(n + 1)]
+        + [binomial_int(k + r - 1, k) for k in range(n + 1)],
+        [hyperharmonic(k, r) for k in range(n + 1)]
+        + [hyperharmonic(m, k + r + 1) for k in range(n + 1)],
+    )
 
 
 @_row_memo
@@ -1479,19 +1328,12 @@ def _table1_rows():
         {"table1"},
     )
 
-    def _t1_3108_side(n, m):
-        return dot(
-            [binomial_int(k + m + 1, m) for k in range(n + 1)] + [1] * (n + 1),
-            [harmonic(k) for k in range(n + 1)]
-            + [hyperharmonic(m, k + 2) for k in range(n + 1)],
-        )
-
     _add(
         "t1-3.108",
         "Gould (3.108): the (n,m)-symmetric binomial-harmonic double sum",
         (IntRange("n", 0, 25), IntRange("m", 0, 25)),
-        lambda v: _t1_3108_side(v["n"], v["m"]),
-        lambda v: _t1_3108_side(v["m"], v["n"]),
+        lambda v: _t2_3108_side(v["n"], v["m"], 1),
+        lambda v: _t2_3108_side(v["m"], v["n"], 1),
         {"table1"},
     )
 
@@ -1908,15 +1750,6 @@ def _table2_rows():
         ),
         {"table2"},
     )
-
-    @_row_memo
-    def _t2_3108_side(n, m, r):
-        return dot(
-            [binomial_int(k + r + m, m) for k in range(n + 1)]
-            + [binomial_int(k + r - 1, k) for k in range(n + 1)],
-            [hyperharmonic(k, r) for k in range(n + 1)]
-            + [hyperharmonic(m, k + r + 1) for k in range(n + 1)],
-        )
 
     _add(
         "t2-3.108",

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from ._records import record
 from .errors import ComputationIntegrityError, DomainError
 from .exactnum import (
     binomial_int,
@@ -173,7 +174,7 @@ def hypergeometric_terminating(a: int, b, c, z) -> Fraction:
     return total
 
 
-class PowerSeries:
+class PowerSeries(record("PowerSeries", ("coeffs",), frozen=True)):
     """Truncated formal power series with exact rational coefficients.
 
     Arithmetic never reads beyond the truncation order; sums and
@@ -181,33 +182,13 @@ class PowerSeries:
     Immutable and hashable; compares and prints by its coefficients.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable):
         coeffs = tuple(_F(v) for v in coeffs)
         if not coeffs:
             raise ValueError("a power series needs at least the constant term")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs,))
-
-    def __reduce__(self):  # copy and pickle through __init__
-        return (PowerSeries, (self.coeffs,))
-
-    def __repr__(self):
-        return f"PowerSeries(coeffs={self.coeffs!r})"
+        super().__init__(coeffs)
 
     @property
     def order(self) -> int:

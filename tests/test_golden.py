@@ -22,10 +22,18 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from hyperseq.cli import main as cli_main
 from hyperseq.errors import DomainError
 from hyperseq.exactnum import format_rational
-from hyperseq.identities import _assignments, get_identity, list_identities
+from hyperseq.identities import (
+    _ROW_MEMOS,
+    _assignments,
+    get_identity,
+    list_identities,
+    row_scope,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 AUDIT_JSON = FIXTURES / "audit_full.json"
@@ -52,12 +60,20 @@ def row_digests() -> dict:
         identity = get_identity(key)
         if identity.mode != "exact":
             continue
-        out[key] = _side_digest(identity, identity.lhs, identity.rhs)
-        if identity.dual_convention:
-            out[key + "@alt"] = _side_digest(
-                identity, identity.lhs, identity.alt_rhs
-            )
+        with row_scope():
+            out[key] = _side_digest(identity, identity.lhs, identity.rhs)
+            if identity.dual_convention:
+                out[key + "@alt"] = _side_digest(
+                    identity, identity.lhs, identity.alt_rhs
+                )
     return out
+
+
+@pytest.fixture(scope="module")
+def digests_then_memo_sizes():
+    """``row_digests()`` and the size of every row memo right after it."""
+    got = row_digests()
+    return got, [memo.cache_info().currsize for memo in _ROW_MEMOS]
 
 
 def audit_stdout() -> str:
@@ -71,12 +87,18 @@ def test_full_audit_json_is_byte_identical():
     assert audit_stdout() == AUDIT_JSON.read_text()
 
 
-def test_exact_row_digests():
+def test_exact_row_digests(digests_then_memo_sizes):
     expected = json.loads(ROW_DIGESTS.read_text())
-    got = row_digests()
+    got, _ = digests_then_memo_sizes
     assert sorted(got) == sorted(expected)
     changed = [k for k in expected if got[k] != expected[k]]
     assert changed == []
+
+
+def test_row_memos_are_empty_after_row_digests(digests_then_memo_sizes):
+    # the digests call lhs/rhs directly, outside verify
+    _, sizes = digests_then_memo_sizes
+    assert sizes == [0] * len(_ROW_MEMOS)
 
 
 def test_fixture_covers_every_exact_row_and_convention():
