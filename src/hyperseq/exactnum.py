@@ -18,6 +18,18 @@ common denominator, the ``math.lcm`` of the term denominators, and the
 result is normalized once, by the single ``Fraction`` built at the end.
 An empty sum is 0.
 
+``over_common_denominator(values)`` brings a sequence (not an
+iterator) of ints and ``Fraction``s to plain integers over one
+denominator: it returns ``(numerators, d)`` with
+``values[i] == numerators[i] / d`` for every i, where d >= 1 is the
+``math.lcm`` of the denominators (1 for an empty or all-integer
+sequence).  The numerators are not reduced against d.  Any other type
+raises ``TypeError``.  Kernels that add, subtract or convolve many exact
+values (power-series products, the binomial transforms, the iterated
+branch of ``forward_difference``) call it once per operand, work on the
+integers, and build one ``Fraction`` per result; ``dot`` keeps its own
+loop.
+
 ``signed_binomial_row(k)`` is the tuple of the k-th difference weights,
 ``(-1)**(k-i) * C(k, i)`` for i = 0..k, as ints (so it can be sliced and
 passed to ``dot`` as the coefficients).  A negative k raises
@@ -164,6 +176,17 @@ def dot(coeffs, values) -> Fraction:
     if scale == 1:
         return Fraction(sum(nums))
     return Fraction(sum([p * (scale // q) for p, q in zip(nums, dens)]), scale)
+
+
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """(numerators, d): every value as an integer over the lcm d of the denominators."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(
+                f"over_common_denominator needs ints or Fractions, got {type(v).__name__}"
+            )
+    d = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _num_den(x) -> tuple[int, int]:

@@ -536,6 +536,12 @@ def _t2_3108_side(n: int, m: int, r: int) -> Fraction:
 
 
 @_row_memo
+def _inv_falling(x: int, m: int) -> Fraction:
+    """1 / (x falling m); ``prop-falling`` needs it at every k of every case."""
+    return 1 / falling_factorial(x, m)
+
+
+@_row_memo
 def _poly_point(deg: int, t) -> Fraction:
     """The fixed degree-``deg`` test polynomial at t, by Horner's rule.
 
@@ -709,7 +715,7 @@ def _core_recurrences():
             0,
             v["n"],
             lambda k: binomial_int(k + v["r"], v["r"]),
-            lambda k: 1 / falling_factorial(k + v["r"], v["m"]),
+            lambda k: _inv_falling(k + v["r"], v["m"]),
         ),
         lambda v: binomial_int(v["n"] + v["r"] - v["m"] + 1, v["n"])
         / falling_factorial(F(v["r"]), v["m"]),

@@ -8,10 +8,19 @@ power series for the generating functions.
 
 A term oracle is any pure callable from an integer index to an exact
 rational; determinism is the caller's contract.
+
+The kernels that combine many exact values (the power-series product,
+the binomial transform pair and the iterated branch of
+``forward_difference``) bring their inputs to plain integers over one
+common denominator with ``exactnum.over_common_denominator``, do all
+the arithmetic on those integers, and build one ``Fraction`` per
+result.  The alternating branch of ``forward_difference`` goes through
+``exactnum.dot`` instead, so the two branches share no arithmetic code.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -22,6 +31,7 @@ from .exactnum import (
     dot,
     factorial,
     format_rational,
+    over_common_denominator,
     rising_factorial,
     signed_binomial_row,
 )
@@ -48,10 +58,10 @@ def forward_difference(
         raise DomainError(f"[{x}, {x + k}] is outside the oracle domain {domain}")
     vals = [_F(f(x + i)) for i in range(k + 1)]
 
-    row = vals
+    row, d = over_common_denominator(vals)
     for _ in range(k):
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-    iterated = row[0]
+        row = list(map(operator.sub, row[1:], row[:-1]))
+    iterated = _F(row[0], d)
 
     alternating = dot(signed_binomial_row(k), vals)
     if iterated != alternating:
@@ -64,17 +74,22 @@ def forward_difference(
 
 def binomial_transform(b: Sequence) -> list[Fraction]:
     """a_k = sum_i binom(k, i) b_i."""
-    b = [_F(v) for v in b]
-    return [
-        dot([binomial_int(k, i) for i in range(k + 1)], b[: k + 1])
-        for k in range(len(b))
-    ]
+    nums, d = over_common_denominator([_F(v) for v in b])
+    out = []
+    row = [1]  # binom(k, i) for i = 0..k, advanced by Pascal's rule
+    for k in range(len(nums)):
+        out.append(_F(sum(map(operator.mul, row, nums)), d))
+        row = [1, *map(operator.add, row, row[1:]), 1]
+    return out
 
 
 def inverse_binomial_transform(a: Sequence) -> list[Fraction]:
     """b_k = sum_i (-1)**(k+i) binom(k, i) a_i; inverse of the transform."""
-    a = [_F(v) for v in a]
-    return [dot(signed_binomial_row(k), a[: k + 1]) for k in range(len(a))]
+    nums, d = over_common_denominator([_F(v) for v in a])
+    return [
+        _F(sum(map(operator.mul, signed_binomial_row(k), nums)), d)
+        for k in range(len(nums))
+    ]
 
 
 def derivative_at_zero_linear_factors(a: Iterable, c) -> Fraction:
@@ -185,7 +200,7 @@ class PowerSeries(record("PowerSeries", ("coeffs",), frozen=True)):
     __slots__ = ()
 
     def __init__(self, coeffs: Iterable):
-        coeffs = tuple(_F(v) for v in coeffs)
+        coeffs = tuple(v if type(v) is _F else _F(v) for v in coeffs)
         if not coeffs:
             raise ValueError("a power series needs at least the constant term")
         super().__init__(coeffs)
@@ -207,9 +222,14 @@ class PowerSeries(record("PowerSeries", ("coeffs",), frozen=True)):
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         order = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
+        a, da = over_common_denominator(self.coeffs[: order + 1])
+        b, db = over_common_denominator(other.coeffs[: order + 1])
+        d = da * db
         return PowerSeries(
-            tuple(dot(a[: n + 1], b[n::-1]) for n in range(order + 1))
+            tuple(
+                _F(sum(map(operator.mul, a[: n + 1], b[n::-1])), d)
+                for n in range(order + 1)
+            )
         )
 
     def scale(self, s) -> "PowerSeries":

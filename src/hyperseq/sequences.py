@@ -12,17 +12,25 @@ Negative orders use the piecewise closed form of
 :func:`hyperharmonic_neg`; rational orders the digamma-telescoped exact
 form of :func:`hyperharmonic_rational_order`.  The two extensions
 disagree in general, so callers pick explicitly.
+
+The loops that add many terms stay on plain integers and build one
+``Fraction`` per result: the convolution sums its integer terms over
+lcm(1..n), the recurrence in n carries an unreduced numerator and
+denominator and divides out their gcd every 64 steps, and the rational
+order sums its telescoping reciprocals with ``exactnum.dot``.  Each
+method still runs its own algorithm.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .exactnum import binomial_general, binomial_int
+from .exactnum import binomial_general, binomial_int, dot
 
 _F = Fraction
 
@@ -105,17 +113,28 @@ def _hyper_closed(n: int, r: int) -> Fraction:
 
 
 def _hyper_conv(n: int, r: int) -> Fraction:
-    return sum(
-        (_F(binomial_int(n + r - k - 1, r - 1), k) for k in range(1, n + 1)),
-        _F(0),
+    d = math.lcm(*range(1, n + 1))
+    return _F(
+        sum(binomial_int(n + r - k - 1, r - 1) * (d // k) for k in range(1, n + 1)), d
     )
 
 
+#: Steps between gcd reductions in the recurrence in n.  Unreduced, the
+#: pair grows by about log2(m(m+r)) bits a step; at n = 4,000 never
+#: reducing is about 3x slower than reducing every 64 steps.
+_GCD_EVERY = 64
+
+
 def _hyper_rec_lower(n: int, r: int) -> Fraction:
-    h = _F(0)
+    p, q = 0, 1  # h = p/q, unreduced between gcd steps
     for m in range(1, n + 1):
-        h = _F(m + r - 1, m) * h + _F(binomial_int(m + r - 1, r - 1), m + r - 1)
-    return h
+        s = m + r - 1
+        # h(m) = (s/m) h(m-1) + C(s, r-1)/s
+        p, q = s * s * p + binomial_int(s, r - 1) * m * q, m * s * q
+        if m % _GCD_EVERY == 0:
+            g = math.gcd(p, q)
+            p, q = p // g, q // g
+    return _F(p, q)
 
 
 def _hyper_rec_upper(n: int, r: int) -> Fraction:
@@ -174,18 +193,24 @@ def hyperharmonic_rational_order(n: int, w) -> Fraction:
     """h(n, w) for integer n >= 1 and rational order w.
 
     Exact reduction of the digamma/gamma extension at an integer lower
-    index: binom(w+n-1, n) * sum_{i=0}^{n-1} 1/(w+i).  Any i with
-    w + i = 0 is a pole and a domain error; negative integer orders are
-    served by :func:`hyperharmonic_neg` instead, never silently here.
+    index: binom(w+n-1, n) * sum_{i=0}^{n-1} 1/(w+i).  Every integer
+    order w <= 0 is a domain error: negative integer orders are served by
+    :func:`hyperharmonic_neg` and order 0 by :func:`hyperharmonic`, never
+    silently here.  The message names the pole, the i with w + i = 0,
+    when it falls inside the telescoping range.
     """
     w = _F(w)
     if n < 1:
         raise DomainError(f"hyperharmonic_rational_order needs n >= 1, got {n}")
-    tele = _F(0)
-    for i in range(n):
-        if w + i == 0:
-            raise DomainError(f"digamma pole in telescoping range at i={i} (order {w})")
-        tele += 1 / (w + i)
+    p, q = w.numerator, w.denominator
+    if q == 1 and p <= 0:
+        pole = f"; digamma pole in telescoping range at i={-p}" if -p < n else ""
+        raise DomainError(
+            f"order {p} is an integer <= 0: h(n, -r) is hyperharmonic_neg(n, r) "
+            f"and h(n, 0) is hyperharmonic(n, 0){pole}"
+        )
+    # 1/(w+i) = q/(p+iq); no p + iq is 0 once integer orders <= 0 are out
+    tele = dot([q] * n, [_F(1, p + i * q) for i in range(n)])
     return binomial_general(w + n - 1, n) * tele
 
 

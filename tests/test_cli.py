@@ -349,6 +349,13 @@ class TestGarbageInput:
         assert (code, out) == (2, "")
         assert "runs backwards" in err
 
+    @pytest.mark.parametrize("n, w", [("2", "-2"), ("3", "-2"), ("1", "-5"), ("4", "0")])
+    def test_integer_order_at_most_zero_is_domain_error(self, capsys, n, w):
+        # h(2, -2) is 0 (hyperharmonic_neg); the rational-order formula gives -3/2
+        code, out, err = run_cli(capsys, "compute", "hyperharmonic-q", "--n", n, "--w", w)
+        assert (code, out) == (4, "")
+        assert "hyperharmonic_neg" in err
+
     @pytest.mark.parametrize("argv", [
         ("compute", "digamma", "--arg", "1/0"),
         ("compute", "hyperharmonic-q", "--n", "2", "--w", "1/0"),

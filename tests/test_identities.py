@@ -200,6 +200,7 @@ class TestRowMemos:
             ident._h_over_c2(v["n"], 2)
             ident.binomial_general(F(1, 2), v["n"])
             ident._fixed_poly(2)(v["n"])
+            ident._inv_falling(v["n"] + 2, 2)
             get_identity("t2-3.108").lhs({"n": 1, "m": 2, "r": 1})
             return F(1, 0)
 
@@ -214,8 +215,8 @@ class TestRowMemos:
         monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
         with pytest.raises(ZeroDivisionError):
             verify("probe-raise")
-        assert len(ident._ROW_MEMOS) == 5  # the lhs above fills each one
-        assert self._sizes() == [0] * 5
+        assert len(ident._ROW_MEMOS) == 6  # the lhs above fills each one
+        assert self._sizes() == [0] * 6
 
     @pytest.mark.parametrize(
         "key", ["t2-3.108", "prop-teo4", "t2-7.2", "prop-one1-n", "t2-12.9a"]
