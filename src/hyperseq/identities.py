@@ -8,11 +8,19 @@ order.  Failures are first-class data recorded as counterexamples, never
 exceptions, because part of the point of the audit is to document table
 rows that do not balance as printed.  A report passes only when every
 row is PASS: a row with no tested case (SKIPPED) proves nothing.
-Values that repeat across one row's cases (h(n, r) at any integer
-order, h(k, r)/C(r-1+k, k)^2, generalized binomials, the polynomial
-oracle's points) are memoized for that row only; ``verify`` runs each
-row in ``row_scope()``, which empties those memos when the row ends,
-even when it raises.
+
+Every evaluator (``lhs``, ``rhs``, ``alt_rhs``, ``valid``) takes its
+row's declared parameters as keyword arguments, ``lambda n, r: ...``;
+the engine alone holds an assignment as a dict and calls ``fn(**pa)``.
+Rows are written over one vocabulary, so that each reads like its
+anchor: ``h(n, w)`` at any order (integer of either sign, or rational),
+``H``/``Hm`` (harmonic and generalized harmonic numbers), ``C``
+(integer binomial), ``Cg`` (generalized binomial), ``rising`` and
+``falling`` factorials, and the sums ``bsum`` (a coefficient-weighted
+range), ``alt_sum`` (the k-th difference form) and ``total``.  ``h`` and
+``Cg``, like the other values that repeat across one row's cases, are
+memoized for that row only; ``verify`` runs each row in ``row_scope()``,
+which empties those memos when the row ends, even when it raises.
 
 Table rows keep the summation numbering of Gould's "Combinatorial
 Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
@@ -44,15 +52,10 @@ from .analytic import CertifiedReal, as_certified, digamma, sum_series
 from .analytic import delta_hyperbolic_closed_form
 from .errors import DomainError
 from . import exactnum
-from .exactnum import (
-    binomial_int,
-    dot,
-    factorial,
-    falling_factorial,
-    format_rational,
-    rising_factorial,
-    signed_binomial_row,
-)
+from .exactnum import binomial_int as C
+from .exactnum import dot, factorial, format_rational, signed_binomial_row
+from .exactnum import falling_factorial as falling
+from .exactnum import rising_factorial as rising
 from .opcalc import (
     dx_reciprocal_rising,
     forward_difference,
@@ -64,13 +67,13 @@ from .sequences import (
     alpha,
     beta,
     fibonacci,
-    gen_harmonic,
-    harmonic,
     hyperharmonic,
     hyperharmonic_half_integer_alt,
     hyperharmonic_neg,
     hyperharmonic_rational_order,
 )
+from .sequences import gen_harmonic as Hm
+from .sequences import harmonic as H
 
 F = Fraction
 
@@ -105,9 +108,6 @@ class RationalChoice(record("RationalChoice", ("name", "values"), frozen=True)):
     __slots__ = ()
 
 
-Params = dict
-
-
 class Identity(
     record(
         "Identity",
@@ -122,10 +122,10 @@ class Identity(
     """One registry row: two evaluators over a parameter domain; immutable.
 
     ``params`` is a tuple of :class:`IntRange`/:class:`RationalChoice`;
-    ``lhs``/``rhs`` map an assignment dict to a value.  ``mode`` is
-    "exact" or "float"; ``valid`` filters assignments; ``alt_rhs``, when
-    set, is the right side under the alternative half-integer
-    convention, checked against ``lhs``.
+    ``lhs``/``rhs`` take the parameters by name and return a value.
+    ``mode`` is "exact" or "float"; ``valid`` filters assignments;
+    ``alt_rhs``, when set, is the right side under the alternative
+    half-integer convention, checked against ``lhs``.
     """
 
     __slots__ = ()
@@ -259,7 +259,7 @@ def _render_value(v) -> object:
     return format_rational(F(v))
 
 
-def _render_params(pa: Params) -> dict:
+def _render_params(pa: dict) -> dict:
     return {
         name: (value if isinstance(value, int) else format_rational(value))
         for name, value in pa.items()
@@ -267,21 +267,30 @@ def _render_params(pa: Params) -> dict:
 
 
 def _axis_values(p, max_bound, param_bounds):
+    """The ``(name, value)`` pairs parameter ``p`` runs over.
+
+    An override never goes below the row's own lower bound, and an
+    integer axis takes only integral values: a rational pin that is not
+    an integer leaves the axis empty.  ``max_bound`` and a
+    ``(None, cap)`` override clamp only the top.
+    """
     override = (param_bounds or {}).get(p.name)
     if isinstance(p, IntRange):
         lo, hi = p.lo, p.hi
+        if isinstance(override, F):
+            if override.denominator != 1:
+                return []
+            override = override.numerator
         if isinstance(override, int):
-            lo = hi = override
-        elif override is not None and override[0] is not None:
+            override = (override, override)
+        if override is not None and override[0] is not None:
             lo, hi = override
         else:
-            # No override, or a (None, cap) one: keep the row's own lower
-            # bound and clamp only the top.
             if override is not None:
                 hi = min(hi, override[1])
             if max_bound is not None:
                 hi = min(hi, max_bound)
-        return [(p.name, v) for v in range(lo, hi + 1)]
+        return [(p.name, v) for v in range(max(lo, p.lo), hi + 1)]
     values = p.values
     if override is not None:
         if isinstance(override, (list, tuple)):
@@ -295,7 +304,7 @@ def _assignments(identity, max_bound, param_bounds):
     axes = [_axis_values(p, max_bound, param_bounds) for p in identity.params]
     for combo in itertools.product(*axes):
         pa = dict(combo)
-        if identity.valid is not None and not identity.valid(pa):
+        if identity.valid is not None and not identity.valid(**pa):
             continue
         yield pa
 
@@ -318,8 +327,8 @@ def _evaluate_pair(identity, lhs, rhs, assignments, cap, tol_override):
     skip_reasons = []
     for pa in assignments:
         try:
-            lv = lhs(pa)
-            rv = rhs(pa)
+            lv = lhs(**pa)
+            rv = rhs(**pa)
         except DomainError as exc:
             skipped += 1
             if len(skip_reasons) < 3:
@@ -436,7 +445,7 @@ def run_suite(
 
 
 # --------------------------------------------------------------------------
-# Shared evaluator helpers
+# The row vocabulary
 # --------------------------------------------------------------------------
 
 
@@ -470,92 +479,88 @@ def _row_memo(fn):
     return memo
 
 
-#: The rows' generalized binomial, memoized per row; the library's
-#: ``exactnum.binomial_general`` stays unmemoized.
-binomial_general = _row_memo(exactnum.binomial_general)
+#: The rows' generalized binomial C(x, k) at rational x, memoized per
+#: row; the library's ``exactnum.binomial_general`` stays unmemoized.
+Cg = _row_memo(exactnum.binomial_general)
 
 
 @_row_memo
-def _hz(n: int, order: int) -> Fraction:
-    """h(n, order) for any integer order (positive, zero, or negative)."""
-    if order >= 0:
-        return hyperharmonic(n, order)
-    return hyperharmonic_neg(n, -order)
+def h(n: int, w) -> Fraction:
+    """h(n, w) at any order: an integer of either sign, or a rational.
+
+    Integer orders w >= 0 are :func:`hyperharmonic`, negative ones
+    :func:`hyperharmonic_neg` at -w, and every other rational the
+    digamma-telescoped :func:`hyperharmonic_rational_order`.
+    """
+    if isinstance(w, F):
+        if w.denominator != 1:
+            return hyperharmonic_rational_order(n, w)
+        w = w.numerator
+    if w >= 0:
+        return hyperharmonic(n, w)
+    return hyperharmonic_neg(n, -w)
 
 
-def _h_any_order(n: int, w) -> Fraction:
-    """h(n, w) for a positive rational order w (integer orders included)."""
-    w = F(w)
-    if w.denominator == 1:
-        return _hz(n, int(w))
-    return hyperharmonic_rational_order(n, w)
-
-
-def _bsum(lo: int, hi: int, coeff, term) -> Fraction:
+def bsum(lo: int, hi: int, coeff, term) -> Fraction:
     """sum_{i=lo..hi} coeff(i) term(i), as one exact dot product."""
     idx = range(lo, hi + 1)
     return dot([coeff(i) for i in idx], [term(i) for i in idx])
 
 
-def _alt_sum(k: int, term, lo: int = 0) -> Fraction:
+def alt_sum(k: int, term, lo: int = 0) -> Fraction:
     """sum_{i=lo..k} (-1)^(k-i) C(k,i) term(i), the k-th difference form."""
     return dot(signed_binomial_row(k)[lo:], [term(i) for i in range(lo, k + 1)])
 
 
-def _total(values) -> Fraction:
+def total(values) -> Fraction:
     """Plain exact sum of a finite sequence of ints and Fractions."""
     values = list(values)
     return dot([1] * len(values), values)
 
 
-@functools.lru_cache(maxsize=None)
-def _gf_hyper_cached(r: int, order: int):
+@_row_memo
+def _gf_hyper_series(r: int, order: int):
     return gf_hyperharmonic(r, order)
 
 
 def _gf_hyper_coeff(r: int, n: int) -> Fraction:
     order = 64 * max(1, (n + 63) // 64)  # n rounded up to a multiple of 64
-    return _gf_hyper_cached(r, order).coeff(n)
+    return _gf_hyper_series(r, order).coeff(n)
 
 
 @_row_memo
 def _h_over_c2(k: int, r: int) -> Fraction:
     """h(k, r) / C(r-1+k, k)^2, a function of (k, r) alone."""
-    return hyperharmonic(k, r) / binomial_int(r - 1 + k, k) ** 2
+    return h(k, r) / C(r - 1 + k, k) ** 2
 
 
 @_row_memo
 def _t2_3108_side(n: int, m: int, r: int) -> Fraction:
     """One side of Gould (3.108) at order r; ``t1-3.108`` is r = 1."""
     return dot(
-        [binomial_int(k + r + m, m) for k in range(n + 1)]
-        + [binomial_int(k + r - 1, k) for k in range(n + 1)],
-        [hyperharmonic(k, r) for k in range(n + 1)]
-        + [hyperharmonic(m, k + r + 1) for k in range(n + 1)],
+        [C(k + r + m, m) for k in range(n + 1)]
+        + [C(k + r - 1, k) for k in range(n + 1)],
+        [h(k, r) for k in range(n + 1)] + [h(m, k + r + 1) for k in range(n + 1)],
     )
 
 
 @_row_memo
 def _inv_falling(x: int, m: int) -> Fraction:
     """1 / (x falling m); ``prop-falling`` needs it at every k of every case."""
-    return 1 / falling_factorial(x, m)
+    return 1 / falling(x, m)
 
 
 @_row_memo
 def _poly_point(deg: int, t) -> Fraction:
     """The fixed degree-``deg`` test polynomial at t, by Horner's rule.
 
-    Its coefficients are (-1)^j (j+1)/(j+2) for j = 0..deg.
+    It is the oracle of the operator checks; its coefficients are
+    (-1)^j (j+1)/(j+2) for j = 0..deg.
     """
     acc = F(0)
     for j in range(deg, -1, -1):
         acc = acc * t + F((-1) ** j * (j + 1), j + 2)
     return acc
-
-
-def _fixed_poly(deg: int):
-    """Deterministic degree-``deg`` polynomial oracle for operator checks."""
-    return functools.partial(_poly_point, deg)
 
 
 def _poly_coeffs_from_shifts(shifts) -> list:
@@ -581,10 +586,10 @@ def _poly_derivative_at(coeffs, t) -> Fraction:
 
 def _alternating_certified_sum(k: int, values) -> CertifiedReal:
     """sum_i (-1)**(k-i) binom(k, i) values[i] with error tracking."""
-    total = CertifiedReal(0.0, 0.0)
+    acc = CertifiedReal(0.0, 0.0)
     for coeff, v in zip(signed_binomial_row(k), values, strict=True):
-        total = total + as_certified(v).scaled(coeff)
-    return total
+        acc = acc + as_certified(v).scaled(coeff)
+    return acc
 
 
 _LOG2 = math.log(2.0)
@@ -632,12 +637,12 @@ def _core_recurrences():
         "prop-5",
         "sum_{s=1..n} h(s,r-1) - sum_{k=1..r} h(n-1,k) = 1/n",
         (IntRange("n", 1, 25), IntRange("r", 1, 12)),
-        lambda v: dot(
-            [1] * v["n"] + [-1] * v["r"],
-            [_hz(s, v["r"] - 1) for s in range(1, v["n"] + 1)]
-            + [_hz(v["n"] - 1, k) for k in range(1, v["r"] + 1)],
+        lambda n, r: dot(
+            [1] * n + [-1] * r,
+            [h(s, r - 1) for s in range(1, n + 1)]
+            + [h(n - 1, k) for k in range(1, r + 1)],
         ),
-        lambda v: F(1, v["n"]),
+        lambda n, r: F(1, n),
         {"core"},
     )
     _add(
@@ -645,31 +650,28 @@ def _core_recurrences():
         "h(n,r+s) - h(n,s) = sum_{k=1..r} h(n-1,k+s)   (s = 0 gives the "
         "h(n,r) = sum h(n-1,k) + 1/n form)",
         (IntRange("n", 1, 25), IntRange("r", 1, 12), IntRange("s", 0, 6)),
-        lambda v: _hz(v["n"], v["r"] + v["s"]) - _hz(v["n"], v["s"]),
-        lambda v: _total(_hz(v["n"] - 1, k + v["s"]) for k in range(1, v["r"] + 1)),
+        lambda n, r, s: h(n, r + s) - h(n, s),
+        lambda n, r, s: total(h(n - 1, k + s) for k in range(1, r + 1)),
         {"core"},
     )
     _add(
         "eq-8",
         "h(n,r+1) = alpha(n,r) h(n-1,r+1) + beta(n,r)",
         (IntRange("n", 1, 25), IntRange("r", 1, 12)),
-        lambda v: hyperharmonic(v["n"], v["r"] + 1),
-        lambda v: alpha(v["n"], v["r"]) * hyperharmonic(v["n"] - 1, v["r"] + 1)
-        + beta(v["n"], v["r"]),
+        lambda n, r: h(n, r + 1),
+        lambda n, r: alpha(n, r) * h(n - 1, r + 1) + beta(n, r),
         {"core"},
     )
     _add(
         "eq-9",
         "(alpha - 1) h(n,r+1) = alpha h(n,r) - beta",
         (IntRange("n", 1, 25), IntRange("r", 1, 12)),
-        lambda v: (alpha(v["n"], v["r"]) - 1) * hyperharmonic(v["n"], v["r"] + 1),
-        lambda v: alpha(v["n"], v["r"]) * hyperharmonic(v["n"], v["r"])
-        - beta(v["n"], v["r"]),
+        lambda n, r: (alpha(n, r) - 1) * h(n, r + 1),
+        lambda n, r: alpha(n, r) * h(n, r) - beta(n, r),
         {"core"},
     )
 
-    def _ab_lhs(v):
-        part, n, r = v["part"], v["n"], v["r"]
+    def _ab_lhs(part, n, r):
         if part == 0:
             return alpha(n, r)
         if part == 1:
@@ -678,8 +680,7 @@ def _core_recurrences():
             return gf_beta(r, n).coeff(n)
         return gf_alpha(r, n).coeff(n)
 
-    def _ab_rhs(v):
-        part, n, r = v["part"], v["n"], v["r"]
+    def _ab_rhs(part, n, r):
         if part == 0:
             return F(r, n) * alpha(r, n)
         if part == 1:
@@ -701,26 +702,19 @@ def _core_recurrences():
         "prop-bt",
         "sum_{k=0..n} beta(k,r) = alpha(n,r) beta(n,r) / (alpha(n,r) - 1)",
         (IntRange("n", 1, 25), IntRange("r", 1, 12)),
-        lambda v: _total(beta(k, v["r"]) for k in range(v["n"] + 1)),
-        lambda v: alpha(v["n"], v["r"])
-        * beta(v["n"], v["r"])
-        / (alpha(v["n"], v["r"]) - 1),
+        lambda n, r: total(beta(k, r) for k in range(n + 1)),
+        lambda n, r: alpha(n, r) * beta(n, r) / (alpha(n, r) - 1),
         {"core"},
     )
     _add(
         "prop-falling",
         "sum_{k=0..n} C(k+r,r)/(k+r)^falling(m) = C(n+r-m+1,n)/r^falling(m)",
         (IntRange("m", 1, 12), IntRange("r", 1, 12), IntRange("n", 0, 25)),
-        lambda v: _bsum(
-            0,
-            v["n"],
-            lambda k: binomial_int(k + v["r"], v["r"]),
-            lambda k: _inv_falling(k + v["r"], v["m"]),
-        ),
-        lambda v: binomial_int(v["n"] + v["r"] - v["m"] + 1, v["n"])
-        / falling_factorial(F(v["r"]), v["m"]),
+        lambda m, r, n: bsum(0, n, lambda k: C(k + r, r),
+                             lambda k: _inv_falling(k + r, m)),
+        lambda m, r, n: C(n + r - m + 1, n) / falling(F(r), m),
         {"core"},
-        valid=lambda v: v["m"] <= v["r"],
+        valid=lambda m, r, n: m <= r,
     )
 
 
@@ -732,127 +726,98 @@ def _core_derivatives():
         "eq-10",
         "D_x C(x+n,n) at 0 = H(n)",
         (IntRange("n", 0, 25),),
-        lambda v: dlin(range(1, v["n"] + 1), factorial(v["n"])),
-        lambda v: harmonic(v["n"]),
+        lambda n: dlin(range(1, n + 1), factorial(n)),
+        lambda n: H(n),
         {"core"},
     )
     _add(
         "eq-Dgh",
         "D_x of the leaping binomial at 0 = H(n, order m)",
         (IntRange("n", 1, 12), IntRange("m", 1, 4)),
-        lambda v: dlin(
-            [i ** v["m"] for i in range(1, v["n"] + 1)],
-            factorial(v["n"]) ** v["m"],
-        ),
-        lambda v: gen_harmonic(v["n"], v["m"]),
+        lambda n, m: dlin([i**m for i in range(1, n + 1)], factorial(n) ** m),
+        lambda n, m: Hm(n, m),
         {"core"},
     )
 
-    def _leap_rel_rhs(v):
-        n, m, x = v["n"], v["m"], v["x"]
-        num = (
-            F(factorial(n**m), factorial(n) ** m)
-            * binomial_general(x + n**m, n**m)
-        )
+    def _leap_rel_rhs(n, m, x):
+        num = F(factorial(n**m), factorial(n) ** m) * Cg(x + n**m, n**m)
         den = F(1)
         for i in range(2, n + 1):
             width = i**m - (i - 1) ** m - 1
-            den *= binomial_general(x + i**m - 1, width) * factorial(width)
+            den *= Cg(x + i**m - 1, width) * factorial(width)
         return num / den
 
     _add(
         "prop-leap-rel",
         "leaping binomial vs classical binomials (n >= 2)",
-        (
-            IntRange("n", 2, 6),
-            IntRange("m", 1, 3),
-            RationalChoice("x", SAMPLE_RATIONALS),
-        ),
-        lambda v: leaping_binomial(v["x"], v["n"], v["m"]),
+        (IntRange("n", 2, 6), IntRange("m", 1, 3),
+         RationalChoice("x", SAMPLE_RATIONALS)),
+        lambda n, m, x: leaping_binomial(x, n, m),
         _leap_rel_rhs,
         {"core"},
+        # Poles: C(x + i^m - 1, i^m - (i-1)^m - 1) vanishes, for some
+        # 2 <= i <= n, exactly at the integers x with (i-1)^m < -x < i^m.
+        valid=lambda n, m, x: x.denominator != 1
+        or not any((i - 1) ** m < -x < i**m for i in range(2, n + 1)),
     )
     _add(
         "eq-11",
         "D_x C(x+n+r-1,n) at 0 = h(n,r)",
         (IntRange("n", 0, 20), IntRange("r", 1, 12)),
-        lambda v: dlin(
-            range(v["r"], v["n"] + v["r"]), factorial(v["n"])
-        ),
-        lambda v: hyperharmonic(v["n"], v["r"]),
+        lambda n, r: dlin(range(r, n + r), factorial(n)),
+        lambda n, r: h(n, r),
         {"core"},
     )
-
-    def _pd_lhs(v):
-        n, z = v["n"], v["z"]
-        coeffs = _poly_coeffs_from_shifts(range(n))
-        return _poly_derivative_at(coeffs, z)
-
-    def _pd_rhs(v):
-        n, z = v["n"], v["z"]
-        tele = _total(1 / (z + i) for i in range(n))
-        return rising_factorial(z, n) * tele
-
     _add(
         "eq-pd",
         "D_z z^rising(n) = z^rising(n) (psi(z+n) - psi(z)), telescoped "
         "exactly at rational z",
         (IntRange("n", 1, 10), RationalChoice("z", SAMPLE_RATIONALS)),
-        _pd_lhs,
-        _pd_rhs,
+        lambda n, z: _poly_derivative_at(_poly_coeffs_from_shifts(range(n)), z),
+        lambda n, z: rising(z, n) * total(1 / (z + i) for i in range(n)),
         {"core"},
-        valid=lambda v: all(v["z"] + i != 0 for i in range(v["n"])),
+        valid=lambda n, z: all(z + i != 0 for i in range(n)),
     )
     _add(
         "eq-13",
         "sum_{j=0..n} C(x+j+r-1,j) = (1 + n/(x+r)) C(x+n+r-1,n)",
-        (
-            IntRange("n", 0, 20),
-            IntRange("r", 1, 8),
-            RationalChoice("x", SAMPLE_RATIONALS),
-        ),
-        lambda v: _total(
-            binomial_general(v["x"] + (j + v["r"] - 1), j) for j in range(v["n"] + 1)
-        ),
-        lambda v: (1 + F(v["n"]) / (v["x"] + v["r"]))
-        * binomial_general(v["x"] + v["n"] + v["r"] - 1, v["n"]),
+        (IntRange("n", 0, 20), IntRange("r", 1, 8),
+         RationalChoice("x", SAMPLE_RATIONALS)),
+        lambda n, r, x: total(Cg(x + (j + r - 1), j) for j in range(n + 1)),
+        lambda n, r, x: (1 + F(n) / (x + r)) * Cg(x + n + r - 1, n),
         {"core"},
-        valid=lambda v: v["x"] + v["r"] != 0,
+        valid=lambda n, r, x: x + r != 0,
     )
     _add(
         "gf-harmonic",
         "[z^n] -ln(1-z)/(1-z) = H(n)",
         (IntRange("n", 0, 64),),
-        lambda v: _gf_hyper_coeff(1, v["n"]),
-        lambda v: harmonic(v["n"]),
+        lambda n: _gf_hyper_coeff(1, n),
+        lambda n: H(n),
         {"core"},
     )
     _add(
         "gf-hyperharmonic",
         "[z^n] -ln(1-z)/(1-z)^r = h(n,r)",
         (IntRange("r", 1, 8), IntRange("n", 0, 64)),
-        lambda v: _gf_hyper_coeff(v["r"], v["n"]),
-        lambda v: hyperharmonic(v["n"], v["r"]),
+        lambda r, n: _gf_hyper_coeff(r, n),
+        lambda r, n: h(n, r),
         {"core"},
     )
 
 
 def _core_differences():
-    def _teo4_lhs(v):
-        f = _fixed_poly(v["deg"])
-        return forward_difference(lambda t: F(t) * f(t), v["n"], v["x"])
-
-    def _teo4_rhs(v):
-        f = _fixed_poly(v["deg"])
-        return F(v["x"]) * forward_difference(f, v["n"], v["x"]) + v[
-            "n"
-        ] * forward_difference(f, v["n"] - 1, v["x"] + 1)
+    def _teo4_rhs(deg, n, x):
+        f = functools.partial(_poly_point, deg)
+        return (F(x) * forward_difference(f, n, x)
+                + n * forward_difference(f, n - 1, x + 1))
 
     _add(
         "prop-teo4",
         "Delta^n (x f(x)) = x Delta^n f(x) + n Delta^(n-1) f(x+1)",
         (IntRange("deg", 0, 6), IntRange("n", 1, 6), IntRange("x", 0, 10)),
-        _teo4_lhs,
+        lambda deg, n, x: forward_difference(lambda t: F(t) * _poly_point(deg, t),
+                                             n, x),
         _teo4_rhs,
         {"core"},
     )
@@ -860,74 +825,50 @@ def _core_differences():
         "prop-son1",
         "sum_i (-1)^(i+1) C(k,i) H(n+i) = (k-1)!/(n+1)^rising(k)",
         (IntRange("k", 1, 10), IntRange("n", 0, 20)),
-        lambda v: _bsum(
-            0,
-            v["k"],
-            lambda i: (-1) ** (i + 1) * binomial_int(v["k"], i),
-            lambda i: harmonic(v["n"] + i),
-        ),
-        lambda v: factorial(v["k"] - 1)
-        / rising_factorial(F(v["n"] + 1), v["k"]),
+        lambda k, n: bsum(0, k, lambda i: (-1) ** (i + 1) * C(k, i),
+                          lambda i: H(n + i)),
+        lambda k, n: factorial(k - 1) / rising(F(n + 1), k),
         {"core"},
     )
     _add(
         "cor-son4",
         "sum_{i=1..k} (-1)^(i+1) C(k,i) H(i) = 1/k",
         (IntRange("k", 1, 25),),
-        lambda v: _bsum(
-            1, v["k"], lambda i: (-1) ** (i + 1) * binomial_int(v["k"], i), harmonic
-        ),
-        lambda v: F(1, v["k"]),
+        lambda k: bsum(1, k, lambda i: (-1) ** (i + 1) * C(k, i), H),
+        lambda k: F(1, k),
         {"core"},
     )
     _add(
         "eq-hrp",
         "sum_{i=1..k} (-1)^(i+1) C(k,i)/i = H(k)",
         (IntRange("k", 1, 25),),
-        lambda v: _bsum(
-            1,
-            v["k"],
-            lambda i: (-1) ** (i + 1) * binomial_int(v["k"], i),
-            lambda i: F(1, i),
-        ),
-        lambda v: harmonic(v["k"]),
+        lambda k: bsum(1, k, lambda i: (-1) ** (i + 1) * C(k, i), lambda i: F(1, i)),
+        lambda k: H(k),
         {"core"},
     )
     _add(
         "prop-son8",
         "sum_i (-1)^i C(k,i)(n+i) H(n+i) = (k-2)!/(n+1)^rising(k-1), k >= 2",
         (IntRange("k", 2, 12), IntRange("n", 0, 20)),
-        lambda v: _bsum(
-            0,
-            v["k"],
-            lambda i: (-1) ** i * binomial_int(v["k"], i) * (v["n"] + i),
-            lambda i: harmonic(v["n"] + i),
-        ),
-        lambda v: factorial(v["k"] - 2)
-        / rising_factorial(F(v["n"] + 1), v["k"] - 1),
+        lambda k, n: bsum(0, k, lambda i: (-1) ** i * C(k, i) * (n + i),
+                          lambda i: H(n + i)),
+        lambda k, n: factorial(k - 2) / rising(F(n + 1), k - 1),
         {"core"},
     )
     _add(
         "cor-bih",
         "sum_{i=1..k} (-1)^i C(k,i) i H(i) = 1/(k-1), k >= 2",
         (IntRange("k", 2, 25),),
-        lambda v: _bsum(
-            1, v["k"], lambda i: (-1) ** i * binomial_int(v["k"], i) * i, harmonic
-        ),
-        lambda v: F(1, v["k"] - 1),
+        lambda k: bsum(1, k, lambda i: (-1) ** i * C(k, i) * i, H),
+        lambda k: F(1, k - 1),
         {"core"},
     )
     _add(
         "rem-kHk",
         "k (H(k) - 1) = sum_{i=2..k} C(k,i) (-1)^i/(i-1)",
         (IntRange("k", 1, 25),),
-        lambda v: v["k"] * (harmonic(v["k"]) - 1),
-        lambda v: _bsum(
-            2,
-            v["k"],
-            lambda i: binomial_int(v["k"], i) * (-1) ** i,
-            lambda i: F(1, i - 1),
-        ),
+        lambda k: k * (H(k) - 1),
+        lambda k: bsum(2, k, lambda i: C(k, i) * (-1) ** i, lambda i: F(1, i - 1)),
         {"core"},
     )
     _add(
@@ -935,119 +876,86 @@ def _core_differences():
         "sum_{i=1..n-1} (-1)^(i+1) C(n+1,i+1) H(i) = 2 H(n) for even n, 0 "
         "for odd n",
         (IntRange("n", 1, 30),),
-        lambda v: _bsum(
-            1,
-            v["n"] - 1,
-            lambda i: (-1) ** (i + 1) * binomial_int(v["n"] + 1, i + 1),
-            harmonic,
-        ),
-        lambda v: 2 * harmonic(v["n"]) if v["n"] % 2 == 0 else F(0),
+        lambda n: bsum(1, n - 1, lambda i: (-1) ** (i + 1) * C(n + 1, i + 1), H),
+        lambda n: 2 * H(n) if n % 2 == 0 else F(0),
         {"core"},
     )
 
 
 def _core_negative_orders():
-    def _hhr_valid(v):
-        n, r = v["n"], v["r"]
-        if r >= 1:
-            return True
-        # Below order zero the piecewise definition only satisfies the
-        # downward recurrence outside the band 1 < index <= |order| + 1.
-        if r == 0:
-            return n >= 2
-        return n >= 2 - r
-
     _add(
         "eq-hhr",
         "h(n,r-1) = h(n,r) - h(n-1,r)",
         (IntRange("n", 1, 25), IntRange("r", -8, 12)),
-        lambda v: _hz(v["n"], v["r"] - 1),
-        lambda v: _hz(v["n"], v["r"]) - _hz(v["n"] - 1, v["r"]),
+        lambda n, r: h(n, r - 1),
+        lambda n, r: h(n, r) - h(n - 1, r),
         {"core"},
-        valid=_hhr_valid,
+        # Below order zero the piecewise definition only satisfies the
+        # downward recurrence outside the band 1 < index <= |order| + 1.
+        valid=lambda n, r: r >= 1 or n >= 2 - r,
     )
     _add(
         "prop-one1-n",
         "h(n+k,r-k) = sum_i (-1)^(k-i) C(k,i) h(n+i,r)",
         (IntRange("n", 0, 25), IntRange("k", 0, 25), IntRange("r", -6, 12)),
-        lambda v: _hz(v["n"] + v["k"], v["r"] - v["k"]),
-        lambda v: _alt_sum(v["k"], lambda i: _hz(v["n"] + i, v["r"])),
+        lambda n, k, r: h(n + k, r - k),
+        lambda n, k, r: alt_sum(k, lambda i: h(n + i, r)),
         {"core"},
-        valid=lambda v: v["r"] >= 1 or v["n"] >= 1 - v["r"],
+        valid=lambda n, k, r: r >= 1 or n >= 1 - r,
     )
     _add(
         "prop-one1-r",
         "h(n-k,r+k) = sum_i (-1)^(k-i) C(k,i) h(n,r+i), k <= n",
         (IntRange("n", 1, 25), IntRange("k", 0, 12), IntRange("r", -6, 12)),
-        lambda v: _hz(v["n"] - v["k"], v["r"] + v["k"]),
-        lambda v: _alt_sum(v["k"], lambda i: _hz(v["n"], v["r"] + i)),
+        lambda n, k, r: h(n - k, r + k),
+        lambda n, k, r: alt_sum(k, lambda i: h(n, r + i)),
         {"core"},
-        valid=lambda v: v["k"] <= v["n"]
-        and (v["r"] >= 1 or v["n"] >= v["k"] + 1 - v["r"]),
+        valid=lambda n, k, r: k <= n and (r >= 1 or n >= k + 1 - r),
     )
-
-    def _shift_lhs(v):
-        if v["part"] == 0:
-            return _hz(v["n"] - v["k"], v["k"])
-        return _alt_sum(v["k"], lambda i: _hz(v["k"], v["r"] + i))
-
-    def _shift_rhs(v):
-        if v["part"] == 0:
-            return _alt_sum(v["k"], lambda i: _hz(v["n"], i))
-        return F(0)
-
     _add(
         "cor-hk-shift",
         "h(n-k,k) = sum_i (-1)^(k-i) C(k,i) h(n,i); "
         "sum_i (-1)^(k-i) C(k,i) h(k,r+i) = 0",
-        (
-            IntRange("part", 0, 1),
-            IntRange("n", 1, 25),
-            IntRange("k", 1, 12),
-            IntRange("r", 1, 12),
+        (IntRange("part", 0, 1), IntRange("n", 1, 25), IntRange("k", 1, 12),
+         IntRange("r", 1, 12)),
+        lambda part, n, k, r: (
+            h(n - k, k) if part == 0 else alt_sum(k, lambda i: h(k, r + i))
         ),
-        _shift_lhs,
-        _shift_rhs,
+        lambda part, n, k, r: alt_sum(k, lambda i: h(n, i)) if part == 0 else F(0),
         {"core"},
-        valid=lambda v: (
-            (v["part"] == 0 and v["r"] == 1 and v["k"] <= v["n"])
-            or (v["part"] == 1 and v["n"] == 1)
-        ),
+        valid=lambda part, n, k, r: (part == 0 and r == 1 and k <= n)
+        or (part == 1 and n == 1),
     )
     _add(
         "cor-e",
         "h(n+k,-k) = sum_i (-1)^(k-i) C(k,i) / (n+i)",
         (IntRange("n", 1, 25), IntRange("k", 1, 12)),
-        lambda v: hyperharmonic_neg(v["n"] + v["k"], v["k"]),
-        lambda v: _alt_sum(v["k"], lambda i: F(1, v["n"] + i)),
+        lambda n, k: h(n + k, -k),
+        lambda n, k: alt_sum(k, lambda i: F(1, n + i)),
         {"core"},
     )
     _add(
         "cor-lower",
         "h(k,r-k) = sum_{i=1..k} (-1)^(k-i) C(k,i) h(i,r)",
         (IntRange("k", 1, 12), IntRange("r", 1, 12)),
-        lambda v: _hz(v["k"], v["r"] - v["k"]),
-        lambda v: _alt_sum(v["k"], lambda i: _hz(i, v["r"]), lo=1),
+        lambda k, r: h(k, r - k),
+        lambda k, r: alt_sum(k, lambda i: h(i, r), lo=1),
         {"core"},
     )
     _add(
         "cor-recip",
         "1/(k+1) = sum_i C(k,i) h(i+1,-i)",
         (IntRange("k", 0, 25),),
-        lambda v: F(1, v["k"] + 1),
-        lambda v: _bsum(
-            0, v["k"], lambda i: binomial_int(v["k"], i), lambda i: _hz(i + 1, -i)
-        ),
+        lambda k: F(1, k + 1),
+        lambda k: bsum(0, k, lambda i: C(k, i), lambda i: h(i + 1, -i)),
         {"core"},
     )
     _add(
         "cor-e2",
         "H(n) = sum_{i=1..n} C(n,i) h(i,1-i)",
         (IntRange("n", 1, 25),),
-        lambda v: harmonic(v["n"]),
-        lambda v: _bsum(
-            1, v["n"], lambda i: binomial_int(v["n"], i), lambda i: _hz(i, 1 - i)
-        ),
+        lambda n: H(n),
+        lambda n: bsum(1, n, lambda i: C(n, i), lambda i: h(i, 1 - i)),
         {"core"},
     )
     _add(
@@ -1055,28 +963,18 @@ def _core_negative_orders():
         "H(k) = sum_i (-1)^(k-i) C(k,i) h(i,k+1); "
         "1/k = sum_i (-1)^(k-i) C(k,i) h(i,k)",
         (IntRange("part", 0, 1), IntRange("k", 1, 20)),
-        lambda v: harmonic(v["k"]) if v["part"] == 0 else F(1, v["k"]),
-        lambda v: _alt_sum(
-            v["k"], lambda i: hyperharmonic(i, v["k"] + 1 - v["part"]), lo=1
-        ),
+        lambda part, k: H(k) if part == 0 else F(1, k),
+        lambda part, k: alt_sum(k, lambda i: h(i, k + 1 - part), lo=1),
         {"core"},
     )
     _add(
         "rem-doublesum",
         "H(n) = sum_{1<=i<=k<=n} (-1)^(k-i) C(k,i) h(i,k)",
         (IntRange("n", 1, 20),),
-        lambda v: harmonic(v["n"]),
-        lambda v: dot(
-            [
-                c
-                for k in range(1, v["n"] + 1)
-                for c in signed_binomial_row(k)[1:]
-            ],
-            [
-                hyperharmonic(i, k)
-                for k in range(1, v["n"] + 1)
-                for i in range(1, k + 1)
-            ],
+        lambda n: H(n),
+        lambda n: dot(
+            [c for k in range(1, n + 1) for c in signed_binomial_row(k)[1:]],
+            [h(i, k) for k in range(1, n + 1) for i in range(1, k + 1)],
         ),
         {"core"},
     )
@@ -1087,33 +985,32 @@ def _core_fibonacci():
         "prop-one2",
         "F(n-k) = sum_i (-1)^(k-i) C(k,i) F(n+i)",
         (IntRange("n", 0, 25), IntRange("k", 0, 25)),
-        lambda v: F(fibonacci(v["n"] - v["k"])),
-        lambda v: _alt_sum(v["k"], lambda i: fibonacci(v["n"] + i)),
+        lambda n, k: F(fibonacci(n - k)),
+        lambda n, k: alt_sum(k, lambda i: fibonacci(n + i)),
         {"core"},
     )
     _add(
         "cor-nf",
         "F(-k) = sum_i (-1)^(k-i) C(k,i) F(i)",
         (IntRange("k", 0, 40),),
-        lambda v: F(fibonacci(-v["k"])),
-        lambda v: _alt_sum(v["k"], fibonacci),
-
+        lambda k: F(fibonacci(-k)),
+        lambda k: alt_sum(k, fibonacci),
         {"core"},
     )
     _add(
         "cor-son6",
         "F(-k) = F(-k-1) + F(-k-2)",
         (IntRange("k", 0, 40),),
-        lambda v: F(fibonacci(-v["k"])),
-        lambda v: F(fibonacci(-v["k"] - 1) + fibonacci(-v["k"] - 2)),
+        lambda k: F(fibonacci(-k)),
+        lambda k: F(fibonacci(-k - 1) + fibonacci(-k - 2)),
         {"core"},
     )
     _add(
         "cor-fib-sign",
         "F(-k) = (-1)^(k+1) F(k)",
         (IntRange("k", 0, 40),),
-        lambda v: F(fibonacci(-v["k"])),
-        lambda v: F((-1) ** (v["k"] + 1) * fibonacci(v["k"])),
+        lambda k: F(fibonacci(-k)),
+        lambda k: F((-1) ** (k + 1) * fibonacci(k)),
         {"core"},
     )
 
@@ -1132,20 +1029,15 @@ def _float_rows():
             f"alternating binomial sum of {kind}(x+i) has the closed "
             "exponential form",
             (IntRange("k", 0, 15), RationalChoice("x", HYPERBOLIC_GRID)),
-            (lambda v, kd=kind: _hyp_direct(kd, v["k"], v["x"])),
-            (
-                lambda v, kd=kind: delta_hyperbolic_closed_form(
-                    kd, v["k"], float(v["x"])
-                )
-            ),
+            lambda k, x, kd=kind: _hyp_direct(kd, k, x),
+            lambda k, x, kd=kind: delta_hyperbolic_closed_form(kd, k, float(x)),
             {"float"},
             mode="float",
             tol=1e-12,
         )
 
-    def _x0_rhs(v):
-        k = v["k"]
-        kind = "sinh" if v["part"] == 0 else "cosh"
+    def _x0_rhs(part, k):
+        kind = "sinh" if part == 0 else "cosh"
         sign = 1.0 if (k % 2 == 0) == (kind == "cosh") else -1.0
         value = (math.e - 1.0) ** k * (math.e**k + sign) / (2.0 * math.e**k)
         mag = (math.e - 1.0) ** k * (math.e**k + 1.0) / (2.0 * math.e**k)
@@ -1155,21 +1047,18 @@ def _float_rows():
         "rem-one11-x0",
         "the x = 0 specializations of the hyperbolic difference forms",
         (IntRange("part", 0, 1), IntRange("k", 0, 15)),
-        lambda v: _hyp_direct("sinh" if v["part"] == 0 else "cosh", v["k"], F(0)),
+        lambda part, k: _hyp_direct("sinh" if part == 0 else "cosh", k, F(0)),
         _x0_rhs,
         {"float"},
         mode="float",
         tol=1e-12,
     )
 
-    def _one6_lhs(v):
-        k, x = v["k"], v["x"]
-        total = CertifiedReal(0.0, 0.0)
+    def _one6_lhs(k, x):
+        acc = CertifiedReal(0.0, 0.0)
         for i in range(k + 1):
-            total = total + digamma(float(x) + i).scaled(
-                (-1) ** i * binomial_int(k, i)
-            )
-        return total
+            acc = acc + digamma(float(x) + i).scaled((-1) ** i * C(k, i))
+        return acc
 
     _add(
         "prop-one6",
@@ -1177,9 +1066,7 @@ def _float_rows():
         "match the k = 1 digamma recurrence)",
         (IntRange("k", 1, 10), RationalChoice("x", PSI_SAMPLES)),
         _one6_lhs,
-        lambda v: CertifiedReal.from_exact(
-            -factorial(v["k"] - 1) / rising_factorial(v["x"], v["k"])
-        ),
+        lambda k, x: CertifiedReal.from_exact(-factorial(k - 1) / rising(x, k)),
         {"float"},
         mode="float",
         tol=1e-9,
@@ -1187,19 +1074,17 @@ def _float_rows():
 
 
 def _table1_rows():
-    def _t1_123_lhs(v):
-        return sum_series(
-            lambda k: harmonic(k) / F(2) ** k,
-            lambda K: (K + 2.0) / 2.0**K if K >= 1 else math.inf,
-            2.5e-13,
-        )
-
     _add(
         "t1-1.23",
         "Gould (1.23): sum_k H(k)/2^k = 2 ln 2",
         (),
-        _t1_123_lhs,
-        lambda v: CertifiedReal(2.0 * _LOG2, 4.0 * _ULP),
+        lambda: sum_series(
+            lambda k: H(k) / F(2) ** k,
+            # H(k) <= k, so the tail is at most sum_{k>K} k/2^k = (K+2)/2^K.
+            lambda K: (K + 2.0) / 2.0**K if K >= 1 else math.inf,
+            2.5e-13,
+        ),
+        lambda: CertifiedReal(2.0 * _LOG2, 4.0 * _ULP),
         {"table1", "float"},
         mode="float",
         tol=1e-12,
@@ -1208,49 +1093,41 @@ def _table1_rows():
         "t1-1.41",
         "Gould (1.41): sum_k (-1)^(k-1) C(n,k)/k = H(n)",
         (IntRange("n", 1, 25),),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: (-1) ** (k - 1) * binomial_int(v["n"], k),
-            lambda k: F(1, k),
-        ),
-        lambda v: harmonic(v["n"]),
+        lambda n: bsum(1, n, lambda k: (-1) ** (k - 1) * C(n, k), lambda k: F(1, k)),
+        lambda n: H(n),
         {"table1"},
     )
     _add(
         "t1-1.42",
         "Gould (1.42): sum_k (-1)^(k-1) C(n,k) H(k) = 1/n",
         (IntRange("n", 1, 25),),
-        lambda v: _bsum(
-            1, v["n"], lambda k: (-1) ** (k - 1) * binomial_int(v["n"], k), harmonic
-        ),
-        lambda v: F(1, v["n"]),
+        lambda n: bsum(1, n, lambda k: (-1) ** (k - 1) * C(n, k), H),
+        lambda n: F(1, n),
         {"table1"},
     )
     _add(
         "t1-1.44",
         "Gould (1.44): sum_k (-1)^(k-1) C(n+1,k+1) H(k) = H(n)",
         (IntRange("n", 1, 25),),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: (-1) ** (k - 1) * binomial_int(v["n"] + 1, k + 1),
-            harmonic,
-        ),
-        lambda v: harmonic(v["n"]),
+        lambda n: bsum(1, n, lambda k: (-1) ** (k - 1) * C(n + 1, k + 1), H),
+        lambda n: H(n),
         {"table1"},
     )
 
-    def _t1_216_lhs(v):
-        partial = _bsum(1, 30, lambda k: F(1, factorial(k)), harmonic)
+    def _t1_216_lhs():
+        partial = bsum(1, 30, lambda k: F(1, factorial(k)), H)
+        # H(k) <= k, so the tail sum_{k>30} H(k)/k! is at most
+        # sum_{j>=30} 1/j! <= (1/30!) sum_{i>=0} 31^-i = (31/30)/30! < 2/30!.
         tail = 2.0 / math.factorial(30)
         val = float(partial)
         return CertifiedReal(val, abs(val) * 4 * _ULP + tail)
 
-    def _t1_216_rhs(v):
-        partial = _bsum(
-            1, 30, lambda k: (-1) ** (k - 1), lambda k: F(1, factorial(k) * k)
-        )
+    def _t1_216_rhs():
+        partial = bsum(1, 30, lambda k: (-1) ** (k - 1),
+                       lambda k: F(1, factorial(k) * k))
+        # The series alternates with decreasing terms 1/(k! k), so its tail
+        # beyond k = 30 is at most the first omitted term, 1/(31! 31);
+        # the factor e scales it to e/(31! 31).
         tail = math.e / (math.factorial(31) * 31)
         val = math.e * float(partial)
         return CertifiedReal(val, abs(val) * 6 * _ULP + tail)
@@ -1269,42 +1146,22 @@ def _table1_rows():
         "t1-3.2",
         "Gould (3.2): sum_k C(r-2+n-k,n-k) H(k) = h(n,r)",
         (IntRange("n", 1, 25), IntRange("r", 1, 25)),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: binomial_int(v["r"] - 2 + v["n"] - k, v["n"] - k),
-            harmonic,
-        ),
-        lambda v: hyperharmonic(v["n"], v["r"]),
+        lambda n, r: bsum(1, n, lambda k: C(r - 2 + n - k, n - k), H),
+        lambda n, r: h(n, r),
         {"table1"},
     )
     _add(
         "t1-3.36",
         "Gould (3.36): 2 sum_{k=1..2n} (-1)^k H(k) = H(n)",
         (IntRange("n", 1, 25),),
-        lambda v: _bsum(1, 2 * v["n"], lambda k: 2 * (-1) ** k, harmonic),
-        lambda v: harmonic(v["n"]),
+        lambda n: bsum(1, 2 * n, lambda k: 2 * (-1) ** k, H),
+        lambda n: H(n),
         {"table1"},
     )
 
-    def _t1_395_lhs(v):
-        n = v["n"]
-        return _bsum(
-            1,
-            n,
-            lambda k: (-1) ** k
-            * binomial_int(2 * n - 2 * k, n - k)
-            * binomial_int(2 * k, k),
-            lambda k: F(1, k),
-        )
-
     def _t1_395_rhs(hw):
-        def rhs(v):
-            n = v["n"]
-            return F(4) ** n * (
-                hw(n, F(1, 2))
-                - binomial_general(F(n) - F(1, 2), n) * harmonic(n)
-            )
+        def rhs(n):
+            return F(4) ** n * (hw(n, F(1, 2)) - Cg(F(n) - F(1, 2), n) * H(n))
 
         return rhs
 
@@ -1313,7 +1170,9 @@ def _table1_rows():
         "Gould (3.95): sum_k (-1)^k C(2n-2k,n-k) C(2k,k)/k = "
         "4^n (h(n,1/2) - C(n-1/2,n) H(n))",
         (IntRange("n", 1, 25),),
-        _t1_395_lhs,
+        lambda n: bsum(1, n,
+                       lambda k: (-1) ** k * C(2 * n - 2 * k, n - k) * C(2 * k, k),
+                       lambda k: F(1, k)),
         _t1_395_rhs(hyperharmonic_rational_order),
         {"table1"},
         alt_rhs=_t1_395_rhs(hyperharmonic_half_integer_alt),
@@ -1322,15 +1181,9 @@ def _table1_rows():
         "t1-3.100",
         "Gould (3.100): sum_k (-1)^k C(n+k,2k) C(2k,k)/k = -2 H(n)",
         (IntRange("n", 1, 25),),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: (-1) ** k
-            * binomial_int(v["n"] + k, 2 * k)
-            * binomial_int(2 * k, k),
-            lambda k: F(1, k),
-        ),
-        lambda v: -2 * harmonic(v["n"]),
+        lambda n: bsum(1, n, lambda k: (-1) ** k * C(n + k, 2 * k) * C(2 * k, k),
+                       lambda k: F(1, k)),
+        lambda n: -2 * H(n),
         {"table1"},
     )
 
@@ -1338,48 +1191,30 @@ def _table1_rows():
         "t1-3.108",
         "Gould (3.108): the (n,m)-symmetric binomial-harmonic double sum",
         (IntRange("n", 0, 25), IntRange("m", 0, 25)),
-        lambda v: _t2_3108_side(v["n"], v["m"], 1),
-        lambda v: _t2_3108_side(v["m"], v["n"], 1),
+        lambda n, m: _t2_3108_side(n, m, 1),
+        lambda n, m: _t2_3108_side(m, n, 1),
         {"table1"},
     )
-
-    def _t1_43_lhs(v):
-        n, x = v["n"], v["x"]
-        return _bsum(
-            1,
-            n,
-            lambda k: (-1) ** (k - 1) * binomial_int(n, k),
-            lambda k: x**k * harmonic(k),
-        )
-
-    def _t1_43_rhs(v):
-        n, x = v["n"], v["x"]
-        return dot(
-            [n] + [binomial_int(n, k) for k in range(1, n + 1)],
-            [(1 - x) ** (n - 1)]
-            + [(x - k) ** k * (1 - x + k) ** (n - k) / k for k in range(1, n + 1)],
-        )
-
     _add(
         "t1-4.3",
         "Gould (4.3): alternating binomial x^k H(k) sum vs the "
         "(x-k)^k (1-x+k)^(n-k) form",
         (IntRange("n", 1, 20), RationalChoice("x", SAMPLE_RATIONALS)),
-        _t1_43_lhs,
-        _t1_43_rhs,
+        lambda n, x: bsum(1, n, lambda k: (-1) ** (k - 1) * C(n, k),
+                          lambda k: x**k * H(k)),
+        lambda n, x: dot(
+            [n] + [C(n, k) for k in range(1, n + 1)],
+            [(1 - x) ** (n - 1)]
+            + [(x - k) ** k * (1 - x + k) ** (n - k) / k for k in range(1, n + 1)],
+        ),
         {"table1"},
     )
     _add(
         "t1-6.19",
         "Gould (6.19): sum_k C(n,k) C(r,k) h(n+r,1-k) = H(n) + H(r)",
         (IntRange("n", 1, 25), IntRange("r", 1, 25)),
-        lambda v: _bsum(
-            0,
-            v["n"],
-            lambda k: binomial_int(v["n"], k) * binomial_int(v["r"], k),
-            lambda k: _hz(v["n"] + v["r"], 1 - k),
-        ),
-        lambda v: harmonic(v["n"]) + harmonic(v["r"]),
+        lambda n, r: bsum(0, n, lambda k: C(n, k) * C(r, k), lambda k: h(n + r, 1 - k)),
+        lambda n, r: H(n) + H(r),
         {"table1"},
     )
     _add(
@@ -1387,54 +1222,23 @@ def _table1_rows():
         "Gould (6.22): sum_k (-1)^k C(2n,k) C(2n-k,n)^2/k = "
         "C(2n,n)(h(n,n+1) - C(2n,n) H(n))",
         (IntRange("n", 1, 25),),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: (-1) ** k
-            * binomial_int(2 * v["n"], k)
-            * binomial_int(2 * v["n"] - k, v["n"]) ** 2,
-            lambda k: F(1, k),
-        ),
-        lambda v: binomial_int(2 * v["n"], v["n"])
-        * (
-            hyperharmonic(v["n"], v["n"] + 1)
-            - binomial_int(2 * v["n"], v["n"]) * harmonic(v["n"])
-        ),
+        lambda n: bsum(1, n, lambda k: (-1) ** k * C(2 * n, k) * C(2 * n - k, n) ** 2,
+                       lambda k: F(1, k)),
+        lambda n: C(2 * n, n) * (h(n, n + 1) - C(2 * n, n) * H(n)),
         {"table1"},
     )
     _add(
         "t1-7.2",
         "Gould (7.2): sum_k C(n,k) C(r,k) H(k) = C(r+n,n) H(n) - h(n,r+1)",
         (IntRange("n", 1, 25), IntRange("r", 1, 25)),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: binomial_int(v["n"], k) * binomial_int(v["r"], k),
-            harmonic,
-        ),
-        lambda v: binomial_int(v["r"] + v["n"], v["n"]) * harmonic(v["n"])
-        - hyperharmonic(v["n"], v["r"] + 1),
+        lambda n, r: bsum(1, n, lambda k: C(n, k) * C(r, k), H),
+        lambda n, r: C(r + n, n) * H(n) - h(n, r + 1),
         {"table1"},
     )
 
-    def _t1_79_lhs(v):
-        n = v["n"]
-        return _bsum(
-            1,
-            n,
-            lambda k: F(
-                (-1) ** k * binomial_int(n, k) * 4**k,
-                (2 * k + 1) * binomial_int(2 * k, k),
-            ),
-            harmonic,
-        )
-
     def _t1_79_rhs(hw):
-        def rhs(v):
-            n = v["n"]
-            return (
-                F(4**n, 2 * n + 1) / binomial_int(2 * n, n) * hw(n, F(1, 2))
-            )
+        def rhs(n):
+            return F(4**n, 2 * n + 1) / C(2 * n, n) * hw(n, F(1, 2))
 
         return rhs
 
@@ -1443,7 +1247,12 @@ def _table1_rows():
         "Gould (7.9): alternating central-binomial H(k) sum vs "
         "4^n h(n,1/2)/((2n+1) C(2n,n))",
         (IntRange("n", 1, 20),),
-        _t1_79_lhs,
+        lambda n: bsum(
+            1,
+            n,
+            lambda k: F((-1) ** k * C(n, k) * 4**k, (2 * k + 1) * C(2 * k, k)),
+            H,
+        ),
         _t1_79_rhs(hyperharmonic_rational_order),
         {"table1"},
         alt_rhs=_t1_79_rhs(hyperharmonic_half_integer_alt),
@@ -1453,53 +1262,30 @@ def _table1_rows():
         "Gould (7.13): sum_k (-1)^(k-1) C(n,k) C(2n-k,n-k) H(k) = "
         "sum_k C(n,k)^2/k",
         (IntRange("n", 1, 25),),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: (-1) ** (k - 1)
-            * binomial_int(v["n"], k)
-            * binomial_int(2 * v["n"] - k, v["n"] - k),
-            harmonic,
-        ),
-        lambda v: _bsum(
-            1, v["n"], lambda k: binomial_int(v["n"], k) ** 2, lambda k: F(1, k)
-        ),
+        lambda n: bsum(1, n,
+                       lambda k: (-1) ** (k - 1) * C(n, k) * C(2 * n - k, n - k), H),
+        lambda n: bsum(1, n, lambda k: C(n, k) ** 2, lambda k: F(1, k)),
         {"table1"},
     )
     _add(
         "t1-7.15",
         "Gould (7.15): sum_k C(n,k) C(r,k) (H(k)^2 + H(k,2)) in closed form",
         (IntRange("n", 1, 25), IntRange("r", 1, 25)),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: binomial_int(v["n"], k) * binomial_int(v["r"], k),
-            lambda k: harmonic(k) ** 2 + gen_harmonic(k, 2),
-        ),
-        lambda v: binomial_int(v["r"] + v["n"], v["n"])
-        * (
-            gen_harmonic(v["n"], 2)
-            - gen_harmonic(v["n"] + v["r"], 2)
-            + gen_harmonic(v["r"], 2)
-        )
-        + (
-            binomial_int(v["r"] + v["n"], v["n"]) * harmonic(v["n"])
-            - hyperharmonic(v["n"], v["r"] + 1)
-        )
-        * (harmonic(v["n"]) - harmonic(v["n"] + v["r"]) + harmonic(v["r"])),
+        lambda n, r: bsum(1, n, lambda k: C(n, k) * C(r, k),
+                          lambda k: H(k) ** 2 + Hm(k, 2)),
+        lambda n, r: C(r + n, n) * (Hm(n, 2) - Hm(n + r, 2) + Hm(r, 2))
+        + (C(r + n, n) * H(n) - h(n, r + 1)) * (H(n) - H(n + r) + H(r)),
         {"table1"},
     )
 
-    def _t1_129a_lhs(v):
-        n, x = v["n"], v["x"]
+    def _t1_129a_lhs(n, x):
         prefs, inners = [], []
         for k in range(n + 1):
-            big = binomial_general(x + k + 1 + n, n)
-            prefs.append(binomial_int(n, k) / binomial_general(x + k, k) / big)
+            big = Cg(x + k + 1 + n, n)
+            prefs.append(C(n, k) / Cg(x + k, k) / big)
             inners.append(
-                (x + 2 * k + 1) / (x + k + 1) * (
-                    harmonic(k) - _h_any_order(n, x + k + 2) / big
-                ) - F(k) / (x + k + 1) ** 2
+                (x + 2 * k + 1) / (x + k + 1) * (H(k) - h(n, x + k + 2) / big)
+                - F(k) / (x + k + 1) ** 2
             )
         return dot(prefs, inners)
 
@@ -1509,23 +1295,24 @@ def _table1_rows():
         "is zero",
         (IntRange("n", 1, 15), RationalChoice("x", SAMPLE_RATIONALS)),
         _t1_129a_lhs,
-        lambda v: F(0),
+        lambda n, x: F(0),
         {"table1"},
+        # Poles, over k = 0..n: C(x+k,k) = 0 at x = -1..-k, x+k+1 = 0, and
+        # C(x+k+1+n,n) = 0 at x = -(k+2)..-(k+n+1); together the integers
+        # -(2n+1) <= x <= -1.
+        valid=lambda n, x: x.denominator != 1 or not -2 * n - 1 <= x <= -1,
     )
 
-    def _t1_129b_lhs(v):
-        n, y = v["n"], v["y"]
+    def _t1_129b_lhs(n, y):
         prefs, inners = [], []
         for k in range(n + 1):
-            big = binomial_general(y + k + 1 + n, n)
-            prefs.append(binomial_int(n, k) * binomial_general(y + k, k) / big)
+            big = Cg(y + k + 1 + n, n)
+            prefs.append(C(n, k) * Cg(y + k, k) / big)
             inners.append(
-                (y + 2 * k + 1) / (y + k + 1) * (
-                    harmonic(k) + _h_any_order(n, y + k + 2) / big
-                ) - F(k) / (y + k + 1) ** 2
+                (y + 2 * k + 1) / (y + k + 1) * (H(k) + h(n, y + k + 2) / big)
+                - F(k) / (y + k + 1) ** 2
             )
         return dot(prefs, inners)
-
 
     _add(
         "t1-12.9b",
@@ -1533,21 +1320,17 @@ def _table1_rows():
         "equals H(n)",
         (IntRange("n", 1, 15), RationalChoice("y", SAMPLE_RATIONALS)),
         _t1_129b_lhs,
-        lambda v: harmonic(v["n"]),
+        lambda n, y: H(n),
         {"table1"},
+        # Poles, over k = 0..n: y+k+1 = 0 and C(y+k+1+n,n) = 0 at
+        # y = -(k+2)..-(k+n+1); together the integers -(2n+1) <= y <= -1.
+        valid=lambda n, y: y.denominator != 1 or not -2 * n - 1 <= y <= -1,
     )
 
     def _t1_z58_rhs(hw):
-        def rhs(v):
-            n = v["n"]
-            return (
-                F(4) ** n
-                / binomial_int(2 * n, n)
-                * (
-                    binomial_general(F(n) - F(1, 2), n) * harmonic(n)
-                    + hw(n, F(1, 2))
-                )
-            )
+        def rhs(n):
+            return (F(4) ** n / C(2 * n, n)
+                    * (Cg(F(n) - F(1, 2), n) * H(n) + hw(n, F(1, 2))))
 
         return rhs
 
@@ -1555,7 +1338,7 @@ def _table1_rows():
         "t1-Z.58",
         "Gould (Z.58): H(2n) = 4^n (C(n-1/2,n) H(n) + h(n,1/2)) / C(2n,n)",
         (IntRange("n", 1, 20),),
-        lambda v: harmonic(2 * v["n"]),
+        lambda n: H(2 * n),
         _t1_z58_rhs(hyperharmonic_rational_order),
         {"table1"},
         alt_rhs=_t1_z58_rhs(hyperharmonic_half_integer_alt),
@@ -1563,24 +1346,22 @@ def _table1_rows():
 
 
 def _table2_rows():
-    def _t2_123_lhs(v):
-        r = v["r"]
-        return sum_series(
-            lambda k: hyperharmonic(k, r) / F(2) ** k,
-            lambda K: (
-                4.0 * (K + 1 + r) ** r / 2.0 ** (K + 1)
-                if K >= 2 * r
-                else math.inf
-            ),
-            1e-10,
-        )
-
     _add(
         "t2-1.23",
         "Gould (1.23), order-r form: sum_k h(k,r)/2^k = 2^r ln 2",
         (IntRange("r", 2, 4),),
-        _t2_123_lhs,
-        lambda v: CertifiedReal(2.0 ** v["r"] * _LOG2, 2.0 ** v["r"] * 4 * _ULP),
+        lambda r: sum_series(
+            lambda k: h(k, r) / F(2) ** k,
+            # h(k,r) = C(k+r-1,r-1) (H(k+r-1) - H(r-1)) <= (k+r)^(r-1) k/r
+            # <= (k+r)^r.  For k > K >= 2r consecutive bounds (k+r)^r/2^k
+            # shrink by (1 + 1/(k+r))^r/2 <= e^(r/(3r+1))/2 < e^(1/3)/2 < 0.7,
+            # so the tail is below (K+1+r)^r/2^(K+1) / 0.3 < 4 (K+1+r)^r/2^(K+1).
+            lambda K: (
+                4.0 * (K + 1 + r) ** r / 2.0 ** (K + 1) if K >= 2 * r else math.inf
+            ),
+            1e-10,
+        ),
+        lambda r: CertifiedReal(2.0**r * _LOG2, 2.0**r * 4 * _ULP),
         {"table2", "float"},
         mode="float",
         tol=1e-9,
@@ -1590,14 +1371,9 @@ def _table2_rows():
         "Gould (1.41), order-r form: sum_k (-1)^(k-1) C(n,k) k/(k+r-1)^2 = "
         "h(n,r)/C(r-1+n,n)^2",
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: (-1) ** (k - 1) * binomial_int(v["n"], k) * k,
-            lambda k: F(1, (k + v["r"] - 1) ** 2),
-        ),
-        lambda v: hyperharmonic(v["n"], v["r"])
-        / binomial_int(v["r"] - 1 + v["n"], v["n"]) ** 2,
+        lambda n, r: bsum(1, n, lambda k: (-1) ** (k - 1) * C(n, k) * k,
+                          lambda k: F(1, (k + r - 1) ** 2)),
+        lambda n, r: h(n, r) / C(r - 1 + n, n) ** 2,
         {"table2"},
     )
     _add(
@@ -1605,13 +1381,9 @@ def _table2_rows():
         "Gould (1.42), order-r form: sum_k (-1)^(k-1) C(n,k) "
         "h(k,r)/C(k+r-1,k)^2 = 1/(n+r-1)",
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: (-1) ** (k - 1) * binomial_int(v["n"], k),
-            lambda k: _h_over_c2(k, v["r"]),
-        ),
-        lambda v: F(1, v["n"] + v["r"] - 1),
+        lambda n, r: bsum(1, n, lambda k: (-1) ** (k - 1) * C(n, k),
+                          lambda k: _h_over_c2(k, r)),
+        lambda n, r: F(1, n + r - 1),
         {"table2"},
     )
     _add(
@@ -1619,35 +1391,22 @@ def _table2_rows():
         "Gould (1.44), order-r form: sum_k (-1)^(k-1) C(n+1,k+1) "
         "h(k,r)/C(r-1+k,k)^2 = sum_k k/(k+r-1)^2",
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: (-1) ** (k - 1) * binomial_int(v["n"] + 1, k + 1),
-            lambda k: _h_over_c2(k, v["r"]),
-        ),
-        lambda v: _bsum(
-            1, v["n"], lambda k: k, lambda k: F(1, (k + v["r"] - 1) ** 2)
-        ),
+        lambda n, r: bsum(1, n, lambda k: (-1) ** (k - 1) * C(n + 1, k + 1),
+                          lambda k: _h_over_c2(k, r)),
+        lambda n, r: bsum(1, n, lambda k: k, lambda k: F(1, (k + r - 1) ** 2)),
         {"table2"},
     )
 
-    def _t2_216_lhs(v):
-        r = v["r"]
-        partial = _bsum(
-            1,
-            30,
-            lambda k: F(1, binomial_int(r - 1 + k, k) ** 2 * factorial(k)),
-            lambda k: hyperharmonic(k, r),
-        )
+    def _t2_216_lhs(r):
+        partial = bsum(1, 30, lambda k: F(1, C(r - 1 + k, k) ** 2 * factorial(k)),
+                       lambda k: h(k, r))
         tail = 2.0 * float(31 + r) ** r / math.factorial(31)
         val = float(partial)
         return CertifiedReal(val, abs(val) * 4 * _ULP + tail)
 
-    def _t2_216_rhs(v):
-        r = v["r"]
-        partial = _bsum(
-            0, 30, lambda k: (-1) ** k, lambda k: F(1, (r + k) ** 2 * factorial(k))
-        )
+    def _t2_216_rhs(r):
+        partial = bsum(0, 30, lambda k: (-1) ** k,
+                       lambda k: F(1, (r + k) ** 2 * factorial(k)))
         tail = math.e / (float(r + 31) ** 2 * math.factorial(31))
         val = math.e * float(partial)
         return CertifiedReal(val, abs(val) * 6 * _ULP + tail)
@@ -1669,13 +1428,8 @@ def _table2_rows():
         "(the printed superscript r+n+1 coincides only at n = r; the "
         "convolution of the generating functions fixes it to 2r+1)",
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: binomial_int(v["r"] + v["n"] - k, v["n"] - k),
-            lambda k: hyperharmonic(k, v["r"]),
-        ),
-        lambda v: hyperharmonic(v["n"], 2 * v["r"] + 1),
+        lambda n, r: bsum(1, n, lambda k: C(r + n - k, n - k), lambda k: h(k, r)),
+        lambda n, r: h(n, 2 * r + 1),
         {"table2"},
     )
     _add(
@@ -1683,44 +1437,18 @@ def _table2_rows():
         "Gould (3.36), order-r form: 2 sum_{k<=2n} (-1)^k C(r-1+2n-k,2n-k) "
         "h(k,r) = h(n,r)",
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda v: _bsum(
-            1,
-            2 * v["n"],
-            lambda k: 2
-            * (-1) ** k
-            * binomial_int(v["r"] - 1 + 2 * v["n"] - k, 2 * v["n"] - k),
-            lambda k: hyperharmonic(k, v["r"]),
-        ),
-        lambda v: hyperharmonic(v["n"], v["r"]),
+        lambda n, r: bsum(1, 2 * n,
+                          lambda k: 2 * (-1) ** k * C(r - 1 + 2 * n - k, 2 * n - k),
+                          lambda k: h(k, r)),
+        lambda n, r: h(n, r),
         {"table2"},
     )
 
-    def _t2_395_lhs(v):
-        n, r = v["n"], v["r"]
-        return _bsum(
-            1,
-            n,
-            lambda k: (-1) ** k
-            * binomial_int(2 * n - 2 * k, n - k)
-            * binomial_int(2 * k, k)
-            * k,
-            lambda k: F(1, (r - 1 + k) ** 2),
-        )
-
     def _t2_395_rhs(hw):
-        def rhs(v):
-            n, r = v["n"], v["r"]
-            c = binomial_int(r - 1 + n, n)
-            return (
-                F(4) ** n
-                / c
-                * (
-                    hw(n, F(r) - F(1, 2))
-                    - binomial_general(F(r) - F(3, 2) + n, n)
-                    * hyperharmonic(n, r)
-                    / c
-                )
-            )
+        def rhs(n, r):
+            c = C(r - 1 + n, n)
+            return (F(4) ** n / c
+                    * (hw(n, F(r) - F(1, 2)) - Cg(F(r) - F(3, 2) + n, n) * h(n, r) / c))
 
         return rhs
 
@@ -1728,7 +1456,12 @@ def _table2_rows():
         "t2-3.95",
         "Gould (3.95), order-r form with the half-integer order r-1/2",
         (IntRange("n", 1, 15), IntRange("r", 2, 8)),
-        _t2_395_lhs,
+        lambda n, r: bsum(
+            1,
+            n,
+            lambda k: (-1) ** k * C(2 * n - 2 * k, n - k) * C(2 * k, k) * k,
+            lambda k: F(1, (r - 1 + k) ** 2),
+        ),
         _t2_395_rhs(hyperharmonic_rational_order),
         {"table2"},
         alt_rhs=_t2_395_rhs(hyperharmonic_half_integer_alt),
@@ -1737,23 +1470,10 @@ def _table2_rows():
         "t2-3.100",
         "Gould (3.100), order-r form with the negative order r-n-1",
         (IntRange("n", 1, 20), IntRange("r", 2, 12)),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: (-1) ** k
-            * binomial_int(v["n"] + k, 2 * k)
-            * binomial_int(2 * k, k)
-            * k,
-            lambda k: F(1, (v["r"] - 1 + k) ** 2),
-        ),
-        lambda v: F((-1) ** v["n"])
-        / binomial_int(v["r"] - 1 + v["n"], v["n"])
-        * (
-            _hz(v["n"], v["r"] - v["n"] - 1)
-            - binomial_int(v["r"] - 2, v["n"])
-            * hyperharmonic(v["n"], v["r"])
-            / binomial_int(v["r"] - 1 + v["n"], v["n"])
-        ),
+        lambda n, r: bsum(1, n, lambda k: (-1) ** k * C(n + k, 2 * k) * C(2 * k, k) * k,
+                          lambda k: F(1, (r - 1 + k) ** 2)),
+        lambda n, r: F((-1) ** n) / C(r - 1 + n, n)
+        * (h(n, r - n - 1) - C(r - 2, n) * h(n, r) / C(r - 1 + n, n)),
         {"table2"},
     )
 
@@ -1761,37 +1481,31 @@ def _table2_rows():
         "t2-3.108",
         "Gould (3.108), order-r form of the (n,m)-symmetric double sum",
         (IntRange("n", 0, 20), IntRange("m", 0, 20), IntRange("r", 1, 8)),
-        lambda v: _t2_3108_side(v["n"], v["m"], v["r"]),
-        lambda v: _t2_3108_side(v["m"], v["n"], v["r"]),
+        lambda n, m, r: _t2_3108_side(n, m, r),
+        lambda n, m, r: _t2_3108_side(m, n, r),
         {"table2"},
     )
 
-    def _t2_43_lhs(v):
-        n, r, x = v["n"], v["r"], v["x"]
+    def _t2_43_lhs(n, r, x):
         u = x + r - 1
 
         def term(k):
-            c = binomial_int(r - 1 + k, k)
-            return u ** (k - 1) / c * (k - u * hyperharmonic(k, r) / c)
+            c = C(r - 1 + k, k)
+            return u ** (k - 1) / c * (k - u * h(k, r) / c)
 
-        return _bsum(1, n, lambda k: (-1) ** k * binomial_int(n, k), term)
+        return bsum(1, n, lambda k: (-1) ** k * C(n, k), term)
 
     _add(
         "t2-4.3",
         "Gould (4.3), order-r form of the (x-k)^k (1-x+k)^(n-k) identity",
-        (
-            IntRange("n", 1, 15),
-            IntRange("r", 1, 8),
-            RationalChoice("x", SAMPLE_RATIONALS),
-        ),
+        (IntRange("n", 1, 15), IntRange("r", 1, 8),
+         RationalChoice("x", SAMPLE_RATIONALS)),
         _t2_43_lhs,
-        lambda v: _bsum(
+        lambda n, r, x: bsum(
             1,
-            v["n"],
-            lambda k: binomial_int(v["n"], k) * k,
-            lambda k: (v["x"] - k) ** k
-            * (1 - v["x"] + k) ** (v["n"] - k)
-            / (v["r"] - 1 + k) ** 2,
+            n,
+            lambda k: C(n, k) * k,
+            lambda k: (x - k) ** k * (1 - x + k) ** (n - k) / (r - 1 + k) ** 2,
         ),
         {"table2"},
     )
@@ -1800,41 +1514,20 @@ def _table2_rows():
         "Gould (6.19), order-j form: sum_k C(n,k) C(r,k) h(n+r,j-k) = "
         "h(r,j) C(n+j-1,n) + C(r+j-1,r) h(n,j)",
         (IntRange("n", 1, 20), IntRange("r", 1, 20), IntRange("j", 1, 12)),
-        lambda v: _bsum(
-            0,
-            v["n"],
-            lambda k: binomial_int(v["n"], k) * binomial_int(v["r"], k),
-            lambda k: _hz(v["n"] + v["r"], v["j"] - k),
-        ),
-        lambda v: hyperharmonic(v["r"], v["j"])
-        * binomial_int(v["n"] + v["j"] - 1, v["n"])
-        + binomial_int(v["r"] + v["j"] - 1, v["r"])
-        * hyperharmonic(v["n"], v["j"]),
+        lambda n, r, j: bsum(0, n, lambda k: C(n, k) * C(r, k),
+                             lambda k: h(n + r, j - k)),
+        lambda n, r, j: h(r, j) * C(n + j - 1, n) + C(r + j - 1, r) * h(n, j),
         {"table2"},
     )
     _add(
         "t2-6.22",
         "Gould (6.22), order-r form",
         (IntRange("n", 1, 15), IntRange("r", 1, 8)),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: (-1) ** k
-            * binomial_int(2 * v["n"], k)
-            * binomial_int(2 * v["n"] - k, v["n"]) ** 2
-            * k,
-            lambda k: F(1, (v["r"] - 1 + k) ** 2),
-        ),
-        lambda v: F(
-            binomial_int(2 * v["n"], v["n"]),
-            binomial_int(v["r"] - 1 + v["n"], v["n"]),
-        )
-        * (
-            hyperharmonic(v["n"], v["n"] + v["r"])
-            - binomial_int(2 * v["n"] + v["r"] - 1, v["n"])
-            * hyperharmonic(v["n"], v["r"])
-            / binomial_int(v["r"] - 1 + v["n"], v["n"])
-        ),
+        lambda n, r: bsum(1, n,
+                          lambda k: (-1) ** k * C(2 * n, k) * C(2 * n - k, n) ** 2 * k,
+                          lambda k: F(1, (r - 1 + k) ** 2)),
+        lambda n, r: F(C(2 * n, n), C(r - 1 + n, n))
+        * (h(n, n + r) - C(2 * n + r - 1, n) * h(n, r) / C(r - 1 + n, n)),
         {"table2"},
     )
     _add(
@@ -1842,42 +1535,18 @@ def _table2_rows():
         "Gould (7.2), order-r form: sum_k C(n,k) C(m,k) h(k,r)/C(r-1+k,k)^2 "
         "in closed form",
         (IntRange("n", 1, 20), IntRange("m", 1, 20), IntRange("r", 1, 8)),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: binomial_int(v["n"], k) * binomial_int(v["m"], k),
-            lambda k: _h_over_c2(k, v["r"]),
-        ),
-        lambda v: (
-            binomial_int(v["r"] - 1 + v["m"] + v["n"], v["n"])
-            * hyperharmonic(v["n"], v["r"])
-            / binomial_int(v["r"] - 1 + v["n"], v["n"])
-            - hyperharmonic(v["n"], v["m"] + v["r"])
+        lambda n, m, r: bsum(1, n, lambda k: C(n, k) * C(m, k),
+                             lambda k: _h_over_c2(k, r)),
+        lambda n, m, r: (
+            C(r - 1 + m + n, n) * h(n, r) / C(r - 1 + n, n) - h(n, m + r)
         )
-        / binomial_int(v["r"] - 1 + v["n"], v["n"]),
+        / C(r - 1 + n, n),
         {"table2"},
     )
 
-    def _t2_79_lhs(v):
-        n, r = v["n"], v["r"]
-        return _bsum(
-            1,
-            n,
-            lambda k: F(
-                (-1) ** k * binomial_int(n, k) * 4**k,
-                (2 * k + 1) * binomial_int(2 * k, k),
-            ),
-            lambda k: hyperharmonic(k, r),
-        )
-
     def _t2_79_rhs(hw):
-        def rhs(v):
-            n, r = v["n"], v["r"]
-            return (
-                F(4**n, 2 * n + 1)
-                / binomial_int(2 * n, n)
-                * hw(n, F(r) - F(1, 2))
-            )
+        def rhs(n, r):
+            return F(4**n, 2 * n + 1) / C(2 * n, n) * hw(n, F(r) - F(1, 2))
 
         return rhs
 
@@ -1885,7 +1554,12 @@ def _table2_rows():
         "t2-7.9",
         "Gould (7.9), order-r form with the half-integer order r-1/2",
         (IntRange("n", 1, 15), IntRange("r", 2, 8)),
-        _t2_79_lhs,
+        lambda n, r: bsum(
+            1,
+            n,
+            lambda k: F((-1) ** k * C(n, k) * 4**k, (2 * k + 1) * C(2 * k, k)),
+            lambda k: h(k, r),
+        ),
         _t2_79_rhs(hyperharmonic_rational_order),
         {"table2"},
         alt_rhs=_t2_79_rhs(hyperharmonic_half_integer_alt),
@@ -1894,18 +1568,10 @@ def _table2_rows():
         "t2-7.13",
         "Gould (7.13), order-j form with the negative upper index C(-n-1,n-k)",
         (IntRange("n", 1, 20), IntRange("j", 1, 12)),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: binomial_int(v["n"], k) * binomial_int(-v["n"] - 1, v["n"] - k),
-            lambda k: _h_over_c2(k, v["j"]),
-        ),
-        lambda v: _bsum(
-            1,
-            v["n"],
-            lambda k: (-1) ** (v["n"] + 1) * binomial_int(v["n"], k) ** 2 * k,
-            lambda k: F(1, (k + v["j"] - 1) ** 2),
-        ),
+        lambda n, j: bsum(1, n, lambda k: C(n, k) * C(-n - 1, n - k),
+                          lambda k: _h_over_c2(k, j)),
+        lambda n, j: bsum(1, n, lambda k: (-1) ** (n + 1) * C(n, k) ** 2 * k,
+                          lambda k: F(1, (k + j - 1) ** 2)),
         {"table2"},
     )
 
@@ -1913,31 +1579,24 @@ def _table2_rows():
         # d/dj F(upper, 1/2, n+r+j; 4) at j = 0, term by term: the k-th
         # coefficient rising(upper,k) rising(1/2,k) 4^k / k! multiplies the
         # derivative of the reciprocal rising factorial of (n+r).
-        return _bsum(
+        return bsum(
             1,
             -upper,
-            lambda k: rising_factorial(upper, k)
-            * rising_factorial(F(1, 2), k)
-            * 4**k
-            / factorial(k),
+            lambda k: rising(upper, k) * rising(F(1, 2), k) * 4**k / factorial(k),
             lambda k: dx_reciprocal_rising(n + r, k),
         )
 
     def _gould_hypergeom_rhs(n, r, m):
-        return _bsum(
-            1,
-            m,
-            lambda k: (-1) ** (k + 1) * binomial_int(m, k) * binomial_int(2 * k, k),
-            lambda k: _h_over_c2(k, n + r),
-        )
+        return bsum(1, m, lambda k: (-1) ** (k + 1) * C(m, k) * C(2 * k, k),
+                    lambda k: _h_over_c2(k, n + r))
 
     _add(
         "t2-7.29",
         "Gould (7.29): d/dj F(-2n,1/2,n+j+r;4) at 0 equals the alternating "
         "C(2n,k) C(2k,k) h(k,n+r) sum",
         (IntRange("n", 1, 12), IntRange("r", 1, 12)),
-        lambda v: _gould_hypergeom_row(v["n"], v["r"], -2 * v["n"]),
-        lambda v: _gould_hypergeom_rhs(v["n"], v["r"], 2 * v["n"]),
+        lambda n, r: _gould_hypergeom_row(n, r, -2 * n),
+        lambda n, r: _gould_hypergeom_rhs(n, r, 2 * n),
         {"table2"},
     )
     _add(
@@ -1945,22 +1604,21 @@ def _table2_rows():
         "Gould (7.30): d/dj F(-2n-1,1/2,n+j+r;4) at 0 equals the "
         "alternating C(2n+1,k) C(2k,k) h(k,n+r) sum",
         (IntRange("n", 1, 12), IntRange("r", 1, 12)),
-        lambda v: _gould_hypergeom_row(v["n"], v["r"], -(2 * v["n"] + 1)),
-        lambda v: _gould_hypergeom_rhs(v["n"], v["r"], 2 * v["n"] + 1),
+        lambda n, r: _gould_hypergeom_row(n, r, -(2 * n + 1)),
+        lambda n, r: _gould_hypergeom_rhs(n, r, 2 * n + 1),
         {"table2"},
     )
 
-    def _t2_129a_lhs(v):
-        n, r, x = v["n"], v["r"], v["x"]
+    def _t2_129a_lhs(n, r, x):
         prefs, inners = [], []
         for k in range(n + 1):
-            big = binomial_general(x + r + k + n, n)
-            c = binomial_int(r - 1 + k, k)
-            prefs.append(binomial_int(n, k) / binomial_general(x + k, k) / big * c)
+            big = Cg(x + r + k + n, n)
+            c = C(r - 1 + k, k)
+            prefs.append(C(n, k) / Cg(x + k, k) / big * c)
             ratio = (x + r + 2 * k) / (x + r + k)
             inners.append(
-                ratio * hyperharmonic(k, r) / c
-                - ratio * _h_any_order(n, x + k + r + 1) / big
+                ratio * h(k, r) / c
+                - ratio * h(n, x + k + r + 1) / big
                 - F(k) / (x + r + k) ** 2
             )
         return dot(prefs, inners)
@@ -1969,54 +1627,50 @@ def _table2_rows():
         "t2-12.9a",
         "Gould (12.9), first order-r form: the weighted telescoping sum is "
         "zero",
-        (
-            IntRange("n", 1, 10),
-            IntRange("r", 1, 6),
-            RationalChoice("x", SAMPLE_RATIONALS),
-        ),
+        (IntRange("n", 1, 10), IntRange("r", 1, 6),
+         RationalChoice("x", SAMPLE_RATIONALS)),
         _t2_129a_lhs,
-        lambda v: F(0),
+        lambda n, r, x: F(0),
         {"table2"},
+        # Poles, over k = 0..n: C(x+k,k) = 0 at x = -1..-k, x+r+k = 0, and
+        # C(x+r+k+n,n) = 0 at x = -(r+k+1)..-(r+k+n); together the
+        # integers -n <= x <= -1 and -(r+2n) <= x <= -r.
+        valid=lambda n, r, x: x.denominator != 1
+        or not (-n <= x <= -1 or -(r + 2 * n) <= x <= -r),
     )
 
-    def _t2_129b_lhs(v):
-        n, r, y = v["n"], v["r"], v["y"]
+    def _t2_129b_lhs(n, r, y):
         prefs, inners = [], []
         for k in range(n + 1):
-            big = binomial_general(r + y + k + n, n)
-            c = binomial_int(r - 1 + k, k)
-            prefs.append(binomial_int(n, k) * binomial_general(y + k, k) / big / c)
+            big = Cg(r + y + k + n, n)
+            c = C(r - 1 + k, k)
+            prefs.append(C(n, k) * Cg(y + k, k) / big / c)
             ratio = (r + y + 2 * k) / (r + y + k)
             inners.append(
-                ratio * hyperharmonic(k, r) / c
-                + ratio * _h_any_order(n, y + k + r + 1) / big
+                ratio * h(k, r) / c
+                + ratio * h(n, y + k + r + 1) / big
                 + F(k) / (r + y + k) ** 2
             )
         return dot(prefs, inners)
-
 
     _add(
         "t2-12.9b",
         "Gould (12.9), second order-r form: the weighted telescoping sum "
         "equals h(n,r)/C(r-1+n,n)^2",
-        (
-            IntRange("n", 1, 10),
-            IntRange("r", 1, 6),
-            RationalChoice("y", SAMPLE_RATIONALS),
-        ),
+        (IntRange("n", 1, 10), IntRange("r", 1, 6),
+         RationalChoice("y", SAMPLE_RATIONALS)),
         _t2_129b_lhs,
-        lambda v: hyperharmonic(v["n"], v["r"])
-        / binomial_int(v["r"] - 1 + v["n"], v["n"]) ** 2,
+        lambda n, r, y: h(n, r) / C(r - 1 + n, n) ** 2,
         {"table2"},
+        # Poles, over k = 0..n: r+y+k = 0 and C(r+y+k+n,n) = 0 at
+        # y = -(r+k+1)..-(r+k+n); together the integers -(r+2n) <= y <= -r.
+        valid=lambda n, r, y: y.denominator != 1 or not -(r + 2 * n) <= y <= -r,
     )
 
     def _t2_z58_rhs(hw):
-        def rhs(v):
-            n, r = v["n"], v["r"]
-            return F(4) ** n * (
-                binomial_general(F(n) + r - F(3, 2), n) * hyperharmonic(n, r)
-                + binomial_int(n + r - 1, n) * hw(n, F(r) - F(1, 2))
-            )
+        def rhs(n, r):
+            return F(4) ** n * (Cg(F(n) + r - F(3, 2), n) * h(n, r)
+                                + C(n + r - 1, n) * hw(n, F(r) - F(1, 2)))
 
         return rhs
 
@@ -2025,8 +1679,7 @@ def _table2_rows():
         "Gould (Z.58), order-r form: C(2n,n) h(2n,2r-1) = "
         "4^n (C(n+r-3/2,n) h(n,r) + C(n+r-1,n) h(n,r-1/2))",
         (IntRange("n", 1, 15), IntRange("r", 1, 8)),
-        lambda v: binomial_int(2 * v["n"], v["n"])
-        * hyperharmonic(2 * v["n"], 2 * v["r"] - 1),
+        lambda n, r: C(2 * n, n) * h(2 * n, 2 * r - 1),
         _t2_z58_rhs(hyperharmonic_rational_order),
         {"table2"},
         alt_rhs=_t2_z58_rhs(hyperharmonic_half_integer_alt),

@@ -112,8 +112,8 @@ def test_core_suite_all_pass():
     by_key = {e.key: e for e in report.entries}
     # spot value of the index-balance identity
     prop5 = get_identity("prop-5")
-    assert prop5.lhs({"n": 3, "r": 2}) == F(1, 3)
-    assert prop5.rhs({"n": 3, "r": 2}) == F(1, 3)
+    assert prop5.lhs(n=3, r=2) == F(1, 3)
+    assert prop5.rhs(n=3, r=2) == F(1, 3)
     # parity-split alternating sum covers n <= 30
     assert by_key["cor-w"].tested == 30
     # Fibonacci binomial representation and sign rule cover k <= 40
@@ -141,12 +141,12 @@ def test_table1_required_rows():
         report = verify(key, max_bound=25)
         assert report.verdict == "PASS", (key, report.counterexamples[:2])
         assert report.skipped == 0
-    assert get_identity("t1-6.19").lhs({"n": 2, "r": 2}) == 3
-    assert get_identity("t1-6.19").rhs({"n": 2, "r": 2}) == 3
-    assert get_identity("t1-3.36").lhs({"n": 1}) == 1
-    assert get_identity("t1-3.36").rhs({"n": 1}) == 1
-    assert get_identity("t1-6.22").lhs({"n": 1}) == -2
-    assert get_identity("t1-6.22").rhs({"n": 1}) == -2
+    assert get_identity("t1-6.19").lhs(n=2, r=2) == 3
+    assert get_identity("t1-6.19").rhs(n=2, r=2) == 3
+    assert get_identity("t1-3.36").lhs(n=1) == 1
+    assert get_identity("t1-3.36").rhs(n=1) == 1
+    assert get_identity("t1-6.22").lhs(n=1) == -2
+    assert get_identity("t1-6.22").rhs(n=1) == -2
 
 
 T2_MUST_PASS = {
@@ -163,12 +163,12 @@ def test_table2_required_rows():
     for key, bounds in T2_MUST_PASS.items():
         report = verify(key, max_bound=20, param_bounds=bounds)
         assert report.verdict == "PASS", (key, report.counterexamples[:2])
-    assert get_identity("t2-1.41").lhs({"n": 2, "r": 2}) == F(5, 18)
-    assert get_identity("t2-1.41").rhs({"n": 2, "r": 2}) == F(5, 18)
-    assert get_identity("t2-3.2").lhs({"n": 2, "r": 1}) == F(7, 2)
-    assert get_identity("t2-3.2").rhs({"n": 2, "r": 1}) == F(7, 2)
-    assert get_identity("t2-6.19").lhs({"n": 2, "r": 1, "j": 2}) == 8
-    assert get_identity("t2-6.19").rhs({"n": 2, "r": 1, "j": 2}) == 8
+    assert get_identity("t2-1.41").lhs(n=2, r=2) == F(5, 18)
+    assert get_identity("t2-1.41").rhs(n=2, r=2) == F(5, 18)
+    assert get_identity("t2-3.2").lhs(n=2, r=1) == F(7, 2)
+    assert get_identity("t2-3.2").rhs(n=2, r=1) == F(7, 2)
+    assert get_identity("t2-6.19").lhs(n=2, r=1, j=2) == 8
+    assert get_identity("t2-6.19").rhs(n=2, r=1, j=2) == 8
 
 
 @criterion(8, "numeric series rows within stated tolerances, certified tails")

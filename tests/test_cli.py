@@ -366,6 +366,63 @@ class TestGarbageInput:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "1/0" in err
 
+    @pytest.mark.parametrize("flag, key, first", [
+        ("--n", "prop-5", "eq-10"),
+        ("--r", "eq-8", "eq-hhr"),
+        ("--k", "cor-son4", "cor-nf"),
+        ("--j", "t2-6.19", None),
+    ])
+    def test_override_below_a_row_lower_bound_skips_the_row(
+        self, capsys, flag, key, first
+    ):
+        # A row never runs below its own lower bound: rows that start at 1
+        # are SKIPPED under a pin at 0, rows that start at or below 0 run.
+        code, out, err = run_cli(capsys, "audit", flag, "0", "--max", "3",
+                                 "--format", "json")
+        assert code == 3 and "Traceback" not in err
+        rows = {row["identity_id"]: row for row in json.loads(out)}
+        assert len(rows) == 82
+        assert (rows[key]["verdict"], rows[key]["tested"]) == ("SKIPPED", 0)
+        if first is not None:
+            assert rows[first]["verdict"] == "PASS" and rows[first]["tested"] > 0
+
+    def test_override_low_end_is_clamped_to_the_row(self, capsys):
+        code, out, _ = run_cli(capsys, "audit", "--only", "t2-1.42", "--r", "0:1",
+                               "--format", "json")
+        row = json.loads(out)[0]
+        assert (code, row["verdict"], row["tested"]) == (0, "PASS", 20)
+
+    @pytest.mark.parametrize("pin, code, tested", [
+        ("3", 0, 42), ("1/2", 3, 0), ("-1", 3, 0),
+    ])
+    def test_rational_pin_on_an_integer_axis(self, capsys, pin, code, tested):
+        # prop-teo4's x is an integer in [0, 10]; only an integral pin in
+        # range runs it (7 degrees x 6 orders).
+        got, out, _ = run_cli(capsys, "audit", "--only", "prop-teo4", f"--x={pin}",
+                              "--format", "json")
+        assert (got, json.loads(out)[0]["tested"]) == (code, tested)
+
+    def test_whole_audit_with_a_pinned_x(self, capsys):
+        code, out, _ = run_cli(capsys, "audit", "--x", "3", "--max", "3",
+                               "--format", "json")
+        assert code == 3
+        rows = {row["identity_id"]: row for row in json.loads(out)}
+        assert rows["prop-teo4"]["verdict"] == "PASS"
+
+    @pytest.mark.parametrize("x", ["-1", "-2", "-3", "-7"])
+    @pytest.mark.parametrize("key, flag", [
+        ("prop-leap-rel", "--x"),
+        ("t1-12.9a", "--x"),
+        ("t1-12.9b", "--y"),
+        ("t2-12.9a", "--x"),
+        ("t2-12.9b", "--y"),
+    ])
+    def test_negative_integer_at_a_pole_row(self, capsys, key, flag, x):
+        code, out, err = run_cli(capsys, "audit", "--only", key, f"{flag}={x}",
+                                 "--format", "json")
+        assert code in (0, 3) and "Traceback" not in err
+        assert json.loads(out)[0]["identity_id"] == key
+
     @pytest.mark.parametrize("command", ["identities", "audit"])
     def test_unknown_suite_is_usage_error(self, capsys, command):
         with pytest.raises(SystemExit) as exc:

@@ -47,7 +47,8 @@ def _side_digest(identity, lhs, rhs) -> str:
             {k: format_rational(v) for k, v in pa.items()}, sort_keys=True
         )
         try:
-            line = f"{params}\t{format_rational(lhs(pa))}\t{format_rational(rhs(pa))}"
+            lv, rv = lhs(**pa), rhs(**pa)
+            line = f"{params}\t{format_rational(lv)}\t{format_rational(rv)}"
         except DomainError:
             line = f"{params}\tskip"
         h.update(line.encode() + b"\n")

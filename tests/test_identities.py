@@ -1,9 +1,11 @@
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
 import hyperseq.identities as ident
+from hyperseq.opcalc import gf_hyperharmonic
 from hyperseq.identities import (
     Identity,
     IntRange,
@@ -83,23 +85,23 @@ class TestVerify:
         rep = verify("prop-5", max_bound=10)
         assert rep.verdict == "PASS"
         identity = get_identity("prop-5")
-        assert identity.lhs({"n": 3, "r": 2}) == F(1, 3)
-        assert identity.rhs({"n": 3, "r": 2}) == F(1, 3)
+        assert identity.lhs(n=3, r=2) == F(1, 3)
+        assert identity.rhs(n=3, r=2) == F(1, 3)
 
     def test_t1_619_spot(self):
         identity = get_identity("t1-6.19")
-        assert identity.lhs({"n": 2, "r": 2}) == 3
-        assert identity.rhs({"n": 2, "r": 2}) == 3
+        assert identity.lhs(n=2, r=2) == 3
+        assert identity.rhs(n=2, r=2) == 3
 
     def test_t1_336_spot(self):
         identity = get_identity("t1-3.36")
-        assert identity.lhs({"n": 1}) == 1
-        assert identity.rhs({"n": 1}) == 1
+        assert identity.lhs(n=1) == 1
+        assert identity.rhs(n=1) == 1
 
     def test_t1_622_spot(self):
         identity = get_identity("t1-6.22")
-        assert identity.lhs({"n": 1}) == -2
-        assert identity.rhs({"n": 1}) == -2
+        assert identity.lhs(n=1) == -2
+        assert identity.rhs(n=1) == -2
 
     def test_t1_395_fails_with_recorded_counterexample(self):
         rep = verify("t1-3.95", max_bound=3)
@@ -145,16 +147,16 @@ class TestVerify:
         for key in ("prop-5", "t2-7.29", "eq-13"):
             identity = get_identity(key)
             pa = next(ident._assignments(identity, 3, None))
-            assert identity.lhs(pa) == identity.lhs(pa)
-            assert identity.rhs(pa) == identity.rhs(pa)
+            assert identity.lhs(**pa) == identity.lhs(**pa)
+            assert identity.rhs(**pa) == identity.rhs(**pa)
 
     def test_skipped_assignments_recorded_with_reason(self):
         probe = Identity(
             key="probe",
             anchor="h(n,0) = 1/n",
             params=(IntRange("n", 0, 3),),
-            lhs=lambda v: ident.hyperharmonic(v["n"], 0),
-            rhs=lambda v: F(1, v["n"]) if v["n"] else F(0),
+            lhs=lambda n: ident.hyperharmonic(n, 0),
+            rhs=lambda n: F(1, n) if n else F(0),
             tags=frozenset({"probe"}),
         )
         verdict, tested, skipped, cex, reasons = ident._evaluate_pair(
@@ -171,13 +173,46 @@ class TestVerify:
             key="probe-zero",
             anchor="1/(n-n) = 0",
             params=(IntRange("n", 1, 3),),
-            lhs=lambda v: F(1, v["n"] - v["n"]),
-            rhs=lambda v: F(0),
+            lhs=lambda n: F(1, n - n),
+            rhs=lambda n: F(0),
             tags=frozenset({"probe"}),
         )
         monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
         with pytest.raises(ZeroDivisionError):
             verify("probe-zero")
+
+
+#: Rows whose rational parameter meets poles at negative integers.
+POLE_ROWS = {
+    "prop-leap-rel": "x",
+    "t1-12.9a": "x",
+    "t1-12.9b": "y",
+    "t2-12.9a": "x",
+    "t2-12.9b": "y",
+}
+
+
+@pytest.mark.parametrize("key", sorted(POLE_ROWS))
+def test_valid_excludes_exactly_the_poles(key):
+    # Past every pole of the default grids (the last is -(r + 2n) = -26),
+    # plus two non-integers between poles.
+    identity = get_identity(key)
+    pins = [F(-j) for j in range(1, 29)] + [F(-5, 2), F(-7, 3)]
+    excluded = 0
+    for x in pins:
+        bounds = {POLE_ROWS[key]: x}
+        axes = [ident._axis_values(p, None, bounds) for p in identity.params]
+        for pa in map(dict, itertools.product(*axes)):
+            with ident.row_scope():
+                try:
+                    identity.lhs(**pa)
+                    identity.rhs(**pa)
+                    pole = False
+                except ZeroDivisionError:
+                    pole = True
+            assert identity.valid(**pa) is not pole, pa
+            excluded += pole
+    assert excluded > 0
 
 
 @pytest.fixture(scope="module")
@@ -194,14 +229,15 @@ class TestRowMemos:
         assert self._sizes() == [0] * len(ident._ROW_MEMOS)
 
     def test_memos_are_emptied_when_a_row_raises(self, monkeypatch):
-        def lhs(v):
+        def lhs(n):
             # fill every row memo, then fail with a bug
-            ident._hz(v["n"] + 1, -1)
-            ident._h_over_c2(v["n"], 2)
-            ident.binomial_general(F(1, 2), v["n"])
-            ident._fixed_poly(2)(v["n"])
-            ident._inv_falling(v["n"] + 2, 2)
-            get_identity("t2-3.108").lhs({"n": 1, "m": 2, "r": 1})
+            ident.h(n + 1, -1)
+            ident._h_over_c2(n, 2)
+            ident.Cg(F(1, 2), n)
+            ident._poly_point(2, n)
+            ident._inv_falling(n + 2, 2)
+            ident._gf_hyper_coeff(1, n)
+            get_identity("t2-3.108").lhs(n=1, m=2, r=1)
             return F(1, 0)
 
         probe = Identity(
@@ -209,14 +245,14 @@ class TestRowMemos:
             anchor="fills the row memos, then divides by zero",
             params=(IntRange("n", 1, 3),),
             lhs=lhs,
-            rhs=lambda v: F(0),
+            rhs=lambda n: F(0),
             tags=frozenset({"probe"}),
         )
         monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
         with pytest.raises(ZeroDivisionError):
             verify("probe-raise")
-        assert len(ident._ROW_MEMOS) == 6  # the lhs above fills each one
-        assert self._sizes() == [0] * 6
+        assert len(ident._ROW_MEMOS) == 7  # the lhs above fills each one
+        assert self._sizes() == [0] * 7
 
     @pytest.mark.parametrize(
         "key", ["t2-3.108", "prop-teo4", "t2-7.2", "prop-one1-n", "t2-12.9a"]
@@ -249,12 +285,20 @@ class TestRunSuite:
         assert counts["SKIPPED"] > 0 and counts["FAIL"] == 0
         assert rep.all_pass is False
 
-    def test_gf_rows_build_one_series_per_r(self):
+    def test_gf_rows_build_one_series_per_r(self, monkeypatch):
         # n <= 64 is served by the order-64 series; none of order 128.
-        ident._gf_hyper_cached.cache_clear()
-        for key in ("gf-harmonic", "gf-hyperharmonic"):
-            assert verify(key).verdict == "PASS"
-        assert ident._gf_hyper_cached.cache_info().currsize == 8
+        built = []
+
+        def recording_gf(r, order):
+            built.append((r, order))
+            return gf_hyperharmonic(r, order)
+
+        monkeypatch.setattr(ident, "gf_hyperharmonic", recording_gf)
+        assert verify("gf-harmonic").verdict == "PASS"
+        assert built == [(1, 64)]
+        built.clear()
+        assert verify("gf-hyperharmonic").verdict == "PASS"
+        assert built == [(r, 64) for r in range(1, 9)]
 
     def test_json_schema(self):
         rep = run_suite({"table2"}, only=["1.42"], max_bound=4)
