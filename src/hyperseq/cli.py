@@ -45,7 +45,7 @@ EXIT_DOMAIN = 4
 EXIT_IO = 5
 
 _BOUND_PARAMS = ("n", "r", "k", "m", "j", "s")
-_SAMPLE_PARAMS = ("x", "y", "z", "w")
+_SAMPLE_PARAMS = ("x", "y", "z")
 _SERIES_CAP = 512
 
 

@@ -36,10 +36,13 @@ passed to ``dot`` as the coefficients).  A negative k raises
 ``ValueError``.  Rows with k <= ``MEMO_CAP`` are built once and shared,
 which is safe because tuples are immutable.
 
-Factorials, small binomial coefficients and signed binomial rows are
-memoized up to ``MEMO_CAP`` because the identity audit evaluates the
-same coefficients millions of times; larger arguments fall through to
-``math`` directly.
+Only the signed binomial rows are memoized: one audit asks 20,134 times
+for a row it has already built, and each would otherwise be rebuilt in a
+Python loop.  Factorials and C(n, k) are not: ``math.factorial`` and
+``math.comb`` answer faster than a cache in front of them.  Replaying one
+audit's 486,207 ``binomial_int`` calls took 103 ms on ``math.comb`` alone
+and 172 ms with an ``lru_cache`` in front (1,619 distinct values), and
+its 9,318 factorials 1.1 ms against 1.4 ms.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from functools import lru_cache
 
 ExactRational = Fraction
 
-#: Arguments up to this value are served from the memo caches.
+#: Signed binomial rows up to this order are served from the memo.
 MEMO_CAP = 256
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
@@ -88,23 +91,11 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-@lru_cache(maxsize=None)
-def _factorial_cached(n: int) -> int:
-    return math.factorial(n)
-
-
 def factorial(n: int) -> int:
-    """n! for n >= 0, memoized for n <= MEMO_CAP."""
+    """n! for n >= 0."""
     if n < 0:
         raise ValueError("factorial of a negative integer")
-    if n <= MEMO_CAP:
-        return _factorial_cached(n)
     return math.factorial(n)
-
-
-@lru_cache(maxsize=None)
-def _comb_cached(n: int, k: int) -> int:
-    return math.comb(n, k)
 
 
 def binomial_int(n: int, k: int) -> int:
@@ -118,13 +109,8 @@ def binomial_int(n: int, k: int) -> int:
     if k < 0:
         return 0
     if n >= 0:
-        if k > n:
-            return 0
-        if n <= MEMO_CAP:
-            return _comb_cached(n, k)
-        return math.comb(n, k)
-    m = k - n - 1
-    top = _comb_cached(m, k) if m <= MEMO_CAP else math.comb(m, k)
+        return math.comb(n, k)  # 0 for k > n
+    top = math.comb(k - n - 1, k)
     return -top if k % 2 else top
 
 
@@ -137,6 +123,7 @@ def _signed_row(k: int) -> tuple:
     return tuple(row)
 
 
+#: 41 rows serve 20,134 of one audit's calls; see the module docstring.
 _signed_row_cached = lru_cache(maxsize=None)(_signed_row)
 
 

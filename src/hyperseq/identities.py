@@ -28,11 +28,12 @@ Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
 ``float`` the transcendental ones.
 
 Half-integer hyperharmonic orders default to the exact digamma-telescoped
-evaluation.  A row whose verdict depends on that convention also carries
-``alt_rhs``, its right side under the alternative reading
-(:func:`hyperseq.sequences.hyperharmonic_half_integer_alt`), which is
-checked against the same left side; the report records the verdict under
-each.
+evaluation, read through the row-memoized ``h`` like every other order.
+A row whose verdict depends on that convention is one row function with
+a keyword ``hw=h``; its ``alt_rhs`` is the same function with ``hw``
+bound to the alternative reading
+(:func:`hyperseq.sequences.hyperharmonic_half_integer_alt`), checked
+against the same left side; the report records the verdict under each.
 """
 
 from __future__ import annotations
@@ -1159,11 +1160,8 @@ def _table1_rows():
         {"table1"},
     )
 
-    def _t1_395_rhs(hw):
-        def rhs(n):
-            return F(4) ** n * (hw(n, F(1, 2)) - Cg(F(n) - F(1, 2), n) * H(n))
-
-        return rhs
+    def _t1_395_rhs(n, hw=h):
+        return F(4) ** n * (hw(n, F(1, 2)) - Cg(F(n) - F(1, 2), n) * H(n))
 
     _add(
         "t1-3.95",
@@ -1173,9 +1171,9 @@ def _table1_rows():
         lambda n: bsum(1, n,
                        lambda k: (-1) ** k * C(2 * n - 2 * k, n - k) * C(2 * k, k),
                        lambda k: F(1, k)),
-        _t1_395_rhs(hyperharmonic_rational_order),
+        _t1_395_rhs,
         {"table1"},
-        alt_rhs=_t1_395_rhs(hyperharmonic_half_integer_alt),
+        alt_rhs=functools.partial(_t1_395_rhs, hw=hyperharmonic_half_integer_alt),
     )
     _add(
         "t1-3.100",
@@ -1236,11 +1234,8 @@ def _table1_rows():
         {"table1"},
     )
 
-    def _t1_79_rhs(hw):
-        def rhs(n):
-            return F(4**n, 2 * n + 1) / C(2 * n, n) * hw(n, F(1, 2))
-
-        return rhs
+    def _t1_79_rhs(n, hw=h):
+        return F(4**n, 2 * n + 1) / C(2 * n, n) * hw(n, F(1, 2))
 
     _add(
         "t1-7.9",
@@ -1253,9 +1248,9 @@ def _table1_rows():
             lambda k: F((-1) ** k * C(n, k) * 4**k, (2 * k + 1) * C(2 * k, k)),
             H,
         ),
-        _t1_79_rhs(hyperharmonic_rational_order),
+        _t1_79_rhs,
         {"table1"},
-        alt_rhs=_t1_79_rhs(hyperharmonic_half_integer_alt),
+        alt_rhs=functools.partial(_t1_79_rhs, hw=hyperharmonic_half_integer_alt),
     )
     _add(
         "t1-7.13",
@@ -1327,21 +1322,18 @@ def _table1_rows():
         valid=lambda n, y: y.denominator != 1 or not -2 * n - 1 <= y <= -1,
     )
 
-    def _t1_z58_rhs(hw):
-        def rhs(n):
-            return (F(4) ** n / C(2 * n, n)
-                    * (Cg(F(n) - F(1, 2), n) * H(n) + hw(n, F(1, 2))))
-
-        return rhs
+    def _t1_z58_rhs(n, hw=h):
+        return (F(4) ** n / C(2 * n, n)
+                * (Cg(F(n) - F(1, 2), n) * H(n) + hw(n, F(1, 2))))
 
     _add(
         "t1-Z.58",
         "Gould (Z.58): H(2n) = 4^n (C(n-1/2,n) H(n) + h(n,1/2)) / C(2n,n)",
         (IntRange("n", 1, 20),),
         lambda n: H(2 * n),
-        _t1_z58_rhs(hyperharmonic_rational_order),
+        _t1_z58_rhs,
         {"table1"},
-        alt_rhs=_t1_z58_rhs(hyperharmonic_half_integer_alt),
+        alt_rhs=functools.partial(_t1_z58_rhs, hw=hyperharmonic_half_integer_alt),
     )
 
 
@@ -1444,13 +1436,10 @@ def _table2_rows():
         {"table2"},
     )
 
-    def _t2_395_rhs(hw):
-        def rhs(n, r):
-            c = C(r - 1 + n, n)
-            return (F(4) ** n / c
-                    * (hw(n, F(r) - F(1, 2)) - Cg(F(r) - F(3, 2) + n, n) * h(n, r) / c))
-
-        return rhs
+    def _t2_395_rhs(n, r, hw=h):
+        c = C(r - 1 + n, n)
+        return (F(4) ** n / c
+                * (hw(n, F(r) - F(1, 2)) - Cg(F(r) - F(3, 2) + n, n) * h(n, r) / c))
 
     _add(
         "t2-3.95",
@@ -1462,9 +1451,9 @@ def _table2_rows():
             lambda k: (-1) ** k * C(2 * n - 2 * k, n - k) * C(2 * k, k) * k,
             lambda k: F(1, (r - 1 + k) ** 2),
         ),
-        _t2_395_rhs(hyperharmonic_rational_order),
+        _t2_395_rhs,
         {"table2"},
-        alt_rhs=_t2_395_rhs(hyperharmonic_half_integer_alt),
+        alt_rhs=functools.partial(_t2_395_rhs, hw=hyperharmonic_half_integer_alt),
     )
     _add(
         "t2-3.100",
@@ -1544,11 +1533,8 @@ def _table2_rows():
         {"table2"},
     )
 
-    def _t2_79_rhs(hw):
-        def rhs(n, r):
-            return F(4**n, 2 * n + 1) / C(2 * n, n) * hw(n, F(r) - F(1, 2))
-
-        return rhs
+    def _t2_79_rhs(n, r, hw=h):
+        return F(4**n, 2 * n + 1) / C(2 * n, n) * hw(n, F(r) - F(1, 2))
 
     _add(
         "t2-7.9",
@@ -1560,9 +1546,9 @@ def _table2_rows():
             lambda k: F((-1) ** k * C(n, k) * 4**k, (2 * k + 1) * C(2 * k, k)),
             lambda k: h(k, r),
         ),
-        _t2_79_rhs(hyperharmonic_rational_order),
+        _t2_79_rhs,
         {"table2"},
-        alt_rhs=_t2_79_rhs(hyperharmonic_half_integer_alt),
+        alt_rhs=functools.partial(_t2_79_rhs, hw=hyperharmonic_half_integer_alt),
     )
     _add(
         "t2-7.13",
@@ -1667,12 +1653,9 @@ def _table2_rows():
         valid=lambda n, r, y: y.denominator != 1 or not -(r + 2 * n) <= y <= -r,
     )
 
-    def _t2_z58_rhs(hw):
-        def rhs(n, r):
-            return F(4) ** n * (Cg(F(n) + r - F(3, 2), n) * h(n, r)
-                                + C(n + r - 1, n) * hw(n, F(r) - F(1, 2)))
-
-        return rhs
+    def _t2_z58_rhs(n, r, hw=h):
+        return F(4) ** n * (Cg(F(n) + r - F(3, 2), n) * h(n, r)
+                            + C(n + r - 1, n) * hw(n, F(r) - F(1, 2)))
 
     _add(
         "t2-Z.58",
@@ -1680,9 +1663,9 @@ def _table2_rows():
         "4^n (C(n+r-3/2,n) h(n,r) + C(n+r-1,n) h(n,r-1/2))",
         (IntRange("n", 1, 15), IntRange("r", 1, 8)),
         lambda n, r: C(2 * n, n) * h(2 * n, 2 * r - 1),
-        _t2_z58_rhs(hyperharmonic_rational_order),
+        _t2_z58_rhs,
         {"table2"},
-        alt_rhs=_t2_z58_rhs(hyperharmonic_half_integer_alt),
+        alt_rhs=functools.partial(_t2_z58_rhs, hw=hyperharmonic_half_integer_alt),
     )
 
 

@@ -429,6 +429,13 @@ class TestGarbageInput:
             main([command, "--suite", "bogus"])
         assert exc.value.code == 2
 
+    def test_audit_has_no_w_pin(self, capsys):
+        # No row has a parameter w, so the pin would be dropped silently.
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--only", "prop-5", "--w", "3", "--max", "2"])
+        assert exc.value.code == 2
+        assert "--w" in capsys.readouterr().err
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):

@@ -88,6 +88,10 @@ class TestFactorials:
     def test_factorial_beyond_memo_cap(self):
         assert factorial(300) % factorial(299) == 0
 
+    def test_factorial_is_the_product(self):
+        for n in range(301):
+            assert factorial(n) == math.prod(range(1, n + 1))
+
 
 class TestBinomials:
     def test_int_examples(self):
@@ -104,6 +108,15 @@ class TestBinomials:
     def test_negative_upper_matches_general(self):
         for n in range(-12, 0):
             for k in range(0, 12):
+                assert binomial_int(n, k) == binomial_general(n, k)
+
+    @pytest.mark.parametrize("tops", [range(-300, 0), range(0, 301)],
+                             ids=["negative", "non-negative"])
+    def test_int_matches_general(self, tops):
+        # k runs from -1 to just past |n|, where the top row ends for n >= 0
+        for n in tops:
+            assert binomial_int(n, -1) == 0
+            for k in range(abs(n) + 3):
                 assert binomial_int(n, k) == binomial_general(n, k)
 
     def test_pascal_rule(self):

@@ -185,6 +185,20 @@ class TestCoefficients:
                 assert alpha(n, r) == F(r, n) * alpha(r, n)
 
 
+class TestOneHarmonicTable:
+    def test_def_table_reads_the_h_list(self):
+        # DEF fills row 1 through harmonic(); H and H(n; 1) read that list.
+        from hyperseq import sequences
+
+        h700 = hyperharmonic(700, 3, HyperharmonicMethod.DEF)
+        assert h700 == hyperharmonic(700, 3, HyperharmonicMethod.CONV)
+        expected = sum((F(1, k) for k in range(1, 701)), F(0))
+        assert harmonic(700) == gen_harmonic(700, 1) == expected
+        assert hyperharmonic(700, 1, HyperharmonicMethod.DEF) == expected
+        rows = sequences._def_rows
+        assert sequences._gen_harmonic_prefix[1] is sequences._harmonic_prefix is rows[1]
+
+
 class TestConcurrency:
     def test_caches_safe_under_threads(self):
         # Fresh-ish stress: many threads hammer every cached family at once
