@@ -226,15 +226,29 @@ def sum_series(
     ``tail_bound(K)`` must bound the absolute value of the tail beyond
     index K (it may return ``inf`` while a bound is not yet valid).  The
     result's error bound is that tail plus accumulated rounding.
+
+    The running value and bound are two plain floats, updated exactly as
+    ``CertifiedReal.__add__(as_certified(term))`` would update them: an
+    int or ``Fraction`` term adds its rounded value and one ulp-sized
+    bound, any other term its own certified fields.  One ``CertifiedReal``
+    is built, for the result.
     """
-    total = CertifiedReal(0.0, 0.0)
+    value = bound = 0.0
     k = start
     count = 0
     while True:
-        total = total + as_certified(term(k))
+        t = term(k)
+        if isinstance(t, (int, Fraction)):
+            tv = float(t)
+            te = abs(tv) * _EPS
+        else:
+            t = as_certified(t)
+            tv, te = t.value, t.abs_error_bound
+        value = value + tv
+        bound = bound + te + abs(value) * _EPS
         tb = tail_bound(k)
         if tb < tolerance:
-            return CertifiedReal(total.value, total.abs_error_bound + tb)
+            return CertifiedReal(value, bound + tb)
         k += 1
         count += 1
         if count > max_terms:

@@ -30,6 +30,13 @@ branch of ``forward_difference``) call it once per operand, work on the
 integers, and build one ``Fraction`` per result; ``dot`` keeps its own
 loop.
 
+``reciprocal_sum(ms)`` is the exact sum of 1/m over a sequence (not an
+iterator) of nonzero ints of either sign: it sums ``d // m`` over the
+``math.lcm`` d of the m's and builds one ``Fraction``.  An empty
+sequence sums to 0, and a zero entry raises ``ZeroDivisionError``.  The
+rational-order h(n, w) and ``dx_reciprocal_rising`` sum their
+telescoping reciprocals with it.
+
 ``signed_binomial_row(k)`` is the tuple of the k-th difference weights,
 ``(-1)**(k-i) * C(k, i)`` for i = 0..k, as ints (so it can be sliced and
 passed to ``dot`` as the coefficients).  A negative k raises
@@ -174,6 +181,12 @@ def over_common_denominator(values) -> tuple[list[int], int]:
             )
     d = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def reciprocal_sum(ms) -> Fraction:
+    """Exact sum of 1/m over a sequence of nonzero ints, normalized once."""
+    d = math.lcm(*ms)  # 0 when some m is 0, and then d // 0 raises below
+    return Fraction(sum([d // m for m in ms]), d)
 
 
 def _num_den(x) -> tuple[int, int]:

@@ -16,6 +16,8 @@ common denominator with ``exactnum.over_common_denominator``, do all
 the arithmetic on those integers, and build one ``Fraction`` per
 result.  The alternating branch of ``forward_difference`` goes through
 ``exactnum.dot`` instead, so the two branches share no arithmetic code.
+``dx_reciprocal_rising`` sums its reciprocals 1/(c+i) as integers over
+their lcm with ``exactnum.reciprocal_sum``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .exactnum import (
     factorial,
     format_rational,
     over_common_denominator,
+    reciprocal_sum,
     rising_factorial,
     signed_binomial_row,
 )
@@ -162,8 +165,7 @@ def dx_reciprocal_rising(c, k: int) -> Fraction:
         raise DomainError(
             f"pole at i={shifted.index(0)} in the rising factorial of {c}"
         )
-    s = dot([q] * k, [_F(1, m) for m in shifted])
-    return -s / rising_factorial(c, k)
+    return -q * reciprocal_sum(shifted) / rising_factorial(c, k)
 
 
 def hypergeometric_terminating(a: int, b, c, z) -> Fraction:

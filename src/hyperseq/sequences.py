@@ -15,10 +15,14 @@ disagree in general, so callers pick explicitly.
 
 The loops that add many terms stay on plain integers and build one
 ``Fraction`` per result: the convolution sums its integer terms over
-lcm(1..n), the recurrence in n carries an unreduced numerator and
-denominator and divides out their gcd every 64 steps, and the rational
-order sums its telescoping reciprocals with ``exactnum.dot``.  Each
-method still runs its own algorithm.
+lcm(1..n), the recurrences in n and in r each carry an unreduced
+numerator and denominator and divide out their gcd every 64 steps, and
+the rational order sums its telescoping reciprocals with
+``exactnum.reciprocal_sum``.  Each method still runs its own algorithm.
+
+The shared tables (H, the generalized harmonic rows, the DEF rows and
+the Fibonacci list) only grow, and only under ``_lock``.  A value that
+is already in its table is read without the lock.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .exactnum import binomial_general, binomial_int, dot
+from .exactnum import binomial_general, binomial_int, reciprocal_sum
 
 _F = Fraction
 
@@ -86,12 +90,17 @@ class HyperharmonicMethod(enum.Enum):
 
 # DEF memo table: _def_rows[r] is the prefix list [h(0,r), ..., h(N,r)];
 # row 1 is the H list itself.  It stays for the process: a warm lookup
-# takes about 10 us, an integer r-fold sum per call 90-120 us at n <= 200,
-# r <= 24, which would add 2-3 ms to each 73 ms kernels-mix pass.
+# takes about 0.5 us, an integer r-fold sum per call 90-120 us at n <= 200,
+# r <= 24, which would add 2-3 ms to each 73 ms kernels-mix pass.  A warm
+# lookup reads row r without _lock (rows are appended to only under it,
+# with complete entries); a value beyond the row fills orders 2..r.
 _def_rows: dict[int, list[Fraction]] = {1: _harmonic_prefix}
 
 
 def _hyper_def(n: int, r: int) -> Fraction:
+    row = _def_rows.get(r)
+    if row is not None and n < len(row):
+        return row[n]
     harmonic(n)  # fills row 1; before the lock, which is not reentrant
     with _lock:
         for s in range(2, r + 1):
@@ -123,9 +132,10 @@ def _hyper_conv(n: int, r: int) -> Fraction:
     )
 
 
-#: Steps between gcd reductions in the recurrence in n.  Unreduced, the
+#: Steps between gcd reductions in both recurrences.  Unreduced, the
 #: pair grows by about log2(m(m+r)) bits a step; at n = 4,000 never
-#: reducing is about 3x slower than reducing every 64 steps.
+#: reducing is about 3x slower than reducing every 64 steps, and so is
+#: the recurrence in r at n = 200, r = 4,000 (174 ms against 64 ms).
 _GCD_EVERY = 64
 
 
@@ -143,11 +153,15 @@ def _hyper_rec_lower(n: int, r: int) -> Fraction:
 
 def _hyper_rec_upper(n: int, r: int) -> Fraction:
     h = harmonic(n)
+    p, q = h.numerator, h.denominator  # h = p/q, unreduced between gcd steps
     for s in range(1, r):
-        # (alpha - 1) h(n, s+1) = alpha h(n, s) - beta, alpha - 1 = s/n
-        beta = _F(binomial_int(n + s, s), n + s)
-        h = _F(n + s, s) * h - _F(n, s) * beta
-    return h
+        # (alpha - 1) h(n, s+1) = alpha h(n, s) - beta with alpha - 1 = s/n,
+        # so h(n, s+1) = ((n+s) h(n, s) - n beta)/s, and n beta = C(n+s-1, s)
+        p, q = (n + s) * p - binomial_int(n + s - 1, s) * q, s * q
+        if s % _GCD_EVERY == 0:
+            g = math.gcd(p, q)
+            p, q = p // g, q // g
+    return _F(p, q)
 
 
 _METHOD_IMPL = {
@@ -212,7 +226,7 @@ def hyperharmonic_rational_order(n: int, w) -> Fraction:
             f"and h(n, 0) is hyperharmonic(n, 0){pole}"
         )
     # 1/(w+i) = q/(p+iq); no p + iq is 0 once integer orders <= 0 are out
-    tele = dot([q] * n, [_F(1, p + i * q) for i in range(n)])
+    tele = q * reciprocal_sum([p + i * q for i in range(n)])
     return binomial_general(w + n - 1, n) * tele
 
 

@@ -6,6 +6,7 @@ import scipy.special
 
 from hyperseq.analytic import (
     CertifiedReal,
+    as_certified,
     delta_hyperbolic_closed_form,
     digamma,
     euler_gamma,
@@ -183,6 +184,91 @@ class TestSumSeries:
     def test_iteration_cap(self):
         with pytest.raises(ConvergenceError):
             sum_series(lambda k: F(1, k + 1), lambda K: math.inf, 1e-9, max_terms=50)
+
+    @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize(
+        "kind", ["fraction", "int", "float", "certified", "mixed", "long"]
+    )
+    def test_equals_the_certified_real_fold(self, kind, start):
+        # The running floats must reproduce, bit for bit, the fold of one
+        # CertifiedReal addition per term that they replaced.
+        term, tail, tol = _SERIES[kind]
+        got = sum_series(term, tail, tol, start=start)
+        want = _certified_fold(term, tail, tol, start)
+        assert (got.value, got.abs_error_bound) == (want.value, want.abs_error_bound)
+        assert got == want
+
+    @pytest.mark.parametrize("x", [F(1, 4), F(7, 5), F(13, 6), F(15, 4)])
+    def test_exp_series_contains_mpmath(self, x):
+        # sum x^k/k!; past k + 2 >= 2x the tail is below 2 x^(k+1)/(k+1)!
+        import mpmath
+
+        def tail(k):
+            if k + 2 < 2 * x:
+                return math.inf
+            return 2.0 * float(x) ** (k + 1) / math.factorial(k + 1)
+
+        v = sum_series(lambda k: x**k / math.factorial(k), tail, 1e-12)
+        with mpmath.workdps(50):
+            true = mpmath.exp(mpmath.mpf(x.numerator) / x.denominator)
+            assert abs(true - mpmath.mpf(v.value)) <= v.abs_error_bound
+        assert v.abs_error_bound < 1e-11
+
+    @pytest.mark.parametrize("a", [F(2, 3), F(5, 4), F(17, 5), F(19, 4)])
+    def test_hurwitz_zeta_two_contains_mpmath(self, a):
+        # sum 1/(k+a)^2; the tail beyond K is below the integral 1/(K+a)
+        import mpmath
+
+        v = sum_series(lambda k: 1 / (k + a) ** 2, lambda k: 1.0 / float(k + a), 1e-3)
+        with mpmath.workdps(50):
+            true = mpmath.zeta(2, mpmath.mpf(a.numerator) / a.denominator)
+            assert abs(true - mpmath.mpf(v.value)) <= v.abs_error_bound
+        assert v.abs_error_bound < 2e-3
+
+
+def _certified_fold(term, tail_bound, tolerance, start):
+    total = CertifiedReal(0.0, 0.0)
+    k = start
+    while True:
+        total = total + as_certified(term(k))
+        tb = tail_bound(k)
+        if tb < tolerance:
+            return CertifiedReal(total.value, total.abs_error_bound + tb)
+        k += 1
+
+
+def _mixed_term(k):
+    return (
+        F((-1) ** k, k + 1),
+        k * k - 7,
+        (-0.8) ** k / 3,
+        CertifiedReal(0.9**k, 1e-17 * (k + 1)),
+    )[k % 4]
+
+
+#: kind -> (term, tail bound, tolerance); the tails are whatever makes the
+#: loop stop, not bounds on these series.  "long" mixes magnitudes over
+#: 300 terms, so the order of the bound's additions shows in its last bits.
+_SERIES = {
+    "fraction": (lambda k: F((-1) ** k * (k + 1), 3**k), lambda k: 3.0**-k, 1e-12),
+    "int": (
+        lambda k: (-1) ** k * (k * k + 1),
+        lambda k: 0.0 if k >= 25 else math.inf,
+        1.0,
+    ),
+    "float": (lambda k: (-0.6) ** k / (k + 1), lambda k: 0.6 ** (k + 1) / 0.4, 1e-12),
+    "certified": (
+        lambda k: CertifiedReal(1.0 / (k + 1) ** 2, 1e-18 * (k + 1)),
+        lambda k: 1.0 / (k + 1),
+        1e-2,
+    ),
+    "mixed": (_mixed_term, lambda k: 0.0 if k >= 40 else math.inf, 1.0),
+    "long": (
+        lambda k: F((-1) ** k * (k * 7919 % 1000 + 1), 10 ** (k % 9)),
+        lambda k: 0.0 if k >= 300 else math.inf,
+        1.0,
+    ),
+}
 
 
 class TestHyperbolicDifferences:

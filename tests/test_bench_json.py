@@ -40,3 +40,20 @@ def test_pairs_by_seed_and_counts_wins(tmp_path):
     assert wall["change_wins"] == 2
     assert w["metrics"]["ops_per_s"]["change_wins"] == 2  # higher is better
     assert doc["traced"]["kernels-mix-seed20"]["change"]["per_layer"] == {"fractions.new.calls": 4}
+
+
+def test_committed_records_claim_only_benchmark_metrics():
+    root = TOOL.parents[1]
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in bench["workloads"]}
+    end_to_end = {m["name"] for m in bench["end_to_end"]}
+    records = sorted(root.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        doc = json.loads(path.read_text())
+        for claim in doc["claims"]:
+            workload, metric = claim.split(":")
+            assert workload in workloads, (path.name, claim)
+            assert metric in end_to_end, (path.name, claim)
+            claimed = doc["workloads"][workload]["metrics"][metric]
+            assert "change_wins" in claimed, (path.name, claim)

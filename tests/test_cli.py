@@ -489,6 +489,17 @@ class TestModuleEntryPoint:
         with pytest.raises(AttributeError, match="no_such_name"):
             hyperseq.no_such_name
 
+    def test_library_imports_only_the_standard_library(self):
+        proc = run_python(
+            "-c",
+            "import sys; before = set(sys.modules); "
+            "import hyperseq.identities, hyperseq.cli; "
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(new - set(sys.stdlib_module_names) - {'hyperseq'}))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestIdentitiesListing:
     def test_lists_all(self, capsys):

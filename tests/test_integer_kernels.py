@@ -15,15 +15,23 @@ from hypothesis import strategies as st
 
 from hyperseq.analytic import CertifiedReal
 from hyperseq.errors import ComputationIntegrityError, DomainError
-from hyperseq.exactnum import binomial_general, binomial_int, over_common_denominator
+from hyperseq.exactnum import (
+    binomial_general,
+    binomial_int,
+    over_common_denominator,
+    reciprocal_sum,
+    rising_factorial,
+)
 from hyperseq.opcalc import (
     PowerSeries,
     binomial_transform,
+    dx_reciprocal_rising,
     forward_difference,
     inverse_binomial_transform,
 )
 from hyperseq.sequences import (
     HyperharmonicMethod,
+    harmonic,
     hyperharmonic,
     hyperharmonic_rational_order,
 )
@@ -78,6 +86,19 @@ def old_rec_lower(n, r):
     return h
 
 
+def old_rec_upper(n, r):
+    h = harmonic(n)
+    for s in range(1, r):
+        beta = F(binomial_int(n + s, s), n + s)
+        h = F(n + s, s) * h - F(n, s) * beta
+    return h
+
+
+def old_dx_reciprocal_rising(c, k):
+    c = F(c)
+    return -sum((1 / (c + i) for i in range(k)), F(0)) / rising_factorial(c, k)
+
+
 def old_rational_order(n, w):
     w = F(w)
     tele = F(0)
@@ -109,6 +130,24 @@ class TestOverCommonDenominator:
             over_common_denominator([F(1, 2), bad])
 
 
+class TestReciprocalSum:
+    @given(st.lists(st.integers(-10**6, 10**6).filter(bool), max_size=40))
+    def test_equals_the_fraction_sum(self, ms):
+        # negative entries and single entries included
+        got = reciprocal_sum(ms)
+        assert type(got) is F
+        assert got == sum((F(1, m) for m in ms), F(0))
+
+    def test_single_and_empty(self):
+        assert reciprocal_sum([-7]) == F(-1, 7)
+        assert reciprocal_sum([]) == 0
+
+    @pytest.mark.parametrize("ms", [[0], [3, 0, -5], [0, 1]])
+    def test_zero_raises(self, ms):
+        with pytest.raises(ZeroDivisionError):
+            reciprocal_sum(ms)
+
+
 # -- opcalc ------------------------------------------------------------------
 
 
@@ -134,6 +173,16 @@ class TestTransforms:
         # the empty list included
         assert binomial_transform(b) == old_binomial_transform(b)
         assert inverse_binomial_transform(b) == old_inverse_binomial_transform(b)
+
+
+class TestDxReciprocalRising:
+    @given(_rationals, st.integers(0, 40))
+    def test_equals_the_fraction_loop(self, c, k):
+        if any(c + i == 0 for i in range(k)):
+            with pytest.raises(DomainError, match="pole"):
+                dx_reciprocal_rising(c, k)
+        else:
+            assert dx_reciprocal_rising(c, k) == old_dx_reciprocal_rising(c, k)
 
 
 class TestIteratedDifference:
@@ -181,8 +230,14 @@ class TestHyperharmonicKernels:
         # n around multiples of the recurrence's gcd interval included
         conv = hyperharmonic(n, r, HyperharmonicMethod.CONV)
         rec = hyperharmonic(n, r, HyperharmonicMethod.REC_LOWER)
+        upper = hyperharmonic(n, r, HyperharmonicMethod.REC_UPPER)
         assert conv == old_conv(n, r)
         assert rec == old_rec_lower(n, r)
+        assert upper == old_rec_upper(n, r)
+
+    @pytest.mark.parametrize("n, r", [(1, 200), (7, 129), (50, 300)])
+    def test_upper_recurrence_past_its_gcd_steps(self, n, r):
+        assert hyperharmonic(n, r, HyperharmonicMethod.REC_UPPER) == old_rec_upper(n, r)
 
 
 class TestRationalOrderKernel:

@@ -60,16 +60,17 @@ class TestHyperharmonic:
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_def_oracle_agreement(self, method):
         # Brute-force iterated sums, independent of every method under test.
-        rows = {0: [F(0)] + [F(1, k) for k in range(1, 26)]}
-        for r in range(1, 7):
+        # Orders up to 140 take the recurrence in r through two gcd steps.
+        rows = {0: [F(0)] + [F(1, k) for k in range(1, 31)]}
+        for r in range(1, 141):
             prev = rows[r - 1]
             row = [F(0)]
-            for n in range(1, 26):
+            for n in range(1, 31):
                 row.append(row[-1] + prev[n])
             rows[r] = row
-        for r in range(1, 7):
-            for n in range(26):
-                assert hyperharmonic(n, r, method) == rows[r][n]
+        for r in range(1, 141):
+            for n in range(31):
+                assert hyperharmonic(n, r, method) == rows[r][n], (n, r)
 
     def test_lower_recurrence(self):
         for n in range(1, 30):
@@ -232,6 +233,39 @@ class TestConcurrency:
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             assert sorted(pool.map(worker, range(16))) == list(range(16))
+
+
+    def test_warm_def_read_takes_no_lock(self):
+        # A DEF value already in the table is read without the lock; one
+        # beyond the table still waits for it.
+        import threading
+
+        from hyperseq import sequences
+
+        def_ = HyperharmonicMethod.DEF
+        warm = hyperharmonic(150, 20, def_)
+        cold_n = max(151, len(sequences._def_rows[20]))
+        cold_expected = hyperharmonic(cold_n, 20, HyperharmonicMethod.CONV)
+        keys = set(sequences._def_rows)
+        results = {}
+
+        def read(n):
+            results[n] = hyperharmonic(n, 20, def_)
+
+        with sequences._lock:
+            fast = threading.Thread(target=read, args=(150,))
+            fast.start()
+            fast.join(timeout=5)
+            assert not fast.is_alive()
+            assert results[150] == warm
+            assert set(sequences._def_rows) == keys
+            slow = threading.Thread(target=read, args=(cold_n,))
+            slow.start()
+            slow.join(timeout=0.2)
+            assert slow.is_alive()
+        slow.join(timeout=5)
+        assert not slow.is_alive()
+        assert results[cold_n] == cold_expected
 
 
 class TestFibonacci:
