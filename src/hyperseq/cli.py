@@ -48,22 +48,14 @@ _BOUND_PARAMS = ("n", "r", "k", "m", "j", "s")
 _SAMPLE_PARAMS = ("x", "y", "z")
 _SERIES_CAP = 512
 
-
-#: Audit settings that are both a config key and a flag: the type the
-#: value parses to, its range check, and the rule an error message states.
-_AUDIT_SETTINGS = {
-    "tolerance": (float, lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
-    "counterexamples": (int, lambda v: v > 0, "must be positive"),
-}
-
 _SUITES = ("core", "table1", "table2", "float", "all")
 
 
 class CliConfig(
     record(
         "CliConfig",
-        ("bounds", "tolerance", "format", "counterexamples"),
-        {"bounds": {}, "tolerance": None, "format": "text", "counterexamples": 5},
+        ("bounds", "format", "counterexamples"),
+        {"bounds": {}, "format": "text", "counterexamples": 5},
     )
 ):
     """Settings read from the config file; flags override them.
@@ -74,13 +66,12 @@ class CliConfig(
     __slots__ = ()
 
 
-def _convert(kind, value: str, where: str):
-    """``kind(value)``; a value that does not convert is a ConfigError."""
+def _parse_int(value: str, where: str) -> int:
+    """``int(value)``; a value that does not convert is a ConfigError."""
     try:
-        return kind(value)
+        return int(value)
     except ValueError:
-        message = f"{where} is not a valid {kind.__name__}: {value!r}"
-        raise ConfigError(message) from None
+        raise ConfigError(f"{where} is not a valid int: {value!r}") from None
 
 
 def _parse_config_file(path: str) -> CliConfig:
@@ -98,16 +89,15 @@ def _parse_config_file(path: str) -> CliConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition("="))
         if key.startswith("max_") and key[4:] in _BOUND_PARAMS:
-            bound = _convert(int, value, f"{path}:{lineno}: {key}")
+            bound = _parse_int(value, f"{path}:{lineno}: {key}")
             if bound <= 0:
                 raise ConfigError(f"{path}:{lineno}: bounds must be positive")
             cfg.bounds[key[4:]] = (None, bound)  # clamp only the top
-        elif key in _AUDIT_SETTINGS:
-            kind, valid, rule = _AUDIT_SETTINGS[key]
-            setting = _convert(kind, value, f"{path}:{lineno}: {key}")
-            if not valid(setting):
-                raise ConfigError(f"{path}:{lineno}: {key} {rule}")
-            setattr(cfg, key, setting)
+        elif key == "counterexamples":
+            cap = _parse_int(value, f"{path}:{lineno}: {key}")
+            if cap <= 0:
+                raise ConfigError(f"{path}:{lineno}: {key} must be positive")
+            cfg.counterexamples = cap
         elif key == "format":
             if value not in ("json", "csv", "text"):
                 raise ConfigError(f"{path}:{lineno}: unknown format {value!r}")
@@ -244,7 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--format", choices=["json", "csv", "text"])
     audit.add_argument("--out", help="write the report to this path")
     audit.add_argument("--counterexamples", type=int, metavar="CAP")
-    audit.add_argument("--tolerance", type=float)
     _add_bound_flags(audit)
 
     ids = sub.add_parser("identities", help="list registered identity ids")
@@ -344,17 +333,6 @@ def _cmd_table(args, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _audit_setting(args, cfg: CliConfig, key: str):
-    """The flag's value, checked by its config key's rule; else the config's."""
-    value = getattr(args, key)
-    if value is None:
-        return getattr(cfg, key)
-    _, valid, rule = _AUDIT_SETTINGS[key]
-    if not valid(value):
-        raise ValueError(f"--{key} {rule}, got {value}")
-    return value
-
-
 def _cmd_audit(args, cfg: CliConfig) -> int:
     # Only audit and identities load the registry; other commands skip it.
     from . import identities
@@ -362,13 +340,17 @@ def _cmd_audit(args, cfg: CliConfig) -> int:
     suites = set(args.suite or [])
     tags = frozenset() if (not suites or "all" in suites) else frozenset(suites)
     only = args.only.split(",") if args.only else None
+    cap = args.counterexamples
+    if cap is None:
+        cap = cfg.counterexamples
+    elif cap <= 0:
+        raise ValueError(f"--counterexamples must be positive, got {cap}")
     report = identities.run_suite(
         tags,
         only=only,
         max_bound=args.max,
         param_bounds=_collect_bounds(args, cfg) or None,
-        counterexample_cap=_audit_setting(args, cfg, "counterexamples"),
-        tolerance_override=_audit_setting(args, cfg, "tolerance"),
+        counterexample_cap=cap,
     )
     if only and not report.entries:
         print(f"error: no identity matches --only {args.only!r}", file=sys.stderr)

@@ -1,8 +1,11 @@
 """Registry of verifiable identities and the audit engine.
 
 Each :class:`Identity` is a claim: two evaluators over a declared
-finite parameter domain, compared either exactly (rational equality) or
-within a tolerance plus certified error bounds.  ``verify`` checks one
+finite parameter domain, compared exactly: by rational equality, or, on
+a ``float`` row, by whether the two certified balls (a float centre and
+an error radius) overlap, tested on the floats' exact rational values.
+The radii alone decide a float verdict; there is no tolerance, and a
+ball with a non-finite centre or radius fails.  ``verify`` checks one
 identity, ``run_suite`` a tagged subset, one row after another in key
 order.  Failures are first-class data recorded as counterexamples, never
 exceptions, because part of the point of the audit is to document table
@@ -25,7 +28,7 @@ which empties those memos when the row ends, even when it raises.
 Table rows keep the summation numbering of Gould's "Combinatorial
 Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
 ``core`` tag covers the recurrence/operator/difference identities, and
-``float`` the transcendental ones.
+``float`` the transcendental ones, whose sides are ``CertifiedReal``.
 
 Half-integer hyperharmonic orders default to the exact digamma-telescoped
 evaluation, read through the row-memoized ``h`` like every other order.
@@ -113,10 +116,9 @@ class Identity(
     record(
         "Identity",
         (
-            "key", "anchor", "params", "lhs", "rhs", "tags",
-            "mode", "tol", "valid", "alt_rhs",
+            "key", "anchor", "params", "lhs", "rhs", "tags", "valid", "alt_rhs",
         ),
-        {"mode": "exact", "tol": 0.0, "valid": None, "alt_rhs": None},
+        {"valid": None, "alt_rhs": None},
         frozen=True,
     )
 ):
@@ -124,12 +126,17 @@ class Identity(
 
     ``params`` is a tuple of :class:`IntRange`/:class:`RationalChoice`;
     ``lhs``/``rhs`` take the parameters by name and return a value.
-    ``mode`` is "exact" or "float"; ``valid`` filters assignments;
-    ``alt_rhs``, when set, is the right side under the alternative
-    half-integer convention, checked against ``lhs``.
+    ``valid`` filters assignments; ``alt_rhs``, when set, is the right
+    side under the alternative half-integer convention, checked against
+    ``lhs``.  ``mode`` follows from the tags: a ``float`` row's sides are
+    ``CertifiedReal`` balls, every other row's are exact rationals.
     """
 
     __slots__ = ()
+
+    @property
+    def mode(self) -> str:
+        return "float" if "float" in self.tags else "exact"
 
     @property
     def dual_convention(self) -> bool:
@@ -310,17 +317,24 @@ def _assignments(identity, max_bound, param_bounds):
         yield pa
 
 
-def _values_agree(identity, lv, rv, tol_override) -> bool:
-    if identity.mode == "exact":
+def _values_agree(exact, lv, rv) -> bool:
+    if exact:
         if type(lv) is type(rv) is F:
             return lv == rv
         return F(lv) == F(rv)
+    # Two balls agree iff they overlap, tested on the floats' exact values.
+    # A non-finite centre or radius has no rational value and fails.
     lc, rc = as_certified(lv), as_certified(rv)
-    tol = identity.tol if tol_override is None else tol_override
-    return abs(lc.value - rc.value) <= tol + lc.abs_error_bound + rc.abs_error_bound
+    ends = (lc.value, rc.value, lc.abs_error_bound, rc.abs_error_bound)
+    if not all(map(math.isfinite, ends)):
+        return False
+    return abs(F(lc.value) - F(rc.value)) <= (
+        F(lc.abs_error_bound) + F(rc.abs_error_bound)
+    )
 
 
-def _evaluate_pair(identity, lhs, rhs, assignments, cap, tol_override):
+def _evaluate_pair(identity, lhs, rhs, assignments, cap):
+    exact = identity.mode == "exact"
     tested = 0
     skipped = 0
     fails = 0
@@ -338,7 +352,7 @@ def _evaluate_pair(identity, lhs, rhs, assignments, cap, tol_override):
                 )
             continue
         tested += 1
-        if not _values_agree(identity, lv, rv, tol_override):
+        if not _values_agree(exact, lv, rv):
             fails += 1
             if len(counterexamples) < cap:
                 counterexamples.append(
@@ -363,7 +377,6 @@ def verify(
     max_bound: int | None = None,
     param_bounds: dict | None = None,
     counterexample_cap: int = 5,
-    tolerance_override: float | None = None,
 ) -> IdentityReport:
     """Check one registered identity over its (possibly overridden) domain."""
     identity = get_identity(key)
@@ -375,7 +388,6 @@ def verify(
             identity.rhs,
             _assignments(identity, max_bound, param_bounds),
             counterexample_cap,
-            tolerance_override,
         )
         alternative = None
         if identity.dual_convention:
@@ -385,15 +397,12 @@ def verify(
                 identity.alt_rhs,
                 _assignments(identity, max_bound, param_bounds),
                 counterexample_cap,
-                tolerance_override,
             )
             alternative = ConventionResult(a_verdict, a_tested, a_skipped, a_cex)
     return IdentityReport(
         key=identity.key,
         anchor=identity.anchor,
-        mode=(
-            "exact" if identity.mode == "exact" else f"float({identity.tol:g})"
-        ),
+        mode=identity.mode,
         verdict=verdict,
         tested=tested,
         skipped=skipped,
@@ -411,7 +420,6 @@ def run_suite(
     max_bound: int | None = None,
     param_bounds: dict | None = None,
     counterexample_cap: int = 5,
-    tolerance_override: float | None = None,
 ) -> AuditReport:
     """Run every identity matching the tag filter (empty = everything).
 
@@ -438,7 +446,6 @@ def run_suite(
                 max_bound=max_bound,
                 param_bounds=param_bounds,
                 counterexample_cap=counterexample_cap,
-                tolerance_override=tolerance_override,
             )
             for key in keys
         ]
@@ -604,8 +611,7 @@ _ULP = 2.0**-52
 _REGISTRY: dict[str, Identity] = {}
 
 
-def _add(key, anchor, params, lhs, rhs, tags, mode="exact", tol=0.0,
-         valid=None, alt_rhs=None):
+def _add(key, anchor, params, lhs, rhs, tags, valid=None, alt_rhs=None):
     if key in _REGISTRY:
         raise ValueError(f"duplicate identity key {key}")
     _REGISTRY[key] = Identity(
@@ -615,8 +621,6 @@ def _add(key, anchor, params, lhs, rhs, tags, mode="exact", tol=0.0,
         lhs=lhs,
         rhs=rhs,
         tags=frozenset(tags),
-        mode=mode,
-        tol=tol,
         valid=valid,
         alt_rhs=alt_rhs,
     )
@@ -1033,8 +1037,6 @@ def _float_rows():
             lambda k, x, kd=kind: _hyp_direct(kd, k, x),
             lambda k, x, kd=kind: delta_hyperbolic_closed_form(kd, k, float(x)),
             {"float"},
-            mode="float",
-            tol=1e-12,
         )
 
     def _x0_rhs(part, k):
@@ -1051,15 +1053,12 @@ def _float_rows():
         lambda part, k: _hyp_direct("sinh" if part == 0 else "cosh", k, F(0)),
         _x0_rhs,
         {"float"},
-        mode="float",
-        tol=1e-12,
     )
 
     def _one6_lhs(k, x):
-        acc = CertifiedReal(0.0, 0.0)
-        for i in range(k + 1):
-            acc = acc + digamma(float(x) + i).scaled((-1) ** i * C(k, i))
-        return acc
+        # sum_i (-1)^i C(k,i) psi(x+i) is (-1)^k times the k-th difference
+        values = [digamma(float(x) + i) for i in range(k + 1)]
+        return _alternating_certified_sum(k, values).scaled((-1) ** k)
 
     _add(
         "prop-one6",
@@ -1069,8 +1068,6 @@ def _float_rows():
         _one6_lhs,
         lambda k, x: CertifiedReal.from_exact(-factorial(k - 1) / rising(x, k)),
         {"float"},
-        mode="float",
-        tol=1e-9,
     )
 
 
@@ -1087,8 +1084,6 @@ def _table1_rows():
         ),
         lambda: CertifiedReal(2.0 * _LOG2, 4.0 * _ULP),
         {"table1", "float"},
-        mode="float",
-        tol=1e-12,
     )
     _add(
         "t1-1.41",
@@ -1140,8 +1135,6 @@ def _table1_rows():
         _t1_216_lhs,
         _t1_216_rhs,
         {"table1", "float"},
-        mode="float",
-        tol=1e-12,
     )
     _add(
         "t1-3.2",
@@ -1355,8 +1348,6 @@ def _table2_rows():
         ),
         lambda r: CertifiedReal(2.0**r * _LOG2, 2.0**r * 4 * _ULP),
         {"table2", "float"},
-        mode="float",
-        tol=1e-9,
     )
     _add(
         "t2-1.41",
@@ -1392,6 +1383,10 @@ def _table2_rows():
     def _t2_216_lhs(r):
         partial = bsum(1, 30, lambda k: F(1, C(r - 1 + k, k) ** 2 * factorial(k)),
                        lambda k: h(k, r))
+        # h(k,r) <= (k+r)^r (see t2-1.23) and C(r-1+k,k) >= 1, so term k is
+        # at most (k+r)^r/k!.  Consecutive bounds shrink by
+        # (1 + 1/(k+r))^r/(k+1) <= e^(r/(k+r))/(k+1) < e/32 < 1/2 for
+        # k >= 31, so the tail sum_{k>30} is below 2 (31+r)^r/31!.
         tail = 2.0 * float(31 + r) ** r / math.factorial(31)
         val = float(partial)
         return CertifiedReal(val, abs(val) * 4 * _ULP + tail)
@@ -1399,6 +1394,9 @@ def _table2_rows():
     def _t2_216_rhs(r):
         partial = bsum(0, 30, lambda k: (-1) ** k,
                        lambda k: F(1, (r + k) ** 2 * factorial(k)))
+        # The series alternates with decreasing terms 1/((r+k)^2 k!), so its
+        # tail beyond k = 30 is at most the first omitted term,
+        # 1/((r+31)^2 31!); the factor e scales it to e/((r+31)^2 31!).
         tail = math.e / (float(r + 31) ** 2 * math.factorial(31))
         val = math.e * float(partial)
         return CertifiedReal(val, abs(val) * 6 * _ULP + tail)
@@ -1411,8 +1409,6 @@ def _table2_rows():
         _t2_216_lhs,
         _t2_216_rhs,
         {"table2", "float"},
-        mode="float",
-        tol=1e-9,
     )
     _add(
         "t2-3.2",

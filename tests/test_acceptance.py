@@ -106,19 +106,25 @@ def test_second_order_closed_form():
 
 
 @criterion(4, "core suite all-PASS over default domains")
-def test_core_suite_all_pass():
-    report = run_suite({"core"})
-    assert report.all_pass, report.to_text()
-    by_key = {e.key: e for e in report.entries}
+def test_core_suite_all_pass(full_audit):
+    # the core rows of the session's one full audit over default domains
+    by_key = {
+        key: row
+        for key, row in full_audit.rows.items()
+        if "core" in get_identity(key).tags
+    }
+    assert len(by_key) == 37
+    failing = [key for key, row in by_key.items() if row["verdict"] != "PASS"]
+    assert failing == []
     # spot value of the index-balance identity
     prop5 = get_identity("prop-5")
     assert prop5.lhs(n=3, r=2) == F(1, 3)
     assert prop5.rhs(n=3, r=2) == F(1, 3)
     # parity-split alternating sum covers n <= 30
-    assert by_key["cor-w"].tested == 30
+    assert by_key["cor-w"]["tested"] == 30
     # Fibonacci binomial representation and sign rule cover k <= 40
-    assert by_key["cor-nf"].tested == 41
-    assert by_key["cor-fib-sign"].tested == 41
+    assert by_key["cor-nf"]["tested"] == 41
+    assert by_key["cor-fib-sign"]["tested"] == 41
 
 
 @criterion(5, "generating-function coefficients equal h(n, r), n <= 64, r <= 8")

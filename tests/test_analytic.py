@@ -1,8 +1,8 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-import scipy.special
 
 from hyperseq.analytic import (
     CertifiedReal,
@@ -49,11 +49,13 @@ class TestDigamma:
             digamma(x)
 
     def test_bound_is_honest_and_small(self):
-        for i in range(1, 400):
-            x = i / 8.0
-            v = digamma(x)
-            assert v.abs_error_bound <= 1e-12
-            assert abs(v.value - scipy.special.digamma(x)) <= v.abs_error_bound + 1e-14
+        with mpmath.workdps(50):
+            for i in range(1, 400):
+                x = i / 8.0
+                v = digamma(x)
+                assert v.abs_error_bound <= 1e-12
+                true = mpmath.digamma(mpmath.mpf(x))
+                assert abs(mpmath.mpf(v.value) - true) <= v.abs_error_bound, x
 
     def test_integer_values_match_harmonic(self):
         for n in range(1, 51):
@@ -147,7 +149,6 @@ class TestHyperharmonicReal:
     def test_interval_contains_true_value_at_huge_z(self, z, w):
         # The log-gamma error is far above 0.3 here, so the linear bound
         # on e^|d| - 1 no longer holds.
-        import mpmath
         with mpmath.workdps(60):
             zz, ww = mpmath.mpf(z), mpmath.mpf(w)
             true = (
@@ -201,7 +202,6 @@ class TestSumSeries:
     @pytest.mark.parametrize("x", [F(1, 4), F(7, 5), F(13, 6), F(15, 4)])
     def test_exp_series_contains_mpmath(self, x):
         # sum x^k/k!; past k + 2 >= 2x the tail is below 2 x^(k+1)/(k+1)!
-        import mpmath
 
         def tail(k):
             if k + 2 < 2 * x:
@@ -217,7 +217,6 @@ class TestSumSeries:
     @pytest.mark.parametrize("a", [F(2, 3), F(5, 4), F(17, 5), F(19, 4)])
     def test_hurwitz_zeta_two_contains_mpmath(self, a):
         # sum 1/(k+a)^2; the tail beyond K is below the integral 1/(K+a)
-        import mpmath
 
         v = sum_series(lambda k: 1 / (k + a) ** 2, lambda k: 1.0 / float(k + a), 1e-3)
         with mpmath.workdps(50):

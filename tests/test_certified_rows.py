@@ -1,17 +1,24 @@
-"""The certified float rows against an independent 50-digit oracle.
+"""The certified float rows against an independent mpmath oracle.
 
-Each side of ``t1-1.23``, ``t2-1.23``, ``t1-2.16`` and ``t2-2.16`` is a
-``CertifiedReal``: a float with an absolute error bound that covers the
-truncated tail and the rounding.  Every such interval must contain the
-side's true value, computed here with mpmath at 50 digits: series are
-summed directly far past the point where their terms drop below
-10^-100, and closed forms come from mpmath's own functions.
+Each side of every ``float`` row is a ``CertifiedReal``: a float with an
+absolute error bound that covers the truncated tail and the rounding.
+With no tolerance in the audit, these bounds alone decide the float
+verdicts, so every such interval must contain the side's true value.
+
+* ``t1-1.23``, ``t2-1.23``, ``t1-2.16`` and ``t2-2.16``: computed at 50
+  digits; series are summed directly far past the point where their
+  terms drop below 10^-100, and closed forms come from mpmath's own
+  functions.
+* ``prop-one11-sinh``, ``prop-one11-cosh``, ``rem-one11-x0`` and
+  ``prop-one6``, on every case of their default domains: computed at 60
+  digits; each left side is its alternating binomial sum of mpmath's
+  sinh, cosh or digamma, each right side its closed form.
 """
 
 import mpmath
 import pytest
 
-from hyperseq.identities import get_identity, row_scope
+from hyperseq.identities import _assignments, get_identity, row_scope
 
 mpf = mpmath.mpf
 
@@ -63,3 +70,53 @@ def test_each_side_interval_contains_the_true_value(key, r):
     with mpmath.workdps(50):
         for side, true in zip(sides, _oracles(key, r)):
             assert abs(mpf(side.value) - true) <= mpf(side.abs_error_bound)
+
+
+def _hyperbolic_difference(kind, k, x):
+    """The k-th forward difference of sinh or cosh at x, in closed form.
+
+    The difference of e^(+-x) is (e^(+-1) - 1)^k e^(+-x).
+    """
+    e = mpmath.e
+    up = (e - 1) ** k * mpmath.exp(x)
+    down = (1 / e - 1) ** k * mpmath.exp(-x)
+    return (up - down) / 2 if kind == "sinh" else (up + down) / 2
+
+
+def _alternating(k, fn, x):
+    """sum_i (-1)^(k-i) C(k, i) fn(x + i), the k-th forward difference."""
+    return mpmath.fsum(
+        (-1) ** (k - i) * mpmath.binomial(k, i) * fn(x + i) for i in range(k + 1)
+    )
+
+
+def _difference_oracles(key, pa):
+    """The true values of the row's left and right sides at ``pa``."""
+    if key == "prop-one6":
+        k, x = pa["k"], mpf(pa["x"].numerator) / pa["x"].denominator
+        lhs = (-1) ** k * _alternating(k, mpmath.digamma, x)
+        return lhs, -mpmath.factorial(k - 1) / mpmath.rf(x, k)
+    if key == "rem-one11-x0":
+        kind, x = ("sinh", "cosh")[pa["part"]], mpf(0)
+    else:
+        kind = key.rsplit("-", 1)[1]
+        x = mpf(pa["x"].numerator) / pa["x"].denominator
+    k = pa["k"]
+    fn = mpmath.sinh if kind == "sinh" else mpmath.cosh
+    return _alternating(k, fn, x), _hyperbolic_difference(kind, k, x)
+
+
+@pytest.mark.parametrize(
+    "key", ["prop-one11-sinh", "prop-one11-cosh", "rem-one11-x0", "prop-one6"]
+)
+def test_every_case_interval_contains_the_true_value(key):
+    identity = get_identity(key)
+    cases = list(_assignments(identity, None, None))
+    assert len(cases) == {"prop-one6": 40, "rem-one11-x0": 32}.get(key, 144)
+    with mpmath.workdps(60):
+        for pa in cases:
+            with row_scope():
+                sides = (identity.lhs(**pa), identity.rhs(**pa))
+            for side, true in zip(sides, _difference_oracles(key, pa)):
+                error = abs(mpf(side.value) - true)
+                assert error <= mpf(side.abs_error_bound), (pa, side, true)

@@ -279,14 +279,25 @@ class TestConfig:
         _, via_flag, _ = run_cli(capsys, "audit", "--only", key, span, "--format", "json")
         assert via_config == via_flag
 
-    def test_bad_tolerance_rejected(self, tmp_path, capsys):
+    def test_tolerance_key_rejected(self, tmp_path, capsys):
+        # float verdicts come from the certified radii alone
         cfg = tmp_path / "hyperseq.conf"
-        cfg.write_text("tolerance = 2.0\n")
-        code, _, err = run_cli(capsys, "--config", str(cfg), "compute",
-                               "harmonic", "--n", "1")
-        assert code == 2
+        cfg.write_text("tolerance = 1e-6\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "audit",
+                                 "--only", "prop-5", "--max", "2")
+        assert (code, out) == (2, "")
+        assert "unknown key 'tolerance'" in err
 
-    @pytest.mark.parametrize("line", ["max_n = abc", "tolerance = x"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_counterexamples_key_rejected(self, tmp_path, capsys, value):
+        cfg = tmp_path / "hyperseq.conf"
+        cfg.write_text(f"counterexamples = {value}\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "audit",
+                                 "--only", "prop-5", "--max", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:1: counterexamples must be positive\n"
+
+    @pytest.mark.parametrize("line", ["max_n = abc", "counterexamples = x"])
     def test_unconvertible_value_names_file_line_and_key(self, tmp_path, capsys, line):
         cfg = tmp_path / "hyperseq.conf"
         cfg.write_text("# comment\n" + line + "\n")
@@ -299,7 +310,7 @@ class TestConfig:
 
 
 class TestAuditFlags:
-    @pytest.mark.parametrize("flag", ["--tolerance", "--counterexamples"])
+    @pytest.mark.parametrize("flag", ["--counterexamples"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_out_of_range_flag_is_usage_error(self, capsys, flag, value):
         code, out, err = run_cli(
@@ -435,6 +446,15 @@ class TestGarbageInput:
             main(["audit", "--only", "prop-5", "--w", "3", "--max", "2"])
         assert exc.value.code == 2
         assert "--w" in capsys.readouterr().err
+
+    def test_audit_has_no_tolerance(self, capsys):
+        # Float verdicts come from the certified radii alone.
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--only", "prop-5", "--tolerance", "1e-6"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tolerance" in captured.err
 
 
 class TestModuleEntryPoint:

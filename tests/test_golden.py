@@ -84,8 +84,9 @@ def audit_stdout() -> str:
     return buf.getvalue()
 
 
-def test_full_audit_json_is_byte_identical():
-    assert audit_stdout() == AUDIT_JSON.read_text()
+def test_full_audit_json_is_byte_identical(full_audit):
+    # the same stdout as audit_stdout(), from the session's one full run
+    assert full_audit.stdout == AUDIT_JSON.read_text()
 
 
 def test_exact_row_digests(digests_then_memo_sizes):

@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 import hyperseq.identities as ident
+from hyperseq.analytic import CertifiedReal
 from hyperseq.opcalc import gf_hyperharmonic
 from hyperseq.identities import (
     Identity,
@@ -68,6 +70,21 @@ class TestRegistryCoverage:
             assert "table1" in get_identity(key).tags
         for key in TABLE2_IDS:
             assert "table2" in get_identity(key).tags
+
+    def test_mode_follows_the_float_tag(self):
+        # mode is derived from the tag, so the tag must match what the
+        # sides return: balls on float rows, exact rationals elsewhere.
+        for key in list_identities():
+            identity = get_identity(key)
+            pa = next(ident._assignments(identity, None, None))
+            with ident.row_scope():
+                sides = [identity.lhs(**pa), identity.rhs(**pa)]
+            if "float" in identity.tags:
+                assert identity.mode == "float"
+                assert all(isinstance(v, CertifiedReal) for v in sides), key
+            else:
+                assert identity.mode == "exact"
+                assert all(type(v) in (int, F) for v in sides), key
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
@@ -160,7 +177,7 @@ class TestVerify:
             tags=frozenset({"probe"}),
         )
         verdict, tested, skipped, cex, reasons = ident._evaluate_pair(
-            probe, probe.lhs, probe.rhs, ident._assignments(probe, None, None), 5, None
+            probe, probe.lhs, probe.rhs, ident._assignments(probe, None, None), 5
         )
         assert (verdict, tested, skipped) == ("PASS", 3, 1)
         assert reasons[0]["params"] == {"n": 0}
@@ -180,6 +197,46 @@ class TestVerify:
         monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
         with pytest.raises(ZeroDivisionError):
             verify("probe-zero")
+
+    @pytest.mark.parametrize("ball", [
+        CertifiedReal(0.0, math.inf),
+        CertifiedReal(math.nan, 0.0),
+        CertifiedReal(math.inf, 0.0),
+        CertifiedReal(0.0, math.nan),
+    ], ids=["inf-radius", "nan-centre", "inf-centre", "nan-radius"])
+    def test_non_finite_ball_fails_and_the_audit_runs_on(self, monkeypatch, ball):
+        probe = Identity(
+            key="probe-ball",
+            anchor="a ball that is not a finite interval proves nothing",
+            params=(IntRange("n", 1, 2),),
+            lhs=lambda n: ball,
+            rhs=lambda n: CertifiedReal(0.0, 0.0),
+            tags=frozenset({"float"}),
+        )
+        monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
+        rep = verify("probe-ball")
+        assert (rep.mode, rep.verdict, rep.tested) == ("float", "FAIL", 2)
+        suite = run_suite({"float"}, max_bound=2)
+        verdicts = {e.key: e.verdict for e in suite.entries}
+        assert verdicts.pop("probe-ball") == "FAIL"
+        assert set(verdicts.values()) == {"PASS"}
+        assert suite.to_json() and suite.to_text()  # rendering does not raise
+
+    def test_float_verdict_is_an_exact_overlap_test(self, monkeypatch):
+        # Centres 1e16 + 2 and 0.5 are 1e16 + 1.5 apart, which rounds to
+        # 1e16 + 2 in floats, as does the radius sum 1e16 + 1.25; only the
+        # exact comparison sees that these balls miss.
+        for radius, verdict in ((1.25, "FAIL"), (1.5, "PASS")):
+            probe = Identity(
+                key="probe-gap",
+                anchor="two balls whose gap floats cannot resolve",
+                params=(),
+                lhs=lambda: CertifiedReal(1e16 + 2, 1e16),
+                rhs=lambda: CertifiedReal(0.5, radius),
+                tags=frozenset({"float"}),
+            )
+            monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
+            assert verify("probe-gap").verdict == verdict, radius
 
 
 #: Rows whose rational parameter meets poles at negative integers.
@@ -215,18 +272,13 @@ def test_valid_excludes_exactly_the_poles(key):
     assert excluded > 0
 
 
-@pytest.fixture(scope="module")
-def full_audit():
-    return run_suite()
-
-
 class TestRowMemos:
     def _sizes(self):
         return [memo.cache_info().currsize for memo in ident._ROW_MEMOS]
 
     def test_every_memo_is_empty_after_a_full_run(self, full_audit):
-        assert len(full_audit.entries) == len(list_identities())
-        assert self._sizes() == [0] * len(ident._ROW_MEMOS)
+        assert sorted(full_audit.rows) == list_identities()
+        assert full_audit.memo_sizes == [0] * len(ident._ROW_MEMOS)
 
     def test_memos_are_emptied_when_a_row_raises(self, monkeypatch):
         def lhs(n):
@@ -258,10 +310,8 @@ class TestRowMemos:
         "key", ["t2-3.108", "prop-teo4", "t2-7.2", "prop-one1-n", "t2-12.9a"]
     )
     def test_row_alone_matches_the_row_in_a_full_run(self, full_audit, key):
-        in_suite = next(e for e in full_audit.entries if e.key == key)
-        alone = verify(key)
         # every field but elapsed
-        assert alone.to_json_obj() == in_suite.to_json_obj()
+        assert verify(key).to_json_obj() == full_audit.rows[key]
 
 
 class TestRunSuite:
@@ -327,8 +377,8 @@ class TestRunSuite:
         assert a.to_csv() == b.to_csv()
 
     def test_certified_bounds_alone_cover_true_rows(self):
-        # With the tolerance forced to ~zero the certified error bounds must
-        # still absorb the floating-point discrepancy of every true float
-        # row; this is the honesty check on CertifiedReal.
-        rep = run_suite({"float"}, max_bound=10, tolerance_override=1e-30)
+        # The certified radii alone must absorb the floating-point
+        # discrepancy of every true float row, over the default domains.
+        rep = run_suite({"float"})
         assert rep.all_pass, rep.to_text()
+        assert {e.mode for e in rep.entries} == {"float"}

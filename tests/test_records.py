@@ -60,8 +60,6 @@ RECORDS = {
         ("lhs", _lhs),
         ("rhs", _rhs),
         ("tags", frozenset({"probe"})),
-        ("mode", "float"),
-        ("tol", 1e-9),
         ("valid", _valid),
         ("alt_rhs", _rhs),
     ),
@@ -86,7 +84,6 @@ RECORDS = {
     AuditReport: (("entries", [_IDENTITY_REPORT]),),
     CliConfig: (
         ("bounds", {"n": (None, 4)}),
-        ("tolerance", 1e-6),
         ("format", "json"),
         ("counterexamples", 2),
     ),
@@ -189,12 +186,12 @@ def test_mutable_records_take_assignment_and_do_not_hash(cls):
 
 
 def test_defaults():
-    assert CliConfig() == CliConfig({}, None, "text", 5)
+    assert CliConfig() == CliConfig({}, "text", 5)
     report = IdentityReport("k", "a", "exact", "PASS", 1, 0, [])
     assert (report.skip_reasons, report.alternative, report.elapsed) == ([], None, 0.0)
     identity = Identity("k", "a", (), _lhs, _rhs, frozenset())
-    assert (identity.mode, identity.tol, identity.valid, identity.alt_rhs) == (
-        "exact", 0.0, None, None,
+    assert (identity.mode, identity.valid, identity.alt_rhs) == (
+        "exact", None, None,
     )
     assert not identity.dual_convention
 
