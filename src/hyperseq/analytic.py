@@ -68,7 +68,16 @@ class CertifiedReal(record("CertifiedReal", ("value", "abs_error_bound"), frozen
         )
 
     def to_json_obj(self) -> dict:
-        return {"value": self.value, "abs_error_bound": self.abs_error_bound}
+        """Both fields as JSON numbers; a non-finite one as "inf", "-inf"
+        or "nan", since JSON has no literal for it."""
+        return {
+            "value": _json_float(self.value),
+            "abs_error_bound": _json_float(self.abs_error_bound),
+        }
+
+
+def _json_float(v: float):
+    return v if math.isfinite(v) else str(v)
 
 
 def as_certified(x) -> CertifiedReal:
@@ -100,7 +109,7 @@ def digamma(x: Exactish) -> CertifiedReal:
     Shifts the argument above 10 by psi(x+1) = psi(x) + 1/x, then sums
     the asymptotic expansion through the 1/x**12 term.
     """
-    x = float(x)
+    x = x0 = float(x)
     if not 0.0 < x < math.inf:
         raise DomainError(f"digamma needs finite x > 0, got {x}")
     acc = 0.0
@@ -122,8 +131,11 @@ def digamma(x: Exactish) -> CertifiedReal:
     value = acc + lnx - 0.5 / x - tail
     acc_abs += abs(lnx) + 0.5 / x + abs(tail)
     trunc = upow * x * x / 12.0  # first omitted term, 1/(12 x**14)
-    rounding = (ops + 6) * _EPS * acc_abs
-    return CertifiedReal(value, trunc + rounding)
+    bound = trunc + (ops + 6) * _EPS * acc_abs
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        # a subnormal x: the first shift step 1/x already overflows
+        raise DomainError(f"digamma({x0!r}) is not finite in double precision")
+    return CertifiedReal(value, bound)
 
 
 #: gamma = 0.57721566490153286060651209008240... to double precision.

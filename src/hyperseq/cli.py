@@ -261,7 +261,7 @@ def _cmd_compute(args) -> int:
             print(f"error: bad argument {raw!r}", file=sys.stderr)
             return EXIT_USAGE
         value = digamma(x)
-        print(json.dumps(value.to_json_obj()))
+        print(json.dumps(value.to_json_obj(), allow_nan=False))
         return EXIT_OK
     if seq == "harmonic":
         value = harmonic(need("n", args.n))
@@ -303,7 +303,7 @@ def _cmd_series(args) -> int:
         ps = gf_alpha(args.r, args.order)
     else:
         ps = gf_beta(args.r, args.order)
-    print(json.dumps(ps.to_json_list()))
+    print(json.dumps(ps.to_json_list(), allow_nan=False))
     return EXIT_OK
 
 
@@ -321,7 +321,7 @@ def _cmd_table(args, cfg: CliConfig) -> int:
     ]
     fmt = args.format or cfg.format
     if fmt == "json":
-        print(json.dumps(grid))
+        print(json.dumps(grid, allow_nan=False))
     elif fmt == "csv":
         header = ["n\\r"] + [str(r) for r in range(r_lo, r_hi + 1)]
         print(",".join(header))

@@ -22,8 +22,12 @@ anchor: ``h(n, w)`` at any order (integer of either sign, or rational),
 ``falling`` factorials, and the sums ``bsum`` (a coefficient-weighted
 range), ``alt_sum`` (the k-th difference form) and ``total``.  ``h`` and
 ``Cg``, like the other values that repeat across one row's cases, are
-memoized for that row only; ``verify`` runs each row in ``row_scope()``,
-which empties those memos when the row ends, even when it raises.
+memoized for that row only.  So are the term pieces a row would rebuild
+case after case, each keyed on exactly the parameters it depends on,
+such as the n-free term k of an order-r sum (``_t2_43_term``,
+``_t2_129_k``); every case still sums its own terms.  ``verify`` runs
+each row in ``row_scope()``, which empties those memos when the row
+ends, even when it raises.
 
 Table rows keep the summation numbering of Gould's "Combinatorial
 Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
@@ -201,7 +205,7 @@ class AuditReport(record("AuditReport", ("entries",))):
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(
-            [e.to_json_obj() for e in self.entries], indent=indent
+            [e.to_json_obj() for e in self.entries], indent=indent, allow_nan=False
         )
 
     def to_csv(self) -> str:
@@ -556,6 +560,62 @@ def _t2_3108_side(n: int, m: int, r: int) -> Fraction:
 def _inv_falling(x: int, m: int) -> Fraction:
     """1 / (x falling m); ``prop-falling`` needs it at every k of every case."""
     return 1 / falling(x, m)
+
+
+@_row_memo
+def _gould43_power(n: int, k: int, x) -> Fraction:
+    """(x-k)^k (1-x+k)^(n-k), the Gould (4.3) power; free of the order r."""
+    return (x - k) ** k * (1 - x + k) ** (n - k)
+
+
+@_row_memo
+def _t2_43_term(k: int, r: int, x) -> Fraction:
+    """u^(k-1)/c (k - u h(k, r)/c), u = x+r-1, c = C(r-1+k, k); free of n.
+
+    It is term k of the order-r Gould (4.3) lhs.
+    """
+    u = x + r - 1
+    c = C(r - 1 + k, k)
+    return u ** (k - 1) / c * (k - u * h(k, r) / c)
+
+
+@_row_memo
+def _h_sq_plus_h2(k: int) -> Fraction:
+    """H(k)^2 + H(k; 2), the Gould (7.15) term."""
+    return H(k) ** 2 + Hm(k, 2)
+
+
+@_row_memo
+def _gould_coeff(upper: int, k: int) -> Fraction:
+    """rising(upper, k) rising(1/2, k) 4^k / k!, Gould (7.29)/(7.30)'s k-th
+    hypergeometric coefficient; free of r."""
+    return rising(upper, k) * rising(F(1, 2), k) * 4**k / factorial(k)
+
+
+#: d/dj 1/rising(c + j, k) at j = 0, memoized per row for Gould (7.29)/(7.30).
+_dx_reciprocal_rising = _row_memo(dx_reciprocal_rising)
+
+
+@_row_memo
+def _t2_129_k(k: int, r: int, x) -> tuple:
+    """The n-free pieces of term k of Gould (12.9) at order r.
+
+    They are ratio = (x+r+2k)/(x+r+k), ratio h(k, r)/C(r-1+k, k) and
+    k/(x+r+k)^2; both forms read them, the table-1 rows at r = 1.
+    """
+    ratio = (x + r + 2 * k) / (x + r + k)
+    return ratio, ratio * h(k, r) / C(r - 1 + k, k), F(k) / (x + r + k) ** 2
+
+
+def _t2_129a_lhs(n: int, r: int, x) -> Fraction:
+    """The lhs of Gould (12.9), first form, at order r; ``t1-12.9a`` is r = 1."""
+    prefs, inners = [], []
+    for k in range(n + 1):
+        big = Cg(x + (r + k + n), n)  # one Fraction addition, not three
+        prefs.append(C(n, k) * C(r - 1 + k, k) / Cg(x + k, k) / big)
+        ratio, head, tail = _t2_129_k(k, r, x)
+        inners.append(head - ratio * h(n, x + (k + r + 1)) / big - tail)
+    return dot(prefs, inners)
 
 
 @_row_memo
@@ -1259,30 +1319,18 @@ def _table1_rows():
         "t1-7.15",
         "Gould (7.15): sum_k C(n,k) C(r,k) (H(k)^2 + H(k,2)) in closed form",
         (IntRange("n", 1, 25), IntRange("r", 1, 25)),
-        lambda n, r: bsum(1, n, lambda k: C(n, k) * C(r, k),
-                          lambda k: H(k) ** 2 + Hm(k, 2)),
+        lambda n, r: bsum(1, n, lambda k: C(n, k) * C(r, k), _h_sq_plus_h2),
         lambda n, r: C(r + n, n) * (Hm(n, 2) - Hm(n + r, 2) + Hm(r, 2))
         + (C(r + n, n) * H(n) - h(n, r + 1)) * (H(n) - H(n + r) + H(r)),
         {"table1"},
     )
-
-    def _t1_129a_lhs(n, x):
-        prefs, inners = [], []
-        for k in range(n + 1):
-            big = Cg(x + k + 1 + n, n)
-            prefs.append(C(n, k) / Cg(x + k, k) / big)
-            inners.append(
-                (x + 2 * k + 1) / (x + k + 1) * (H(k) - h(n, x + k + 2) / big)
-                - F(k) / (x + k + 1) ** 2
-            )
-        return dot(prefs, inners)
 
     _add(
         "t1-12.9a",
         "Gould (12.9), first form: the C(x+k,k)-weighted telescoping sum "
         "is zero",
         (IntRange("n", 1, 15), RationalChoice("x", SAMPLE_RATIONALS)),
-        _t1_129a_lhs,
+        lambda n, x: _t2_129a_lhs(n, 1, x),
         lambda n, x: F(0),
         {"table1"},
         # Poles, over k = 0..n: C(x+k,k) = 0 at x = -1..-k, x+k+1 = 0, and
@@ -1292,14 +1340,13 @@ def _table1_rows():
     )
 
     def _t1_129b_lhs(n, y):
+        # t2-12.9b at r = 1 but for the sign of the k/(y+k+1)^2 term
         prefs, inners = [], []
         for k in range(n + 1):
-            big = Cg(y + k + 1 + n, n)
+            big = Cg(y + (k + 1 + n), n)
             prefs.append(C(n, k) * Cg(y + k, k) / big)
-            inners.append(
-                (y + 2 * k + 1) / (y + k + 1) * (H(k) + h(n, y + k + 2) / big)
-                - F(k) / (y + k + 1) ** 2
-            )
+            ratio, head, tail = _t2_129_k(k, 1, y)
+            inners.append(head + ratio * h(n, y + (k + 2)) / big - tail)
         return dot(prefs, inners)
 
     _add(
@@ -1471,27 +1518,15 @@ def _table2_rows():
         {"table2"},
     )
 
-    def _t2_43_lhs(n, r, x):
-        u = x + r - 1
-
-        def term(k):
-            c = C(r - 1 + k, k)
-            return u ** (k - 1) / c * (k - u * h(k, r) / c)
-
-        return bsum(1, n, lambda k: (-1) ** k * C(n, k), term)
-
     _add(
         "t2-4.3",
         "Gould (4.3), order-r form of the (x-k)^k (1-x+k)^(n-k) identity",
         (IntRange("n", 1, 15), IntRange("r", 1, 8),
          RationalChoice("x", SAMPLE_RATIONALS)),
-        _t2_43_lhs,
-        lambda n, r, x: bsum(
-            1,
-            n,
-            lambda k: C(n, k) * k,
-            lambda k: (x - k) ** k * (1 - x + k) ** (n - k) / (r - 1 + k) ** 2,
-        ),
+        lambda n, r, x: bsum(1, n, lambda k: (-1) ** k * C(n, k),
+                             lambda k: _t2_43_term(k, r, x)),
+        lambda n, r, x: bsum(1, n, lambda k: C(n, k) * k,
+                             lambda k: _gould43_power(n, k, x) / (r - 1 + k) ** 2),
         {"table2"},
     )
     _add(
@@ -1564,8 +1599,8 @@ def _table2_rows():
         return bsum(
             1,
             -upper,
-            lambda k: rising(upper, k) * rising(F(1, 2), k) * 4**k / factorial(k),
-            lambda k: dx_reciprocal_rising(n + r, k),
+            lambda k: _gould_coeff(upper, k),
+            lambda k: _dx_reciprocal_rising(n + r, k),
         )
 
     def _gould_hypergeom_rhs(n, r, m):
@@ -1591,20 +1626,6 @@ def _table2_rows():
         {"table2"},
     )
 
-    def _t2_129a_lhs(n, r, x):
-        prefs, inners = [], []
-        for k in range(n + 1):
-            big = Cg(x + r + k + n, n)
-            c = C(r - 1 + k, k)
-            prefs.append(C(n, k) / Cg(x + k, k) / big * c)
-            ratio = (x + r + 2 * k) / (x + r + k)
-            inners.append(
-                ratio * h(k, r) / c
-                - ratio * h(n, x + k + r + 1) / big
-                - F(k) / (x + r + k) ** 2
-            )
-        return dot(prefs, inners)
-
     _add(
         "t2-12.9a",
         "Gould (12.9), first order-r form: the weighted telescoping sum is "
@@ -1624,15 +1645,10 @@ def _table2_rows():
     def _t2_129b_lhs(n, r, y):
         prefs, inners = [], []
         for k in range(n + 1):
-            big = Cg(r + y + k + n, n)
-            c = C(r - 1 + k, k)
-            prefs.append(C(n, k) * Cg(y + k, k) / big / c)
-            ratio = (r + y + 2 * k) / (r + y + k)
-            inners.append(
-                ratio * h(k, r) / c
-                + ratio * h(n, y + k + r + 1) / big
-                + F(k) / (r + y + k) ** 2
-            )
+            big = Cg(y + (r + k + n), n)
+            prefs.append(C(n, k) * Cg(y + k, k) / big / C(r - 1 + k, k))
+            ratio, head, tail = _t2_129_k(k, r, y)
+            inners.append(head + ratio * h(n, y + (k + r + 1)) / big + tail)
         return dot(prefs, inners)
 
     _add(

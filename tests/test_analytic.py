@@ -73,6 +73,11 @@ class TestEulerGamma:
         assert abs(euler_gamma().value + digamma(1.0).value) < 1e-12
         assert abs(euler_gamma().value + digamma(2.0).value - 1.0) < 1e-12
 
+    def test_ball_contains_mpmath(self):
+        g = euler_gamma()
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(g.value) - mpmath.euler) <= g.abs_error_bound
+
     def test_extrapolation_oracle(self):
         # gamma = H_n - ln n - 1/(2n) + 1/(12 n^2) - 1/(120 n^4) + O(n^-6)
         n = 10_000
@@ -92,6 +97,20 @@ class TestLogGamma:
             x = i / 16.0
             v = log_gamma(x)
             assert abs(v.value - math.lgamma(x)) <= v.abs_error_bound + 1e-12
+
+    def test_ball_contains_mpmath(self):
+        # every shift count 0..9, then the Stirling tail alone out to 1e299,
+        # and arguments far below 1 where the shift dominates
+        grid = (
+            [i / 16.0 for i in range(1, 1601)]
+            + [2.0**-j for j in range(1, 60)]
+            + [10.0**j for j in range(2, 300, 7)]
+        )
+        with mpmath.workdps(50):
+            for x in grid:
+                v = log_gamma(x)
+                true = mpmath.loggamma(mpmath.mpf(x))
+                assert abs(mpmath.mpf(v.value) - true) <= v.abs_error_bound, x
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -296,6 +315,21 @@ class TestHyperbolicDifferences:
                         binomial_int(k, j) * abs(fn(x + j)) for j in range(k + 1)
                     ) * (k + 2) * 2.0**-52
                     assert abs(closed.value - direct) <= 1e-12 + closed.abs_error_bound + slack
+
+    def test_ball_contains_mpmath(self):
+        # The k-th difference of e^(+-x) is (e^(+-1) - 1)^k e^(+-x).
+        with mpmath.workdps(50):
+            e = mpmath.e
+            for kind in ("sinh", "cosh"):
+                for k in range(31):
+                    for i in range(-40, 41):
+                        x = i / 4.0
+                        up = (e - 1) ** k * mpmath.exp(x)
+                        down = (1 / e - 1) ** k * mpmath.exp(-x)
+                        true = (up - down) / 2 if kind == "sinh" else (up + down) / 2
+                        v = delta_hyperbolic_closed_form(kind, k, x)
+                        error = abs(mpmath.mpf(v.value) - true)
+                        assert error <= v.abs_error_bound, (kind, k, x)
 
     def test_bad_kind(self):
         with pytest.raises(DomainError):

@@ -335,11 +335,27 @@ class TestAuditFlags:
 class TestGarbageInput:
     """Inputs that used to print plausible output and exit 0."""
 
-    @pytest.mark.parametrize("arg", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("arg", ["nan", "inf", "-inf", "1e-310"])
     def test_non_finite_digamma_is_domain_error(self, capsys, arg):
+        # 1e-310 is finite but subnormal: 1/x overflows and the ball is
+        # (-inf, inf), which used to print as the non-JSON -Infinity
         code, out, err = run_cli(capsys, "compute", "digamma", f"--arg={arg}")
         assert (code, out) == (4, "")
         assert "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "digamma", "--arg", "1e-300"),
+        ("series", "--gf", "hyperharmonic", "--r", "3", "--order", "8"),
+        ("table", "beta", "--n", "0:3", "--r", "1:3", "--format", "json"),
+        ("audit", "--only", "prop-one11-sinh", "--max", "3", "--format", "json"),
+    ], ids=["compute", "series", "table", "audit"])
+    def test_json_output_is_strict_json(self, capsys, argv):
+        def no_constant(name):
+            raise AssertionError(f"non-JSON literal {name} in the output")
+
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        json.loads(out, parse_constant=no_constant)
 
     @pytest.mark.parametrize("sequence, flags", [
         ("harmonic", ("--n", "3")),

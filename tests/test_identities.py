@@ -222,6 +222,28 @@ class TestVerify:
         assert set(verdicts.values()) == {"PASS"}
         assert suite.to_json() and suite.to_text()  # rendering does not raise
 
+    def test_non_finite_ball_is_written_as_strict_json(self, monkeypatch):
+        def no_constant(name):
+            raise AssertionError(f"non-JSON literal {name} in the report")
+
+        probe = Identity(
+            key="probe-ball",
+            anchor="a ball with no finite centre or radius",
+            params=(IntRange("n", 1, 1),),
+            lhs=lambda n: CertifiedReal(math.nan, math.inf),
+            rhs=lambda n: CertifiedReal(-math.inf, 0.0),
+            tags=frozenset({"float"}),
+        )
+        monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
+        (row,) = json.loads(
+            run_suite(only=["probe-ball"]).to_json(), parse_constant=no_constant
+        )
+        assert row["counterexamples"][0] == {
+            "params": {"n": 1},
+            "lhs": {"value": "nan", "abs_error_bound": "inf"},
+            "rhs": {"value": "-inf", "abs_error_bound": 0.0},
+        }
+
     def test_float_verdict_is_an_exact_overlap_test(self, monkeypatch):
         # Centres 1e16 + 2 and 0.5 are 1e16 + 1.5 apart, which rounds to
         # 1e16 + 2 in floats, as does the radius sum 1e16 + 1.25; only the
@@ -272,6 +294,27 @@ def test_valid_excludes_exactly_the_poles(key):
     assert excluded > 0
 
 
+def test_t2_12_9b_at_order_one_balances_where_t1_12_9b_fails():
+    # The two lhs differ only in the sign of the k/(y+k+1)^2 term: the
+    # order-r form at r = 1 equals H(n) on every case of t1-12.9b's grid,
+    # and t1-12.9b, as transcribed, fails on every one.
+    t1, t2 = get_identity("t1-12.9b"), get_identity("t2-12.9b")
+    cases = list(ident._assignments(t1, None, None))
+    assert len(cases) == 90
+    with ident.row_scope():
+        for pa in cases:
+            n, y = pa["n"], pa["y"]
+            order_one = t2.lhs(n=n, r=1, y=y)
+            assert order_one == t2.rhs(n=n, r=1, y=y) == ident.H(n), pa
+            assert t1.lhs(**pa) != t1.rhs(**pa), pa
+            tail = ident.bsum(
+                0, n,
+                lambda k: ident.C(n, k) * ident.Cg(y + k, k) / ident.Cg(y + k + 1 + n, n),
+                lambda k: F(k) / (y + k + 1) ** 2,
+            )
+            assert order_one - t1.lhs(**pa) == 2 * tail, pa
+
+
 class TestRowMemos:
     def _sizes(self):
         return [memo.cache_info().currsize for memo in ident._ROW_MEMOS]
@@ -290,6 +333,13 @@ class TestRowMemos:
             ident._inv_falling(n + 2, 2)
             ident._gf_hyper_coeff(1, n)
             get_identity("t2-3.108").lhs(n=1, m=2, r=1)
+            ident._gould43_power(n + 1, n, F(1, 2))
+            ident._t2_43_term(n, 2, F(1, 2))
+            ident._h_sq_plus_h2(n)
+            ident._gould_coeff(-2 * n, n)
+            ident._dx_reciprocal_rising(n + 1, n)
+            ident._t2_129_k(n, 2, F(1, 2))
+            assert 0 not in self._sizes()
             return F(1, 0)
 
         probe = Identity(
@@ -303,11 +353,15 @@ class TestRowMemos:
         monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
         with pytest.raises(ZeroDivisionError):
             verify("probe-raise")
-        assert len(ident._ROW_MEMOS) == 7  # the lhs above fills each one
-        assert self._sizes() == [0] * 7
+        assert len(ident._ROW_MEMOS) == 13  # the lhs above fills each one
+        assert self._sizes() == [0] * 13
 
     @pytest.mark.parametrize(
-        "key", ["t2-3.108", "prop-teo4", "t2-7.2", "prop-one1-n", "t2-12.9a"]
+        "key",
+        [
+            "t2-3.108", "prop-teo4", "t2-7.2", "prop-one1-n", "t2-12.9a",
+            "t2-4.3", "t1-7.15", "t2-7.29", "t2-7.30", "t2-12.9b", "t1-12.9a",
+        ],
     )
     def test_row_alone_matches_the_row_in_a_full_run(self, full_audit, key):
         # every field but elapsed
