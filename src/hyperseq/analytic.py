@@ -45,10 +45,8 @@ class CertifiedReal(record("CertifiedReal", ("value", "abs_error_bound"), frozen
         )
 
     def __sub__(self, other: "CertifiedReal") -> "CertifiedReal":
-        v = self.value - other.value
-        return CertifiedReal(
-            v, self.abs_error_bound + other.abs_error_bound + abs(v) * _EPS
-        )
+        # a - b is a + (-b) in IEEE arithmetic, so the ball is the same
+        return self + CertifiedReal(-other.value, other.abs_error_bound)
 
     def __mul__(self, other: "CertifiedReal") -> "CertifiedReal":
         v = self.value * other.value
@@ -163,8 +161,11 @@ _HALF_LOG_TWO_PI = 0.9189385332046727
 
 def log_gamma(x: Exactish) -> CertifiedReal:
     """ln Gamma(x) for finite real x > 0, by shift-and-Stirling with an explicit
-    remainder bound."""
-    x = float(x)
+    remainder bound.
+
+    Past x of about 2.55e305 the ball overflows, which is a DomainError.
+    """
+    x = x0 = float(x)
     if not 0.0 < x < math.inf:
         raise DomainError(f"log_gamma needs finite x > 0, got {x}")
     shift = 0.0
@@ -187,7 +188,10 @@ def log_gamma(x: Exactish) -> CertifiedReal:
     mag = shift_abs + abs((x - 0.5) * math.log(x)) + x + 1.0 + abs(tail)
     trunc = upow / 156.0 * x * x / x  # first omitted term, 1/(156 x**13)
     rounding = (ops + 8) * _EPS * mag
-    return CertifiedReal(value, trunc + rounding)
+    bound = trunc + rounding
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise DomainError(f"log_gamma({x0!r}) is not finite in double precision")
+    return CertifiedReal(value, bound)
 
 
 def hyperharmonic_real(z: Exactish, w: Exactish) -> CertifiedReal:
@@ -199,7 +203,8 @@ def hyperharmonic_real(z: Exactish, w: Exactish) -> CertifiedReal:
     magnitude of the result beyond that (the log-gamma route cannot
     certify a fixed absolute bound for large values in doubles).  From z
     around 1e13 the log-gamma error makes the bound exceed the value, and
-    past about 3e15 the bound is infinite.
+    past about 3e15 the bound is infinite.  Past about 2.55e305, where the
+    log-gamma ball itself overflows, it raises DomainError.
     """
     z = float(z)
     w = float(w)

@@ -49,6 +49,40 @@ _SAMPLE_PARAMS = ("x", "y", "z")
 _SERIES_CAP = 512
 
 _SUITES = ("core", "table1", "table2", "float", "all")
+_FORMATS = ("json", "csv", "text")
+
+# each exact ``compute`` sequence: its function and the flags it reads, in
+# argument order
+_COMPUTE = {
+    "harmonic": (harmonic, ("n",)),
+    "gen-harmonic": (gen_harmonic, ("n", "m")),
+    "hyperharmonic": (
+        lambda n, r, method: hyperharmonic(n, r, HyperharmonicMethod(method)),
+        ("n", "r", "method"),
+    ),
+    "hyperharmonic-neg": (hyperharmonic_neg, ("n", "r")),
+    "hyperharmonic-q": (
+        lambda n, w: hyperharmonic_rational_order(n, parse_rational(w)),
+        ("n", "w"),
+    ),
+    "fibonacci": (fibonacci, ("k",)),
+    "alpha": (alpha, ("n", "r")),
+    "beta": (beta, ("n", "r")),
+}
+
+# each ``series --gf``: a function of (r, order)
+_SERIES = {
+    "harmonic": lambda r, order: gf_harmonic(order),
+    "hyperharmonic": gf_hyperharmonic,
+    "alpha": gf_alpha,
+    "beta": gf_beta,
+}
+
+_TABLE = {
+    "hyperharmonic": hyperharmonic,
+    "hyperharmonic-neg": hyperharmonic_neg,
+    "beta": beta,
+}
 
 
 class CliConfig(
@@ -99,7 +133,7 @@ def _parse_config_file(path: str) -> CliConfig:
                 raise ConfigError(f"{path}:{lineno}: {key} must be positive")
             cfg.counterexamples = cap
         elif key == "format":
-            if value not in ("json", "csv", "text"):
+            if value not in _FORMATS:
                 raise ConfigError(f"{path}:{lineno}: unknown format {value!r}")
             cfg.format = value
         else:
@@ -178,20 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="print one sequence value")
-    compute.add_argument(
-        "sequence",
-        choices=[
-            "harmonic",
-            "gen-harmonic",
-            "hyperharmonic",
-            "hyperharmonic-neg",
-            "hyperharmonic-q",
-            "fibonacci",
-            "alpha",
-            "beta",
-            "digamma",
-        ],
-    )
+    compute.add_argument("sequence", choices=[*_COMPUTE, "digamma"])
     compute.add_argument("--n", type=int)
     compute.add_argument("--m", type=int)
     compute.add_argument("--r", type=int)
@@ -206,21 +227,15 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--decimal", type=int, metavar="N")
 
     series = sub.add_parser("series", help="generating-function coefficients")
-    series.add_argument(
-        "--gf",
-        required=True,
-        choices=["harmonic", "hyperharmonic", "alpha", "beta"],
-    )
+    series.add_argument("--gf", required=True, choices=list(_SERIES))
     series.add_argument("--r", type=int, default=1)
     series.add_argument("--order", type=int, required=True)
 
     table = sub.add_parser("table", help="2-D grid of exact values")
-    table.add_argument(
-        "sequence", choices=["hyperharmonic", "hyperharmonic-neg", "beta"]
-    )
+    table.add_argument("sequence", choices=list(_TABLE))
     table.add_argument("--n", required=True, metavar="LO:HI")
     table.add_argument("--r", required=True, metavar="LO:HI")
-    table.add_argument("--format", choices=["json", "csv", "text"])
+    table.add_argument("--format", choices=_FORMATS)
 
     audit = sub.add_parser("audit", help="verify registered identities")
     audit.add_argument(
@@ -231,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     audit.add_argument("--only", help="comma-separated id suffixes, e.g. 3.95")
     audit.add_argument("--max", type=int, help="clamp every integer domain")
-    audit.add_argument("--format", choices=["json", "csv", "text"])
+    audit.add_argument("--format", choices=_FORMATS)
     audit.add_argument("--out", help="write the report to this path")
     audit.add_argument("--counterexamples", type=int, metavar="CAP")
     _add_bound_flags(audit)
@@ -252,8 +267,7 @@ def _cmd_compute(args) -> int:
 
     if args.decimal is not None and args.decimal < 0:
         raise ValueError(f"--decimal must be non-negative, got {args.decimal}")
-    seq = args.sequence
-    if seq == "digamma":
+    if args.sequence == "digamma":
         raw = need("arg", args.arg)
         try:
             x = float(Fraction(raw)) if "/" in raw else float(raw)
@@ -263,28 +277,8 @@ def _cmd_compute(args) -> int:
         value = digamma(x)
         print(json.dumps(value.to_json_obj(), allow_nan=False))
         return EXIT_OK
-    if seq == "harmonic":
-        value = harmonic(need("n", args.n))
-    elif seq == "gen-harmonic":
-        value = gen_harmonic(need("n", args.n), need("m", args.m))
-    elif seq == "hyperharmonic":
-        value = hyperharmonic(
-            need("n", args.n),
-            need("r", args.r),
-            HyperharmonicMethod(args.method),
-        )
-    elif seq == "hyperharmonic-neg":
-        value = hyperharmonic_neg(need("n", args.n), need("r", args.r))
-    elif seq == "hyperharmonic-q":
-        value = hyperharmonic_rational_order(
-            need("n", args.n), parse_rational(need("w", args.w))
-        )
-    elif seq == "fibonacci":
-        value = Fraction(fibonacci(need("k", args.k)))
-    elif seq == "alpha":
-        value = alpha(need("n", args.n), need("r", args.r))
-    else:
-        value = beta(need("n", args.n), need("r", args.r))
+    fn, flags = _COMPUTE[args.sequence]
+    value = fn(*[need(flag, getattr(args, flag)) for flag in flags])
     print(_render_exact(value, args.decimal))
     return EXIT_OK
 
@@ -295,14 +289,7 @@ def _cmd_series(args) -> int:
             f"error: --order must be in [0, {_SERIES_CAP}]", file=sys.stderr
         )
         return EXIT_USAGE
-    if args.gf == "harmonic":
-        ps = gf_harmonic(args.order)
-    elif args.gf == "hyperharmonic":
-        ps = gf_hyperharmonic(args.r, args.order)
-    elif args.gf == "alpha":
-        ps = gf_alpha(args.r, args.order)
-    else:
-        ps = gf_beta(args.r, args.order)
+    ps = _SERIES[args.gf](args.r, args.order)
     print(json.dumps(ps.to_json_list(), allow_nan=False))
     return EXIT_OK
 
@@ -310,11 +297,7 @@ def _cmd_series(args) -> int:
 def _cmd_table(args, cfg: CliConfig) -> int:
     n_lo, n_hi = _parse_span(args.n)
     r_lo, r_hi = _parse_span(args.r)
-    fn = {
-        "hyperharmonic": hyperharmonic,
-        "hyperharmonic-neg": hyperharmonic_neg,
-        "beta": beta,
-    }[args.sequence]
+    fn = _TABLE[args.sequence]
     grid = [
         [format_rational(fn(n, r)) for r in range(r_lo, r_hi + 1)]
         for n in range(n_lo, n_hi + 1)
@@ -333,12 +316,16 @@ def _cmd_table(args, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
+def _tags(args) -> frozenset:
+    """The tag filter ``--suite`` asks for; empty (every row) if none or all."""
+    suites = set(args.suite or [])
+    return frozenset() if (not suites or "all" in suites) else frozenset(suites)
+
+
 def _cmd_audit(args, cfg: CliConfig) -> int:
     # Only audit and identities load the registry; other commands skip it.
     from . import identities
 
-    suites = set(args.suite or [])
-    tags = frozenset() if (not suites or "all" in suites) else frozenset(suites)
     only = args.only.split(",") if args.only else None
     cap = args.counterexamples
     if cap is None:
@@ -346,7 +333,7 @@ def _cmd_audit(args, cfg: CliConfig) -> int:
     elif cap <= 0:
         raise ValueError(f"--counterexamples must be positive, got {cap}")
     report = identities.run_suite(
-        tags,
+        _tags(args),
         only=only,
         max_bound=args.max,
         param_bounds=_collect_bounds(args, cfg) or None,
@@ -378,12 +365,8 @@ def _cmd_audit(args, cfg: CliConfig) -> int:
 def _cmd_identities(args) -> int:
     from . import identities
 
-    suites = set(args.suite or [])
-    tags = frozenset() if (not suites or "all" in suites) else frozenset(suites)
-    for key in identities.list_identities():
+    for key in identities.select(_tags(args)):
         identity = identities.get_identity(key)
-        if tags and not (tags & identity.tags):
-            continue
         print(f"{key}\t{','.join(sorted(identity.tags))}\t{identity.anchor}")
     return EXIT_OK
 
@@ -393,7 +376,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -203,9 +203,9 @@ class AuditReport(record("AuditReport", ("entries",))):
             out[e.verdict] += 1
         return out
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         return json.dumps(
-            [e.to_json_obj() for e in self.entries], indent=indent, allow_nan=False
+            [e.to_json_obj() for e in self.entries], indent=2, allow_nan=False
         )
 
     def to_csv(self) -> str:
@@ -425,24 +425,8 @@ def run_suite(
     param_bounds: dict | None = None,
     counterexample_cap: int = 5,
 ) -> AuditReport:
-    """Run every identity matching the tag filter (empty = everything).
-
-    ``only`` optionally restricts to keys equal to, or ending with, one
-    of the given tokens (so ``3.95`` selects ``t1-3.95`` inside the
-    table1 suite).  Identities run one after another in key order.
-    """
-    tags = frozenset(tags)
-    keys = []
-    for key in list_identities():
-        identity = get_identity(key)
-        if tags and not (tags & identity.tags):
-            continue
-        if only:
-            tokens = [only] if isinstance(only, str) else list(only)
-            if not any(key == t or key.endswith("-" + t) for t in tokens):
-                continue
-        keys.append(key)
-
+    """Run the identities ``select(tags, only)`` picks, one after another
+    in key order."""
     return AuditReport(
         [
             verify(
@@ -451,7 +435,7 @@ def run_suite(
                 param_bounds=param_bounds,
                 counterexample_cap=counterexample_cap,
             )
-            for key in keys
+            for key in select(tags, only)
         ]
     )
 
@@ -697,6 +681,24 @@ def list_identities() -> list:
     return sorted(_REGISTRY)
 
 
+def select(tags=frozenset(), only=None) -> list:
+    """The keys, in key order, of every identity matching the tag filter
+    (empty = everything).
+
+    ``only`` optionally restricts to keys equal to, or ending with, one
+    of the given tokens (so ``3.95`` selects ``t1-3.95`` inside the
+    table1 suite).
+    """
+    tags = frozenset(tags)
+    tokens = ([only] if isinstance(only, str) else list(only)) if only else ()
+    return [
+        key
+        for key in list_identities()
+        if (not tags or tags & _REGISTRY[key].tags)
+        and (not tokens or any(key == t or key.endswith("-" + t) for t in tokens))
+    ]
+
+
 def _core_recurrences():
     _add(
         "prop-5",
@@ -736,31 +738,21 @@ def _core_recurrences():
         {"core"},
     )
 
-    def _ab_lhs(part, n, r):
-        if part == 0:
-            return alpha(n, r)
-        if part == 1:
-            return beta(n, r)
-        if part == 2:
-            return gf_beta(r, n).coeff(n)
-        return gf_alpha(r, n).coeff(n)
-
-    def _ab_rhs(part, n, r):
-        if part == 0:
-            return F(r, n) * alpha(r, n)
-        if part == 1:
-            return beta(r, n)
-        if part == 2:
-            return beta(n, r)
-        return alpha(n, r)
+    # (lhs, rhs) of (n, r) for each part, in the anchor's order
+    ab_parts = (
+        (alpha, lambda n, r: F(r, n) * alpha(r, n)),
+        (beta, lambda n, r: beta(r, n)),
+        (lambda n, r: gf_beta(r, n).coeff(n), beta),
+        (lambda n, r: gf_alpha(r, n).coeff(n), alpha),
+    )
 
     _add(
         "rem-alpha-beta",
         "alpha(n,r) = (r/n) alpha(r,n); beta(n,r) = beta(r,n); "
         "[z^k] 1/(r(1-z)^r) = beta(k,r); [z^k] (z/(1-z) - r ln(1-z)) = alpha(k,r)",
         (IntRange("part", 0, 3), IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        _ab_lhs,
-        _ab_rhs,
+        lambda part, n, r: ab_parts[part][0](n, r),
+        lambda part, n, r: ab_parts[part][1](n, r),
         {"core"},
     )
     _add(

@@ -95,42 +95,39 @@ def inverse_binomial_transform(a: Sequence) -> list[Fraction]:
     ]
 
 
+def _scale_product_reciprocal_sum(a: Iterable, c):
+    """(c, prod a_i, sum_i 1/a_i) as exact rationals; the scale c and
+    every factor offset a_i must be nonzero."""
+    c = _F(c)
+    if c == 0:
+        raise DomainError("scale must be nonzero")
+    factors = [_F(v) for v in a]
+    if any(v == 0 for v in factors):
+        raise DomainError("all factor offsets must be nonzero")
+    prod = _F(1)
+    recip = _F(0)
+    for v in factors:
+        prod *= v
+        recip += 1 / v
+    return c, prod, recip
+
+
 def derivative_at_zero_linear_factors(a: Iterable, c) -> Fraction:
     """d/dx [ (1/c) * prod_i (x + a_i) ] at x = 0, exactly.
 
     Equals (prod a_i / c) * sum_i 1/a_i.  Every factor offset and the
     scale must be nonzero.
     """
-    c = _F(c)
-    if c == 0:
-        raise DomainError("scale must be nonzero")
-    factors = [_F(v) for v in a]
-    if any(v == 0 for v in factors):
-        raise DomainError("all factor offsets must be nonzero")
-    prod = _F(1)
-    recip = _F(0)
-    for v in factors:
-        prod *= v
-        recip += 1 / v
+    c, prod, recip = _scale_product_reciprocal_sum(a, c)
     return prod / c * recip
 
 
 def derivative_at_zero_reciprocal(a: Iterable, c) -> Fraction:
     """d/dx [ c / prod_i (x + a_i) ] at x = 0, exactly.
 
-    Equals -(c / prod a_i) * sum_i 1/a_i.
+    Equals -(c / prod a_i) * sum_i 1/a_i, under the same conditions.
     """
-    c = _F(c)
-    if c == 0:
-        raise DomainError("scale must be nonzero")
-    factors = [_F(v) for v in a]
-    if any(v == 0 for v in factors):
-        raise DomainError("all factor offsets must be nonzero")
-    prod = _F(1)
-    recip = _F(0)
-    for v in factors:
-        prod *= v
-        recip += 1 / v
+    c, prod, recip = _scale_product_reciprocal_sum(a, c)
     return -(c / prod) * recip
 
 

@@ -2,7 +2,10 @@
 
 Hyperharmonic numbers h(n, r) are computed by five independent
 algorithms (see :class:`HyperharmonicMethod`) that must agree wherever
-their domains overlap; the audit leans on that redundancy.  Conventions:
+their domains overlap.  The audit reads only the closed form, through
+``identities.h``; the five are cross-checked by the tests
+``test_five_method_agreement`` and ``test_def_oracle_agreement`` and by
+``check_kernel_pass`` in the ``kernels-mix`` benchmark.  Conventions:
 
 * h(0, r) = 0 for r >= 1,
 * h(n, 0) = 1/n for n >= 1 (h(0, 0) is a domain error),

@@ -121,6 +121,27 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             log_gamma(x)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: log_gamma(3e305),
+            lambda: log_gamma(1.7e308),
+            lambda: hyperharmonic_real(3e305, 1.0),
+        ],
+        ids=["log_gamma(3e305)", "log_gamma(1.7e308)", "hyperharmonic_real(3e305, 1)"],
+    )
+    def test_overflowing_ball_is_domain_error(self, call):
+        # the ball was (inf, inf), and through it h(z, w) came out as nan
+        with pytest.raises(DomainError):
+            call()
+
+    def test_last_finite_decade_still_contains_mpmath(self):
+        v = log_gamma(1e305)
+        assert math.isfinite(v.value) and math.isfinite(v.abs_error_bound)
+        with mpmath.workdps(50):
+            true = mpmath.loggamma(mpmath.mpf(1e305))
+            assert abs(mpmath.mpf(v.value) - true) <= v.abs_error_bound
+
 
 class TestHyperharmonicReal:
     def test_integer_reduction(self):

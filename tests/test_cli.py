@@ -331,6 +331,22 @@ class TestAuditFlags:
         assert code == 3
         assert len(json.loads(out)[0]["counterexamples"]) == 1
 
+    def test_pin_flags_name_registry_parameters(self):
+        # a flag that pins no registry parameter (like a past --w) fails here
+        from hyperseq.cli import _BOUND_PARAMS, _SAMPLE_PARAMS
+        from hyperseq.identities import (
+            IntRange,
+            RationalChoice,
+            get_identity,
+            list_identities,
+        )
+
+        params = [p for key in list_identities() for p in get_identity(key).params]
+        ints = {p.name for p in params if isinstance(p, IntRange)}
+        rationals = {p.name for p in params if isinstance(p, RationalChoice)}
+        assert set(_BOUND_PARAMS) <= ints
+        assert set(_SAMPLE_PARAMS) == rationals
+
 
 class TestGarbageInput:
     """Inputs that used to print plausible output and exit 0."""
