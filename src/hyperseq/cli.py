@@ -154,7 +154,7 @@ def _round_half_even(x: Fraction, places: int) -> str:
     if half > Fraction(1, 2) or (half == Fraction(1, 2) and q % 2):
         q += 1
     sign = "-" if q < 0 else ""
-    digits = str(abs(q)).rjust(places + 1, "0")
+    digits = format_rational(abs(q)).rjust(places + 1, "0")
     if places == 0:
         return f"{sign}{digits}"
     return f"{sign}{digits[:-places]}.{digits[-places:]}"

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -75,12 +76,29 @@ def make_rational(p: int, q: int = 1) -> Fraction:
     return Fraction(p, q)
 
 
+def _int_text(n: int) -> str:
+    """``str(n)`` at any size.
+
+    ``str`` refuses an int past the interpreter's int/str digit limit
+    (4,300 digits by default); ``Decimal`` renders it without that limit,
+    which stays in force for every other conversion.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def format_rational(x: Fraction) -> str:
-    """Canonical text form: ``p/q``, or just ``p`` when the denominator is 1."""
+    """Canonical text form: ``p/q``, or just ``p`` when the denominator is 1.
+
+    Any size renders; ``parse_rational`` keeps the interpreter's digit
+    limit, because it checks input.
+    """
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_text(x.numerator)
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -34,6 +34,15 @@ Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
 ``core`` tag covers the recurrence/operator/difference identities, and
 ``float`` the transcendental ones, whose sides are ``CertifiedReal``.
 
+Harmonic numbers are the hyperharmonic numbers of order one, H(n) =
+h(n, 1), so a harmonic row that is an order-r row at r = 1 is not
+written twice: ``_order_one_rows`` registers each of the 13 such rows as
+its source row with the order pinned to 1.  It keeps its own key,
+anchor, grid and tags; its evaluators are the source's.  Table-1 rows
+whose printed form is not their twin at order one (``t1-3.100``,
+``t1-4.3``, ``t1-7.13``, ``t1-Z.58``, ``t1-12.9b``) stay written out,
+and the tests pin how each relates to its twin.
+
 Half-integer hyperharmonic orders default to the exact digamma-telescoped
 evaluation, read through the row-memoized ``h`` like every other order.
 A row whose verdict depends on that convention is one row function with
@@ -532,7 +541,7 @@ def _h_over_c2(k: int, r: int) -> Fraction:
 
 @_row_memo
 def _t2_3108_side(n: int, m: int, r: int) -> Fraction:
-    """One side of Gould (3.108) at order r; ``t1-3.108`` is r = 1."""
+    """One side of Gould (3.108) at order r; ``t1-3.108`` pins it to r = 1."""
     return dot(
         [C(k + r + m, m) for k in range(n + 1)]
         + [C(k + r - 1, k) for k in range(n + 1)],
@@ -592,7 +601,7 @@ def _t2_129_k(k: int, r: int, x) -> tuple:
 
 
 def _t2_129a_lhs(n: int, r: int, x) -> Fraction:
-    """The lhs of Gould (12.9), first form, at order r; ``t1-12.9a`` is r = 1."""
+    """The lhs of Gould (12.9), first form, at order r; ``t1-12.9a`` pins r = 1."""
     prefs, inners = [], []
     for k in range(n + 1):
         big = Cg(x + (r + k + n), n)  # one Fraction addition, not three
@@ -668,6 +677,28 @@ def _add(key, anchor, params, lhs, rhs, tags, valid=None, alt_rhs=None):
         valid=valid,
         alt_rhs=alt_rhs,
     )
+
+
+def _add_pinned(key, anchor, params, tags, source, pins):
+    """Register ``key`` as the registered row ``source`` with parameters pinned.
+
+    ``pins`` maps a parameter of ``source`` to an int, or to the name of
+    the row's own parameter passed on under the source's name.  The
+    row's ``lhs``, ``rhs``, ``valid`` and ``alt_rhs`` are the source's,
+    called with the pins.
+    """
+    src = get_identity(source)  # so a source must be registered first
+    consts = {name: v for name, v in pins.items() if not isinstance(v, str)}
+    renames = {v: name for name, v in pins.items() if isinstance(v, str)}
+
+    def pin(fn):
+        if fn is None:
+            return None
+        return lambda **pa: fn(**{renames.get(k, k): v for k, v in pa.items()},
+                               **consts)
+
+    _add(key, anchor, params, pin(src.lhs), pin(src.rhs), tags,
+         valid=pin(src.valid), alt_rhs=pin(src.alt_rhs))
 
 
 def get_identity(key: str) -> Identity:
@@ -780,14 +811,6 @@ def _core_derivatives():
     from .opcalc import leaping_binomial
 
     _add(
-        "eq-10",
-        "D_x C(x+n,n) at 0 = H(n)",
-        (IntRange("n", 0, 25),),
-        lambda n: dlin(range(1, n + 1), factorial(n)),
-        lambda n: H(n),
-        {"core"},
-    )
-    _add(
         "eq-Dgh",
         "D_x of the leaping binomial at 0 = H(n, order m)",
         (IntRange("n", 1, 12), IntRange("m", 1, 4)),
@@ -844,14 +867,6 @@ def _core_derivatives():
         lambda n, r, x: (1 + F(n) / (x + r)) * Cg(x + n + r - 1, n),
         {"core"},
         valid=lambda n, r, x: x + r != 0,
-    )
-    _add(
-        "gf-harmonic",
-        "[z^n] -ln(1-z)/(1-z) = H(n)",
-        (IntRange("n", 0, 64),),
-        lambda n: _gf_hyper_coeff(1, n),
-        lambda n: H(n),
-        {"core"},
     )
     _add(
         "gf-hyperharmonic",
@@ -1137,30 +1152,6 @@ def _table1_rows():
         lambda: CertifiedReal(2.0 * _LOG2, 4.0 * _ULP),
         {"table1", "float"},
     )
-    _add(
-        "t1-1.41",
-        "Gould (1.41): sum_k (-1)^(k-1) C(n,k)/k = H(n)",
-        (IntRange("n", 1, 25),),
-        lambda n: bsum(1, n, lambda k: (-1) ** (k - 1) * C(n, k), lambda k: F(1, k)),
-        lambda n: H(n),
-        {"table1"},
-    )
-    _add(
-        "t1-1.42",
-        "Gould (1.42): sum_k (-1)^(k-1) C(n,k) H(k) = 1/n",
-        (IntRange("n", 1, 25),),
-        lambda n: bsum(1, n, lambda k: (-1) ** (k - 1) * C(n, k), H),
-        lambda n: F(1, n),
-        {"table1"},
-    )
-    _add(
-        "t1-1.44",
-        "Gould (1.44): sum_k (-1)^(k-1) C(n+1,k+1) H(k) = H(n)",
-        (IntRange("n", 1, 25),),
-        lambda n: bsum(1, n, lambda k: (-1) ** (k - 1) * C(n + 1, k + 1), H),
-        lambda n: H(n),
-        {"table1"},
-    )
 
     def _t1_216_lhs():
         partial = bsum(1, 30, lambda k: F(1, factorial(k)), H)
@@ -1197,45 +1188,12 @@ def _table1_rows():
         {"table1"},
     )
     _add(
-        "t1-3.36",
-        "Gould (3.36): 2 sum_{k=1..2n} (-1)^k H(k) = H(n)",
-        (IntRange("n", 1, 25),),
-        lambda n: bsum(1, 2 * n, lambda k: 2 * (-1) ** k, H),
-        lambda n: H(n),
-        {"table1"},
-    )
-
-    def _t1_395_rhs(n, hw=h):
-        return F(4) ** n * (hw(n, F(1, 2)) - Cg(F(n) - F(1, 2), n) * H(n))
-
-    _add(
-        "t1-3.95",
-        "Gould (3.95): sum_k (-1)^k C(2n-2k,n-k) C(2k,k)/k = "
-        "4^n (h(n,1/2) - C(n-1/2,n) H(n))",
-        (IntRange("n", 1, 25),),
-        lambda n: bsum(1, n,
-                       lambda k: (-1) ** k * C(2 * n - 2 * k, n - k) * C(2 * k, k),
-                       lambda k: F(1, k)),
-        _t1_395_rhs,
-        {"table1"},
-        alt_rhs=functools.partial(_t1_395_rhs, hw=hyperharmonic_half_integer_alt),
-    )
-    _add(
         "t1-3.100",
         "Gould (3.100): sum_k (-1)^k C(n+k,2k) C(2k,k)/k = -2 H(n)",
         (IntRange("n", 1, 25),),
         lambda n: bsum(1, n, lambda k: (-1) ** k * C(n + k, 2 * k) * C(2 * k, k),
                        lambda k: F(1, k)),
         lambda n: -2 * H(n),
-        {"table1"},
-    )
-
-    _add(
-        "t1-3.108",
-        "Gould (3.108): the (n,m)-symmetric binomial-harmonic double sum",
-        (IntRange("n", 0, 25), IntRange("m", 0, 25)),
-        lambda n, m: _t2_3108_side(n, m, 1),
-        lambda n, m: _t2_3108_side(m, n, 1),
         {"table1"},
     )
     _add(
@@ -1251,51 +1209,6 @@ def _table1_rows():
             + [(x - k) ** k * (1 - x + k) ** (n - k) / k for k in range(1, n + 1)],
         ),
         {"table1"},
-    )
-    _add(
-        "t1-6.19",
-        "Gould (6.19): sum_k C(n,k) C(r,k) h(n+r,1-k) = H(n) + H(r)",
-        (IntRange("n", 1, 25), IntRange("r", 1, 25)),
-        lambda n, r: bsum(0, n, lambda k: C(n, k) * C(r, k), lambda k: h(n + r, 1 - k)),
-        lambda n, r: H(n) + H(r),
-        {"table1"},
-    )
-    _add(
-        "t1-6.22",
-        "Gould (6.22): sum_k (-1)^k C(2n,k) C(2n-k,n)^2/k = "
-        "C(2n,n)(h(n,n+1) - C(2n,n) H(n))",
-        (IntRange("n", 1, 25),),
-        lambda n: bsum(1, n, lambda k: (-1) ** k * C(2 * n, k) * C(2 * n - k, n) ** 2,
-                       lambda k: F(1, k)),
-        lambda n: C(2 * n, n) * (h(n, n + 1) - C(2 * n, n) * H(n)),
-        {"table1"},
-    )
-    _add(
-        "t1-7.2",
-        "Gould (7.2): sum_k C(n,k) C(r,k) H(k) = C(r+n,n) H(n) - h(n,r+1)",
-        (IntRange("n", 1, 25), IntRange("r", 1, 25)),
-        lambda n, r: bsum(1, n, lambda k: C(n, k) * C(r, k), H),
-        lambda n, r: C(r + n, n) * H(n) - h(n, r + 1),
-        {"table1"},
-    )
-
-    def _t1_79_rhs(n, hw=h):
-        return F(4**n, 2 * n + 1) / C(2 * n, n) * hw(n, F(1, 2))
-
-    _add(
-        "t1-7.9",
-        "Gould (7.9): alternating central-binomial H(k) sum vs "
-        "4^n h(n,1/2)/((2n+1) C(2n,n))",
-        (IntRange("n", 1, 20),),
-        lambda n: bsum(
-            1,
-            n,
-            lambda k: F((-1) ** k * C(n, k) * 4**k, (2 * k + 1) * C(2 * k, k)),
-            H,
-        ),
-        _t1_79_rhs,
-        {"table1"},
-        alt_rhs=functools.partial(_t1_79_rhs, hw=hyperharmonic_half_integer_alt),
     )
     _add(
         "t1-7.13",
@@ -1315,20 +1228,6 @@ def _table1_rows():
         lambda n, r: C(r + n, n) * (Hm(n, 2) - Hm(n + r, 2) + Hm(r, 2))
         + (C(r + n, n) * H(n) - h(n, r + 1)) * (H(n) - H(n + r) + H(r)),
         {"table1"},
-    )
-
-    _add(
-        "t1-12.9a",
-        "Gould (12.9), first form: the C(x+k,k)-weighted telescoping sum "
-        "is zero",
-        (IntRange("n", 1, 15), RationalChoice("x", SAMPLE_RATIONALS)),
-        lambda n, x: _t2_129a_lhs(n, 1, x),
-        lambda n, x: F(0),
-        {"table1"},
-        # Poles, over k = 0..n: C(x+k,k) = 0 at x = -1..-k, x+k+1 = 0, and
-        # C(x+k+1+n,n) = 0 at x = -(k+2)..-(k+n+1); together the integers
-        # -(2n+1) <= x <= -1.
-        valid=lambda n, x: x.denominator != 1 or not -2 * n - 1 <= x <= -1,
     )
 
     def _t1_129b_lhs(n, y):
@@ -1673,6 +1572,46 @@ def _table2_rows():
     )
 
 
+def _order_one_rows():
+    # key, anchor, grid, tag, then the source row and its pins; each row is
+    # its source at order one (t1-7.2's own r is the source's m)
+    n, nr = [IntRange("n", 1, 25)], [IntRange("n", 1, 25), IntRange("r", 1, 25)]
+    r1 = {"r": 1}
+    for key, anchor, params, tag, source, pins in (
+        ("eq-10", "D_x C(x+n,n) at 0 = H(n)",
+         [IntRange("n", 0, 25)], "core", "eq-11", r1),
+        ("gf-harmonic", "[z^n] -ln(1-z)/(1-z) = H(n)",
+         [IntRange("n", 0, 64)], "core", "gf-hyperharmonic", r1),
+        ("t1-1.41", "Gould (1.41): sum_k (-1)^(k-1) C(n,k)/k = H(n)",
+         n, "table1", "t2-1.41", r1),
+        ("t1-1.42", "Gould (1.42): sum_k (-1)^(k-1) C(n,k) H(k) = 1/n",
+         n, "table1", "t2-1.42", r1),
+        ("t1-1.44", "Gould (1.44): sum_k (-1)^(k-1) C(n+1,k+1) H(k) = H(n)",
+         n, "table1", "t2-1.44", r1),
+        ("t1-3.36", "Gould (3.36): 2 sum_{k=1..2n} (-1)^k H(k) = H(n)",
+         n, "table1", "t2-3.36", r1),
+        ("t1-3.95", "Gould (3.95): sum_k (-1)^k C(2n-2k,n-k) C(2k,k)/k = "
+         "4^n (h(n,1/2) - C(n-1/2,n) H(n))", n, "table1", "t2-3.95", r1),
+        ("t1-3.108", "Gould (3.108): the (n,m)-symmetric binomial-harmonic "
+         "double sum", [IntRange("n", 0, 25), IntRange("m", 0, 25)], "table1",
+         "t2-3.108", r1),
+        ("t1-6.19", "Gould (6.19): sum_k C(n,k) C(r,k) h(n+r,1-k) = H(n) + H(r)",
+         nr, "table1", "t2-6.19", {"j": 1}),
+        ("t1-6.22", "Gould (6.22): sum_k (-1)^k C(2n,k) C(2n-k,n)^2/k = "
+         "C(2n,n)(h(n,n+1) - C(2n,n) H(n))", n, "table1", "t2-6.22", r1),
+        ("t1-7.2", "Gould (7.2): sum_k C(n,k) C(r,k) H(k) = C(r+n,n) H(n) - "
+         "h(n,r+1)", nr, "table1", "t2-7.2", {"m": "r", "r": 1}),
+        ("t1-7.9", "Gould (7.9): alternating central-binomial H(k) sum vs "
+         "4^n h(n,1/2)/((2n+1) C(2n,n))", [IntRange("n", 1, 20)], "table1",
+         "t2-7.9", r1),
+        ("t1-12.9a", "Gould (12.9), first form: the C(x+k,k)-weighted "
+         "telescoping sum is zero",
+         [IntRange("n", 1, 15), RationalChoice("x", SAMPLE_RATIONALS)],
+         "table1", "t2-12.9a", r1),
+    ):
+        _add_pinned(key, anchor, params, {tag}, source, pins)
+
+
 _core_recurrences()
 _core_derivatives()
 _core_differences()
@@ -1681,3 +1620,4 @@ _core_fibonacci()
 _float_rows()
 _table1_rows()
 _table2_rows()
+_order_one_rows()

@@ -32,3 +32,13 @@ def full_audit():
         cli_main(["audit", "--format", "json"])
     sizes = [memo.cache_info().currsize for memo in _ROW_MEMOS]
     return FullAudit(buf.getvalue(), sizes)
+
+
+@pytest.fixture(scope="module")
+def digests_then_memo_sizes():
+    """``test_golden.row_digests()`` and the size of every row memo right
+    after it."""
+    from test_golden import row_digests
+
+    got = row_digests()
+    return got, [memo.cache_info().currsize for memo in _ROW_MEMOS]

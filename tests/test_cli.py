@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hyperseq
 from hyperseq.cli import main
+from hyperseq.sequences import fibonacci, harmonic
 
 
 def run_python(*argv):
@@ -94,6 +97,31 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "harmonic")
         assert code == 2
         assert "requires --n" in err
+
+
+class TestValuesPastTheDigitLimit:
+    """Exact values longer than the interpreter's int/str digit limit
+    (4,300 digits by default) print in full."""
+
+    def test_fibonacci(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "fibonacci", "--k", "30000")
+        text = out.strip()
+        assert (code, len(text)) == (0, 6270)
+        assert int(Decimal(text)) == fibonacci(30000)
+
+    def test_harmonic(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "harmonic", "--n", "20000")
+        p, q = out.strip().split("/")
+        assert (code, len(p), len(q)) == (0, 8677, 8676)
+        assert Fraction(int(Decimal(p)), int(Decimal(q))) == harmonic(20000)
+
+    def test_decimal(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compute", "fibonacci", "--k", "30000", "--decimal", "2"
+        )
+        whole, suffix = out.strip().split(".", 1)
+        assert (code, suffix) == (0, "00 (half-even to 2 places)")
+        assert int(Decimal(whole)) == fibonacci(30000)
 
 
 class TestSeries:

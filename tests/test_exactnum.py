@@ -49,6 +49,12 @@ class TestRendering:
     def test_format(self, value, text):
         assert format_rational(value) == text
 
+    def test_format_past_the_digit_limit(self):
+        # str(int) refuses more than 4,300 digits by default
+        big = 10**5000 + 7
+        assert format_rational(F(-big)) == "-1" + "0" * 4999 + "7"
+        assert format_rational(F(3, big)) == "3/1" + "0" * 4999 + "7"
+
     @pytest.mark.parametrize("text", ["3/2", "-1/2", "+7/3", "5", "-12", "0"])
     def test_parse_roundtrip(self, text):
         v = parse_rational(text)

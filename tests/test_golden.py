@@ -10,19 +10,24 @@ Two fixtures pin the audit's results byte for byte:
   case.  It catches an evaluator rewrite that changes a value while the
   row still passes, e.g. a symmetric row whose two sides share a helper.
 
+The module does not import pytest, so the check also runs without it;
+it prints each changed row digest and any change to the audit JSON, and
+exits 1 on a change::
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
 Regenerate both (only when a report change is intended) with::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import sys
 from pathlib import Path
-
-import pytest
 
 from hyperseq.cli import main as cli_main
 from hyperseq.errors import DomainError
@@ -70,16 +75,17 @@ def row_digests() -> dict:
     return out
 
 
-@pytest.fixture(scope="module")
-def digests_then_memo_sizes():
-    """``row_digests()`` and the size of every row memo right after it."""
-    got = row_digests()
-    return got, [memo.cache_info().currsize for memo in _ROW_MEMOS]
+def changed_digests(got: dict) -> list:
+    """The keys whose digest in ``got`` differs from the fixture, in key
+    order; a key missing from either side counts as changed."""
+    expected = json.loads(ROW_DIGESTS.read_text())
+    keys = expected.keys() | got.keys()
+    return sorted(k for k in keys if got.get(k) != expected.get(k))
 
 
 def audit_stdout() -> str:
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         cli_main(["audit", "--format", "json"])
     return buf.getvalue()
 
@@ -90,11 +96,8 @@ def test_full_audit_json_is_byte_identical(full_audit):
 
 
 def test_exact_row_digests(digests_then_memo_sizes):
-    expected = json.loads(ROW_DIGESTS.read_text())
     got, _ = digests_then_memo_sizes
-    assert sorted(got) == sorted(expected)
-    changed = [k for k in expected if got[k] != expected[k]]
-    assert changed == []
+    assert changed_digests(got) == []
 
 
 def test_row_memos_are_empty_after_row_digests(digests_then_memo_sizes):
@@ -112,7 +115,29 @@ def test_fixture_covers_every_exact_row_and_convention():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    AUDIT_JSON.write_text(audit_stdout())
-    ROW_DIGESTS.write_text(json.dumps(row_digests(), indent=2, sort_keys=True) + "\n")
+    if sys.argv[1:] == ["--write"]:
+        AUDIT_JSON.write_text(audit_stdout())
+        ROW_DIGESTS.write_text(
+            json.dumps(row_digests(), indent=2, sort_keys=True) + "\n"
+        )
+    elif sys.argv[1:] == ["--check"]:
+        changed = changed_digests(row_digests())
+        for key in changed:
+            print("changed row digest:", key, file=sys.stderr)
+        audit_diff = list(
+            difflib.unified_diff(
+                AUDIT_JSON.read_text().splitlines(keepends=True),
+                audit_stdout().splitlines(keepends=True),
+                str(AUDIT_JSON),
+                "hyperseq audit --format json",
+            )
+        )
+        sys.stderr.writelines(audit_diff)
+        print(
+            f"{len(changed)} row digests changed; the audit JSON "
+            + ("changed" if audit_diff else "is unchanged"),
+            file=sys.stderr,
+        )
+        sys.exit(1 if changed or audit_diff else 0)
+    else:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write|--check")

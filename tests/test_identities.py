@@ -315,6 +315,50 @@ def test_t2_12_9b_at_order_one_balances_where_t1_12_9b_fails():
             assert order_one - t1.lhs(**pa) == 2 * tail, pa
 
 
+def test_a_pinned_row_needs_its_source_registered_first():
+    with pytest.raises(KeyError, match="no-such-row"):
+        ident._add_pinned("probe-pin", "probe", (), {"probe"}, "no-such-row", {"r": 1})
+    assert "probe-pin" not in list_identities()
+
+
+# How each hand-written Table-1 row relates to its order-r twin at order
+# one, on every case of the Table-1 row's grid: (row, twin, the twin's
+# pin, the sides compared, relation(pa, row value, twin value)).  The
+# rows that equal their twin at order one are registered as the twin
+# pinned to order one, so they have no entry here.
+ORDER_ONE_RELATIONS = [
+    ("t1-7.13", "t2-7.13", {"j": 1}, ("lhs", "rhs"),
+     lambda pa, a, b: a == (-1) ** (pa["n"] + 1) * b),
+    # One finding for two FAIL rows: the twin is the row times C(2n, n).
+    ("t1-Z.58", "t2-Z.58", {"r": 1}, ("lhs", "rhs", "alt_rhs"),
+     lambda pa, a, b: ident.C(2 * pa["n"], pa["n"]) * a == b),
+    ("t1-4.3", "t2-4.3", {"r": 1}, ("lhs", "rhs"),
+     lambda pa, a, b: a - b == pa["n"] * (1 - pa["x"]) ** (pa["n"] - 1)),
+    ("t1-3.100", "t2-3.100", {"r": 1}, ("lhs",), lambda pa, a, b: a == b),
+    # h(n, -n) lies in the zero band of the negative-order definition for
+    # n >= 2, which halves the twin's rhs there; so t2-3.100 starts at r = 2.
+    ("t1-3.100", "t2-3.100", {"r": 1}, ("rhs",),
+     lambda pa, a, b: a == (1 if pa["n"] == 1 else 2) * b),
+]
+
+
+@pytest.mark.parametrize(
+    "row, twin, pin, sides, relation",
+    ORDER_ONE_RELATIONS,
+    ids=["-".join((rel[0], *rel[3])) for rel in ORDER_ONE_RELATIONS],
+)
+def test_table1_row_against_its_twin_at_order_one(row, twin, pin, sides, relation):
+    t1, t2 = get_identity(row), get_identity(twin)
+    cases = list(ident._assignments(t1, None, None))
+    assert cases
+    with ident.row_scope():
+        for pa in cases:
+            for side in sides:
+                a = getattr(t1, side)(**pa)
+                b = getattr(t2, side)(**pa, **pin)
+                assert relation(pa, a, b), (side, pa)
+
+
 class TestRowMemos:
     def _sizes(self):
         return [memo.cache_info().currsize for memo in ident._ROW_MEMOS]
