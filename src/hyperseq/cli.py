@@ -52,12 +52,14 @@ _SUITES = ("core", "table1", "table2", "float", "all")
 _FORMATS = ("json", "csv", "text")
 
 # each exact ``compute`` sequence: its function and the flags it reads, in
-# argument order
+# argument order; each is required but ``--method``, which defaults to closed
 _COMPUTE = {
     "harmonic": (harmonic, ("n",)),
     "gen-harmonic": (gen_harmonic, ("n", "m")),
     "hyperharmonic": (
-        lambda n, r, method: hyperharmonic(n, r, HyperharmonicMethod(method)),
+        lambda n, r, method: hyperharmonic(
+            n, r, HyperharmonicMethod(method or HyperharmonicMethod.CLOSED.value)
+        ),
         ("n", "r", "method"),
     ),
     "hyperharmonic-neg": (hyperharmonic_neg, ("n", "r")),
@@ -69,6 +71,9 @@ _COMPUTE = {
     "alpha": (alpha, ("n", "r")),
     "beta": (beta, ("n", "r")),
 }
+# every ``compute`` flag; each exact sequence also reads --decimal, and a
+# flag the sequence does not read is an error rather than ignored
+_COMPUTE_FLAGS = ("n", "m", "r", "k", "w", "arg", "method", "decimal")
 
 # each ``series --gf``: a function of (r, order)
 _SERIES = {
@@ -220,9 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--w", help="rational order, e.g. 1/2")
     compute.add_argument("--arg", help="real or rational argument (digamma)")
     compute.add_argument(
-        "--method",
-        choices=[m.value for m in HyperharmonicMethod],
-        default=HyperharmonicMethod.CLOSED.value,
+        "--method", choices=[m.value for m in HyperharmonicMethod]
     )
     compute.add_argument("--decimal", type=int, metavar="N")
 
@@ -260,15 +263,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    def need(flag, value):
-        if value is None:
-            raise ValueError(f"{args.sequence} requires --{flag}")
-        return value
-
     if args.decimal is not None and args.decimal < 0:
         raise ValueError(f"--decimal must be non-negative, got {args.decimal}")
-    if args.sequence == "digamma":
-        raw = need("arg", args.arg)
+    fn, flags = _COMPUTE.get(args.sequence, (None, ("arg",)))  # None: digamma
+    for flag in flags:
+        if getattr(args, flag) is None and flag != "method":
+            raise ValueError(f"{args.sequence} requires --{flag}")
+    reads = flags + (("decimal",) if fn else ())
+    for flag in _COMPUTE_FLAGS:
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ValueError(f"{args.sequence} does not read --{flag}")
+    if fn is None:
+        raw = args.arg
         try:
             x = float(Fraction(raw)) if "/" in raw else float(raw)
         except (ValueError, ZeroDivisionError):
@@ -277,8 +283,7 @@ def _cmd_compute(args) -> int:
         value = digamma(x)
         print(json.dumps(value.to_json_obj(), allow_nan=False))
         return EXIT_OK
-    fn, flags = _COMPUTE[args.sequence]
-    value = fn(*[need(flag, getattr(args, flag)) for flag in flags])
+    value = fn(*[getattr(args, flag) for flag in flags])
     print(_render_exact(value, args.decimal))
     return EXIT_OK
 
@@ -392,9 +397,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,13 +35,17 @@ Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
 ``float`` the transcendental ones, whose sides are ``CertifiedReal``.
 
 Harmonic numbers are the hyperharmonic numbers of order one, H(n) =
-h(n, 1), so a harmonic row that is an order-r row at r = 1 is not
-written twice: ``_order_one_rows`` registers each of the 13 such rows as
-its source row with the order pinned to 1.  It keeps its own key,
-anchor, grid and tags; its evaluators are the source's.  Table-1 rows
-whose printed form is not their twin at order one (``t1-3.100``,
-``t1-4.3``, ``t1-7.13``, ``t1-Z.58``, ``t1-12.9b``) stay written out,
-and the tests pin how each relates to its twin.
+h(n, 1), so no identity is written twice: ``_pinned_rows`` registers a
+row that is another row at a pinned parameter as that row, with its own
+key, anchor, grid and tags and the source's evaluators.  Fourteen are
+their source at order one; ``eq-hrp`` and ``cor-son4`` are ``t2-1.41``
+and ``t2-1.42`` at r = 1, and ``cor-nf`` is ``prop-one2`` at n = 0.
+``t1-12.9b`` is ``t2-12.9b``'s lhs at r = 1 with the sign of one term
+as printed.  Rows stay written out whose printed value differs from
+their twin's (``t1-3.100``, ``t1-4.3``, ``t1-7.13``, ``t1-Z.58``; the
+tests pin how), whose closed form the paper derives (``cor-bih``,
+``cor-lower``, ``cor-e``), or whose balls pinning would widen
+(``t1-1.23``).
 
 Half-integer hyperharmonic orders default to the exact digamma-telescoped
 evaluation, read through the row-memoized ``h`` like every other order.
@@ -312,12 +316,7 @@ def _axis_values(p, max_bound, param_bounds):
             if max_bound is not None:
                 hi = min(hi, max_bound)
         return [(p.name, v) for v in range(max(lo, p.lo), hi + 1)]
-    values = p.values
-    if override is not None:
-        if isinstance(override, (list, tuple)):
-            values = tuple(F(v) for v in override)
-        else:
-            values = (F(override),)
+    values = p.values if override is None else (F(override),)
     return [(p.name, v) for v in values]
 
 
@@ -332,9 +331,7 @@ def _assignments(identity, max_bound, param_bounds):
 
 def _values_agree(exact, lv, rv) -> bool:
     if exact:
-        if type(lv) is type(rv) is F:
-            return lv == rv
-        return F(lv) == F(rv)
+        return lv == rv
     # Two balls agree iff they overlap, tested on the floats' exact values.
     # A non-finite centre or radius has no rational value and fails.
     lc, rc = as_certified(lv), as_certified(rv)
@@ -593,11 +590,13 @@ _dx_reciprocal_rising = _row_memo(dx_reciprocal_rising)
 def _t2_129_k(k: int, r: int, x) -> tuple:
     """The n-free pieces of term k of Gould (12.9) at order r.
 
-    They are ratio = (x+r+2k)/(x+r+k), ratio h(k, r)/C(r-1+k, k) and
-    k/(x+r+k)^2; both forms read them, the table-1 rows at r = 1.
+    They are C(x+k, k)/C(r-1+k, k), ratio = (x+r+2k)/(x+r+k),
+    ratio h(k, r)/C(r-1+k, k) and k/(x+r+k)^2; both forms read them, the
+    table-1 rows at r = 1.
     """
+    c = C(r - 1 + k, k)
     ratio = (x + r + 2 * k) / (x + r + k)
-    return ratio, ratio * h(k, r) / C(r - 1 + k, k), F(k) / (x + r + k) ** 2
+    return Cg(x + k, k) / c, ratio, ratio * h(k, r) / c, F(k) / (x + r + k) ** 2
 
 
 def _t2_129a_lhs(n: int, r: int, x) -> Fraction:
@@ -605,10 +604,32 @@ def _t2_129a_lhs(n: int, r: int, x) -> Fraction:
     prefs, inners = [], []
     for k in range(n + 1):
         big = Cg(x + (r + k + n), n)  # one Fraction addition, not three
-        prefs.append(C(n, k) * C(r - 1 + k, k) / Cg(x + k, k) / big)
-        ratio, head, tail = _t2_129_k(k, r, x)
+        weight, ratio, head, tail = _t2_129_k(k, r, x)
+        prefs.append(C(n, k) / weight / big)
         inners.append(head - ratio * h(n, x + (k + r + 1)) / big - tail)
     return dot(prefs, inners)
+
+
+def _t2_129b_lhs(n: int, r: int, y, sign: int = 1) -> Fraction:
+    """The lhs of Gould (12.9), second form, at order r.
+
+    ``sign`` is the sign of its k/(y+r+k)^2 term: +1 in the order-r form,
+    -1 in the form ``t1-12.9b`` transcribes at r = 1.
+    """
+    prefs, inners = [], []
+    for k in range(n + 1):
+        big = Cg(y + (r + k + n), n)
+        weight, ratio, head, tail = _t2_129_k(k, r, y)
+        prefs.append(C(n, k) * weight / big)
+        inner = head + ratio * h(n, y + (k + r + 1)) / big
+        inners.append(inner + tail if sign > 0 else inner - tail)
+    return dot(prefs, inners)
+
+
+def _t2_129b_valid(n: int, r: int, y) -> bool:
+    # Poles, over k = 0..n: r+y+k = 0 and C(r+y+k+n,n) = 0 at
+    # y = -(r+k+1)..-(r+k+n); together the integers -(r+2n) <= y <= -r.
+    return y.denominator != 1 or not -(r + 2 * n) <= y <= -r
 
 
 @_row_memo
@@ -694,8 +715,10 @@ def _add_pinned(key, anchor, params, tags, source, pins):
     def pin(fn):
         if fn is None:
             return None
-        return lambda **pa: fn(**{renames.get(k, k): v for k, v in pa.items()},
-                               **consts)
+        fixed = functools.partial(fn, **consts)
+        if not renames:
+            return fixed
+        return lambda **pa: fixed(**{renames.get(k, k): v for k, v in pa.items()})
 
     _add(key, anchor, params, pin(src.lhs), pin(src.rhs), tags,
          valid=pin(src.valid), alt_rhs=pin(src.alt_rhs))
@@ -903,22 +926,6 @@ def _core_differences():
         {"core"},
     )
     _add(
-        "cor-son4",
-        "sum_{i=1..k} (-1)^(i+1) C(k,i) H(i) = 1/k",
-        (IntRange("k", 1, 25),),
-        lambda k: bsum(1, k, lambda i: (-1) ** (i + 1) * C(k, i), H),
-        lambda k: F(1, k),
-        {"core"},
-    )
-    _add(
-        "eq-hrp",
-        "sum_{i=1..k} (-1)^(i+1) C(k,i)/i = H(k)",
-        (IntRange("k", 1, 25),),
-        lambda k: bsum(1, k, lambda i: (-1) ** (i + 1) * C(k, i), lambda i: F(1, i)),
-        lambda k: H(k),
-        {"core"},
-    )
-    _add(
         "prop-son8",
         "sum_i (-1)^i C(k,i)(n+i) H(n+i) = (k-2)!/(n+1)^rising(k-1), k >= 2",
         (IntRange("k", 2, 12), IntRange("n", 0, 20)),
@@ -1062,14 +1069,6 @@ def _core_fibonacci():
         {"core"},
     )
     _add(
-        "cor-nf",
-        "F(-k) = sum_i (-1)^(k-i) C(k,i) F(i)",
-        (IntRange("k", 0, 40),),
-        lambda k: F(fibonacci(-k)),
-        lambda k: alt_sum(k, fibonacci),
-        {"core"},
-    )
-    _add(
         "cor-son6",
         "F(-k) = F(-k-1) + F(-k-2)",
         (IntRange("k", 0, 40),),
@@ -1153,32 +1152,6 @@ def _table1_rows():
         {"table1", "float"},
     )
 
-    def _t1_216_lhs():
-        partial = bsum(1, 30, lambda k: F(1, factorial(k)), H)
-        # H(k) <= k, so the tail sum_{k>30} H(k)/k! is at most
-        # sum_{j>=30} 1/j! <= (1/30!) sum_{i>=0} 31^-i = (31/30)/30! < 2/30!.
-        tail = 2.0 / math.factorial(30)
-        val = float(partial)
-        return CertifiedReal(val, abs(val) * 4 * _ULP + tail)
-
-    def _t1_216_rhs():
-        partial = bsum(1, 30, lambda k: (-1) ** (k - 1),
-                       lambda k: F(1, factorial(k) * k))
-        # The series alternates with decreasing terms 1/(k! k), so its tail
-        # beyond k = 30 is at most the first omitted term, 1/(31! 31);
-        # the factor e scales it to e/(31! 31).
-        tail = math.e / (math.factorial(31) * 31)
-        val = math.e * float(partial)
-        return CertifiedReal(val, abs(val) * 6 * _ULP + tail)
-
-    _add(
-        "t1-2.16",
-        "Gould (2.16): sum_k H(k)/k! = e sum_k (-1)^(k-1)/(k! k)",
-        (),
-        _t1_216_lhs,
-        _t1_216_rhs,
-        {"table1", "float"},
-    )
     _add(
         "t1-3.2",
         "Gould (3.2): sum_k C(r-2+n-k,n-k) H(k) = h(n,r)",
@@ -1229,28 +1202,15 @@ def _table1_rows():
         + (C(r + n, n) * H(n) - h(n, r + 1)) * (H(n) - H(n + r) + H(r)),
         {"table1"},
     )
-
-    def _t1_129b_lhs(n, y):
-        # t2-12.9b at r = 1 but for the sign of the k/(y+k+1)^2 term
-        prefs, inners = [], []
-        for k in range(n + 1):
-            big = Cg(y + (k + 1 + n), n)
-            prefs.append(C(n, k) * Cg(y + k, k) / big)
-            ratio, head, tail = _t2_129_k(k, 1, y)
-            inners.append(head + ratio * h(n, y + (k + 2)) / big - tail)
-        return dot(prefs, inners)
-
     _add(
         "t1-12.9b",
         "Gould (12.9), second form: the C(y+k,k)-weighted telescoping sum "
         "equals H(n)",
         (IntRange("n", 1, 15), RationalChoice("y", SAMPLE_RATIONALS)),
-        _t1_129b_lhs,
+        lambda n, y: _t2_129b_lhs(n, 1, y, sign=-1),
         lambda n, y: H(n),
         {"table1"},
-        # Poles, over k = 0..n: y+k+1 = 0 and C(y+k+1+n,n) = 0 at
-        # y = -(k+2)..-(k+n+1); together the integers -(2n+1) <= y <= -1.
-        valid=lambda n, y: y.denominator != 1 or not -2 * n - 1 <= y <= -1,
+        valid=lambda n, y: _t2_129b_valid(n, 1, y),
     )
 
     def _t1_z58_rhs(n, hw=h):
@@ -1533,15 +1493,6 @@ def _table2_rows():
         or not (-n <= x <= -1 or -(r + 2 * n) <= x <= -r),
     )
 
-    def _t2_129b_lhs(n, r, y):
-        prefs, inners = [], []
-        for k in range(n + 1):
-            big = Cg(y + (r + k + n), n)
-            prefs.append(C(n, k) * Cg(y + k, k) / big / C(r - 1 + k, k))
-            ratio, head, tail = _t2_129_k(k, r, y)
-            inners.append(head + ratio * h(n, y + (k + r + 1)) / big + tail)
-        return dot(prefs, inners)
-
     _add(
         "t2-12.9b",
         "Gould (12.9), second order-r form: the weighted telescoping sum "
@@ -1551,9 +1502,7 @@ def _table2_rows():
         _t2_129b_lhs,
         lambda n, r, y: h(n, r) / C(r - 1 + n, n) ** 2,
         {"table2"},
-        # Poles, over k = 0..n: r+y+k = 0 and C(r+y+k+n,n) = 0 at
-        # y = -(r+k+1)..-(r+k+n); together the integers -(r+2n) <= y <= -r.
-        valid=lambda n, r, y: y.denominator != 1 or not -(r + 2 * n) <= y <= -r,
+        valid=_t2_129b_valid,
     )
 
     def _t2_z58_rhs(n, r, hw=h):
@@ -1572,44 +1521,55 @@ def _table2_rows():
     )
 
 
-def _order_one_rows():
-    # key, anchor, grid, tag, then the source row and its pins; each row is
-    # its source at order one (t1-7.2's own r is the source's m)
+def _pinned_rows():
+    # key, anchor, grid, tags, then the source row and its pins: each row is
+    # its source at a pinned parameter, mostly the order at one (t1-7.2's own
+    # r is the source's m, and eq-hrp's and cor-son4's k the source's n)
     n, nr = [IntRange("n", 1, 25)], [IntRange("n", 1, 25), IntRange("r", 1, 25)]
+    k = [IntRange("k", 1, 25)]
+    core, t1 = {"core"}, {"table1"}
     r1 = {"r": 1}
-    for key, anchor, params, tag, source, pins in (
+    for key, anchor, params, tags, source, pins in (
         ("eq-10", "D_x C(x+n,n) at 0 = H(n)",
-         [IntRange("n", 0, 25)], "core", "eq-11", r1),
+         [IntRange("n", 0, 25)], core, "eq-11", r1),
         ("gf-harmonic", "[z^n] -ln(1-z)/(1-z) = H(n)",
-         [IntRange("n", 0, 64)], "core", "gf-hyperharmonic", r1),
+         [IntRange("n", 0, 64)], core, "gf-hyperharmonic", r1),
+        ("eq-hrp", "sum_{i=1..k} (-1)^(i+1) C(k,i)/i = H(k)",
+         k, core, "t2-1.41", {"n": "k", "r": 1}),
+        ("cor-son4", "sum_{i=1..k} (-1)^(i+1) C(k,i) H(i) = 1/k",
+         k, core, "t2-1.42", {"n": "k", "r": 1}),
+        ("cor-nf", "F(-k) = sum_i (-1)^(k-i) C(k,i) F(i)",
+         [IntRange("k", 0, 40)], core, "prop-one2", {"n": 0}),
         ("t1-1.41", "Gould (1.41): sum_k (-1)^(k-1) C(n,k)/k = H(n)",
-         n, "table1", "t2-1.41", r1),
+         n, t1, "t2-1.41", r1),
         ("t1-1.42", "Gould (1.42): sum_k (-1)^(k-1) C(n,k) H(k) = 1/n",
-         n, "table1", "t2-1.42", r1),
+         n, t1, "t2-1.42", r1),
         ("t1-1.44", "Gould (1.44): sum_k (-1)^(k-1) C(n+1,k+1) H(k) = H(n)",
-         n, "table1", "t2-1.44", r1),
+         n, t1, "t2-1.44", r1),
+        ("t1-2.16", "Gould (2.16): sum_k H(k)/k! = e sum_k (-1)^(k-1)/(k! k)",
+         [], {"table1", "float"}, "t2-2.16", r1),
         ("t1-3.36", "Gould (3.36): 2 sum_{k=1..2n} (-1)^k H(k) = H(n)",
-         n, "table1", "t2-3.36", r1),
+         n, t1, "t2-3.36", r1),
         ("t1-3.95", "Gould (3.95): sum_k (-1)^k C(2n-2k,n-k) C(2k,k)/k = "
-         "4^n (h(n,1/2) - C(n-1/2,n) H(n))", n, "table1", "t2-3.95", r1),
+         "4^n (h(n,1/2) - C(n-1/2,n) H(n))", n, t1, "t2-3.95", r1),
         ("t1-3.108", "Gould (3.108): the (n,m)-symmetric binomial-harmonic "
-         "double sum", [IntRange("n", 0, 25), IntRange("m", 0, 25)], "table1",
+         "double sum", [IntRange("n", 0, 25), IntRange("m", 0, 25)], t1,
          "t2-3.108", r1),
         ("t1-6.19", "Gould (6.19): sum_k C(n,k) C(r,k) h(n+r,1-k) = H(n) + H(r)",
-         nr, "table1", "t2-6.19", {"j": 1}),
+         nr, t1, "t2-6.19", {"j": 1}),
         ("t1-6.22", "Gould (6.22): sum_k (-1)^k C(2n,k) C(2n-k,n)^2/k = "
-         "C(2n,n)(h(n,n+1) - C(2n,n) H(n))", n, "table1", "t2-6.22", r1),
+         "C(2n,n)(h(n,n+1) - C(2n,n) H(n))", n, t1, "t2-6.22", r1),
         ("t1-7.2", "Gould (7.2): sum_k C(n,k) C(r,k) H(k) = C(r+n,n) H(n) - "
-         "h(n,r+1)", nr, "table1", "t2-7.2", {"m": "r", "r": 1}),
+         "h(n,r+1)", nr, t1, "t2-7.2", {"m": "r", "r": 1}),
         ("t1-7.9", "Gould (7.9): alternating central-binomial H(k) sum vs "
-         "4^n h(n,1/2)/((2n+1) C(2n,n))", [IntRange("n", 1, 20)], "table1",
+         "4^n h(n,1/2)/((2n+1) C(2n,n))", [IntRange("n", 1, 20)], t1,
          "t2-7.9", r1),
         ("t1-12.9a", "Gould (12.9), first form: the C(x+k,k)-weighted "
          "telescoping sum is zero",
          [IntRange("n", 1, 15), RationalChoice("x", SAMPLE_RATIONALS)],
-         "table1", "t2-12.9a", r1),
+         t1, "t2-12.9a", r1),
     ):
-        _add_pinned(key, anchor, params, {tag}, source, pins)
+        _add_pinned(key, anchor, params, tags, source, pins)
 
 
 _core_recurrences()
@@ -1620,4 +1580,4 @@ _core_fibonacci()
 _float_rows()
 _table1_rows()
 _table2_rows()
-_order_one_rows()
+_pinned_rows()

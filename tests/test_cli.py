@@ -98,6 +98,43 @@ class TestCompute:
         assert code == 2
         assert "requires --n" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["harmonic", "--n", "5", "--r", "3"], "--r"),
+        (["harmonic", "--n", "5", "--method", "def"], "--method"),
+        (["digamma", "--arg", "2.5", "--decimal", "3"], "--decimal"),
+        (["digamma", "--arg", "2.5", "--n", "1"], "--n"),
+        (["fibonacci", "--k", "3", "--arg", "1"], "--arg"),
+        (["hyperharmonic-q", "--n", "2", "--w", "1/2", "--r", "1"], "--r"),
+        (["beta", "--n", "2", "--r", "1", "--m", "2"], "--m"),
+    ])
+    def test_unread_flag_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "compute", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[0]} does not read {flag}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["harmonic", "--r", "3", "--decimal", "-1"], "--decimal must be"),
+        (["harmonic", "--r", "3"], "harmonic requires --n"),
+        (["digamma", "--decimal", "2"], "digamma requires --arg"),
+    ])
+    def test_unread_flag_is_checked_last(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, "compute", *argv)
+        assert code == 2
+        assert err.startswith(f"error: {message}")
+
+    def test_every_compute_flag_is_checked(self):
+        from hyperseq.cli import _COMPUTE_FLAGS, _build_parser
+
+        args = vars(_build_parser().parse_args(["compute", "harmonic"]))
+        assert set(args) - {"config", "command", "sequence"} == set(_COMPUTE_FLAGS)
+
+    def test_method_defaults_to_closed(self, capsys):
+        _, default, _ = run_cli(capsys, "compute", "hyperharmonic", "--n", "6",
+                                "--r", "3")
+        _, closed, _ = run_cli(capsys, "compute", "hyperharmonic", "--n", "6",
+                               "--r", "3", "--method", "closed")
+        assert default == closed == "341/10\n"
+
 
 class TestValuesPastTheDigitLimit:
     """Exact values longer than the interpreter's int/str digit limit
@@ -284,6 +321,19 @@ class TestConfig:
                                "harmonic", "--n", "1")
         assert code == 2
         assert "unknown key" in err
+
+    def test_unreadable_config_file_names_its_path(self, tmp_path, capsys):
+        missing = tmp_path / "missing.conf"
+        code, out, err = run_cli(capsys, "--config", str(missing), "identities")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {missing}: ")
+
+    def test_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "hyperseq.conf"
+        cfg.write_text("format = json\n# a comment\nmax_n 4\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "identities")
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:3: expected 'key = value'\n"
 
     def test_workers_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "hyperseq.conf"
@@ -579,6 +629,15 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestLazyRegistryNames:
+    def test_registry_names_resolve_from_the_package(self):
+        from hyperseq import identities
+
+        assert hyperseq.run_suite is identities.run_suite
+        assert hyperseq.verify is identities.verify
+        assert {"run_suite", "verify", "harmonic"} <= set(dir(hyperseq))
 
 
 class TestIdentitiesListing:

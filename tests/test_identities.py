@@ -183,6 +183,28 @@ class TestVerify:
         assert reasons[0]["params"] == {"n": 0}
         assert "h(0, 0)" in reasons[0]["reason"]
 
+    def test_skip_reasons_are_written_to_the_json_report(self, monkeypatch):
+        probe = Identity(
+            key="probe-skip",
+            anchor="h(n,0) = 1/n",
+            params=(IntRange("n", 0, 2),),
+            lhs=lambda n: ident.hyperharmonic(n, 0),
+            rhs=lambda n: F(1, n),
+            tags=frozenset({"probe"}),
+        )
+        monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
+        (row,) = json.loads(run_suite(only=["probe-skip"]).to_json())
+        assert (row["verdict"], row["tested"], row["skipped"]) == ("PASS", 2, 1)
+        (reason,) = row["skip_reasons"]
+        assert reason["params"] == {"n": 0}
+        assert "h(0, 0)" in reason["reason"]
+
+    def test_text_report_shows_the_alternative_verdict(self):
+        text = run_suite(only=["t1-Z.58", "t1-1.41"], max_bound=3).to_text()
+        h141, z58 = (line for line in text.splitlines() if line.startswith("t1-"))
+        assert z58.startswith("t1-Z.58 ") and z58.endswith("  [alt: PASS]")
+        assert h141.startswith("t1-1.41 ") and "[alt:" not in h141
+
     def test_evaluator_bug_is_raised_not_skipped(self, monkeypatch):
         # Only DomainError marks a case as outside the domain; a division
         # by zero inside an evaluator is a bug and must surface.
