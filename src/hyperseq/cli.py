@@ -147,8 +147,11 @@ def _parse_config_file(path: str) -> CliConfig:
 
 
 def _load_config(args) -> CliConfig:
-    path = args.config or os.environ.get("HYPERSEQ_CONFIG")
-    return _parse_config_file(path) if path else CliConfig()
+    """``--config`` if given, even empty; else a non-empty ``HYPERSEQ_CONFIG``."""
+    path = args.config
+    if path is None:
+        path = os.environ.get("HYPERSEQ_CONFIG") or None
+    return CliConfig() if path is None else _parse_config_file(path)
 
 
 def _round_half_even(x: Fraction, places: int) -> str:
@@ -331,7 +334,7 @@ def _cmd_audit(args, cfg: CliConfig) -> int:
     # Only audit and identities load the registry; other commands skip it.
     from . import identities
 
-    only = args.only.split(",") if args.only else None
+    only = None if args.only is None else args.only.split(",")
     cap = args.counterexamples
     if cap is None:
         cap = cfg.counterexamples
@@ -354,7 +357,7 @@ def _cmd_audit(args, cfg: CliConfig) -> int:
         payload = report.to_csv()
     else:
         payload = report.to_text()
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(payload)

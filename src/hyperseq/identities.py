@@ -54,6 +54,8 @@ a keyword ``hw=h``; its ``alt_rhs`` is the same function with ``hw``
 bound to the alternative reading
 (:func:`hyperseq.sequences.hyperharmonic_half_integer_alt`), checked
 against the same left side; the report records the verdict under each.
+``verify`` evaluates each case once for both conventions: one lhs per
+case, compared with the rhs and the alt_rhs.
 """
 
 from __future__ import annotations
@@ -343,42 +345,28 @@ def _values_agree(exact, lv, rv) -> bool:
     )
 
 
-def _evaluate_pair(identity, lhs, rhs, assignments, cap):
-    exact = identity.mode == "exact"
-    tested = 0
-    skipped = 0
-    fails = 0
-    counterexamples = []
-    skip_reasons = []
-    for pa in assignments:
+def _cases(identity, max_bound, param_bounds):
+    """Evaluate each case of a row once, as ``(pa, lv, rights)``.
+
+    ``rights`` holds the rhs value and, on a dual-convention row, the
+    alt_rhs value; a side that raises ``DomainError`` holds the error
+    instead.  When the lhs raises, no right side is evaluated and every
+    slot holds the lhs error, so every convention skips the case.
+    """
+    sides = (identity.rhs, identity.alt_rhs)[: 1 + identity.dual_convention]
+    for pa in _assignments(identity, max_bound, param_bounds):
         try:
-            lv = lhs(**pa)
-            rv = rhs(**pa)
+            lv = identity.lhs(**pa)
         except DomainError as exc:
-            skipped += 1
-            if len(skip_reasons) < 3:
-                skip_reasons.append(
-                    {"params": _render_params(pa), "reason": str(exc)}
-                )
+            yield pa, exc, (exc,) * len(sides)
             continue
-        tested += 1
-        if not _values_agree(exact, lv, rv):
-            fails += 1
-            if len(counterexamples) < cap:
-                counterexamples.append(
-                    {
-                        "params": _render_params(pa),
-                        "lhs": _render_value(lv),
-                        "rhs": _render_value(rv),
-                    }
-                )
-    if fails:
-        verdict = "FAIL"
-    elif tested:
-        verdict = "PASS"
-    else:
-        verdict = "SKIPPED"
-    return verdict, tested, skipped, counterexamples, skip_reasons
+        rights = []
+        for rhs in sides:
+            try:
+                rights.append(rhs(**pa))
+            except DomainError as exc:
+                rights.append(exc)
+        yield pa, lv, rights
 
 
 def verify(
@@ -390,35 +378,46 @@ def verify(
 ) -> IdentityReport:
     """Check one registered identity over its (possibly overridden) domain."""
     identity = get_identity(key)
+    exact = identity.mode == "exact"
     start = time.monotonic()
+    # one tally per convention, main first; verdict None until a case fails
+    conventions = 1 + identity.dual_convention
+    results = [ConventionResult(None, 0, 0, []) for _ in range(conventions)]
+    reasons = []  # the main convention's first skips
     with row_scope():
-        verdict, tested, skipped, cex, reasons = _evaluate_pair(
-            identity,
-            identity.lhs,
-            identity.rhs,
-            _assignments(identity, max_bound, param_bounds),
-            counterexample_cap,
-        )
-        alternative = None
-        if identity.dual_convention:
-            a_verdict, a_tested, a_skipped, a_cex, _ = _evaluate_pair(
-                identity,
-                identity.lhs,
-                identity.alt_rhs,
-                _assignments(identity, max_bound, param_bounds),
-                counterexample_cap,
-            )
-            alternative = ConventionResult(a_verdict, a_tested, a_skipped, a_cex)
+        for pa, lv, rights in _cases(identity, max_bound, param_bounds):
+            for result, rv in zip(results, rights):
+                if isinstance(rv, DomainError):
+                    result.skipped += 1
+                    if result is results[0] and len(reasons) < 3:
+                        reason = {"params": _render_params(pa), "reason": str(rv)}
+                        reasons.append(reason)
+                    continue
+                result.tested += 1
+                if not _values_agree(exact, lv, rv):
+                    result.verdict = "FAIL"
+                    if len(result.counterexamples) < counterexample_cap:
+                        result.counterexamples.append(
+                            {
+                                "params": _render_params(pa),
+                                "lhs": _render_value(lv),
+                                "rhs": _render_value(rv),
+                            }
+                        )
+    for result in results:
+        if result.verdict is None:
+            result.verdict = "PASS" if result.tested else "SKIPPED"
+    main, *alternative = results
     return IdentityReport(
         key=identity.key,
         anchor=identity.anchor,
         mode=identity.mode,
-        verdict=verdict,
-        tested=tested,
-        skipped=skipped,
-        counterexamples=cex,
+        verdict=main.verdict,
+        tested=main.tested,
+        skipped=main.skipped,
+        counterexamples=main.counterexamples,
         skip_reasons=reasons,
-        alternative=alternative,
+        alternative=alternative[0] if alternative else None,
         elapsed=time.monotonic() - start,
     )
 

@@ -557,6 +557,34 @@ class TestGarbageInput:
         assert exc.value.code == 2
         assert "--w" in capsys.readouterr().err
 
+    def test_empty_only_matches_no_identity(self, capsys):
+        # an empty value is a value, not an absent flag: it used to audit
+        # every row
+        code, out, err = run_cli(capsys, "audit", "--only", "")
+        assert (code, out) == (2, "")
+        assert err == "error: no identity matches --only ''\n"
+
+    def test_empty_out_path_cannot_be_written(self, capsys):
+        # it used to print the report to stdout and exit 0
+        code, out, err = run_cli(capsys, "audit", "--only", "prop-5", "--max", "2",
+                                 "--out", "")
+        assert (code, out) == (5, "")
+        assert err.startswith("error: cannot write : ")
+
+    def test_empty_config_path_cannot_be_read(self, capsys, tmp_path, monkeypatch):
+        # it used to run with no config file, or with HYPERSEQ_CONFIG's
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text("format = json\n")
+        monkeypatch.setenv("HYPERSEQ_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, "--config", "", "identities")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config file : ")
+
+    def test_empty_config_variable_means_unset(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERSEQ_CONFIG", "")
+        code, out, _ = run_cli(capsys, "identities", "--suite", "float")
+        assert code == 0 and len(out.splitlines()) == 8
+
     def test_audit_has_no_tolerance(self, capsys):
         # Float verdicts come from the certified radii alone.
         with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,13 @@ Two fixtures pin the audit's results byte for byte:
   case.  It catches an evaluator rewrite that changes a value while the
   row still passes, e.g. a symmetric row whose two sides share a helper.
 
+Both come from one run of the audit: ``hashing_cases`` wraps the
+engine's case stream while ``hyperseq audit --format json`` runs, so
+the digests hash the very values the verdicts compare, and each case is
+evaluated once.  ``run_audit`` is that run; a pytest session makes it
+once, in the ``full_audit`` fixture, and ``--check`` and ``--write``
+once each.
+
 The module does not import pytest, so the check also runs without it;
 it prints each changed row digest and any change to the audit JSON, and
 exits 1 on a change::
@@ -29,50 +36,80 @@ import json
 import sys
 from pathlib import Path
 
+from hyperseq import identities
 from hyperseq.cli import main as cli_main
 from hyperseq.errors import DomainError
 from hyperseq.exactnum import format_rational
-from hyperseq.identities import (
-    _ROW_MEMOS,
-    _assignments,
-    get_identity,
-    list_identities,
-    row_scope,
-)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 AUDIT_JSON = FIXTURES / "audit_full.json"
 ROW_DIGESTS = FIXTURES / "audit_rows.json"
 
 
-def _side_digest(identity, lhs, rhs) -> str:
-    h = hashlib.sha256()
-    for pa in _assignments(identity, None, None):
-        params = json.dumps(
-            {k: format_rational(v) for k, v in pa.items()}, sort_keys=True
-        )
-        try:
-            lv, rv = lhs(**pa), rhs(**pa)
-            line = f"{params}\t{format_rational(lv)}\t{format_rational(rv)}"
-        except DomainError:
-            line = f"{params}\tskip"
-        h.update(line.encode() + b"\n")
-    return h.hexdigest()
+@contextlib.contextmanager
+def hashing_cases():
+    """While open, every exact row the engine runs hashes its cases.
 
+    Wraps ``identities._cases``, the one stream of evaluated cases that
+    ``verify`` reads, so the digests see the engine's own values.
+    Yields ``{key: [sha256, number of cases]}``, with ``<key>@alt`` for
+    the alternative convention, filled as the rows run.
+    """
+    hashes = {}
+    cases = identities._cases
 
-def row_digests() -> dict:
-    out = {}
-    for key in list_identities():
-        identity = get_identity(key)
+    def hashed(identity, max_bound, param_bounds):
+        stream = cases(identity, max_bound, param_bounds)
         if identity.mode != "exact":
-            continue
-        with row_scope():
-            out[key] = _side_digest(identity, identity.lhs, identity.rhs)
-            if identity.dual_convention:
-                out[key + "@alt"] = _side_digest(
-                    identity, identity.lhs, identity.alt_rhs
-                )
-    return out
+            yield from stream
+            return
+        keys = (identity.key, identity.key + "@alt")[: 1 + identity.dual_convention]
+        entries = [hashes.setdefault(k, [hashlib.sha256(), 0]) for k in keys]
+        for pa, lv, rights in stream:
+            params = json.dumps(
+                {k: format_rational(v) for k, v in pa.items()}, sort_keys=True
+            )
+            for entry, rv in zip(entries, rights):
+                if isinstance(rv, DomainError):
+                    line = f"{params}\tskip"
+                else:
+                    line = f"{params}\t{format_rational(lv)}\t{format_rational(rv)}"
+                entry[0].update(line.encode() + b"\n")
+                entry[1] += 1
+            yield pa, lv, rights
+
+    identities._cases = hashed
+    try:
+        yield hashes
+    finally:
+        identities._cases = cases
+
+
+class FullAudit:
+    """One ``hyperseq audit --format json`` over the default domains.
+
+    ``stdout`` is the report as printed, ``rows`` maps each identity id
+    to its parsed row, ``digests`` and ``cases`` map each exact row (and
+    ``<key>@alt``) to the sha256 of its cases and their number, and
+    ``memo_sizes`` holds the size of every row memo right after the run.
+    """
+
+    def __init__(self, stdout, hashes, memo_sizes):
+        self.stdout = stdout
+        self.rows = {row["identity_id"]: row for row in json.loads(stdout)}
+        self.digests = {k: sha.hexdigest() for k, (sha, _) in hashes.items()}
+        self.cases = {k: n for k, (_, n) in hashes.items()}
+        self.memo_sizes = memo_sizes
+
+
+def run_audit() -> FullAudit:
+    """Run the full audit once, hashing every exact row's cases."""
+    buf = io.StringIO()
+    with hashing_cases() as hashes, contextlib.redirect_stdout(buf):
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli_main(["audit", "--format", "json"])
+    sizes = [memo.cache_info().currsize for memo in identities._ROW_MEMOS]
+    return FullAudit(buf.getvalue(), hashes, sizes)
 
 
 def changed_digests(got: dict) -> list:
@@ -83,27 +120,24 @@ def changed_digests(got: dict) -> list:
     return sorted(k for k in keys if got.get(k) != expected.get(k))
 
 
-def audit_stdout() -> str:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-        cli_main(["audit", "--format", "json"])
-    return buf.getvalue()
-
-
 def test_full_audit_json_is_byte_identical(full_audit):
-    # the same stdout as audit_stdout(), from the session's one full run
     assert full_audit.stdout == AUDIT_JSON.read_text()
 
 
-def test_exact_row_digests(digests_then_memo_sizes):
-    got, _ = digests_then_memo_sizes
-    assert changed_digests(got) == []
+def test_exact_row_digests(full_audit):
+    assert changed_digests(full_audit.digests) == []
 
 
-def test_row_memos_are_empty_after_row_digests(digests_then_memo_sizes):
-    # the digests call lhs/rhs directly, outside verify
-    _, sizes = digests_then_memo_sizes
-    assert sizes == [0] * len(_ROW_MEMOS)
+def test_digests_hash_every_case_the_report_counts(full_audit):
+    # the digests and the verdicts read the same cases, under each convention
+    expected = {}
+    for key, row in full_audit.rows.items():
+        if row["mode"] == "exact":
+            expected[key] = row["tested"] + row["skipped"]
+            if "alternative" in row:
+                alt = row["alternative"]
+                expected[key + "@alt"] = alt["tested"] + alt["skipped"]
+    assert full_audit.cases == expected
 
 
 def test_fixture_covers_every_exact_row_and_convention():
@@ -116,18 +150,20 @@ def test_fixture_covers_every_exact_row_and_convention():
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
-        AUDIT_JSON.write_text(audit_stdout())
+        audit = run_audit()
+        AUDIT_JSON.write_text(audit.stdout)
         ROW_DIGESTS.write_text(
-            json.dumps(row_digests(), indent=2, sort_keys=True) + "\n"
+            json.dumps(audit.digests, indent=2, sort_keys=True) + "\n"
         )
     elif sys.argv[1:] == ["--check"]:
-        changed = changed_digests(row_digests())
+        audit = run_audit()
+        changed = changed_digests(audit.digests)
         for key in changed:
             print("changed row digest:", key, file=sys.stderr)
         audit_diff = list(
             difflib.unified_diff(
                 AUDIT_JSON.read_text().splitlines(keepends=True),
-                audit_stdout().splitlines(keepends=True),
+                audit.stdout.splitlines(keepends=True),
                 str(AUDIT_JSON),
                 "hyperseq audit --format json",
             )

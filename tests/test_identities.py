@@ -7,6 +7,7 @@ import pytest
 
 import hyperseq.identities as ident
 from hyperseq.analytic import CertifiedReal
+from hyperseq.errors import DomainError
 from hyperseq.opcalc import gf_hyperharmonic
 from hyperseq.identities import (
     Identity,
@@ -76,9 +77,9 @@ class TestRegistryCoverage:
         # sides return: balls on float rows, exact rationals elsewhere.
         for key in list_identities():
             identity = get_identity(key)
-            pa = next(ident._assignments(identity, None, None))
             with ident.row_scope():
-                sides = [identity.lhs(**pa), identity.rhs(**pa)]
+                _, lv, rights = next(ident._cases(identity, None, None))
+            sides = [lv, *rights]
             if "float" in identity.tags:
                 assert identity.mode == "float"
                 assert all(isinstance(v, CertifiedReal) for v in sides), key
@@ -167,7 +168,7 @@ class TestVerify:
             assert identity.lhs(**pa) == identity.lhs(**pa)
             assert identity.rhs(**pa) == identity.rhs(**pa)
 
-    def test_skipped_assignments_recorded_with_reason(self):
+    def test_skipped_assignments_recorded_with_reason(self, monkeypatch):
         probe = Identity(
             key="probe",
             anchor="h(n,0) = 1/n",
@@ -176,12 +177,11 @@ class TestVerify:
             rhs=lambda n: F(1, n) if n else F(0),
             tags=frozenset({"probe"}),
         )
-        verdict, tested, skipped, cex, reasons = ident._evaluate_pair(
-            probe, probe.lhs, probe.rhs, ident._assignments(probe, None, None), 5
-        )
-        assert (verdict, tested, skipped) == ("PASS", 3, 1)
-        assert reasons[0]["params"] == {"n": 0}
-        assert "h(0, 0)" in reasons[0]["reason"]
+        monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
+        rep = verify("probe")
+        assert (rep.verdict, rep.tested, rep.skipped) == ("PASS", 3, 1)
+        assert rep.skip_reasons[0]["params"] == {"n": 0}
+        assert "h(0, 0)" in rep.skip_reasons[0]["reason"]
 
     def test_skip_reasons_are_written_to_the_json_report(self, monkeypatch):
         probe = Identity(
@@ -379,6 +379,81 @@ def test_table1_row_against_its_twin_at_order_one(row, twin, pin, sides, relatio
                 a = getattr(t1, side)(**pa)
                 b = getattr(t2, side)(**pa, **pin)
                 assert relation(pa, a, b), (side, pa)
+
+
+class TestOnePass:
+    """``verify`` evaluates each case once for both conventions."""
+
+    def _probe(self, monkeypatch, lhs, rhs, alt_rhs):
+        probe = Identity(
+            key="probe-dual",
+            anchor="n = n under two conventions",
+            params=(IntRange("n", 0, 4),),
+            lhs=lhs,
+            rhs=rhs,
+            tags=frozenset({"probe"}),
+            alt_rhs=alt_rhs,
+        )
+        monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
+        return verify(probe.key)
+
+    @staticmethod
+    def _value(n):
+        return F(n)
+
+    @staticmethod
+    def _raises_at(n0):
+        def side(n):
+            if n == n0:
+                raise DomainError(f"no value at n = {n}")
+            return F(n)
+
+        return side
+
+    def test_lhs_is_called_once_per_case(self, monkeypatch):
+        calls = []
+
+        def lhs(n):
+            calls.append(n)
+            return F(n)
+
+        rep = self._probe(monkeypatch, lhs, self._value, self._value)
+        assert calls == [0, 1, 2, 3, 4]
+        assert (rep.verdict, rep.tested) == ("PASS", 5)
+        assert (rep.alternative.verdict, rep.alternative.tested) == ("PASS", 5)
+
+    def test_lhs_error_skips_both_conventions(self, monkeypatch):
+        rights = []
+
+        def rhs(n):
+            rights.append(n)
+            return F(n)
+
+        rep = self._probe(monkeypatch, self._raises_at(2), rhs, rhs)
+        assert rights == [0, 0, 1, 1, 3, 3, 4, 4]  # none at n = 2
+        assert (rep.tested, rep.skipped) == (4, 1)
+        assert rep.skip_reasons == [{"params": {"n": 2}, "reason": "no value at n = 2"}]
+        alt = rep.alternative
+        assert (alt.verdict, alt.tested, alt.skipped) == ("PASS", 4, 1)
+
+    def test_alt_rhs_error_skips_only_the_alternative(self, monkeypatch):
+        # the main rhs is wrong at n = 3, so the main verdict saw that case
+        def wrong(n):
+            return F(n + (n == 3))
+
+        rep = self._probe(monkeypatch, self._value, wrong, self._raises_at(3))
+        assert (rep.verdict, rep.tested, rep.skipped) == ("FAIL", 5, 0)
+        assert rep.counterexamples[0]["params"] == {"n": 3}
+        assert rep.skip_reasons == []
+        alt = rep.alternative
+        assert (alt.verdict, alt.tested, alt.skipped) == ("PASS", 4, 1)
+
+    def test_rhs_error_skips_only_the_main_convention(self, monkeypatch):
+        rep = self._probe(monkeypatch, self._value, self._raises_at(0), self._value)
+        assert (rep.verdict, rep.tested, rep.skipped) == ("PASS", 4, 1)
+        assert rep.skip_reasons[0]["params"] == {"n": 0}
+        alt = rep.alternative
+        assert (alt.verdict, alt.tested, alt.skipped) == ("PASS", 5, 0)
 
 
 class TestRowMemos:
