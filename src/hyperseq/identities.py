@@ -738,17 +738,17 @@ def select(tags=frozenset(), only=None) -> list:
     """The keys, in key order, of every identity matching the tag filter
     (empty = everything).
 
-    ``only`` optionally restricts to keys equal to, or ending with, one
-    of the given tokens (so ``3.95`` selects ``t1-3.95`` inside the
-    table1 suite).
+    ``only``, unless it is None, restricts to keys equal to, or ending
+    with, one of the given tokens (so ``3.95`` selects ``t1-3.95``
+    inside the table1 suite); an empty string or list selects nothing.
     """
     tags = frozenset(tags)
-    tokens = ([only] if isinstance(only, str) else list(only)) if only else ()
+    tokens = None if only is None else [only] if isinstance(only, str) else list(only)
     return [
         key
         for key in list_identities()
         if (not tags or tags & _REGISTRY[key].tags)
-        and (not tokens or any(key == t or key.endswith("-" + t) for t in tokens))
+        and (tokens is None or any(key == t or key.endswith("-" + t) for t in tokens))
     ]
 
 

@@ -184,6 +184,12 @@ USAGE_CASES = [
     (["audit", "--format", "yaml"], ["json", "csv", "text"]),
 ]
 
+# gf_hyperharmonic sums prefixes for r <= order and multiplies for r > order;
+# recorded after every entry above
+GF_DISPATCH_CASES = [
+    ["series", "--gf", "hyperharmonic", "--r", str(r), "--order", "6"] for r in (3, 6, 7)
+] + [["series", "--gf", "harmonic", "--order", "8"]]
+
 
 def run(argv, config=None):
     """Exit code, stdout and stderr of ``hyperseq argv`` in this process."""
@@ -228,6 +234,9 @@ def transcript():
         code, _, err = run(argv)
         assert code == 2 and offers_in_order(err, choices), (argv, err)
         entries.append({"argv": argv, "exit": 2, "choices": choices})
+    for argv in GF_DISPATCH_CASES:
+        code, out, err = run(argv)
+        entries.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
     return entries
 
 
@@ -247,7 +256,12 @@ def mismatches():
 
 def test_fixture_covers_every_case():
     recorded = [e["argv"] for e in json.loads(TRANSCRIPT.read_text(encoding="utf-8"))]
-    expected = CASES + [a for _, a in CONFIG_CASES] + [a for a, _ in USAGE_CASES]
+    expected = (
+        CASES
+        + [a for _, a in CONFIG_CASES]
+        + [a for a, _ in USAGE_CASES]
+        + GF_DISPATCH_CASES
+    )
     assert recorded == expected
 
 

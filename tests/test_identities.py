@@ -522,6 +522,13 @@ class TestRunSuite:
     def test_only_filter(self):
         rep = run_suite({"table1"}, only=["3.95"], max_bound=3)
         assert [e.key for e in rep.entries] == ["t1-3.95"]
+        assert ident.select({"table1"}, only=iter(["3.95"])) == ["t1-3.95"]
+
+    @pytest.mark.parametrize("only", ["", [""], []])
+    def test_empty_only_filter_selects_nothing(self, only):
+        # only=None is the one "no filter" value
+        assert ident.select(only=only) == []
+        assert run_suite(only=only).entries == []
 
     def test_vacuous_run_does_not_pass(self):
         # --max 0 empties most domains: a SKIPPED row proves nothing.

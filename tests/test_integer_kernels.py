@@ -27,7 +27,10 @@ from hyperseq.opcalc import (
     binomial_transform,
     dx_reciprocal_rising,
     forward_difference,
+    geom_power_series,
+    gf_hyperharmonic,
     inverse_binomial_transform,
+    log_series,
 )
 from hyperseq.sequences import (
     HyperharmonicMethod,
@@ -164,6 +167,43 @@ class TestPowerSeriesProduct:
     def test_order_zero(self):
         got = PowerSeries([F(-3, 4)]) * PowerSeries([F(2, 9), F(1)])
         assert got.coeffs == (F(-1, 6),)
+
+
+class TestHyperharmonicSeries:
+    # The product -ln(1-z) * (1-z)^-r, itself checked against the Cauchy
+    # product above, is the oracle for the prefix sums.
+
+    @given(st.integers(1, 40), st.integers(0, 140))
+    def test_equals_the_product(self, r, order):
+        # r = order is the last prefix-sum order, r = order + 1 the first product
+        for s in {r, order, order + 1} - {0}:
+            got = gf_hyperharmonic(s, order)
+            assert got == log_series(order) * geom_power_series(s, order), (s, order)
+            assert all(type(c) is F for c in got.coeffs)
+
+    @pytest.mark.parametrize("r, order", [(12, 512), (24, 512)])
+    def test_order_512(self, r, order):
+        assert gf_hyperharmonic(r, order) == log_series(order) * geom_power_series(r, order)
+
+    def test_huge_order_r_is_the_product(self):
+        r = 10**6
+        got = gf_hyperharmonic(r, 16)
+        assert got == log_series(16) * geom_power_series(r, 16)
+        assert list(got.coeffs) == [
+            hyperharmonic(n, r, HyperharmonicMethod.CONV) for n in range(17)
+        ]
+
+    @pytest.mark.parametrize("r, order, multiplied", [(6, 6, False), (7, 6, True), (1, 0, True)])
+    def test_product_only_past_the_order(self, monkeypatch, r, order, multiplied):
+        import hyperseq.opcalc as opcalc
+
+        calls = []
+        real = opcalc.geom_power_series
+        monkeypatch.setattr(
+            opcalc, "geom_power_series", lambda *a: calls.append(a) or real(*a)
+        )
+        gf_hyperharmonic(r, order)
+        assert calls == ([(r, order)] if multiplied else [])
 
 
 class TestTransforms:
