@@ -340,16 +340,21 @@ def _cmd_audit(args, cfg: CliConfig) -> int:
         cap = cfg.counterexamples
     elif cap <= 0:
         raise ValueError(f"--counterexamples must be positive, got {cap}")
+    bounds = _collect_bounds(args, cfg)
+    keys = identities.select(_tags(args), only)
+    if only and not keys:
+        raise ValueError(f"no identity matches --only {args.only!r}")
+    read = {p.name for key in keys for p in identities.get_identity(key).params}
+    for name in _BOUND_PARAMS + _SAMPLE_PARAMS:
+        if getattr(args, name) is not None and name not in read:
+            raise ValueError(f"no selected identity reads --{name}")
     report = identities.run_suite(
         _tags(args),
         only=only,
         max_bound=args.max,
-        param_bounds=_collect_bounds(args, cfg) or None,
+        param_bounds=bounds or None,
         counterexample_cap=cap,
     )
-    if only and not report.entries:
-        print(f"error: no identity matches --only {args.only!r}", file=sys.stderr)
-        return EXIT_USAGE
     fmt = args.format or cfg.format
     if fmt == "json":
         payload = report.to_json() + "\n"

@@ -30,12 +30,12 @@ branch of ``forward_difference``) call it once per operand, work on the
 integers, and build one ``Fraction`` per result; ``dot`` keeps its own
 loop.
 
-``reciprocal_sum(ms)`` is the exact sum of 1/m over a sequence (not an
-iterator) of nonzero ints of either sign: it sums ``d // m`` over the
-``math.lcm`` d of the m's and builds one ``Fraction``.  An empty
-sequence sums to 0, and a zero entry raises ``ZeroDivisionError``.  The
-rational-order h(n, w) and ``dx_reciprocal_rising`` sum their
-telescoping reciprocals with it.
+``derivative_at_zero(offsets, q, scale, power)`` is D_x of
+scale * prod_i (x + p_i/q)**power at x = 0 for power +1 or -1, over int
+numerators p_i and one denominator q >= 1: the product is
+``math.prod(p) / q**len`` and sum 1/a_i is q * sum(L // p_i) / L over
+L = lcm(p), so one ``Fraction`` is built.  No factor gives 0, and a zero
+p_i raises ``ZeroDivisionError``.  ``opcalc`` and the rational h(n, w) read it.
 
 ``signed_binomial_row(k)`` is the tuple of the k-th difference weights,
 ``(-1)**(k-i) * C(k, i)`` for i = 0..k, as ints (so it can be sliced and
@@ -43,13 +43,13 @@ passed to ``dot`` as the coefficients).  A negative k raises
 ``ValueError``.  Rows with k <= ``MEMO_CAP`` are built once and shared,
 which is safe because tuples are immutable.
 
-Only the signed binomial rows are memoized: one audit asks 20,134 times
+Only the signed binomial rows are memoized: one audit asks 20,174 times
 for a row it has already built, and each would otherwise be rebuilt in a
-Python loop.  Factorials and C(n, k) are not: ``math.factorial`` and
-``math.comb`` answer faster than a cache in front of them.  Replaying one
-audit's 486,207 ``binomial_int`` calls took 103 ms on ``math.comb`` alone
-and 172 ms with an ``lru_cache`` in front (1,619 distinct values), and
-its 9,318 factorials 1.1 ms against 1.4 ms.
+Python loop.  Factorials and C(n, k) are not: a cache in front of
+``math.factorial`` and ``math.comb`` would save only 1-2% of a 1.8 s
+audit.  Replaying its 475,506 ``binomial_int`` calls (1,976 distinct) took
+62-86 ms on ``math.comb`` and 41-52 ms with an ``lru_cache`` in front, and
+its 5,755 factorials 0.8-0.9 ms against 0.6-0.7 ms.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def _signed_row(k: int) -> tuple:
     return tuple(row)
 
 
-#: 41 rows serve 20,134 of one audit's calls; see the module docstring.
+#: 41 rows serve 20,174 of one audit's calls; see the module docstring.
 _signed_row_cached = lru_cache(maxsize=None)(_signed_row)
 
 
@@ -201,10 +201,15 @@ def over_common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def reciprocal_sum(ms) -> Fraction:
-    """Exact sum of 1/m over a sequence of nonzero ints, normalized once."""
-    d = math.lcm(*ms)  # 0 when some m is 0, and then d // 0 raises below
-    return Fraction(sum([d // m for m in ms]), d)
+def derivative_at_zero(offsets, q: int = 1, scale=1, power: int = 1) -> Fraction:
+    """D_x scale * prod_i (x + p_i/q)**power at x = 0, for power +1 or -1."""
+    lcm = math.lcm(*offsets)  # 0 when some p is 0, and then lcm // 0 raises
+    # scale * sum 1/a_i = recip / (t * lcm), and prod a_i = prod / q**len
+    recip = scale.numerator * q * sum([lcm // p for p in offsets])
+    prod, qn, t = math.prod(offsets), q ** len(offsets), scale.denominator
+    if power == 1:
+        return Fraction(recip * prod, t * lcm * qn)
+    return Fraction(-recip * qn, t * lcm * prod)
 
 
 def _num_den(x) -> tuple[int, int]:

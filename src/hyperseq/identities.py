@@ -876,7 +876,7 @@ def _core_derivatives():
         "exactly at rational z",
         (IntRange("n", 1, 10), RationalChoice("z", SAMPLE_RATIONALS)),
         lambda n, z: _poly_derivative_at(_poly_coeffs_from_shifts(range(n)), z),
-        lambda n, z: rising(z, n) * total(1 / (z + i) for i in range(n)),
+        lambda n, z: dlin([z + i for i in range(n)], 1),
         {"core"},
         valid=lambda n, z: all(z + i != 0 for i in range(n)),
     )

@@ -16,8 +16,9 @@ common denominator with ``exactnum.over_common_denominator``, do all
 the arithmetic on those integers, and build one ``Fraction`` per
 result.  The alternating branch of ``forward_difference`` goes through
 ``exactnum.dot`` instead, so the two branches share no arithmetic code.
-``dx_reciprocal_rising`` sums its reciprocals 1/(c+i) as integers over
-their lcm with ``exactnum.reciprocal_sum``.
+Both derivatives at zero and ``dx_reciprocal_rising`` bring their factor
+offsets to integers over one denominator and read the one exact kernel
+``exactnum.derivative_at_zero``.
 
 ``gf_hyperharmonic`` does not multiply series when r <= order: dividing
 by (1-z) is one prefix sum, so it writes -ln(1-z) as the integers
@@ -39,12 +40,11 @@ from ._records import record
 from .errors import ComputationIntegrityError, DomainError
 from .exactnum import (
     binomial_int,
+    derivative_at_zero,
     dot,
     factorial,
     format_rational,
     over_common_denominator,
-    reciprocal_sum,
-    rising_factorial,
     signed_binomial_row,
 )
 
@@ -104,21 +104,15 @@ def inverse_binomial_transform(a: Sequence) -> list[Fraction]:
     ]
 
 
-def _scale_product_reciprocal_sum(a: Iterable, c):
-    """(c, prod a_i, sum_i 1/a_i) as exact rationals; the scale c and
-    every factor offset a_i must be nonzero."""
+def _checked_derivative(a: Iterable, c, power: int) -> Fraction:
+    """``derivative_at_zero`` at scale c**-power; scale and offsets must be nonzero."""
     c = _F(c)
     if c == 0:
         raise DomainError("scale must be nonzero")
-    factors = [_F(v) for v in a]
-    if any(v == 0 for v in factors):
+    nums, d = over_common_denominator([_F(v) for v in a])
+    if 0 in nums:
         raise DomainError("all factor offsets must be nonzero")
-    prod = _F(1)
-    recip = _F(0)
-    for v in factors:
-        prod *= v
-        recip += 1 / v
-    return c, prod, recip
+    return derivative_at_zero(nums, d, c**-power, power)
 
 
 def derivative_at_zero_linear_factors(a: Iterable, c) -> Fraction:
@@ -127,8 +121,7 @@ def derivative_at_zero_linear_factors(a: Iterable, c) -> Fraction:
     Equals (prod a_i / c) * sum_i 1/a_i.  Every factor offset and the
     scale must be nonzero.
     """
-    c, prod, recip = _scale_product_reciprocal_sum(a, c)
-    return prod / c * recip
+    return _checked_derivative(a, c, 1)
 
 
 def derivative_at_zero_reciprocal(a: Iterable, c) -> Fraction:
@@ -136,8 +129,7 @@ def derivative_at_zero_reciprocal(a: Iterable, c) -> Fraction:
 
     Equals -(c / prod a_i) * sum_i 1/a_i, under the same conditions.
     """
-    c, prod, recip = _scale_product_reciprocal_sum(a, c)
-    return -(c / prod) * recip
+    return _checked_derivative(a, c, -1)
 
 
 def leaping_binomial(x, n: int, m: int) -> Fraction:
@@ -163,15 +155,13 @@ def dx_reciprocal_rising(c, k: int) -> Fraction:
     if k < 0:
         raise DomainError(f"needs k >= 0, got {k}")
     c = _F(c)
-    if k == 0:
-        return _F(0)
     p, q = c.numerator, c.denominator
     shifted = [p + i * q for i in range(k)]  # q (c + i)
     if 0 in shifted:
         raise DomainError(
             f"pole at i={shifted.index(0)} in the rising factorial of {c}"
         )
-    return -q * reciprocal_sum(shifted) / rising_factorial(c, k)
+    return derivative_at_zero(shifted, q, 1, -1)
 
 
 def hypergeometric_terminating(a: int, b, c, z) -> Fraction:

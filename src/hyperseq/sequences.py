@@ -20,8 +20,8 @@ The loops that add many terms stay on plain integers and build one
 ``Fraction`` per result: the convolution sums its integer terms over
 lcm(1..n), the recurrences in n and in r each carry an unreduced
 numerator and denominator and divide out their gcd every 64 steps, and
-the rational order sums its telescoping reciprocals with
-``exactnum.reciprocal_sum``.  Each method still runs its own algorithm.
+the rational order reads ``exactnum.derivative_at_zero``.  Each method
+still runs its own algorithm.
 
 The shared tables (H, the generalized harmonic rows, the DEF rows and
 the Fibonacci list) only grow, and only under ``_lock``.  A value that
@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .exactnum import binomial_general, binomial_int, reciprocal_sum
+from .exactnum import binomial_general, binomial_int, derivative_at_zero, factorial
 
 _F = Fraction
 
@@ -118,8 +118,8 @@ def _hyper_def(n: int, r: int) -> Fraction:
 #: Entries kept by each bounded h memo (closed form, both rational-order
 #: readings).  One full audit needs 1,133 closed-form, 440 rational-order
 #: and 130 half-integer values.  The row memos do not catch repeats across
-#: rows; these do: 12,433 closed-form and 1,055 rational-order hits per
-#: audit, which would cost about 70 ms and 33 ms to recompute.
+#: rows; these do: 12,853 closed-form and 1,055 rational-order hits per
+#: audit, which would cost about 60-80 ms and 9-11 ms to recompute.
 CLOSED_MEMO_SIZE = 4096
 
 
@@ -212,11 +212,11 @@ def hyperharmonic_rational_order(n: int, w) -> Fraction:
     """h(n, w) for integer n >= 1 and rational order w.
 
     Exact reduction of the digamma/gamma extension at an integer lower
-    index: binom(w+n-1, n) * sum_{i=0}^{n-1} 1/(w+i).  Every integer
-    order w <= 0 is a domain error: negative integer orders are served by
-    :func:`hyperharmonic_neg` and order 0 by :func:`hyperharmonic`, never
-    silently here.  The message names the pole, the i with w + i = 0,
-    when it falls inside the telescoping range.
+    index: D_x C(x+w+n-1, n) at x = 0, or binom(w+n-1, n) * sum_{i<n} 1/(w+i).
+    Every integer order w <= 0 is a domain error: negative integer orders
+    are served by :func:`hyperharmonic_neg` and order 0 by
+    :func:`hyperharmonic`, never silently here.  The message names the
+    pole, the i with w + i = 0, when it falls inside the telescoping range.
     """
     w = _F(w)
     if n < 1:
@@ -228,9 +228,8 @@ def hyperharmonic_rational_order(n: int, w) -> Fraction:
             f"order {p} is an integer <= 0: h(n, -r) is hyperharmonic_neg(n, r) "
             f"and h(n, 0) is hyperharmonic(n, 0){pole}"
         )
-    # 1/(w+i) = q/(p+iq); no p + iq is 0 once integer orders <= 0 are out
-    tele = q * reciprocal_sum([p + i * q for i in range(n)])
-    return binomial_general(w + n - 1, n) * tele
+    # C(x+w+n-1, n) = prod_{i<n} (x + (p+iq)/q) / n!; no p + iq is 0 now
+    return derivative_at_zero([p + i * q for i in range(n)], q, _F(1, factorial(n)))
 
 
 @lru_cache(maxsize=CLOSED_MEMO_SIZE)

@@ -526,9 +526,27 @@ class TestGarbageInput:
     def test_whole_audit_with_a_pinned_x(self, capsys):
         code, out, _ = run_cli(capsys, "audit", "--x", "3", "--max", "3",
                                "--format", "json")
+        # some rows read x, so the pin is no error for the whole registry
         assert code == 3
         rows = {row["identity_id"]: row for row in json.loads(out)}
+        assert len(rows) == 82
         assert rows["prop-teo4"]["verdict"] == "PASS"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--only", "t2-1.42", "--x", "1/2"), "--x"),
+        (("--only", "t2-1.42", "--s", "3", "--max", "2"), "--s"),
+        (("--suite", "float", "--n", "2"), "--n"),
+    ])
+    def test_pin_that_no_selected_row_reads_is_usage_error(self, capsys, argv, flag):
+        # t2-1.42 reads n and r only; no float row reads n
+        code, out, err = run_cli(capsys, "audit", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: no selected identity reads {flag}\n"
+
+    def test_unmatched_only_is_reported_before_an_unread_pin(self, capsys):
+        code, out, err = run_cli(capsys, "audit", "--only", "9.99", "--x", "1")
+        assert (code, out) == (2, "")
+        assert "no identity matches --only '9.99'" in err
 
     @pytest.mark.parametrize("x", ["-1", "-2", "-3", "-7"])
     @pytest.mark.parametrize("key, flag", [

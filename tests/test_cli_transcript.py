@@ -190,6 +190,13 @@ GF_DISPATCH_CASES = [
     ["series", "--gf", "hyperharmonic", "--r", str(r), "--order", "6"] for r in (3, 6, 7)
 ] + [["series", "--gf", "harmonic", "--order", "8"]]
 
+# a pinned parameter that no selected row reads is a usage error;
+# recorded after every entry above
+UNREAD_FLAG_CASES = [
+    ["audit", "--only", "t2-1.42", "--x", "1/2"],
+    ["audit", "--only", "t2-1.42", "--s", "3", "--max", "2"],
+]
+
 
 def run(argv, config=None):
     """Exit code, stdout and stderr of ``hyperseq argv`` in this process."""
@@ -234,7 +241,7 @@ def transcript():
         code, _, err = run(argv)
         assert code == 2 and offers_in_order(err, choices), (argv, err)
         entries.append({"argv": argv, "exit": 2, "choices": choices})
-    for argv in GF_DISPATCH_CASES:
+    for argv in GF_DISPATCH_CASES + UNREAD_FLAG_CASES:
         code, out, err = run(argv)
         entries.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
     return entries
@@ -261,6 +268,7 @@ def test_fixture_covers_every_case():
         + [a for _, a in CONFIG_CASES]
         + [a for a, _ in USAGE_CASES]
         + GF_DISPATCH_CASES
+        + UNREAD_FLAG_CASES
     )
     assert recorded == expected
 

@@ -18,8 +18,8 @@ from hyperseq.errors import ComputationIntegrityError, DomainError
 from hyperseq.exactnum import (
     binomial_general,
     binomial_int,
+    derivative_at_zero,
     over_common_denominator,
-    reciprocal_sum,
     rising_factorial,
 )
 from hyperseq.opcalc import (
@@ -102,6 +102,16 @@ def old_dx_reciprocal_rising(c, k):
     return -sum((1 / (c + i) for i in range(k)), F(0)) / rising_factorial(c, k)
 
 
+def expanded_coefficients(offsets):
+    """Ascending coefficients of prod (x + a), one Fraction at a time."""
+    coeffs = [F(1)]
+    for a in offsets:
+        coeffs = [F(0), *coeffs]
+        for j in range(len(coeffs) - 1):
+            coeffs[j] += a * coeffs[j + 1]
+    return coeffs
+
+
 def old_rational_order(n, w):
     w = F(w)
     tele = F(0)
@@ -133,22 +143,51 @@ class TestOverCommonDenominator:
             over_common_denominator([F(1, 2), bad])
 
 
+class TestDerivativeAtZero:
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool),
+            max_size=12,
+        ),
+        st.fractions(min_value=-10**3, max_value=10**3, max_denominator=50).filter(bool),
+        st.sampled_from([1, -1]),
+    )
+    def test_equals_the_expansion(self, offsets, scale, power):
+        # mixed denominators and both signs; 0 to 12 factors
+        nums, q = over_common_denominator(offsets)
+        # prod (x + a_i), ascending, padded so the empty product has a slope
+        coeffs = expanded_coefficients(offsets) + [F(0)]
+        # D (1/P) = -P'/P**2
+        want = coeffs[1] if power == 1 else -coeffs[1] / coeffs[0] ** 2
+        got = derivative_at_zero(nums, q, scale, power)
+        assert type(got) is F
+        assert got == scale * want
+
+
 class TestReciprocalSum:
+    """The reciprocal sum inside ``derivative_at_zero``: at q = 1 and
+    scale 1 the kernel is (prod m) * sum 1/m, and -(sum 1/m) / prod m for
+    the reciprocal."""
+
     @given(st.lists(st.integers(-10**6, 10**6).filter(bool), max_size=40))
     def test_equals_the_fraction_sum(self, ms):
         # negative entries and single entries included
-        got = reciprocal_sum(ms)
-        assert type(got) is F
-        assert got == sum((F(1, m) for m in ms), F(0))
+        recip = sum((F(1, m) for m in ms), F(0))
+        assert derivative_at_zero(ms) == math.prod(ms) * recip
+        assert derivative_at_zero(ms, 1, 1, -1) == -recip / math.prod(ms)
 
     def test_single_and_empty(self):
-        assert reciprocal_sum([-7]) == F(-1, 7)
-        assert reciprocal_sum([]) == 0
+        assert derivative_at_zero([-7], 1, 1, -1) == F(-1, 49)
+        assert derivative_at_zero([-7], 3) == 1
+        assert derivative_at_zero([]) == 0
+        assert derivative_at_zero([], 5, F(2, 3), -1) == 0
 
     @pytest.mark.parametrize("ms", [[0], [3, 0, -5], [0, 1]])
     def test_zero_raises(self, ms):
-        with pytest.raises(ZeroDivisionError):
-            reciprocal_sum(ms)
+        for power in (1, -1):
+            with pytest.raises(ZeroDivisionError):
+                derivative_at_zero(ms, 1, 1, power)
 
 
 # -- opcalc ------------------------------------------------------------------
@@ -282,13 +321,14 @@ class TestHyperharmonicKernels:
 
 class TestRationalOrderKernel:
     def test_equals_the_fraction_loop(self):
+        # non-integer orders of either sign, and positive integer orders
         rng = random.Random(2029)
         for _ in range(60):
             n = rng.randint(1, 60)
             q = rng.randint(2, 9)
             p = rng.choice([v for v in range(-40, 41) if v % q])
-            w = F(p, q)
-            assert hyperharmonic_rational_order.__wrapped__(n, w) == old_rational_order(n, w)
+            for w in (F(p, q), F(rng.randint(1, 60))):
+                assert hyperharmonic_rational_order.__wrapped__(n, w) == old_rational_order(n, w)
 
     @pytest.mark.parametrize("w", range(0, -7, -1))
     @pytest.mark.parametrize("n", range(1, 9))
