@@ -6,6 +6,11 @@ asymptotic expansions are bounded by the first omitted term, and
 rounding is charged conservatively per operation.  Digamma and
 log-gamma use argument shifting followed by the Bernoulli-coefficient
 asymptotic series; no negative real arguments are supported.
+
+The one trusted error: libm's ``math.exp`` and ``math.log`` are within
+one ulp, as :func:`exp_ball` (e**x) and :func:`ln2` state.  A centre past
+the double range, or a nan radius, is a ``DomainError`` from every ball
+constructor and operation here, so the audit skips that case.
 """
 
 from __future__ import annotations
@@ -31,18 +36,17 @@ class CertifiedReal(record("CertifiedReal", ("value", "abs_error_bound"), frozen
 
     @staticmethod
     def from_exact(x: Fraction | int) -> "CertifiedReal":
-        v = float(Fraction(x))
-        return CertifiedReal(v, abs(v) * _EPS)
+        v = _or_inf(float, x)
+        return _ball(v, abs(v) * _EPS, "a rational")
 
     @staticmethod
-    def from_float(v: float, extra_ulps: float = 1.0) -> "CertifiedReal":
-        return CertifiedReal(v, abs(v) * _EPS * extra_ulps)
+    def from_float(v: float) -> "CertifiedReal":
+        return CertifiedReal(v, abs(v) * _EPS)
 
     def __add__(self, other: "CertifiedReal") -> "CertifiedReal":
         v = self.value + other.value
-        return CertifiedReal(
-            v, self.abs_error_bound + other.abs_error_bound + abs(v) * _EPS
-        )
+        bound = self.abs_error_bound + other.abs_error_bound + abs(v) * _EPS
+        return _ball(v, bound, "a sum")
 
     def __sub__(self, other: "CertifiedReal") -> "CertifiedReal":
         # a - b is a + (-b) in IEEE arithmetic, so the ball is the same
@@ -50,20 +54,15 @@ class CertifiedReal(record("CertifiedReal", ("value", "abs_error_bound"), frozen
 
     def __mul__(self, other: "CertifiedReal") -> "CertifiedReal":
         v = self.value * other.value
-        bound = (
-            abs(self.value) * other.abs_error_bound
-            + abs(other.value) * self.abs_error_bound
-            + self.abs_error_bound * other.abs_error_bound
-            + abs(v) * _EPS
-        )
-        return CertifiedReal(v, bound)
+        r, s = self.abs_error_bound, other.abs_error_bound
+        bound = abs(self.value) * s + abs(other.value) * r + r * s + abs(v) * _EPS
+        return _ball(v, bound, "a product")
 
     def scaled(self, c: Fraction | int) -> "CertifiedReal":
-        fc = float(Fraction(c))
+        fc = _or_inf(float, c)
         v = fc * self.value
-        return CertifiedReal(
-            v, abs(fc) * self.abs_error_bound + abs(v) * 2 * _EPS
-        )
+        bound = abs(fc) * self.abs_error_bound + abs(v) * 2 * _EPS
+        return _ball(v, bound, "a scaled ball")
 
     def to_json_obj(self) -> dict:
         """Both fields as JSON numbers; a non-finite one as "inf", "-inf"
@@ -76,6 +75,34 @@ class CertifiedReal(record("CertifiedReal", ("value", "abs_error_bound"), frozen
 
 def _json_float(v: float):
     return v if math.isfinite(v) else str(v)
+
+
+def _or_inf(f: Callable[[Exactish], float], x: Exactish) -> float:
+    """f(x), or an infinity of x's sign where it overflows the double range."""
+    try:
+        return f(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _ball(value: float, bound: float, what: str, *args) -> CertifiedReal:
+    """The ball, unless its centre left the double range or its radius is nan."""
+    if math.isfinite(value) and not math.isnan(bound):
+        return CertifiedReal(value, bound)
+    raise DomainError(f"{what.format(*args)} is not finite in double precision")
+
+
+def exp_ball(x: Exactish) -> CertifiedReal:
+    """e**x: math.exp at the double xf nearest x is one ulp from e**xf, and
+    e**(x - xf) within |xf| ulp of 1; 2**-1074 is one ulp of an underflow."""
+    xf = _or_inf(float, x)
+    v = _or_inf(math.exp, xf)
+    return _ball(v, abs(v) * _EPS * (1.0 + abs(xf)) + 2.0**-1074, "exp({})", x)
+
+
+def ln2() -> CertifiedReal:
+    """ln 2, from math.log within one ulp."""
+    return CertifiedReal.from_float(math.log(2.0))
 
 
 def as_certified(x) -> CertifiedReal:
@@ -129,11 +156,8 @@ def digamma(x: Exactish) -> CertifiedReal:
     value = acc + lnx - 0.5 / x - tail
     acc_abs += abs(lnx) + 0.5 / x + abs(tail)
     trunc = upow * x * x / 12.0  # first omitted term, 1/(12 x**14)
-    bound = trunc + (ops + 6) * _EPS * acc_abs
-    if not (math.isfinite(value) and math.isfinite(bound)):
-        # a subnormal x: the first shift step 1/x already overflows
-        raise DomainError(f"digamma({x0!r}) is not finite in double precision")
-    return CertifiedReal(value, bound)
+    # a subnormal x: the first shift step 1/x already overflows
+    return _ball(value, trunc + (ops + 6) * _EPS * acc_abs, "digamma({!r})", x0)
 
 
 #: gamma = 0.57721566490153286060651209008240... to double precision.
@@ -187,11 +211,7 @@ def log_gamma(x: Exactish) -> CertifiedReal:
     value = shift + (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + tail
     mag = shift_abs + abs((x - 0.5) * math.log(x)) + x + 1.0 + abs(tail)
     trunc = upow / 156.0 * x * x / x  # first omitted term, 1/(156 x**13)
-    rounding = (ops + 8) * _EPS * mag
-    bound = trunc + rounding
-    if not (math.isfinite(value) and math.isfinite(bound)):
-        raise DomainError(f"log_gamma({x0!r}) is not finite in double precision")
-    return CertifiedReal(value, bound)
+    return _ball(value, trunc + (ops + 8) * _EPS * mag, "log_gamma({!r})", x0)
 
 
 def hyperharmonic_real(z: Exactish, w: Exactish) -> CertifiedReal:
@@ -203,8 +223,8 @@ def hyperharmonic_real(z: Exactish, w: Exactish) -> CertifiedReal:
     magnitude of the result beyond that (the log-gamma route cannot
     certify a fixed absolute bound for large values in doubles).  From z
     around 1e13 the log-gamma error makes the bound exceed the value, and
-    past about 3e15 the bound is infinite.  Past about 2.55e305, where the
-    log-gamma ball itself overflows, it raises DomainError.
+    past about 3e15 the bound is infinite.  A value past the double range
+    (from z = w = 1000, say) raises DomainError.
     """
     z = float(z)
     w = float(w)
@@ -216,7 +236,7 @@ def hyperharmonic_real(z: Exactish, w: Exactish) -> CertifiedReal:
     lg1 = log_gamma(z + 1.0)
     lgw = log_gamma(w)
     log_pref = (lg - lg1) - lgw
-    pref_value = math.exp(log_pref.value)
+    pref_value = exp_ball(log_pref.value).value  # its radius is charged below
     # |e^(v+d) - e^v| <= e^v (e^|d| - 1), and e^|d| - 1 <= 1.2 |d| for |d| <= 0.3
     d = log_pref.abs_error_bound
     if d <= 0.3:
@@ -233,7 +253,7 @@ def hyperharmonic_real(z: Exactish, w: Exactish) -> CertifiedReal:
 
 def sum_series(
     term: Callable[[int], CertifiedReal | Fraction | int],
-    tail_bound: Callable[[int], float],
+    tail_bound: Callable[[int], float | Fraction],
     tolerance: float,
     start: int = 0,
     max_terms: int = 10**6,
@@ -241,8 +261,9 @@ def sum_series(
     """Partial sum up to the first K with tail_bound(K) < tolerance.
 
     ``tail_bound(K)`` must bound the absolute value of the tail beyond
-    index K (it may return ``inf`` while a bound is not yet valid).  The
-    result's error bound is that tail plus accumulated rounding.
+    index K (it may return ``inf`` while a bound is not yet valid; an exact
+    rational cannot overflow).  The result's error bound is that tail plus
+    accumulated rounding.
 
     The running value and bound are two plain floats, updated exactly as
     ``CertifiedReal.__add__(as_certified(term))`` would update them: an
@@ -256,7 +277,7 @@ def sum_series(
     while True:
         t = term(k)
         if isinstance(t, (int, Fraction)):
-            tv = float(t)
+            tv = _or_inf(float, t)
             te = abs(tv) * _EPS
         else:
             t = as_certified(t)
@@ -264,8 +285,8 @@ def sum_series(
         value = value + tv
         bound = bound + te + abs(value) * _EPS
         tb = tail_bound(k)
-        if tb < tolerance:
-            return CertifiedReal(value, bound + tb)
+        if tb < tolerance or not math.isfinite(value):
+            return _ball(value, bound + _or_inf(float, tb), "a series")
         k += 1
         count += 1
         if count > max_terms:
@@ -285,7 +306,7 @@ def delta_hyperbolic_closed_form(kind: str, k: int, x: float) -> CertifiedReal:
     if k < 0:
         raise DomainError(f"needs k >= 0, got {k}")
     sign = 1.0 if (k % 2 == 0) == (kind == "cosh") else -1.0
-    big = math.exp(2.0 * x + k)
-    value = 0.5 * math.exp(-x) * (1.0 - 1.0 / math.e) ** k * (big + sign)
-    mag = 0.5 * math.exp(-x) * (1.0 - 1.0 / math.e) ** k * (big + 1.0)
-    return CertifiedReal(value, (k + 8) * _EPS * mag)
+    big = exp_ball(2.0 * x + k).value
+    scale = 0.5 * exp_ball(-x).value * (1.0 - 1.0 / math.e) ** k
+    bound = (k + 8) * _EPS * (scale * (big + 1.0))
+    return _ball(scale * (big + sign), bound, "the difference of {}", kind)

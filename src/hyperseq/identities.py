@@ -32,7 +32,9 @@ ends, even when it raises.
 Table rows keep the summation numbering of Gould's "Combinatorial
 Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
 ``core`` tag covers the recurrence/operator/difference identities, and
-``float`` the transcendental ones, whose sides are ``CertifiedReal``.
+``float`` the transcendental ones, whose sides are ``CertifiedReal``
+balls built only from ``analytic``'s balls, arithmetic and ``sum_series``
+(with exact-rational tails): no row sets a radius of its own.
 
 Harmonic numbers are the hyperharmonic numbers of order one, H(n) =
 h(n, 1), so no identity is written twice: ``_pinned_rows`` registers a
@@ -44,7 +46,7 @@ and ``t2-1.42`` at r = 1, and ``cor-nf`` is ``prop-one2`` at n = 0.
 as printed.  Rows stay written out whose printed value differs from
 their twin's (``t1-3.100``, ``t1-4.3``, ``t1-7.13``, ``t1-Z.58``; the
 tests pin how), whose closed form the paper derives (``cor-bih``,
-``cor-lower``, ``cor-e``), or whose balls pinning would widen
+``cor-lower``, ``cor-e``), or whose lhs ball pinning would widen
 (``t1-1.23``).
 
 Half-integer hyperharmonic orders default to the exact digamma-telescoped
@@ -71,7 +73,7 @@ from fractions import Fraction
 from typing import Union
 
 from ._records import record
-from .analytic import CertifiedReal, as_certified, digamma, sum_series
+from .analytic import CertifiedReal, as_certified, digamma, exp_ball, ln2, sum_series
 from .analytic import delta_hyperbolic_closed_form
 from .errors import DomainError
 from . import exactnum
@@ -673,10 +675,6 @@ def _alternating_certified_sum(k: int, values) -> CertifiedReal:
     return acc
 
 
-_LOG2 = math.log(2.0)
-_ULP = 2.0**-52
-
-
 # --------------------------------------------------------------------------
 # Registry construction
 # --------------------------------------------------------------------------
@@ -1087,11 +1085,10 @@ def _core_fibonacci():
 
 def _float_rows():
     def _hyp_direct(kind, k, x):
-        fn = math.sinh if kind == "sinh" else math.cosh
-        xf = float(x)
-        return _alternating_certified_sum(
-            k, [CertifiedReal.from_float(fn(xf + i), 2.0) for i in range(k + 1)]
-        )
+        # 2 sinh t = e^t - e^-t and 2 cosh t = e^t + e^-t
+        op = CertifiedReal.__sub__ if kind == "sinh" else CertifiedReal.__add__
+        twice = [op(exp_ball(x + i), exp_ball(-x - i)) for i in range(k + 1)]
+        return _alternating_certified_sum(k, twice).scaled(F(1, 2))
 
     for kind in ("sinh", "cosh"):
         _add(
@@ -1105,11 +1102,11 @@ def _float_rows():
         )
 
     def _x0_rhs(part, k):
-        kind = "sinh" if part == 0 else "cosh"
-        sign = 1.0 if (k % 2 == 0) == (kind == "cosh") else -1.0
-        value = (math.e - 1.0) ** k * (math.e**k + sign) / (2.0 * math.e**k)
-        mag = (math.e - 1.0) ** k * (math.e**k + 1.0) / (2.0 * math.e**k)
-        return CertifiedReal(value, (k + 8) * _ULP * mag)
+        # (e-1)^k (e^k +- 1)/(2 e^k), + for cosh at even k or sinh at odd k
+        one = as_certified(1)
+        sign = one if (k % 2 == 0) == (part == 1) else as_certified(-1)
+        twice = math.prod([exp_ball(1) - one] * k, start=exp_ball(k) + sign)
+        return (twice * exp_ball(-k)).scaled(F(1, 2))
 
     _add(
         "rem-one11-x0",
@@ -1147,7 +1144,7 @@ def _table1_rows():
             lambda K: (K + 2.0) / 2.0**K if K >= 1 else math.inf,
             2.5e-13,
         ),
-        lambda: CertifiedReal(2.0 * _LOG2, 4.0 * _ULP),
+        lambda: ln2().scaled(2),
         {"table1", "float"},
     )
 
@@ -1238,12 +1235,10 @@ def _table2_rows():
             # <= (k+r)^r.  For k > K >= 2r consecutive bounds (k+r)^r/2^k
             # shrink by (1 + 1/(k+r))^r/2 <= e^(r/(3r+1))/2 < e^(1/3)/2 < 0.7,
             # so the tail is below (K+1+r)^r/2^(K+1) / 0.3 < 4 (K+1+r)^r/2^(K+1).
-            lambda K: (
-                4.0 * (K + 1 + r) ** r / 2.0 ** (K + 1) if K >= 2 * r else math.inf
-            ),
+            lambda K: F(4 * (K + 1 + r) ** r, 2 ** (K + 1)) if K >= 2 * r else math.inf,
             1e-10,
         ),
-        lambda r: CertifiedReal(2.0**r * _LOG2, 2.0**r * 4 * _ULP),
+        lambda r: ln2().scaled(2**r),
         {"table2", "float"},
     )
     _add(
@@ -1278,25 +1273,24 @@ def _table2_rows():
     )
 
     def _t2_216_lhs(r):
-        partial = bsum(1, 30, lambda k: F(1, C(r - 1 + k, k) ** 2 * factorial(k)),
-                       lambda k: h(k, r))
-        # h(k,r) <= (k+r)^r (see t2-1.23) and C(r-1+k,k) >= 1, so term k is
-        # at most (k+r)^r/k!.  Consecutive bounds shrink by
-        # (1 + 1/(k+r))^r/(k+1) <= e^(r/(k+r))/(k+1) < e/32 < 1/2 for
-        # k >= 31, so the tail sum_{k>30} is below 2 (31+r)^r/31!.
-        tail = 2.0 * float(31 + r) ** r / math.factorial(31)
-        val = float(partial)
-        return CertifiedReal(val, abs(val) * 4 * _ULP + tail)
+        # h(k,r) <= (k+r)^r (see t2-1.23) and C >= 1 bound term k by (k+r)^r/k!;
+        # consecutive bounds shrink by (1 + 1/(k+r))^r/(k+1) < e/(k+1) < 1/2
+        # for k >= 5, so the tail beyond K >= 4 is below 2 (K+1+r)^r/(K+1)!.
+        return sum_series(
+            lambda k: h(k, r) / (C(r - 1 + k, k) ** 2 * factorial(k)),
+            lambda K: F(2 * (K + 1 + r) ** r, factorial(K + 1)) if K >= 4 else math.inf,
+            1e-16,
+            start=1,
+        )
 
     def _t2_216_rhs(r):
-        partial = bsum(0, 30, lambda k: (-1) ** k,
-                       lambda k: F(1, (r + k) ** 2 * factorial(k)))
         # The series alternates with decreasing terms 1/((r+k)^2 k!), so its
-        # tail beyond k = 30 is at most the first omitted term,
-        # 1/((r+31)^2 31!); the factor e scales it to e/((r+31)^2 31!).
-        tail = math.e / (float(r + 31) ** 2 * math.factorial(31))
-        val = math.e * float(partial)
-        return CertifiedReal(val, abs(val) * 6 * _ULP + tail)
+        # tail beyond K is at most the first omitted term, 1/((r+K+1)^2 (K+1)!).
+        return exp_ball(1) * sum_series(
+            lambda k: F((-1) ** k, (r + k) ** 2 * factorial(k)),
+            lambda K: F(1, (r + K + 1) ** 2 * factorial(K + 1)),
+            1e-16,
+        )
 
     _add(
         "t2-2.16",

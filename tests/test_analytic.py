@@ -10,7 +10,9 @@ from hyperseq.analytic import (
     delta_hyperbolic_closed_form,
     digamma,
     euler_gamma,
+    exp_ball,
     hyperharmonic_real,
+    ln2,
     log_gamma,
     sum_series,
 )
@@ -143,7 +145,87 @@ class TestLogGamma:
             assert abs(mpmath.mpf(v.value) - true) <= v.abs_error_bound
 
 
+def _mp(x):
+    """x as an mpmath number at the working precision."""
+    x = F(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+class TestLibmBalls:
+    """The two balls that trust libm: e**x and ln 2, each to one ulp."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [0, 1, -1, F(1, 3), F(-7, 2), F(31, 2), 20.25, -0.001, 1e-300,
+         F(-1, 10**400), 700, 709.78, 709.782712893384, -700.5, -708.5,
+         -740.25, -745.1, -745.2, -800, -1e6],
+    )
+    def test_exp_ball_contains_mpmath(self, x):
+        v = exp_ball(x)
+        with mpmath.workdps(60):
+            assert abs(mpmath.mpf(v.value) - mpmath.exp(_mp(x))) <= v.abs_error_bound
+
+    @pytest.mark.parametrize("x", [-745.2, -800, -1e6])
+    def test_exp_ball_underflow_keeps_a_radius(self, x):
+        v = exp_ball(x)
+        assert v.value == 0.0 and v.abs_error_bound > 0.0
+
+    @pytest.mark.parametrize(
+        "x", [710, F(1421, 2), 1e308, 10**400, math.inf, math.nan]
+    )
+    def test_exp_ball_past_the_double_range_is_domain_error(self, x):
+        with pytest.raises(DomainError, match="not finite in double precision"):
+            exp_ball(x)
+
+    def test_ln2_contains_mpmath(self):
+        v = ln2()
+        with mpmath.workdps(60):
+            assert abs(mpmath.mpf(v.value) - mpmath.log(2)) <= v.abs_error_bound
+        assert 0.0 < v.abs_error_bound <= 2.0**-52
+
+
+class TestOverflowPolicy:
+    """A centre that leaves the double range is a DomainError, never a ball."""
+
+    BIG = CertifiedReal(1e308, 1e292)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: TestOverflowPolicy.BIG + TestOverflowPolicy.BIG,
+            lambda: TestOverflowPolicy.BIG - CertifiedReal(-1e308, 0.0),
+            lambda: TestOverflowPolicy.BIG * TestOverflowPolicy.BIG,
+            lambda: TestOverflowPolicy.BIG.scaled(2),
+            lambda: CertifiedReal(1.0, 0.0).scaled(10**400),
+            lambda: CertifiedReal(0.0, 0.0).scaled(F(-(10**400), 3)),
+            lambda: CertifiedReal.from_exact(10**400),
+            lambda: CertifiedReal.from_exact(F(-(10**400), 7)),
+            lambda: CertifiedReal(math.nan, 0.0) + CertifiedReal(1.0, 0.0),
+            lambda: sum_series(lambda k: 10**308, lambda K: math.inf, 1.0),
+            lambda: sum_series(lambda k: F(10**400, k + 1), lambda K: math.inf, 1.0),
+            lambda: delta_hyperbolic_closed_form("sinh", 2000, 0.0),
+            lambda: delta_hyperbolic_closed_form("cosh", 3, -800.0),
+        ],
+        ids=["add", "sub", "mul", "scaled", "scaled-by-huge-int",
+             "scaled-by-huge-fraction", "from-huge-int", "from-huge-fraction",
+             "nan-centre", "series-sum", "series-term", "delta-sinh-big-k",
+             "delta-cosh-far-left"],
+    )
+    def test_is_domain_error(self, call):
+        with pytest.raises(DomainError, match="not finite in double precision"):
+            call()
+
+    def test_an_infinite_radius_alone_is_a_ball(self):
+        v = CertifiedReal(2.0, math.inf) * CertifiedReal(3.0, 1e-16)
+        assert v.value == 6.0 and v.abs_error_bound == math.inf
+
+
 class TestHyperharmonicReal:
+    def test_value_past_the_double_range_is_domain_error(self):
+        # e**1381.6 overflowed inside math.exp, an uncaught OverflowError
+        with pytest.raises(DomainError, match="not finite in double precision"):
+            hyperharmonic_real(1000.0, 1000.0)
+
     def test_integer_reduction(self):
         v = hyperharmonic_real(2.0, 1.0)
         assert abs(v.value - 1.5) <= v.abs_error_bound + 1e-12
@@ -209,6 +291,14 @@ class TestSumSeries:
         )
         assert abs(v.value - 2.0 * math.log(2.0)) < 1e-12
         assert v.abs_error_bound < 1e-12
+
+    def test_exact_rational_tail_matches_the_float_tail(self):
+        # both tails are the same dyadic rationals, so the sums agree bit for bit
+        term = lambda k: harmonic(k) / F(2) ** k
+        exact = sum_series(term, lambda K: F(K + 2, 2**K), 1e-13)
+        floats = sum_series(term, lambda K: (K + 2.0) / 2.0**K, 1e-13)
+        assert exact == floats
+        assert isinstance(exact.abs_error_bound, float)
 
     def test_all_zero(self):
         v = sum_series(lambda k: F(0), lambda K: 0.0, 1e-9)

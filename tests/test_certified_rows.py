@@ -13,12 +13,14 @@ verdicts, so every such interval must contain the side's true value.
   ``prop-one6``, on every case of their default domains: computed at 60
   digits; each left side is its alternating binomial sum of mpmath's
   sinh, cosh or digamma, each right side its closed form.
+* ``t2-2.16`` far past its grid (r = 20, 60, 300) and ``t2-1.23`` at
+  r = 200, where a fixed truncation or a float tail bound broke down.
 """
 
 import mpmath
 import pytest
 
-from hyperseq.identities import _cases, get_identity, row_scope
+from hyperseq.identities import _cases, get_identity, row_scope, verify
 
 mpf = mpmath.mpf
 
@@ -70,6 +72,31 @@ def test_each_side_interval_contains_the_true_value(key, r):
     with mpmath.workdps(50):
         for side, true in zip(sides, _oracles(key, r)):
             assert abs(mpf(side.value) - true) <= mpf(side.abs_error_bound)
+
+
+@pytest.mark.parametrize("r", [20, 60, 300])
+def test_t2_216_far_orders_are_tight_and_contain_the_true_value(r):
+    # a fixed 30-term sum gave an lhs radius of 3.4 at r = 20 and 8.5e83
+    # at r = 60, and its float tail overflowed at r = 300
+    identity = get_identity("t2-2.16")
+    with row_scope():
+        sides = (identity.lhs(r=r), identity.rhs(r=r))
+    with mpmath.workdps(60):
+        for side, true in zip(sides, _oracles("t2-2.16", r)):
+            assert side.abs_error_bound < 1e-12
+            assert abs(mpf(side.value) - true) <= mpf(side.abs_error_bound)
+
+
+def test_t2_123_at_order_200():
+    # the float tail bound 4 (K+1+r)^r/2^(K+1) overflowed a double at r = 200
+    report = verify("t2-1.23", param_bounds={"r": (200, 200)})
+    assert (report.verdict, report.tested, report.skipped) == ("PASS", 1, 0)
+    identity = get_identity("t2-1.23")
+    with row_scope(), mpmath.workdps(80):
+        true = mpf(2) ** 200 * mpmath.log(2)
+        for side in (identity.lhs(r=200), identity.rhs(r=200)):
+            assert abs(mpf(side.value) - true) <= mpf(side.abs_error_bound)
+            assert side.abs_error_bound < 1e-12 * true
 
 
 def _hyperbolic_difference(kind, k, x):

@@ -197,6 +197,18 @@ UNREAD_FLAG_CASES = [
     ["audit", "--only", "t2-1.42", "--s", "3", "--max", "2"],
 ]
 
+# a float case whose evaluation leaves the double range is skipped with its
+# reason (the first four exit 3), and the two far-order series rows pass;
+# recorded after every entry above
+DOUBLE_RANGE_CASES = [
+    ["audit", "--only", "prop-one11-sinh", "--k", "650", "--format", "json"],
+    ["audit", "--only", "prop-one11-sinh", "--k", "2000:2000", "--format", "json"],
+    ["audit", "--only", "rem-one11-x0", "--k", "800", "--format", "json"],
+    ["audit", "--only", "prop-one6", "--k", "1100:1100", "--format", "json"],
+    ["audit", "--only", "t2-1.23", "--r", "200", "--format", "json"],
+    ["audit", "--only", "t2-2.16", "--r", "300", "--format", "json"],
+]
+
 
 def run(argv, config=None):
     """Exit code, stdout and stderr of ``hyperseq argv`` in this process."""
@@ -241,7 +253,7 @@ def transcript():
         code, _, err = run(argv)
         assert code == 2 and offers_in_order(err, choices), (argv, err)
         entries.append({"argv": argv, "exit": 2, "choices": choices})
-    for argv in GF_DISPATCH_CASES + UNREAD_FLAG_CASES:
+    for argv in GF_DISPATCH_CASES + UNREAD_FLAG_CASES + DOUBLE_RANGE_CASES:
         code, out, err = run(argv)
         entries.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
     return entries
@@ -269,6 +281,7 @@ def test_fixture_covers_every_case():
         + [a for a, _ in USAGE_CASES]
         + GF_DISPATCH_CASES
         + UNREAD_FLAG_CASES
+        + DOUBLE_RANGE_CASES
     )
     assert recorded == expected
 
