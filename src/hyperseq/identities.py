@@ -285,6 +285,8 @@ class AuditReport(record("AuditReport", ("entries",))):
 def _render_value(v) -> object:
     if isinstance(v, CertifiedReal):
         return v.to_json_obj()
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(v)
     return format_rational(F(v))
 
 
@@ -338,7 +340,10 @@ def _values_agree(exact, lv, rv) -> bool:
         return lv == rv
     # Two balls agree iff they overlap, tested on the floats' exact values.
     # A non-finite centre or radius has no rational value and fails.
-    lc, rc = as_certified(lv), as_certified(rv)
+    try:
+        lc, rc = as_certified(lv), as_certified(rv)
+    except DomainError:  # a non-finite float side
+        return False
     ends = (lc.value, rc.value, lc.abs_error_bound, rc.abs_error_bound)
     if not all(map(math.isfinite, ends)):
         return False
@@ -1097,7 +1102,7 @@ def _float_rows():
             "exponential form",
             (IntRange("k", 0, 15), RationalChoice("x", HYPERBOLIC_GRID)),
             lambda k, x, kd=kind: _hyp_direct(kd, k, x),
-            lambda k, x, kd=kind: delta_hyperbolic_closed_form(kd, k, float(x)),
+            lambda k, x, kd=kind: delta_hyperbolic_closed_form(kd, k, x),
             {"float"},
         )
 

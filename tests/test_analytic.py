@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -80,6 +81,11 @@ class TestEulerGamma:
         with mpmath.workdps(50):
             assert abs(mpmath.mpf(g.value) - mpmath.euler) <= g.abs_error_bound
 
+    def test_radius_is_one_ulp_of_the_rule(self):
+        g = euler_gamma()
+        assert g == CertifiedReal.from_float(0.5772156649015329)
+        assert g.abs_error_bound <= abs(g.value) * 2.0**-52 + 2.0**-1074
+
     def test_extrapolation_oracle(self):
         # gamma = H_n - ln n - 1/(2n) + 1/(12 n^2) - 1/(120 n^4) + O(n^-6)
         n = 10_000
@@ -151,19 +157,65 @@ def _mp(x):
     return mpmath.mpf(x.numerator) / x.denominator
 
 
-class TestLibmBalls:
-    """The two balls that trust libm: e**x and ln 2, each to one ulp."""
+#: Exact arguments of e**x across the double range, into the underflow.
+_EXP_GRID = [
+    0, 1, -1, F(1, 3), F(-7, 2), F(31, 2), 20.25, -0.001, 1e-300,
+    F(-1, 10**400), 700, 709.78, 709.782712893384, -700.5, -708.5,
+    -740.25, -745.1, -745.2, -800, -1e6,
+]
 
-    @pytest.mark.parametrize(
-        "x",
-        [0, 1, -1, F(1, 3), F(-7, 2), F(31, 2), 20.25, -0.001, 1e-300,
-         F(-1, 10**400), 700, 709.78, 709.782712893384, -700.5, -708.5,
-         -740.25, -745.1, -745.2, -800, -1e6],
-    )
+#: Radius classes for exp_ball at a ball: fixed, or drawn up to a limit.
+_EXP_RADII = {
+    "zero": lambda rng: 0.0,
+    "1e-17": lambda rng: 1e-17,
+    "to-1e-6": lambda rng: rng.uniform(0.0, 1e-6),
+    "to-2": lambda rng: rng.uniform(0.0, 2.0),
+    "to-50": lambda rng: rng.uniform(0.0, 50.0),
+}
+
+
+class TestLibmBalls:
+    """The balls that trust libm: e**x (exp, expm1) and ln 2, each to one ulp."""
+
+    @pytest.mark.parametrize("x", _EXP_GRID)
     def test_exp_ball_contains_mpmath(self, x):
         v = exp_ball(x)
         with mpmath.workdps(60):
             assert abs(mpmath.mpf(v.value) - mpmath.exp(_mp(x))) <= v.abs_error_bound
+
+    @pytest.mark.parametrize("x", _EXP_GRID)
+    def test_exp_ball_at_an_exact_argument_keeps_its_formula(self, x):
+        # math.exp at the nearest double xf, charged 1 + |xf| ulps and one
+        # ulp of underflow, bit for bit
+        xf = float(x)
+        v = math.exp(xf)
+        want = CertifiedReal(v, abs(v) * 2.0**-52 * (1.0 + abs(xf)) + 2.0**-1074)
+        got = exp_ball(x)
+        assert (got.value, got.abs_error_bound) == (want.value, want.abs_error_bound)
+
+    @pytest.mark.parametrize("radius", list(_EXP_RADII), ids=list(_EXP_RADII))
+    def test_exp_ball_at_a_ball_contains_mpmath(self, radius):
+        # centres across the double range and near 0; e**t checked at both
+        # ends of the ball and at three inner points
+        rng = random.Random(f"exp-{radius}")
+        centres = [rng.uniform(-760.0, 705.0) for _ in range(60)]
+        centres += [rng.uniform(-5.0, 5.0) for _ in range(60)]
+        with mpmath.workdps(60):
+            for c in centres:
+                d = _EXP_RADII[radius](rng)
+                v = exp_ball(CertifiedReal(c, d))
+                for f in (-1, -0.5, 0, 0.5, 1):
+                    true = mpmath.exp(mpmath.mpf(c) + f * mpmath.mpf(d))
+                    assert abs(true - mpmath.mpf(v.value)) <= v.abs_error_bound, (c, d, f)
+
+    def test_exp_ball_far_below_the_range_widens_by_its_radius(self):
+        # e**-800 underflows to 0, but the ball reaches up to e**100
+        v = exp_ball(CertifiedReal(-800.0, 900.0))
+        with mpmath.workdps(60):
+            assert mpmath.exp(100) <= v.abs_error_bound
+        w = exp_ball(CertifiedReal(-800.0, 60.0))
+        with mpmath.workdps(60):
+            assert mpmath.exp(-740) <= w.abs_error_bound < 1e-290
 
     @pytest.mark.parametrize("x", [-745.2, -800, -1e6])
     def test_exp_ball_underflow_keeps_a_radius(self, x):
@@ -219,6 +271,74 @@ class TestOverflowPolicy:
         v = CertifiedReal(2.0, math.inf) * CertifiedReal(3.0, 1e-16)
         assert v.value == 6.0 and v.abs_error_bound == math.inf
 
+    @pytest.mark.parametrize(
+        "call, want",
+        [
+            (lambda: exp_ball(F(-(10**400))), (0.0, 2.0**-1074)),
+            (lambda: CertifiedReal(2.0, math.inf) * CertifiedReal(3.0, 0.0), (6.0, math.inf)),
+            (lambda: CertifiedReal(0.0, 1.0) * CertifiedReal(1.0, math.inf), (0.0, math.inf)),
+            (lambda: CertifiedReal(1.0, math.inf).scaled(0), (0.0, 0.0)),
+        ],
+        ids=["exp-far-left", "inf-radius-times-exact", "zero-times-inf-radius",
+             "inf-radius-scaled-by-zero"],
+    )
+    def test_a_zero_factor_times_infinity_is_no_nan(self, call, want):
+        # each of these raised: 0 * inf made a nan radius
+        v = call()
+        assert (v.value, v.abs_error_bound) == want
+
+
+class TestUnderflowKeepsARadius:
+    """A rational that rounds into the subnormals or to 0 keeps an ulp."""
+
+    @pytest.mark.parametrize(
+        "build, x",
+        [
+            (lambda: CertifiedReal.from_exact(F(1, 10**400)), F(1, 10**400)),
+            (lambda: CertifiedReal.from_exact(F(3, 2**1076)), F(3, 2**1076)),
+            (lambda: CertifiedReal.from_exact(F(-5, 2**1078)), F(-5, 2**1078)),
+            (lambda: sum_series(lambda k: F(1, 10**400), lambda K: 0.0, 1.0),
+             F(1, 10**400)),
+        ],
+        ids=["from-exact-1e-400", "from-exact-3/2^1076", "from-exact-negative",
+             "series-of-one-1e-400-term"],
+    )
+    def test_ball_contains_the_value(self, build, x):
+        v = build()
+        with mpmath.workdps(60):
+            assert abs(mpmath.mpf(v.value) - _mp(x)) <= v.abs_error_bound
+        assert v.abs_error_bound > 0.0
+
+    def test_exact_zero_has_no_radius(self):
+        assert CertifiedReal.from_exact(0) == CertifiedReal(0.0, 0.0)
+
+
+def _non_finite_calls():
+    """Every public function that builds a ball from a double argument."""
+    calls = {
+        "from_float": CertifiedReal.from_float,
+        "as_certified": as_certified,
+        "exp_ball": exp_ball,
+        "digamma": digamma,
+        "log_gamma": log_gamma,
+        "hyperharmonic_real-z": lambda x: hyperharmonic_real(x, 1.0),
+        "hyperharmonic_real-w": lambda x: hyperharmonic_real(1.0, x),
+        "delta-sinh": lambda x: delta_hyperbolic_closed_form("sinh", 2, x),
+        "delta-cosh": lambda x: delta_hyperbolic_closed_form("cosh", 3, x),
+        "sum_series-term": lambda x: sum_series(lambda k: x, lambda K: 0.0, 1.0),
+    }
+    return [
+        pytest.param(fn, x, id=f"{name}-{x}")
+        for name, fn in calls.items()
+        for x in (math.nan, math.inf, -math.inf)
+    ]
+
+
+@pytest.mark.parametrize("fn, x", _non_finite_calls())
+def test_a_non_finite_double_is_a_domain_error(fn, x):
+    with pytest.raises(DomainError, match="not finite in double precision"):
+        fn(x)
+
 
 class TestHyperharmonicReal:
     def test_value_past_the_double_range_is_domain_error(self):
@@ -259,18 +379,18 @@ class TestHyperharmonicReal:
     def test_bound_small_at_desk_scale(self):
         for n in range(1, 11):
             for w in (0.5, 1.5, 2.5):
-                assert hyperharmonic_real(float(n), w).abs_error_bound <= 1e-10
+                assert hyperharmonic_real(float(n), w).abs_error_bound <= 5e-11
 
     def test_bound_tracks_magnitude_beyond_desk_scale(self):
         for n in range(11, 31):
             v = hyperharmonic_real(float(n), 2.5)
-            assert v.abs_error_bound <= 5e-12 * max(abs(v.value), 1.0)
+            assert v.abs_error_bound <= 2e-12 * max(abs(v.value), 1.0)
 
     @pytest.mark.parametrize("w", [0.5, 7.5])
     @pytest.mark.parametrize("z", [1e13, 1e15, 3e15])
     def test_interval_contains_true_value_at_huge_z(self, z, w):
-        # The log-gamma error is far above 0.3 here, so the linear bound
-        # on e^|d| - 1 no longer holds.
+        # The log-gamma radius d is far above 1 here, where e^d - 1 is far
+        # from its linear bound.
         with mpmath.workdps(60):
             zz, ww = mpmath.mpf(z), mpmath.mpf(w)
             true = (
@@ -441,6 +561,18 @@ class TestHyperbolicDifferences:
                         v = delta_hyperbolic_closed_form(kind, k, x)
                         error = abs(mpmath.mpf(v.value) - true)
                         assert error <= v.abs_error_bound, (kind, k, x)
+
+    @pytest.mark.parametrize("x", [F(1, 3), F(-7, 5), F(5, 2)])
+    def test_ball_contains_mpmath_at_exact_rationals(self, x):
+        with mpmath.workdps(60):
+            e, t = mpmath.e, _mp(x)
+            for kind in ("sinh", "cosh"):
+                for k in range(31):
+                    up = (e - 1) ** k * mpmath.exp(t)
+                    down = (1 / e - 1) ** k * mpmath.exp(-t)
+                    true = (up - down) / 2 if kind == "sinh" else (up + down) / 2
+                    v = delta_hyperbolic_closed_form(kind, k, x)
+                    assert abs(mpmath.mpf(v.value) - true) <= v.abs_error_bound, (kind, k)
 
     def test_bad_kind(self):
         with pytest.raises(DomainError):

@@ -225,7 +225,8 @@ class TestVerify:
         CertifiedReal(math.nan, 0.0),
         CertifiedReal(math.inf, 0.0),
         CertifiedReal(0.0, math.nan),
-    ], ids=["inf-radius", "nan-centre", "inf-centre", "nan-radius"])
+        math.inf,
+    ], ids=["inf-radius", "nan-centre", "inf-centre", "nan-radius", "inf-double"])
     def test_non_finite_ball_fails_and_the_audit_runs_on(self, monkeypatch, ball):
         probe = Identity(
             key="probe-ball",
