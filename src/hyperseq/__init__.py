@@ -9,7 +9,6 @@ from .analytic import (
     CertifiedReal,
     delta_hyperbolic_closed_form,
     digamma,
-    euler_gamma,
     hyperharmonic_real,
     log_gamma,
     sum_series,
@@ -21,13 +20,11 @@ from .errors import (
     DomainError,
 )
 from .exactnum import (
-    ExactRational,
     binomial_general,
     binomial_int,
     factorial,
     falling_factorial,
     format_rational,
-    make_rational,
     parse_rational,
     rising_factorial,
 )
@@ -35,14 +32,12 @@ from .opcalc import (
     PowerSeries,
     binomial_transform,
     derivative_at_zero_linear_factors,
-    derivative_at_zero_reciprocal,
     dx_reciprocal_rising,
     forward_difference,
     gf_alpha,
     gf_beta,
     gf_harmonic,
     gf_hyperharmonic,
-    hypergeometric_terminating,
     inverse_binomial_transform,
     leaping_binomial,
 )

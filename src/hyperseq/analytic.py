@@ -186,12 +186,6 @@ def digamma(x: Exactish) -> CertifiedReal:
     return _ball(value, trunc + (ops + 6) * _EPS * acc_abs, "digamma({!r})", x0, ulps=0)
 
 
-def euler_gamma() -> CertifiedReal:
-    """The Euler-Mascheroni constant 0.57721566490153286060..., correctly
-    rounded to double, as a double within one ulp."""
-    return CertifiedReal.from_float(0.5772156649015329)
-
-
 # Stirling coefficients B_{2j}/((2j)(2j-1)) for log-gamma, j = 1..6;
 # remainder below 1/(156 x**13).
 _LGAMMA_TAIL = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)

@@ -2,12 +2,11 @@
 
 Every exact value in the package is a ``fractions.Fraction``: an
 arbitrary-precision fraction that is always reduced, has a positive
-denominator, and represents zero uniquely as 0/1.  The alias
-``ExactRational`` names that contract.  On top of it this module provides
-the factorial, rising/falling factorial and binomial-coefficient
-primitives the sequence and operator modules build on, the exact dot
-product every binomial-weighted sum goes through, plus the canonical
-``p/q`` text rendering used by the CLI and report files.
+denominator, and represents zero uniquely as 0/1.  On top of it this
+module provides the factorial, rising/falling factorial and
+binomial-coefficient primitives the sequence and operator modules build
+on, the exact dot product every binomial-weighted sum goes through, plus
+the canonical ``p/q`` text rendering used by the CLI and report files.
 
 ``dot(coeffs, values)`` is the exact sum of ``c * v`` over two sequences
 of equal length (a length mismatch raises ``ValueError``).  Its inputs
@@ -60,20 +59,10 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-ExactRational = Fraction
-
 #: Signed binomial rows up to this order are served from the memo.
 MEMO_CAP = 256
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
-
-
-def make_rational(p: int, q: int = 1) -> Fraction:
-    """Build the reduced fraction p/q with a positive denominator.
-
-    Raises ``ZeroDivisionError`` when ``q`` is zero.
-    """
-    return Fraction(p, q)
 
 
 def _int_text(n: int) -> str:

@@ -3,8 +3,8 @@
 Forward differences (computed two independent ways and cross-checked),
 the binomial transform pair, exact derivatives at zero of factored
 linear forms and of reciprocal rising factorials, leaping binomial
-coefficients, terminating hypergeometric sums, and truncated formal
-power series for the generating functions.
+coefficients, and truncated formal power series for the generating
+functions.
 
 A term oracle is any pure callable from an integer index to an exact
 rational; determinism is the caller's contract.
@@ -16,9 +16,9 @@ common denominator with ``exactnum.over_common_denominator``, do all
 the arithmetic on those integers, and build one ``Fraction`` per
 result.  The alternating branch of ``forward_difference`` goes through
 ``exactnum.dot`` instead, so the two branches share no arithmetic code.
-Both derivatives at zero and ``dx_reciprocal_rising`` bring their factor
-offsets to integers over one denominator and read the one exact kernel
-``exactnum.derivative_at_zero``.
+``derivative_at_zero_linear_factors`` and ``dx_reciprocal_rising`` bring
+their factor offsets to integers over one denominator and read the one
+exact kernel ``exactnum.derivative_at_zero``.
 
 ``gf_hyperharmonic`` does not multiply series when r <= order: dividing
 by (1-z) is one prefix sum, so it writes -ln(1-z) as the integers
@@ -53,21 +53,16 @@ _F = Fraction
 TermOracle = Callable[[int], Fraction]
 
 
-def forward_difference(
-    f: TermOracle, k: int, x: int, domain: tuple[int, int] | None = None
-) -> Fraction:
-    """k-th forward difference of f at x.
+def forward_difference(f: TermOracle, k: int, x: int) -> Fraction:
+    """k-th forward difference of f at x, from f(x), ..., f(x + k).
 
     Evaluated both by k-fold iterated first differences and by the
     alternating binomial sum; the two must agree exactly and the common
     value is returned.  A mismatch raises ComputationIntegrityError
-    (a bug, not bad input).  ``domain``, when given, is the closed
-    interval on which f may be evaluated.
+    (a bug, not bad input).
     """
     if k < 0:
         raise DomainError(f"difference order must be >= 0, got {k}")
-    if domain is not None and not (domain[0] <= x and x + k <= domain[1]):
-        raise DomainError(f"[{x}, {x + k}] is outside the oracle domain {domain}")
     vals = [_F(f(x + i)) for i in range(k + 1)]
 
     row, d = over_common_denominator(vals)
@@ -104,32 +99,19 @@ def inverse_binomial_transform(a: Sequence) -> list[Fraction]:
     ]
 
 
-def _checked_derivative(a: Iterable, c, power: int) -> Fraction:
-    """``derivative_at_zero`` at scale c**-power; scale and offsets must be nonzero."""
-    c = _F(c)
-    if c == 0:
-        raise DomainError("scale must be nonzero")
-    nums, d = over_common_denominator([_F(v) for v in a])
-    if 0 in nums:
-        raise DomainError("all factor offsets must be nonzero")
-    return derivative_at_zero(nums, d, c**-power, power)
-
-
 def derivative_at_zero_linear_factors(a: Iterable, c) -> Fraction:
     """d/dx [ (1/c) * prod_i (x + a_i) ] at x = 0, exactly.
 
     Equals (prod a_i / c) * sum_i 1/a_i.  Every factor offset and the
     scale must be nonzero.
     """
-    return _checked_derivative(a, c, 1)
-
-
-def derivative_at_zero_reciprocal(a: Iterable, c) -> Fraction:
-    """d/dx [ c / prod_i (x + a_i) ] at x = 0, exactly.
-
-    Equals -(c / prod a_i) * sum_i 1/a_i, under the same conditions.
-    """
-    return _checked_derivative(a, c, -1)
+    c = _F(c)
+    if c == 0:
+        raise DomainError("scale must be nonzero")
+    nums, d = over_common_denominator([_F(v) for v in a])
+    if 0 in nums:
+        raise DomainError("all factor offsets must be nonzero")
+    return derivative_at_zero(nums, d, 1 / c)
 
 
 def leaping_binomial(x, n: int, m: int) -> Fraction:
@@ -162,29 +144,6 @@ def dx_reciprocal_rising(c, k: int) -> Fraction:
             f"pole at i={shifted.index(0)} in the rising factorial of {c}"
         )
     return derivative_at_zero(shifted, q, 1, -1)
-
-
-def hypergeometric_terminating(a: int, b, c, z) -> Fraction:
-    """Terminating hypergeometric sum with nonpositive-integer upper parameter.
-
-    sum_{k=0}^{|a|} rising(a,k) rising(b,k) z**k / (rising(c,k) k!),
-    exact because rising(a, k) vanishes beyond k = |a|.
-    """
-    if a > 0:
-        raise DomainError(f"upper parameter must be a nonpositive integer, got {a}")
-    b = _F(b)
-    c = _F(c)
-    z = _F(z)
-    terms = -a
-    for i in range(terms):
-        if c + i == 0:
-            raise DomainError(f"pole at i={i} in the rising factorial of {c}")
-    total = _F(1)
-    term = _F(1)
-    for k in range(1, terms + 1):
-        term *= _F(a + k - 1) * (b + k - 1) * z / ((c + k - 1) * k)
-        total += term
-    return total
 
 
 class PowerSeries(record("PowerSeries", ("coeffs",), frozen=True)):

@@ -125,7 +125,13 @@ CLOSED_MEMO_SIZE = 4096
 
 @lru_cache(maxsize=CLOSED_MEMO_SIZE)
 def _hyper_closed(n: int, r: int) -> Fraction:
-    return binomial_int(n + r - 1, r - 1) * (harmonic(n + r - 1) - harmonic(r - 1))
+    c = binomial_int(n + r - 1, r - 1)
+    if r <= n:
+        return c * (harmonic(n + r - 1) - harmonic(r - 1))
+    # H(n+r-1) - H(r-1) as n integers over their lcm: reading the H table
+    # would first grow it to n + r - 1 entries, which never ends at r = 10**6
+    d = math.lcm(*range(r, n + r))
+    return _F(c * sum([d // j for j in range(r, n + r)]), d)
 
 
 def _hyper_conv(n: int, r: int) -> Fraction:

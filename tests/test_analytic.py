@@ -10,7 +10,6 @@ from hyperseq.analytic import (
     as_certified,
     delta_hyperbolic_closed_form,
     digamma,
-    euler_gamma,
     exp_ball,
     hyperharmonic_real,
     ln2,
@@ -67,24 +66,17 @@ class TestDigamma:
 
 
 class TestEulerGamma:
-    def test_value(self):
-        g = euler_gamma()
-        assert abs(g.value - 0.57721566490153286) <= 1e-14
-        assert g.abs_error_bound <= 1e-14
+    """Euler's constant gamma as digamma gives it: psi(1) = -gamma."""
 
     def test_psi_relation(self):
-        assert abs(euler_gamma().value + digamma(1.0).value) < 1e-12
-        assert abs(euler_gamma().value + digamma(2.0).value - 1.0) < 1e-12
+        assert abs(digamma(1.0).value + GAMMA) < 1e-12
+        assert abs(digamma(2.0).value - (1.0 - GAMMA)) < 1e-12
 
     def test_ball_contains_mpmath(self):
-        g = euler_gamma()
         with mpmath.workdps(50):
-            assert abs(mpmath.mpf(g.value) - mpmath.euler) <= g.abs_error_bound
-
-    def test_radius_is_one_ulp_of_the_rule(self):
-        g = euler_gamma()
-        assert g == CertifiedReal.from_float(0.5772156649015329)
-        assert g.abs_error_bound <= abs(g.value) * 2.0**-52 + 2.0**-1074
+            for x, true in ((1.0, -mpmath.euler), (2.0, 1 - mpmath.euler)):
+                v = digamma(x)
+                assert abs(mpmath.mpf(v.value) - true) <= v.abs_error_bound, x
 
     def test_extrapolation_oracle(self):
         # gamma = H_n - ln n - 1/(2n) + 1/(12 n^2) - 1/(120 n^4) + O(n^-6)
@@ -96,7 +88,7 @@ class TestEulerGamma:
             + 1.0 / (12 * n**2)
             - 1.0 / (120 * n**4)
         )
-        assert abs(euler_gamma().value - est) < 1e-12
+        assert abs(-digamma(1.0).value - est) < 1e-12
 
 
 class TestLogGamma:

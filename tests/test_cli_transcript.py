@@ -209,6 +209,11 @@ DOUBLE_RANGE_CASES = [
     ["audit", "--only", "t2-2.16", "--r", "300", "--format", "json"],
 ]
 
+# h(n, r) at an order far past n: the closed form sums 1/j over j = r..n+r-1
+# instead of growing the H table to n + r - 1 entries; recorded after every
+# entry above
+LARGE_ORDER_CASES = [["compute", "hyperharmonic", "--n", "3", "--r", "1000000"]]
+
 
 def run(argv, config=None):
     """Exit code, stdout and stderr of ``hyperseq argv`` in this process."""
@@ -253,7 +258,7 @@ def transcript():
         code, _, err = run(argv)
         assert code == 2 and offers_in_order(err, choices), (argv, err)
         entries.append({"argv": argv, "exit": 2, "choices": choices})
-    for argv in GF_DISPATCH_CASES + UNREAD_FLAG_CASES + DOUBLE_RANGE_CASES:
+    for argv in GF_DISPATCH_CASES + UNREAD_FLAG_CASES + DOUBLE_RANGE_CASES + LARGE_ORDER_CASES:
         code, out, err = run(argv)
         entries.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
     return entries
@@ -282,6 +287,7 @@ def test_fixture_covers_every_case():
         + GF_DISPATCH_CASES
         + UNREAD_FLAG_CASES
         + DOUBLE_RANGE_CASES
+        + LARGE_ORDER_CASES
     )
     assert recorded == expected
 

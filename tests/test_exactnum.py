@@ -14,31 +14,12 @@ from hyperseq.exactnum import (
     factorial,
     falling_factorial,
     format_rational,
-    make_rational,
     parse_rational,
     rising_factorial,
     signed_binomial_row,
 )
 
 F = Fraction
-
-
-class TestMakeRational:
-    def test_reduces(self):
-        assert make_rational(6, 4) == F(3, 2)
-
-    def test_unique_zero(self):
-        z = make_rational(0, 7)
-        assert z.numerator == 0 and z.denominator == 1
-
-    def test_sign_normalization(self):
-        v = make_rational(3, -6)
-        assert v == F(-1, 2)
-        assert v.denominator == 2
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            make_rational(1, 0)
 
 
 class TestRendering:

@@ -11,14 +11,12 @@ from hyperseq.opcalc import (
     PowerSeries,
     binomial_transform,
     derivative_at_zero_linear_factors,
-    derivative_at_zero_reciprocal,
     dx_reciprocal_rising,
     forward_difference,
     gf_alpha,
     gf_beta,
     gf_harmonic,
     gf_hyperharmonic,
-    hypergeometric_terminating,
     inverse_binomial_transform,
     leaping_binomial,
 )
@@ -48,10 +46,6 @@ class TestForwardDifference:
 
     def test_fibonacci_example(self):
         assert forward_difference(lambda n: F(fibonacci(n)), 1, 3) == 1
-
-    def test_domain_enforced(self):
-        with pytest.raises(DomainError):
-            forward_difference(harmonic, 3, 2, domain=(0, 4))
 
     def test_cross_check_catches_corrupted_algorithm(self, monkeypatch):
         import hyperseq.opcalc as opcalc
@@ -143,11 +137,6 @@ class TestDerivativeEngines:
         with pytest.raises(DomainError):
             derivative_at_zero_linear_factors([1], 0)
 
-    def test_reciprocal_examples(self):
-        assert derivative_at_zero_reciprocal([1, 2, 3], 6) == F(-11, 6)
-        assert derivative_at_zero_reciprocal([2, 3], 2) == F(-5, 18)
-        assert derivative_at_zero_reciprocal([1], 1) == -1
-
     def test_against_expansion_oracle(self):
         rng = random.Random(13)
         for _ in range(100):
@@ -190,34 +179,6 @@ class TestDxReciprocalRising:
     def test_pole(self):
         with pytest.raises(DomainError, match="i=1"):
             dx_reciprocal_rising(-1, 3)
-
-
-class TestHypergeometric:
-    def test_trivial(self):
-        assert hypergeometric_terminating(0, F(1, 2), F(3), F(4)) == 1
-
-    def test_two_terms(self):
-        b, c, z = F(2, 3), F(5), F(7)
-        assert hypergeometric_terminating(-1, b, c, z) == 1 - b * z / c
-
-    def test_example(self):
-        assert hypergeometric_terminating(-2, F(1, 2), F(3), F(4)) == F(2, 3)
-
-    def test_pole(self):
-        with pytest.raises(DomainError):
-            hypergeometric_terminating(-3, F(1, 2), F(-1), F(4))
-
-    def test_matches_term_sum(self):
-        for a in range(0, -6, -1):
-            for c in (F(3), F(7, 2)):
-                expected = sum(
-                    rising_factorial(F(a), k)
-                    * rising_factorial(F(1, 2), k)
-                    * F(4) ** k
-                    / (rising_factorial(c, k) * factorial(k))
-                    for k in range(-a + 1)
-                )
-                assert hypergeometric_terminating(a, F(1, 2), c, F(4)) == expected
 
 
 class TestPowerSeries:

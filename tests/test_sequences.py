@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,20 @@ class TestHyperharmonic:
     def test_second_order_closed_form(self):
         for n in range(1, 201):
             assert hyperharmonic(n, 2) == (n + 1) * harmonic(n) - n
+
+    def test_closed_form_at_a_large_order_leaves_the_h_table_alone(self):
+        # for r > n the closed form sums 1/j over j = r..n+r-1 itself, where
+        # reading H(n+r-1) would first grow the H table to 10**6 entries
+        from hyperseq import sequences
+
+        size = len(sequences._harmonic_prefix)
+        sequences._hyper_closed.cache_clear()
+        start = time.perf_counter()
+        h = hyperharmonic(3, 10**6)
+        assert time.perf_counter() - start < 0.1
+        assert h == hyperharmonic(3, 10**6, HyperharmonicMethod.CONV)
+        assert h == hyperharmonic(3, 10**6, HyperharmonicMethod.REC_LOWER)
+        assert len(sequences._harmonic_prefix) == size
 
 
 class TestNegativeOrder:
