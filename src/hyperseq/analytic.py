@@ -249,37 +249,83 @@ def sum_series(
     start: int = 0,
     max_terms: int = 10**6,
 ) -> CertifiedReal:
-    """Partial sum up to the first K with tail_bound(K) < tolerance.
+    """Partial sum of terms start..K at the first K with tail_bound(K) < tolerance.
 
     ``tail_bound(K)`` must bound the absolute value of the tail beyond
     index K (it may return ``inf`` while a bound is not yet valid; an exact
     rational cannot overflow).  The result's error bound is that tail plus
     accumulated rounding.
 
+    K is found before any term is read, by probing the bound at start,
+    start+1, start+3, start+7, ... and bisecting the last gap, so a K-term
+    series costs about 2 log2 K bound calls and K term calls.  The search
+    needs the bound not to increase with K; then K is the first index
+    where the bound drops below ``tolerance``.  A bound that increases
+    somewhere still gives a sound ball (K is always an index whose bound
+    was evaluated and is below ``tolerance``), but maybe not at the first
+    such K.  The bound is read at no index past
+    max(start, start + 2(K - start) - 1), nor past the last of the
+    ``max_terms`` indices.
+
     The running value and bound are two floats, updated exactly as
     ``CertifiedReal.__add__(as_certified(term))`` would update them, so one
-    ``CertifiedReal`` is built, for the result.
+    ``CertifiedReal`` is built, for the result.  A partial sum that leaves
+    the double range is a DomainError; a bound that stays at or above
+    ``tolerance`` through ``max_terms`` terms is a ConvergenceError.
     """
+    if not tolerance > 0 or max_terms < 1:
+        raise DomainError(
+            f"sum_series needs tolerance > 0 and max_terms >= 1, "
+            f"got {tolerance} and {max_terms}"
+        )
+    stop, tb = _stop_index(tail_bound, tolerance, start, start + max_terms - 1)
     value = bound = 0.0
-    k = start
-    while True:
+    for k in range(start, stop + 1):
         t = term(k)
         if isinstance(t, (int, Fraction)):
-            tv = _or_inf(float, t)
-            te = _radius(tv, 0.0, bool(t))
+            p, q = t.as_integer_ratio()
+            try:
+                tv = p / q  # float(t), correctly rounded
+            except OverflowError:
+                tv = math.inf if p > 0 else -math.inf
+            te = _radius(tv, 0.0, p != 0)
         else:
             t = as_certified(t)
             tv, te = t.value, t.abs_error_bound
         value = value + tv
         bound = _radius(value, bound + te)
+        if not math.isfinite(value):
+            break
+    if not tb < tolerance and math.isfinite(value):
+        raise ConvergenceError(
+            f"tail bound still {tb} after {max_terms} terms (tolerance {tolerance})"
+        )
+    return _ball(value, bound + _or_inf(float, tb), "a series", ulps=0)
+
+
+def _stop_index(tail_bound, tolerance, start: int, last: int):
+    """(K, tail_bound(K)) for a K in start..last whose bound is below
+    ``tolerance``, or (last, tail_bound(last)) when that bound is not.
+
+    Probes start + 2**j - 1 for j = 0, 1, ... (and last), then bisects
+    between the last probe that failed and the first that passed; for a
+    bound that does not increase, K is the first index below ``tolerance``.
+    """
+    failed, k = start - 1, start
+    tb = tail_bound(k)
+    while not tb < tolerance:
+        if k == last:
+            return k, tb
+        failed, k = k, min(2 * k - start + 1, last)
         tb = tail_bound(k)
-        if tb < tolerance or not math.isfinite(value):
-            return _ball(value, bound + _or_inf(float, tb), "a series", ulps=0)
-        k += 1
-        if k - start > max_terms:
-            raise ConvergenceError(
-                f"tail bound still {tb} after {max_terms} terms (tolerance {tolerance})"
-            )
+    while k - failed > 1:
+        mid = (failed + k) // 2
+        tb_mid = tail_bound(mid)
+        if tb_mid < tolerance:
+            k, tb = mid, tb_mid
+        else:
+            failed = mid
+    return k, tb
 
 
 def delta_hyperbolic_closed_form(kind: str, k: int, x: Exactish) -> CertifiedReal:

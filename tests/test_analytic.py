@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from hyperseq import identities
 from hyperseq.analytic import (
     CertifiedReal,
     as_certified,
@@ -18,6 +19,7 @@ from hyperseq.analytic import (
 )
 from hyperseq.errors import ConvergenceError, DomainError
 from hyperseq.exactnum import binomial_int, factorial, rising_factorial
+from hyperseq.identities import _cases, get_identity, list_identities, row_scope
 from hyperseq.sequences import harmonic, hyperharmonic, hyperharmonic_rational_order
 
 F = Fraction
@@ -425,8 +427,26 @@ class TestSumSeries:
         assert abs(v.value - 4.0 * math.log(2.0)) < 1e-9
 
     def test_iteration_cap(self):
-        with pytest.raises(ConvergenceError):
-            sum_series(lambda k: F(1, k + 1), lambda K: math.inf, 1e-9, max_terms=50)
+        terms = []
+        with pytest.raises(ConvergenceError, match="after 50 terms"):
+            sum_series(
+                _counted(lambda k: F(1, k + 1), terms), lambda K: math.inf, 1e-9,
+                max_terms=50,
+            )
+        assert terms == list(range(50))
+
+    @pytest.mark.parametrize(
+        "tolerance, max_terms",
+        [(math.nan, 10), (0.0, 10), (-1e-9, 10), (F(-1, 3), 10), (1e-9, 0), (1e-9, -2)],
+    )
+    def test_bad_tolerance_or_cap_is_a_domain_error_before_any_call(
+        self, tolerance, max_terms
+    ):
+        def never(k):
+            raise AssertionError(f"evaluated at {k}")
+
+        with pytest.raises(DomainError, match="tolerance > 0 and max_terms >= 1"):
+            sum_series(never, never, tolerance, max_terms=max_terms)
 
     @pytest.mark.parametrize("start", [0, 3])
     @pytest.mark.parametrize(
@@ -458,13 +478,124 @@ class TestSumSeries:
 
     @pytest.mark.parametrize("a", [F(2, 3), F(5, 4), F(17, 5), F(19, 4)])
     def test_hurwitz_zeta_two_contains_mpmath(self, a):
-        # sum 1/(k+a)^2; the tail beyond K is below the integral 1/(K+a)
-
-        v = sum_series(lambda k: 1 / (k + a) ** 2, lambda k: 1.0 / float(k + a), 1e-3)
+        v = sum_series(*_hurwitz(a))
         with mpmath.workdps(50):
             true = mpmath.zeta(2, mpmath.mpf(a.numerator) / a.denominator)
             assert abs(true - mpmath.mpf(v.value)) <= v.abs_error_bound
         assert v.abs_error_bound < 2e-3
+
+    @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize("a", [F(2, 3), F(19, 4)])
+    def test_hurwitz_stop_costs_logarithmically_many_bound_calls(self, a, start):
+        term, tail, tol = _hurwitz(a)
+        terms, bounds = [], []
+        sum_series(_counted(term, terms), _counted(tail, bounds), tol, start=start)
+        stop = _linear_stop(tail, tol, start)
+        assert stop - start > 500
+        assert terms == list(range(start, stop + 1))
+        assert len(bounds) <= 2 * math.ceil(math.log2(stop - start + 2)) + 2
+
+    @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize(
+        "kind", ["fraction", "int", "float", "certified", "mixed", "long"]
+    )
+    def test_stops_at_the_first_k_below_tolerance(self, kind, start):
+        term, tail, tol = _SERIES[kind]
+        terms = []
+        sum_series(_counted(term, terms), tail, tol, start=start)
+        assert terms == list(range(start, _linear_stop(tail, tol, start) + 1))
+
+    @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize("kind", ["hurwitz", "fraction", "int", "certified", "long"])
+    def test_the_bound_may_raise_past_twice_the_stop(self, kind, start):
+        # a float bound that overflows far past the stop (2.0**K at K = 1024,
+        # say) must not be read there
+        term, tail, tol = _hurwitz(F(5, 4)) if kind == "hurwitz" else _SERIES[kind]
+        limit = start + 2 * (_linear_stop(tail, tol, start) - start) + 1
+
+        def guarded(k):
+            if k > limit:
+                raise OverflowError(f"bound read at {k}, past {limit}")
+            return tail(k)
+
+        got = sum_series(term, guarded, tol, start=start)
+        assert got == sum_series(term, tail, tol, start=start)
+
+    @pytest.mark.parametrize(
+        "bump",
+        [lambda k: 10.0 if k % 3 == 1 else 1.0,
+         lambda k: math.inf if 600 <= k < 1200 else 1.0],
+        ids=["every-third-index", "a-band-past-the-first-stop"],
+    )
+    @pytest.mark.parametrize("a", [F(2, 3), F(17, 5)])
+    def test_a_bound_that_increases_still_gives_a_sound_ball(self, a, bump):
+        # anything above 1/(k+a) bounds the tail too, so the ball must stay
+        # sound; the stop is an index whose bound was read and is below tol
+        term, tail, tol = _hurwitz(a)
+        read = {}
+
+        def bumpy(k):
+            read[k] = tail(k) * bump(k)
+            return read[k]
+
+        terms = []
+        v = sum_series(_counted(term, terms), bumpy, tol)
+        stop = terms[-1]
+        assert terms == list(range(stop + 1))
+        assert read[stop] < tol
+        with mpmath.workdps(50):
+            true = mpmath.zeta(2, mpmath.mpf(a.numerator) / a.denominator)
+            assert abs(true - mpmath.mpf(v.value)) <= v.abs_error_bound
+
+
+def _hurwitz(a):
+    """(term, tail bound, tolerance) of zeta(2, a) = sum 1/(k+a)^2: the tail
+    beyond K is below the integral 1/(K+a), and it drops below 1e-3 at
+    K of about 1,000."""
+    return (lambda k: 1 / (k + a) ** 2), (lambda k: 1.0 / float(k + a)), 1e-3
+
+
+def _counted(fn, calls):
+    """fn, appending each argument it is called with to ``calls``."""
+
+    def counted(k):
+        calls.append(k)
+        return fn(k)
+
+    return counted
+
+
+def _linear_stop(tail_bound, tolerance, start):
+    """The first K >= start with tail_bound(K) < tolerance, by a linear scan."""
+    k = start
+    while not tail_bound(k) < tolerance:
+        k += 1
+    return k
+
+
+def test_float_rows_are_bit_identical_under_the_linear_fold(monkeypatch):
+    # a passing float row prints no value, so the golden report cannot see
+    # a sum that stopped at another K; compare every side's ball instead
+    keys = [k for k in list_identities() if "float" in get_identity(k).tags]
+    assert len(keys) == 8
+
+    def balls():
+        out = []
+        for key in keys:
+            with row_scope():
+                for pa, lv, rights in _cases(get_identity(key), None, None):
+                    out.append(
+                        (key, pa, [(s.value, s.abs_error_bound) for s in (lv, *rights)])
+                    )
+        return out
+
+    searched = balls()
+    monkeypatch.setattr(
+        identities,
+        "sum_series",
+        lambda term, tail, tol, start=0: _certified_fold(term, tail, tol, start),
+    )
+    assert balls() == searched
 
 
 def _certified_fold(term, tail_bound, tolerance, start):
