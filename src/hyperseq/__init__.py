@@ -1,18 +1,13 @@
 """hyperseq: exact harmonic-family sequences, operator calculus, and a
 machine-audited registry of the identities relating them.
 
-The registry's names (``run_suite``, ``verify``, ``Identity``, ...) load
-on first access, so importing the package for the sequences alone does
-not build it."""
+The names of ``analytic``, ``opcalc`` and the registry (``run_suite``,
+``verify``, ``Identity``, ...) load on first access, so importing the
+package for the sequences alone, as every CLI command does, compiles
+none of those modules."""
 
-from .analytic import (
-    CertifiedReal,
-    delta_hyperbolic_closed_form,
-    digamma,
-    hyperharmonic_real,
-    log_gamma,
-    sum_series,
-)
+import importlib
+
 from .errors import (
     ComputationIntegrityError,
     ConfigError,
@@ -27,19 +22,6 @@ from .exactnum import (
     format_rational,
     parse_rational,
     rising_factorial,
-)
-from .opcalc import (
-    PowerSeries,
-    binomial_transform,
-    derivative_at_zero_linear_factors,
-    dx_reciprocal_rising,
-    forward_difference,
-    gf_alpha,
-    gf_beta,
-    gf_harmonic,
-    gf_hyperharmonic,
-    inverse_binomial_transform,
-    leaping_binomial,
 )
 from .sequences import (
     HyperharmonicMethod,
@@ -56,28 +38,51 @@ from .sequences import (
 
 __version__ = "0.1.0"
 
-#: Names served from :mod:`hyperseq.identities` on first use, so that
-#: ``import hyperseq`` does not build the identity registry.
-_IDENTITIES_EXPORTS = frozenset(
-    {
-        "AuditReport",
-        "Identity",
-        "SequenceValue",
-        "get_identity",
-        "list_identities",
-        "run_suite",
-        "verify",
-    }
-)
+#: Names served from their module on first use: ``{name: module}``.
+_LAZY_EXPORTS = {
+    name: module
+    for module, names in {
+        "analytic": (
+            "CertifiedReal",
+            "delta_hyperbolic_closed_form",
+            "digamma",
+            "hyperharmonic_real",
+            "log_gamma",
+            "sum_series",
+        ),
+        "identities": (
+            "AuditReport",
+            "Identity",
+            "SequenceValue",
+            "get_identity",
+            "list_identities",
+            "run_suite",
+            "verify",
+        ),
+        "opcalc": (
+            "PowerSeries",
+            "binomial_transform",
+            "derivative_at_zero_linear_factors",
+            "dx_reciprocal_rising",
+            "forward_difference",
+            "gf_alpha",
+            "gf_beta",
+            "gf_harmonic",
+            "gf_hyperharmonic",
+            "inverse_binomial_transform",
+            "leaping_binomial",
+        ),
+    }.items()
+    for name in names
+}
 
 
 def __getattr__(name):
-    if name in _IDENTITIES_EXPORTS:
-        from . import identities
-
-        return getattr(identities, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
 
 def __dir__():
-    return sorted(set(globals()) | _IDENTITIES_EXPORTS)
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))

@@ -22,10 +22,8 @@ import sys
 from fractions import Fraction
 
 from ._records import record
-from .analytic import digamma
 from .errors import ConfigError, DomainError
 from .exactnum import format_rational, parse_rational
-from .opcalc import gf_alpha, gf_beta, gf_harmonic, gf_hyperharmonic
 from .sequences import (
     HyperharmonicMethod,
     alpha,
@@ -75,13 +73,9 @@ _COMPUTE = {
 # flag the sequence does not read is an error rather than ignored
 _COMPUTE_FLAGS = ("n", "m", "r", "k", "w", "arg", "method", "decimal")
 
-# each ``series --gf``: a function of (r, order)
-_SERIES = {
-    "harmonic": lambda r, order: gf_harmonic(order),
-    "hyperharmonic": gf_hyperharmonic,
-    "alpha": gf_alpha,
-    "beta": gf_beta,
-}
+# each ``series --gf`` X calls ``opcalc.gf_X(r, order)``, but harmonic,
+# which takes the order alone
+_SERIES = ("harmonic", "hyperharmonic", "alpha", "beta")
 
 _TABLE = {
     "hyperharmonic": hyperharmonic,
@@ -233,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--decimal", type=int, metavar="N")
 
     series = sub.add_parser("series", help="generating-function coefficients")
-    series.add_argument("--gf", required=True, choices=list(_SERIES))
+    series.add_argument("--gf", required=True, choices=_SERIES)
     series.add_argument("--r", type=int, default=1)
     series.add_argument("--order", type=int, required=True)
 
@@ -277,6 +271,8 @@ def _cmd_compute(args) -> int:
         if flag not in reads and getattr(args, flag) is not None:
             raise ValueError(f"{args.sequence} does not read --{flag}")
     if fn is None:
+        from .analytic import digamma  # the one command that needs analytic
+
         raw = args.arg
         try:
             x = float(Fraction(raw)) if "/" in raw else float(raw)
@@ -297,7 +293,10 @@ def _cmd_series(args) -> int:
             f"error: --order must be in [0, {_SERIES_CAP}]", file=sys.stderr
         )
         return EXIT_USAGE
-    ps = _SERIES[args.gf](args.r, args.order)
+    from . import opcalc  # the one command that needs opcalc
+
+    gf = getattr(opcalc, f"gf_{args.gf}")
+    ps = gf(args.order) if args.gf == "harmonic" else gf(args.r, args.order)
     print(json.dumps(ps.to_json_list(), allow_nan=False))
     return EXIT_OK
 

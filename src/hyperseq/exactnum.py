@@ -17,10 +17,9 @@ common denominator, the ``math.lcm`` of the term denominators, and the
 result is normalized once, by the single ``Fraction`` built at the end.
 An empty sum is 0.
 
-``over_common_denominator(values)`` brings a sequence (not an
-iterator) of ints and ``Fraction``s to plain integers over one
-denominator: it returns ``(numerators, d)`` with
-``values[i] == numerators[i] / d`` for every i, where d >= 1 is the
+``over_common_denominator(values)`` brings ints and ``Fraction``s to
+plain integers over one denominator: it returns ``(numerators, d)``
+with ``values[i] == numerators[i] / d`` for every i, where d >= 1 is the
 ``math.lcm`` of the denominators (1 for an empty or all-integer
 sequence).  The numerators are not reduced against d.  Any other type
 raises ``TypeError``.  Kernels that add, subtract or convolve many exact
@@ -28,6 +27,12 @@ values (power-series products, the binomial transforms, the iterated
 branch of ``forward_difference``) call it once per operand, work on the
 integers, and build one ``Fraction`` per result; ``dot`` keeps its own
 loop.
+
+Both read each value once, as ``as_integer_ratio()``: one C call, where
+the ``numerator`` and ``denominator`` properties of a ``Fraction`` are
+two Python-level getters.  A ``float`` and a ``Decimal`` have that
+method too, so an ``isinstance`` check against int and ``Fraction``
+comes first and refuses them.
 
 ``derivative_at_zero(offsets, q, scale, power)`` is D_x of
 scale * prod_i (x + p_i/q)**power at x = 0 for power +1 or -1, over int
@@ -156,23 +161,18 @@ def dot(coeffs, values) -> Fraction:
     dens = []
     for c, v in zip(coeffs, values, strict=True):
         if type(c) is int and type(v) is Fraction:  # the common case, first
-            nums.append(c * v.numerator)
-            dens.append(v.denominator)
+            p, q = v.as_integer_ratio()
+            nums.append(c * p)
+            dens.append(q)
             continue
-        if isinstance(c, int):
-            cn, cd = c, 1
-        elif isinstance(c, Fraction):
-            cn, cd = c.numerator, c.denominator
-        else:
+        if not isinstance(c, (int, Fraction)):
             raise TypeError(f"dot needs ints or Fractions, got {type(c).__name__}")
-        if isinstance(v, int):
-            nums.append(cn * v)
-            dens.append(cd)
-        elif isinstance(v, Fraction):
-            nums.append(cn * v.numerator)
-            dens.append(cd * v.denominator)
-        else:
+        if not isinstance(v, (int, Fraction)):
             raise TypeError(f"dot needs ints or Fractions, got {type(v).__name__}")
+        cn, cd = c.as_integer_ratio()
+        vn, vd = v.as_integer_ratio()
+        nums.append(cn * vn)
+        dens.append(cd * vd)
     scale = math.lcm(*dens)
     if scale == 1:
         return Fraction(sum(nums))
@@ -181,13 +181,15 @@ def dot(coeffs, values) -> Fraction:
 
 def over_common_denominator(values) -> tuple[list[int], int]:
     """(numerators, d): every value as an integer over the lcm d of the denominators."""
+    ratios = []
     for v in values:
         if not isinstance(v, (int, Fraction)):
             raise TypeError(
                 f"over_common_denominator needs ints or Fractions, got {type(v).__name__}"
             )
-    d = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (d // v.denominator) for v in values], d
+        ratios.append(v.as_integer_ratio())
+    d = math.lcm(*[q for _, q in ratios])
+    return [p * (d // q) for p, q in ratios], d
 
 
 def derivative_at_zero(offsets, q: int = 1, scale=1, power: int = 1) -> Fraction:
@@ -202,10 +204,9 @@ def derivative_at_zero(offsets, q: int = 1, scale=1, power: int = 1) -> Fraction
 
 
 def _num_den(x) -> tuple[int, int]:
-    if isinstance(x, int):
-        return x, 1
-    x = Fraction(x)
-    return x.numerator, x.denominator
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.as_integer_ratio()
 
 
 def _shifted_product(x, n: int, step: int) -> tuple[int, int]:

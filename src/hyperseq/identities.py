@@ -335,8 +335,15 @@ def _assignments(identity, max_bound, param_bounds):
         yield pa
 
 
+_EXACT_TYPES = (int, Fraction)
+
+
 def _values_agree(exact, lv, rv) -> bool:
     if exact:
+        # Reduced int/Fraction pairs are equal iff their integer ratios
+        # are; that skips the ``Rational`` check in ``Fraction.__eq__``.
+        if type(lv) in _EXACT_TYPES and type(rv) in _EXACT_TYPES:
+            return lv.as_integer_ratio() == rv.as_integer_ratio()
         return lv == rv
     # Two balls agree iff they overlap, tested on the floats' exact values.
     # A non-finite centre or radius has no rational value and fails.

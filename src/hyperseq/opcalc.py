@@ -16,6 +16,9 @@ common denominator with ``exactnum.over_common_denominator``, do all
 the arithmetic on those integers, and build one ``Fraction`` per
 result.  The alternating branch of ``forward_difference`` goes through
 ``exactnum.dot`` instead, so the two branches share no arithmetic code.
+An input that is already a ``Fraction`` is used as it is; only other
+values go through ``Fraction()``, whose ``Rational`` check and gcd a
+``Fraction`` does not need again.
 ``derivative_at_zero_linear_factors`` and ``dx_reciprocal_rising`` bring
 their factor offsets to integers over one denominator and read the one
 exact kernel ``exactnum.derivative_at_zero``.
@@ -53,6 +56,11 @@ _F = Fraction
 TermOracle = Callable[[int], Fraction]
 
 
+def _fractions(values: Iterable) -> list[Fraction]:
+    """Each value as a ``Fraction``; a ``Fraction`` is kept, not rebuilt."""
+    return [v if type(v) is _F else _F(v) for v in values]
+
+
 def forward_difference(f: TermOracle, k: int, x: int) -> Fraction:
     """k-th forward difference of f at x, from f(x), ..., f(x + k).
 
@@ -63,7 +71,7 @@ def forward_difference(f: TermOracle, k: int, x: int) -> Fraction:
     """
     if k < 0:
         raise DomainError(f"difference order must be >= 0, got {k}")
-    vals = [_F(f(x + i)) for i in range(k + 1)]
+    vals = _fractions(f(x + i) for i in range(k + 1))
 
     row, d = over_common_denominator(vals)
     for _ in range(k):
@@ -81,7 +89,7 @@ def forward_difference(f: TermOracle, k: int, x: int) -> Fraction:
 
 def binomial_transform(b: Sequence) -> list[Fraction]:
     """a_k = sum_i binom(k, i) b_i."""
-    nums, d = over_common_denominator([_F(v) for v in b])
+    nums, d = over_common_denominator(_fractions(b))
     out = []
     row = [1]  # binom(k, i) for i = 0..k, advanced by Pascal's rule
     for k in range(len(nums)):
@@ -92,7 +100,7 @@ def binomial_transform(b: Sequence) -> list[Fraction]:
 
 def inverse_binomial_transform(a: Sequence) -> list[Fraction]:
     """b_k = sum_i (-1)**(k+i) binom(k, i) a_i; inverse of the transform."""
-    nums, d = over_common_denominator([_F(v) for v in a])
+    nums, d = over_common_denominator(_fractions(a))
     return [
         _F(sum(map(operator.mul, signed_binomial_row(k), nums)), d)
         for k in range(len(nums))
@@ -108,7 +116,7 @@ def derivative_at_zero_linear_factors(a: Iterable, c) -> Fraction:
     c = _F(c)
     if c == 0:
         raise DomainError("scale must be nonzero")
-    nums, d = over_common_denominator([_F(v) for v in a])
+    nums, d = over_common_denominator(_fractions(a))
     if 0 in nums:
         raise DomainError("all factor offsets must be nonzero")
     return derivative_at_zero(nums, d, 1 / c)
@@ -157,7 +165,7 @@ class PowerSeries(record("PowerSeries", ("coeffs",), frozen=True)):
     __slots__ = ()
 
     def __init__(self, coeffs: Iterable):
-        coeffs = tuple(v if type(v) is _F else _F(v) for v in coeffs)
+        coeffs = tuple(_fractions(coeffs))
         if not coeffs:
             raise ValueError("a power series needs at least the constant term")
         super().__init__(coeffs)

@@ -13,6 +13,31 @@ from hyperseq.cli import main
 from hyperseq.sequences import fibonacci, harmonic
 
 
+#: Every public name the package exports, eagerly or on first use.
+PACKAGE_EXPORTS = {
+    # errors
+    "ComputationIntegrityError", "ConfigError", "ConvergenceError", "DomainError",
+    # exactnum
+    "binomial_general", "binomial_int", "factorial", "falling_factorial",
+    "format_rational", "parse_rational", "rising_factorial",
+    # sequences
+    "HyperharmonicMethod", "alpha", "beta", "fibonacci", "gen_harmonic",
+    "harmonic", "hyperharmonic", "hyperharmonic_half_integer_alt",
+    "hyperharmonic_neg", "hyperharmonic_rational_order",
+    # analytic
+    "CertifiedReal", "delta_hyperbolic_closed_form", "digamma",
+    "hyperharmonic_real", "log_gamma", "sum_series",
+    # opcalc
+    "PowerSeries", "binomial_transform", "derivative_at_zero_linear_factors",
+    "dx_reciprocal_rising", "forward_difference", "gf_alpha", "gf_beta",
+    "gf_harmonic", "gf_hyperharmonic", "inverse_binomial_transform",
+    "leaping_binomial",
+    # identities
+    "AuditReport", "Identity", "SequenceValue", "get_identity",
+    "list_identities", "run_suite", "verify",
+}
+
+
 def run_python(*argv):
     """``python ...`` in a fresh child that imports this same package."""
     src = str(Path(hyperseq.__file__).resolve().parents[1])
@@ -628,25 +653,41 @@ class TestModuleEntryPoint:
 
     def test_import_loads_no_thread_pool_or_logging(self):
         # A cold start loads neither the identity registry nor the
-        # modules only it or the CSV writer needs.
-        unwanted = (
-            "{'concurrent.futures', 'logging', 'hyperseq.identities', "
-            "'dataclasses', 'inspect', 'csv'}"
-        )
-        report = f"print(sorted({unwanted} & set(sys.modules)))"
+        # modules only it, the CSV writer, digamma or the series need.
+        lazy = {"hyperseq.identities", "hyperseq.analytic", "hyperseq.opcalc"}
+        unwanted = lazy | {"concurrent.futures", "logging", "dataclasses", "inspect", "csv"}
+        report = f"print(sorted({unwanted!r} & set(sys.modules)))"
         proc = run_python("-c", f"import sys, hyperseq.cli; {report}")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-        proc = run_python(
-            "-c",
-            "import atexit, runpy, sys; "
-            f"atexit.register(lambda: {report}); "
-            "sys.argv = ['hyperseq', 'compute', 'harmonic', '--n', '5']; "
-            "runpy.run_module('hyperseq', run_name='__main__', alter_sys=True)",
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["137/60", "[]"]
+        def loaded_by(*argv):
+            """The unwanted modules a cold ``hyperseq argv`` loads."""
+            proc = run_python(
+                "-c",
+                "import atexit, runpy, sys; "
+                f"atexit.register(lambda: {report}); "
+                f"sys.argv = ['hyperseq', *{list(argv)!r}]; "
+                "runpy.run_module('hyperseq', run_name='__main__', alter_sys=True)",
+            )
+            assert proc.returncode == 0, proc.stderr
+            *out, modules = proc.stdout.splitlines()
+            return out, modules
+
+        assert loaded_by("compute", "harmonic", "--n", "5") == (["137/60"], "[]")
+        assert loaded_by("compute", "digamma", "--arg", "1/2")[1] == "['hyperseq.analytic']"
+        out, modules = loaded_by("series", "--gf", "harmonic", "--order", "3")
+        assert (out, modules) == (['["0", "1", "3/2", "11/6"]'], "['hyperseq.opcalc']")
+
+        # Every export is still listed, and the deferred ones resolve to
+        # their module's object on first use.
+        from hyperseq import analytic, opcalc
+
+        assert PACKAGE_EXPORTS <= set(dir(hyperseq))
+        for name in sorted(PACKAGE_EXPORTS):
+            assert getattr(hyperseq, name) is not None, name
+        assert hyperseq.digamma is analytic.digamma
+        assert hyperseq.PowerSeries is opcalc.PowerSeries
 
         # The registry's names still resolve from the package, on first use.
         proc = run_python(

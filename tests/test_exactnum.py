@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,27 @@ _ints = st.integers(min_value=-(10**30), max_value=10**30)
 _scalars = st.one_of(_ints, _rationals)
 
 
+class _Int(int):
+    pass
+
+
+class _Fraction(F):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+# Exact values that are not exactly int or Fraction, so dot reads them on
+# its mixed path rather than its int-times-Fraction one.
+_subclassed = st.one_of(
+    st.booleans(),
+    _ints.map(_Int),
+    _rationals.map(lambda v: _Fraction(v.numerator, v.denominator)),
+)
+
+
 def _oracle_dot(coeffs, values):
     return sum((c * v for c, v in zip(coeffs, values)), F(0))
 
@@ -191,7 +213,7 @@ def _assert_canonical(v):
 
 
 class TestDot:
-    @given(st.lists(st.tuples(_scalars, _scalars), max_size=40))
+    @given(st.lists(st.tuples(_scalars | _subclassed, _scalars | _subclassed), max_size=40))
     def test_matches_fraction_sum(self, pairs):
         coeffs = [c for c, _ in pairs]
         values = [v for _, v in pairs]
@@ -248,11 +270,20 @@ class TestDot:
             dot(coeffs, values)
 
     @pytest.mark.parametrize(
-        "bad", [0.5, 1.0, CertifiedReal(1.0, 0.0), "1/2", None]
+        "bad",
+        [
+            0.5, 1.0, CertifiedReal(1.0, 0.0), "1/2", None,
+            pytest.param(_Float(0.5), id="float-subclass"),
+            pytest.param(Decimal("0.5"), id="decimal"),
+        ],
     )
     def test_inexact_inputs_rejected(self, bad):
+        # float and Decimal have as_integer_ratio() too; the type check
+        # in front of it must still refuse them
         with pytest.raises(TypeError):
             dot([1, 2], [F(1, 2), bad])
+        with pytest.raises(TypeError):
+            dot([1, 2], [bad, 3])
         with pytest.raises(TypeError):
             dot([bad, 2], [F(1, 2), 3])
 

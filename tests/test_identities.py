@@ -283,6 +283,53 @@ class TestVerify:
             monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
             assert verify("probe-gap").verdict == verdict, radius
 
+    def _exact_probe(self, monkeypatch, lhs, rhs):
+        probe = Identity(
+            key="probe-exact",
+            anchor="two exact sides",
+            params=(IntRange("n", 1, 3),),
+            lhs=lhs,
+            rhs=rhs,
+            tags=frozenset({"probe"}),
+        )
+        monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
+        return verify("probe-exact")
+
+    def test_equal_int_and_fraction_sides_pass(self, monkeypatch):
+        for lhs, rhs in (
+            (lambda n: 2 * n, lambda n: F(4 * n, 2)),
+            (lambda n: F(n, 2), lambda n: F(2 * n, 4)),
+            (lambda n: F(6, 3), lambda n: 2),
+            (lambda n: n, lambda n: n),
+        ):
+            rep = self._exact_probe(monkeypatch, lhs, rhs)
+            assert (rep.mode, rep.verdict, rep.tested) == ("exact", "PASS", 3)
+
+    def test_unequal_exact_sides_fail_with_their_counterexamples(self, monkeypatch):
+        rep = self._exact_probe(monkeypatch, lambda n: n, lambda n: F(2 * n + 1, 2))
+        assert (rep.verdict, rep.tested) == ("FAIL", 3)
+        assert rep.counterexamples == [
+            {"params": {"n": 1}, "lhs": "1", "rhs": "3/2"},
+            {"params": {"n": 2}, "lhs": "2", "rhs": "5/2"},
+            {"params": {"n": 3}, "lhs": "3", "rhs": "7/2"},
+        ]
+        rep = self._exact_probe(monkeypatch, lambda n: F(1, n), lambda n: F(-1, n))
+        assert rep.counterexamples[0] == {"params": {"n": 1}, "lhs": "1", "rhs": "-1"}
+
+    def test_a_float_side_of_an_exact_row_is_compared_by_eq(self, monkeypatch):
+        # inf has no integer ratio and nan none either; == decides them
+        for lhs, rhs, verdict in (
+            (lambda n: 0.5, lambda n: F(1, 2), "PASS"),
+            (lambda n: math.inf, lambda n: math.inf, "PASS"),
+            (lambda n: math.nan, lambda n: math.nan, "FAIL"),
+            (lambda n: 0.1, lambda n: F(1, 10), "FAIL"),
+        ):
+            rep = self._exact_probe(monkeypatch, lhs, rhs)
+            assert (rep.mode, rep.verdict) == ("exact", verdict)
+        assert rep.counterexamples[0] == {
+            "params": {"n": 1}, "lhs": "3602879701896397/36028797018963968", "rhs": "1/10",
+        }
+
 
 #: Rows whose rational parameter meets poles at negative integers.
 POLE_ROWS = {

@@ -7,6 +7,7 @@ arithmetic with the kernel under test.
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,27 @@ F = Fraction
 
 _rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 _exact = st.one_of(st.integers(-10**9, 10**9), _rationals)
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+# Exact values that are not exactly int or Fraction: the kernels must read
+# them as their values, on the path that is not the int/Fraction fast one.
+_subclassed = st.one_of(
+    st.booleans(),
+    st.integers(-10**9, 10**9).map(_Int),
+    _rationals.map(lambda v: _Fraction(v.numerator, v.denominator)),
+)
 
 
 # -- the replaced Fraction loops --------------------------------------------
@@ -126,7 +148,7 @@ def old_rational_order(n, w):
 
 
 class TestOverCommonDenominator:
-    @given(st.lists(_exact, max_size=40))
+    @given(st.lists(_exact | _subclassed, max_size=40))
     def test_values_over_the_lcm(self, values):
         nums, d = over_common_denominator(values)
         assert all(type(p) is int for p in nums)
@@ -137,8 +159,17 @@ class TestOverCommonDenominator:
         assert over_common_denominator([]) == ([], 1)
         assert over_common_denominator([3, -4, F(6, 3)]) == ([3, -4, 2], 1)
 
-    @pytest.mark.parametrize("bad", [0.5, "1/2", None, CertifiedReal(1.0, 0.0)])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            0.5, "1/2", None, CertifiedReal(1.0, 0.0),
+            pytest.param(_Float(0.5), id="float-subclass"),
+            pytest.param(Decimal("0.5"), id="decimal"),
+        ],
+    )
     def test_inexact_inputs_rejected(self, bad):
+        # float and Decimal have as_integer_ratio() too; the type check
+        # in front of it must still refuse them
         with pytest.raises(TypeError):
             over_common_denominator([F(1, 2), bad])
 
@@ -247,11 +278,12 @@ class TestHyperharmonicSeries:
 
 class TestTransforms:
     @settings(max_examples=150)
-    @given(st.lists(_exact, max_size=32))
+    @given(st.lists(_exact | _subclassed, max_size=32))
     def test_equal_the_naive_sums(self, b):
         # the empty list included
-        assert binomial_transform(b) == old_binomial_transform(b)
-        assert inverse_binomial_transform(b) == old_inverse_binomial_transform(b)
+        got = binomial_transform(b), inverse_binomial_transform(b)
+        assert got == (old_binomial_transform(b), old_inverse_binomial_transform(b))
+        assert all(type(v) is Fraction for v in got[0] + got[1])
 
 
 class TestDxReciprocalRising:
