@@ -168,15 +168,16 @@ def _render_exact(value: Fraction, decimal: int | None) -> str:
     return f"{_round_half_even(value, decimal)} (half-even to {decimal} places)"
 
 
-def _parse_span(text: str) -> tuple[int, int]:
+def _parse_span(text: str, flag: str) -> tuple[int, int]:
     """``V`` or ``LO:HI``; ``HI = LO - 1`` is the empty span, lower is an error."""
-    if ":" in text:
-        lo, hi = (int(part) for part in text.split(":", 1))
-        if hi < lo - 1:
-            raise ValueError(f"span {text!r} runs backwards")
-        return lo, hi
-    v = int(text)
-    return v, v
+    parts = text.split(":", 1)
+    try:
+        lo, hi = int(parts[0]), int(parts[-1])
+    except ValueError:
+        raise ValueError(f"{flag} needs V or LO:HI in integers, not {text!r}") from None
+    if hi < lo - 1:
+        raise ValueError(f"span {text!r} runs backwards")
+    return lo, hi
 
 
 def _add_bound_flags(parser):
@@ -197,7 +198,7 @@ def _collect_bounds(args, cfg: CliConfig) -> dict:
     for name in _BOUND_PARAMS:
         raw = getattr(args, name, None)
         if raw is not None:
-            bounds[name] = _parse_span(raw)
+            bounds[name] = _parse_span(raw, f"--{name}")
     for name in _SAMPLE_PARAMS:
         raw = getattr(args, name, None)
         if raw is not None:
@@ -302,8 +303,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_table(args, cfg: CliConfig) -> int:
-    n_lo, n_hi = _parse_span(args.n)
-    r_lo, r_hi = _parse_span(args.r)
+    n_lo, n_hi = _parse_span(args.n, "--n")
+    r_lo, r_hi = _parse_span(args.r, "--r")
     fn = _TABLE[args.sequence]
     grid = [
         [format_rational(fn(n, r)) for r in range(r_lo, r_hi + 1)]

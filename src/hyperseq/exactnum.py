@@ -28,11 +28,17 @@ branch of ``forward_difference``) call it once per operand, work on the
 integers, and build one ``Fraction`` per result; ``dot`` keeps its own
 loop.
 
-Both read each value once, as ``as_integer_ratio()``: one C call, where
-the ``numerator`` and ``denominator`` properties of a ``Fraction`` are
-two Python-level getters.  A ``float`` and a ``Decimal`` have that
-method too, so an ``isinstance`` check against int and ``Fraction``
-comes first and refuses them.
+``reciprocal_partial_sums(r, n)`` is the definition of h(n, r): it
+returns ``(nums, d)`` with ``nums[i] / d == h(i, r)`` for i = 0..n, as r
+prefix sums of the integers d // k over d = lcm(1..n).  The DEF h(n, r)
+method and ``opcalc.gf_hyperharmonic`` both read it.
+
+``dot`` and ``over_common_denominator`` read each value once, as
+``as_integer_ratio()``: one C call, where the ``numerator`` and
+``denominator`` properties of a ``Fraction`` are two Python-level
+getters.  A ``float`` and a ``Decimal`` have that method too, so an
+``isinstance`` check against int and ``Fraction`` comes first and
+refuses them.
 
 ``derivative_at_zero(offsets, q, scale, power)`` is D_x of
 scale * prod_i (x + p_i/q)**power at x = 0 for power +1 or -1, over int
@@ -63,6 +69,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 #: Signed binomial rows up to this order are served from the memo.
 MEMO_CAP = 256
@@ -192,6 +199,15 @@ def over_common_denominator(values) -> tuple[list[int], int]:
     return [p * (d // q) for p, q in ratios], d
 
 
+def reciprocal_partial_sums(r: int, n: int) -> tuple[list[int], int]:
+    """(nums, d) with nums[i] / d = h(i, r), the r-fold partial sum of 1/k."""
+    d = math.lcm(*range(1, n + 1))
+    nums = [0, *(d // k for k in range(1, n + 1))]
+    for _ in range(r):
+        nums = list(accumulate(nums))
+    return nums, d
+
+
 def derivative_at_zero(offsets, q: int = 1, scale=1, power: int = 1) -> Fraction:
     """D_x scale * prod_i (x + p_i/q)**power at x = 0, for power +1 or -1."""
     lcm = math.lcm(*offsets)  # 0 when some p is 0, and then lcm // 0 raises
@@ -209,8 +225,10 @@ def _num_den(x) -> tuple[int, int]:
     return x.as_integer_ratio()
 
 
-def _shifted_product(x, n: int, step: int) -> tuple[int, int]:
+def _shifted_product(x, n: int, step: int, name: str) -> tuple[int, int]:
     """(numerator, denominator) of x(x+step)...(x+(n-1)step) as ints."""
+    if n < 0:
+        raise ValueError(f"{name} needs n >= 0")
     p, q = _num_den(x)
     num = 1
     for i in range(n):
@@ -220,16 +238,12 @@ def _shifted_product(x, n: int, step: int) -> tuple[int, int]:
 
 def rising_factorial(x, n: int) -> Fraction:
     """x(x+1)...(x+n-1); the empty product (n = 0) is 1."""
-    if n < 0:
-        raise ValueError("rising factorial needs n >= 0")
-    return Fraction(*_shifted_product(x, n, 1))
+    return Fraction(*_shifted_product(x, n, 1, "rising_factorial"))
 
 
 def falling_factorial(x, n: int) -> Fraction:
     """x(x-1)...(x-n+1); the empty product (n = 0) is 1."""
-    if n < 0:
-        raise ValueError("falling factorial needs n >= 0")
-    return Fraction(*_shifted_product(x, n, -1))
+    return Fraction(*_shifted_product(x, n, -1, "falling_factorial"))
 
 
 def binomial_general(x, n: int) -> Fraction:
@@ -238,7 +252,5 @@ def binomial_general(x, n: int) -> Fraction:
     Equals falling_factorial(x, n) / n!; agrees with ``binomial_int`` on
     integer x of either sign.
     """
-    if n < 0:
-        raise ValueError("falling factorial needs n >= 0")
-    num, den = _shifted_product(x, n, -1)
+    num, den = _shifted_product(x, n, -1, "binomial_general")
     return Fraction(num, den * factorial(n))

@@ -24,19 +24,17 @@ their factor offsets to integers over one denominator and read the one
 exact kernel ``exactnum.derivative_at_zero``.
 
 ``gf_hyperharmonic`` does not multiply series when r <= order: dividing
-by (1-z) is one prefix sum, so it writes -ln(1-z) as the integers
-lcm(1..order) // k and takes r prefix sums of them (h(n, r) is the
-r-fold partial sum of 1/k).  That costs r*order big-int additions, so
-for r > order it forms the bounded-cost product
+by (1-z) is one prefix sum, so it reads the r-fold partial sums of
+``exactnum.reciprocal_partial_sums``, the definition of h(n, r) that
+the DEF method reads too.  That costs r*order big-int additions, so for
+r > order it forms the bounded-cost product
 ``log_series(order) * geom_power_series(r, order)`` instead.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from ._records import record
@@ -48,6 +46,7 @@ from .exactnum import (
     factorial,
     format_rational,
     over_common_denominator,
+    reciprocal_partial_sums,
     signed_binomial_row,
 )
 
@@ -226,20 +225,16 @@ def geom_power_series(r: int, order: int) -> PowerSeries:
 def gf_hyperharmonic(r: int, order: int) -> PowerSeries:
     """Truncation of -ln(1-z)/(1-z)**r; coefficient n is h(n, r).
 
-    For r <= order, -ln(1-z) is brought to the integers d // k over
-    d = lcm(1..order), and each of the r divisions by (1-z) is one
-    prefix sum of them.  For r > order, where r prefix sums would cost
-    more than the order's convolution, it is the product
-    ``log_series(order) * geom_power_series(r, order)``.
+    For r <= order it is ``exactnum.reciprocal_partial_sums(r, order)``:
+    each of the r divisions by (1-z) is one prefix sum.  For r > order,
+    where r prefix sums would cost more than the order's convolution, it
+    is the product ``log_series(order) * geom_power_series(r, order)``.
     """
     if r < 1:
         raise DomainError(f"needs r >= 1, got {r}")
     if r > order:
         return log_series(order) * geom_power_series(r, order)
-    d = math.lcm(*range(1, order + 1))
-    nums = [0, *(d // k for k in range(1, order + 1))]
-    for _ in range(r):
-        nums = list(accumulate(nums))
+    nums, d = reciprocal_partial_sums(r, order)
     return PowerSeries(tuple(_F(c, d) for c in nums))
 
 

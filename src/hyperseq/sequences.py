@@ -23,9 +23,10 @@ numerator and denominator and divide out their gcd every 64 steps, and
 the rational order reads ``exactnum.derivative_at_zero``.  Each method
 still runs its own algorithm.
 
-The shared tables (H, the generalized harmonic rows, the DEF rows and
-the Fibonacci list) only grow, and only under ``_lock``.  A value that
-is already in its table is read without the lock.
+H(n) is row 1 of the generalized harmonic table.  Each DEF row is built
+whole from ``exactnum.reciprocal_partial_sums``, one per order asked,
+and never changed after.  The shared tables change only under
+``_lock``; a value already in its table is read without the lock.
 """
 
 from __future__ import annotations
@@ -38,28 +39,20 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .exactnum import binomial_general, binomial_int, derivative_at_zero, factorial
+from .exactnum import reciprocal_partial_sums
 
 _F = Fraction
 
 _lock = threading.Lock()
 
-_harmonic_prefix: list[Fraction] = [_F(0)]  # index n -> H_n
-
 
 def harmonic(n: int) -> Fraction:
     """H(n) = 1 + 1/2 + ... + 1/n; zero for n <= 0 (empty sum)."""
-    if n <= 0:
-        return _F(0)
-    if n >= len(_harmonic_prefix):
-        with _lock:
-            while len(_harmonic_prefix) <= n:
-                m = len(_harmonic_prefix)
-                _harmonic_prefix.append(_harmonic_prefix[m - 1] + _F(1, m))
-    return _harmonic_prefix[n]
+    return gen_harmonic(n, 1)
 
 
-#: Row m is [0, H(1; m), H(2; m), ...]; row 1 is the H list itself.
-_gen_harmonic_prefix: dict[int, list[Fraction]] = {1: _harmonic_prefix}
+#: Row m is [0, H(1; m), H(2; m), ...]; row 1 is the H list.
+_gen_harmonic_prefix: dict[int, list[Fraction]] = {}
 
 
 def gen_harmonic(n: int, m: int) -> Fraction:
@@ -91,28 +84,25 @@ class HyperharmonicMethod(enum.Enum):
     REC_UPPER = "rec-upper"  # recurrence in r from h(n, 1) = H(n)
 
 
-# DEF memo table: _def_rows[r] is the prefix list [h(0,r), ..., h(N,r)];
-# row 1 is the H list itself.  It stays for the process: a warm lookup
-# takes about 0.5 us, an integer r-fold sum per call 90-120 us at n <= 200,
-# r <= 24, which would add 2-3 ms to each 73 ms kernels-mix pass.  A warm
-# lookup reads row r without _lock (rows are appended to only under it,
-# with complete entries); a value beyond the row fills orders 2..r.
-_def_rows: dict[int, list[Fraction]] = {1: _harmonic_prefix}
+# DEF memo table: _def_rows[r] is [h(0,r), ..., h(N,r)] for the largest n
+# asked at order r.  It stays for the process: a warm lookup takes about
+# 0.5 us, an integer r-fold sum per call 90-120 us at n <= 200, r <= 24,
+# which would add 2-3 ms to each 73 ms kernels-mix pass.  A warm lookup
+# reads row r without _lock; a row is replaced whole, under it, and never
+# mutated, so a reader sees an old row or a new one.  A longer row reuses
+# the old row's Fractions; rebuilding them tripled DEF's kernels-mix time.
+_def_rows: dict[int, list[Fraction]] = {}
 
 
 def _hyper_def(n: int, r: int) -> Fraction:
     row = _def_rows.get(r)
-    if row is not None and n < len(row):
-        return row[n]
-    harmonic(n)  # fills row 1; before the lock, which is not reentrant
-    with _lock:
-        for s in range(2, r + 1):
-            row = _def_rows.setdefault(s, [_F(0)])
-            below = _def_rows[s - 1]
-            while len(row) <= n:
-                m = len(row)
-                row.append(row[m - 1] + below[m])
-        return _def_rows[r][n]
+    if row is None or n >= len(row):
+        with _lock:
+            row = _def_rows.get(r, [])
+            if n >= len(row):
+                nums, d = reciprocal_partial_sums(r, n)
+                row = _def_rows[r] = row + [_F(c, d) for c in nums[len(row):]]
+    return row[n]
 
 
 #: Entries kept by each bounded h memo (closed form, both rational-order

@@ -495,6 +495,16 @@ class TestGarbageInput:
         assert (code, out) == (2, "")
         assert "runs backwards" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("audit", "--only", "eq-13", "--n", "3:"),
+        ("table", "beta", "--n", "3:", "--r", "1:2"),
+    ])
+    def test_malformed_span_names_its_flag(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "--n" in err and "'3:'" in err
+        assert "invalid literal" not in err
+
     @pytest.mark.parametrize("n, w", [("2", "-2"), ("3", "-2"), ("1", "-5"), ("4", "0")])
     def test_integer_order_at_most_zero_is_domain_error(self, capsys, n, w):
         # h(2, -2) is 0 (hyperharmonic_neg); the rational-order formula gives -3/2

@@ -352,3 +352,10 @@ class TestFactorialOracles:
     def test_negative_order_rejected(self, fn):
         with pytest.raises(ValueError):
             fn(F(1, 2), -1)
+
+    @pytest.mark.parametrize(
+        "fn", [rising_factorial, falling_factorial, binomial_general]
+    )
+    def test_negative_order_message_names_the_function(self, fn):
+        with pytest.raises(ValueError, match=f"^{fn.__name__} needs n >= 0$"):
+            fn(3, -1)

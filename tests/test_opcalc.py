@@ -20,7 +20,14 @@ from hyperseq.opcalc import (
     inverse_binomial_transform,
     leaping_binomial,
 )
-from hyperseq.sequences import alpha, beta, fibonacci, harmonic, hyperharmonic
+from hyperseq.sequences import (
+    HyperharmonicMethod,
+    alpha,
+    beta,
+    fibonacci,
+    harmonic,
+    hyperharmonic,
+)
 
 F = Fraction
 
@@ -206,6 +213,16 @@ class TestPowerSeries:
             s = gf_hyperharmonic(r, 20)
             for n in range(21):
                 assert s.coeff(n) == hyperharmonic(n, r)
+
+    @pytest.mark.parametrize(
+        "r, order", [(1, 12), (5, 12), (12, 12), (13, 12), (40, 6)]
+    )
+    def test_gf_hyperharmonic_is_the_def_column(self, r, order):
+        # r > order takes the series product, r <= order the r-fold kernel
+        # that DEF reads, so the product path is checked against the kernel
+        def_ = HyperharmonicMethod.DEF
+        expected = [hyperharmonic(i, r, def_) for i in range(order + 1)]
+        assert list(gf_hyperharmonic(r, order).coeffs) == expected
 
     def test_gf_beta(self):
         for r in range(1, 8):

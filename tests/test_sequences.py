@@ -1,9 +1,11 @@
+import math
 import time
 from fractions import Fraction
 
 import pytest
 
 from hyperseq.errors import DomainError
+from hyperseq.exactnum import reciprocal_partial_sums
 from hyperseq.sequences import (
     CLOSED_MEMO_SIZE,
     HyperharmonicMethod,
@@ -103,14 +105,37 @@ class TestHyperharmonic:
         # reading H(n+r-1) would first grow the H table to 10**6 entries
         from hyperseq import sequences
 
-        size = len(sequences._harmonic_prefix)
+        harmonic(1)  # row 1 exists from here on
+        size = len(sequences._gen_harmonic_prefix[1])
         sequences._hyper_closed.cache_clear()
         start = time.perf_counter()
         h = hyperharmonic(3, 10**6)
         assert time.perf_counter() - start < 0.1
         assert h == hyperharmonic(3, 10**6, HyperharmonicMethod.CONV)
         assert h == hyperharmonic(3, 10**6, HyperharmonicMethod.REC_LOWER)
-        assert len(sequences._harmonic_prefix) == size
+        assert len(sequences._gen_harmonic_prefix[1]) == size
+
+    def test_def_at_a_large_order_stores_only_that_order(self):
+        # the DEF row at r = 10**5 is built whole by the r-fold kernel: four
+        # values, not one table row per order 2..10**5
+        from hyperseq import sequences
+
+        keys = set(sequences._def_rows)
+        h = hyperharmonic(3, 10**5, HyperharmonicMethod.DEF)
+        assert h == hyperharmonic(3, 10**5, HyperharmonicMethod.CLOSED)
+        assert set(sequences._def_rows) == keys | {10**5}
+
+
+class TestReciprocalPartialSums:
+    @pytest.mark.parametrize("r", [1, 2, 3, 7, 30])
+    @pytest.mark.parametrize("n", [0, 1, 5, 12])
+    def test_matches_the_closed_form(self, r, n):
+        # h(i, r) = C(i+r-1, r-1) (H(i+r-1) - H(r-1)), summed here from 1/j
+        nums, d = reciprocal_partial_sums(r, n)
+        assert len(nums) == n + 1
+        for i in range(n + 1):
+            tail = sum((F(1, j) for j in range(r, i + r)), F(0))
+            assert F(nums[i], d) == math.comb(i + r - 1, r - 1) * tail, (i, r)
 
 
 class TestNegativeOrder:
@@ -203,16 +228,12 @@ class TestCoefficients:
 
 class TestOneHarmonicTable:
     def test_def_table_reads_the_h_list(self):
-        # DEF fills row 1 through harmonic(); H and H(n; 1) read that list.
-        from hyperseq import sequences
-
+        # H, H(n; 1) and the DEF row of order 1 agree on H(700).
         h700 = hyperharmonic(700, 3, HyperharmonicMethod.DEF)
         assert h700 == hyperharmonic(700, 3, HyperharmonicMethod.CONV)
         expected = sum((F(1, k) for k in range(1, 701)), F(0))
         assert harmonic(700) == gen_harmonic(700, 1) == expected
         assert hyperharmonic(700, 1, HyperharmonicMethod.DEF) == expected
-        rows = sequences._def_rows
-        assert sequences._gen_harmonic_prefix[1] is sequences._harmonic_prefix is rows[1]
 
 
 class TestConcurrency:
