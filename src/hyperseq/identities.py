@@ -20,7 +20,11 @@ anchor: ``h(n, w)`` at any order (integer of either sign, or rational),
 ``H``/``Hm`` (harmonic and generalized harmonic numbers), ``C``
 (integer binomial), ``Cg`` (generalized binomial), ``rising`` and
 ``falling`` factorials, and the sums ``bsum`` (a coefficient-weighted
-range), ``alt_sum`` (the k-th difference form) and ``total``.  ``h`` and
+range), ``alt_sum`` (the k-th difference form) and ``total``.  A row
+divides through ``quot`` wherever its divisor can vanish, so a pole is a
+``DomainError`` from ``quot``: the case is skipped and counted with its
+reason.  A ``valid`` filter drops cases uncounted, so a row has one only
+where it excludes a case of the row's default grid.  ``h`` and
 ``Cg``, like the other values that repeat across one row's cases, are
 memoized for that row only.  So are the term pieces a row would rebuild
 case after case, each keyed on exactly the parameters it depends on,
@@ -106,7 +110,8 @@ F = Fraction
 SequenceValue = Union[Fraction, CertifiedReal]
 
 #: Fixed reproducible sample list for identities with a free rational
-#: parameter; each row filters it for pole validity.
+#: parameter.  It holds no negative integer, so no default case meets a
+#: pole; a pinned pole is a ``DomainError`` from ``quot``.
 SAMPLE_RATIONALS = (F(0), F(1), F(1, 2), F(-1, 3), F(5, 2), F(3))
 
 #: Nine-point grid on [-2, 2] for the hyperbolic difference rows.
@@ -533,6 +538,13 @@ def total(values) -> Fraction:
     return dot([1] * len(values), values)
 
 
+def quot(a, b) -> Fraction:
+    """a / b; b = 0 is a pole of the row, so a ``DomainError`` skips the case."""
+    if b == 0:
+        raise DomainError("pole: division by zero")
+    return a / b
+
+
 @_row_memo
 def _gf_hyper_series(r: int, order: int):
     return gf_hyperharmonic(r, order)
@@ -608,7 +620,7 @@ def _t2_129_k(k: int, r: int, x) -> tuple:
     table-1 rows at r = 1.
     """
     c = C(r - 1 + k, k)
-    ratio = (x + r + 2 * k) / (x + r + k)
+    ratio = quot(x + r + 2 * k, x + r + k)
     return Cg(x + k, k) / c, ratio, ratio * h(k, r) / c, F(k) / (x + r + k) ** 2
 
 
@@ -618,7 +630,7 @@ def _t2_129a_lhs(n: int, r: int, x) -> Fraction:
     for k in range(n + 1):
         big = Cg(x + (r + k + n), n)  # one Fraction addition, not three
         weight, ratio, head, tail = _t2_129_k(k, r, x)
-        prefs.append(C(n, k) / weight / big)
+        prefs.append(quot(C(n, k), weight * big))
         inners.append(head - ratio * h(n, x + (k + r + 1)) / big - tail)
     return dot(prefs, inners)
 
@@ -633,16 +645,10 @@ def _t2_129b_lhs(n: int, r: int, y, sign: int = 1) -> Fraction:
     for k in range(n + 1):
         big = Cg(y + (r + k + n), n)
         weight, ratio, head, tail = _t2_129_k(k, r, y)
-        prefs.append(C(n, k) * weight / big)
+        prefs.append(quot(C(n, k) * weight, big))
         inner = head + ratio * h(n, y + (k + r + 1)) / big
         inners.append(inner + tail if sign > 0 else inner - tail)
     return dot(prefs, inners)
-
-
-def _t2_129b_valid(n: int, r: int, y) -> bool:
-    # Poles, over k = 0..n: r+y+k = 0 and C(r+y+k+n,n) = 0 at
-    # y = -(r+k+1)..-(r+k+n); together the integers -(r+2n) <= y <= -r.
-    return y.denominator != 1 or not -(r + 2 * n) <= y <= -r
 
 
 @_row_memo
@@ -857,7 +863,7 @@ def _core_derivatives():
         for i in range(2, n + 1):
             width = i**m - (i - 1) ** m - 1
             den *= Cg(x + i**m - 1, width) * factorial(width)
-        return num / den
+        return quot(num, den)
 
     _add(
         "prop-leap-rel",
@@ -867,10 +873,6 @@ def _core_derivatives():
         lambda n, m, x: leaping_binomial(x, n, m),
         _leap_rel_rhs,
         {"core"},
-        # Poles: C(x + i^m - 1, i^m - (i-1)^m - 1) vanishes, for some
-        # 2 <= i <= n, exactly at the integers x with (i-1)^m < -x < i^m.
-        valid=lambda n, m, x: x.denominator != 1
-        or not any((i - 1) ** m < -x < i**m for i in range(2, n + 1)),
     )
     _add(
         "eq-11",
@@ -896,9 +898,8 @@ def _core_derivatives():
         (IntRange("n", 0, 20), IntRange("r", 1, 8),
          RationalChoice("x", SAMPLE_RATIONALS)),
         lambda n, r, x: total(Cg(x + (j + r - 1), j) for j in range(n + 1)),
-        lambda n, r, x: (1 + F(n) / (x + r)) * Cg(x + n + r - 1, n),
+        lambda n, r, x: (1 + quot(n, x + r)) * Cg(x + n + r - 1, n),
         {"core"},
-        valid=lambda n, r, x: x + r != 0,
     )
     _add(
         "gf-hyperharmonic",
@@ -1218,7 +1219,6 @@ def _table1_rows():
         lambda n, y: _t2_129b_lhs(n, 1, y, sign=-1),
         lambda n, y: H(n),
         {"table1"},
-        valid=lambda n, y: _t2_129b_valid(n, 1, y),
     )
 
     def _t1_z58_rhs(n, hw=h):
@@ -1491,11 +1491,6 @@ def _table2_rows():
         _t2_129a_lhs,
         lambda n, r, x: F(0),
         {"table2"},
-        # Poles, over k = 0..n: C(x+k,k) = 0 at x = -1..-k, x+r+k = 0, and
-        # C(x+r+k+n,n) = 0 at x = -(r+k+1)..-(r+k+n); together the
-        # integers -n <= x <= -1 and -(r+2n) <= x <= -r.
-        valid=lambda n, r, x: x.denominator != 1
-        or not (-n <= x <= -1 or -(r + 2 * n) <= x <= -r),
     )
 
     _add(
@@ -1507,7 +1502,6 @@ def _table2_rows():
         _t2_129b_lhs,
         lambda n, r, y: h(n, r) / C(r - 1 + n, n) ** 2,
         {"table2"},
-        valid=_t2_129b_valid,
     )
 
     def _t2_z58_rhs(n, r, hw=h):

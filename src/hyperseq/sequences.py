@@ -27,6 +27,8 @@ H(n) is row 1 of the generalized harmonic table.  Each DEF row is built
 whole from ``exactnum.reciprocal_partial_sums``, one per order asked,
 and never changed after.  The shared tables change only under
 ``_lock``; a value already in its table is read without the lock.
+Fibonacci numbers have no table: each F(k) is computed by fast doubling
+in O(log |k|) big-integer steps and kept nowhere.
 """
 
 from __future__ import annotations
@@ -263,17 +265,17 @@ def beta(n: int, r: int) -> Fraction:
     return _F(binomial_int(n + r, r), n + r)
 
 
-_fib_prefix: list[int] = [0, 1]
-
-
 def fibonacci(k: int) -> int:
-    """F(k) for any integer k; F(-k) = (-1)**(k+1) F(k)."""
-    a = abs(k)
-    if a >= len(_fib_prefix):
-        with _lock:
-            while len(_fib_prefix) <= a:
-                _fib_prefix.append(_fib_prefix[-1] + _fib_prefix[-2])
-    v = _fib_prefix[a]
-    if k < 0 and a % 2 == 0:
-        return -v
-    return v
+    """F(k) for any integer k; F(-k) = (-1)**(k+1) F(k).
+
+    Fast doubling: F(2j) = F(j) (2 F(j+1) - F(j)) and
+    F(2j+1) = F(j)^2 + F(j+1)^2, one step per bit of |k|.
+    """
+    a, b = 0, 1  # F(j), F(j+1) for j the leading bits of |k| read so far
+    for bit in bin(abs(k))[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    if k < 0 and k % 2 == 0:
+        return -a
+    return a

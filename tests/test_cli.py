@@ -585,6 +585,7 @@ class TestGarbageInput:
 
     @pytest.mark.parametrize("x", ["-1", "-2", "-3", "-7"])
     @pytest.mark.parametrize("key, flag", [
+        ("eq-13", "--x"),
         ("prop-leap-rel", "--x"),
         ("t1-12.9a", "--x"),
         ("t1-12.9b", "--y"),
@@ -595,7 +596,14 @@ class TestGarbageInput:
         code, out, err = run_cli(capsys, "audit", "--only", key, f"{flag}={x}",
                                  "--format", "json")
         assert code in (0, 3) and "Traceback" not in err
-        assert json.loads(out)[0]["identity_id"] == key
+        [row] = json.loads(out)
+        assert row["identity_id"] == key
+        if (key, x) == ("prop-leap-rel", "-1"):
+            # C(i^m - 2, i^m - (i-1)^m - 1) vanishes for no i >= 2: no pole
+            assert (row["tested"], row["skipped"]) == (15, 0)
+        else:
+            assert row["skipped"] > 0
+            assert "pole" in row["skip_reasons"][0]["reason"]
 
     @pytest.mark.parametrize("command", ["identities", "audit"])
     def test_unknown_suite_is_usage_error(self, capsys, command):

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -320,3 +321,31 @@ class TestFibonacci:
     def test_sign_rule(self):
         for k in range(0, 41):
             assert fibonacci(-k) == (-1) ** (k + 1) * fibonacci(k)
+
+    def test_equals_the_plain_loop(self):
+        # up from F(0), F(1) by F(k) = F(k-1) + F(k-2), down by
+        # F(k) = F(k+2) - F(k+1), so the downward loop checks the sign rule
+        fib = {0: 0, 1: 1}
+        for k in range(2, 1001):
+            fib[k] = fib[k - 1] + fib[k - 2]
+        for k in range(-1, -1001, -1):
+            fib[k] = fib[k + 2] - fib[k + 1]
+        for k in range(-1000, 1001):
+            assert fibonacci(k) == fib[k], k
+
+    def test_keeps_no_table(self):
+        # a table of F(0..k) would hold about k^2 / 3 bits: 40 MB here
+        tracemalloc.start()
+        try:
+            fibonacci(3 * 10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    def test_large_index_mod_a_prime(self):
+        p = 1_000_000_007
+        a, b = 0, 1
+        for _ in range(10**5):
+            a, b = b, (a + b) % p
+        assert fibonacci(10**5) % p == a
