@@ -62,7 +62,6 @@ _LAZY_EXPORTS = {
         "opcalc": (
             "PowerSeries",
             "binomial_transform",
-            "derivative_at_zero_linear_factors",
             "dx_reciprocal_rising",
             "forward_difference",
             "gf_alpha",

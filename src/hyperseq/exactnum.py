@@ -41,11 +41,16 @@ getters.  A ``float`` and a ``Decimal`` have that method too, so an
 refuses them.
 
 ``derivative_at_zero(offsets, q, scale, power)`` is D_x of
-scale * prod_i (x + p_i/q)**power at x = 0 for power +1 or -1, over int
-numerators p_i and one denominator q >= 1: the product is
-``math.prod(p) / q**len`` and sum 1/a_i is q * sum(L // p_i) / L over
-L = lcm(p), so one ``Fraction`` is built.  No factor gives 0, and a zero
-p_i raises ``ZeroDivisionError``.  ``opcalc`` and the rational h(n, w) read it.
+scale * prod_i (x + p_i/q)**power at x = 0 for power +1 or -1, over a
+sequence of int numerators p_i and one denominator q >= 1.  It
+differentiates by the product rule on integers: it carries (p0, p1) with
+prod_i (q x + p_i) = p0 + p1 x + O(x**2), one step per factor, and builds
+one ``Fraction``, p1 / q**len at power +1 and -p1 q**len / p0**2 at
+power -1.  No factor gives 0.  At power +1 nothing divides by an offset,
+so a zero p_i is a value: D_x of x (x + 1)...(x + n - 1) at 0 is (n-1)!.
+At power -1 a zero p_i is a pole and raises ``ZeroDivisionError``.  The
+D_x rows of ``identities``, ``opcalc.dx_reciprocal_rising`` and the
+rational h(n, w) read it.
 
 ``signed_binomial_row(k)`` is the tuple of the k-th difference weights,
 ``(-1)**(k-i) * C(k, i)`` for i = 0..k, as ints (so it can be sliced and
@@ -210,13 +215,14 @@ def reciprocal_partial_sums(r: int, n: int) -> tuple[list[int], int]:
 
 def derivative_at_zero(offsets, q: int = 1, scale=1, power: int = 1) -> Fraction:
     """D_x scale * prod_i (x + p_i/q)**power at x = 0, for power +1 or -1."""
-    lcm = math.lcm(*offsets)  # 0 when some p is 0, and then lcm // 0 raises
-    # scale * sum 1/a_i = recip / (t * lcm), and prod a_i = prod / q**len
-    recip = scale.numerator * q * sum([lcm // p for p in offsets])
-    prod, qn, t = math.prod(offsets), q ** len(offsets), scale.denominator
+    p0, p1 = 1, 0  # prod_i (q x + p_i) = p0 + p1 x + O(x**2)
+    for p in offsets:
+        p0, p1 = p0 * p, p1 * p + p0 * q
+    s, t = scale.as_integer_ratio()
+    qn = q ** len(offsets)
     if power == 1:
-        return Fraction(recip * prod, t * lcm * qn)
-    return Fraction(-recip * qn, t * lcm * prod)
+        return Fraction(s * p1, t * qn)
+    return Fraction(-s * p1 * qn, t * p0 * p0)
 
 
 def _num_den(x) -> tuple[int, int]:

@@ -82,6 +82,7 @@ from .analytic import delta_hyperbolic_closed_form
 from .errors import DomainError
 from . import exactnum
 from .exactnum import binomial_int as C
+from .exactnum import derivative_at_zero as dx0
 from .exactnum import dot, factorial, format_rational, signed_binomial_row
 from .exactnum import falling_factorial as falling
 from .exactnum import rising_factorial as rising
@@ -664,27 +665,6 @@ def _poly_point(deg: int, t) -> Fraction:
     return acc
 
 
-def _poly_coeffs_from_shifts(shifts) -> list:
-    """Ascending coefficients of prod_i (t + s_i)."""
-    coeffs = [F(1)]
-    for s in shifts:
-        s = F(s)
-        out = [F(0)] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            out[j] += c * s
-            out[j + 1] += c
-        coeffs = out
-    return coeffs
-
-
-def _poly_derivative_at(coeffs, t) -> Fraction:
-    t = F(t)
-    acc = F(0)
-    for j in range(len(coeffs) - 1, 0, -1):
-        acc = acc * t + j * coeffs[j]
-    return acc
-
-
 def _alternating_certified_sum(k: int, values) -> CertifiedReal:
     """sum_i (-1)**(k-i) binom(k, i) values[i] with error tracking."""
     acc = CertifiedReal(0.0, 0.0)
@@ -845,14 +825,13 @@ def _core_recurrences():
 
 
 def _core_derivatives():
-    from .opcalc import derivative_at_zero_linear_factors as dlin
     from .opcalc import leaping_binomial
 
     _add(
         "eq-Dgh",
         "D_x of the leaping binomial at 0 = H(n, order m)",
         (IntRange("n", 1, 12), IntRange("m", 1, 4)),
-        lambda n, m: dlin([i**m for i in range(1, n + 1)], factorial(n) ** m),
+        lambda n, m: dx0([i**m for i in range(1, n + 1)], 1, F(1, factorial(n) ** m)),
         lambda n, m: Hm(n, m),
         {"core"},
     )
@@ -878,18 +857,26 @@ def _core_derivatives():
         "eq-11",
         "D_x C(x+n+r-1,n) at 0 = h(n,r)",
         (IntRange("n", 0, 20), IntRange("r", 1, 12)),
-        lambda n, r: dlin(range(r, n + r), factorial(n)),
+        lambda n, r: dx0(range(r, n + r), 1, F(1, factorial(n))),
         lambda n, r: h(n, r),
         {"core"},
     )
+
+    def _pd_lhs(n, z):
+        # D_x (x + z)(x + z + 1)...(x + z + n - 1) at x = 0, over z = p/q
+        p, q = z.as_integer_ratio()
+        return dx0([p + i * q for i in range(n)], q)
+
     _add(
         "eq-pd",
         "D_z z^rising(n) = z^rising(n) (psi(z+n) - psi(z)), telescoped "
         "exactly at rational z",
         (IntRange("n", 1, 10), RationalChoice("z", SAMPLE_RATIONALS)),
-        lambda n, z: _poly_derivative_at(_poly_coeffs_from_shifts(range(n)), z),
-        lambda n, z: dlin([z + i for i in range(n)], 1),
+        _pd_lhs,
+        lambda n, z: rising(z, n) * total(quot(1, z + i) for i in range(n)),
         {"core"},
+        # the rhs's poles z + i = 0 stay excluded, not skipped: the benchmark's
+        # expected report counts them so, until ROADMAP item 2 regenerates it
         valid=lambda n, z: all(z + i != 0 for i in range(n)),
     )
     _add(

@@ -1,10 +1,9 @@
 """Operator calculus over exact rationals.
 
 Forward differences (computed two independent ways and cross-checked),
-the binomial transform pair, exact derivatives at zero of factored
-linear forms and of reciprocal rising factorials, leaping binomial
-coefficients, and truncated formal power series for the generating
-functions.
+the binomial transform pair, the exact derivative at zero of a
+reciprocal rising factorial, leaping binomial coefficients, and
+truncated formal power series for the generating functions.
 
 A term oracle is any pure callable from an integer index to an exact
 rational; determinism is the caller's contract.
@@ -19,9 +18,10 @@ result.  The alternating branch of ``forward_difference`` goes through
 An input that is already a ``Fraction`` is used as it is; only other
 values go through ``Fraction()``, whose ``Rational`` check and gcd a
 ``Fraction`` does not need again.
-``derivative_at_zero_linear_factors`` and ``dx_reciprocal_rising`` bring
-their factor offsets to integers over one denominator and read the one
-exact kernel ``exactnum.derivative_at_zero``.
+``dx_reciprocal_rising`` brings its factor offsets to integers over one
+denominator and reads the one derivative kernel,
+``exactnum.derivative_at_zero``, which differentiates by the product
+rule.
 
 ``gf_hyperharmonic`` does not multiply series when r <= order: dividing
 by (1-z) is one prefix sum, so it reads the r-fold partial sums of
@@ -104,21 +104,6 @@ def inverse_binomial_transform(a: Sequence) -> list[Fraction]:
         _F(sum(map(operator.mul, signed_binomial_row(k), nums)), d)
         for k in range(len(nums))
     ]
-
-
-def derivative_at_zero_linear_factors(a: Iterable, c) -> Fraction:
-    """d/dx [ (1/c) * prod_i (x + a_i) ] at x = 0, exactly.
-
-    Equals (prod a_i / c) * sum_i 1/a_i.  Every factor offset and the
-    scale must be nonzero.
-    """
-    c = _F(c)
-    if c == 0:
-        raise DomainError("scale must be nonzero")
-    nums, d = over_common_denominator(_fractions(a))
-    if 0 in nums:
-        raise DomainError("all factor offsets must be nonzero")
-    return derivative_at_zero(nums, d, 1 / c)
 
 
 def leaping_binomial(x, n: int, m: int) -> Fraction:

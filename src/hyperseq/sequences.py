@@ -20,8 +20,9 @@ The loops that add many terms stay on plain integers and build one
 ``Fraction`` per result: the convolution sums its integer terms over
 lcm(1..n), the recurrences in n and in r each carry an unreduced
 numerator and denominator and divide out their gcd every 64 steps, and
-the rational order reads ``exactnum.derivative_at_zero``.  Each method
-still runs its own algorithm.
+the rational order differentiates C(x+w+n-1, n) at x = 0 by the product
+rule on integers, in ``exactnum.derivative_at_zero``.  Each method still
+runs its own algorithm.
 
 H(n) is row 1 of the generalized harmonic table.  Each DEF row is built
 whole from ``exactnum.reciprocal_partial_sums``, one per order asked,

@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from hyperseq.analytic import digamma, hyperharmonic_real, sum_series
 from hyperseq.cli import main as cli_main
+from hyperseq.exactnum import derivative_at_zero, over_common_denominator
 from hyperseq.identities import get_identity, list_identities, run_suite, verify
 from hyperseq.opcalc import (
     binomial_transform,
-    derivative_at_zero_linear_factors,
     forward_difference,
     gf_hyperharmonic,
     inverse_binomial_transform,
@@ -329,4 +329,5 @@ def test_property_suites():
         offsets = [rational(-12, 12, 8, nonzero=True) for _ in range(rng.randint(1, 8))]
         scale = rational(-9, 9, 4, nonzero=True)
         expansion = expand_linear_factors(offsets)
-        assert derivative_at_zero_linear_factors(offsets, scale) == expansion[1] / scale
+        nums, q = over_common_denominator(offsets)
+        assert derivative_at_zero(nums, q, 1 / scale) == expansion[1] / scale

@@ -396,6 +396,16 @@ def test_every_filter_excludes_a_case(key):
     assert any(not identity.valid(**dict(combo)) for combo in combos)
 
 
+def test_eq_pd_differentiates_where_its_rhs_has_a_pole():
+    # At z = 0 the lhs, D_z z(z+1)...(z+n-1), is (n-1)!, while the printed
+    # rhs z^rising(n) sum 1/(z+i) divides by z
+    identity = get_identity("eq-pd")
+    for n in range(1, 11):
+        assert identity.lhs(n=n, z=F(0)) == math.factorial(n - 1)
+        with pytest.raises(DomainError, match="^pole: "):
+            identity.rhs(n=n, z=F(0))
+
+
 def test_t2_12_9b_at_order_one_balances_where_t1_12_9b_fails():
     # The two lhs differ only in the sign of the k/(y+k+1)^2 term: the
     # order-r form at r = 1 equals H(n) on every case of t1-12.9b's grid,

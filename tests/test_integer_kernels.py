@@ -177,15 +177,17 @@ class TestOverCommonDenominator:
 class TestDerivativeAtZero:
     @settings(max_examples=200)
     @given(
-        st.lists(
-            st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool),
-            max_size=12,
-        ),
+        st.data(),
         st.fractions(min_value=-10**3, max_value=10**3, max_denominator=50).filter(bool),
         st.sampled_from([1, -1]),
     )
-    def test_equals_the_expansion(self, offsets, scale, power):
-        # mixed denominators and both signs; 0 to 12 factors
+    def test_equals_the_expansion(self, data, scale, power):
+        # mixed denominators and both signs; 0 to 12 factors, with zero
+        # offsets only at power +1, where a zero factor is no pole
+        offset = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+        if power == -1:
+            offset = offset.filter(bool)
+        offsets = data.draw(st.lists(offset, max_size=12))
         nums, q = over_common_denominator(offsets)
         # prod (x + a_i), ascending, padded so the empty product has a slope
         coeffs = expanded_coefficients(offsets) + [F(0)]
@@ -197,7 +199,7 @@ class TestDerivativeAtZero:
 
 
 class TestReciprocalSum:
-    """The reciprocal sum inside ``derivative_at_zero``: at q = 1 and
+    """``derivative_at_zero`` against the log-derivative form: at q = 1 and
     scale 1 the kernel is (prod m) * sum 1/m, and -(sum 1/m) / prod m for
     the reciprocal."""
 
@@ -216,9 +218,16 @@ class TestReciprocalSum:
 
     @pytest.mark.parametrize("ms", [[0], [3, 0, -5], [0, 1]])
     def test_zero_raises(self, ms):
-        for power in (1, -1):
-            with pytest.raises(ZeroDivisionError):
-                derivative_at_zero(ms, 1, 1, power)
+        # a zero factor is a pole of the reciprocal only; at power +1 the
+        # slope is the product of the other factors: 1, -15 and 1 here
+        with pytest.raises(ZeroDivisionError):
+            derivative_at_zero(ms, 1, 1, -1)
+        assert derivative_at_zero(ms) == math.prod(m for m in ms if m)
+
+    def test_rising_factorial_at_zero(self):
+        # D_z z(z+1)...(z+n-1) at z = 0 is (n-1)!
+        for n in range(1, 41):
+            assert derivative_at_zero(range(n)) == math.factorial(n - 1)
 
 
 # -- opcalc ------------------------------------------------------------------
