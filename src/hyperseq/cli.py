@@ -4,7 +4,9 @@ Subcommands: ``compute`` (single values), ``series`` (generating-function
 coefficients), ``table`` (2-D value grids), ``audit`` (identity
 verification).  Data goes to stdout, diagnostics to stderr.  Exit codes:
 0 success / all-pass, 2 usage or configuration error, 3 audit failures
-present, 4 evaluator domain error, 5 I/O error.
+present, 4 evaluator domain error, 5 I/O error.  Each bad flag or config
+value raises ``ConfigError`` where it is read; ``main`` catches only that
+and ``DomainError``, so any other exception is a bug: a traceback, exit 1.
 
 Exact values render as canonical rational strings unless ``--decimal N``
 asks for an annotated half-even rounding.  An optional plain
@@ -62,7 +64,7 @@ _COMPUTE = {
     ),
     "hyperharmonic-neg": (hyperharmonic_neg, ("n", "r")),
     "hyperharmonic-q": (
-        lambda n, w: hyperharmonic_rational_order(n, parse_rational(w)),
+        lambda n, w: hyperharmonic_rational_order(n, _parse(parse_rational, w)),
         ("n", "w"),
     ),
     "fibonacci": (fibonacci, ("k",)),
@@ -99,12 +101,13 @@ class CliConfig(
     __slots__ = ()
 
 
-def _parse_int(value: str, where: str) -> int:
-    """``int(value)``; a value that does not convert is a ConfigError."""
+def _parse(convert, text: str, message: str | None = None):
+    """``convert(text)``; text it cannot read is a ConfigError, with
+    ``message`` or else the converter's own."""
     try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{where} is not a valid int: {value!r}") from None
+        return convert(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(message or str(exc)) from None
 
 
 def _parse_config_file(path: str) -> CliConfig:
@@ -121,13 +124,14 @@ def _parse_config_file(path: str) -> CliConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition("="))
+        not_int = f"{path}:{lineno}: {key} is not a valid int: {value!r}"
         if key.startswith("max_") and key[4:] in _BOUND_PARAMS:
-            bound = _parse_int(value, f"{path}:{lineno}: {key}")
+            bound = _parse(int, value, not_int)
             if bound <= 0:
                 raise ConfigError(f"{path}:{lineno}: bounds must be positive")
             cfg.bounds[key[4:]] = (None, bound)  # clamp only the top
         elif key == "counterexamples":
-            cap = _parse_int(value, f"{path}:{lineno}: {key}")
+            cap = _parse(int, value, not_int)
             if cap <= 0:
                 raise ConfigError(f"{path}:{lineno}: {key} must be positive")
             cfg.counterexamples = cap
@@ -150,11 +154,7 @@ def _load_config(args) -> CliConfig:
 
 def _round_half_even(x: Fraction, places: int) -> str:
     """Exact banker's rounding of a rational to a fixed decimal string."""
-    scaled = x * Fraction(10) ** places
-    q, rem = divmod(scaled.numerator, scaled.denominator)
-    half = Fraction(rem, scaled.denominator)
-    if half > Fraction(1, 2) or (half == Fraction(1, 2) and q % 2):
-        q += 1
+    q = round(x * 10**places)  # Fraction.__round__: exact, ties to even
     sign = "-" if q < 0 else ""
     digits = format_rational(abs(q)).rjust(places + 1, "0")
     if places == 0:
@@ -171,12 +171,10 @@ def _render_exact(value: Fraction, decimal: int | None) -> str:
 def _parse_span(text: str, flag: str) -> tuple[int, int]:
     """``V`` or ``LO:HI``; ``HI = LO - 1`` is the empty span, lower is an error."""
     parts = text.split(":", 1)
-    try:
-        lo, hi = int(parts[0]), int(parts[-1])
-    except ValueError:
-        raise ValueError(f"{flag} needs V or LO:HI in integers, not {text!r}") from None
+    message = f"{flag} needs V or LO:HI in integers, not {text!r}"
+    lo, hi = (_parse(int, part, message) for part in (parts[0], parts[-1]))
     if hi < lo - 1:
-        raise ValueError(f"span {text!r} runs backwards")
+        raise ConfigError(f"span {text!r} runs backwards")
     return lo, hi
 
 
@@ -202,7 +200,7 @@ def _collect_bounds(args, cfg: CliConfig) -> dict:
     for name in _SAMPLE_PARAMS:
         raw = getattr(args, name, None)
         if raw is not None:
-            bounds[name] = parse_rational(raw)
+            bounds[name] = _parse(parse_rational, raw)
     return bounds
 
 
@@ -262,24 +260,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compute(args) -> int:
     if args.decimal is not None and args.decimal < 0:
-        raise ValueError(f"--decimal must be non-negative, got {args.decimal}")
+        raise ConfigError(f"--decimal must be non-negative, got {args.decimal}")
     fn, flags = _COMPUTE.get(args.sequence, (None, ("arg",)))  # None: digamma
     for flag in flags:
         if getattr(args, flag) is None and flag != "method":
-            raise ValueError(f"{args.sequence} requires --{flag}")
+            raise ConfigError(f"{args.sequence} requires --{flag}")
     reads = flags + (("decimal",) if fn else ())
     for flag in _COMPUTE_FLAGS:
         if flag not in reads and getattr(args, flag) is not None:
-            raise ValueError(f"{args.sequence} does not read --{flag}")
+            raise ConfigError(f"{args.sequence} does not read --{flag}")
     if fn is None:
         from .analytic import digamma  # the one command that needs analytic
 
         raw = args.arg
-        try:
-            x = float(Fraction(raw)) if "/" in raw else float(raw)
-        except (ValueError, ZeroDivisionError):
-            print(f"error: bad argument {raw!r}", file=sys.stderr)
-            return EXIT_USAGE
+        to_float = (lambda t: float(Fraction(t))) if "/" in raw else float
+        x = _parse(to_float, raw, f"bad argument {raw!r}")
         value = digamma(x)
         print(json.dumps(value.to_json_obj(), allow_nan=False))
         return EXIT_OK
@@ -290,10 +285,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_series(args) -> int:
     if args.order < 0 or args.order > _SERIES_CAP:
-        print(
-            f"error: --order must be in [0, {_SERIES_CAP}]", file=sys.stderr
-        )
-        return EXIT_USAGE
+        raise ConfigError(f"--order must be in [0, {_SERIES_CAP}]")
     from . import opcalc  # the one command that needs opcalc
 
     gf = getattr(opcalc, f"gf_{args.gf}")
@@ -339,15 +331,15 @@ def _cmd_audit(args, cfg: CliConfig) -> int:
     if cap is None:
         cap = cfg.counterexamples
     elif cap <= 0:
-        raise ValueError(f"--counterexamples must be positive, got {cap}")
+        raise ConfigError(f"--counterexamples must be positive, got {cap}")
     bounds = _collect_bounds(args, cfg)
     keys = identities.select(_tags(args), only)
     if only and not keys:
-        raise ValueError(f"no identity matches --only {args.only!r}")
+        raise ConfigError(f"no identity matches --only {args.only!r}")
     read = {p.name for key in keys for p in identities.get_identity(key).params}
     for name in _BOUND_PARAMS + _SAMPLE_PARAMS:
         if getattr(args, name) is not None and name not in read:
-            raise ValueError(f"no selected identity reads --{name}")
+            raise ConfigError(f"no selected identity reads --{name}")
     report = identities.run_suite(
         _tags(args),
         only=only,
@@ -385,14 +377,9 @@ def _cmd_identities(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except ValueError as exc:  # a ConfigError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         if args.command == "compute":
             return _cmd_compute(args)
         if args.command == "series":
@@ -402,12 +389,12 @@ def main(argv=None) -> int:
         if args.command == "audit":
             return _cmd_audit(args, cfg)
         return _cmd_identities(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -42,7 +42,8 @@ refuses them.
 
 ``derivative_at_zero(offsets, q, scale, power)`` is D_x of
 scale * prod_i (x + p_i/q)**power at x = 0 for power +1 or -1, over a
-sequence of int numerators p_i and one denominator q >= 1.  It
+sequence of int numerators p_i and one denominator q >= 1; a scale
+that is not an int or ``Fraction`` raises ``TypeError``, as in ``dot``.  It
 differentiates by the product rule on integers: it carries (p0, p1) with
 prod_i (q x + p_i) = p0 + p1 x + O(x**2), one step per factor, and builds
 one ``Fraction``, p1 / q**len at power +1 and -p1 q**len / p0**2 at
@@ -218,6 +219,8 @@ def derivative_at_zero(offsets, q: int = 1, scale=1, power: int = 1) -> Fraction
     p0, p1 = 1, 0  # prod_i (q x + p_i) = p0 + p1 x + O(x**2)
     for p in offsets:
         p0, p1 = p0 * p, p1 * p + p0 * q
+    if not isinstance(scale, (int, Fraction)):
+        raise TypeError(f"scale must be an int or Fraction, got {type(scale).__name__}")
     s, t = scale.as_integer_ratio()
     qn = q ** len(offsets)
     if power == 1:

@@ -4,6 +4,9 @@ Each :class:`Identity` is a claim: two evaluators over a declared
 finite parameter domain, compared exactly: by rational equality, or, on
 a ``float`` row, by whether the two certified balls (a float centre and
 an error radius) overlap, tested on the floats' exact rational values.
+An exact side that is not exactly an ``int`` or ``Fraction`` (a float,
+a bool, a ``Decimal``, a subclass) is a bug in its evaluator and raises
+``TypeError``; it is never compared by ``==``.
 The radii alone decide a float verdict; there is no tolerance, and a
 ball with a non-finite centre or radius fails.  ``verify`` checks one
 identity, ``run_suite`` a tagged subset, one row after another in key
@@ -350,7 +353,8 @@ def _values_agree(exact, lv, rv) -> bool:
         # are; that skips the ``Rational`` check in ``Fraction.__eq__``.
         if type(lv) in _EXACT_TYPES and type(rv) in _EXACT_TYPES:
             return lv.as_integer_ratio() == rv.as_integer_ratio()
-        return lv == rv
+        side = lv if type(lv) not in _EXACT_TYPES else rv
+        raise TypeError(f"an exact side is {type(side).__name__}, not int or Fraction")
     # Two balls agree iff they overlap, tested on the floats' exact values.
     # A non-finite centre or radius has no rational value and fails.
     try:

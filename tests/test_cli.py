@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import hyperseq
+import hyperseq.cli as cli
 from hyperseq.cli import main
+from hyperseq.errors import DomainError
+from hyperseq.exactnum import factorial
 from hyperseq.sequences import fibonacci, harmonic
 
 
@@ -117,6 +120,20 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "hyperharmonic", "--n", "0", "--r", "0")
         assert code == 4
         assert "domain error" in err
+
+    def test_an_evaluator_value_error_is_a_bug_not_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._COMPUTE, "harmonic", (lambda n: factorial(-n), ("n",)))
+        with pytest.raises(ValueError, match="factorial of a negative integer"):
+            main(["compute", "harmonic", "--n", "3"])
+        assert capsys.readouterr().err == ""
+
+    def test_an_evaluator_domain_error_is_exit_four(self, capsys, monkeypatch):
+        def outside(n):
+            raise DomainError(f"no value at {n}")
+
+        monkeypatch.setitem(cli._COMPUTE, "harmonic", (outside, ("n",)))
+        code, out, err = run_cli(capsys, "compute", "harmonic", "--n", "3")
+        assert (code, out, err) == (4, "", "domain error: no value at 3\n")
 
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "harmonic")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,10 @@ from hyperseq.identities import (
 )
 
 F = Fraction
+
+
+class _Float(float):
+    pass
 
 CORE_IDS = {
     # recurrences and coefficients
@@ -316,19 +321,23 @@ class TestVerify:
         rep = self._exact_probe(monkeypatch, lambda n: F(1, n), lambda n: F(-1, n))
         assert rep.counterexamples[0] == {"params": {"n": 1}, "lhs": "1", "rhs": "-1"}
 
-    def test_a_float_side_of_an_exact_row_is_compared_by_eq(self, monkeypatch):
-        # inf has no integer ratio and nan none either; == decides them
-        for lhs, rhs, verdict in (
-            (lambda n: 0.5, lambda n: F(1, 2), "PASS"),
-            (lambda n: math.inf, lambda n: math.inf, "PASS"),
-            (lambda n: math.nan, lambda n: math.nan, "FAIL"),
-            (lambda n: 0.1, lambda n: F(1, 10), "FAIL"),
-        ):
-            rep = self._exact_probe(monkeypatch, lhs, rhs)
-            assert (rep.mode, rep.verdict) == ("exact", verdict)
-        assert rep.counterexamples[0] == {
-            "params": {"n": 1}, "lhs": "3602879701896397/36028797018963968", "rhs": "1/10",
-        }
+    @pytest.mark.parametrize("lhs, rhs, name", [
+        (lambda: 0.5, F(1, 2), "float"),
+        (lambda: ident.quot(1, 2), F(1, 2), "float"),
+        (lambda: True, F(1), "bool"),
+        (lambda: Decimal("0.5"), F(1, 2), "Decimal"),
+        (lambda: _Float(0.5), F(1, 2), "_Float"),
+        (lambda: F(1, 2), 0.5, "float"),
+    ], ids=["float", "quot-of-ints", "bool", "decimal", "float-subclass", "float-rhs"])
+    def test_a_side_that_is_not_int_or_fraction_raises(self, monkeypatch, lhs, rhs, name):
+        # every side here == its other side, so a comparison by == would PASS
+        def probe_lhs(n):
+            ident.h(n, 1)  # leaves a value in a row memo
+            return lhs()
+
+        with pytest.raises(TypeError, match=f"an exact side is {name},"):
+            self._exact_probe(monkeypatch, probe_lhs, lambda n: rhs)
+        assert all(memo.cache_info().currsize == 0 for memo in ident._ROW_MEMOS)
 
 
 def _leap_rel_pole(n, m, x):

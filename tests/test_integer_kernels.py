@@ -66,6 +66,13 @@ _subclassed = st.one_of(
     _rationals.map(lambda v: _Fraction(v.numerator, v.denominator)),
 )
 
+# Values an exact kernel must refuse with TypeError.
+_INEXACT = [
+    0.5, "1/2", None, CertifiedReal(1.0, 0.0),
+    pytest.param(_Float(0.5), id="float-subclass"),
+    pytest.param(Decimal("0.5"), id="decimal"),
+]
+
 
 # -- the replaced Fraction loops --------------------------------------------
 
@@ -159,14 +166,7 @@ class TestOverCommonDenominator:
         assert over_common_denominator([]) == ([], 1)
         assert over_common_denominator([3, -4, F(6, 3)]) == ([3, -4, 2], 1)
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            0.5, "1/2", None, CertifiedReal(1.0, 0.0),
-            pytest.param(_Float(0.5), id="float-subclass"),
-            pytest.param(Decimal("0.5"), id="decimal"),
-        ],
-    )
+    @pytest.mark.parametrize("bad", _INEXACT)
     def test_inexact_inputs_rejected(self, bad):
         # float and Decimal have as_integer_ratio() too; the type check
         # in front of it must still refuse them
@@ -196,6 +196,11 @@ class TestDerivativeAtZero:
         got = derivative_at_zero(nums, q, scale, power)
         assert type(got) is F
         assert got == scale * want
+
+    @pytest.mark.parametrize("bad", _INEXACT)
+    def test_inexact_scale_rejected(self, bad):
+        with pytest.raises(TypeError):
+            derivative_at_zero([1, 2], 1, bad)
 
 
 class TestReciprocalSum:
