@@ -33,17 +33,16 @@ returns ``(nums, d)`` with ``nums[i] / d == h(i, r)`` for i = 0..n, as r
 prefix sums of the integers d // k over d = lcm(1..n).  The DEF h(n, r)
 method and ``opcalc.gf_hyperharmonic`` both read it.
 
-``dot`` and ``over_common_denominator`` read each value once, as
-``as_integer_ratio()``: one C call, where the ``numerator`` and
-``denominator`` properties of a ``Fraction`` are two Python-level
-getters.  A ``float`` and a ``Decimal`` have that method too, so an
-``isinstance`` check against int and ``Fraction`` comes first and
-refuses them.
+Every exact argument is read once, by ``_ratio(x, who)``: an int or
+``Fraction`` (a subclass too) gives ``x.as_integer_ratio()``, one C call
+where a ``Fraction``'s ``numerator`` and ``denominator`` are two
+Python-level getters.  Anything else, a float, a string or a ``Decimal``,
+raises ``TypeError`` naming ``who``; nothing goes through ``Fraction()``.
+Only ``dot``'s int-times-``Fraction`` fast path reads its pair inline.
 
 ``derivative_at_zero(offsets, q, scale, power)`` is D_x of
 scale * prod_i (x + p_i/q)**power at x = 0 for power +1 or -1, over a
-sequence of int numerators p_i and one denominator q >= 1; a scale
-that is not an int or ``Fraction`` raises ``TypeError``, as in ``dot``.  It
+sequence of int numerators p_i and one denominator q >= 1.  It
 differentiates by the product rule on integers: it carries (p0, p1) with
 prod_i (q x + p_i) = p0 + p1 x + O(x**2), one step per factor, and builds
 one ``Fraction``, p1 / q**len at power +1 and -p1 q**len / p0**2 at
@@ -96,16 +95,23 @@ def _int_text(n: int) -> str:
         return str(Decimal(n))
 
 
+def _ratio(x, who: str) -> tuple[int, int]:
+    """``x.as_integer_ratio()`` of an int or ``Fraction``; else ``TypeError``."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{who} needs ints or Fractions, got {type(x).__name__}")
+    return x.as_integer_ratio()
+
+
 def format_rational(x: Fraction) -> str:
     """Canonical text form: ``p/q``, or just ``p`` when the denominator is 1.
 
     Any size renders; ``parse_rational`` keeps the interpreter's digit
     limit, because it checks input.
     """
-    x = Fraction(x)
-    if x.denominator == 1:
-        return _int_text(x.numerator)
-    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
+    p, q = _ratio(x, "format_rational")
+    if q == 1:
+        return _int_text(p)
+    return f"{_int_text(p)}/{_int_text(q)}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -178,12 +184,8 @@ def dot(coeffs, values) -> Fraction:
             nums.append(c * p)
             dens.append(q)
             continue
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"dot needs ints or Fractions, got {type(c).__name__}")
-        if not isinstance(v, (int, Fraction)):
-            raise TypeError(f"dot needs ints or Fractions, got {type(v).__name__}")
-        cn, cd = c.as_integer_ratio()
-        vn, vd = v.as_integer_ratio()
+        cn, cd = _ratio(c, "dot")
+        vn, vd = _ratio(v, "dot")
         nums.append(cn * vn)
         dens.append(cd * vd)
     scale = math.lcm(*dens)
@@ -194,13 +196,7 @@ def dot(coeffs, values) -> Fraction:
 
 def over_common_denominator(values) -> tuple[list[int], int]:
     """(numerators, d): every value as an integer over the lcm d of the denominators."""
-    ratios = []
-    for v in values:
-        if not isinstance(v, (int, Fraction)):
-            raise TypeError(
-                f"over_common_denominator needs ints or Fractions, got {type(v).__name__}"
-            )
-        ratios.append(v.as_integer_ratio())
+    ratios = [_ratio(v, "over_common_denominator") for v in values]
     d = math.lcm(*[q for _, q in ratios])
     return [p * (d // q) for p, q in ratios], d
 
@@ -219,26 +215,18 @@ def derivative_at_zero(offsets, q: int = 1, scale=1, power: int = 1) -> Fraction
     p0, p1 = 1, 0  # prod_i (q x + p_i) = p0 + p1 x + O(x**2)
     for p in offsets:
         p0, p1 = p0 * p, p1 * p + p0 * q
-    if not isinstance(scale, (int, Fraction)):
-        raise TypeError(f"scale must be an int or Fraction, got {type(scale).__name__}")
-    s, t = scale.as_integer_ratio()
+    s, t = _ratio(scale, "derivative_at_zero")
     qn = q ** len(offsets)
     if power == 1:
         return Fraction(s * p1, t * qn)
     return Fraction(-s * p1 * qn, t * p0 * p0)
 
 
-def _num_den(x) -> tuple[int, int]:
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    return x.as_integer_ratio()
-
-
 def _shifted_product(x, n: int, step: int, name: str) -> tuple[int, int]:
     """(numerator, denominator) of x(x+step)...(x+(n-1)step) as ints."""
     if n < 0:
         raise ValueError(f"{name} needs n >= 0")
-    p, q = _num_den(x)
+    p, q = _ratio(x, name)
     num = 1
     for i in range(n):
         num *= p + step * i * q

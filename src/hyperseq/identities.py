@@ -544,10 +544,20 @@ def total(values) -> Fraction:
 
 
 def quot(a, b) -> Fraction:
-    """a / b; b = 0 is a pole of the row, so a ``DomainError`` skips the case."""
+    """a / b, a ``Fraction`` for two ints too; b = 0 is a pole of the row,
+    so a ``DomainError`` skips the case."""
     if b == 0:
         raise DomainError("pole: division by zero")
+    if isinstance(a, int) and isinstance(b, int):
+        return F(a, b)
     return a / b
+
+
+def _part(parts, part):
+    """``parts[part]`` of a multi-part row; a part it lacks is a ``DomainError``."""
+    if not 0 <= part < len(parts):
+        raise DomainError(f"no part {part}: the row has parts 0..{len(parts) - 1}")
+    return parts[part]
 
 
 @_row_memo
@@ -804,8 +814,8 @@ def _core_recurrences():
         "alpha(n,r) = (r/n) alpha(r,n); beta(n,r) = beta(r,n); "
         "[z^k] 1/(r(1-z)^r) = beta(k,r); [z^k] (z/(1-z) - r ln(1-z)) = alpha(k,r)",
         (IntRange("part", 0, 3), IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda part, n, r: ab_parts[part][0](n, r),
-        lambda part, n, r: ab_parts[part][1](n, r),
+        lambda part, n, r: _part(ab_parts, part)[0](n, r),
+        lambda part, n, r: _part(ab_parts, part)[1](n, r),
         {"core"},
     )
     _add(
@@ -992,19 +1002,23 @@ def _core_negative_orders():
         {"core"},
         valid=lambda n, k, r: k <= n and (r >= 1 or n >= k + 1 - r),
     )
+    # (lhs, rhs) of (n, k, r) for each part, in the anchor's order
+    hk_parts = (
+        (lambda n, k, r: h(n - k, k), lambda n, k, r: alt_sum(k, lambda i: h(n, i))),
+        (lambda n, k, r: alt_sum(k, lambda i: h(k, r + i)), lambda n, k, r: F(0)),
+    )
     _add(
         "cor-hk-shift",
         "h(n-k,k) = sum_i (-1)^(k-i) C(k,i) h(n,i); "
         "sum_i (-1)^(k-i) C(k,i) h(k,r+i) = 0",
         (IntRange("part", 0, 1), IntRange("n", 1, 25), IntRange("k", 1, 12),
          IntRange("r", 1, 12)),
-        lambda part, n, k, r: (
-            h(n - k, k) if part == 0 else alt_sum(k, lambda i: h(k, r + i))
-        ),
-        lambda part, n, k, r: alt_sum(k, lambda i: h(n, i)) if part == 0 else F(0),
+        lambda part, n, k, r: _part(hk_parts, part)[0](n, k, r),
+        lambda part, n, k, r: _part(hk_parts, part)[1](n, k, r),
         {"core"},
-        valid=lambda part, n, k, r: (part == 0 and r == 1 and k <= n)
-        or (part == 1 and n == 1),
+        # part 0 reads n and k, part 1 reads k and r
+        valid=lambda part, n, k, r: (part != 0 or (r == 1 and k <= n))
+        and (part != 1 or n == 1),
     )
     _add(
         "cor-e",
@@ -1043,7 +1057,7 @@ def _core_negative_orders():
         "H(k) = sum_i (-1)^(k-i) C(k,i) h(i,k+1); "
         "1/k = sum_i (-1)^(k-i) C(k,i) h(i,k)",
         (IntRange("part", 0, 1), IntRange("k", 1, 20)),
-        lambda part, k: H(k) if part == 0 else F(1, k),
+        lambda part, k: _part((H, lambda k: F(1, k)), part)(k),
         lambda part, k: alt_sum(k, lambda i: h(i, k + 1 - part), lo=1),
         {"core"},
     )
@@ -1116,7 +1130,7 @@ def _float_rows():
         "rem-one11-x0",
         "the x = 0 specializations of the hyperbolic difference forms",
         (IntRange("part", 0, 1), IntRange("k", 0, 15)),
-        lambda part, k: _hyp_direct("sinh" if part == 0 else "cosh", k, F(0)),
+        lambda part, k: _hyp_direct(_part(("sinh", "cosh"), part), k, F(0)),
         _x0_rhs,
         {"float"},
     )

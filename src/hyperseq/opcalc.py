@@ -15,9 +15,9 @@ common denominator with ``exactnum.over_common_denominator``, do all
 the arithmetic on those integers, and build one ``Fraction`` per
 result.  The alternating branch of ``forward_difference`` goes through
 ``exactnum.dot`` instead, so the two branches share no arithmetic code.
-An input that is already a ``Fraction`` is used as it is; only other
-values go through ``Fraction()``, whose ``Rational`` check and gcd a
-``Fraction`` does not need again.
+Both of those refuse a value that is not an int or ``Fraction`` with
+``TypeError``, and so do the kernels here that read a rational argument
+themselves; none passes a value through ``Fraction()``.
 ``dx_reciprocal_rising`` brings its factor offsets to integers over one
 denominator and reads the one derivative kernel,
 ``exactnum.derivative_at_zero``, which differentiates by the product
@@ -33,6 +33,7 @@ r > order it forms the bounded-cost product
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -40,6 +41,7 @@ from typing import Callable, Iterable, Sequence
 from ._records import record
 from .errors import ComputationIntegrityError, DomainError
 from .exactnum import (
+    _ratio,
     binomial_int,
     derivative_at_zero,
     dot,
@@ -55,11 +57,6 @@ _F = Fraction
 TermOracle = Callable[[int], Fraction]
 
 
-def _fractions(values: Iterable) -> list[Fraction]:
-    """Each value as a ``Fraction``; a ``Fraction`` is kept, not rebuilt."""
-    return [v if type(v) is _F else _F(v) for v in values]
-
-
 def forward_difference(f: TermOracle, k: int, x: int) -> Fraction:
     """k-th forward difference of f at x, from f(x), ..., f(x + k).
 
@@ -70,7 +67,7 @@ def forward_difference(f: TermOracle, k: int, x: int) -> Fraction:
     """
     if k < 0:
         raise DomainError(f"difference order must be >= 0, got {k}")
-    vals = _fractions(f(x + i) for i in range(k + 1))
+    vals = [f(x + i) for i in range(k + 1)]
 
     row, d = over_common_denominator(vals)
     for _ in range(k):
@@ -88,7 +85,7 @@ def forward_difference(f: TermOracle, k: int, x: int) -> Fraction:
 
 def binomial_transform(b: Sequence) -> list[Fraction]:
     """a_k = sum_i binom(k, i) b_i."""
-    nums, d = over_common_denominator(_fractions(b))
+    nums, d = over_common_denominator(b)
     out = []
     row = [1]  # binom(k, i) for i = 0..k, advanced by Pascal's rule
     for k in range(len(nums)):
@@ -99,7 +96,7 @@ def binomial_transform(b: Sequence) -> list[Fraction]:
 
 def inverse_binomial_transform(a: Sequence) -> list[Fraction]:
     """b_k = sum_i (-1)**(k+i) binom(k, i) a_i; inverse of the transform."""
-    nums, d = over_common_denominator(_fractions(a))
+    nums, d = over_common_denominator(a)
     return [
         _F(sum(map(operator.mul, signed_binomial_row(k), nums)), d)
         for k in range(len(nums))
@@ -114,11 +111,9 @@ def leaping_binomial(x, n: int, m: int) -> Fraction:
     """
     if n < 1 or m < 1:
         raise DomainError(f"leaping binomial needs n >= 1 and m >= 1, got ({n}, {m})")
-    x = _F(x)
-    prod = _F(1)
-    for i in range(1, n + 1):
-        prod *= x + i**m
-    return prod / _F(factorial(n)) ** m
+    p, q = _ratio(x, "leaping_binomial")
+    prod = math.prod(p + i**m * q for i in range(1, n + 1))
+    return _F(prod, q**n * factorial(n) ** m)
 
 
 def dx_reciprocal_rising(c, k: int) -> Fraction:
@@ -128,8 +123,7 @@ def dx_reciprocal_rising(c, k: int) -> Fraction:
     """
     if k < 0:
         raise DomainError(f"needs k >= 0, got {k}")
-    c = _F(c)
-    p, q = c.numerator, c.denominator
+    p, q = _ratio(c, "dx_reciprocal_rising")
     shifted = [p + i * q for i in range(k)]  # q (c + i)
     if 0 in shifted:
         raise DomainError(
@@ -149,7 +143,9 @@ class PowerSeries(record("PowerSeries", ("coeffs",), frozen=True)):
     __slots__ = ()
 
     def __init__(self, coeffs: Iterable):
-        coeffs = tuple(_fractions(coeffs))
+        coeffs = tuple(
+            c if type(c) is _F else _F(*_ratio(c, "PowerSeries")) for c in coeffs
+        )
         if not coeffs:
             raise ValueError("a power series needs at least the constant term")
         super().__init__(coeffs)
@@ -182,7 +178,7 @@ class PowerSeries(record("PowerSeries", ("coeffs",), frozen=True)):
         )
 
     def scale(self, s) -> "PowerSeries":
-        s = _F(s)
+        _ratio(s, "PowerSeries.scale")
         return PowerSeries(tuple(s * c for c in self.coeffs))
 
     def to_json_list(self) -> list[str]:

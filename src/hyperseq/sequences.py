@@ -41,8 +41,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .exactnum import binomial_general, binomial_int, derivative_at_zero, factorial
-from .exactnum import reciprocal_partial_sums
+from .exactnum import _ratio, binomial_general, binomial_int, derivative_at_zero
+from .exactnum import factorial, reciprocal_partial_sums
 
 _F = Fraction
 
@@ -112,11 +112,12 @@ def _hyper_def(n: int, r: int) -> Fraction:
 #: readings).  One full audit needs 1,133 closed-form, 440 rational-order
 #: and 130 half-integer values.  The row memos do not catch repeats across
 #: rows; these do: 12,853 closed-form and 1,055 rational-order hits per
-#: audit, which would cost about 60-80 ms and 9-11 ms to recompute.
+#: audit, which would cost about 60-80 ms and 9-11 ms to recompute.  Each
+#: memo is typed, so a float never hits an entry an int or Fraction filled.
 CLOSED_MEMO_SIZE = 4096
 
 
-@lru_cache(maxsize=CLOSED_MEMO_SIZE)
+@lru_cache(maxsize=CLOSED_MEMO_SIZE, typed=True)
 def _hyper_closed(n: int, r: int) -> Fraction:
     c = binomial_int(n + r - 1, r - 1)
     if r <= n:
@@ -206,7 +207,7 @@ def hyperharmonic_neg(n: int, r: int) -> Fraction:
     return _F(sign, (r + 1) * binomial_int(n, r + 1))
 
 
-@lru_cache(maxsize=CLOSED_MEMO_SIZE)
+@lru_cache(maxsize=CLOSED_MEMO_SIZE, typed=True)
 def hyperharmonic_rational_order(n: int, w) -> Fraction:
     """h(n, w) for integer n >= 1 and rational order w.
 
@@ -217,10 +218,9 @@ def hyperharmonic_rational_order(n: int, w) -> Fraction:
     :func:`hyperharmonic`, never silently here.  The message names the
     pole, the i with w + i = 0, when it falls inside the telescoping range.
     """
-    w = _F(w)
+    p, q = _ratio(w, "hyperharmonic_rational_order")
     if n < 1:
         raise DomainError(f"hyperharmonic_rational_order needs n >= 1, got {n}")
-    p, q = w.numerator, w.denominator
     if q == 1 and p <= 0:
         pole = f"; digamma pole in telescoping range at i={-p}" if -p < n else ""
         raise DomainError(
@@ -231,7 +231,7 @@ def hyperharmonic_rational_order(n: int, w) -> Fraction:
     return derivative_at_zero([p + i * q for i in range(n)], q, _F(1, factorial(n)))
 
 
-@lru_cache(maxsize=CLOSED_MEMO_SIZE)
+@lru_cache(maxsize=CLOSED_MEMO_SIZE, typed=True)
 def hyperharmonic_half_integer_alt(n: int, w) -> Fraction:
     """Alternative reading of half-integer-order hyperharmonic numbers.
 
@@ -241,13 +241,14 @@ def hyperharmonic_half_integer_alt(n: int, w) -> Fraction:
     table rows only balance under this reading, so the audit reports
     half-integer rows under both conventions.
     """
-    w = _F(w)
-    m2 = w - _F(1, 2)
-    if m2.denominator != 1 or m2 < 0:
-        raise DomainError(f"order must be m + 1/2 with integer m >= 0, got {w}")
+    p, q = _ratio(w, "hyperharmonic_half_integer_alt")
+    if q != 2 or p < 1:
+        raise DomainError(
+            f"order must be m + 1/2 with integer m >= 0, got {_F(p, q)}"
+        )
     if n < 1:
         raise DomainError(f"needs n >= 1, got {n}")
-    m = int(m2)
+    m = p // 2
     tele = (harmonic(2 * (m + n)) - harmonic(2 * m)) - (harmonic(m + n) - harmonic(m))
     return binomial_general(w + n - 1, n) * tele
 

@@ -323,12 +323,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("lhs, rhs, name", [
         (lambda: 0.5, F(1, 2), "float"),
-        (lambda: ident.quot(1, 2), F(1, 2), "float"),
         (lambda: True, F(1), "bool"),
         (lambda: Decimal("0.5"), F(1, 2), "Decimal"),
         (lambda: _Float(0.5), F(1, 2), "_Float"),
         (lambda: F(1, 2), 0.5, "float"),
-    ], ids=["float", "quot-of-ints", "bool", "decimal", "float-subclass", "float-rhs"])
+    ], ids=["float", "bool", "decimal", "float-subclass", "float-rhs"])
     def test_a_side_that_is_not_int_or_fraction_raises(self, monkeypatch, lhs, rhs, name):
         # every side here == its other side, so a comparison by == would PASS
         def probe_lhs(n):
@@ -413,6 +412,24 @@ def test_eq_pd_differentiates_where_its_rhs_has_a_pole():
         assert identity.lhs(n=n, z=F(0)) == math.factorial(n - 1)
         with pytest.raises(DomainError, match="^pole: "):
             identity.rhs(n=n, z=F(0))
+
+
+def test_quot_of_two_ints_is_exact():
+    got = ident.quot(1, 2)
+    assert type(got) is F and got == F(1, 2)
+    assert ident.quot(F(1, 2), 3) == F(1, 6)
+
+
+@pytest.mark.parametrize(
+    "key", ["rem-alpha-beta", "cor-hk-shift", "rem-Hk-hik", "rem-one11-x0"]
+)
+def test_a_part_the_row_lacks_is_a_counted_skip(key):
+    # parts 2..9 run past every row's last part; each such case is skipped
+    # with its reason, and the parts the row has still pass
+    rep = verify(key, max_bound=3, param_bounds={"part": (2, 9)})
+    assert rep.verdict in ("PASS", "SKIPPED")
+    assert rep.skipped > 0
+    assert all(r["reason"].startswith("no part ") for r in rep.skip_reasons)
 
 
 def test_t2_12_9b_at_order_one_balances_where_t1_12_9b_fails():

@@ -7,6 +7,7 @@ arithmetic with the kernel under test.
 
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -20,6 +21,9 @@ from hyperseq.exactnum import (
     binomial_general,
     binomial_int,
     derivative_at_zero,
+    dot,
+    falling_factorial,
+    format_rational,
     over_common_denominator,
     rising_factorial,
 )
@@ -31,12 +35,14 @@ from hyperseq.opcalc import (
     geom_power_series,
     gf_hyperharmonic,
     inverse_binomial_transform,
+    leaping_binomial,
     log_series,
 )
 from hyperseq.sequences import (
     HyperharmonicMethod,
     harmonic,
     hyperharmonic,
+    hyperharmonic_half_integer_alt,
     hyperharmonic_rational_order,
 )
 
@@ -392,3 +398,70 @@ class TestRationalOrderKernel:
             assert "i=" not in str(exc.value)
         else:
             assert f"at i={old_pole}" in str(exc.value)
+
+
+# -- the exact-input rule --------------------------------------------------------
+
+# Each kernel that reads a rational argument itself, by the name its
+# TypeError gives, called with that one argument taken from the caller.
+_READERS = {
+    "dot": lambda v: dot([1, v], [F(1, 2), 3]),
+    "over_common_denominator": lambda v: over_common_denominator([F(1, 2), v]),
+    "derivative_at_zero": lambda v: derivative_at_zero([1, 2], 1, v),
+    "rising_factorial": lambda v: rising_factorial(v, 3),
+    "falling_factorial": lambda v: falling_factorial(v, 3),
+    "binomial_general": lambda v: binomial_general(v, 3),
+    "format_rational": format_rational,
+    "dx_reciprocal_rising": lambda v: dx_reciprocal_rising(v, 3),
+    "leaping_binomial": lambda v: leaping_binomial(v, 3, 2),
+    "PowerSeries": lambda v: PowerSeries([F(1), v]),
+    "PowerSeries.scale": lambda v: PowerSeries([F(1), F(2)]).scale(v),
+    "hyperharmonic_rational_order": lambda v: hyperharmonic_rational_order(3, v),
+    "hyperharmonic_half_integer_alt": lambda v: hyperharmonic_half_integer_alt(3, v),
+}
+
+_MEMOS = (hyperharmonic_rational_order, hyperharmonic_half_integer_alt)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("bad", _INEXACT)
+@pytest.mark.parametrize("who", sorted(_READERS))
+def test_an_inexact_argument_is_refused_by_name(who, bad, warm):
+    # warm: a memo already holds the Fraction that 0.5 and Decimal("0.5")
+    # equal and hash like, and must not answer for them
+    call = _READERS[who]
+    for memo in _MEMOS:
+        memo.cache_clear()
+    if warm:
+        call(F(1, 2))
+    with pytest.raises(TypeError, match=f"^{re.escape(who)} needs ints or Fractions"):
+        call(bad)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda v: forward_difference(lambda i: v, 1, 0),
+    lambda v: binomial_transform([F(1, 2), v]),
+    lambda v: inverse_binomial_transform([F(1, 2), v]),
+], ids=["forward_difference", "binomial_transform", "inverse_binomial_transform"])
+@pytest.mark.parametrize("bad", _INEXACT)
+def test_the_combining_kernels_refuse_through_their_reader(kernel, bad):
+    with pytest.raises(TypeError, match="^over_common_denominator needs ints"):
+        kernel(bad)
+
+
+@pytest.mark.parametrize("who", sorted(_READERS))
+def test_a_subclassed_exact_argument_reads_as_its_value(who):
+    def outcome(v):
+        try:
+            return _READERS[who](v)
+        except DomainError:  # the half-integer reading at an integer order
+            return DomainError
+
+    for plain, sub in ((1, True), (-4, _Int(-4)), (F(5, 2), _Fraction(5, 2))):
+        assert outcome(sub) == outcome(plain)
+
+
+def test_a_float_never_hits_a_memo_an_int_filled():
+    assert hyperharmonic(3, 2) == F(13, 3)
+    with pytest.raises(TypeError):
+        hyperharmonic(3.0, 2)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperseq.identities as ident
+from hyperseq.analytic import delta_hyperbolic_closed_form
 from hyperseq.errors import ComputationIntegrityError, DomainError
 from hyperseq.exactnum import (
     binomial_general,
@@ -18,6 +20,7 @@ from hyperseq.opcalc import (
     binomial_transform,
     dx_reciprocal_rising,
     forward_difference,
+    geom_power_series,
     gf_alpha,
     gf_beta,
     gf_harmonic,
@@ -32,6 +35,7 @@ from hyperseq.sequences import (
     fibonacci,
     harmonic,
     hyperharmonic,
+    hyperharmonic_half_integer_alt,
 )
 
 F = Fraction
@@ -243,3 +247,27 @@ class TestPowerSeries:
             for k in range(1, 21):
                 assert s.coeff(k) == alpha(k, r)
             assert s.coeff(0) == 0
+
+
+def _duplicate_row():
+    ident.get_identity("eq-9")  # builds the registry
+    ident._add("eq-9", "probe", (), None, None, ())
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: forward_difference(harmonic, -1, 0), DomainError, "difference order"),
+    (lambda: leaping_binomial(F(1, 2), 0, 1), DomainError, "n >= 1 and m >= 1"),
+    (lambda: dx_reciprocal_rising(1, -1), DomainError, "k >= 0"),
+    (lambda: geom_power_series(-1, 4), DomainError, "r >= 0"),
+    (lambda: gf_hyperharmonic(0, 4), DomainError, "r >= 1"),
+    (lambda: hyperharmonic_half_integer_alt(0, F(1, 2)), DomainError, "n >= 1"),
+    (lambda: delta_hyperbolic_closed_form("sinh", -1, 0), DomainError, "k >= 0"),
+    (_duplicate_row, ValueError, "duplicate identity key eq-9"),
+], ids=[
+    "forward_difference", "leaping_binomial", "dx_reciprocal_rising",
+    "geom_power_series", "gf_hyperharmonic", "hyperharmonic_half_integer_alt",
+    "delta_hyperbolic_closed_form", "duplicate-row",
+])
+def test_an_input_guard_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
