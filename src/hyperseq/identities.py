@@ -27,14 +27,16 @@ range), ``alt_sum`` (the k-th difference form) and ``total``.  A row
 divides through ``quot`` wherever its divisor can vanish, so a pole is a
 ``DomainError`` from ``quot``: the case is skipped and counted with its
 reason.  A ``valid`` filter drops cases uncounted, so a row has one only
-where it excludes a case of the row's default grid.  ``h`` and
-``Cg``, like the other values that repeat across one row's cases, are
-memoized for that row only.  So are the term pieces a row would rebuild
+where it excludes a case of the row's default grid.  ``Cg``,
+like the other values that repeat across one row's cases, is memoized
+for that row only.  So are the term pieces a row would rebuild
 case after case, each keyed on exactly the parameters it depends on,
 such as the n-free term k of an order-r sum (``_t2_43_term``,
 ``_t2_129_k``); every case still sums its own terms.  ``verify`` runs
 each row in ``row_scope()``, which empties those memos when the row
-ends, even when it raises.
+ends, even when it raises.  ``h`` alone is memoized for the process,
+since the rows repeat each other's h values; it is the only cache of
+them, so every value has at most one cache.
 
 Table rows keep the summation numbering of Gould's "Combinatorial
 Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
@@ -57,7 +59,7 @@ tests pin how), whose closed form the paper derives (``cor-bih``,
 (``t1-1.23``).
 
 Half-integer hyperharmonic orders default to the exact digamma-telescoped
-evaluation, read through the row-memoized ``h`` like every other order.
+evaluation, read through the memoized ``h`` like every other order.
 A row whose verdict depends on that convention is one row function with
 a keyword ``hw=h``; its ``alt_rhs`` is the same function with ``hw``
 bound to the alternative reading
@@ -95,6 +97,7 @@ from .opcalc import (
     gf_alpha,
     gf_beta,
     gf_hyperharmonic,
+    leaping_binomial,
 )
 from .sequences import (
     alpha,
@@ -221,7 +224,8 @@ class AuditReport(record("AuditReport", ("entries",))):
 
     @property
     def all_pass(self) -> bool:
-        return all(e.verdict == "PASS" for e in self.entries)
+        """Every row is PASS; a report with no rows checked nothing, so fails."""
+        return bool(self.entries) and all(e.verdict == "PASS" for e in self.entries)
 
     def counts(self) -> dict:
         out = {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
@@ -509,21 +513,25 @@ def _row_memo(fn):
 Cg = _row_memo(exactnum.binomial_general)
 
 
-@_row_memo
+@functools.lru_cache(maxsize=4096, typed=True)
 def h(n: int, w) -> Fraction:
     """h(n, w) at any order: an integer of either sign, or a rational.
 
     Integer orders w >= 0 are :func:`hyperharmonic`, negative ones
     :func:`hyperharmonic_neg` at -w, and every other rational the
-    digamma-telescoped :func:`hyperharmonic_rational_order`.
+    digamma-telescoped :func:`hyperharmonic_rational_order`.  An order
+    that is not an int or ``Fraction`` is a ``TypeError`` naming ``h``.
+
+    The one cache of h values, kept for the process since rows repeat
+    each other's (one full audit: 2,936 misses, 441,954 hits).  It is
+    typed, so 0.5 never reads the entry that ``F(1, 2)`` filled.
     """
-    if isinstance(w, F):
-        if w.denominator != 1:
-            return hyperharmonic_rational_order(n, w)
-        w = w.numerator
-    if w >= 0:
-        return hyperharmonic(n, w)
-    return hyperharmonic_neg(n, -w)
+    p, q = exactnum._ratio(w, "h")
+    if q != 1:
+        return hyperharmonic_rational_order(n, w)
+    if p >= 0:
+        return hyperharmonic(n, p)
+    return hyperharmonic_neg(n, -p)
 
 
 def bsum(lo: int, hi: int, coeff, term) -> Fraction:
@@ -746,13 +754,13 @@ def list_identities() -> list:
 
 def select(tags=frozenset(), only=None) -> list:
     """The keys, in key order, of every identity matching the tag filter
-    (empty = everything).
+    (empty = everything); a ``str`` is one tag, not its characters.
 
     ``only``, unless it is None, restricts to keys equal to, or ending
     with, one of the given tokens (so ``3.95`` selects ``t1-3.95``
     inside the table1 suite); an empty string or list selects nothing.
     """
-    tags = frozenset(tags)
+    tags = frozenset([tags] if isinstance(tags, str) else tags)
     tokens = None if only is None else [only] if isinstance(only, str) else list(only)
     return [
         key
@@ -839,8 +847,6 @@ def _core_recurrences():
 
 
 def _core_derivatives():
-    from .opcalc import leaping_binomial
-
     _add(
         "eq-Dgh",
         "D_x of the leaping binomial at 0 = H(n, order m)",

@@ -29,7 +29,10 @@ whole from ``exactnum.reciprocal_partial_sums``, one per order asked,
 and never changed after.  The shared tables change only under
 ``_lock``; a value already in its table is read without the lock.
 Fibonacci numbers have no table: each F(k) is computed by fast doubling
-in O(log |k|) big-integer steps and kept nowhere.
+in O(log |k|) big-integer steps and kept nowhere.  The harmonic table
+and the DEF rows are all this module caches, and every value has at
+most one cache: the h(n, w) the audit reads, at any order, are kept by
+the one memo on ``identities.h``, not here.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import enum
 import math
 import threading
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError
 from .exactnum import _ratio, binomial_general, binomial_int, derivative_at_zero
@@ -108,16 +110,6 @@ def _hyper_def(n: int, r: int) -> Fraction:
     return row[n]
 
 
-#: Entries kept by each bounded h memo (closed form, both rational-order
-#: readings).  One full audit needs 1,133 closed-form, 440 rational-order
-#: and 130 half-integer values.  The row memos do not catch repeats across
-#: rows; these do: 12,853 closed-form and 1,055 rational-order hits per
-#: audit, which would cost about 60-80 ms and 9-11 ms to recompute.  Each
-#: memo is typed, so a float never hits an entry an int or Fraction filled.
-CLOSED_MEMO_SIZE = 4096
-
-
-@lru_cache(maxsize=CLOSED_MEMO_SIZE, typed=True)
 def _hyper_closed(n: int, r: int) -> Fraction:
     c = binomial_int(n + r - 1, r - 1)
     if r <= n:
@@ -207,7 +199,6 @@ def hyperharmonic_neg(n: int, r: int) -> Fraction:
     return _F(sign, (r + 1) * binomial_int(n, r + 1))
 
 
-@lru_cache(maxsize=CLOSED_MEMO_SIZE, typed=True)
 def hyperharmonic_rational_order(n: int, w) -> Fraction:
     """h(n, w) for integer n >= 1 and rational order w.
 
@@ -231,7 +222,6 @@ def hyperharmonic_rational_order(n: int, w) -> Fraction:
     return derivative_at_zero([p + i * q for i in range(n)], q, _F(1, factorial(n)))
 
 
-@lru_cache(maxsize=CLOSED_MEMO_SIZE, typed=True)
 def hyperharmonic_half_integer_alt(n: int, w) -> Fraction:
     """Alternative reading of half-integer-order hyperharmonic numbers.
 

@@ -331,7 +331,7 @@ class TestVerify:
     def test_a_side_that_is_not_int_or_fraction_raises(self, monkeypatch, lhs, rhs, name):
         # every side here == its other side, so a comparison by == would PASS
         def probe_lhs(n):
-            ident.h(n, 1)  # leaves a value in a row memo
+            ident.Cg(F(1, 2), n)  # leaves a value in a row memo
             return lhs()
 
         with pytest.raises(TypeError, match=f"an exact side is {name},"):
@@ -583,7 +583,6 @@ class TestRowMemos:
     def test_memos_are_emptied_when_a_row_raises(self, monkeypatch):
         def lhs(n):
             # fill every row memo, then fail with a bug
-            ident.h(n + 1, -1)
             ident._h_over_c2(n, 2)
             ident.Cg(F(1, 2), n)
             ident._poly_point(2, n)
@@ -610,8 +609,8 @@ class TestRowMemos:
         monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
         with pytest.raises(ZeroDivisionError):
             verify("probe-raise")
-        assert len(ident._ROW_MEMOS) == 13  # the lhs above fills each one
-        assert self._sizes() == [0] * 13
+        assert len(ident._ROW_MEMOS) == 12  # the lhs above fills each one
+        assert self._sizes() == [0] * 12
 
     @pytest.mark.parametrize(
         "key",
@@ -625,7 +624,43 @@ class TestRowMemos:
         assert verify(key).to_json_obj() == full_audit.rows[key]
 
 
+class TestHMemo:
+    """``h`` is the one memo of h values, kept for the process."""
+
+    def test_h_outlives_the_row(self):
+        assert ident.h not in ident._ROW_MEMOS
+        ident.h.cache_clear()
+        with ident.row_scope():
+            ident.h(4, F(1, 2))
+        ident.h(4, F(1, 2))
+        info = ident.h.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+    def test_each_miss_is_one_kernel_call(self, monkeypatch):
+        # nothing in sequences caches h a second time: from an empty memo,
+        # a full audit calls the kernels once per distinct (n, w)
+        calls = []
+        for name in ("hyperharmonic", "hyperharmonic_neg", "hyperharmonic_rational_order"):
+            def counted(*args, kernel=getattr(ident, name)):
+                calls.append(args)
+                return kernel(*args)
+
+            monkeypatch.setattr(ident, name, counted)
+        ident.h.cache_clear()
+        run_suite()
+        info = ident.h.cache_info()
+        assert len(calls) == info.misses == info.currsize <= 4096
+
+
 class TestRunSuite:
+    def test_a_str_tag_is_one_tag(self):
+        assert ident.select("core") == ident.select({"core"}) == sorted(CORE_IDS)
+
+    @pytest.mark.parametrize("tags, only", [({"nope"}, None), ("nope", None), ((), [])])
+    def test_an_empty_report_does_not_pass(self, tags, only):
+        rep = run_suite(tags, only=only)
+        assert rep.entries == [] and rep.all_pass is False
+
     def test_core_all_pass_small(self):
         rep = run_suite({"core"}, max_bound=8)
         assert rep.all_pass

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperseq import identities
 from hyperseq.analytic import CertifiedReal
 from hyperseq.errors import ComputationIntegrityError, DomainError
 from hyperseq.exactnum import (
@@ -380,7 +381,7 @@ class TestRationalOrderKernel:
             q = rng.randint(2, 9)
             p = rng.choice([v for v in range(-40, 41) if v % q])
             for w in (F(p, q), F(rng.randint(1, 60))):
-                assert hyperharmonic_rational_order.__wrapped__(n, w) == old_rational_order(n, w)
+                assert hyperharmonic_rational_order(n, w) == old_rational_order(n, w)
 
     @pytest.mark.parametrize("w", range(0, -7, -1))
     @pytest.mark.parametrize("n", range(1, 9))
@@ -418,20 +419,18 @@ _READERS = {
     "PowerSeries.scale": lambda v: PowerSeries([F(1), F(2)]).scale(v),
     "hyperharmonic_rational_order": lambda v: hyperharmonic_rational_order(3, v),
     "hyperharmonic_half_integer_alt": lambda v: hyperharmonic_half_integer_alt(3, v),
+    "h": lambda v: identities.h(3, v),
 }
-
-_MEMOS = (hyperharmonic_rational_order, hyperharmonic_half_integer_alt)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("bad", _INEXACT)
 @pytest.mark.parametrize("who", sorted(_READERS))
 def test_an_inexact_argument_is_refused_by_name(who, bad, warm):
-    # warm: a memo already holds the Fraction that 0.5 and Decimal("0.5")
-    # equal and hash like, and must not answer for them
+    # warm: the h memo already holds the Fraction that 0.5 and
+    # Decimal("0.5") equal and hash like, and must not answer for them
     call = _READERS[who]
-    for memo in _MEMOS:
-        memo.cache_clear()
+    identities.h.cache_clear()
     if warm:
         call(F(1, 2))
     with pytest.raises(TypeError, match=f"^{re.escape(who)} needs ints or Fractions"):
@@ -465,3 +464,6 @@ def test_a_float_never_hits_a_memo_an_int_filled():
     assert hyperharmonic(3, 2) == F(13, 3)
     with pytest.raises(TypeError):
         hyperharmonic(3.0, 2)
+    assert identities.h(3, 2) == F(13, 3)
+    with pytest.raises(TypeError, match="^h needs ints or Fractions"):
+        identities.h(3, 2.0)

@@ -11,8 +11,9 @@ The reach is recorded with ``sys.setprofile`` over
 ``ARGVS``: every ``compute`` sequence, every ``--method``, every
 ``--gf`` (one of them with r > order) and every ``table`` sequence.
 Those calls enter the same kernels as the full audit in well under a
-second.  The kernels' own memos are emptied first, since a memo hit does
-not enter the function behind it.
+second.  The kernels' own memos and ``identities.h``, the one memo of h
+values, are emptied first, since a memo hit does not enter the function
+behind it.
 
 The module does not import pytest, so the check also runs without it;
 it prints each name that breaks the rule and exits 1 on any::
@@ -106,6 +107,7 @@ def entered() -> frozenset:
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
+    identities.h.cache_clear()
     seen = set()
 
     def profile(frame, event, arg):

@@ -8,7 +8,6 @@ import pytest
 from hyperseq.errors import DomainError
 from hyperseq.exactnum import reciprocal_partial_sums
 from hyperseq.sequences import (
-    CLOSED_MEMO_SIZE,
     HyperharmonicMethod,
     alpha,
     beta,
@@ -108,7 +107,6 @@ class TestHyperharmonic:
 
         harmonic(1)  # row 1 exists from here on
         size = len(sequences._gen_harmonic_prefix[1])
-        sequences._hyper_closed.cache_clear()
         start = time.perf_counter()
         h = hyperharmonic(3, 10**6)
         assert time.perf_counter() - start < 0.1
@@ -197,22 +195,18 @@ class TestRationalOrder:
             hyperharmonic_half_integer_alt(3, F(1, 3))
 
 
-class TestBoundedMemos:
-    @pytest.mark.parametrize(
-        "fn, order",
-        [
-            (hyperharmonic_rational_order, lambda i: F(1, i + 2)),
-            (hyperharmonic_half_integer_alt, lambda i: F(2 * i + 1, 2)),
-        ],
-    )
-    def test_distinct_orders_stay_within_the_bound(self, fn, order):
-        fn.cache_clear()
+class TestBoundedMemo:
+    def test_distinct_orders_stay_within_the_bound(self):
+        # identities.h is the one memo of h values; it is bounded
+        from hyperseq import identities
+
+        identities.h.cache_clear()
         try:
-            for i in range(CLOSED_MEMO_SIZE + 10):
-                fn(1, order(i))
-            assert fn.cache_info().currsize <= CLOSED_MEMO_SIZE
+            for i in range(4106):
+                identities.h(1, F(1, i + 2))
+            assert identities.h.cache_info().currsize <= 4096
         finally:
-            fn.cache_clear()
+            identities.h.cache_clear()
 
 
 class TestCoefficients:
