@@ -1,18 +1,19 @@
 """The one helper behind the package's record classes.
 
-``record(name, fields, defaults, frozen)`` returns a slotted base class;
-a record class derives from it, declares ``__slots__ = ()`` and adds
-only its own methods.  The base's ``__init__`` is generated from source,
-the way ``collections.namedtuple`` builds ``__new__``, so building a
-record costs what a hand-written ``__init__`` costs.  Records compare
-by every field, print their fields in declaration order and copy and
-pickle through ``__init__``.  A frozen record refuses assignment and
-deletion and hashes by its fields; a mutable one does not hash.  A list
-or dict default is copied for each record that leaves it out.
+``record(name, fields, defaults)`` returns a slotted base class; a
+record class derives from it, declares ``__slots__ = ()`` and adds only
+its own methods.  The base's ``__init__`` is generated from source, the
+way ``collections.namedtuple`` builds ``__new__``, so building a record
+costs what a hand-written ``__init__`` costs.  Every record is a frozen
+value: it refuses assignment and deletion, compares and hashes by every
+field, prints its fields in declaration order and copies and pickles
+through ``__init__``.  A record holding a list is unhashable, as a tuple
+holding one is.  Defaults are shared, so they must be immutable.
 
 The module imports nothing: ``dataclasses`` (and the ``inspect`` it
-loads) would add to the start of every CLI call, and the CLI loads
-three record classes.
+loads) would add to the start of every call that builds a record.  The
+command line loads no record at import; its first one comes with the
+module that defines it.
 """
 
 
@@ -24,28 +25,24 @@ def _refuse_deletion(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def record(name: str, fields: tuple, defaults: dict | None = None, frozen=False):
+def record(name: str, fields: tuple, defaults: dict | None = None):
     """A base class for the record ``name`` with ``fields`` in order.
 
     ``defaults`` maps trailing field names to their default values.
     """
     defaults = defaults or {}
     namespace = {"_set": object.__setattr__}
-    params, body = [], []
+    params = []
     for f in fields:
         if f in defaults:
             namespace[f"_d_{f}"] = defaults[f]
             params.append(f"{f}=_d_{f}")
-            if isinstance(defaults[f], (list, dict)):
-                body.append(f"    if {f} is _d_{f}: {f} = _d_{f}.copy()")
         else:
             params.append(f)
-        body.append(
-            f"    _set(self, {f!r}, {f})" if frozen else f"    self.{f} = {f}"
-        )
+    body = "".join(f"    _set(self, {f!r}, {f})\n" for f in fields)
     getters = "".join(f"self.{f}, " for f in fields)
     source = (
-        f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body) + "\n"
+        f"def __init__(self, {', '.join(params)}):\n{body}"
         f"def _values(self):\n    return ({getters})\n"
     )
     exec(source, namespace)
@@ -63,17 +60,14 @@ def record(name: str, fields: tuple, defaults: dict | None = None, frozen=False)
     def __reduce__(self):
         return (self.__class__, values(self))
 
-    members = {
+    return type(name, (), {
         "__slots__": fields,
         "_fields": fields,
         "__init__": namespace["__init__"],
         "__eq__": __eq__,
-        "__hash__": None,
+        "__hash__": lambda self: hash(values(self)),
         "__repr__": __repr__,
         "__reduce__": __reduce__,
-    }
-    if frozen:
-        members["__hash__"] = lambda self: hash(values(self))
-        members["__setattr__"] = _refuse_assignment
-        members["__delattr__"] = _refuse_deletion
-    return type(name, (), members)
+        "__setattr__": _refuse_assignment,
+        "__delattr__": _refuse_deletion,
+    })

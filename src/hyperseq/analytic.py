@@ -30,7 +30,7 @@ _TINY = 2.0**-1074
 
 Exactish = Union[Fraction, int, float]
 
-class CertifiedReal(record("CertifiedReal", ("value", "abs_error_bound"), frozen=True)):
+class CertifiedReal(record("CertifiedReal", ("value", "abs_error_bound"))):
     """A double plus an absolute error bound containing the true value.
 
     Immutable and hashable; compares and prints by its two fields.
@@ -52,8 +52,8 @@ class CertifiedReal(record("CertifiedReal", ("value", "abs_error_bound"), frozen
         return _ball(v, self.abs_error_bound + other.abs_error_bound, "a sum")
 
     def __sub__(self, other: "CertifiedReal") -> "CertifiedReal":
-        # a - b is a + (-b) in IEEE arithmetic, so the ball is the same
-        return self + CertifiedReal(-other.value, other.abs_error_bound)
+        v = self.value - other.value
+        return _ball(v, self.abs_error_bound + other.abs_error_bound, "a difference")
 
     def __mul__(self, other: "CertifiedReal") -> "CertifiedReal":
         return _product(self, other.value, other.abs_error_bound, "a product")

@@ -23,7 +23,6 @@ import os
 import sys
 from fractions import Fraction
 
-from ._records import record
 from .errors import ConfigError, DomainError
 from .exactnum import format_rational, parse_rational
 from .sequences import (
@@ -86,21 +85,6 @@ _TABLE = {
 }
 
 
-class CliConfig(
-    record(
-        "CliConfig",
-        ("bounds", "format", "counterexamples"),
-        {"bounds": {}, "format": "text", "counterexamples": 5},
-    )
-):
-    """Settings read from the config file; flags override them.
-
-    ``bounds`` maps a parameter name to ``(None, cap)``.
-    """
-
-    __slots__ = ()
-
-
 def _parse(convert, text: str, message: str | None = None):
     """``convert(text)``; text it cannot read is a ConfigError, with
     ``message`` or else the converter's own."""
@@ -110,8 +94,17 @@ def _parse(convert, text: str, message: str | None = None):
         raise ConfigError(message or str(exc)) from None
 
 
-def _parse_config_file(path: str) -> CliConfig:
-    cfg = CliConfig()
+def _load_config(args) -> tuple[dict, str, int]:
+    """The config file's bounds, format and counterexample cap, each at its
+    default where the file leaves it out; ``bounds`` maps a parameter name
+    to ``(None, cap)``.  The file is ``--config`` if given, even empty; else
+    a non-empty ``HYPERSEQ_CONFIG``."""
+    bounds, fmt, cap = {}, "text", 5
+    path = args.config
+    if path is None:
+        path = os.environ.get("HYPERSEQ_CONFIG") or None
+    if path is None:
+        return bounds, fmt, cap
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -129,27 +122,40 @@ def _parse_config_file(path: str) -> CliConfig:
             bound = _parse(int, value, not_int)
             if bound <= 0:
                 raise ConfigError(f"{path}:{lineno}: bounds must be positive")
-            cfg.bounds[key[4:]] = (None, bound)  # clamp only the top
+            bounds[key[4:]] = (None, bound)  # clamp only the top
         elif key == "counterexamples":
             cap = _parse(int, value, not_int)
             if cap <= 0:
                 raise ConfigError(f"{path}:{lineno}: {key} must be positive")
-            cfg.counterexamples = cap
         elif key == "format":
             if value not in _FORMATS:
                 raise ConfigError(f"{path}:{lineno}: unknown format {value!r}")
-            cfg.format = value
+            fmt = value
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    return cfg
+    return bounds, fmt, cap
 
 
-def _load_config(args) -> CliConfig:
-    """``--config`` if given, even empty; else a non-empty ``HYPERSEQ_CONFIG``."""
-    path = args.config
-    if path is None:
-        path = os.environ.get("HYPERSEQ_CONFIG") or None
-    return CliConfig() if path is None else _parse_config_file(path)
+def _settings(args) -> tuple[dict, str, int]:
+    """The bounds, report format and counterexample cap a command reads:
+    a flag wins over the config file, which wins over the default."""
+    bounds, fmt, cap = _load_config(args)
+    fmt = getattr(args, "format", None) or fmt
+    if args.command != "audit":
+        return bounds, fmt, cap
+    if args.counterexamples is not None:
+        cap = args.counterexamples
+        if cap <= 0:
+            raise ConfigError(f"--counterexamples must be positive, got {cap}")
+    for name in _BOUND_PARAMS:
+        raw = getattr(args, name)
+        if raw is not None:
+            bounds[name] = _parse_span(raw, f"--{name}")
+    for name in _SAMPLE_PARAMS:
+        raw = getattr(args, name)
+        if raw is not None:
+            bounds[name] = _parse(parse_rational, raw)
+    return bounds, fmt, cap
 
 
 def _round_half_even(x: Fraction, places: int) -> str:
@@ -189,19 +195,6 @@ def _add_bound_flags(parser):
             metavar="RAT",
             help=f"pin the sampled rational parameter {name}",
         )
-
-
-def _collect_bounds(args, cfg: CliConfig) -> dict:
-    bounds = dict(cfg.bounds)
-    for name in _BOUND_PARAMS:
-        raw = getattr(args, name, None)
-        if raw is not None:
-            bounds[name] = _parse_span(raw, f"--{name}")
-    for name in _SAMPLE_PARAMS:
-        raw = getattr(args, name, None)
-        if raw is not None:
-            bounds[name] = _parse(parse_rational, raw)
-    return bounds
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -294,7 +287,7 @@ def _cmd_series(args) -> int:
     return EXIT_OK
 
 
-def _cmd_table(args, cfg: CliConfig) -> int:
+def _cmd_table(args, fmt: str) -> int:
     n_lo, n_hi = _parse_span(args.n, "--n")
     r_lo, r_hi = _parse_span(args.r, "--r")
     fn = _TABLE[args.sequence]
@@ -302,7 +295,6 @@ def _cmd_table(args, cfg: CliConfig) -> int:
         [format_rational(fn(n, r)) for r in range(r_lo, r_hi + 1)]
         for n in range(n_lo, n_hi + 1)
     ]
-    fmt = args.format or cfg.format
     if fmt == "json":
         print(json.dumps(grid, allow_nan=False))
     elif fmt == "csv":
@@ -322,17 +314,11 @@ def _tags(args) -> frozenset:
     return frozenset() if (not suites or "all" in suites) else frozenset(suites)
 
 
-def _cmd_audit(args, cfg: CliConfig) -> int:
+def _cmd_audit(args, bounds: dict, fmt: str, cap: int) -> int:
     # Only audit and identities load the registry; other commands skip it.
     from . import identities
 
     only = None if args.only is None else args.only.split(",")
-    cap = args.counterexamples
-    if cap is None:
-        cap = cfg.counterexamples
-    elif cap <= 0:
-        raise ConfigError(f"--counterexamples must be positive, got {cap}")
-    bounds = _collect_bounds(args, cfg)
     keys = identities.select(_tags(args), only)
     if only and not keys:
         raise ConfigError(f"no identity matches --only {args.only!r}")
@@ -347,7 +333,6 @@ def _cmd_audit(args, cfg: CliConfig) -> int:
         param_bounds=bounds or None,
         counterexample_cap=cap,
     )
-    fmt = args.format or cfg.format
     if fmt == "json":
         payload = report.to_json() + "\n"
     elif fmt == "csv":
@@ -379,15 +364,15 @@ def _cmd_identities(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
+        bounds, fmt, cap = _settings(args)
         if args.command == "compute":
             return _cmd_compute(args)
         if args.command == "series":
             return _cmd_series(args)
         if args.command == "table":
-            return _cmd_table(args, cfg)
+            return _cmd_table(args, fmt)
         if args.command == "audit":
-            return _cmd_audit(args, cfg)
+            return _cmd_audit(args, bounds, fmt, cap)
         return _cmd_identities(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,6 +39,9 @@ where a ``Fraction``'s ``numerator`` and ``denominator`` are two
 Python-level getters.  Anything else, a float, a string or a ``Decimal``,
 raises ``TypeError`` naming ``who``; nothing goes through ``Fraction()``.
 Only ``dot``'s int-times-``Fraction`` fast path reads its pair inline.
+Each integer argument of a ``sequences`` function is read by
+``_int(x, who)``: an int (a subclass too) passes; anything else, a float
+equal to an int too, raises ``TypeError`` naming ``who``.
 
 ``derivative_at_zero(offsets, q, scale, power)`` is D_x of
 scale * prod_i (x + p_i/q)**power at x = 0 for power +1 or -1, over a
@@ -100,6 +103,13 @@ def _ratio(x, who: str) -> tuple[int, int]:
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"{who} needs ints or Fractions, got {type(x).__name__}")
     return x.as_integer_ratio()
+
+
+def _int(x, who: str) -> int:
+    """``x`` if it is an int (a subclass too); else ``TypeError``."""
+    if not isinstance(x, int):
+        raise TypeError(f"{who} needs ints, got {type(x).__name__}")
+    return x
 
 
 def format_rational(x: Fraction) -> str:

@@ -5,8 +5,9 @@ finite parameter domain, compared exactly: by rational equality, or, on
 a ``float`` row, by whether the two certified balls (a float centre and
 an error radius) overlap, tested on the floats' exact rational values.
 An exact side that is not exactly an ``int`` or ``Fraction`` (a float,
-a bool, a ``Decimal``, a subclass) is a bug in its evaluator and raises
-``TypeError``; it is never compared by ``==``.
+a bool, a ``Decimal``, a subclass), or a float side that is not exactly
+a ``CertifiedReal`` (a bare float, an int), is a bug in its evaluator
+and raises ``TypeError``; it is never compared by ``==``.
 The radii alone decide a float verdict; there is no tolerance, and a
 ball with a non-finite centre or radius fails.  ``verify`` checks one
 identity, ``run_suite`` a tagged subset, one row after another in key
@@ -133,13 +134,13 @@ PSI_SAMPLES = (F(1), F(1, 2), F(3, 2), F(5))
 # --------------------------------------------------------------------------
 
 
-class IntRange(record("IntRange", ("name", "lo", "hi"), frozen=True)):
+class IntRange(record("IntRange", ("name", "lo", "hi"))):
     """An integer parameter running over lo..hi inclusive; immutable."""
 
     __slots__ = ()
 
 
-class RationalChoice(record("RationalChoice", ("name", "values"), frozen=True)):
+class RationalChoice(record("RationalChoice", ("name", "values"))):
     """A rational parameter sampled from a fixed tuple; immutable."""
 
     __slots__ = ()
@@ -152,7 +153,6 @@ class Identity(
             "key", "anchor", "params", "lhs", "rhs", "tags", "valid", "alt_rhs",
         ),
         {"valid": None, "alt_rhs": None},
-        frozen=True,
     )
 ):
     """One registry row: two evaluators over a parameter domain; immutable.
@@ -191,7 +191,7 @@ class IdentityReport(
             "key", "anchor", "mode", "verdict", "tested", "skipped",
             "counterexamples", "skip_reasons", "alternative", "elapsed",
         ),
-        {"skip_reasons": [], "alternative": None, "elapsed": 0.0},
+        {"skip_reasons": (), "alternative": None, "elapsed": 0.0},
     )
 ):
     """The outcome of verifying one row."""
@@ -296,11 +296,7 @@ class AuditReport(record("AuditReport", ("entries",))):
 
 
 def _render_value(v) -> object:
-    if isinstance(v, CertifiedReal):
-        return v.to_json_obj()
-    if isinstance(v, float) and not math.isfinite(v):
-        return str(v)
-    return format_rational(F(v))
+    return v.to_json_obj() if type(v) is CertifiedReal else format_rational(v)
 
 
 def _render_params(pa: dict) -> dict:
@@ -359,18 +355,16 @@ def _values_agree(exact, lv, rv) -> bool:
             return lv.as_integer_ratio() == rv.as_integer_ratio()
         side = lv if type(lv) not in _EXACT_TYPES else rv
         raise TypeError(f"an exact side is {type(side).__name__}, not int or Fraction")
+    if type(lv) is not CertifiedReal or type(rv) is not CertifiedReal:
+        side = lv if type(lv) is not CertifiedReal else rv
+        raise TypeError(f"a float side is {type(side).__name__}, not CertifiedReal")
     # Two balls agree iff they overlap, tested on the floats' exact values.
     # A non-finite centre or radius has no rational value and fails.
-    try:
-        lc, rc = as_certified(lv), as_certified(rv)
-    except DomainError:  # a non-finite float side
-        return False
-    ends = (lc.value, rc.value, lc.abs_error_bound, rc.abs_error_bound)
+    ends = (lv.value, rv.value, lv.abs_error_bound, rv.abs_error_bound)
     if not all(map(math.isfinite, ends)):
         return False
-    return abs(F(lc.value) - F(rc.value)) <= (
-        F(lc.abs_error_bound) + F(rc.abs_error_bound)
-    )
+    gap = abs(F(lv.value) - F(rv.value))
+    return gap <= F(lv.abs_error_bound) + F(rv.abs_error_bound)
 
 
 def _cases(identity, max_bound, param_bounds):
@@ -408,44 +402,48 @@ def verify(
     identity = get_identity(key)
     exact = identity.mode == "exact"
     start = time.monotonic()
-    # one tally per convention, main first; verdict None until a case fails
-    conventions = 1 + identity.dual_convention
-    results = [ConventionResult(None, 0, 0, []) for _ in range(conventions)]
+    # per convention, main first: cases tested, skipped and failed, and the
+    # first counterexamples
+    tested, skipped, failed = [0, 0], [0, 0], [0, 0]
+    examples = ([], [])
     reasons = []  # the main convention's first skips
     with row_scope():
         for pa, lv, rights in _cases(identity, max_bound, param_bounds):
-            for result, rv in zip(results, rights):
+            for i, rv in enumerate(rights):
                 if isinstance(rv, DomainError):
-                    result.skipped += 1
-                    if result is results[0] and len(reasons) < 3:
+                    skipped[i] += 1
+                    if i == 0 and len(reasons) < 3:
                         reason = {"params": _render_params(pa), "reason": str(rv)}
                         reasons.append(reason)
                     continue
-                result.tested += 1
+                tested[i] += 1
                 if not _values_agree(exact, lv, rv):
-                    result.verdict = "FAIL"
-                    if len(result.counterexamples) < counterexample_cap:
-                        result.counterexamples.append(
+                    failed[i] += 1
+                    if len(examples[i]) < counterexample_cap:
+                        examples[i].append(
                             {
                                 "params": _render_params(pa),
                                 "lhs": _render_value(lv),
                                 "rhs": _render_value(rv),
                             }
                         )
-    for result in results:
-        if result.verdict is None:
-            result.verdict = "PASS" if result.tested else "SKIPPED"
-    main, *alternative = results
+
+    def verdict(i):
+        return "FAIL" if failed[i] else "PASS" if tested[i] else "SKIPPED"
+
+    alternative = None
+    if identity.dual_convention:
+        alternative = ConventionResult(verdict(1), tested[1], skipped[1], examples[1])
     return IdentityReport(
         key=identity.key,
         anchor=identity.anchor,
         mode=identity.mode,
-        verdict=main.verdict,
-        tested=main.tested,
-        skipped=main.skipped,
-        counterexamples=main.counterexamples,
+        verdict=verdict(0),
+        tested=tested[0],
+        skipped=skipped[0],
+        counterexamples=examples[0],
         skip_reasons=reasons,
-        alternative=alternative[0] if alternative else None,
+        alternative=alternative,
         elapsed=time.monotonic() - start,
     )
 
@@ -520,7 +518,8 @@ def h(n: int, w) -> Fraction:
     Integer orders w >= 0 are :func:`hyperharmonic`, negative ones
     :func:`hyperharmonic_neg` at -w, and every other rational the
     digamma-telescoped :func:`hyperharmonic_rational_order`.  An order
-    that is not an int or ``Fraction`` is a ``TypeError`` naming ``h``.
+    that is not an int or ``Fraction`` is a ``TypeError`` naming ``h``; an
+    index that is not an int, one naming the kernel it reaches.
 
     The one cache of h values, kept for the process since rows repeat
     each other's (one full audit: 2,936 misses, 441,954 hits).  It is

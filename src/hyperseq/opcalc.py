@@ -132,7 +132,7 @@ def dx_reciprocal_rising(c, k: int) -> Fraction:
     return derivative_at_zero(shifted, q, 1, -1)
 
 
-class PowerSeries(record("PowerSeries", ("coeffs",), frozen=True)):
+class PowerSeries(record("PowerSeries", ("coeffs",))):
     """Truncated formal power series with exact rational coefficients.
 
     Arithmetic never reads beyond the truncation order; sums and

@@ -43,7 +43,7 @@ import threading
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactnum import _ratio, binomial_general, binomial_int, derivative_at_zero
+from .exactnum import _int, _ratio, binomial_general, binomial_int, derivative_at_zero
 from .exactnum import factorial, reciprocal_partial_sums
 
 _F = Fraction
@@ -53,7 +53,7 @@ _lock = threading.Lock()
 
 def harmonic(n: int) -> Fraction:
     """H(n) = 1 + 1/2 + ... + 1/n; zero for n <= 0 (empty sum)."""
-    return gen_harmonic(n, 1)
+    return gen_harmonic(_int(n, "harmonic"), 1)
 
 
 #: Row m is [0, H(1; m), H(2; m), ...]; row 1 is the H list.
@@ -66,6 +66,7 @@ def gen_harmonic(n: int, m: int) -> Fraction:
     Any integer order m is accepted; m <= 0 yields plain power sums.
     Zero for n <= 0.
     """
+    n, m = _int(n, "gen_harmonic"), _int(m, "gen_harmonic")
     if n <= 0:
         return _F(0)
     row = _gen_harmonic_prefix.get(m)
@@ -92,10 +93,11 @@ class HyperharmonicMethod(enum.Enum):
 # DEF memo table: _def_rows[r] is [h(0,r), ..., h(N,r)] for the largest n
 # asked at order r.  It stays for the process: a warm lookup takes about
 # 0.5 us, an integer r-fold sum per call 90-120 us at n <= 200, r <= 24,
-# which would add 2-3 ms to each 73 ms kernels-mix pass.  A warm lookup
-# reads row r without _lock; a row is replaced whole, under it, and never
-# mutated, so a reader sees an old row or a new one.  A longer row reuses
-# the old row's Fractions; rebuilding them tripled DEF's kernels-mix time.
+# which would add 2-3 ms to each 29 ms kernels-mix pass (scaled wall_s,
+# 2-vCPU VM).  A warm lookup reads row r without _lock; a row is replaced
+# whole, under it, and never mutated, so a reader sees an old row or a new
+# one.  A longer row reuses the old row's Fractions; rebuilding them
+# tripled DEF's kernels-mix time.
 _def_rows: dict[int, list[Fraction]] = {}
 
 
@@ -172,6 +174,7 @@ def hyperharmonic(
     n: int, r: int, method: HyperharmonicMethod = HyperharmonicMethod.CLOSED
 ) -> Fraction:
     """h(n, r) for n >= 0, r >= 0 under the conventions above."""
+    n, r = _int(n, "hyperharmonic"), _int(r, "hyperharmonic")
     if n < 0 or r < 0:
         raise DomainError(f"hyperharmonic needs n >= 0 and r >= 0, got ({n}, {r})")
     if r == 0:
@@ -189,6 +192,7 @@ def hyperharmonic_neg(n: int, r: int) -> Fraction:
     Piecewise: (-1)**r r! / (n falling r+1) = (-1)**r / ((r+1) C(n, r+1))
     when n > r, zero when r >= n > 1, and 1 when n = 1.
     """
+    n, r = _int(n, "hyperharmonic_neg"), _int(r, "hyperharmonic_neg")
     if n < 1 or r < 1:
         raise DomainError(f"hyperharmonic_neg needs n >= 1 and r >= 1, got ({n}, {r})")
     if n == 1:
@@ -209,6 +213,7 @@ def hyperharmonic_rational_order(n: int, w) -> Fraction:
     :func:`hyperharmonic`, never silently here.  The message names the
     pole, the i with w + i = 0, when it falls inside the telescoping range.
     """
+    n = _int(n, "hyperharmonic_rational_order")
     p, q = _ratio(w, "hyperharmonic_rational_order")
     if n < 1:
         raise DomainError(f"hyperharmonic_rational_order needs n >= 1, got {n}")
@@ -231,6 +236,7 @@ def hyperharmonic_half_integer_alt(n: int, w) -> Fraction:
     table rows only balance under this reading, so the audit reports
     half-integer rows under both conventions.
     """
+    n = _int(n, "hyperharmonic_half_integer_alt")
     p, q = _ratio(w, "hyperharmonic_half_integer_alt")
     if q != 2 or p < 1:
         raise DomainError(
@@ -245,6 +251,7 @@ def hyperharmonic_half_integer_alt(n: int, w) -> Fraction:
 
 def alpha(n: int, r: int) -> Fraction:
     """Recurrence coefficient alpha(n, r) = 1 + r/n for n >= 1, r >= 0."""
+    n, r = _int(n, "alpha"), _int(r, "alpha")
     if n < 1 or r < 0:
         raise DomainError(f"alpha needs n >= 1 and r >= 0, got ({n}, {r})")
     return _F(n + r, n)
@@ -252,6 +259,7 @@ def alpha(n: int, r: int) -> Fraction:
 
 def beta(n: int, r: int) -> Fraction:
     """Recurrence coefficient beta(n, r) = binom(n+r, r)/(n+r) for n >= 0, r >= 1."""
+    n, r = _int(n, "beta"), _int(r, "beta")
     if n < 0 or r < 1:
         raise DomainError(f"beta needs n >= 0 and r >= 1, got ({n}, {r})")
     return _F(binomial_int(n + r, r), n + r)
@@ -263,6 +271,7 @@ def fibonacci(k: int) -> int:
     Fast doubling: F(2j) = F(j) (2 F(j+1) - F(j)) and
     F(2j+1) = F(j)^2 + F(j+1)^2, one step per bit of |k|.
     """
+    k = _int(k, "fibonacci")
     a, b = 0, 1  # F(j), F(j+1) for j the leading bits of |k| read so far
     for bit in bin(abs(k))[2:]:
         a, b = a * (2 * b - a), a * a + b * b

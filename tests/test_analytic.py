@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 from fractions import Fraction
 
 import mpmath
@@ -280,6 +281,43 @@ class TestOverflowPolicy:
         # each of these raised: 0 * inf made a nan radius
         v = call()
         assert (v.value, v.abs_error_bound) == want
+
+
+class TestDifference:
+    """a - b is one ball, bit for bit the a + (-b) it used to build in two steps."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1023), 1.0, -3.5,
+               1e308, -1e308, 2.0**1023, math.inf, math.nan]
+    RADII = [0.0, 5e-324, 2.0**-1074 * 3, 1e-16, 1.0, 1e300, 1.7e308, math.inf]
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            v = call()
+        except DomainError:
+            return DomainError
+        return v.value.hex(), v.abs_error_bound.hex()  # -0.0 and 0.0 differ
+
+    def _check(self, a, b):
+        negated = CertifiedReal(-b.value, b.abs_error_bound)
+        assert self._outcome(lambda: a - b) == self._outcome(lambda: a + negated), (a, b)
+
+    def test_special_doubles(self):
+        balls = [CertifiedReal(v, r) for v in self.SPECIAL for r in self.RADII]
+        for a in balls:
+            for b in balls:
+                self._check(a, b)
+
+    def test_random_doubles(self):
+        rng = random.Random(30)
+
+        def double():
+            (v,) = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))
+            return v
+
+        for _ in range(20_000):
+            self._check(CertifiedReal(double(), abs(double())),
+                        CertifiedReal(double(), abs(double())))
 
 
 class TestUnderflowKeepsARadius:

@@ -741,6 +741,21 @@ class TestModuleEntryPoint:
         with pytest.raises(AttributeError, match="no_such_name"):
             hyperseq.no_such_name
 
+    def test_import_and_config_file_load_no_record(self, tmp_path):
+        cfg = tmp_path / "hyperseq.cfg"
+        cfg.write_text("format = csv\nmax_n = 3\ncounterexamples = 2\n")
+        proc = run_python(
+            "-c",
+            "import sys, hyperseq.cli; "
+            "print('hyperseq._records' in sys.modules); "
+            "hyperseq.cli.main(['--config', sys.argv[1], 'table', 'beta', "
+            "'--n', '1:1', '--r', '1:1']); "
+            "print('hyperseq._records' in sys.modules)",
+            str(cfg),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "n\\r,1", "1,1", "False"]
+
     def test_library_imports_only_the_standard_library(self):
         proc = run_python(
             "-c",

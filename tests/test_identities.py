@@ -230,8 +230,7 @@ class TestVerify:
         CertifiedReal(math.nan, 0.0),
         CertifiedReal(math.inf, 0.0),
         CertifiedReal(0.0, math.nan),
-        math.inf,
-    ], ids=["inf-radius", "nan-centre", "inf-centre", "nan-radius", "inf-double"])
+    ], ids=["inf-radius", "nan-centre", "inf-centre", "nan-radius"])
     def test_non_finite_ball_fails_and_the_audit_runs_on(self, monkeypatch, ball):
         probe = Identity(
             key="probe-ball",
@@ -288,14 +287,14 @@ class TestVerify:
             monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
             assert verify("probe-gap").verdict == verdict, radius
 
-    def _exact_probe(self, monkeypatch, lhs, rhs):
+    def _exact_probe(self, monkeypatch, lhs, rhs, tag="probe"):
         probe = Identity(
             key="probe-exact",
             anchor="two exact sides",
             params=(IntRange("n", 1, 3),),
             lhs=lhs,
             rhs=rhs,
-            tags=frozenset({"probe"}),
+            tags=frozenset({tag}),
         )
         monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
         return verify("probe-exact")
@@ -321,21 +320,29 @@ class TestVerify:
         rep = self._exact_probe(monkeypatch, lambda n: F(1, n), lambda n: F(-1, n))
         assert rep.counterexamples[0] == {"params": {"n": 1}, "lhs": "1", "rhs": "-1"}
 
-    @pytest.mark.parametrize("lhs, rhs, name", [
-        (lambda: 0.5, F(1, 2), "float"),
-        (lambda: True, F(1), "bool"),
-        (lambda: Decimal("0.5"), F(1, 2), "Decimal"),
-        (lambda: _Float(0.5), F(1, 2), "_Float"),
-        (lambda: F(1, 2), 0.5, "float"),
-    ], ids=["float", "bool", "decimal", "float-subclass", "float-rhs"])
-    def test_a_side_that_is_not_int_or_fraction_raises(self, monkeypatch, lhs, rhs, name):
-        # every side here == its other side, so a comparison by == would PASS
+    @pytest.mark.parametrize("tag, lhs, rhs, message", [
+        ("probe", lambda: 0.5, F(1, 2), "an exact side is float, not int or Fraction"),
+        ("probe", lambda: True, F(1), "an exact side is bool, not int or Fraction"),
+        ("probe", lambda: Decimal("0.5"), F(1, 2), "an exact side is Decimal, not int"),
+        ("probe", lambda: _Float(0.5), F(1, 2), "an exact side is _Float, not int"),
+        ("probe", lambda: F(1, 2), 0.5, "an exact side is float, not int"),
+        ("float", lambda: 0.5, CertifiedReal(0.5, 0.0), "a float side is float, not Cert"),
+        ("float", lambda: _Float(0.5), CertifiedReal(0.5, 0.0), "a float side is _Float,"),
+        ("float", lambda: 1, CertifiedReal(1.0, 0.0), "a float side is int, not Cert"),
+        ("float", lambda: math.inf, CertifiedReal(0.0, 0.0), "a float side is float,"),
+        ("float", lambda: CertifiedReal(0.5, 0.0), F(1, 2), "a float side is Fraction,"),
+    ], ids=["float", "bool", "decimal", "float-subclass", "float-rhs", "float-row-float",
+            "float-row-float-subclass", "float-row-int", "float-row-inf",
+            "float-row-fraction-rhs"])
+    def test_a_side_of_the_wrong_type_raises(self, monkeypatch, tag, lhs, rhs, message):
+        # every side here == its other side, or overlaps it read as a ball,
+        # so a comparison by == or as balls would PASS
         def probe_lhs(n):
             ident.Cg(F(1, 2), n)  # leaves a value in a row memo
             return lhs()
 
-        with pytest.raises(TypeError, match=f"an exact side is {name},"):
-            self._exact_probe(monkeypatch, probe_lhs, lambda n: rhs)
+        with pytest.raises(TypeError, match=f"^{message}"):
+            self._exact_probe(monkeypatch, probe_lhs, lambda n: rhs, tag)
         assert all(memo.cache_info().currsize == 0 for memo in ident._ROW_MEMOS)
 
 

@@ -41,9 +41,14 @@ from hyperseq.opcalc import (
 )
 from hyperseq.sequences import (
     HyperharmonicMethod,
+    alpha,
+    beta,
+    fibonacci,
+    gen_harmonic,
     harmonic,
     hyperharmonic,
     hyperharmonic_half_integer_alt,
+    hyperharmonic_neg,
     hyperharmonic_rational_order,
 )
 
@@ -462,8 +467,73 @@ def test_a_subclassed_exact_argument_reads_as_its_value(who):
 
 def test_a_float_never_hits_a_memo_an_int_filled():
     assert hyperharmonic(3, 2) == F(13, 3)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^hyperharmonic needs ints, got float$"):
         hyperharmonic(3.0, 2)
     assert identities.h(3, 2) == F(13, 3)
     with pytest.raises(TypeError, match="^h needs ints or Fractions"):
         identities.h(3, 2.0)
+
+
+# Each sequences function, by the name its TypeError gives, with each of its
+# integer arguments in turn taken from the caller.
+_INT_READERS = {
+    "harmonic": [harmonic],
+    "gen_harmonic": [lambda v: gen_harmonic(v, 2), lambda v: gen_harmonic(3, v)],
+    "hyperharmonic": [lambda v: hyperharmonic(v, 7), lambda v: hyperharmonic(3, v)],
+    "hyperharmonic_neg": [
+        lambda v: hyperharmonic_neg(v, 3), lambda v: hyperharmonic_neg(3, v),
+    ],
+    "hyperharmonic_rational_order": [lambda v: hyperharmonic_rational_order(v, F(1, 2))],
+    "hyperharmonic_half_integer_alt": [
+        lambda v: hyperharmonic_half_integer_alt(v, F(1, 2)),
+    ],
+    "alpha": [lambda v: alpha(v, 2), lambda v: alpha(3, v)],
+    "beta": [lambda v: beta(v, 2), lambda v: beta(3, v)],
+    "fibonacci": [fibonacci],
+}
+_INT_CALLS = [
+    pytest.param(who, call, id=f"{who}-{i}")
+    for who, calls in sorted(_INT_READERS.items())
+    for i, call in enumerate(calls)
+]
+
+# Values an integer index must refuse: floats equal to the ints the
+# domain checks accept or refuse, a Fraction equal to an int, and more.
+_NOT_INTS = [
+    0.0, 1.0, 2.0, 3.0, -1.5, F(3), "3", None,
+    pytest.param(_Float(3.0), id="float-subclass"),
+    pytest.param(Decimal(3), id="decimal"),
+]
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS)
+@pytest.mark.parametrize("who, call", _INT_CALLS)
+def test_an_integer_index_that_is_not_an_int_is_refused_by_name(who, call, bad):
+    with pytest.raises(TypeError, match=f"^{who} needs ints, got {type(bad).__name__}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("who, call", _INT_CALLS)
+def test_a_subclassed_int_index_reads_as_its_value(who, call):
+    def outcome(v):
+        try:
+            return call(v)
+        except DomainError:  # an index outside the function's domain
+            return DomainError
+
+    for plain, sub in ((1, True), (0, False), (3, _Int(3)), (-2, _Int(-2))):
+        assert outcome(sub) == outcome(plain)
+
+
+@pytest.mark.parametrize("n, w, who", [
+    (3.0, 2, "hyperharmonic"),
+    (0.0, 2, "hyperharmonic"),
+    (2.5, -1, "hyperharmonic_neg"),
+    (3.0, F(1, 2), "hyperharmonic_rational_order"),
+])
+def test_h_refuses_a_float_index_by_the_kernel_it_reaches(n, w, who):
+    identities.h.cache_clear()
+    if n == int(n):
+        identities.h(int(n), w)  # the entry of the int that n equals
+    with pytest.raises(TypeError, match=f"^{who} needs ints, got float$"):
+        identities.h(n, w)

@@ -3,14 +3,12 @@
 Leaving out a field that has no default, passing a keyword that is not a
 field, or passing more positional values than there are fields raises
 ``TypeError``; setting an attribute that is not a field raises
-``AttributeError``, on mutable records too, because no record has an
-instance ``__dict__``.
+``AttributeError``, and no record has an instance ``__dict__``.
 """
 
 import pytest
 
 from hyperseq.analytic import CertifiedReal
-from hyperseq.cli import CliConfig
 from hyperseq.identities import (
     AuditReport,
     ConventionResult,
@@ -34,7 +32,6 @@ REQUIRED = {
         "key", "anchor", "mode", "verdict", "tested", "skipped", "counterexamples",
     ),
     AuditReport: ("entries",),
-    CliConfig: (),
 }
 
 _ids = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)

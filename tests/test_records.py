@@ -2,9 +2,10 @@
 
 Each record is constructed by position and by keyword, compares and
 prints by its fields in declaration order, and keeps that behaviour
-whatever the class is built from.  Frozen records refuse assignment and
-hash by their fields; mutable ones take assignment, do not hash, and
-get a fresh list or dict for each defaulted container.
+whatever the class is built from.  Every record refuses assignment and
+deletion, the reports ``verify`` and ``run_suite`` return too, and
+hashes by its fields; one holding a list does not hash, as a tuple
+holding one does not.
 """
 
 import copy
@@ -14,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from hyperseq.analytic import CertifiedReal
-from hyperseq.cli import CliConfig
 from hyperseq.identities import (
     AuditReport,
     ConventionResult,
@@ -22,6 +22,8 @@ from hyperseq.identities import (
     IdentityReport,
     IntRange,
     RationalChoice,
+    run_suite,
+    verify,
 )
 from hyperseq.opcalc import PowerSeries
 
@@ -82,15 +84,10 @@ RECORDS = {
         ("elapsed", 0.25),
     ),
     AuditReport: (("entries", [_IDENTITY_REPORT]),),
-    CliConfig: (
-        ("bounds", {"n": (None, 4)}),
-        ("format", "json"),
-        ("counterexamples", 2),
-    ),
 }
 
-FROZEN = (CertifiedReal, PowerSeries, IntRange, RationalChoice, Identity)
-MUTABLE = (ConventionResult, IdentityReport, AuditReport, CliConfig)
+#: The records above whose every field value hashes.
+HASHABLE = (CertifiedReal, PowerSeries, IntRange, RationalChoice, Identity)
 
 _ids = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
 
@@ -143,7 +140,7 @@ def test_equality_is_by_every_field(cls):
         assert cls(**fields) != record, name
 
 
-@pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", HASHABLE, ids=lambda c: c.__name__)
 def test_frozen_records_refuse_assignment_and_hash(cls):
     record = _build(cls)
     name, value = RECORDS[cls][0]
@@ -174,35 +171,53 @@ def test_frozen_records_pickle(cls):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
-@pytest.mark.parametrize("cls", MUTABLE, ids=lambda c: c.__name__)
-def test_mutable_records_take_assignment_and_do_not_hash(cls):
+@_ids
+def test_every_record_refuses_assignment(cls):
     record = _build(cls)
-    name, value = RECORDS[cls][-1]
-    setattr(record, name, _changed(value))
-    assert getattr(record, name) == _changed(value)
-    assert record != _build(cls)
-    with pytest.raises(TypeError):
-        hash(record)
+    for name, value in RECORDS[cls]:
+        with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
+            setattr(record, name, _changed(value))
+        with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
+            delattr(record, name)
+    assert record == _build(cls)
+
+
+def test_the_reports_verify_and_run_suite_return_refuse_assignment():
+    report = verify("prop-5", max_bound=3)
+    with pytest.raises(AttributeError):
+        report.verdict = "FAIL"
+    with pytest.raises(AttributeError):
+        del report.counterexamples
+    alternative = verify("t1-Z.58", max_bound=3).alternative
+    with pytest.raises(AttributeError):
+        alternative.verdict = "FAIL"
+    audit = run_suite(only=["prop-5"], max_bound=3)
+    with pytest.raises(AttributeError):
+        audit.entries = []
+    assert report.verdict == audit.entries[0].verdict == "PASS"
+
+
+@pytest.mark.parametrize("cls", [c for c in RECORDS if c not in HASHABLE],
+                         ids=lambda c: c.__name__)
+def test_a_record_holding_a_list_does_not_hash(cls):
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
+        hash(_build(cls))
+
+
+def test_a_record_holding_only_tuples_hashes():
+    result = ConventionResult("FAIL", 4, 1, ((("n", 2),),))
+    assert hash(result) == hash(ConventionResult("FAIL", 4, 1, ((("n", 2),),)))
+    assert len({AuditReport(()), AuditReport(())}) == 1
 
 
 def test_defaults():
-    assert CliConfig() == CliConfig({}, "text", 5)
     report = IdentityReport("k", "a", "exact", "PASS", 1, 0, [])
-    assert (report.skip_reasons, report.alternative, report.elapsed) == ([], None, 0.0)
+    assert (report.skip_reasons, report.alternative, report.elapsed) == ((), None, 0.0)
     identity = Identity("k", "a", (), _lhs, _rhs, frozenset())
     assert (identity.mode, identity.valid, identity.alt_rhs) == (
         "exact", None, None,
     )
     assert not identity.dual_convention
-
-
-def test_default_containers_are_not_shared():
-    first, second = CliConfig(), CliConfig()
-    first.bounds["n"] = (None, 3)
-    assert second.bounds == {}
-    reports = [IdentityReport("k", "a", "exact", "PASS", 1, 0, []) for _ in range(2)]
-    reports[0].skip_reasons.append({"reason": "pole"})
-    assert reports[1].skip_reasons == []
 
 
 def test_power_series_needs_a_constant_term():
