@@ -23,7 +23,8 @@ Rows are written over one vocabulary, so that each reads like its
 anchor: ``h(n, w)`` at any order (integer of either sign, or rational),
 ``H``/``Hm`` (harmonic and generalized harmonic numbers), ``C``
 (integer binomial), ``Cg`` (generalized binomial), ``rising`` and
-``falling`` factorials, and the sums ``bsum`` (a coefficient-weighted
+``falling`` factorials, and the sums ``line_sum`` (a coefficient-weighted
+line of one function along one argument), ``bsum`` (a coefficient-weighted
 range), ``alt_sum`` (the k-th difference form) and ``total``.  A row
 divides through ``quot`` wherever its divisor can vanish, so a pole is a
 ``DomainError`` from ``quot``: the case is skipped and counted with its
@@ -33,11 +34,19 @@ like the other values that repeat across one row's cases, is memoized
 for that row only.  So are the term pieces a row would rebuild
 case after case, each keyed on exactly the parameters it depends on,
 such as the n-free term k of an order-r sum (``_t2_43_term``,
-``_t2_129_k``); every case still sums its own terms.  ``verify`` runs
-each row in ``row_scope()``, which empties those memos when the row
-ends, even when it raises.  ``h`` alone is memoized for the process,
-since the rows repeat each other's h values; it is the only cache of
-them, so every value has at most one cache.
+``_t2_129_k``); a memo of a rational argument keys it on its integer
+ratio, not on its ``Fraction`` hash.  A sum whose terms are one function
+along one argument, such as h(n+i, r) for i = 0..k, is a ``line_sum``:
+it reads the row's line of that function, the values read so far as
+integers over one common denominator, so the sum is one integer dot
+product.  A line is the row's integer image of values read through the
+function itself, grown on demand and cleared with the row; nothing in it
+assumes an identity, and every case still sums its own terms.
+``verify`` runs each row in ``row_scope()``, which empties the row
+memos and the lines when the row ends, even when it raises.  ``h`` alone
+is memoized for the process, since the rows repeat each other's h
+values; a line holds a row's h values as integers, but ``h`` is the only
+cache of the values themselves.
 
 Table rows keep the summation numbering of Gould's "Combinatorial
 Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
@@ -78,6 +87,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import time
 from fractions import Fraction
 from typing import Union
@@ -499,16 +509,37 @@ def _row_memo(fn):
 
     A row evaluates the same h(n, r), binomial and oracle values case
     after case; between rows the values mostly differ, so holding them
-    for the life of the process would only grow memory.
+    for the life of the process would only grow memory.  The keys are
+    typed, so a float argument never reads the entry an equal int or
+    ``Fraction`` filled.
     """
-    memo = functools.lru_cache(maxsize=None)(fn)
+    memo = functools.lru_cache(maxsize=None, typed=True)(fn)
     _ROW_MEMOS.append(memo)
+    return memo
+
+
+def _ratio_memo(fn):
+    """A row memo of ``fn(x, *rest)`` keyed on the integer ratio of x.
+
+    A ``Fraction`` key is hashed at every lookup, and Python 3.11's
+    ``Fraction.__hash__`` computes a modular inverse to do it (about
+    1.5 us); a pair of ints hashes in C.  ``exactnum._ratio`` reads x, so a
+    float is a ``TypeError`` naming ``fn``, warm or cold.
+    """
+    name = fn.__name__
+    by_ratio = _row_memo(lambda pq, *rest: fn(F(*pq), *rest))
+
+    def memo(x, *rest):
+        if type(x) is not F:
+            exactnum._ratio(x, name)  # a Fraction subclass or an int passes
+        return by_ratio(x.as_integer_ratio(), *rest)
+
     return memo
 
 
 #: The rows' generalized binomial C(x, k) at rational x, memoized per
 #: row; the library's ``exactnum.binomial_general`` stays unmemoized.
-Cg = _row_memo(exactnum.binomial_general)
+Cg = _ratio_memo(exactnum.binomial_general)
 
 
 @functools.lru_cache(maxsize=4096, typed=True)
@@ -522,8 +553,9 @@ def h(n: int, w) -> Fraction:
     index that is not an int, one naming the kernel it reaches.
 
     The one cache of h values, kept for the process since rows repeat
-    each other's (one full audit: 2,936 misses, 441,954 hits).  It is
-    typed, so 0.5 never reads the entry that ``F(1, 2)`` filled.
+    each other's (one full audit: 2,936 misses, 136,405 hits; a
+    ``line_sum`` reads each point once per row).  It is typed, so 0.5
+    never reads the entry that ``F(1, 2)`` filled.
     """
     p, q = exactnum._ratio(w, "h")
     if q != 1:
@@ -531,6 +563,61 @@ def h(n: int, w) -> Fraction:
     if p >= 0:
         return hyperharmonic(n, p)
     return hyperharmonic_neg(n, -p)
+
+
+@_row_memo
+def _line(fn, axis, *fixed) -> list:
+    """The row's line of ``fn`` along argument ``axis``, the others ``fixed``.
+
+    It is ``[nums, d]``: ``nums[p] / d`` is ``fn`` at point p of the axis,
+    for each point read so far, over one common denominator d.
+    """
+    return [{}, 1]
+
+
+def _grow(line, fn, axis, args) -> None:
+    """Add to ``line`` the points of ``args[axis]`` it lacks, in range order.
+
+    Each value is read through ``fn``, so the first point that raises does
+    so as in the per-term sum, and nothing is added.
+    """
+    nums, d = line
+    args = list(args)
+    new = []
+    for p in args[axis]:
+        if p not in nums:
+            args[axis] = p
+            new.append((p, *exactnum._ratio(fn(*args), "line_sum")))
+    scale = math.lcm(d, *[q for _, _, q in new])
+    if scale != d:
+        line[0] = nums = {p: v * (scale // d) for p, v in nums.items()}
+        line[1] = scale
+    for p, v, q in new:
+        nums[p] = v * (scale // q)
+
+
+def line_sum(coeffs, fn, *args) -> Fraction:
+    """sum_j coeffs[j] fn(args with the one ``range`` in them at its j-th point).
+
+    The sum is read off the row's line of ``fn`` along that axis: the
+    values as integers over one denominator, so with int ``coeffs`` it is
+    one integer dot product and one ``Fraction``.  Every case still sums
+    its own terms.
+    """
+    axes = [i for i, a in enumerate(args) if type(a) is range]
+    if len(axes) != 1:
+        raise TypeError("line_sum needs exactly one range argument")
+    axis = axes[0]
+    points = args[axis]
+    if len(coeffs) != len(points):
+        raise ValueError("line_sum needs one coefficient per point")
+    line = _line(fn, axis, *args[:axis], *args[axis + 1:])
+    try:
+        total = sum(map(operator.mul, coeffs, map(line[0].__getitem__, points)))
+    except KeyError:
+        _grow(line, fn, axis, args)
+        total = sum(map(operator.mul, coeffs, map(line[0].__getitem__, points)))
+    return F(total, line[1])
 
 
 def bsum(lo: int, hi: int, coeff, term) -> Fraction:
@@ -586,27 +673,29 @@ def _h_over_c2(k: int, r: int) -> Fraction:
 @_row_memo
 def _t2_3108_side(n: int, m: int, r: int) -> Fraction:
     """One side of Gould (3.108) at order r; ``t1-3.108`` pins it to r = 1."""
-    return dot(
-        [C(k + r + m, m) for k in range(n + 1)]
-        + [C(k + r - 1, k) for k in range(n + 1)],
-        [h(k, r) for k in range(n + 1)] + [h(m, k + r + 1) for k in range(n + 1)],
-    )
+    return (line_sum([C(k + r + m, m) for k in range(n + 1)], h, range(n + 1), r)
+            + line_sum([C(k + r - 1, k) for k in range(n + 1)],
+                       h, m, range(r + 1, n + r + 2)))
 
 
-@_row_memo
+def _recip(j: int, m: int) -> Fraction:
+    """1/j^m, the term of the order-m harmonic sums."""
+    return F(1, j**m)
+
+
 def _inv_falling(x: int, m: int) -> Fraction:
-    """1 / (x falling m); ``prop-falling`` needs it at every k of every case."""
+    """1 / (x falling m), the ``prop-falling`` term."""
     return 1 / falling(x, m)
 
 
-@_row_memo
-def _gould43_power(n: int, k: int, x) -> Fraction:
+@_ratio_memo
+def _gould43_power(x, n: int, k: int) -> Fraction:
     """(x-k)^k (1-x+k)^(n-k), the Gould (4.3) power; free of the order r."""
     return (x - k) ** k * (1 - x + k) ** (n - k)
 
 
-@_row_memo
-def _t2_43_term(k: int, r: int, x) -> Fraction:
+@_ratio_memo
+def _t2_43_term(x, k: int, r: int) -> Fraction:
     """u^(k-1)/c (k - u h(k, r)/c), u = x+r-1, c = C(r-1+k, k); free of n.
 
     It is term k of the order-r Gould (4.3) lhs.
@@ -616,7 +705,6 @@ def _t2_43_term(k: int, r: int, x) -> Fraction:
     return u ** (k - 1) / c * (k - u * h(k, r) / c)
 
 
-@_row_memo
 def _h_sq_plus_h2(k: int) -> Fraction:
     """H(k)^2 + H(k; 2), the Gould (7.15) term."""
     return H(k) ** 2 + Hm(k, 2)
@@ -633,8 +721,8 @@ def _gould_coeff(upper: int, k: int) -> Fraction:
 _dx_reciprocal_rising = _row_memo(dx_reciprocal_rising)
 
 
-@_row_memo
-def _t2_129_k(k: int, r: int, x) -> tuple:
+@_ratio_memo
+def _t2_129_k(x, k: int, r: int) -> tuple:
     """The n-free pieces of term k of Gould (12.9) at order r.
 
     They are C(x+k, k)/C(r-1+k, k), ratio = (x+r+2k)/(x+r+k),
@@ -651,7 +739,7 @@ def _t2_129a_lhs(n: int, r: int, x) -> Fraction:
     prefs, inners = [], []
     for k in range(n + 1):
         big = Cg(x + (r + k + n), n)  # one Fraction addition, not three
-        weight, ratio, head, tail = _t2_129_k(k, r, x)
+        weight, ratio, head, tail = _t2_129_k(x, k, r)
         prefs.append(quot(C(n, k), weight * big))
         inners.append(head - ratio * h(n, x + (k + r + 1)) / big - tail)
     return dot(prefs, inners)
@@ -666,7 +754,7 @@ def _t2_129b_lhs(n: int, r: int, y, sign: int = 1) -> Fraction:
     prefs, inners = [], []
     for k in range(n + 1):
         big = Cg(y + (r + k + n), n)
-        weight, ratio, head, tail = _t2_129_k(k, r, y)
+        weight, ratio, head, tail = _t2_129_k(y, k, r)
         prefs.append(quot(C(n, k) * weight, big))
         inner = head + ratio * h(n, y + (k + r + 1)) / big
         inners.append(inner + tail if sign > 0 else inner - tail)
@@ -788,7 +876,7 @@ def _core_recurrences():
         "h(n,r) = sum h(n-1,k) + 1/n form)",
         (IntRange("n", 1, 25), IntRange("r", 1, 12), IntRange("s", 0, 6)),
         lambda n, r, s: h(n, r + s) - h(n, s),
-        lambda n, r, s: total(h(n - 1, k + s) for k in range(1, r + 1)),
+        lambda n, r, s: line_sum([1] * r, h, n - 1, range(s + 1, s + r + 1)),
         {"core"},
     )
     _add(
@@ -829,7 +917,7 @@ def _core_recurrences():
         "prop-bt",
         "sum_{k=0..n} beta(k,r) = alpha(n,r) beta(n,r) / (alpha(n,r) - 1)",
         (IntRange("n", 1, 25), IntRange("r", 1, 12)),
-        lambda n, r: total(beta(k, r) for k in range(n + 1)),
+        lambda n, r: line_sum([1] * (n + 1), beta, range(n + 1), r),
         lambda n, r: alpha(n, r) * beta(n, r) / (alpha(n, r) - 1),
         {"core"},
     )
@@ -837,8 +925,8 @@ def _core_recurrences():
         "prop-falling",
         "sum_{k=0..n} C(k+r,r)/(k+r)^falling(m) = C(n+r-m+1,n)/r^falling(m)",
         (IntRange("m", 1, 12), IntRange("r", 1, 12), IntRange("n", 0, 25)),
-        lambda m, r, n: bsum(0, n, lambda k: C(k + r, r),
-                             lambda k: _inv_falling(k + r, m)),
+        lambda m, r, n: line_sum([C(k + r, r) for k in range(n + 1)],
+                                 _inv_falling, range(r, n + r + 1), m),
         lambda m, r, n: C(n + r - m + 1, n) / falling(F(r), m),
         {"core"},
         valid=lambda m, r, n: m <= r,
@@ -936,8 +1024,8 @@ def _core_differences():
         "prop-son1",
         "sum_i (-1)^(i+1) C(k,i) H(n+i) = (k-1)!/(n+1)^rising(k)",
         (IntRange("k", 1, 10), IntRange("n", 0, 20)),
-        lambda k, n: bsum(0, k, lambda i: (-1) ** (i + 1) * C(k, i),
-                          lambda i: H(n + i)),
+        lambda k, n: line_sum([(-1) ** (i + 1) * C(k, i) for i in range(k + 1)],
+                              H, range(n, n + k + 1)),
         lambda k, n: factorial(k - 1) / rising(F(n + 1), k),
         {"core"},
     )
@@ -945,8 +1033,8 @@ def _core_differences():
         "prop-son8",
         "sum_i (-1)^i C(k,i)(n+i) H(n+i) = (k-2)!/(n+1)^rising(k-1), k >= 2",
         (IntRange("k", 2, 12), IntRange("n", 0, 20)),
-        lambda k, n: bsum(0, k, lambda i: (-1) ** i * C(k, i) * (n + i),
-                          lambda i: H(n + i)),
+        lambda k, n: line_sum([(-1) ** i * C(k, i) * (n + i) for i in range(k + 1)],
+                              H, range(n, n + k + 1)),
         lambda k, n: factorial(k - 2) / rising(F(n + 1), k - 1),
         {"core"},
     )
@@ -954,7 +1042,8 @@ def _core_differences():
         "cor-bih",
         "sum_{i=1..k} (-1)^i C(k,i) i H(i) = 1/(k-1), k >= 2",
         (IntRange("k", 2, 25),),
-        lambda k: bsum(1, k, lambda i: (-1) ** i * C(k, i) * i, H),
+        lambda k: line_sum([(-1) ** i * C(k, i) * i for i in range(1, k + 1)],
+                           H, range(1, k + 1)),
         lambda k: F(1, k - 1),
         {"core"},
     )
@@ -963,7 +1052,8 @@ def _core_differences():
         "k (H(k) - 1) = sum_{i=2..k} C(k,i) (-1)^i/(i-1)",
         (IntRange("k", 1, 25),),
         lambda k: k * (H(k) - 1),
-        lambda k: bsum(2, k, lambda i: C(k, i) * (-1) ** i, lambda i: F(1, i - 1)),
+        lambda k: line_sum([C(k, i) * (-1) ** i for i in range(2, k + 1)],
+                           _recip, range(1, k), 1),
         {"core"},
     )
     _add(
@@ -971,7 +1061,8 @@ def _core_differences():
         "sum_{i=1..n-1} (-1)^(i+1) C(n+1,i+1) H(i) = 2 H(n) for even n, 0 "
         "for odd n",
         (IntRange("n", 1, 30),),
-        lambda n: bsum(1, n - 1, lambda i: (-1) ** (i + 1) * C(n + 1, i + 1), H),
+        lambda n: line_sum([(-1) ** (i + 1) * C(n + 1, i + 1) for i in range(1, n)],
+                           H, range(1, n)),
         lambda n: 2 * H(n) if n % 2 == 0 else F(0),
         {"core"},
     )
@@ -994,7 +1085,7 @@ def _core_negative_orders():
         "h(n+k,r-k) = sum_i (-1)^(k-i) C(k,i) h(n+i,r)",
         (IntRange("n", 0, 25), IntRange("k", 0, 25), IntRange("r", -6, 12)),
         lambda n, k, r: h(n + k, r - k),
-        lambda n, k, r: alt_sum(k, lambda i: h(n + i, r)),
+        lambda n, k, r: line_sum(signed_binomial_row(k), h, range(n, n + k + 1), r),
         {"core"},
         valid=lambda n, k, r: r >= 1 or n >= 1 - r,
     )
@@ -1003,7 +1094,7 @@ def _core_negative_orders():
         "h(n-k,r+k) = sum_i (-1)^(k-i) C(k,i) h(n,r+i), k <= n",
         (IntRange("n", 1, 25), IntRange("k", 0, 12), IntRange("r", -6, 12)),
         lambda n, k, r: h(n - k, r + k),
-        lambda n, k, r: alt_sum(k, lambda i: h(n, r + i)),
+        lambda n, k, r: line_sum(signed_binomial_row(k), h, n, range(r, r + k + 1)),
         {"core"},
         valid=lambda n, k, r: k <= n and (r >= 1 or n >= k + 1 - r),
     )
@@ -1030,7 +1121,7 @@ def _core_negative_orders():
         "h(n+k,-k) = sum_i (-1)^(k-i) C(k,i) / (n+i)",
         (IntRange("n", 1, 25), IntRange("k", 1, 12)),
         lambda n, k: h(n + k, -k),
-        lambda n, k: alt_sum(k, lambda i: F(1, n + i)),
+        lambda n, k: line_sum(signed_binomial_row(k), _recip, range(n, n + k + 1), 1),
         {"core"},
     )
     _add(
@@ -1085,7 +1176,7 @@ def _core_fibonacci():
         "F(n-k) = sum_i (-1)^(k-i) C(k,i) F(n+i)",
         (IntRange("n", 0, 25), IntRange("k", 0, 25)),
         lambda n, k: F(fibonacci(n - k)),
-        lambda n, k: alt_sum(k, lambda i: fibonacci(n + i)),
+        lambda n, k: line_sum(signed_binomial_row(k), fibonacci, range(n, n + k + 1)),
         {"core"},
     )
     _add(
@@ -1175,7 +1266,8 @@ def _table1_rows():
         "t1-3.2",
         "Gould (3.2): sum_k C(r-2+n-k,n-k) H(k) = h(n,r)",
         (IntRange("n", 1, 25), IntRange("r", 1, 25)),
-        lambda n, r: bsum(1, n, lambda k: C(r - 2 + n - k, n - k), H),
+        lambda n, r: line_sum([C(r - 2 + n - k, n - k) for k in range(1, n + 1)],
+                              H, range(1, n + 1)),
         lambda n, r: h(n, r),
         {"table1"},
     )
@@ -1183,8 +1275,8 @@ def _table1_rows():
         "t1-3.100",
         "Gould (3.100): sum_k (-1)^k C(n+k,2k) C(2k,k)/k = -2 H(n)",
         (IntRange("n", 1, 25),),
-        lambda n: bsum(1, n, lambda k: (-1) ** k * C(n + k, 2 * k) * C(2 * k, k),
-                       lambda k: F(1, k)),
+        lambda n: line_sum([(-1) ** k * C(n + k, 2 * k) * C(2 * k, k)
+                            for k in range(1, n + 1)], _recip, range(1, n + 1), 1),
         lambda n: -2 * H(n),
         {"table1"},
     )
@@ -1207,16 +1299,19 @@ def _table1_rows():
         "Gould (7.13): sum_k (-1)^(k-1) C(n,k) C(2n-k,n-k) H(k) = "
         "sum_k C(n,k)^2/k",
         (IntRange("n", 1, 25),),
-        lambda n: bsum(1, n,
-                       lambda k: (-1) ** (k - 1) * C(n, k) * C(2 * n - k, n - k), H),
-        lambda n: bsum(1, n, lambda k: C(n, k) ** 2, lambda k: F(1, k)),
+        lambda n: line_sum(
+            [(-1) ** (k - 1) * C(n, k) * C(2 * n - k, n - k) for k in range(1, n + 1)],
+            H, range(1, n + 1)),
+        lambda n: line_sum([C(n, k) ** 2 for k in range(1, n + 1)],
+                           _recip, range(1, n + 1), 1),
         {"table1"},
     )
     _add(
         "t1-7.15",
         "Gould (7.15): sum_k C(n,k) C(r,k) (H(k)^2 + H(k,2)) in closed form",
         (IntRange("n", 1, 25), IntRange("r", 1, 25)),
-        lambda n, r: bsum(1, n, lambda k: C(n, k) * C(r, k), _h_sq_plus_h2),
+        lambda n, r: line_sum([C(n, k) * C(r, k) for k in range(1, n + 1)],
+                              _h_sq_plus_h2, range(1, n + 1)),
         lambda n, r: C(r + n, n) * (Hm(n, 2) - Hm(n + r, 2) + Hm(r, 2))
         + (C(r + n, n) * H(n) - h(n, r + 1)) * (H(n) - H(n + r) + H(r)),
         {"table1"},
@@ -1268,8 +1363,8 @@ def _table2_rows():
         "Gould (1.41), order-r form: sum_k (-1)^(k-1) C(n,k) k/(k+r-1)^2 = "
         "h(n,r)/C(r-1+n,n)^2",
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda n, r: bsum(1, n, lambda k: (-1) ** (k - 1) * C(n, k) * k,
-                          lambda k: F(1, (k + r - 1) ** 2)),
+        lambda n, r: line_sum([(-1) ** (k - 1) * C(n, k) * k for k in range(1, n + 1)],
+                              _recip, range(r, n + r), 2),
         lambda n, r: h(n, r) / C(r - 1 + n, n) ** 2,
         {"table2"},
     )
@@ -1278,8 +1373,8 @@ def _table2_rows():
         "Gould (1.42), order-r form: sum_k (-1)^(k-1) C(n,k) "
         "h(k,r)/C(k+r-1,k)^2 = 1/(n+r-1)",
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda n, r: bsum(1, n, lambda k: (-1) ** (k - 1) * C(n, k),
-                          lambda k: _h_over_c2(k, r)),
+        lambda n, r: line_sum([(-1) ** (k - 1) * C(n, k) for k in range(1, n + 1)],
+                              _h_over_c2, range(1, n + 1), r),
         lambda n, r: F(1, n + r - 1),
         {"table2"},
     )
@@ -1290,7 +1385,7 @@ def _table2_rows():
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
         lambda n, r: bsum(1, n, lambda k: (-1) ** (k - 1) * C(n + 1, k + 1),
                           lambda k: _h_over_c2(k, r)),
-        lambda n, r: bsum(1, n, lambda k: k, lambda k: F(1, (k + r - 1) ** 2)),
+        lambda n, r: line_sum(list(range(1, n + 1)), _recip, range(r, n + r), 2),
         {"table2"},
     )
 
@@ -1329,7 +1424,8 @@ def _table2_rows():
         "(the printed superscript r+n+1 coincides only at n = r; the "
         "convolution of the generating functions fixes it to 2r+1)",
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda n, r: bsum(1, n, lambda k: C(r + n - k, n - k), lambda k: h(k, r)),
+        lambda n, r: line_sum([C(r + n - k, n - k) for k in range(1, n + 1)],
+                              h, range(1, n + 1), r),
         lambda n, r: h(n, 2 * r + 1),
         {"table2"},
     )
@@ -1338,9 +1434,9 @@ def _table2_rows():
         "Gould (3.36), order-r form: 2 sum_{k<=2n} (-1)^k C(r-1+2n-k,2n-k) "
         "h(k,r) = h(n,r)",
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
-        lambda n, r: bsum(1, 2 * n,
-                          lambda k: 2 * (-1) ** k * C(r - 1 + 2 * n - k, 2 * n - k),
-                          lambda k: h(k, r)),
+        lambda n, r: line_sum(
+            [2 * (-1) ** k * C(r - 1 + 2 * n - k, 2 * n - k) for k in range(1, 2 * n + 1)],
+            h, range(1, 2 * n + 1), r),
         lambda n, r: h(n, r),
         {"table2"},
     )
@@ -1354,12 +1450,9 @@ def _table2_rows():
         "t2-3.95",
         "Gould (3.95), order-r form with the half-integer order r-1/2",
         (IntRange("n", 1, 15), IntRange("r", 2, 8)),
-        lambda n, r: bsum(
-            1,
-            n,
-            lambda k: (-1) ** k * C(2 * n - 2 * k, n - k) * C(2 * k, k) * k,
-            lambda k: F(1, (r - 1 + k) ** 2),
-        ),
+        lambda n, r: line_sum(
+            [(-1) ** k * C(2 * n - 2 * k, n - k) * C(2 * k, k) * k for k in range(1, n + 1)],
+            _recip, range(r, n + r), 2),
         _t2_395_rhs,
         {"table2"},
         alt_rhs=functools.partial(_t2_395_rhs, hw=hyperharmonic_half_integer_alt),
@@ -1368,8 +1461,9 @@ def _table2_rows():
         "t2-3.100",
         "Gould (3.100), order-r form with the negative order r-n-1",
         (IntRange("n", 1, 20), IntRange("r", 2, 12)),
-        lambda n, r: bsum(1, n, lambda k: (-1) ** k * C(n + k, 2 * k) * C(2 * k, k) * k,
-                          lambda k: F(1, (r - 1 + k) ** 2)),
+        lambda n, r: line_sum(
+            [(-1) ** k * C(n + k, 2 * k) * C(2 * k, k) * k for k in range(1, n + 1)],
+            _recip, range(r, n + r), 2),
         lambda n, r: F((-1) ** n) / C(r - 1 + n, n)
         * (h(n, r - n - 1) - C(r - 2, n) * h(n, r) / C(r - 1 + n, n)),
         {"table2"},
@@ -1390,9 +1484,9 @@ def _table2_rows():
         (IntRange("n", 1, 15), IntRange("r", 1, 8),
          RationalChoice("x", SAMPLE_RATIONALS)),
         lambda n, r, x: bsum(1, n, lambda k: (-1) ** k * C(n, k),
-                             lambda k: _t2_43_term(k, r, x)),
+                             lambda k: _t2_43_term(x, k, r)),
         lambda n, r, x: bsum(1, n, lambda k: C(n, k) * k,
-                             lambda k: _gould43_power(n, k, x) / (r - 1 + k) ** 2),
+                             lambda k: _gould43_power(x, n, k) / (r - 1 + k) ** 2),
         {"table2"},
     )
     _add(
@@ -1400,8 +1494,8 @@ def _table2_rows():
         "Gould (6.19), order-j form: sum_k C(n,k) C(r,k) h(n+r,j-k) = "
         "h(r,j) C(n+j-1,n) + C(r+j-1,r) h(n,j)",
         (IntRange("n", 1, 20), IntRange("r", 1, 20), IntRange("j", 1, 12)),
-        lambda n, r, j: bsum(0, n, lambda k: C(n, k) * C(r, k),
-                             lambda k: h(n + r, j - k)),
+        lambda n, r, j: line_sum([C(n, k) * C(r, k) for k in range(n + 1)],
+                                 h, n + r, range(j, j - n - 1, -1)),
         lambda n, r, j: h(r, j) * C(n + j - 1, n) + C(r + j - 1, r) * h(n, j),
         {"table2"},
     )
@@ -1409,9 +1503,9 @@ def _table2_rows():
         "t2-6.22",
         "Gould (6.22), order-r form",
         (IntRange("n", 1, 15), IntRange("r", 1, 8)),
-        lambda n, r: bsum(1, n,
-                          lambda k: (-1) ** k * C(2 * n, k) * C(2 * n - k, n) ** 2 * k,
-                          lambda k: F(1, (r - 1 + k) ** 2)),
+        lambda n, r: line_sum(
+            [(-1) ** k * C(2 * n, k) * C(2 * n - k, n) ** 2 * k for k in range(1, n + 1)],
+            _recip, range(r, n + r), 2),
         lambda n, r: F(C(2 * n, n), C(r - 1 + n, n))
         * (h(n, n + r) - C(2 * n + r - 1, n) * h(n, r) / C(r - 1 + n, n)),
         {"table2"},
@@ -1421,8 +1515,8 @@ def _table2_rows():
         "Gould (7.2), order-r form: sum_k C(n,k) C(m,k) h(k,r)/C(r-1+k,k)^2 "
         "in closed form",
         (IntRange("n", 1, 20), IntRange("m", 1, 20), IntRange("r", 1, 8)),
-        lambda n, m, r: bsum(1, n, lambda k: C(n, k) * C(m, k),
-                             lambda k: _h_over_c2(k, r)),
+        lambda n, m, r: line_sum([C(n, k) * C(m, k) for k in range(1, n + 1)],
+                                 _h_over_c2, range(1, n + 1), r),
         lambda n, m, r: (
             C(r - 1 + m + n, n) * h(n, r) / C(r - 1 + n, n) - h(n, m + r)
         )
@@ -1453,8 +1547,8 @@ def _table2_rows():
         (IntRange("n", 1, 20), IntRange("j", 1, 12)),
         lambda n, j: bsum(1, n, lambda k: C(n, k) * C(-n - 1, n - k),
                           lambda k: _h_over_c2(k, j)),
-        lambda n, j: bsum(1, n, lambda k: (-1) ** (n + 1) * C(n, k) ** 2 * k,
-                          lambda k: F(1, (k + j - 1) ** 2)),
+        lambda n, j: line_sum([(-1) ** (n + 1) * C(n, k) ** 2 * k for k in range(1, n + 1)],
+                              _recip, range(j, n + j), 2),
         {"table2"},
     )
 

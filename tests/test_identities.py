@@ -1,10 +1,13 @@
 import itertools
 import json
 import math
+import traceback
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperseq.identities as ident
 from hyperseq.analytic import CertifiedReal
@@ -593,15 +596,14 @@ class TestRowMemos:
             ident._h_over_c2(n, 2)
             ident.Cg(F(1, 2), n)
             ident._poly_point(2, n)
-            ident._inv_falling(n + 2, 2)
             ident._gf_hyper_coeff(1, n)
             get_identity("t2-3.108").lhs(n=1, m=2, r=1)
-            ident._gould43_power(n + 1, n, F(1, 2))
-            ident._t2_43_term(n, 2, F(1, 2))
-            ident._h_sq_plus_h2(n)
+            ident._gould43_power(F(1, 2), n + 1, n)
+            ident._t2_43_term(F(1, 2), n, 2)
             ident._gould_coeff(-2 * n, n)
             ident._dx_reciprocal_rising(n + 1, n)
-            ident._t2_129_k(n, 2, F(1, 2))
+            ident._t2_129_k(F(1, 2), n, 2)
+            ident.line_sum([1, -1], ident.h, range(n, n + 2), 2)
             assert 0 not in self._sizes()
             return F(1, 0)
 
@@ -616,19 +618,154 @@ class TestRowMemos:
         monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
         with pytest.raises(ZeroDivisionError):
             verify("probe-raise")
-        assert len(ident._ROW_MEMOS) == 12  # the lhs above fills each one
-        assert self._sizes() == [0] * 12
+        assert len(ident._ROW_MEMOS) == 11  # the lhs above fills each one
+        assert self._sizes() == [0] * 11
+        assert ident._line in ident._ROW_MEMOS  # so the lines went too
 
     @pytest.mark.parametrize(
         "key",
         [
             "t2-3.108", "prop-teo4", "t2-7.2", "prop-one1-n", "t2-12.9a",
             "t2-4.3", "t1-7.15", "t2-7.29", "t2-7.30", "t2-12.9b", "t1-12.9a",
+            "prop-one1-r", "t2-1.42", "rem-bgg", "t1-3.2", "eq-13",
         ],
     )
     def test_row_alone_matches_the_row_in_a_full_run(self, full_audit, key):
         # every field but elapsed
         assert verify(key).to_json_obj() == full_audit.rows[key]
+
+
+class TestLineSum:
+    """``line_sum`` is the per-term dot product, read off one row's line."""
+
+    # (fn, the fixed arguments, where the range goes, its lowest point):
+    # h along n at an order of either sign, h along the order at one n
+    # (its orders below 1 at n = 0 raise), H along n (0 below n = 1), and
+    # h(k, r)/C(r-1+k, k)^2 along k >= 0 at r >= 1
+    @staticmethod
+    def _lines():
+        return st.one_of(
+            st.integers(-4, 6).map(lambda w: (ident.h, (w,), 0, -2)),
+            st.integers(0, 8).map(lambda n: (ident.h, (n,), 1, -6)),
+            st.just((ident.H, (), 0, -3)),
+            st.integers(1, 6).map(lambda r: (ident._h_over_c2, (r,), 0, 0)),
+        )
+
+    @staticmethod
+    def _per_term(coeffs, fn, fixed, axis, points):
+        def value(p):
+            args = list(fixed)
+            args.insert(axis, p)
+            return fn(*args)
+
+        return ident.dot(coeffs, [value(p) for p in points])
+
+    @staticmethod
+    def _outcome(thunk):
+        try:
+            return thunk()
+        except DomainError as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_the_per_term_sum(self, data):
+        fn, fixed, axis, lowest = data.draw(self._lines())
+        with ident.row_scope():
+            # several sums on one line, so it grows up, down and not at all
+            for _ in range(data.draw(st.integers(1, 4))):
+                lo = data.draw(st.integers(lowest, 14))
+                hi = data.draw(st.integers(lo, lo + 10))
+                points = range(lo, hi + 1)
+                if data.draw(st.booleans()):
+                    points = points[::-1]
+                coeffs = data.draw(st.lists(st.integers(-50, 50), min_size=len(points),
+                                            max_size=len(points)))
+                args = list(fixed)
+                args.insert(axis, points)
+                got = self._outcome(lambda: ident.line_sum(coeffs, fn, *args))
+                want = self._outcome(
+                    lambda: self._per_term(coeffs, fn, fixed, axis, points))
+                assert got == want
+                assert type(got) is type(want)
+        assert ident._line.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("fixed, axis, points, message", [
+        ((0,), 0, range(3, -1, -1), "h(0, 0) is undefined"),
+        ((0,), 0, range(-1, 3), "hyperharmonic needs n >= 0 and r >= 0, got (-1, 0)"),
+        ((0,), 1, range(2, -3, -1), "h(0, 0) is undefined"),
+        ((0,), 1, range(-3, 3), "hyperharmonic_neg needs n >= 1 and r >= 1, got (0, 3)"),
+    ], ids=["n-down-to-h00", "n-from-minus-1", "w-down-to-h00", "w-from-minus-3"])
+    def test_a_domain_error_is_the_first_per_term_one(self, fixed, axis, points, message):
+        def args(pts):
+            out = list(fixed)
+            out.insert(axis, pts)
+            return out
+
+        coeffs = list(range(1, len(points) + 1))
+        with ident.row_scope():
+            ident.line_sum([1], ident.h, *args(range(1, 2)))  # the line is warm
+            with pytest.raises(DomainError) as per_term:
+                self._per_term(coeffs, ident.h, fixed, axis, points)
+            raised = []
+            for _ in range(2):
+                with pytest.raises(DomainError) as line:
+                    ident.line_sum(coeffs, ident.h, *args(points))
+                raised.append(line.value)
+        assert str(per_term.value) == message
+        for exc in raised:
+            assert type(exc) is type(per_term.value) and str(exc) == message
+        # each is a fresh exception, so the second's traceback is no longer
+        assert raised[0] is not raised[1]
+        depth = [len(traceback.extract_tb(exc.__traceback__)) for exc in raised]
+        assert depth[0] == depth[1]
+
+    def test_a_float_argument_is_refused_warm_or_cold(self):
+        with ident.row_scope():
+            for _ in range(2):  # cold, then after the Fraction line is warm
+                with pytest.raises(TypeError, match="^h needs ints or Fractions, got float"):
+                    ident.line_sum([1, 1], ident.h, range(1, 3), 0.5)
+                ident.line_sum([1, 1], ident.h, range(1, 3), F(1, 2))
+
+    @pytest.mark.parametrize("args", [([1], ident.h, 1, 2), ([1, 1], ident.h, range(2), range(2))],
+                             ids=["no-range", "two-ranges"])
+    def test_exactly_one_argument_is_a_range(self, args):
+        with pytest.raises(TypeError, match="exactly one range"):
+            ident.line_sum(*args)
+
+    def test_a_fraction_coefficient_is_exact_and_a_float_one_refused(self):
+        with ident.row_scope():
+            assert ident.line_sum([F(1, 2), 3], ident.H, range(1, 3)) == F(1, 2) + 3 * F(3, 2)
+            with pytest.raises(TypeError):
+                ident.line_sum([0.5, 3], ident.H, range(1, 3))
+
+    def test_one_coefficient_per_point(self):
+        with pytest.raises(ValueError, match="one coefficient per point"):
+            ident.line_sum([1, 2], ident.h, range(3), 1)
+
+
+class TestRatioMemos:
+    """The row memos of a rational argument are keyed on its integer ratio."""
+
+    @pytest.mark.parametrize("memo, args, name", [
+        (ident.Cg, (3,), "binomial_general"),
+        (ident._gould43_power, (3, 2), "_gould43_power"),
+        (ident._t2_43_term, (2, 3), "_t2_43_term"),
+        (ident._t2_129_k, (2, 3), "_t2_129_k"),
+    ], ids=["Cg", "gould43_power", "t2_43_term", "t2_129_k"])
+    def test_a_float_is_refused_warm_or_cold(self, memo, args, name):
+        with ident.row_scope():
+            for _ in range(2):  # cold, then after F(1, 2) filled the entry
+                with pytest.raises(TypeError, match=f"^{name} needs ints or Fractions"):
+                    memo(0.5, *args)
+                memo(F(1, 2), *args)
+
+    def test_equal_rationals_share_one_entry(self):
+        with ident.row_scope():
+            assert ident.Cg(F(5, 2), 3) == ident.Cg(F(10, 4), 3) == F(5, 16)
+            assert ident.Cg(2, 3) == ident.Cg(F(2), 3) == 0
+            assert [m.cache_info().currsize for m in ident._ROW_MEMOS
+                    if m.cache_info().currsize] == [2]
 
 
 class TestHMemo:
