@@ -19,7 +19,7 @@ once each.
 
 The module does not import pytest, so the check also runs without it;
 it prints each changed row digest and any change to the audit JSON, and
-exits 1 on a change::
+exits 1 on a change or when the audit does not exit 3::
 
     PYTHONPATH=src python tests/test_golden.py --check
 
@@ -88,13 +88,15 @@ def hashing_cases():
 class FullAudit:
     """One ``hyperseq audit --format json`` over the default domains.
 
-    ``stdout`` is the report as printed, ``rows`` maps each identity id
-    to its parsed row, ``digests`` and ``cases`` map each exact row (and
-    ``<key>@alt``) to the sha256 of its cases and their number, and
-    ``memo_sizes`` holds the size of every row memo right after the run.
+    ``exit_code`` is what the command returned, ``stdout`` the report as
+    printed, ``rows`` maps each identity id to its parsed row,
+    ``digests`` and ``cases`` map each exact row (and ``<key>@alt``) to
+    the sha256 of its cases and their number, and ``memo_sizes`` holds
+    the size of every row memo right after the run.
     """
 
-    def __init__(self, stdout, hashes, memo_sizes):
+    def __init__(self, exit_code, stdout, hashes, memo_sizes):
+        self.exit_code = exit_code
         self.stdout = stdout
         self.rows = {row["identity_id"]: row for row in json.loads(stdout)}
         self.digests = {k: sha.hexdigest() for k, (sha, _) in hashes.items()}
@@ -107,9 +109,9 @@ def run_audit() -> FullAudit:
     buf = io.StringIO()
     with hashing_cases() as hashes, contextlib.redirect_stdout(buf):
         with contextlib.redirect_stderr(io.StringIO()):
-            cli_main(["audit", "--format", "json"])
+            code = cli_main(["audit", "--format", "json"])
     sizes = [memo.cache_info().currsize for memo in identities._ROW_MEMOS]
-    return FullAudit(buf.getvalue(), hashes, sizes)
+    return FullAudit(code, buf.getvalue(), hashes, sizes)
 
 
 def changed_digests(got: dict) -> list:
@@ -122,6 +124,8 @@ def changed_digests(got: dict) -> list:
 
 def test_full_audit_json_is_byte_identical(full_audit):
     assert full_audit.stdout == AUDIT_JSON.read_text()
+    # exit 3: the shipped registry keeps its misprinted rows as FAIL
+    assert full_audit.exit_code == 3
 
 
 def test_exact_row_digests(full_audit):
@@ -171,9 +175,10 @@ if __name__ == "__main__":
         sys.stderr.writelines(audit_diff)
         print(
             f"{len(changed)} row digests changed; the audit JSON "
-            + ("changed" if audit_diff else "is unchanged"),
+            + ("changed" if audit_diff else "is unchanged")
+            + ("" if audit.exit_code == 3 else f"; the audit exited {audit.exit_code}, not 3"),
             file=sys.stderr,
         )
-        sys.exit(1 if changed or audit_diff else 0)
+        sys.exit(1 if changed or audit_diff or audit.exit_code != 3 else 0)
     else:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write|--check")

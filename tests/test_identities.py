@@ -325,16 +325,20 @@ class TestVerify:
 
     @pytest.mark.parametrize("tag, lhs, rhs, message", [
         ("probe", lambda: 0.5, F(1, 2), "an exact side is float, not int or Fraction"),
+        ("probe", lambda: 1.0, F(1), "an exact side is float, not int or Fraction"),
         ("probe", lambda: True, F(1), "an exact side is bool, not int or Fraction"),
         ("probe", lambda: Decimal("0.5"), F(1, 2), "an exact side is Decimal, not int"),
+        ("probe", lambda: Decimal("1"), F(1), "an exact side is Decimal, not int"),
         ("probe", lambda: _Float(0.5), F(1, 2), "an exact side is _Float, not int"),
+        ("probe", lambda: _Float(1.0), F(1), "an exact side is _Float, not int"),
         ("probe", lambda: F(1, 2), 0.5, "an exact side is float, not int"),
         ("float", lambda: 0.5, CertifiedReal(0.5, 0.0), "a float side is float, not Cert"),
         ("float", lambda: _Float(0.5), CertifiedReal(0.5, 0.0), "a float side is _Float,"),
         ("float", lambda: 1, CertifiedReal(1.0, 0.0), "a float side is int, not Cert"),
         ("float", lambda: math.inf, CertifiedReal(0.0, 0.0), "a float side is float,"),
         ("float", lambda: CertifiedReal(0.5, 0.0), F(1, 2), "a float side is Fraction,"),
-    ], ids=["float", "bool", "decimal", "float-subclass", "float-rhs", "float-row-float",
+    ], ids=["float", "float-one", "bool", "decimal", "decimal-one", "float-subclass",
+            "float-subclass-one", "float-rhs", "float-row-float",
             "float-row-float-subclass", "float-row-int", "float-row-inf",
             "float-row-fraction-rhs"])
     def test_a_side_of_the_wrong_type_raises(self, monkeypatch, tag, lhs, rhs, message):

@@ -500,7 +500,7 @@ _INT_CALLS = [
 # Values an integer index must refuse: floats equal to the ints the
 # domain checks accept or refuse, a Fraction equal to an int, and more.
 _NOT_INTS = [
-    0.0, 1.0, 2.0, 3.0, -1.5, F(3), "3", None,
+    0.0, 1.0, 2.0, 3.0, 4.0, -1.5, F(3), "3", None,
     pytest.param(_Float(3.0), id="float-subclass"),
     pytest.param(Decimal(3), id="decimal"),
 ]
