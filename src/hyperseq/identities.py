@@ -31,17 +31,25 @@ divides through ``quot`` wherever its divisor can vanish, so a pole is a
 reason.  A ``valid`` filter drops cases uncounted, so a row has one only
 where it excludes a case of the row's default grid.  ``Cg``,
 like the other values that repeat across one row's cases, is memoized
-for that row only.  So are the term pieces a row would rebuild
-case after case, each keyed on exactly the parameters it depends on,
-such as the n-free term k of an order-r sum (``_t2_43_term``,
-``_t2_129_k``); a memo of a rational argument keys it on its integer
-ratio, not on its ``Fraction`` hash.  A sum whose terms are one function
-along one argument, such as h(n+i, r) for i = 0..k, is a ``line_sum``:
-it reads the row's line of that function, the values read so far as
-integers over one common denominator, so the sum is one integer dot
-product.  A line is the row's integer image of values read through the
-function itself, grown on demand and cleared with the row; nothing in it
-assumes an identity, and every case still sums its own terms.
+for that row only.  So is every piece a row would rebuild case after
+case across an axis it does not read, keyed on exactly the parameters it
+depends on: the n-free term k of an order-r sum (``_t2_43_term``,
+``_t2_129_k``), the pieces that read k and r only through k + r
+(``_t2_129_n``), a row of coefficients free of one parameter, always a
+tuple so no case can change it (``_c_pair_row``, ``_c_up_row``,
+``_c_row``, ``_gould43_row``), a generating series built once per r
+(``_gf_series``) and the balls of a float row (``_hyp_twice``).  A memo
+of a rational argument keys it on its integer ratio, not on its
+``Fraction`` hash.  A piece keeps each case's first exception: a
+division it hoists goes through ``quot``, after the row's own pole
+checks, so a pole is still the same ``DomainError``.  A sum whose terms
+are one function along one argument, such as h(n+i, r) for i = 0..k,
+is a ``line_sum``: it reads the row's line of that function, the values
+read so far as integers over one common denominator, so the sum is one
+integer dot product.  A line is the row's integer image of values read
+through the function itself, grown on demand and cleared with the row;
+nothing in it assumes an identity, and every case still sums its own
+terms.
 ``verify`` runs each row in ``row_scope()``, which empties the row
 memos and the lines when the row ends, even when it raises.  ``h`` alone
 is memoized for the process, since the rows repeat each other's h
@@ -553,7 +561,7 @@ def h(n: int, w) -> Fraction:
     index that is not an int, one naming the kernel it reaches.
 
     The one cache of h values, kept for the process since rows repeat
-    each other's (one full audit: 2,936 misses, 74,487 hits; a
+    each other's (one full audit: 2,936 misses, 67,547 hits; a
     ``line_sum`` reads each point once per row).  It is typed, so 0.5
     never reads the entry that ``F(1, 2)`` filled.
     """
@@ -604,10 +612,12 @@ def line_sum(coeffs, fn, *args) -> Fraction:
     one integer dot product and one ``Fraction``.  Every case still sums
     its own terms.
     """
-    axes = [i for i, a in enumerate(args) if type(a) is range]
-    if len(axes) != 1:
+    axis = -1
+    for i, a in enumerate(args):  # one pass, no list: 44,721 calls an audit
+        if type(a) is range:
+            axis = i if axis == -1 else -2  # -2: a second range
+    if axis < 0:
         raise TypeError("line_sum needs exactly one range argument")
-    axis = axes[0]
     points = args[axis]
     if len(coeffs) != len(points):
         raise ValueError("line_sum needs one coefficient per point")
@@ -655,13 +665,41 @@ def _part(parts, part):
 
 
 @_row_memo
-def _gf_hyper_series(r: int, order: int):
-    return gf_hyperharmonic(r, order)
+def _gf_series(gf, r: int, order: int):
+    return gf(r, order)
 
 
-def _gf_hyper_coeff(r: int, n: int) -> Fraction:
-    order = 64 * max(1, (n + 63) // 64)  # n rounded up to a multiple of 64
-    return _gf_hyper_series(r, order).coeff(n)
+def _gf_coeff(gf, r: int, n: int, block: int = 64) -> Fraction:
+    order = block * max(1, (n + block - 1) // block)  # n rounded up to a block
+    return _gf_series(gf, r, order).coeff(n)
+
+
+@_row_memo
+def _c_pair_row(n: int, m: int, lo: int) -> tuple:
+    """C(n, k) C(m, k), k = lo..n: Gould (6.19)'s weights free of j, (7.2)'s of r."""
+    return tuple(C(n, k) * C(m, k) for k in range(lo, n + 1))
+
+
+@_row_memo
+def _c_up_row(s: int, n: int) -> tuple:
+    """C(k+s, k), k = 0..n: ``prop-falling``'s and (3.108)'s weights, free of m."""
+    return tuple(C(k + s, k) for k in range(n + 1))
+
+
+@_row_memo
+def _c_row(n: int, sign: int) -> tuple:
+    """sign^k C(n, k) for k = 1..n: Gould (4.3)'s weights, free of x."""
+    return tuple(sign**k * C(n, k) for k in range(1, n + 1))
+
+
+@_row_memo
+def _h_and_c(n: int, r: int) -> tuple:
+    """h(n, r) and C(r-1+n, n), the Gould (7.2) rhs pieces free of m."""
+    return h(n, r), C(r - 1 + n, n)
+
+
+#: falling(r, m), the ``prop-falling`` rhs divisor free of n.
+_falling = _row_memo(falling)
 
 
 @_row_memo
@@ -674,8 +712,7 @@ def _h_over_c2(k: int, r: int) -> Fraction:
 def _t2_3108_side(n: int, m: int, r: int) -> Fraction:
     """One side of Gould (3.108) at order r; ``t1-3.108`` pins it to r = 1."""
     return (line_sum([C(k + r + m, m) for k in range(n + 1)], h, range(n + 1), r)
-            + line_sum([C(k + r - 1, k) for k in range(n + 1)],
-                       h, m, range(r + 1, n + r + 2)))
+            + line_sum(_c_up_row(r - 1, n), h, m, range(r + 1, n + r + 2)))
 
 
 def _recip(j: int, m: int) -> Fraction:
@@ -703,6 +740,12 @@ def _t2_43_term(x, k: int, r: int) -> Fraction:
     u = x + r - 1
     c = C(r - 1 + k, k)
     return u ** (k - 1) / c * (k - u * h(k, r) / c)
+
+
+@_row_memo
+def _gould43_row(n: int, r: int) -> tuple:
+    """C(n, k) k/(r-1+k)^2 for k = 1..n, the Gould (4.3) rhs weights; free of x."""
+    return tuple(F(C(n, k) * k, (r - 1 + k) ** 2) for k in range(1, n + 1))
 
 
 def _h_sq_plus_h2(k: int) -> Fraction:
@@ -734,14 +777,21 @@ def _t2_129_k(x, k: int, r: int) -> tuple:
     return Cg(x + k, k) / c, ratio, ratio * h(k, r) / c, F(k) / (x + r + k) ** 2
 
 
+@_ratio_memo
+def _t2_129_n(x, n: int, s: int) -> tuple:
+    """C(x+s+n, n) and h(n, x+s+1)/C(x+s+n, n), Gould (12.9)'s pieces at s = k+r."""
+    big = Cg(x + (s + n), n)
+    return big, quot(h(n, x + (s + 1)), big)
+
+
 def _t2_129a_lhs(n: int, r: int, x) -> Fraction:
     """The lhs of Gould (12.9), first form, at order r; ``t1-12.9a`` pins r = 1."""
     prefs, inners = [], []
     for k in range(n + 1):
-        big = Cg(x + (r + k + n), n)  # one Fraction addition, not three
-        weight, ratio, head, tail = _t2_129_k(x, k, r)
+        weight, ratio, head, tail = _t2_129_k(x, k, r)  # its poles come first
+        big, hn = _t2_129_n(x, n, k + r)
         prefs.append(quot(C(n, k), weight * big))
-        inners.append(head - ratio * h(n, x + (k + r + 1)) / big - tail)
+        inners.append(head - ratio * hn - tail)
     return dot(prefs, inners)
 
 
@@ -753,10 +803,10 @@ def _t2_129b_lhs(n: int, r: int, y, sign: int = 1) -> Fraction:
     """
     prefs, inners = [], []
     for k in range(n + 1):
-        big = Cg(y + (r + k + n), n)
         weight, ratio, head, tail = _t2_129_k(y, k, r)
+        big, hn = _t2_129_n(y, n, k + r)
         prefs.append(quot(C(n, k) * weight, big))
-        inner = head + ratio * h(n, y + (k + r + 1)) / big
+        inner = head + ratio * hn
         inners.append(inner + tail if sign > 0 else inner - tail)
     return dot(prefs, inners)
 
@@ -772,6 +822,18 @@ def _poly_point(deg: int, t) -> Fraction:
     for j in range(deg, -1, -1):
         acc = acc * t + F((-1) ** j * (j + 1), j + 2)
     return acc
+
+
+def _cg_diag(x, c: int, j: int) -> Fraction:
+    """C(x+j+c, j), the ``eq-13`` term, as a function along j."""
+    return Cg(x + (j + c), j)
+
+
+@_ratio_memo
+def _hyp_twice(x, i: int, kind: str) -> CertifiedReal:
+    """2 sinh(x+i) = e^(x+i) - e^(-x-i), or 2 cosh(x+i) with +; free of k."""
+    op = CertifiedReal.__sub__ if kind == "sinh" else CertifiedReal.__add__
+    return op(exp_ball(x + i), exp_ball(-x - i))
 
 
 def _alternating_certified_sum(k: int, values) -> CertifiedReal:
@@ -900,8 +962,9 @@ def _core_recurrences():
     ab_parts = (
         (alpha, lambda n, r: F(r, n) * alpha(r, n)),
         (beta, lambda n, r: beta(r, n)),
-        (lambda n, r: gf_beta(r, n).coeff(n), beta),
-        (lambda n, r: gf_alpha(r, n).coeff(n), alpha),
+        # blocks of 32: n <= 20 takes one series per r, a --max 6 audit a short one
+        (lambda n, r: _gf_coeff(gf_beta, r, n, 32), beta),
+        (lambda n, r: _gf_coeff(gf_alpha, r, n, 32), alpha),
     )
 
     _add(
@@ -925,9 +988,8 @@ def _core_recurrences():
         "prop-falling",
         "sum_{k=0..n} C(k+r,r)/(k+r)^falling(m) = C(n+r-m+1,n)/r^falling(m)",
         (IntRange("m", 1, 12), IntRange("r", 1, 12), IntRange("n", 0, 25)),
-        lambda m, r, n: line_sum([C(k + r, r) for k in range(n + 1)],
-                                 _inv_falling, range(r, n + r + 1), m),
-        lambda m, r, n: C(n + r - m + 1, n) / falling(F(r), m),
+        lambda m, r, n: line_sum(_c_up_row(r, n), _inv_falling, range(r, n + r + 1), m),
+        lambda m, r, n: C(n + r - m + 1, n) / _falling(r, m),
         {"core"},
         valid=lambda m, r, n: m <= r,
     )
@@ -991,7 +1053,7 @@ def _core_derivatives():
         "sum_{j=0..n} C(x+j+r-1,j) = (1 + n/(x+r)) C(x+n+r-1,n)",
         (IntRange("n", 0, 20), IntRange("r", 1, 8),
          RationalChoice("x", SAMPLE_RATIONALS)),
-        lambda n, r, x: total(Cg(x + (j + r - 1), j) for j in range(n + 1)),
+        lambda n, r, x: line_sum([1] * (n + 1), _cg_diag, x, r - 1, range(n + 1)),
         lambda n, r, x: (1 + quot(n, x + r)) * Cg(x + n + r - 1, n),
         {"core"},
     )
@@ -999,7 +1061,7 @@ def _core_derivatives():
         "gf-hyperharmonic",
         "[z^n] -ln(1-z)/(1-z)^r = h(n,r)",
         (IntRange("r", 1, 8), IntRange("n", 0, 64)),
-        lambda r, n: _gf_hyper_coeff(r, n),
+        lambda r, n: _gf_coeff(gf_hyperharmonic, r, n),
         lambda r, n: h(n, r),
         {"core"},
     )
@@ -1199,9 +1261,7 @@ def _core_fibonacci():
 
 def _float_rows():
     def _hyp_direct(kind, k, x):
-        # 2 sinh t = e^t - e^-t and 2 cosh t = e^t + e^-t
-        op = CertifiedReal.__sub__ if kind == "sinh" else CertifiedReal.__add__
-        twice = [op(exp_ball(x + i), exp_ball(-x - i)) for i in range(k + 1)]
+        twice = [_hyp_twice(x, i, kind) for i in range(k + 1)]
         return _alternating_certified_sum(k, twice).scaled(F(1, 2))
 
     for kind in ("sinh", "cosh"):
@@ -1285,10 +1345,9 @@ def _table1_rows():
         "Gould (4.3): alternating binomial x^k H(k) sum vs the "
         "(x-k)^k (1-x+k)^(n-k) form",
         (IntRange("n", 1, 20), RationalChoice("x", SAMPLE_RATIONALS)),
-        lambda n, x: bsum(1, n, lambda k: (-1) ** (k - 1) * C(n, k),
-                          lambda k: x**k * H(k)),
+        lambda n, x: -dot(_c_row(n, -1), [x**k * H(k) for k in range(1, n + 1)]),
         lambda n, x: dot(
-            [n] + [C(n, k) for k in range(1, n + 1)],
+            (n, *_c_row(n, 1)),
             [(1 - x) ** (n - 1)]
             + [(x - k) ** k * (1 - x + k) ** (n - k) / k for k in range(1, n + 1)],
         ),
@@ -1483,10 +1542,9 @@ def _table2_rows():
         "Gould (4.3), order-r form of the (x-k)^k (1-x+k)^(n-k) identity",
         (IntRange("n", 1, 15), IntRange("r", 1, 8),
          RationalChoice("x", SAMPLE_RATIONALS)),
-        lambda n, r, x: bsum(1, n, lambda k: (-1) ** k * C(n, k),
-                             lambda k: _t2_43_term(x, k, r)),
-        lambda n, r, x: bsum(1, n, lambda k: F(C(n, k) * k, (r - 1 + k) ** 2),
-                             lambda k: _gould43_power(x, n, k)),
+        lambda n, r, x: dot(_c_row(n, -1), [_t2_43_term(x, k, r) for k in range(1, n + 1)]),
+        lambda n, r, x: dot(_gould43_row(n, r),
+                            [_gould43_power(x, n, k) for k in range(1, n + 1)]),
         {"table2"},
     )
     _add(
@@ -1494,8 +1552,7 @@ def _table2_rows():
         "Gould (6.19), order-j form: sum_k C(n,k) C(r,k) h(n+r,j-k) = "
         "h(r,j) C(n+j-1,n) + C(r+j-1,r) h(n,j)",
         (IntRange("n", 1, 20), IntRange("r", 1, 20), IntRange("j", 1, 12)),
-        lambda n, r, j: line_sum([C(n, k) * C(r, k) for k in range(n + 1)],
-                                 h, n + r, range(j, j - n - 1, -1)),
+        lambda n, r, j: line_sum(_c_pair_row(n, r, 0), h, n + r, range(j, j - n - 1, -1)),
         lambda n, r, j: h(r, j) * C(n + j - 1, n) + C(r + j - 1, r) * h(n, j),
         {"table2"},
     )
@@ -1510,17 +1567,18 @@ def _table2_rows():
         * (h(n, n + r) - C(2 * n + r - 1, n) * h(n, r) / C(r - 1 + n, n)),
         {"table2"},
     )
+
+    def _t2_72_rhs(n, m, r):
+        hn, c = _h_and_c(n, r)
+        return (C(r - 1 + m + n, n) * hn / c - h(n, m + r)) / c
+
     _add(
         "t2-7.2",
         "Gould (7.2), order-r form: sum_k C(n,k) C(m,k) h(k,r)/C(r-1+k,k)^2 "
         "in closed form",
         (IntRange("n", 1, 20), IntRange("m", 1, 20), IntRange("r", 1, 8)),
-        lambda n, m, r: line_sum([C(n, k) * C(m, k) for k in range(1, n + 1)],
-                                 _h_over_c2, range(1, n + 1), r),
-        lambda n, m, r: (
-            C(r - 1 + m + n, n) * h(n, r) / C(r - 1 + n, n) - h(n, m + r)
-        )
-        / C(r - 1 + n, n),
+        lambda n, m, r: line_sum(_c_pair_row(n, m, 1), _h_over_c2, range(1, n + 1), r),
+        _t2_72_rhs,
         {"table2"},
     )
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import hyperseq.identities as ident
 from hyperseq.analytic import CertifiedReal
 from hyperseq.errors import DomainError
-from hyperseq.opcalc import gf_hyperharmonic
+from hyperseq.opcalc import gf_alpha, gf_beta, gf_hyperharmonic
 from hyperseq.identities import (
     Identity,
     IntRange,
@@ -600,7 +600,7 @@ class TestRowMemos:
             ident._h_over_c2(n, 2)
             ident.Cg(F(1, 2), n)
             ident._poly_point(2, n)
-            ident._gf_hyper_coeff(1, n)
+            ident._gf_coeff(gf_hyperharmonic, 1, n)
             get_identity("t2-3.108").lhs(n=1, m=2, r=1)
             ident._gould43_power(F(1, 2), n + 1, n)
             ident._t2_43_term(F(1, 2), n, 2)
@@ -608,6 +608,14 @@ class TestRowMemos:
             ident._dx_reciprocal_rising(n + 1, n)
             ident._t2_129_k(F(1, 2), n, 2)
             ident.line_sum([1, -1], ident.h, range(n, n + 2), 2)
+            ident._c_pair_row(n, 2, 0)
+            ident._c_up_row(1, n)
+            ident._c_row(n, -1)
+            ident._gould43_row(n, 2)
+            ident._h_and_c(n, 2)
+            ident._falling(n + 2, 2)
+            ident._t2_129_n(F(1, 2), n, 2)
+            ident._hyp_twice(F(1, 2), n, "sinh")
             assert 0 not in self._sizes()
             return F(1, 0)
 
@@ -622,8 +630,8 @@ class TestRowMemos:
         monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
         with pytest.raises(ZeroDivisionError):
             verify("probe-raise")
-        assert len(ident._ROW_MEMOS) == 11  # the lhs above fills each one
-        assert self._sizes() == [0] * 11
+        assert len(ident._ROW_MEMOS) == 19  # the lhs above fills each one
+        assert self._sizes() == [0] * 19
         assert ident._line in ident._ROW_MEMOS  # so the lines went too
 
     @pytest.mark.parametrize(
@@ -632,11 +640,93 @@ class TestRowMemos:
             "t2-3.108", "prop-teo4", "t2-7.2", "prop-one1-n", "t2-12.9a",
             "t2-4.3", "t1-7.15", "t2-7.29", "t2-7.30", "t2-12.9b", "t1-12.9a",
             "prop-one1-r", "t2-1.42", "rem-bgg", "t1-3.2", "eq-13",
+            # the rows that read a coefficient row, piece or ball memo
+            "t2-6.19", "t1-6.19", "t1-7.2", "t1-3.108", "prop-falling",
+            "t1-4.3", "t1-12.9b", "rem-alpha-beta", "gf-hyperharmonic",
+            "gf-harmonic", "prop-one11-sinh", "prop-one11-cosh", "rem-one11-x0",
         ],
     )
     def test_row_alone_matches_the_row_in_a_full_run(self, full_audit, key):
         # every field but elapsed
         assert verify(key).to_json_obj() == full_audit.rows[key]
+
+
+class TestRowPieces:
+    """Each coefficient row and piece memo is the per-case expression it
+    replaced, and a row of them is a tuple, so no case can change it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-3, 20), st.integers(-3, 20), st.integers(-3, 12),
+           st.sampled_from(ident.SAMPLE_RATIONALS + (F(-1), F(-2), F(-3))))
+    def test_each_piece_is_the_expression_it_replaced(self, n, m, r, x):
+        C, h = ident.C, ident.h
+        ks = range(1, n + 1)
+        with ident.row_scope():
+            assert ident._c_pair_row(n, m, 0) == tuple(C(n, k) * C(m, k) for k in range(n + 1))
+            assert ident._c_pair_row(n, m, 1) == tuple(C(n, k) * C(m, k) for k in ks)
+            # (3.108)'s second sum at s = r - 1, and prop-falling's at s = r
+            # (its m <= r reads the row only at r >= 0)
+            assert ident._c_up_row(r - 1, n) == tuple(C(k + r - 1, k) for k in range(n + 1))
+            if r >= 0:
+                assert ident._c_up_row(r, n) == tuple(C(k + r, r) for k in range(n + 1))
+            assert ident._c_row(n, -1) == tuple((-1) ** k * C(n, k) for k in ks)
+            assert ident._c_row(n, 1) == tuple(C(n, k) for k in ks)
+            if r >= 1:
+                assert ident._gould43_row(n, r) == tuple(
+                    F(C(n, k) * k, (r - 1 + k) ** 2) for k in ks)
+            if n >= 1 and r >= 1:
+                assert ident._h_and_c(n, r) == (h(n, r), C(r - 1 + n, n))
+            if m >= 0:
+                assert ident._falling(r, m) == ident.falling(F(r), m)
+            if n >= 1 and r >= 1:
+                s = r + m % 3  # k + r for k = m % 3
+                big = ident.Cg(x + s + n, n)
+                if big:
+                    assert ident._t2_129_n(x, n, s) == (big, h(n, x + s + 1) / big)
+                else:
+                    with pytest.raises(DomainError, match="^pole: division by zero$"):
+                        ident._t2_129_n(x, n, s)
+            if n >= 0:
+                assert ident._cg_diag(x, r - 1, n) == ident.Cg(x + (n + r - 1), n)
+                for kind, op in (("sinh", CertifiedReal.__sub__),
+                                 ("cosh", CertifiedReal.__add__)):
+                    assert ident._hyp_twice(x, n, kind) == op(
+                        ident.exp_ball(x + n), ident.exp_ball(-x - n))
+
+    @pytest.mark.parametrize("gf", [gf_alpha, gf_beta, gf_hyperharmonic],
+                             ids=["alpha", "beta", "hyperharmonic"])
+    def test_a_series_coefficient_is_the_fresh_series_one(self, gf):
+        with ident.row_scope():
+            for r in range(1, 5):
+                for n in (0, 1, 20, 31, 32, 33, 63, 64, 65, 130):
+                    want = gf(r, n).coeff(n)
+                    assert ident._gf_coeff(gf, r, n) == ident._gf_coeff(gf, r, n, 32) == want
+
+    def test_every_memoized_row_is_a_tuple(self):
+        with ident.row_scope():
+            for row in (ident._c_pair_row(5, 3, 0), ident._c_pair_row(5, 3, 1),
+                        ident._c_up_row(2, 5), ident._c_row(5, -1), ident._c_row(5, 1),
+                        ident._gould43_row(5, 2), ident._h_and_c(5, 2),
+                        ident._t2_129_n(F(1, 2), 5, 3)):
+                assert type(row) is tuple
+
+    @pytest.mark.parametrize("key, pa, message", [
+        ("t2-12.9a", {"n": 1, "r": 0, "x": F(-1)}, "h(0, 0) is undefined"),
+        ("t2-12.9a", {"n": 0, "r": 0, "x": F(1, 2)}, "h(0, 0) is undefined"),
+        ("t2-12.9b", {"n": 1, "r": -1, "y": F(0)},
+         "hyperharmonic_neg needs n >= 1 and r >= 1, got (0, 1)"),
+    ])
+    def test_a_case_keeps_its_first_exception(self, key, pa, message):
+        # below the grid's r >= 1, term k's own pieces raise before the
+        # pieces it shares at s = k + r, as they did before those were shared
+        with ident.row_scope(), pytest.raises(DomainError) as exc:
+            get_identity(key).lhs(**pa)
+        assert str(exc.value) == message
+
+    def test_rem_alpha_beta_passes_beyond_its_default_n(self):
+        # the series cover every n asked for, not just the default 1..20
+        rep = verify("rem-alpha-beta", param_bounds={"n": (30, 31)})
+        assert (rep.verdict, rep.tested, rep.skipped) == ("PASS", 96, 0)
 
 
 class TestLineSum:
@@ -756,7 +846,9 @@ class TestRatioMemos:
         (ident._gould43_power, (3, 2), "_gould43_power"),
         (ident._t2_43_term, (2, 3), "_t2_43_term"),
         (ident._t2_129_k, (2, 3), "_t2_129_k"),
-    ], ids=["Cg", "gould43_power", "t2_43_term", "t2_129_k"])
+        (ident._t2_129_n, (2, 3), "_t2_129_n"),
+        (ident._hyp_twice, (2, "cosh"), "_hyp_twice"),
+    ], ids=["Cg", "gould43_power", "t2_43_term", "t2_129_k", "t2_129_n", "hyp_twice"])
     def test_a_float_is_refused_warm_or_cold(self, memo, args, name):
         with ident.row_scope():
             for _ in range(2):  # cold, then after F(1, 2) filled the entry
