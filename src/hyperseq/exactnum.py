@@ -5,8 +5,9 @@ arbitrary-precision fraction that is always reduced, has a positive
 denominator, and represents zero uniquely as 0/1.  On top of it this
 module provides the factorial, rising/falling factorial and
 binomial-coefficient primitives the sequence and operator modules build
-on, the exact dot product every binomial-weighted sum goes through, plus
-the canonical ``p/q`` text rendering used by the CLI and report files.
+on, the exact dot product every binomial-weighted sum goes through, the
+exact sum of products the other identity sides go through, plus the
+canonical ``p/q`` text rendering used by the CLI and report files.
 
 ``dot(coeffs, values)`` is the exact sum of ``c * v`` over two sequences
 of equal length (a length mismatch raises ``ValueError``).  Its inputs
@@ -16,6 +17,17 @@ into an exact sum.  The terms are accumulated as plain integers over one
 common denominator, the ``math.lcm`` of the term denominators, and the
 result is normalized once, by the single ``Fraction`` built at the end.
 An empty sum is 0.
+
+``product_sum(terms)`` is the exact sum of prod(up) / prod(down) over
+``(up, down)`` pairs of factor sequences, for a sum of products and
+quotients that would otherwise normalize after every ``*``, ``/`` and
+``+``.  Each factor is read once: an int as it is, anything else through
+``_ratio``, so a float, a string, a ``Decimal`` or a certified float
+raises ``TypeError`` naming ``product_sum``.  A term's numerator and
+denominator are multiplied out as plain integers, and the terms share
+``dot``'s tail, one ``math.lcm`` and one ``Fraction``.  A zero divisor
+raises ``ZeroDivisionError``: a row checks its poles before it sums.  An
+empty sum is 0.
 
 ``over_common_denominator(values)`` brings ints and ``Fraction``s to
 plain integers over one denominator: it returns ``(numerators, d)``
@@ -38,7 +50,8 @@ Every exact argument is read once, by ``_ratio(x, who)``: an int or
 where a ``Fraction``'s ``numerator`` and ``denominator`` are two
 Python-level getters.  Anything else, a float, a string or a ``Decimal``,
 raises ``TypeError`` naming ``who``; nothing goes through ``Fraction()``.
-Only ``dot``'s int-times-``Fraction`` fast path reads its pair inline.
+Only ``dot``'s int-times-``Fraction`` fast path and ``product_sum``'s
+``Fraction`` factors read their pair inline.
 Each integer argument of a ``sequences`` function is read by
 ``_int(x, who)``: an int (a subclass too) passes; anything else, a float
 equal to an int too, raises ``TypeError`` naming ``who``.
@@ -64,10 +77,10 @@ which is safe because tuples are immutable.
 Only the signed binomial rows are memoized: one audit asks 20,174 times
 for a row it has already built, and each would otherwise be rebuilt in a
 Python loop.  Factorials and C(n, k) are not: a cache in front of
-``math.factorial`` and ``math.comb`` would save only 1-2% of a 1.8 s
-audit.  Replaying its 475,506 ``binomial_int`` calls (1,976 distinct) took
-62-86 ms on ``math.comb`` and 41-52 ms with an ``lru_cache`` in front, and
-its 5,755 factorials 0.8-0.9 ms against 0.6-0.7 ms.
+``math.factorial`` and ``math.comb`` would save about 1% of an audit that
+takes 1.0 s in process.  Replaying its 217,601 ``binomial_int`` calls
+(1,976 distinct) took 25 ms on ``math.comb`` and 16 ms with an
+``lru_cache`` in front, and its 5,979 factorials 0.8 ms against 0.3 ms.
 """
 
 from __future__ import annotations
@@ -184,6 +197,17 @@ def signed_binomial_row(k: int) -> tuple:
     return _signed_row(k)
 
 
+def _over_lcm(nums, dens) -> Fraction:
+    """sum(nums[i] / dens[i]) as one ``Fraction`` over the lcm of the
+    denominators, ints >= 0; a zero one raises ``ZeroDivisionError``."""
+    if len(dens) == 1:
+        return Fraction(nums[0], dens[0])
+    scale = math.lcm(*dens)
+    if scale == 1:
+        return Fraction(sum(nums))
+    return Fraction(sum([p * (scale // q) for p, q in zip(nums, dens)]), scale)
+
+
 def dot(coeffs, values) -> Fraction:
     """Exact sum of c * v over paired ints and Fractions, normalized once."""
     nums = []
@@ -198,10 +222,34 @@ def dot(coeffs, values) -> Fraction:
         vn, vd = _ratio(v, "dot")
         nums.append(cn * vn)
         dens.append(cd * vd)
-    scale = math.lcm(*dens)
-    if scale == 1:
-        return Fraction(sum(nums))
-    return Fraction(sum([p * (scale // q) for p, q in zip(nums, dens)]), scale)
+    return _over_lcm(nums, dens)
+
+
+def product_sum(terms) -> Fraction:
+    """Exact sum of prod(up) / prod(down) over (up, down) terms, normalized once."""
+    nums = []
+    dens = []
+    for up, down in terms:
+        p = q = 1
+        for f in up:
+            if type(f) is int:
+                p *= f
+                continue
+            a, b = f.as_integer_ratio() if type(f) is Fraction else _ratio(f, "product_sum")
+            p *= a
+            q *= b
+        for f in down:
+            if type(f) is int:
+                q *= f
+                continue
+            a, b = f.as_integer_ratio() if type(f) is Fraction else _ratio(f, "product_sum")
+            p *= b
+            q *= a
+        if q < 0:
+            p, q = -p, -q
+        nums.append(p)
+        dens.append(q)
+    return _over_lcm(nums, dens)
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:

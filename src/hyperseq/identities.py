@@ -25,36 +25,33 @@ anchor: ``h(n, w)`` at any order (integer of either sign, or rational),
 (integer binomial), ``Cg`` (generalized binomial), ``rising`` and
 ``falling`` factorials, and the sums ``line_sum`` (a coefficient-weighted
 line of one function along one argument), ``bsum`` (a coefficient-weighted
-range), ``alt_sum`` (the k-th difference form) and ``total``.  A row
-divides through ``quot`` wherever its divisor can vanish, so a pole is a
-``DomainError`` from ``quot``: the case is skipped and counted with its
-reason.  A ``valid`` filter drops cases uncounted, so a row has one only
-where it excludes a case of the row's default grid.  ``Cg``,
-like the other values that repeat across one row's cases, is memoized
-for that row only.  So is every piece a row would rebuild case after
-case across an axis it does not read, keyed on exactly the parameters it
-depends on: the n-free term k of an order-r sum (``_t2_43_term``,
-``_t2_129_k``), the pieces that read k and r only through k + r
-(``_t2_129_n``), a row of coefficients free of one parameter, always a
-tuple so no case can change it (``_c_pair_row``, ``_c_up_row``,
-``_c_row``, ``_gould43_row``), a generating series built once per r
-(``_gf_series``) and the balls of a float row (``_hyp_twice``).  A memo
-of a rational argument keys it on its integer ratio, not on its
-``Fraction`` hash.  A piece keeps each case's first exception: a
-division it hoists goes through ``quot``, after the row's own pole
-checks, so a pole is still the same ``DomainError``.  A sum whose terms
-are one function along one argument, such as h(n+i, r) for i = 0..k,
-is a ``line_sum``: it reads the row's line of that function, the values
-read so far as integers over one common denominator, so the sum is one
-integer dot product.  A line is the row's integer image of values read
-through the function itself, grown on demand and cleared with the row;
-nothing in it assumes an identity, and every case still sums its own
-terms.
-``verify`` runs each row in ``row_scope()``, which empties the row
-memos and the lines when the row ends, even when it raises.  ``h`` alone
-is memoized for the process, since the rows repeat each other's h
-values; a line holds a row's h values as integers, but ``h`` is the only
-cache of the values themselves.
+range), ``alt_sum`` (the k-th difference form) and ``product_sum`` (the sum
+of prod(up)/prod(down) over (up, down) terms, for a side that would
+otherwise multiply and divide ``Fraction``s term by term: its factors'
+integer ratios are multiplied and the side builds one ``Fraction``).  A
+row divides through ``quot`` wherever its divisor can vanish, and checks
+such a ``product_sum`` divisor with ``_nonzero`` first, so a pole is a
+``DomainError``: the case is skipped and counted with its reason.  A
+``valid`` filter drops cases uncounted, so a row has one only where it
+excludes a case of the row's default grid.  ``Cg`` and every piece a row
+would rebuild case after case across an axis it does not read are
+memoized for that row only, keyed on exactly the parameters they read:
+the n-free term k of an order-r sum (``_t2_43_term``, ``_t2_129_k``), the
+pieces that read k and r only through k + r (``_t2_129_n``), a row of
+coefficients free of one parameter, always a tuple so no case can change
+it (``_c_pair_row``, ``_c_up_row``, ``_c_row``, ``_gould43_row``), a
+generating series built once per r (``_gf_series``) and the balls of a
+float row (``_hyp_twice``).  A memo of a rational argument keys it on its
+integer ratio, not on its ``Fraction`` hash.  A piece keeps each case's
+first exception: a division it hoists goes through ``quot``, after the
+row's own pole checks.  A ``line_sum`` reads the row's line of its
+function: the values read so far, through the function itself, as
+integers over one common denominator, so the sum is one integer dot
+product.  Nothing in a line or a memo assumes an identity, and every case
+still sums its own terms.  ``verify`` runs each row in ``row_scope()``,
+which empties the row memos and the lines when the row ends, even when
+it raises.  ``h`` alone is memoized for the process, since the rows
+repeat each other's h values.
 
 Table rows keep the summation numbering of Gould's "Combinatorial
 Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
@@ -107,7 +104,7 @@ from .errors import DomainError
 from . import exactnum
 from .exactnum import binomial_int as C
 from .exactnum import derivative_at_zero as dx0
-from .exactnum import dot, factorial, format_rational, signed_binomial_row
+from .exactnum import dot, factorial, format_rational, product_sum, signed_binomial_row
 from .exactnum import falling_factorial as falling
 from .exactnum import rising_factorial as rising
 from .opcalc import (
@@ -641,20 +638,19 @@ def alt_sum(k: int, term, lo: int = 0) -> Fraction:
     return dot(signed_binomial_row(k)[lo:], [term(i) for i in range(lo, k + 1)])
 
 
-def total(values) -> Fraction:
-    """Plain exact sum of a finite sequence of ints and Fractions."""
-    values = list(values)
-    return dot([1] * len(values), values)
-
-
 def quot(a, b) -> Fraction:
     """a / b, a ``Fraction`` for two ints too; b = 0 is a pole of the row,
     so a ``DomainError`` skips the case."""
+    if isinstance(a, int) and isinstance(b, int):
+        return F(a, _nonzero(b))
+    return a / _nonzero(b)
+
+
+def _nonzero(b):
+    """b, unless it is 0: a divisor's pole, as in ``quot``."""
     if b == 0:
         raise DomainError("pole: division by zero")
-    if isinstance(a, int) and isinstance(b, int):
-        return F(a, b)
-    return a / b
+    return b
 
 
 def _part(parts, part):
@@ -725,21 +721,26 @@ def _inv_falling(x: int, m: int) -> Fraction:
     return 1 / falling(x, m)
 
 
+def _gould43_num(p: int, q: int, n: int, k: int) -> int:
+    """q^n (x-k)^k (1-x+k)^(n-k) at x = p/q, for 0 <= k <= n."""
+    return (p - k * q) ** k * (q - p + k * q) ** (n - k)
+
+
 @_ratio_memo
 def _gould43_power(x, n: int, k: int) -> Fraction:
     """(x-k)^k (1-x+k)^(n-k), the Gould (4.3) power; free of the order r."""
-    return (x - k) ** k * (1 - x + k) ** (n - k)
+    p, q = x.as_integer_ratio()
+    return F(_gould43_num(p, q, n, k), q**n)
 
 
 @_ratio_memo
 def _t2_43_term(x, k: int, r: int) -> Fraction:
-    """u^(k-1)/c (k - u h(k, r)/c), u = x+r-1, c = C(r-1+k, k); free of n.
-
-    It is term k of the order-r Gould (4.3) lhs.
-    """
-    u = x + r - 1
-    c = C(r - 1 + k, k)
-    return u ** (k - 1) / c * (k - u * h(k, r) / c)
+    """u^(k-1)/c (k - u h(k, r)/c), u = x+r-1, c = C(r-1+k, k): term k >= 1 of the
+    order-r Gould (4.3) lhs, free of n."""
+    p, q = x.as_integer_ratio()
+    a, c = p + (r - 1) * q, C(r - 1 + k, k)  # u = a/q
+    return product_sum([((k, a ** (k - 1)), (q ** (k - 1), c)),
+                        ((-1, a**k, h(k, r)), (q**k, c, c))])
 
 
 @_row_memo
@@ -757,7 +758,7 @@ def _h_sq_plus_h2(k: int) -> Fraction:
 def _gould_coeff(upper: int, k: int) -> Fraction:
     """rising(upper, k) rising(1/2, k) 4^k / k!, Gould (7.29)/(7.30)'s k-th
     hypergeometric coefficient; free of r."""
-    return rising(upper, k) * rising(F(1, 2), k) * 4**k / factorial(k)
+    return product_sum([((rising(upper, k), rising(F(1, 2), k), 4**k), (factorial(k),))])
 
 
 #: d/dj 1/rising(c + j, k) at j = 0, memoized per row for Gould (7.29)/(7.30).
@@ -766,15 +767,13 @@ _dx_reciprocal_rising = _row_memo(dx_reciprocal_rising)
 
 @_ratio_memo
 def _t2_129_k(x, k: int, r: int) -> tuple:
-    """The n-free pieces of term k of Gould (12.9) at order r.
-
-    They are C(x+k, k)/C(r-1+k, k), ratio = (x+r+2k)/(x+r+k),
-    ratio h(k, r)/C(r-1+k, k) and k/(x+r+k)^2; both forms read them, the
-    table-1 rows at r = 1.
-    """
-    c = C(r - 1 + k, k)
-    ratio = quot(x + r + 2 * k, x + r + k)
-    return Cg(x + k, k) / c, ratio, ratio * h(k, r) / c, F(k) / (x + r + k) ** 2
+    """Term k's n-free pieces of Gould (12.9) at order r: C(x+k, k)/C(r-1+k, k),
+    ratio = (x+r+2k)/(x+r+k), ratio h(k, r)/C(r-1+k, k) and k/(x+r+k)^2."""
+    p, q = x.as_integer_ratio()
+    c, a = C(r - 1 + k, k), p + (r + k) * q  # x + r + k = a/q
+    ratio = quot(a + k * q, a)
+    return (Cg(x + k, k) / c, ratio, product_sum([((ratio, h(k, r)), (c,))]),
+            F(k * q * q, a * a))
 
 
 @_ratio_memo
@@ -786,29 +785,25 @@ def _t2_129_n(x, n: int, s: int) -> tuple:
 
 def _t2_129a_lhs(n: int, r: int, x) -> Fraction:
     """The lhs of Gould (12.9), first form, at order r; ``t1-12.9a`` pins r = 1."""
-    prefs, inners = [], []
+    terms = []
     for k in range(n + 1):
         weight, ratio, head, tail = _t2_129_k(x, k, r)  # its poles come first
         big, hn = _t2_129_n(x, n, k + r)
-        prefs.append(quot(C(n, k), weight * big))
-        inners.append(head - ratio * hn - tail)
-    return dot(prefs, inners)
+        c, down = C(n, k), (_nonzero(weight), big)  # C(n, k)/(weight big)'s pole
+        terms += [((c, head), down), ((-c, ratio, hn), down), ((-c, tail), down)]
+    return product_sum(terms)
 
 
 def _t2_129b_lhs(n: int, r: int, y, sign: int = 1) -> Fraction:
-    """The lhs of Gould (12.9), second form, at order r.
-
-    ``sign`` is the sign of its k/(y+r+k)^2 term: +1 in the order-r form,
-    -1 in the form ``t1-12.9b`` transcribes at r = 1.
-    """
-    prefs, inners = [], []
+    """The lhs of Gould (12.9), second form, at order r; ``sign`` is the sign of its
+    k/(y+r+k)^2 term: +1 in the order-r form, -1 as ``t1-12.9b`` transcribes it."""
+    terms = []
     for k in range(n + 1):
         weight, ratio, head, tail = _t2_129_k(y, k, r)
-        big, hn = _t2_129_n(y, n, k + r)
-        prefs.append(quot(C(n, k) * weight, big))
-        inner = head + ratio * hn
-        inners.append(inner + tail if sign > 0 else inner - tail)
-    return dot(prefs, inners)
+        big, hn = _t2_129_n(y, n, k + r)  # big = 0 is its pole, so none here
+        up, down = (C(n, k), weight), (big,)
+        terms += [(up + (head,), down), (up + (ratio, hn), down), (up + (sign, tail), down)]
+    return product_sum(terms)
 
 
 @_row_memo
@@ -981,7 +976,7 @@ def _core_recurrences():
         "sum_{k=0..n} beta(k,r) = alpha(n,r) beta(n,r) / (alpha(n,r) - 1)",
         (IntRange("n", 1, 25), IntRange("r", 1, 12)),
         lambda n, r: line_sum([1] * (n + 1), beta, range(n + 1), r),
-        lambda n, r: alpha(n, r) * beta(n, r) / (alpha(n, r) - 1),
+        lambda n, r: product_sum([((alpha(n, r), beta(n, r)), (alpha(n, r) - 1,))]),
         {"core"},
     )
     _add(
@@ -1042,7 +1037,7 @@ def _core_derivatives():
         "exactly at rational z",
         (IntRange("n", 1, 10), RationalChoice("z", SAMPLE_RATIONALS)),
         _pd_lhs,
-        lambda n, z: rising(z, n) * total(quot(1, z + i) for i in range(n)),
+        lambda n, z: rising(z, n) * dot([1] * n, [quot(1, z + i) for i in range(n)]),
         {"core"},
         # the rhs's poles z + i = 0 stay excluded, not skipped: the benchmark's
         # expected report counts them so, until ROADMAP item 2 regenerates it
@@ -1054,7 +1049,7 @@ def _core_derivatives():
         (IntRange("n", 0, 20), IntRange("r", 1, 8),
          RationalChoice("x", SAMPLE_RATIONALS)),
         lambda n, r, x: line_sum([1] * (n + 1), _cg_diag, x, r - 1, range(n + 1)),
-        lambda n, r, x: (1 + quot(n, x + r)) * Cg(x + n + r - 1, n),
+        lambda n, r, x: product_sum([((1 + quot(n, x + r), Cg(x + (n + r - 1), n)), ())]),
         {"core"},
     )
     _add(
@@ -1070,15 +1065,14 @@ def _core_derivatives():
 def _core_differences():
     def _teo4_rhs(deg, n, x):
         f = functools.partial(_poly_point, deg)
-        return (F(x) * forward_difference(f, n, x)
-                + n * forward_difference(f, n - 1, x + 1))
+        return dot((x, n), (forward_difference(f, n, x),
+                            forward_difference(f, n - 1, x + 1)))
 
     _add(
         "prop-teo4",
         "Delta^n (x f(x)) = x Delta^n f(x) + n Delta^(n-1) f(x+1)",
         (IntRange("deg", 0, 6), IntRange("n", 1, 6), IntRange("x", 0, 10)),
-        lambda deg, n, x: forward_difference(lambda t: F(t) * _poly_point(deg, t),
-                                             n, x),
+        lambda deg, n, x: forward_difference(lambda t: t * _poly_point(deg, t), n, x),
         _teo4_rhs,
         {"core"},
     )
@@ -1340,17 +1334,24 @@ def _table1_rows():
         lambda n: -2 * H(n),
         {"table1"},
     )
+
+    def _t1_43_lhs(n, x):
+        p, q = exactnum._ratio(x, "t1-4.3")  # x^k = p^k / q^k
+        return product_sum(((-c, p**k, H(k)), (q**k,)) for k, c in enumerate(_c_row(n, -1), 1))
+
+    def _t1_43_rhs(n, x):
+        # every (x, n, k) is one case's, so the row reads the power unmemoized
+        p, q = exactnum._ratio(x, "t1-4.3")
+        return product_sum([((n, (1 - x) ** (n - 1)), ())] + [
+            ((c, _gould43_num(p, q, n, k)), (k, q**n)) for k, c in enumerate(_c_row(n, 1), 1)])
+
     _add(
         "t1-4.3",
         "Gould (4.3): alternating binomial x^k H(k) sum vs the "
         "(x-k)^k (1-x+k)^(n-k) form",
         (IntRange("n", 1, 20), RationalChoice("x", SAMPLE_RATIONALS)),
-        lambda n, x: -dot(_c_row(n, -1), [x**k * H(k) for k in range(1, n + 1)]),
-        lambda n, x: dot(
-            (n, *_c_row(n, 1)),
-            [(1 - x) ** (n - 1)]
-            + [(x - k) ** k * (1 - x + k) ** (n - k) / k for k in range(1, n + 1)],
-        ),
+        _t1_43_lhs,
+        _t1_43_rhs,
         {"table1"},
     )
     _add(
@@ -1365,14 +1366,20 @@ def _table1_rows():
                            _recip, range(1, n + 1), 1),
         {"table1"},
     )
+
+    def _t1_715_rhs(n, r):
+        # c (Hm(n,2) - Hm(n+r,2) + Hm(r,2)) + (c H(n) - h(n,r+1)) (H(n) - H(n+r) + H(r))
+        c, pm = C(r + n, n), ((1, n), (-1, n + r), (1, r))
+        return product_sum([((c, s, Hm(m, 2)), ()) for s, m in pm] + [
+            (u + (s, H(m)), ()) for u in ((c, H(n)), (-1, h(n, r + 1))) for s, m in pm])
+
     _add(
         "t1-7.15",
         "Gould (7.15): sum_k C(n,k) C(r,k) (H(k)^2 + H(k,2)) in closed form",
         (IntRange("n", 1, 25), IntRange("r", 1, 25)),
         lambda n, r: line_sum([C(n, k) * C(r, k) for k in range(1, n + 1)],
                               _h_sq_plus_h2, range(1, n + 1)),
-        lambda n, r: C(r + n, n) * (Hm(n, 2) - Hm(n + r, 2) + Hm(r, 2))
-        + (C(r + n, n) * H(n) - h(n, r + 1)) * (H(n) - H(n + r) + H(r)),
+        _t1_715_rhs,
         {"table1"},
     )
     _add(
@@ -1386,8 +1393,9 @@ def _table1_rows():
     )
 
     def _t1_z58_rhs(n, hw=h):
-        return (F(4) ** n / C(2 * n, n)
-                * (Cg(F(n) - F(1, 2), n) * H(n) + hw(n, F(1, 2))))
+        head = F(4) ** n / C(2 * n, n)  # its ZeroDivisionError comes first
+        return product_sum([((head, Cg(F(2 * n - 1, 2), n), H(n)), ()),
+                            ((head, hw(n, F(1, 2))), ())])
 
     _add(
         "t1-Z.58",
@@ -1502,8 +1510,9 @@ def _table2_rows():
 
     def _t2_395_rhs(n, r, hw=h):
         c = C(r - 1 + n, n)
-        return (F(4) ** n / c
-                * (hw(n, F(r) - F(1, 2)) - Cg(F(r) - F(3, 2) + n, n) * h(n, r) / c))
+        head = F(4) ** n / c  # its ZeroDivisionError comes first
+        return product_sum([((head, hw(n, F(2 * r - 1, 2))), ()),
+                            ((-1, head, Cg(F(2 * (r + n) - 3, 2), n), h(n, r)), (c,))])
 
     _add(
         "t2-3.95",
@@ -1553,7 +1562,7 @@ def _table2_rows():
         "h(r,j) C(n+j-1,n) + C(r+j-1,r) h(n,j)",
         (IntRange("n", 1, 20), IntRange("r", 1, 20), IntRange("j", 1, 12)),
         lambda n, r, j: line_sum(_c_pair_row(n, r, 0), h, n + r, range(j, j - n - 1, -1)),
-        lambda n, r, j: h(r, j) * C(n + j - 1, n) + C(r + j - 1, r) * h(n, j),
+        lambda n, r, j: dot((C(n + j - 1, n), C(r + j - 1, r)), (h(r, j), h(n, j))),
         {"table2"},
     )
     _add(
@@ -1570,7 +1579,7 @@ def _table2_rows():
 
     def _t2_72_rhs(n, m, r):
         hn, c = _h_and_c(n, r)
-        return (C(r - 1 + m + n, n) * hn / c - h(n, m + r)) / c
+        return product_sum([((C(r - 1 + m + n, n), hn), (c, c)), ((-1, h(n, m + r)), (c,))])
 
     _add(
         "t2-7.2",
@@ -1583,18 +1592,14 @@ def _table2_rows():
     )
 
     def _t2_79_rhs(n, r, hw=h):
-        return F(4**n, 2 * n + 1) / C(2 * n, n) * hw(n, F(r) - F(1, 2))
+        return product_sum([((F(4**n, 2 * n + 1), hw(n, F(2 * r - 1, 2))), (C(2 * n, n),))])
 
     _add(
         "t2-7.9",
         "Gould (7.9), order-r form with the half-integer order r-1/2",
         (IntRange("n", 1, 15), IntRange("r", 2, 8)),
-        lambda n, r: bsum(
-            1,
-            n,
-            lambda k: F((-1) ** k * C(n, k) * 4**k, (2 * k + 1) * C(2 * k, k)),
-            lambda k: h(k, r),
-        ),
+        lambda n, r: product_sum((((-1) ** k * C(n, k) * 4**k, h(k, r)),
+                                  ((2 * k + 1) * C(2 * k, k),)) for k in range(1, n + 1)),
         _t2_79_rhs,
         {"table2"},
         alt_rhs=functools.partial(_t2_79_rhs, hw=hyperharmonic_half_integer_alt),
@@ -1611,15 +1616,9 @@ def _table2_rows():
     )
 
     def _gould_hypergeom_row(n, r, upper):
-        # d/dj F(upper, 1/2, n+r+j; 4) at j = 0, term by term: the k-th
-        # coefficient rising(upper,k) rising(1/2,k) 4^k / k! multiplies the
-        # derivative of the reciprocal rising factorial of (n+r).
-        return bsum(
-            1,
-            -upper,
-            lambda k: _gould_coeff(upper, k),
-            lambda k: _dx_reciprocal_rising(n + r, k),
-        )
+        # d/dj F(upper, 1/2, n+r+j; 4) at j = 0, term by term
+        return product_sum(((_gould_coeff(upper, k), _dx_reciprocal_rising(n + r, k)), ())
+                           for k in range(1, 1 - upper))
 
     def _gould_hypergeom_rhs(n, r, m):
         return bsum(1, m, lambda k: (-1) ** (k + 1) * C(m, k) * C(2 * k, k),
@@ -1667,8 +1666,8 @@ def _table2_rows():
     )
 
     def _t2_z58_rhs(n, r, hw=h):
-        return F(4) ** n * (Cg(F(n) + r - F(3, 2), n) * h(n, r)
-                            + C(n + r - 1, n) * hw(n, F(r) - F(1, 2)))
+        return product_sum([((4**n, Cg(F(2 * (n + r) - 3, 2), n), h(n, r)), ()),
+                            ((4**n, C(n + r - 1, n), hw(n, F(2 * r - 1, 2))), ())])
 
     _add(
         "t2-Z.58",

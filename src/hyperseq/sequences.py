@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .exactnum import _int, _ratio, binomial_general, binomial_int, derivative_at_zero
-from .exactnum import factorial, reciprocal_partial_sums
+from .exactnum import factorial, product_sum, reciprocal_partial_sums
 
 _F = Fraction
 
@@ -245,8 +245,9 @@ def hyperharmonic_half_integer_alt(n: int, w) -> Fraction:
     if n < 1:
         raise DomainError(f"needs n >= 1, got {n}")
     m = p // 2
-    tele = (harmonic(2 * (m + n)) - harmonic(2 * m)) - (harmonic(m + n) - harmonic(m))
-    return binomial_general(w + n - 1, n) * tele
+    c = binomial_general(_F(p + 2 * (n - 1), 2), n)  # C(w+n-1, n)
+    return product_sum([((c, harmonic(2 * (m + n))), ()), ((-1, c, harmonic(2 * m)), ()),
+                        ((-1, c, harmonic(m + n)), ()), ((c, harmonic(m)), ())])
 
 
 def alpha(n: int, r: int) -> Fraction:

@@ -16,6 +16,7 @@ from hyperseq.exactnum import (
     falling_factorial,
     format_rational,
     parse_rational,
+    product_sum,
     rising_factorial,
     signed_binomial_row,
 )
@@ -286,6 +287,75 @@ class TestDot:
             dot([1, 2], [bad, 3])
         with pytest.raises(TypeError):
             dot([bad, 2], [F(1, 2), 3])
+
+
+# -- the exact sum of products and quotients ----------------------------------
+
+_nonzero_scalars = (_scalars | _subclassed).filter(lambda v: v != 0)
+_terms = st.lists(
+    st.tuples(st.lists(_scalars | _subclassed, max_size=4),
+              st.lists(_nonzero_scalars, max_size=3)),
+    max_size=12,
+)
+
+
+def _oracle_product_sum(terms):
+    total = F(0)
+    for up, down in terms:
+        term = F(1)
+        for f in up:
+            term *= f
+        for f in down:
+            term /= f
+        total += term
+    return total
+
+
+class TestProductSum:
+    @given(_terms)
+    def test_matches_the_fraction_sum(self, terms):
+        got = product_sum(terms)
+        assert got == _oracle_product_sum(terms)
+        _assert_canonical(got)
+
+    def test_negative_and_fraction_divisors(self):
+        assert product_sum([((3,), (-4,))]) == F(-3, 4)
+        assert product_sum([((F(1, 2),), (F(-3, 4),))]) == F(-2, 3)
+        # two terms over -1 and 1: a negative denominator is not a 1
+        assert product_sum([((F(-1),), ()), ((1, F(-1)), (F(-1),))]) == 0
+        assert product_sum([((5,), (F(-1, 2), 3)), ((1,), (6,))]) == F(-19, 6)
+
+    def test_empty_is_zero(self):
+        # no terms, and a term with a zero factor: both the canonical 0/1
+        for terms in ([], iter([]), [((0, F(7, 3)), (F(1, 9),))]):
+            got = product_sum(terms)
+            assert (type(got), got.numerator, got.denominator) == (F, 0, 1)
+    def test_accepts_iterators(self):
+        terms = (((k, F(1, k + 1)), (2,)) for k in range(1, 4))
+        assert product_sum(terms) == F(1, 4) + F(1, 3) + F(3, 8)
+
+    @pytest.mark.parametrize(
+        "bad, name",
+        [
+            (0.5, "float"), ("1/2", "str"), (Decimal("0.5"), "Decimal"),
+            (CertifiedReal(1.0, 0.0), "CertifiedReal"), (_Float(0.5), "_Float"),
+        ],
+        ids=["float", "str", "decimal", "certified", "float-subclass"],
+    )
+    def test_inexact_factors_are_refused_by_name(self, bad, name):
+        message = f"^product_sum needs ints or Fractions, got {name}$"
+        for terms in ([((bad,), ())], [((2,), (bad,))], [((F(1, 2),), ()), ((1, bad), (3,))]):
+            with pytest.raises(TypeError, match=message):
+                product_sum(terms)
+
+    @pytest.mark.parametrize("zero", [0, F(0), _Int(0)],
+                             ids=["int", "fraction", "int-subclass"])
+    def test_a_zero_divisor_is_a_zero_division_error(self, zero):
+        # a bug in the row, never a DomainError that would skip the case
+        for terms in ([((1,), (zero,))], [((1,), (2,)), ((F(1, 3),), (5, zero))]):
+            with pytest.raises(ZeroDivisionError) as exc:
+                product_sum(terms)
+            assert type(exc.value) is ZeroDivisionError
 
 
 # -- integer-product factorials against the plain loop definitions ----------

@@ -1,3 +1,5 @@
+import cProfile
+import functools
 import itertools
 import json
 import math
@@ -12,7 +14,10 @@ from hypothesis import strategies as st
 import hyperseq.identities as ident
 from hyperseq.analytic import CertifiedReal
 from hyperseq.errors import DomainError
+from hyperseq.exactnum import binomial_general
+from hyperseq.opcalc import dx_reciprocal_rising, forward_difference
 from hyperseq.opcalc import gf_alpha, gf_beta, gf_hyperharmonic
+from hyperseq.sequences import alpha, beta, hyperharmonic_half_integer_alt
 from hyperseq.identities import (
     Identity,
     IntRange,
@@ -727,6 +732,217 @@ class TestRowPieces:
         # the series cover every n asked for, not just the default 1..20
         rep = verify("rem-alpha-beta", param_bounds={"n": (30, 31)})
         assert (rep.verdict, rep.tested, rep.skipped) == ("PASS", 96, 0)
+
+
+# -- the sides summed by product_sum or dot, against the forms they replaced ----
+#
+# Each form below is the side as it was written term by term in Fraction
+# arithmetic, with the pieces it read from a memo written out unmemoized.
+
+C, h, H, Hm, quot = ident.C, ident.h, ident.H, ident.Hm, ident.quot
+
+
+def _form_129_k(x, k, r):
+    c = C(r - 1 + k, k)
+    ratio = quot(x + r + 2 * k, x + r + k)
+    return binomial_general(x + k, k) / c, ratio, ratio * h(k, r) / c, F(k) / (x + r + k) ** 2
+
+
+def _form_129_n(x, n, s):
+    big = binomial_general(x + (s + n), n)
+    return big, quot(h(n, x + (s + 1)), big)
+
+
+def _form_129a(n, r, x):
+    total = F(0)
+    for k in range(n + 1):
+        weight, ratio, head, tail = _form_129_k(x, k, r)
+        big, hn = _form_129_n(x, n, k + r)
+        total += quot(C(n, k), weight * big) * (head - ratio * hn - tail)
+    return total
+
+
+def _form_129b(n, r, y, sign=1):
+    total = F(0)
+    for k in range(n + 1):
+        weight, ratio, head, tail = _form_129_k(y, k, r)
+        big, hn = _form_129_n(y, n, k + r)
+        total += quot(C(n, k) * weight, big) * (head + ratio * hn + sign * tail)
+    return total
+
+
+def _form_43_lhs(n, r, x):
+    def term(k):
+        u, c = x + r - 1, C(r - 1 + k, k)
+        return u ** (k - 1) / c * (k - u * h(k, r) / c)
+
+    return sum(((-1) ** k * C(n, k) * term(k) for k in range(1, n + 1)), F(0))
+
+
+def _form_43_rhs(n, r, x):
+    weights = [F(C(n, k) * k, (r - 1 + k) ** 2) for k in range(1, n + 1)]
+    return sum((wk * (x - k) ** k * (1 - x + k) ** (n - k)
+                for k, wk in enumerate(weights, 1)), F(0))
+
+
+def _form_teo4_rhs(deg, n, x):
+    f = functools.partial(ident._poly_point, deg)
+    return F(x) * forward_difference(f, n, x) + n * forward_difference(f, n - 1, x + 1)
+
+
+def _form_395(n, r, hw=h):
+    c = C(r - 1 + n, n)
+    return (F(4) ** n / c * (hw(n, F(r) - F(1, 2))
+                             - binomial_general(F(r) - F(3, 2) + n, n) * h(n, r) / c))
+
+
+def _form_79_lhs(n, r):
+    return sum((F((-1) ** k * C(n, k) * 4**k, (2 * k + 1) * C(2 * k, k)) * h(k, r)
+                for k in range(1, n + 1)), F(0))
+
+
+def _form_79_rhs(n, r, hw=h):
+    return F(4**n, 2 * n + 1) / C(2 * n, n) * hw(n, F(r) - F(1, 2))
+
+
+def _form_hypergeom(n, r, upper):
+    def coeff(k):
+        return ident.rising(upper, k) * ident.rising(F(1, 2), k) * 4**k / ident.factorial(k)
+
+    return sum((coeff(k) * dx_reciprocal_rising(n + r, k) for k in range(1, 1 - upper)), F(0))
+
+
+def _form_z58(n, r, hw=h):
+    return F(4) ** n * (binomial_general(F(n) + r - F(3, 2), n) * h(n, r)
+                        + C(n + r - 1, n) * hw(n, F(r) - F(1, 2)))
+
+
+def _form_t1_z58(n, hw=h):
+    return F(4) ** n / C(2 * n, n) * (binomial_general(F(n) - F(1, 2), n) * H(n)
+                                      + hw(n, F(1, 2)))
+
+
+_half_alt = hyperharmonic_half_integer_alt
+
+#: (row, side): the side's form before product_sum or dot summed it; a
+#: pinned row's form is its source's at the pins
+_EARLIER_FORMS = {
+    ("prop-bt", "rhs"): lambda n, r: alpha(n, r) * beta(n, r) / (alpha(n, r) - 1),
+    ("eq-13", "rhs"): lambda n, r, x: (1 + quot(n, x + r))
+    * binomial_general(x + n + r - 1, n),
+    ("eq-pd", "rhs"): lambda n, z: ident.rising(z, n) * sum(
+        [quot(1, z + i) for i in range(n)], F(0)),
+    ("prop-teo4", "lhs"): lambda deg, n, x: forward_difference(
+        lambda t: F(t) * ident._poly_point(deg, t), n, x),
+    ("prop-teo4", "rhs"): _form_teo4_rhs,
+    ("t1-4.3", "lhs"): lambda n, x: -sum(
+        ((-1) ** k * C(n, k) * x**k * H(k) for k in range(1, n + 1)), F(0)),
+    ("t1-4.3", "rhs"): lambda n, x: n * (1 - x) ** (n - 1) + sum(
+        (C(n, k) * (x - k) ** k * (1 - x + k) ** (n - k) / k for k in range(1, n + 1)), F(0)),
+    ("t1-7.15", "rhs"): lambda n, r: C(r + n, n) * (Hm(n, 2) - Hm(n + r, 2) + Hm(r, 2))
+    + (C(r + n, n) * H(n) - h(n, r + 1)) * (H(n) - H(n + r) + H(r)),
+    ("t2-3.95", "rhs"): _form_395,
+    ("t2-3.95", "alt_rhs"): functools.partial(_form_395, hw=_half_alt),
+    ("t1-3.95", "rhs"): lambda n: _form_395(n, 1),
+    ("t1-3.95", "alt_rhs"): lambda n: _form_395(n, 1, _half_alt),
+    ("t2-4.3", "lhs"): _form_43_lhs,
+    ("t2-4.3", "rhs"): _form_43_rhs,
+    ("t2-6.19", "rhs"): lambda n, r, j: h(r, j) * C(n + j - 1, n) + C(r + j - 1, r) * h(n, j),
+    ("t1-6.19", "rhs"): lambda n, r: h(r, 1) * C(n, n) + C(r, r) * h(n, 1),
+    ("t2-7.2", "rhs"): lambda n, m, r: (
+        C(r - 1 + m + n, n) * h(n, r) / C(r - 1 + n, n) - h(n, m + r)) / C(r - 1 + n, n),
+    ("t1-7.2", "rhs"): lambda n, r: (C(r + n, n) * h(n, 1) / C(n, n) - h(n, r + 1)) / C(n, n),
+    ("t2-7.9", "lhs"): _form_79_lhs,
+    ("t2-7.9", "rhs"): _form_79_rhs,
+    ("t2-7.9", "alt_rhs"): functools.partial(_form_79_rhs, hw=_half_alt),
+    ("t1-7.9", "lhs"): lambda n: _form_79_lhs(n, 1),
+    ("t1-7.9", "rhs"): lambda n: _form_79_rhs(n, 1),
+    ("t1-7.9", "alt_rhs"): lambda n: _form_79_rhs(n, 1, _half_alt),
+    ("t2-7.29", "lhs"): lambda n, r: _form_hypergeom(n, r, -2 * n),
+    ("t2-7.30", "lhs"): lambda n, r: _form_hypergeom(n, r, -(2 * n + 1)),
+    ("t2-12.9a", "lhs"): _form_129a,
+    ("t2-12.9b", "lhs"): _form_129b,
+    ("t1-12.9a", "lhs"): lambda n, x: _form_129a(n, 1, x),
+    ("t1-12.9b", "lhs"): lambda n, y: _form_129b(n, 1, y, -1),
+    ("t1-Z.58", "rhs"): _form_t1_z58,
+    ("t1-Z.58", "alt_rhs"): functools.partial(_form_t1_z58, hw=_half_alt),
+    ("t2-Z.58", "rhs"): _form_z58,
+    ("t2-Z.58", "alt_rhs"): functools.partial(_form_z58, hw=_half_alt),
+}
+
+
+def _widened_grid(identity):
+    """Each case of the row's grid widened 3 below every lower bound, with
+    x = -1, -2, -3 added to a rational choice."""
+    axes = [range(p.lo - 3, p.hi + 1) if isinstance(p, IntRange)
+            else p.values + (F(-1), F(-2), F(-3)) for p in identity.params]
+    names = [p.name for p in identity.params]
+    return [dict(zip(names, values)) for values in itertools.product(*axes)]
+
+
+def _outcome(fn, pa):
+    """A side's value with its type, or its exception class; a DomainError
+    with its message too, since the report prints it as a skip reason."""
+    try:
+        value = fn(**pa)
+    except DomainError as exc:
+        return DomainError, str(exc)
+    except Exception as exc:  # the class is the outcome
+        return type(exc), None
+    return type(value), value
+
+
+@pytest.mark.parametrize("key, side", sorted(_EARLIER_FORMS))
+def test_a_summed_side_keeps_the_earlier_forms_outcome(key, side):
+    cases = _widened_grid(get_identity(key))
+    with ident.row_scope():
+        want = [_outcome(_EARLIER_FORMS[key, side], pa) for pa in cases]
+    with ident.row_scope():
+        got = [_outcome(getattr(get_identity(key), side), pa) for pa in cases]
+    assert [pa for pa, w, g in zip(cases, want, got) if w != g] == []
+    assert {w[0] for w in want} & {F, DomainError}  # the grid reaches values
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-3, 20), st.fractions(-4, 20, max_denominator=4))
+def test_the_half_integer_alternative_keeps_its_telescoped_form(n, w):
+    def form(n, w):
+        p, q = w.as_integer_ratio()
+        if q != 2 or p < 1:
+            raise DomainError(f"order must be m + 1/2 with integer m >= 0, got {w}")
+        if n < 1:
+            raise DomainError(f"needs n >= 1, got {n}")
+        m = p // 2
+        tele = (H(2 * (m + n)) - H(2 * m)) - (H(m + n) - H(m))
+        return binomial_general(w + n - 1, n) * tele
+
+    assert _outcome(_half_alt, {"n": n, "w": w}) == _outcome(form, {"n": n, "w": w})
+
+
+#: Fraction constructions in one warm ``verify`` of each row whose sides
+#: product_sum or dot sums: 10% above the count measured on CPython 3.11.
+#: The term-by-term forms built 1.1-25x as many.  CPython 3.12 and later
+#: build arithmetic results without ``Fraction.__new__`` and pass only an
+#: int operand through it, so they count no more.
+FRACTION_CEILINGS = {
+    "eq-13": 9101, "prop-bt": 2323, "prop-teo4": 7546,
+    "t1-12.9a": 5563, "t1-12.9b": 5464, "t1-3.95": 577, "t1-4.3": 528,
+    "t1-6.19": 1375, "t1-7.15": 1430, "t1-7.2": 1402, "t1-7.9": 264, "t1-Z.58": 418,
+    "t2-12.9a": 7389, "t2-12.9b": 7389, "t2-3.95": 2102, "t2-4.3": 5808,
+    "t2-6.19": 10560, "t2-7.2": 7216, "t2-7.29": 1927, "t2-7.30": 2030,
+    "t2-7.9": 1155, "t2-Z.58": 1617,
+}
+
+
+@pytest.mark.parametrize("key", sorted(FRACTION_CEILINGS))
+def test_a_summed_row_stays_under_its_fraction_ceiling(key):
+    verify(key)  # fills the h memo and the harmonic tables the row reads
+    profile = cProfile.Profile()
+    profile.runcall(verify, key)
+    profile.create_stats()
+    built = sum(calls for (path, _, name), (_, calls, *_) in profile.stats.items()
+                if name == "__new__" and path.endswith("fractions.py"))
+    assert built <= FRACTION_CEILINGS[key]
 
 
 class TestLineSum:
