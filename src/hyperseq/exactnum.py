@@ -5,29 +5,22 @@ arbitrary-precision fraction that is always reduced, has a positive
 denominator, and represents zero uniquely as 0/1.  On top of it this
 module provides the factorial, rising/falling factorial and
 binomial-coefficient primitives the sequence and operator modules build
-on, the exact dot product every binomial-weighted sum goes through, the
-exact sum of products the other identity sides go through, plus the
-canonical ``p/q`` text rendering used by the CLI and report files.
-
-``dot(coeffs, values)`` is the exact sum of ``c * v`` over two sequences
-of equal length (a length mismatch raises ``ValueError``).  Its inputs
-must be ints or ``Fraction``s; anything else, a float or a certified
-float included, raises ``TypeError``, so an inexact value can never leak
-into an exact sum.  The terms are accumulated as plain integers over one
-common denominator, the ``math.lcm`` of the term denominators, and the
-result is normalized once, by the single ``Fraction`` built at the end.
-An empty sum is 0.
+on, the exact sum of products every identity side that is not a line
+goes through, plus the canonical ``p/q`` text rendering used by the CLI
+and report files.
 
 ``product_sum(terms)`` is the exact sum of prod(up) / prod(down) over
 ``(up, down)`` pairs of factor sequences, for a sum of products and
 quotients that would otherwise normalize after every ``*``, ``/`` and
 ``+``.  Each factor is read once: an int as it is, anything else through
 ``_ratio``, so a float, a string, a ``Decimal`` or a certified float
-raises ``TypeError`` naming ``product_sum``.  A term's numerator and
-denominator are multiplied out as plain integers, and the terms share
-``dot``'s tail, one ``math.lcm`` and one ``Fraction``.  A zero divisor
-raises ``ZeroDivisionError``: a row checks its poles before it sums.  An
-empty sum is 0.
+raises ``TypeError`` naming ``product_sum``, and an inexact value can
+never leak into an exact sum.  A term's numerator and denominator are
+multiplied out as plain integers, the terms are brought over one
+``math.lcm`` of their denominators, and the result is normalized once,
+by the single ``Fraction`` built at the end.  A zero divisor raises
+``ZeroDivisionError``: a row checks its poles before it sums.  An empty
+sum is 0.
 
 ``over_common_denominator(values)`` brings ints and ``Fraction``s to
 plain integers over one denominator: it returns ``(numerators, d)``
@@ -37,8 +30,8 @@ sequence).  The numerators are not reduced against d.  Any other type
 raises ``TypeError``.  Kernels that add, subtract or convolve many exact
 values (power-series products, the binomial transforms, the iterated
 branch of ``forward_difference``) call it once per operand, work on the
-integers, and build one ``Fraction`` per result; ``dot`` keeps its own
-loop.
+integers, and build one ``Fraction`` per result; ``product_sum`` keeps
+its own loop.
 
 ``reciprocal_partial_sums(r, n)`` is the definition of h(n, r): it
 returns ``(nums, d)`` with ``nums[i] / d == h(i, r)`` for i = 0..n, as r
@@ -50,14 +43,14 @@ Every exact argument is read once, by ``_ratio(x, who)``: an int or
 where a ``Fraction``'s ``numerator`` and ``denominator`` are two
 Python-level getters.  Anything else, a float, a string or a ``Decimal``,
 raises ``TypeError`` naming ``who``; nothing goes through ``Fraction()``.
-Only ``dot``'s int-times-``Fraction`` fast path and ``product_sum``'s
-``Fraction`` factors read their pair inline.
+Only ``product_sum``'s ``Fraction`` factors read their pair inline.
 Each integer argument of a ``sequences`` function is read by
 ``_int(x, who)``: an int (a subclass too) passes; anything else, a float
 equal to an int too, raises ``TypeError`` naming ``who``.
 
 ``derivative_at_zero(offsets, q, scale, power)`` is D_x of
-scale * prod_i (x + p_i/q)**power at x = 0 for power +1 or -1, over a
+scale * prod_i (x + p_i/q)**power at x = 0 for power +1 or -1 (any
+other power raises ``ValueError``), over a
 sequence of int numerators p_i and one denominator q >= 1.  It
 differentiates by the product rule on integers: it carries (p0, p1) with
 prod_i (q x + p_i) = p0 + p1 x + O(x**2), one step per factor, and builds
@@ -70,7 +63,7 @@ rational h(n, w) read it.
 
 ``signed_binomial_row(k)`` is the tuple of the k-th difference weights,
 ``(-1)**(k-i) * C(k, i)`` for i = 0..k, as ints (so it can be sliced and
-passed to ``dot`` as the coefficients).  A negative k raises
+passed to a sum as the coefficients).  A negative k raises
 ``ValueError``.  Rows with k <= ``MEMO_CAP`` are built once and shared,
 which is safe because tuples are immutable.
 
@@ -197,34 +190,6 @@ def signed_binomial_row(k: int) -> tuple:
     return _signed_row(k)
 
 
-def _over_lcm(nums, dens) -> Fraction:
-    """sum(nums[i] / dens[i]) as one ``Fraction`` over the lcm of the
-    denominators, ints >= 0; a zero one raises ``ZeroDivisionError``."""
-    if len(dens) == 1:
-        return Fraction(nums[0], dens[0])
-    scale = math.lcm(*dens)
-    if scale == 1:
-        return Fraction(sum(nums))
-    return Fraction(sum([p * (scale // q) for p, q in zip(nums, dens)]), scale)
-
-
-def dot(coeffs, values) -> Fraction:
-    """Exact sum of c * v over paired ints and Fractions, normalized once."""
-    nums = []
-    dens = []
-    for c, v in zip(coeffs, values, strict=True):
-        if type(c) is int and type(v) is Fraction:  # the common case, first
-            p, q = v.as_integer_ratio()
-            nums.append(c * p)
-            dens.append(q)
-            continue
-        cn, cd = _ratio(c, "dot")
-        vn, vd = _ratio(v, "dot")
-        nums.append(cn * vn)
-        dens.append(cd * vd)
-    return _over_lcm(nums, dens)
-
-
 def product_sum(terms) -> Fraction:
     """Exact sum of prod(up) / prod(down) over (up, down) terms, normalized once."""
     nums = []
@@ -249,7 +214,12 @@ def product_sum(terms) -> Fraction:
             p, q = -p, -q
         nums.append(p)
         dens.append(q)
-    return _over_lcm(nums, dens)
+    if len(dens) == 1:
+        return Fraction(nums[0], dens[0])
+    scale = math.lcm(*dens)  # a zero divisor is a ZeroDivisionError below
+    if scale == 1:
+        return Fraction(sum(nums))
+    return Fraction(sum([p * (scale // q) for p, q in zip(nums, dens)]), scale)
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:
@@ -270,6 +240,8 @@ def reciprocal_partial_sums(r: int, n: int) -> tuple[list[int], int]:
 
 def derivative_at_zero(offsets, q: int = 1, scale=1, power: int = 1) -> Fraction:
     """D_x scale * prod_i (x + p_i/q)**power at x = 0, for power +1 or -1."""
+    if power not in (1, -1):
+        raise ValueError(f"derivative_at_zero needs power 1 or -1, got {power}")
     p0, p1 = 1, 0  # prod_i (q x + p_i) = p0 + p1 x + O(x**2)
     for p in offsets:
         p0, p1 = p0 * p, p1 * p + p0 * q

@@ -14,7 +14,8 @@ the binomial transform pair and the iterated branch of
 common denominator with ``exactnum.over_common_denominator``, do all
 the arithmetic on those integers, and build one ``Fraction`` per
 result.  The alternating branch of ``forward_difference`` goes through
-``exactnum.dot`` instead, so the two branches share no arithmetic code.
+``exactnum.product_sum`` instead, so the two branches share no arithmetic
+code.
 Both of those refuse a value that is not an int or ``Fraction`` with
 ``TypeError``, and so do the kernels here that read a rational argument
 themselves; none passes a value through ``Fraction()``.
@@ -44,10 +45,10 @@ from .exactnum import (
     _ratio,
     binomial_int,
     derivative_at_zero,
-    dot,
     factorial,
     format_rational,
     over_common_denominator,
+    product_sum,
     reciprocal_partial_sums,
     signed_binomial_row,
 )
@@ -74,7 +75,7 @@ def forward_difference(f: TermOracle, k: int, x: int) -> Fraction:
         row = list(map(operator.sub, row[1:], row[:-1]))
     iterated = _F(row[0], d)
 
-    alternating = dot(signed_binomial_row(k), vals)
+    alternating = product_sum(((c, v), ()) for c, v in zip(signed_binomial_row(k), vals))
     if iterated != alternating:
         raise ComputationIntegrityError(
             f"difference algorithms disagree at k={k}, x={x}: "

@@ -11,7 +11,6 @@ from hyperseq.exactnum import (
     MEMO_CAP,
     binomial_general,
     binomial_int,
-    dot,
     factorial,
     falling_factorial,
     format_rational,
@@ -150,7 +149,8 @@ class TestSignedBinomialRow:
         row = values
         for _ in range(8):
             row = [b - a for a, b in zip(row, row[1:])]
-        assert dot(signed_binomial_row(8), values) == row[0]
+        terms = [((c, v), ()) for c, v in zip(signed_binomial_row(8), values)]
+        assert product_sum(terms) == row[0]
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
@@ -176,7 +176,7 @@ class TestReducedClosure:
             assert math.gcd(abs(q.numerator), q.denominator) == 1
 
 
-# -- the exact dot product ---------------------------------------------------
+# -- the exact sum of products and quotients ----------------------------------
 
 _ints = st.integers(min_value=-(10**30), max_value=10**30)
 _scalars = st.one_of(_ints, _rationals)
@@ -194,102 +194,13 @@ class _Float(float):
     pass
 
 
-# Exact values that are not exactly int or Fraction, so dot reads them on
-# its mixed path rather than its int-times-Fraction one.
+# Exact values that are not exactly int or Fraction, so product_sum reads
+# them through ``_ratio`` rather than inline.
 _subclassed = st.one_of(
     st.booleans(),
     _ints.map(_Int),
     _rationals.map(lambda v: _Fraction(v.numerator, v.denominator)),
 )
-
-
-def _oracle_dot(coeffs, values):
-    return sum((c * v for c, v in zip(coeffs, values)), F(0))
-
-
-def _assert_canonical(v):
-    assert type(v) is F
-    assert v.denominator > 0
-    assert math.gcd(abs(v.numerator), v.denominator) == 1
-
-
-class TestDot:
-    @given(st.lists(st.tuples(_scalars | _subclassed, _scalars | _subclassed), max_size=40))
-    def test_matches_fraction_sum(self, pairs):
-        coeffs = [c for c, _ in pairs]
-        values = [v for _, v in pairs]
-        got = dot(coeffs, values)
-        assert got == _oracle_dot(coeffs, values)
-        _assert_canonical(got)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(-50, 50),
-                st.integers(1, 10**6),
-                st.integers(-50, 50),
-                st.integers(1, 10**6),
-            ),
-            max_size=25,
-        )
-    )
-    def test_fraction_coefficients_with_unreduced_denominator_products(self, quads):
-        # Denominators that share factors make the term denominators'
-        # product far larger than their lcm.
-        coeffs = [F(a, b * 6) for a, b, _, _ in quads]
-        values = [F(c, d * 10) for _, _, c, d in quads]
-        got = dot(coeffs, values)
-        assert got == _oracle_dot(coeffs, values)
-        _assert_canonical(got)
-
-    @given(st.lists(st.tuples(st.integers(-5, 5), _rationals), max_size=30))
-    def test_zero_and_negative_int_coefficients(self, pairs):
-        coeffs = [c for c, _ in pairs]
-        values = [v for _, v in pairs]
-        assert dot(coeffs, values) == _oracle_dot(coeffs, values)
-
-    def test_empty_is_zero(self):
-        got = dot([], [])
-        assert got == 0
-        _assert_canonical(got)
-
-    def test_cancels_to_canonical_zero(self):
-        got = dot([1, -1, 2], [F(1, 3), F(1, 3), F(0)])
-        assert (got.numerator, got.denominator) == (0, 1)
-
-    def test_mixed_ints_and_fractions(self):
-        assert dot([2, F(1, 2), 3], [F(1, 4), 6, 5]) == F(37, 2)
-
-    def test_accepts_iterators(self):
-        assert dot(iter([1, 2]), (F(1, 2), F(1, 3))) == F(7, 6)
-
-    @pytest.mark.parametrize(
-        "coeffs,values", [([1, 2], [F(1)]), ([1], [F(1), F(2)]), ([], [F(1)])]
-    )
-    def test_length_mismatch(self, coeffs, values):
-        with pytest.raises(ValueError):
-            dot(coeffs, values)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            0.5, 1.0, CertifiedReal(1.0, 0.0), "1/2", None,
-            pytest.param(_Float(0.5), id="float-subclass"),
-            pytest.param(Decimal("0.5"), id="decimal"),
-        ],
-    )
-    def test_inexact_inputs_rejected(self, bad):
-        # float and Decimal have as_integer_ratio() too; the type check
-        # in front of it must still refuse them
-        with pytest.raises(TypeError):
-            dot([1, 2], [F(1, 2), bad])
-        with pytest.raises(TypeError):
-            dot([1, 2], [bad, 3])
-        with pytest.raises(TypeError):
-            dot([bad, 2], [F(1, 2), 3])
-
-
-# -- the exact sum of products and quotients ----------------------------------
 
 _nonzero_scalars = (_scalars | _subclassed).filter(lambda v: v != 0)
 _terms = st.lists(
@@ -311,12 +222,54 @@ def _oracle_product_sum(terms):
     return total
 
 
+def _pair_terms(coeffs, values):
+    """sum c * v as product_sum terms, one (c, v) product per pair."""
+    return [((c, v), ()) for c, v in zip(coeffs, values)]
+
+
+def _assert_canonical(v):
+    assert type(v) is F
+    assert v.denominator > 0
+    assert math.gcd(abs(v.numerator), v.denominator) == 1
+
+
 class TestProductSum:
     @given(_terms)
     def test_matches_the_fraction_sum(self, terms):
         got = product_sum(terms)
         assert got == _oracle_product_sum(terms)
         _assert_canonical(got)
+
+    @given(st.lists(st.tuples(_scalars | _subclassed, _scalars | _subclassed), max_size=40))
+    def test_matches_the_fraction_sum_of_pair_products(self, pairs):
+        got = product_sum(((c, v), ()) for c, v in pairs)
+        assert got == sum((c * v for c, v in pairs), F(0))
+        _assert_canonical(got)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-50, 50),
+                st.integers(1, 10**6),
+                st.integers(-50, 50),
+                st.integers(1, 10**6),
+            ),
+            max_size=25,
+        )
+    )
+    def test_fraction_factors_with_unreduced_denominator_products(self, quads):
+        # Denominators that share factors make the term denominators'
+        # product far larger than their lcm.
+        terms = _pair_terms([F(a, b * 6) for a, b, _, _ in quads],
+                            [F(c, d * 10) for _, _, c, d in quads])
+        got = product_sum(terms)
+        assert got == _oracle_product_sum(terms)
+        _assert_canonical(got)
+
+    @given(st.lists(st.tuples(st.integers(-5, 5), _rationals), max_size=30))
+    def test_zero_and_negative_int_factors(self, pairs):
+        terms = [((c, v), ()) for c, v in pairs]
+        assert product_sum(terms) == _oracle_product_sum(terms)
 
     def test_negative_and_fraction_divisors(self):
         assert product_sum([((3,), (-4,))]) == F(-3, 4)
@@ -326,25 +279,37 @@ class TestProductSum:
         assert product_sum([((5,), (F(-1, 2), 3)), ((1,), (6,))]) == F(-19, 6)
 
     def test_empty_is_zero(self):
-        # no terms, and a term with a zero factor: both the canonical 0/1
-        for terms in ([], iter([]), [((0, F(7, 3)), (F(1, 9),))]):
+        # no terms, a term with a zero factor, and terms that cancel: each
+        # the canonical 0/1
+        for terms in ([], iter([]), [((0, F(7, 3)), (F(1, 9),))],
+                      _pair_terms([1, -1, 2], [F(1, 3), F(1, 3), F(0)])):
             got = product_sum(terms)
             assert (type(got), got.numerator, got.denominator) == (F, 0, 1)
+
+    def test_mixed_ints_and_fractions(self):
+        assert product_sum(_pair_terms([2, F(1, 2), 3], [F(1, 4), 6, 5])) == F(37, 2)
+
     def test_accepts_iterators(self):
         terms = (((k, F(1, k + 1)), (2,)) for k in range(1, 4))
         assert product_sum(terms) == F(1, 4) + F(1, 3) + F(3, 8)
+        assert product_sum([(iter([1, 2]), iter([F(1, 3)]))]) == 6
 
     @pytest.mark.parametrize(
         "bad, name",
         [
-            (0.5, "float"), ("1/2", "str"), (Decimal("0.5"), "Decimal"),
-            (CertifiedReal(1.0, 0.0), "CertifiedReal"), (_Float(0.5), "_Float"),
+            (0.5, "float"), (1.0, "float"), ("1/2", "str"), (None, "NoneType"),
+            (Decimal("0.5"), "Decimal"), (CertifiedReal(1.0, 0.0), "CertifiedReal"),
+            (_Float(0.5), "_Float"),
         ],
-        ids=["float", "str", "decimal", "certified", "float-subclass"],
+        ids=["float", "integral-float", "str", "none", "decimal", "certified",
+             "float-subclass"],
     )
     def test_inexact_factors_are_refused_by_name(self, bad, name):
+        # float and Decimal have as_integer_ratio() too; the type check in
+        # front of it must still refuse them, in any place of a term
         message = f"^product_sum needs ints or Fractions, got {name}$"
-        for terms in ([((bad,), ())], [((2,), (bad,))], [((F(1, 2),), ()), ((1, bad), (3,))]):
+        for terms in ([((bad,), ())], [((2,), (bad,))], [((F(1, 2),), ()), ((1, bad), (3,))],
+                      _pair_terms([1, 2], [F(1, 2), bad]), _pair_terms([bad, 2], [F(1, 2), 3])):
             with pytest.raises(TypeError, match=message):
                 product_sum(terms)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import hyperseq.identities as ident
 from hyperseq.analytic import CertifiedReal
 from hyperseq.errors import DomainError
-from hyperseq.exactnum import binomial_general
+from hyperseq.exactnum import binomial_general, signed_binomial_row
 from hyperseq.opcalc import dx_reciprocal_rising, forward_difference
 from hyperseq.opcalc import gf_alpha, gf_beta, gf_hyperharmonic
 from hyperseq.sequences import alpha, beta, hyperharmonic_half_integer_alt
@@ -464,11 +464,8 @@ def test_t2_12_9b_at_order_one_balances_where_t1_12_9b_fails():
             order_one = t2.lhs(n=n, r=1, y=y)
             assert order_one == t2.rhs(n=n, r=1, y=y) == ident.H(n), pa
             assert t1.lhs(**pa) != t1.rhs(**pa), pa
-            tail = ident.bsum(
-                0, n,
-                lambda k: ident.C(n, k) * ident.Cg(y + k, k) / ident.Cg(y + k + 1 + n, n),
-                lambda k: F(k) / (y + k + 1) ** 2,
-            )
+            tail = sum((ident.C(n, k) * ident.Cg(y + k, k) / ident.Cg(y + k + 1 + n, n)
+                        * F(k) / (y + k + 1) ** 2 for k in range(n + 1)), F(0))
             assert order_one - t1.lhs(**pa) == 2 * tail, pa
 
 
@@ -602,13 +599,11 @@ class TestRowMemos:
     def test_memos_are_emptied_when_a_row_raises(self, monkeypatch):
         def lhs(n):
             # fill every row memo, then fail with a bug
-            ident._h_over_c2(n, 2)
             ident.Cg(F(1, 2), n)
             ident._poly_point(2, n)
             ident._gf_coeff(gf_hyperharmonic, 1, n)
             get_identity("t2-3.108").lhs(n=1, m=2, r=1)
             ident._gould43_power(F(1, 2), n + 1, n)
-            ident._t2_43_term(F(1, 2), n, 2)
             ident._gould_coeff(-2 * n, n)
             ident._dx_reciprocal_rising(n + 1, n)
             ident._t2_129_k(F(1, 2), n, 2)
@@ -635,8 +630,8 @@ class TestRowMemos:
         monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
         with pytest.raises(ZeroDivisionError):
             verify("probe-raise")
-        assert len(ident._ROW_MEMOS) == 19  # the lhs above fills each one
-        assert self._sizes() == [0] * 19
+        assert len(ident._ROW_MEMOS) == 17  # the lhs above fills each one
+        assert self._sizes() == [0] * 17
         assert ident._line in ident._ROW_MEMOS  # so the lines went too
 
     @pytest.mark.parametrize(
@@ -734,7 +729,7 @@ class TestRowPieces:
         assert (rep.verdict, rep.tested, rep.skipped) == ("PASS", 96, 0)
 
 
-# -- the sides summed by product_sum or dot, against the forms they replaced ----
+# -- the sides summed by product_sum or line_sum, against their earlier forms --
 #
 # Each form below is the side as it was written term by term in Fraction
 # arithmetic, with the pieces it read from a memo written out unmemoized.
@@ -822,11 +817,53 @@ def _form_t1_z58(n, hw=h):
                                       + hw(n, F(1, 2)))
 
 
+def _form_alt(k, term, lo=0):
+    """sum_{i=lo..k} (-1)^(k-i) C(k, i) term(i), the k-th difference form."""
+    row = signed_binomial_row(k)
+    return sum((row[i] * term(i) for i in range(lo, k + 1)), F(0))
+
+
+def _form_h_over_c2_sum(coeff, n, r):
+    """sum_{k=1..n} coeff(k) h(k, r)/C(r-1+k, k)^2."""
+    return sum((coeff(k) * (h(k, r) / C(r - 1 + k, k) ** 2) for k in range(1, n + 1)), F(0))
+
+
+def _form_144(n, r):
+    return _form_h_over_c2_sum(lambda k: (-1) ** (k - 1) * C(n + 1, k + 1), n, r)
+
+
+def _form_hypergeom_rhs(n, r, m):
+    return _form_h_over_c2_sum(lambda k: (-1) ** (k + 1) * C(m, k) * C(2 * k, k), m, n + r)
+
+
+#: cor-hk-shift's (lhs, rhs) of (n, k, r) for each part
+_HK_SHIFT_FORMS = (
+    (lambda n, k, r: h(n - k, k), lambda n, k, r: _form_alt(k, lambda i: h(n, i))),
+    (lambda n, k, r: _form_alt(k, lambda i: h(k, r + i)), lambda n, k, r: F(0)),
+)
+
 _half_alt = hyperharmonic_half_integer_alt
 
-#: (row, side): the side's form before product_sum or dot summed it; a
+#: (row, side): the side's form before product_sum or line_sum summed it; a
 #: pinned row's form is its source's at the pins
 _EARLIER_FORMS = {
+    ("prop-5", "lhs"): lambda n, r: sum((h(s, r - 1) for s in range(1, n + 1)), F(0))
+    - sum((h(n - 1, k) for k in range(1, r + 1)), F(0)),
+    ("cor-hk-shift", "lhs"): lambda part, n, k, r: ident._part(_HK_SHIFT_FORMS, part)[0](n, k, r),
+    ("cor-hk-shift", "rhs"): lambda part, n, k, r: ident._part(_HK_SHIFT_FORMS, part)[1](n, k, r),
+    ("cor-lower", "rhs"): lambda k, r: _form_alt(k, lambda i: h(i, r), 1),
+    ("rem-Hk-hik", "rhs"): lambda part, k: _form_alt(k, lambda i: h(i, k + 1 - part), 1),
+    ("cor-recip", "rhs"): lambda k: sum((C(k, i) * h(i + 1, -i) for i in range(k + 1)), F(0)),
+    ("cor-e2", "rhs"): lambda n: sum((C(n, i) * h(i, 1 - i) for i in range(1, n + 1)), F(0)),
+    ("rem-doublesum", "rhs"): lambda n: sum((signed_binomial_row(k)[i] * h(i, k)
+                                              for k in range(1, n + 1) for i in range(1, k + 1)),
+                                             F(0)),
+    ("t2-1.44", "lhs"): _form_144,
+    ("t1-1.44", "lhs"): lambda n: _form_144(n, 1),
+    ("t2-7.13", "lhs"): lambda n, j: _form_h_over_c2_sum(
+        lambda k: C(n, k) * C(-n - 1, n - k), n, j),
+    ("t2-7.29", "rhs"): lambda n, r: _form_hypergeom_rhs(n, r, 2 * n),
+    ("t2-7.30", "rhs"): lambda n, r: _form_hypergeom_rhs(n, r, 2 * n + 1),
     ("prop-bt", "rhs"): lambda n, r: alpha(n, r) * beta(n, r) / (alpha(n, r) - 1),
     ("eq-13", "rhs"): lambda n, r, x: (1 + quot(n, x + r))
     * binomial_general(x + n + r - 1, n),
@@ -919,8 +956,8 @@ def test_the_half_integer_alternative_keeps_its_telescoped_form(n, w):
     assert _outcome(_half_alt, {"n": n, "w": w}) == _outcome(form, {"n": n, "w": w})
 
 
-#: Fraction constructions in one warm ``verify`` of each row whose sides
-#: product_sum or dot sums: 10% above the count measured on CPython 3.11.
+#: Fraction constructions in one warm ``verify`` of each row with a side
+#: that product_sum sums: 10% above the count measured on CPython 3.11.
 #: The term-by-term forms built 1.1-25x as many.  CPython 3.12 and later
 #: build arithmetic results without ``Fraction.__new__`` and pass only an
 #: int operand through it, so they count no more.
@@ -968,7 +1005,7 @@ class TestLineSum:
             args.insert(axis, p)
             return fn(*args)
 
-        return ident.dot(coeffs, [value(p) for p in points])
+        return sum((c * value(p) for c, p in zip(coeffs, points)), F(0))
 
     @staticmethod
     def _outcome(thunk):
@@ -1055,7 +1092,8 @@ class TestLineSum:
 
 
 class TestRatioMemos:
-    """The row memos of a rational argument are keyed on its integer ratio."""
+    """The row memos of a rational argument are keyed on its integer ratio;
+    they and the line function ``_t2_43_term`` refuse a float by name."""
 
     @pytest.mark.parametrize("memo, args, name", [
         (ident.Cg, (3,), "binomial_general"),

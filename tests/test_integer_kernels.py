@@ -22,7 +22,6 @@ from hyperseq.exactnum import (
     binomial_general,
     binomial_int,
     derivative_at_zero,
-    dot,
     falling_factorial,
     format_rational,
     over_common_denominator,
@@ -213,6 +212,15 @@ class TestDerivativeAtZero:
     def test_inexact_scale_rejected(self, bad):
         with pytest.raises(TypeError):
             derivative_at_zero([1, 2], 1, bad)
+
+    @pytest.mark.parametrize("power", [2, 0, -2, 3])
+    def test_a_power_other_than_plus_or_minus_one_is_refused(self, power):
+        # D_x prod (x+i)^2 at 0 over offsets 1, 2, 3 is 132; the kernel
+        # differentiates only prod (x+i) and its reciprocal, so it must not
+        # answer for any other power (it gave -11/36, the power -1 slope)
+        message = f"^derivative_at_zero needs power 1 or -1, got {power}$"
+        with pytest.raises(ValueError, match=message):
+            derivative_at_zero([1, 2, 3], 1, 1, power)
 
 
 class TestReciprocalSum:
@@ -411,7 +419,6 @@ class TestRationalOrderKernel:
 # Each kernel that reads a rational argument itself, by the name its
 # TypeError gives, called with that one argument taken from the caller.
 _READERS = {
-    "dot": lambda v: dot([1, v], [F(1, 2), 3]),
     "over_common_denominator": lambda v: over_common_denominator([F(1, 2), v]),
     "derivative_at_zero": lambda v: derivative_at_zero([1, 2], 1, v),
     "rising_factorial": lambda v: rising_factorial(v, 3),
