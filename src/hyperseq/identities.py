@@ -33,16 +33,15 @@ row divides through ``quot`` wherever its divisor can vanish, and checks
 such a ``product_sum`` divisor with ``_nonzero`` first, so a pole is a
 ``DomainError``: the case is skipped and counted with its reason.  A
 ``valid`` filter drops cases uncounted, so a row has one only where it
-excludes a case of the row's default grid.  ``Cg`` and every piece a row
-would rebuild case after case across an axis it does not read are
-memoized for that row only, keyed on exactly the parameters they read:
+excludes a case of the row's default grid.  Every piece a row would
+rebuild case after case across an axis it does not read is memoized for
+that row only, keyed on exactly the parameters it reads:
 the n-free pieces of term k of an order-r sum (``_t2_129_k``), the
 pieces that read k and r only through k + r (``_t2_129_n``), a row of
 coefficients free of one parameter, always a tuple so no case can change
 it (``_c_pair_row``, ``_c_up_row``, ``_c_row``, ``_gould43_row``), a
 generating series built once per r (``_gf_series``) and the balls of a
-float row (``_hyp_twice``).  A memo of a rational argument keys it on its
-integer ratio, not on its ``Fraction`` hash.  A piece keeps each case's
+float row (``_hyp_twice``).  A piece keeps each case's
 first exception: a division it hoists goes through ``quot``, after the
 row's own pole checks.  A ``line_sum`` reads the row's line of its
 function: the values read so far, through the function itself, as
@@ -103,6 +102,7 @@ from .analytic import CertifiedReal, as_certified, digamma, exp_ball, ln2, sum_s
 from .analytic import delta_hyperbolic_closed_form
 from .errors import DomainError
 from . import exactnum
+from .exactnum import binomial_general as Cg
 from .exactnum import binomial_int as C
 from .exactnum import derivative_at_zero as dx0
 from .exactnum import factorial, format_rational, product_sum, signed_binomial_row
@@ -517,35 +517,12 @@ def _row_memo(fn):
     after case; between rows the values mostly differ, so holding them
     for the life of the process would only grow memory.  The keys are
     typed, so a float argument never reads the entry an equal int or
-    ``Fraction`` filled.
+    ``Fraction`` filled; a cold one reaches ``fn``, so a function of a
+    rational refuses it through ``exactnum._ratio``.
     """
     memo = functools.lru_cache(maxsize=None, typed=True)(fn)
     _ROW_MEMOS.append(memo)
     return memo
-
-
-def _ratio_memo(fn):
-    """A row memo of ``fn(x, *rest)`` keyed on the integer ratio of x.
-
-    A ``Fraction`` key is hashed at every lookup, and Python 3.11's
-    ``Fraction.__hash__`` computes a modular inverse to do it (about
-    1.5 us); a pair of ints hashes in C.  ``exactnum._ratio`` reads x, so a
-    float is a ``TypeError`` naming ``fn``, warm or cold.
-    """
-    name = fn.__name__
-    by_ratio = _row_memo(lambda pq, *rest: fn(F(*pq), *rest))
-
-    def memo(x, *rest):
-        if type(x) is not F:
-            exactnum._ratio(x, name)  # a Fraction subclass or an int passes
-        return by_ratio(x.as_integer_ratio(), *rest)
-
-    return memo
-
-
-#: The rows' generalized binomial C(x, k) at rational x, memoized per
-#: row; the library's ``exactnum.binomial_general`` stays unmemoized.
-Cg = _ratio_memo(exactnum.binomial_general)
 
 
 @functools.lru_cache(maxsize=4096, typed=True)
@@ -559,7 +536,7 @@ def h(n: int, w) -> Fraction:
     index that is not an int, one naming the kernel it reaches.
 
     The one cache of h values, kept for the process since rows repeat
-    each other's (one full audit: 2,936 misses, 59,026 hits; a
+    each other's (one full audit: 2,936 misses, 62,666 hits; a
     ``line_sum`` reads each point once per row).  It is typed, so 0.5
     never reads the entry that ``F(1, 2)`` filled.
     """
@@ -678,12 +655,6 @@ def _c_row(n: int, sign: int) -> tuple:
     return tuple(sign**k * C(n, k) for k in range(1, n + 1))
 
 
-@_row_memo
-def _h_and_c(n: int, r: int) -> tuple:
-    """h(n, r) and C(r-1+n, n), the Gould (7.2) rhs pieces free of m."""
-    return h(n, r), C(r - 1 + n, n)
-
-
 #: falling(r, m), the ``prop-falling`` rhs divisor free of n.
 _falling = _row_memo(falling)
 
@@ -715,10 +686,10 @@ def _gould43_num(p: int, q: int, n: int, k: int) -> int:
     return (p - k * q) ** k * (q - p + k * q) ** (n - k)
 
 
-@_ratio_memo
+@_row_memo
 def _gould43_power(x, n: int, k: int) -> Fraction:
     """(x-k)^k (1-x+k)^(n-k), the Gould (4.3) power; free of the order r."""
-    p, q = x.as_integer_ratio()
+    p, q = exactnum._ratio(x, "_gould43_power")
     return F(_gould43_num(p, q, n, k), q**n)
 
 
@@ -753,20 +724,21 @@ def _gould_coeff(upper: int, k: int) -> Fraction:
 _dx_reciprocal_rising = _row_memo(dx_reciprocal_rising)
 
 
-@_ratio_memo
+@_row_memo
 def _t2_129_k(x, k: int, r: int) -> tuple:
     """Term k's n-free pieces of Gould (12.9) at order r: C(x+k, k)/C(r-1+k, k),
     ratio = (x+r+2k)/(x+r+k), ratio h(k, r)/C(r-1+k, k) and k/(x+r+k)^2."""
-    p, q = x.as_integer_ratio()
+    p, q = exactnum._ratio(x, "_t2_129_k")
     c, a = C(r - 1 + k, k), p + (r + k) * q  # x + r + k = a/q
     ratio = quot(a + k * q, a)
     return (Cg(x + k, k) / c, ratio, product_sum([((ratio, h(k, r)), (c,))]),
             F(k * q * q, a * a))
 
 
-@_ratio_memo
+@_row_memo
 def _t2_129_n(x, n: int, s: int) -> tuple:
     """C(x+s+n, n) and h(n, x+s+1)/C(x+s+n, n), Gould (12.9)'s pieces at s = k+r."""
+    exactnum._ratio(x, "_t2_129_n")  # refuse a float by this name
     big = Cg(x + (s + n), n)
     return big, quot(h(n, x + (s + 1)), big)
 
@@ -812,9 +784,10 @@ def _cg_diag(x, c: int, j: int) -> Fraction:
     return Cg(x + (j + c), j)
 
 
-@_ratio_memo
+@_row_memo
 def _hyp_twice(x, i: int, kind: str) -> CertifiedReal:
     """2 sinh(x+i) = e^(x+i) - e^(-x-i), or 2 cosh(x+i) with +; free of k."""
+    exactnum._ratio(x, "_hyp_twice")  # exp_ball would take a float
     op = CertifiedReal.__sub__ if kind == "sinh" else CertifiedReal.__add__
     return op(exp_ball(x + i), exp_ball(-x - i))
 
@@ -1568,7 +1541,7 @@ def _table2_rows():
     )
 
     def _t2_72_rhs(n, m, r):
-        hn, c = _h_and_c(n, r)
+        hn, c = h(n, r), C(r - 1 + n, n)
         return product_sum([((C(r - 1 + m + n, n), hn), (c, c)), ((-1, h(n, m + r)), (c,))])
 
     _add(

@@ -15,11 +15,13 @@ engine's case stream while ``hyperseq audit --format json`` runs, so
 the digests hash the very values the verdicts compare, and each case is
 evaluated once.  ``run_audit`` is that run; a pytest session makes it
 once, in the ``full_audit`` fixture, and ``--check`` and ``--write``
-once each.
+once each.  The same run counts each row memo's hits, and a memo that
+no row of the audit hits is a failure: it only costs.
 
 The module does not import pytest, so the check also runs without it;
-it prints each changed row digest and any change to the audit JSON, and
-exits 1 on a change or when the audit does not exit 3::
+it prints each changed row digest, any change to the audit JSON and each
+row memo with no hit, and exits 1 on any of them or when the audit does
+not exit 3::
 
     PYTHONPATH=src python tests/test_golden.py --check
 
@@ -85,33 +87,61 @@ def hashing_cases():
         identities._cases = cases
 
 
+@contextlib.contextmanager
+def counting_memo_hits():
+    """While open, every row ``verify`` runs adds up its row memos' hits.
+
+    Wraps ``identities.row_scope``, reading each memo's ``cache_info()``
+    before the scope empties it.  Yields ``{memo name: hits}``.
+    """
+    hits = dict.fromkeys((memo.__name__ for memo in identities._ROW_MEMOS), 0)
+    scope = identities.row_scope
+
+    @contextlib.contextmanager
+    def counted():
+        with scope():
+            try:
+                yield
+            finally:
+                for memo in identities._ROW_MEMOS:
+                    hits[memo.__name__] += memo.cache_info().hits
+
+    identities.row_scope = counted
+    try:
+        yield hits
+    finally:
+        identities.row_scope = scope
+
+
 class FullAudit:
     """One ``hyperseq audit --format json`` over the default domains.
 
     ``exit_code`` is what the command returned, ``stdout`` the report as
     printed, ``rows`` maps each identity id to its parsed row,
     ``digests`` and ``cases`` map each exact row (and ``<key>@alt``) to
-    the sha256 of its cases and their number, and ``memo_sizes`` holds
-    the size of every row memo right after the run.
+    the sha256 of its cases and their number, ``memo_sizes`` holds
+    the size of every row memo right after the run, and ``memo_hits``
+    maps each row memo's name to its hits over the run.
     """
 
-    def __init__(self, exit_code, stdout, hashes, memo_sizes):
+    def __init__(self, exit_code, stdout, hashes, memo_sizes, memo_hits):
         self.exit_code = exit_code
         self.stdout = stdout
         self.rows = {row["identity_id"]: row for row in json.loads(stdout)}
         self.digests = {k: sha.hexdigest() for k, (sha, _) in hashes.items()}
         self.cases = {k: n for k, (_, n) in hashes.items()}
         self.memo_sizes = memo_sizes
+        self.memo_hits = memo_hits
 
 
 def run_audit() -> FullAudit:
     """Run the full audit once, hashing every exact row's cases."""
     buf = io.StringIO()
-    with hashing_cases() as hashes, contextlib.redirect_stdout(buf):
-        with contextlib.redirect_stderr(io.StringIO()):
+    with hashing_cases() as hashes, counting_memo_hits() as hits:
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
             code = cli_main(["audit", "--format", "json"])
     sizes = [memo.cache_info().currsize for memo in identities._ROW_MEMOS]
-    return FullAudit(code, buf.getvalue(), hashes, sizes)
+    return FullAudit(code, buf.getvalue(), hashes, sizes, hits)
 
 
 def changed_digests(got: dict) -> list:
@@ -120,6 +150,11 @@ def changed_digests(got: dict) -> list:
     expected = json.loads(ROW_DIGESTS.read_text())
     keys = expected.keys() | got.keys()
     return sorted(k for k in keys if got.get(k) != expected.get(k))
+
+
+def dead_memos(hits: dict) -> list:
+    """The row memos that no row hit, in registration order."""
+    return [name for name, n in hits.items() if n == 0]
 
 
 def test_full_audit_json_is_byte_identical(full_audit):
@@ -142,6 +177,11 @@ def test_digests_hash_every_case_the_report_counts(full_audit):
                 alt = row["alternative"]
                 expected[key + "@alt"] = alt["tested"] + alt["skipped"]
     assert full_audit.cases == expected
+
+
+def test_every_row_memo_is_hit(full_audit):
+    assert len(full_audit.memo_hits) == len(identities._ROW_MEMOS)
+    assert dead_memos(full_audit.memo_hits) == []
 
 
 def test_fixture_covers_every_exact_row_and_convention():
@@ -173,12 +213,16 @@ if __name__ == "__main__":
             )
         )
         sys.stderr.writelines(audit_diff)
+        dead = dead_memos(audit.memo_hits)
+        for name in dead:
+            print("row memo with no hit:", name, file=sys.stderr)
         print(
             f"{len(changed)} row digests changed; the audit JSON "
             + ("changed" if audit_diff else "is unchanged")
+            + f"; {len(dead)} of {len(audit.memo_hits)} row memos have no hit"
             + ("" if audit.exit_code == 3 else f"; the audit exited {audit.exit_code}, not 3"),
             file=sys.stderr,
         )
-        sys.exit(1 if changed or audit_diff or audit.exit_code != 3 else 0)
+        sys.exit(1 if changed or audit_diff or dead or audit.exit_code != 3 else 0)
     else:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write|--check")
