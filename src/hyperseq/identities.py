@@ -17,8 +17,9 @@ rows that do not balance as printed.  A report passes only when every
 row is PASS: a row with no tested case (SKIPPED) proves nothing.
 
 Every evaluator (``lhs``, ``rhs``, ``alt_rhs``, ``valid``) takes its
-row's declared parameters as keyword arguments, ``lambda n, r: ...``;
-the engine alone holds an assignment as a dict and calls ``fn(**pa)``.
+row's declared parameters first, in declared order, ``lambda n, r: ...``,
+and ``_add`` refuses one that does not; the engine calls it with a
+case's values by position and builds no dict per case.
 Rows are written over one vocabulary, so that each reads like its
 anchor: ``h(n, w)`` at any order (integer of either sign, or rational),
 ``H``/``Hm`` (harmonic and generalized harmonic numbers), ``C``
@@ -174,7 +175,8 @@ class Identity(
     """One registry row: two evaluators over a parameter domain; immutable.
 
     ``params`` is a tuple of :class:`IntRange`/:class:`RationalChoice`;
-    ``lhs``/``rhs`` take the parameters by name and return a value.
+    ``lhs``/``rhs`` take the parameters' values positionally, in that
+    order, and return a value.
     ``valid`` filters assignments; ``alt_rhs``, when set, is the right
     side under the alternative half-integer convention, checked against
     ``lhs``.  ``mode`` follows from the tags: a ``float`` row's sides are
@@ -315,15 +317,15 @@ def _render_value(v) -> object:
     return v.to_json_obj() if type(v) is CertifiedReal else format_rational(v)
 
 
-def _render_params(pa: dict) -> dict:
+def _render_params(identity, vals) -> dict:
     return {
-        name: (value if isinstance(value, int) else format_rational(value))
-        for name, value in pa.items()
+        p.name: (value if isinstance(value, int) else format_rational(value))
+        for p, value in zip(identity.params, vals)
     }
 
 
 def _axis_values(p, max_bound, param_bounds):
-    """The ``(name, value)`` pairs parameter ``p`` runs over.
+    """The values parameter ``p`` runs over.
 
     An override never goes below the row's own lower bound, and an
     integer axis takes only integral values: a rational pin that is not
@@ -335,7 +337,7 @@ def _axis_values(p, max_bound, param_bounds):
         lo, hi = p.lo, p.hi
         if isinstance(override, F):
             if override.denominator != 1:
-                return []
+                return ()
             override = override.numerator
         if isinstance(override, int):
             override = (override, override)
@@ -346,18 +348,20 @@ def _axis_values(p, max_bound, param_bounds):
                 hi = min(hi, override[1])
             if max_bound is not None:
                 hi = min(hi, max_bound)
-        return [(p.name, v) for v in range(max(lo, p.lo), hi + 1)]
-    values = p.values if override is None else (F(override),)
-    return [(p.name, v) for v in values]
+        return range(max(lo, p.lo), hi + 1)
+    return p.values if override is None else (F(override),)
 
 
-def _assignments(identity, max_bound, param_bounds):
+def _cases(identity, max_bound, param_bounds):
+    """A row's cases in grid order, each a tuple of values in the order of
+    the row's parameters: every point of the axes' product that ``valid``
+    keeps.  ``valid`` sees a point just before its case runs."""
     axes = [_axis_values(p, max_bound, param_bounds) for p in identity.params]
-    for combo in itertools.product(*axes):
-        pa = dict(combo)
-        if identity.valid is not None and not identity.valid(**pa):
-            continue
-        yield pa
+    grid = itertools.product(*axes)
+    if identity.valid is None:
+        return grid
+    kept = itertools.starmap(identity.valid, itertools.product(*axes))
+    return itertools.compress(grid, kept)
 
 
 _EXACT_TYPES = (int, Fraction)
@@ -383,30 +387,6 @@ def _values_agree(exact, lv, rv) -> bool:
     return gap <= F(lv.abs_error_bound) + F(rv.abs_error_bound)
 
 
-def _cases(identity, max_bound, param_bounds):
-    """Evaluate each case of a row once, as ``(pa, lv, rights)``.
-
-    ``rights`` holds the rhs value and, on a dual-convention row, the
-    alt_rhs value; a side that raises ``DomainError`` holds the error
-    instead.  When the lhs raises, no right side is evaluated and every
-    slot holds the lhs error, so every convention skips the case.
-    """
-    sides = (identity.rhs, identity.alt_rhs)[: 1 + identity.dual_convention]
-    for pa in _assignments(identity, max_bound, param_bounds):
-        try:
-            lv = identity.lhs(**pa)
-        except DomainError as exc:
-            yield pa, exc, (exc,) * len(sides)
-            continue
-        rights = []
-        for rhs in sides:
-            try:
-                rights.append(rhs(**pa))
-            except DomainError as exc:
-                rights.append(exc)
-        yield pa, lv, rights
-
-
 def verify(
     key: str,
     *,
@@ -414,35 +394,69 @@ def verify(
     param_bounds: dict | None = None,
     counterexample_cap: int = 5,
 ) -> IdentityReport:
-    """Check one registered identity over its (possibly overridden) domain."""
+    """Check one registered identity over its (possibly overridden) domain.
+
+    Each case is evaluated once for both conventions: the lhs, then the
+    rhs and, on a dual-convention row, the alt_rhs, each called with the
+    case's values in parameter order.  A side that raises ``DomainError``
+    skips the case under its convention; an lhs that raises skips it
+    under both, and no right side runs.
+    """
     identity = get_identity(key)
+    lhs, rhs, alt_rhs = identity.lhs, identity.rhs, identity.alt_rhs
     exact = identity.mode == "exact"
+    # the types whose equal sides pass inline; every other outcome settles
+    # through ``settle``, a float row's always
+    inline = _EXACT_TYPES if exact else ()
     start = time.monotonic()
-    # per convention, main first: cases tested, skipped and failed, and the
-    # first counterexamples
-    tested, skipped, failed = [0, 0], [0, 0], [0, 0]
+    # the cases run and, per convention, main first: cases skipped and
+    # failed, and the first counterexamples
+    cases, skipped, failed = 0, [0, 0], [0, 0]
     examples = ([], [])
     reasons = []  # the main convention's first skips
+
+    def settle(i, vals, lv, rv):
+        if isinstance(rv, DomainError):
+            skipped[i] += 1
+            if i == 0 and len(reasons) < 3:
+                reasons.append({"params": _render_params(identity, vals), "reason": str(rv)})
+        elif not _values_agree(exact, lv, rv):
+            failed[i] += 1
+            if len(examples[i]) < counterexample_cap:
+                examples[i].append(
+                    {
+                        "params": _render_params(identity, vals),
+                        "lhs": _render_value(lv),
+                        "rhs": _render_value(rv),
+                    }
+                )
+
     with row_scope():
-        for pa, lv, rights in _cases(identity, max_bound, param_bounds):
-            for i, rv in enumerate(rights):
-                if isinstance(rv, DomainError):
-                    skipped[i] += 1
-                    if i == 0 and len(reasons) < 3:
-                        reason = {"params": _render_params(pa), "reason": str(rv)}
-                        reasons.append(reason)
-                    continue
-                tested[i] += 1
-                if not _values_agree(exact, lv, rv):
-                    failed[i] += 1
-                    if len(examples[i]) < counterexample_cap:
-                        examples[i].append(
-                            {
-                                "params": _render_params(pa),
-                                "lhs": _render_value(lv),
-                                "rhs": _render_value(rv),
-                            }
-                        )
+        for vals in _cases(identity, max_bound, param_bounds):
+            cases += 1
+            try:
+                lv = lhs(*vals)
+            except DomainError as exc:
+                settle(0, vals, exc, exc)
+                if alt_rhs is not None:
+                    settle(1, vals, exc, exc)
+                continue
+            try:
+                rv = rhs(*vals)
+            except DomainError as exc:
+                rv = exc
+            if alt_rhs is not None:
+                try:
+                    av = alt_rhs(*vals)
+                except DomainError as exc:
+                    av = exc
+            if not (type(lv) in inline and type(rv) in inline
+                    and lv.as_integer_ratio() == rv.as_integer_ratio()):
+                settle(0, vals, lv, rv)
+            if alt_rhs is not None:
+                settle(1, vals, lv, av)
+
+    tested = [cases - n for n in skipped]
 
     def verdict(i):
         return "FAIL" if failed[i] else "PASS" if tested[i] else "SKIPPED"
@@ -807,19 +821,45 @@ def _alternating_certified_sum(k: int, values) -> CertifiedReal:
 _REGISTRY: dict[str, Identity] = {}
 
 
+def _positional_names(fn) -> tuple:
+    """The names of the parameters ``fn`` takes positionally, in order.
+
+    A ``functools.partial`` takes its function's, less those its
+    arguments fill; a keyword it binds ends the run, since a positional
+    value there would bind that parameter twice.
+    """
+    if isinstance(fn, functools.partial):
+        names = _positional_names(fn.func)[len(fn.args):]
+        bound = [i for i, name in enumerate(names) if name in fn.keywords]
+        return names[: bound[0]] if bound else names
+    code = fn.__code__
+    return code.co_varnames[: code.co_argcount]
+
+
+def _register(identity):
+    if identity.key in _REGISTRY:
+        raise ValueError(f"duplicate identity key {identity.key}")
+    _REGISTRY[identity.key] = identity
+
+
 def _add(key, anchor, params, lhs, rhs, tags, valid=None, alt_rhs=None):
-    if key in _REGISTRY:
-        raise ValueError(f"duplicate identity key {key}")
-    _REGISTRY[key] = Identity(
-        key=key,
-        anchor=anchor,
-        params=tuple(params),
-        lhs=lhs,
-        rhs=rhs,
-        tags=frozenset(tags),
-        valid=valid,
-        alt_rhs=alt_rhs,
-    )
+    """Register a row; each evaluator must take the row's parameters
+    positionally, in declared order, as the first of its own, since
+    ``verify`` passes a case's values by position."""
+    params = tuple(params)
+    names = tuple(p.name for p in params)
+    evaluators = {"lhs": lhs, "rhs": rhs, "valid": valid, "alt_rhs": alt_rhs}
+    for role, fn in evaluators.items():
+        if fn is None:
+            continue
+        takes = _positional_names(fn)
+        if takes[: len(names)] != names:
+            raise ValueError(
+                f"{key}: {role} takes {takes} positionally, "
+                f"not the row's parameters {names} first"
+            )
+    _register(Identity(key=key, anchor=anchor, params=params, tags=frozenset(tags),
+                       **evaluators))
 
 
 def _add_pinned(key, anchor, params, tags, source, pins):
@@ -828,22 +868,40 @@ def _add_pinned(key, anchor, params, tags, source, pins):
     ``pins`` maps a parameter of ``source`` to an int, or to the name of
     the row's own parameter passed on under the source's name.  The
     row's ``lhs``, ``rhs``, ``valid`` and ``alt_rhs`` are the source's,
-    called with the pins.
+    called with the pins; which of the row's values and pins goes to
+    each of the source's parameters is worked out here, once.  Each also
+    takes the row's parameters by name.
     """
     src = get_identity(source)  # so a source must be registered first
-    consts = {name: v for name, v in pins.items() if not isinstance(v, str)}
-    renames = {v: name for name, v in pins.items() if isinstance(v, str)}
+    params = tuple(params)
+    names = tuple(p.name for p in params)
+    consts, take = [], []  # the pins; for each source parameter, its slot
+    for p in src.params:
+        value = pins.get(p.name, p.name)
+        if isinstance(value, str):
+            take.append(names.index(value))
+        else:
+            take.append(len(names) + len(consts))
+            consts.append(value)
+    consts = tuple(consts)
 
     def pin(fn):
         if fn is None:
             return None
-        fixed = functools.partial(fn, **consts)
-        if not renames:
-            return fixed
-        return lambda **pa: fixed(**{renames.get(k, k): v for k, v in pa.items()})
 
-    _add(key, anchor, params, pin(src.lhs), pin(src.rhs), tags,
-         valid=pin(src.valid), alt_rhs=pin(src.alt_rhs))
+        def pinned(*vals, **named):
+            if named:
+                rest = names[len(vals):]
+                if set(named) != set(rest):
+                    raise TypeError(f"{key} takes {rest} by name, not {tuple(named)}")
+                vals += tuple(named[name] for name in rest)
+            return fn(*map((vals + consts).__getitem__, take))
+
+        return pinned
+
+    _register(Identity(key=key, anchor=anchor, params=params, lhs=pin(src.lhs),
+                       rhs=pin(src.rhs), tags=frozenset(tags), valid=pin(src.valid),
+                       alt_rhs=pin(src.alt_rhs)))
 
 
 def get_identity(key: str) -> Identity:

@@ -620,10 +620,12 @@ def test_float_rows_are_bit_identical_under_the_linear_fold(monkeypatch):
     def balls():
         out = []
         for key in keys:
+            identity = get_identity(key)
             with row_scope():
-                for pa, lv, rights in _cases(get_identity(key), None, None):
+                for vals in _cases(identity, None, None):
+                    sides = [identity.lhs(*vals), identity.rhs(*vals)]
                     out.append(
-                        (key, pa, [(s.value, s.abs_error_bound) for s in (lv, *rights)])
+                        (key, vals, [(s.value, s.abs_error_bound) for s in sides])
                     )
         return out
 

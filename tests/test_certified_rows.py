@@ -139,8 +139,11 @@ def _difference_oracles(key, pa):
 def test_every_case_interval_contains_the_true_value(key):
     # the sides the audit compares, from the engine's own case stream
     cases = 0
+    identity = get_identity(key)
     with mpmath.workdps(60), row_scope():
-        for pa, lv, (rv,) in _cases(get_identity(key), None, None):
+        for vals in _cases(identity, None, None):
+            pa = {p.name: v for p, v in zip(identity.params, vals)}
+            lv, rv = identity.lhs(*vals), identity.rhs(*vals)
             cases += 1
             for side, true in zip((lv, rv), _difference_oracles(key, pa)):
                 error = abs(mpf(side.value) - true)

@@ -10,8 +10,8 @@ Two fixtures pin the audit's results byte for byte:
   case.  It catches an evaluator rewrite that changes a value while the
   row still passes, e.g. a symmetric row whose two sides share a helper.
 
-Both come from one run of the audit: ``hashing_cases`` wraps the
-engine's case stream while ``hyperseq audit --format json`` runs, so
+Both come from one run of the audit: ``hashing_cases`` wraps the sides
+of each row the engine runs while ``hyperseq audit --format json`` runs, so
 the digests hash the very values the verdicts compare, and each case is
 evaluated once.  ``run_audit`` is that run; a pytest session makes it
 once, in the ``full_audit`` fixture, and ``--check`` and ``--write``
@@ -52,39 +52,68 @@ ROW_DIGESTS = FIXTURES / "audit_rows.json"
 def hashing_cases():
     """While open, every exact row the engine runs hashes its cases.
 
-    Wraps ``identities._cases``, the one stream of evaluated cases that
-    ``verify`` reads, so the digests see the engine's own values.
-    Yields ``{key: [sha256, number of cases]}``, with ``<key>@alt`` for
-    the alternative convention, filled as the rows run.
+    Wraps ``identities.get_identity``, through which ``verify`` reads
+    its row, and hands ``verify`` the row with each side wrapped to hash
+    the value it returns, so the digests see the engine's own values.
+    ``verify`` runs a case's lhs first, and its right sides only when the
+    lhs has a value; a side that raises ``DomainError`` hashes a skip for
+    its convention, an lhs one for every convention.  Yields ``{key:
+    [sha256, number of cases]}``, with ``<key>@alt`` for the alternative
+    convention, filled as the rows run.
     """
     hashes = {}
-    cases = identities._cases
+    get_identity = identities.get_identity
 
-    def hashed(identity, max_bound, param_bounds):
-        stream = cases(identity, max_bound, param_bounds)
+    def hashed(key):
+        identity = get_identity(key)
         if identity.mode != "exact":
-            yield from stream
-            return
+            return identity
         keys = (identity.key, identity.key + "@alt")[: 1 + identity.dual_convention]
         entries = [hashes.setdefault(k, [hashlib.sha256(), 0]) for k in keys]
-        for pa, lv, rights in stream:
-            params = json.dumps(
-                {k: format_rational(v) for k, v in pa.items()}, sort_keys=True
-            )
-            for entry, rv in zip(entries, rights):
-                if isinstance(rv, DomainError):
-                    line = f"{params}\tskip"
-                else:
-                    line = f"{params}\t{format_rational(lv)}\t{format_rational(rv)}"
-                entry[0].update(line.encode() + b"\n")
-                entry[1] += 1
-            yield pa, lv, rights
+        case = []  # the running case: its params line, then its lhs value
 
-    identities._cases = hashed
+        def add(entry, line):
+            entry[0].update(line.encode() + b"\n")
+            entry[1] += 1
+
+        def lhs(*vals):
+            case[:] = [json.dumps(
+                {p.name: format_rational(v) for p, v in zip(identity.params, vals)},
+                sort_keys=True,
+            )]
+            try:
+                case.append(identity.lhs(*vals))
+            except DomainError:
+                for entry in entries:
+                    add(entry, f"{case[0]}\tskip")
+                raise
+            return case[1]
+
+        def right(entry, side):
+            def hashed_side(*vals):
+                params, lv = case
+                try:
+                    rv = side(*vals)
+                except DomainError:
+                    add(entry, f"{params}\tskip")
+                    raise
+                add(entry, f"{params}\t{format_rational(lv)}\t{format_rational(rv)}")
+                return rv
+
+            return hashed_side
+
+        fields = {f: getattr(identity, f) for f in identity._fields}
+        fields["lhs"] = lhs
+        fields["rhs"] = right(entries[0], identity.rhs)
+        if identity.dual_convention:
+            fields["alt_rhs"] = right(entries[1], identity.alt_rhs)
+        return identities.Identity(**fields)
+
+    identities.get_identity = hashed
     try:
         yield hashes
     finally:
-        identities._cases = cases
+        identities.get_identity = get_identity
 
 
 @contextlib.contextmanager

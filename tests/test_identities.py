@@ -33,6 +33,29 @@ F = Fraction
 class _Float(float):
     pass
 
+
+def _case_values(identity, vals):
+    """``[lhs, rhs]`` at one case, plus the alt_rhs on a dual-convention
+    row, as ``verify`` evaluates them: a side that raises ``DomainError``
+    holds the error, and when the lhs raises, every side does."""
+    rights = (identity.rhs, identity.alt_rhs)[: 1 + identity.dual_convention]
+    try:
+        out = [identity.lhs(*vals)]
+    except DomainError as exc:
+        return [exc] * (1 + len(rights))
+    for side in rights:
+        try:
+            out.append(side(*vals))
+        except DomainError as exc:
+            out.append(exc)
+    return out
+
+
+def _named_cases(identity):
+    """The cases ``verify`` runs on the row's default grid, by name."""
+    names = [p.name for p in identity.params]
+    return [dict(zip(names, vals)) for vals in ident._cases(identity, None, None)]
+
 CORE_IDS = {
     # recurrences and coefficients
     "prop-5", "rem-bgg", "eq-8", "eq-9", "rem-alpha-beta", "prop-bt",
@@ -91,8 +114,7 @@ class TestRegistryCoverage:
         for key in list_identities():
             identity = get_identity(key)
             with ident.row_scope():
-                _, lv, rights = next(ident._cases(identity, None, None))
-            sides = [lv, *rights]
+                sides = _case_values(identity, next(ident._cases(identity, None, None)))
             if "float" in identity.tags:
                 assert identity.mode == "float"
                 assert all(isinstance(v, CertifiedReal) for v in sides), key
@@ -177,9 +199,9 @@ class TestVerify:
     def test_determinism_of_exact_evaluators(self):
         for key in ("prop-5", "t2-7.29", "eq-13"):
             identity = get_identity(key)
-            pa = next(ident._assignments(identity, 3, None))
-            assert identity.lhs(**pa) == identity.lhs(**pa)
-            assert identity.rhs(**pa) == identity.rhs(**pa)
+            vals = next(ident._cases(identity, 3, None))
+            assert identity.lhs(*vals) == identity.lhs(*vals)
+            assert identity.rhs(*vals) == identity.rhs(*vals)
 
     def test_skipped_assignments_recorded_with_reason(self, monkeypatch):
         probe = Identity(
@@ -400,14 +422,14 @@ def test_poles_are_skipped_with_a_reason(key):
     poles = 0
     for x in pins:
         with ident.row_scope():
-            for pa, lv, rights in ident._cases(identity, None, {name: x}):
-                if x.denominator == 1 and is_pole(**pa):
+            for vals in ident._cases(identity, None, {name: x}):
+                sides = _case_values(identity, vals)
+                if x.denominator == 1 and is_pole(*vals):
                     poles += 1
-                    assert isinstance(rights[0], DomainError), pa
-                    assert "pole" in str(rights[0]), pa
+                    assert isinstance(sides[1], DomainError), vals
+                    assert "pole" in str(sides[1]), vals
                 else:
-                    sides = [lv, *rights]
-                    assert not any(isinstance(v, DomainError) for v in sides), pa
+                    assert not any(isinstance(v, DomainError) for v in sides), vals
     assert poles > 0
 
 
@@ -420,7 +442,7 @@ def test_every_filter_excludes_a_case(key):
     identity = get_identity(key)
     axes = [ident._axis_values(p, None, None) for p in identity.params]
     combos = itertools.product(*axes)
-    assert any(not identity.valid(**dict(combo)) for combo in combos)
+    assert any(not identity.valid(*combo) for combo in combos)
 
 
 def test_eq_pd_differentiates_where_its_rhs_has_a_pole():
@@ -456,7 +478,7 @@ def test_t2_12_9b_at_order_one_balances_where_t1_12_9b_fails():
     # order-r form at r = 1 equals H(n) on every case of t1-12.9b's grid,
     # and t1-12.9b, as transcribed, fails on every one.
     t1, t2 = get_identity("t1-12.9b"), get_identity("t2-12.9b")
-    cases = list(ident._assignments(t1, None, None))
+    cases = _named_cases(t1)
     assert len(cases) == 90
     with ident.row_scope():
         for pa in cases:
@@ -473,6 +495,78 @@ def test_a_pinned_row_needs_its_source_registered_first():
     with pytest.raises(KeyError, match="no-such-row"):
         ident._add_pinned("probe-pin", "probe", (), {"probe"}, "no-such-row", {"r": 1})
     assert "probe-pin" not in list_identities()
+
+
+def _spy(calls):
+    def side(n, r, x):
+        calls.append((n, r, x))
+        return F(0)
+
+    return side
+
+
+def test_a_pin_between_two_parameters_keeps_the_source_order(monkeypatch):
+    # t1-12.9a is t2-12.9a (n, r, x) with r pinned to 1 between n and x,
+    # so the pinned row's (n, x) must reach the source as (n, 1, x), by
+    # position or by name
+    monkeypatch.setattr(ident, "_REGISTRY", dict(ident._REGISTRY))
+    calls = []
+    source, t1 = get_identity("t2-12.9a"), get_identity("t1-12.9a")
+    ident._add("probe-src", "probe", source.params, _spy(calls), _spy(calls), {"probe"})
+    ident._add_pinned("probe-pin", "probe", t1.params, {"probe"}, "probe-src", {"r": 1})
+    pinned = get_identity("probe-pin")
+    x = F(1, 2)
+    assert pinned.lhs(2, x) == pinned.lhs(n=2, x=x) == pinned.rhs(2, x=x) == 0
+    assert calls == [(2, 1, x)] * 3
+    with pytest.raises(TypeError, match="by name"):
+        pinned.lhs(n=2, r=1)
+    calls.clear()
+    assert verify("probe-pin").tested == len(_named_cases(t1)) == 90
+    assert calls[::2] == calls[1::2] == [
+        (pa["n"], 1, pa["x"]) for pa in _named_cases(t1)
+    ]
+    # the registered row reads the same values as its source at r = 1
+    with ident.row_scope():
+        for pa in _named_cases(t1):
+            assert t1.lhs(*pa.values()) == source.lhs(pa["n"], 1, pa["x"]), pa
+
+
+def _rhs_with(n, r, hw=None):
+    return F(n)
+
+
+def _shifted(d, n, r):
+    return F(n + d)
+
+
+@pytest.mark.parametrize("role, fn", [
+    ("rhs", lambda r, n: F(n)),
+    ("valid", lambda r, n: True),
+    ("lhs", lambda n: F(n)),
+    ("lhs", lambda *vals: F(vals[0])),
+    ("alt_rhs", functools.partial(_shifted, 0, r=1)),
+], ids=["swapped", "swapped-valid", "too-few", "star-args", "partial-binds-r"])
+def test_an_evaluator_not_taking_the_parameters_in_order_is_refused(
+    monkeypatch, role, fn
+):
+    # verify passes a case's values by position, so an evaluator that
+    # reads them in another order would silently check another identity
+    monkeypatch.setattr(ident, "_REGISTRY", dict(ident._REGISTRY))
+    evaluators = {"lhs": _rhs_with, "rhs": _rhs_with, role: fn}
+    with pytest.raises(ValueError, match=rf"^probe-order: {role} takes .* \('n', 'r'\)"):
+        ident._add("probe-order", "probe", (IntRange("n", 0, 2), IntRange("r", 1, 2)),
+                   tags={"probe"}, **evaluators)
+    assert "probe-order" not in list_identities()
+
+
+def test_an_evaluator_may_take_defaulted_arguments_after_the_parameters(monkeypatch):
+    monkeypatch.setattr(ident, "_REGISTRY", dict(ident._REGISTRY))
+    ident._add("probe-order", "probe", (IntRange("n", 0, 2), IntRange("r", 1, 2)),
+               _rhs_with, functools.partial(_shifted, 0), {"probe"},
+               valid=lambda n, r, sign=1: True,
+               alt_rhs=functools.partial(_rhs_with, hw=hyperharmonic_half_integer_alt))
+    rep = verify("probe-order")
+    assert (rep.verdict, rep.tested, rep.alternative.verdict) == ("PASS", 6, "PASS")
 
 
 # How each hand-written Table-1 row relates to its order-r twin at order
@@ -503,7 +597,7 @@ ORDER_ONE_RELATIONS = [
 )
 def test_table1_row_against_its_twin_at_order_one(row, twin, pin, sides, relation):
     t1, t2 = get_identity(row), get_identity(twin)
-    cases = list(ident._assignments(t1, None, None))
+    cases = _named_cases(t1)
     assert cases
     with ident.row_scope():
         for pa in cases:
@@ -1087,7 +1181,7 @@ class TestLineSum:
             ident.line_sum([1, 2], ident.h, range(3), 1)
 
 
-class TestRatioMemos:
+class TestFloatRefusal:
     """``Cg``, the row memos of a rational argument and the line function
     ``_t2_43_term`` refuse a float by name, warm or cold."""
 
@@ -1106,7 +1200,7 @@ class TestRatioMemos:
                     memo(0.5, *args)
                 memo(F(1, 2), *args)
 
-    def test_equal_rationals_share_one_entry(self):
+    def test_equal_rationals_give_equal_values(self):
         with ident.row_scope():
             assert ident.Cg(F(5, 2), 3) == ident.Cg(F(10, 4), 3) == F(5, 16)
             assert ident.Cg(2, 3) == ident.Cg(F(2), 3) == 0
