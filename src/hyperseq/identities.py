@@ -836,16 +836,12 @@ def _positional_names(fn) -> tuple:
     return code.co_varnames[: code.co_argcount]
 
 
-def _register(identity):
-    if identity.key in _REGISTRY:
-        raise ValueError(f"duplicate identity key {identity.key}")
-    _REGISTRY[identity.key] = identity
-
-
 def _add(key, anchor, params, lhs, rhs, tags, valid=None, alt_rhs=None):
     """Register a row; each evaluator must take the row's parameters
     positionally, in declared order, as the first of its own, since
     ``verify`` passes a case's values by position."""
+    if key in _REGISTRY:
+        raise ValueError(f"duplicate identity key {key}")
     params = tuple(params)
     names = tuple(p.name for p in params)
     evaluators = {"lhs": lhs, "rhs": rhs, "valid": valid, "alt_rhs": alt_rhs}
@@ -858,8 +854,8 @@ def _add(key, anchor, params, lhs, rhs, tags, valid=None, alt_rhs=None):
                 f"{key}: {role} takes {takes} positionally, "
                 f"not the row's parameters {names} first"
             )
-    _register(Identity(key=key, anchor=anchor, params=params, tags=frozenset(tags),
-                       **evaluators))
+    _REGISTRY[key] = Identity(key=key, anchor=anchor, params=params,
+                              tags=frozenset(tags), **evaluators)
 
 
 def _add_pinned(key, anchor, params, tags, source, pins):
@@ -868,40 +864,28 @@ def _add_pinned(key, anchor, params, tags, source, pins):
     ``pins`` maps a parameter of ``source`` to an int, or to the name of
     the row's own parameter passed on under the source's name.  The
     row's ``lhs``, ``rhs``, ``valid`` and ``alt_rhs`` are the source's,
-    called with the pins; which of the row's values and pins goes to
-    each of the source's parameters is worked out here, once.  Each also
-    takes the row's parameters by name.
+    each wrapped once in a function of the row's own parameters that
+    passes them and the pins on in the source's order, generated from
+    source as ``_records`` generates ``__init__``.
     """
     src = get_identity(source)  # so a source must be registered first
-    params = tuple(params)
-    names = tuple(p.name for p in params)
-    consts, take = [], []  # the pins; for each source parameter, its slot
+    names = [p.name for p in params]
+    consts, args = {}, []
     for p in src.params:
         value = pins.get(p.name, p.name)
-        if isinstance(value, str):
-            take.append(names.index(value))
-        else:
-            take.append(len(names) + len(consts))
-            consts.append(value)
-    consts = tuple(consts)
+        if not isinstance(value, str):
+            name = f"_pin{len(consts)}"
+            consts[name], value = value, name
+        elif value not in names:
+            raise ValueError(f"{key}: no parameter {value!r} for {source}'s {p.name!r}")
+        args.append(value)
+    lift = eval(f"lambda fn: lambda {', '.join(names)}: fn({', '.join(args)})", consts)
 
     def pin(fn):
-        if fn is None:
-            return None
+        return None if fn is None else lift(fn)
 
-        def pinned(*vals, **named):
-            if named:
-                rest = names[len(vals):]
-                if set(named) != set(rest):
-                    raise TypeError(f"{key} takes {rest} by name, not {tuple(named)}")
-                vals += tuple(named[name] for name in rest)
-            return fn(*map((vals + consts).__getitem__, take))
-
-        return pinned
-
-    _register(Identity(key=key, anchor=anchor, params=params, lhs=pin(src.lhs),
-                       rhs=pin(src.rhs), tags=frozenset(tags), valid=pin(src.valid),
-                       alt_rhs=pin(src.alt_rhs)))
+    _add(key, anchor, params, pin(src.lhs), pin(src.rhs), tags,
+         valid=pin(src.valid), alt_rhs=pin(src.alt_rhs))
 
 
 def get_identity(key: str) -> Identity:

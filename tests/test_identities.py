@@ -518,8 +518,11 @@ def test_a_pin_between_two_parameters_keeps_the_source_order(monkeypatch):
     x = F(1, 2)
     assert pinned.lhs(2, x) == pinned.lhs(n=2, x=x) == pinned.rhs(2, x=x) == 0
     assert calls == [(2, 1, x)] * 3
-    with pytest.raises(TypeError, match="by name"):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'r'"):
         pinned.lhs(n=2, r=1)
+    with pytest.raises(ValueError, match="no parameter 'k' for probe-src's 'x'"):
+        ident._add_pinned("probe-bad", "probe", t1.params, {"probe"}, "probe-src",
+                          {"r": 1, "x": "k"})
     calls.clear()
     assert verify("probe-pin").tested == len(_named_cases(t1)) == 90
     assert calls[::2] == calls[1::2] == [
