@@ -10,10 +10,10 @@ a ``CertifiedReal`` (a bare float, an int), is a bug in its evaluator
 and raises ``TypeError``; it is never compared by ``==``.
 The radii alone decide a float verdict; there is no tolerance, and a
 ball with a non-finite centre or radius fails.  ``verify`` checks one
-identity, ``run_suite`` a tagged subset, one row after another in key
-order.  Failures are first-class data recorded as counterexamples, never
-exceptions, because part of the point of the audit is to document table
-rows that do not balance as printed.  A report passes only when every
+identity, ``run_suite`` a tagged subset, one family of rows after
+another, and reports them in key order.  Failures are first-class data
+recorded as counterexamples, never exceptions, because part of the point
+of the audit is to document table rows that do not balance as printed.  A report passes only when every
 row is PASS: a row with no tested case (SKIPPED) proves nothing.
 
 Every evaluator (``lhs``, ``rhs``, ``alt_rhs``, ``valid``) takes its
@@ -36,7 +36,7 @@ such a ``product_sum`` divisor with ``_nonzero`` first, so a pole is a
 ``valid`` filter drops cases uncounted, so a row has one only where it
 excludes a case of the row's default grid.  Every piece a row would
 rebuild case after case across an axis it does not read is memoized for
-that row only, keyed on exactly the parameters it reads:
+that row's family only, keyed on exactly the parameters it reads:
 the n-free pieces of term k of an order-r sum (``_t2_129_k``), the
 pieces that read k and r only through k + r (``_t2_129_n``), a row of
 coefficients free of one parameter, always a tuple so no case can change
@@ -50,9 +50,13 @@ integers over one common denominator, so the sum is one integer dot
 product; a function read only along a line (``_h_over_c2``,
 ``_t2_43_term``) needs no memo of its own.  Nothing in a line or a memo
 assumes an identity, and every case still sums its own terms.
-``verify`` runs each row in ``row_scope()``, which empties the row memos
-and the lines when the row ends, even when it raises.  ``h`` alone is memoized for the process, since the rows
-repeat each other's h values.
+``verify`` runs each row in ``row_scope()``, and ``run_suite`` each family
+of rows in one more around it: a pinned row with its source, and the
+``t1-``/``t2-`` rows of one Gould identity.  The outermost scope empties
+the row memos and the lines when it ends, even when a row raises, so a
+family's later rows read the pieces its earlier ones built, and the memos
+hold at most one family's working set.  ``h`` alone is memoized for the
+process, since the rows repeat each other's h values.
 
 Table rows keep the summation numbering of Gould's "Combinatorial
 Identities" tables they were derived from (ids ``t1-*``/``t2-*``); the
@@ -486,19 +490,38 @@ def run_suite(
     param_bounds: dict | None = None,
     counterexample_cap: int = 5,
 ) -> AuditReport:
-    """Run the identities ``select(tags, only)`` picks, one after another
-    in key order."""
-    return AuditReport(
-        [
-            verify(
-                key,
-                max_bound=max_bound,
-                param_bounds=param_bounds,
-                counterexample_cap=counterexample_cap,
-            )
-            for key in select(tags, only)
-        ]
-    )
+    """Run the identities ``select(tags, only)`` picks, each family of them
+    back to back in one ``row_scope()``, and report them in key order.
+
+    A family's rows read the same row memos (see ``_family``), so a later
+    row reads the pieces an earlier one built.
+    """
+    keys = select(tags, only)
+    families: dict = {}
+    for key in keys:
+        families.setdefault(_family(key), []).append(key)
+    reports = {}
+    for family in families.values():
+        with row_scope():
+            for key in family:
+                reports[key] = verify(
+                    key,
+                    max_bound=max_bound,
+                    param_bounds=param_bounds,
+                    counterexample_cap=counterexample_cap,
+                )
+    return AuditReport([reports[key] for key in keys])
+
+
+def _family(key: str) -> str:
+    """The family ``run_suite`` runs ``key`` in: a pinned row's source's,
+    a Gould table row's number without its form letter (``t1-12.9b`` and
+    ``t2-12.9a`` are ``12.9``), and any other row's own key."""
+    while key in _PINNED_SOURCE:
+        key = _PINNED_SOURCE[key]
+    if key.startswith(("t1-", "t2-")):
+        return key[3:].rstrip("ab")
+    return key
 
 
 # --------------------------------------------------------------------------
@@ -506,29 +529,37 @@ def run_suite(
 # --------------------------------------------------------------------------
 
 
-#: Every row-scoped memo; ``row_scope`` empties them all when a row ends.
+#: Every row-scoped memo; the outermost ``row_scope`` empties them all.
 _ROW_MEMOS: list = []
+_scope_depth = 0
 
 
 @contextlib.contextmanager
 def row_scope():
-    """Evaluate one row's cases; empty every row memo on exit, even on error.
+    """Evaluate rows' cases; the outermost scope empties every row memo on
+    exit, even on error, and a nested one leaves them to it.
 
-    ``verify`` runs each row in one; so should any caller that evaluates
-    ``lhs``/``rhs`` directly, or the memos keep that row's values.
+    ``verify`` runs each row in one, and ``run_suite`` each family of rows;
+    so should any caller that evaluates ``lhs``/``rhs`` directly, or the
+    memos keep those rows' values.
     """
+    global _scope_depth
+    _scope_depth += 1
     try:
         yield
     finally:
-        for memo in _ROW_MEMOS:  # hold at most one row's working set
-            memo.cache_clear()
+        _scope_depth -= 1
+        if not _scope_depth:  # hold at most one family's working set
+            for memo in _ROW_MEMOS:
+                memo.cache_clear()
 
 
 def _row_memo(fn):
-    """Memoize ``fn`` for the duration of one audit row.
+    """Memoize ``fn`` for the duration of one family of audit rows.
 
     A row evaluates the same h(n, r), binomial and oracle values case
-    after case; between rows the values mostly differ, so holding them
+    after case, and so does its family's next row; between families the
+    values mostly differ, so holding them
     for the life of the process would only grow memory.  The keys are
     typed, so a float argument never reads the entry an equal int or
     ``Fraction`` filled; a cold one reaches ``fn``, so a function of a
@@ -550,8 +581,8 @@ def h(n: int, w) -> Fraction:
     index that is not an int, one naming the kernel it reaches.
 
     The one cache of h values, kept for the process since rows repeat
-    each other's (one full audit: 2,936 misses, 62,666 hits; a
-    ``line_sum`` reads each point once per row).  It is typed, so 0.5
+    each other's (one full audit: 2,936 misses, 58,897 hits; a
+    ``line_sum`` reads each point once per family).  It is typed, so 0.5
     never reads the entry that ``F(1, 2)`` filled.
     """
     p, q = exactnum._ratio(w, "h")
@@ -819,6 +850,8 @@ def _alternating_certified_sum(k: int, values) -> CertifiedReal:
 # --------------------------------------------------------------------------
 
 _REGISTRY: dict[str, Identity] = {}
+#: Each pinned row's source row, whose family it runs in.
+_PINNED_SOURCE: dict[str, str] = {}
 
 
 def _positional_names(fn) -> tuple:
@@ -886,6 +919,7 @@ def _add_pinned(key, anchor, params, tags, source, pins):
 
     _add(key, anchor, params, pin(src.lhs), pin(src.rhs), tags,
          valid=pin(src.valid), alt_rhs=pin(src.alt_rhs))
+    _PINNED_SOURCE[key] = source
 
 
 def get_identity(key: str) -> Identity:

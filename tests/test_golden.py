@@ -118,22 +118,28 @@ def hashing_cases():
 
 @contextlib.contextmanager
 def counting_memo_hits():
-    """While open, every row ``verify`` runs adds up its row memos' hits.
+    """While open, every outermost row scope adds up its row memos' hits.
 
     Wraps ``identities.row_scope``, reading each memo's ``cache_info()``
-    before the scope empties it.  Yields ``{memo name: hits}``.
+    when the outermost scope exits, before it empties the memos: a nested
+    scope empties nothing, so the hits it saw are still counted there.
+    Yields ``{memo name: hits}``.
     """
     hits = dict.fromkeys((memo.__name__ for memo in identities._ROW_MEMOS), 0)
     scope = identities.row_scope
+    depth = [0]
 
     @contextlib.contextmanager
     def counted():
         with scope():
+            depth[0] += 1
             try:
                 yield
             finally:
-                for memo in identities._ROW_MEMOS:
-                    hits[memo.__name__] += memo.cache_info().hits
+                depth[0] -= 1
+                if not depth[0]:
+                    for memo in identities._ROW_MEMOS:
+                        hits[memo.__name__] += memo.cache_info().hits
 
     identities.row_scope = counted
     try:

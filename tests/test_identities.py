@@ -1320,3 +1320,89 @@ class TestRunSuite:
         rep = run_suite({"float"})
         assert rep.all_pass, rep.to_text()
         assert {e.mode for e in rep.entries} == {"float"}
+
+
+class TestFamilyScope:
+    """``run_suite`` runs each family of rows in one ``row_scope()``, so a
+    later row of the family reads the row memos an earlier one filled."""
+
+    def _sizes(self):
+        return [memo.cache_info().currsize for memo in ident._ROW_MEMOS]
+
+    def test_only_the_outermost_scope_empties_the_memos(self):
+        with ident.row_scope():
+            with ident.row_scope():
+                ident._c_row(5, -1)
+            assert ident._c_row.cache_info().currsize == 1
+        assert self._sizes() == [0] * len(ident._ROW_MEMOS)
+        # a row verified on its own still empties them when it ends
+        verify("t1-12.9a", max_bound=3)
+        assert self._sizes() == [0] * len(ident._ROW_MEMOS)
+
+    def test_a_row_raising_inside_a_family_empties_the_memos(self, monkeypatch):
+        seen = []
+
+        def fill(n):
+            ident._c_row(n, -1)
+            return F(0)
+
+        def fail(n):
+            seen.append(ident._c_row.cache_info().currsize)
+            return F(1, 0)
+
+        for key, lhs in (("probe-a", fill), ("probe-b", fail)):
+            monkeypatch.setitem(ident._REGISTRY, key, Identity(
+                key=key, anchor="probe", params=(IntRange("n", 1, 3),), lhs=lhs,
+                rhs=lambda n: F(0), tags=frozenset({"probe"})))
+        monkeypatch.setitem(ident._PINNED_SOURCE, "probe-b", "probe-a")
+        with pytest.raises(ZeroDivisionError):
+            run_suite(only=["probe-a", "probe-b"])
+        assert seen == [3]  # probe-b ran with probe-a's entries still there
+        assert self._sizes() == [0] * len(ident._ROW_MEMOS)
+        assert ident._scope_depth == 0
+
+    @pytest.mark.parametrize("only, calls", [
+        (["t2-6.19", "eq-10", "t1-6.19", "eq-11"],
+         ["eq-10", "eq-11", "t1-6.19", "t2-6.19"]),
+        # cor-nf is prop-one2 at n = 0, so prop-one2 runs before cor-son4
+        (["prop-one2", "cor-son4", "cor-nf"], ["cor-nf", "prop-one2", "cor-son4"]),
+    ])
+    def test_each_key_is_verified_once_and_reported_in_key_order(
+            self, monkeypatch, only, calls):
+        called = []
+
+        def recording_verify(key, **kwargs):
+            called.append(key)
+            return verify(key, **kwargs)
+
+        monkeypatch.setattr(ident, "verify", recording_verify)
+        rep = run_suite(only=only, max_bound=4)
+        assert called == calls
+        assert [e.key for e in rep.entries] == sorted(only)
+        for e in rep.entries:
+            assert e.to_json_obj() == verify(e.key, max_bound=4).to_json_obj()
+
+    @staticmethod
+    def _last_row_n_memo(*keys):
+        """The hits and misses of ``_t2_129_n`` while the last of ``keys``
+        runs, after the others, all in one scope."""
+        with ident.row_scope():
+            for key in keys[:-1]:
+                verify(key)
+            before = ident._t2_129_n.cache_info()
+            verify(keys[-1])
+            after = ident._t2_129_n.cache_info()
+        return after.hits - before.hits, after.misses - before.misses
+
+    def test_t1_12_9b_reads_the_n_pieces_t1_12_9a_filled(self):
+        together = self._last_row_n_memo("t1-12.9a", "t1-12.9b")
+        apart = self._last_row_n_memo("t1-12.9b")
+        assert together[0] > apart[0]
+        assert together[1] < apart[1]
+
+    @pytest.mark.parametrize("key, family", [
+        ("eq-hrp", "1.41"), ("t1-12.9b", "12.9"), ("t2-12.9a", "12.9"),
+        ("t1-Z.58", "Z.58"), ("cor-nf", "prop-one2"), ("prop-one1-n", "prop-one1-n"),
+    ])
+    def test_the_family_of_a_row(self, key, family):
+        assert ident._family(key) == family
