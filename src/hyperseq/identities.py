@@ -517,8 +517,7 @@ def _family(key: str) -> str:
     """The family ``run_suite`` runs ``key`` in: a pinned row's source's,
     a Gould table row's number without its form letter (``t1-12.9b`` and
     ``t2-12.9a`` are ``12.9``), and any other row's own key."""
-    while key in _PINNED_SOURCE:
-        key = _PINNED_SOURCE[key]
+    key = _PINNED_SOURCE.get(key, key)
     if key.startswith(("t1-", "t2-")):
         return key[3:].rstrip("ab")
     return key
