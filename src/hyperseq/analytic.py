@@ -24,6 +24,7 @@ from typing import Callable, Union
 
 from ._records import record
 from .errors import ConvergenceError, DomainError
+from .exactnum import reduced
 
 _EPS = 2.0**-52
 _TINY = 2.0**-1074
@@ -344,4 +345,4 @@ def delta_hyperbolic_closed_form(kind: str, k: int, x: Exactish) -> CertifiedRea
     one = CertifiedReal.from_exact(1)
     sign = CertifiedReal.from_exact(1 if (k % 2 == 0) == (kind == "cosh") else -1)
     twice = math.prod([one - exp_ball(-1)] * k, start=exp_ball(2 * x + k) + sign)
-    return (twice * exp_ball(-x)).scaled(Fraction(1, 2))
+    return (twice * exp_ball(-x)).scaled(reduced(1, 2))

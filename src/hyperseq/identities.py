@@ -110,7 +110,8 @@ from . import exactnum
 from .exactnum import binomial_general as Cg
 from .exactnum import binomial_int as C
 from .exactnum import derivative_at_zero as dx0
-from .exactnum import factorial, format_rational, product_sum, signed_binomial_row
+from .exactnum import factorial, format_rational, product_sum, reduced
+from .exactnum import signed_binomial_row
 from .exactnum import falling_factorial as falling
 from .exactnum import rising_factorial as rising
 from .opcalc import (
@@ -141,13 +142,13 @@ SequenceValue = Union[Fraction, CertifiedReal]
 #: Fixed reproducible sample list for identities with a free rational
 #: parameter.  It holds no negative integer, so no default case meets a
 #: pole; a pinned pole is a ``DomainError`` from ``quot``.
-SAMPLE_RATIONALS = (F(0), F(1), F(1, 2), F(-1, 3), F(5, 2), F(3))
+SAMPLE_RATIONALS = (F(0), F(1), reduced(1, 2), reduced(-1, 3), reduced(5, 2), F(3))
 
 #: Nine-point grid on [-2, 2] for the hyperbolic difference rows.
-HYPERBOLIC_GRID = tuple(F(i, 2) for i in range(-4, 5))
+HYPERBOLIC_GRID = tuple(reduced(i, 2) for i in range(-4, 5))
 
 #: Digamma-difference sample arguments.
-PSI_SAMPLES = (F(1), F(1, 2), F(3, 2), F(5))
+PSI_SAMPLES = (F(1), reduced(1, 2), reduced(3, 2), F(5))
 
 
 # --------------------------------------------------------------------------
@@ -632,7 +633,7 @@ def line_sum(coeffs, fn, *args) -> Fraction:
     its own terms.
     """
     axis = -1
-    for i, a in enumerate(args):  # one pass, no list: 44,721 calls an audit
+    for i, a in enumerate(args):  # one pass, no list: 46,514 calls an audit
         if type(a) is range:
             axis = i if axis == -1 else -2  # -2: a second range
     if axis < 0:
@@ -646,14 +647,18 @@ def line_sum(coeffs, fn, *args) -> Fraction:
     except KeyError:
         _grow(line, fn, axis, args)
         total = sum(map(operator.mul, coeffs, map(line[0].__getitem__, points)))
-    return F(total, line[1])
+    d = line[1]
+    if type(total) is not int:  # a Fraction coefficient; a float one is refused
+        total, q = exactnum._ratio(total, "line_sum")
+        d *= q
+    return reduced(total, d)
 
 
 def quot(a, b) -> Fraction:
     """a / b, a ``Fraction`` for two ints too; b = 0 is a pole of the row,
     so a ``DomainError`` skips the case."""
     if isinstance(a, int) and isinstance(b, int):
-        return F(a, _nonzero(b))
+        return reduced(a, _nonzero(b))
     return a / _nonzero(b)
 
 
@@ -717,7 +722,7 @@ def _t2_3108_side(n: int, m: int, r: int) -> Fraction:
 
 def _recip(j: int, m: int) -> Fraction:
     """1/j^m, the term of the order-m harmonic sums."""
-    return F(1, j**m)
+    return reduced(1, j**m)
 
 
 def _inv_falling(x: int, m: int) -> Fraction:
@@ -734,7 +739,7 @@ def _gould43_num(p: int, q: int, n: int, k: int) -> int:
 def _gould43_power(x, n: int, k: int) -> Fraction:
     """(x-k)^k (1-x+k)^(n-k), the Gould (4.3) power; free of the order r."""
     p, q = exactnum._ratio(x, "_gould43_power")
-    return F(_gould43_num(p, q, n, k), q**n)
+    return reduced(_gould43_num(p, q, n, k), q**n)
 
 
 def _t2_43_term(x, k: int, r: int) -> Fraction:
@@ -749,7 +754,7 @@ def _t2_43_term(x, k: int, r: int) -> Fraction:
 @_row_memo
 def _gould43_row(n: int, r: int) -> tuple:
     """C(n, k) k/(r-1+k)^2 for k = 1..n, the Gould (4.3) rhs weights; free of x."""
-    return tuple(F(C(n, k) * k, (r - 1 + k) ** 2) for k in range(1, n + 1))
+    return tuple(reduced(C(n, k) * k, (r - 1 + k) ** 2) for k in range(1, n + 1))
 
 
 def _h_sq_plus_h2(k: int) -> Fraction:
@@ -761,7 +766,7 @@ def _h_sq_plus_h2(k: int) -> Fraction:
 def _gould_coeff(upper: int, k: int) -> Fraction:
     """rising(upper, k) rising(1/2, k) 4^k / k!, Gould (7.29)/(7.30)'s k-th
     hypergeometric coefficient; free of r."""
-    return product_sum([((rising(upper, k), rising(F(1, 2), k), 4**k), (factorial(k),))])
+    return product_sum([((rising(upper, k), rising(reduced(1, 2), k), 4**k), (factorial(k),))])
 
 
 #: d/dj 1/rising(c + j, k) at j = 0, memoized per row for Gould (7.29)/(7.30).
@@ -776,7 +781,7 @@ def _t2_129_k(x, k: int, r: int) -> tuple:
     c, a = C(r - 1 + k, k), p + (r + k) * q  # x + r + k = a/q
     ratio = quot(a + k * q, a)
     return (Cg(x + k, k) / c, ratio, product_sum([((ratio, h(k, r)), (c,))]),
-            F(k * q * q, a * a))
+            reduced(k * q * q, a * a))
 
 
 @_row_memo
@@ -819,7 +824,7 @@ def _poly_point(deg: int, t) -> Fraction:
     """
     acc = F(0)
     for j in range(deg, -1, -1):
-        acc = acc * t + F((-1) ** j * (j + 1), j + 2)
+        acc = acc * t + reduced((-1) ** j * (j + 1), j + 2)
     return acc
 
 
@@ -957,7 +962,7 @@ def _core_recurrences():
         (IntRange("n", 1, 25), IntRange("r", 1, 12)),
         lambda n, r: line_sum([1] * n, h, range(1, n + 1), r - 1)
         - line_sum([1] * r, h, n - 1, range(1, r + 1)),
-        lambda n, r: F(1, n),
+        lambda n, r: reduced(1, n),
         {"core"},
     )
     _add(
@@ -988,7 +993,7 @@ def _core_recurrences():
 
     # (lhs, rhs) of (n, r) for each part, in the anchor's order
     ab_parts = (
-        (alpha, lambda n, r: F(r, n) * alpha(r, n)),
+        (alpha, lambda n, r: reduced(r, n) * alpha(r, n)),
         (beta, lambda n, r: beta(r, n)),
         # blocks of 32: n <= 20 takes one series per r, a --max 6 audit a short one
         (lambda n, r: _gf_coeff(gf_beta, r, n, 32), beta),
@@ -1028,13 +1033,13 @@ def _core_derivatives():
         "eq-Dgh",
         "D_x of the leaping binomial at 0 = H(n, order m)",
         (IntRange("n", 1, 12), IntRange("m", 1, 4)),
-        lambda n, m: dx0([i**m for i in range(1, n + 1)], 1, F(1, factorial(n) ** m)),
+        lambda n, m: dx0([i**m for i in range(1, n + 1)], 1, reduced(1, factorial(n) ** m)),
         lambda n, m: Hm(n, m),
         {"core"},
     )
 
     def _leap_rel_rhs(n, m, x):
-        num = F(factorial(n**m), factorial(n) ** m) * Cg(x + n**m, n**m)
+        num = reduced(factorial(n**m), factorial(n) ** m) * Cg(x + n**m, n**m)
         den = F(1)
         for i in range(2, n + 1):
             width = i**m - (i - 1) ** m - 1
@@ -1054,7 +1059,7 @@ def _core_derivatives():
         "eq-11",
         "D_x C(x+n+r-1,n) at 0 = h(n,r)",
         (IntRange("n", 0, 20), IntRange("r", 1, 12)),
-        lambda n, r: dx0(range(r, n + r), 1, F(1, factorial(n))),
+        lambda n, r: dx0(range(r, n + r), 1, reduced(1, factorial(n))),
         lambda n, r: h(n, r),
         {"core"},
     )
@@ -1137,7 +1142,7 @@ def _core_differences():
         (IntRange("k", 2, 25),),
         lambda k: line_sum([(-1) ** i * C(k, i) * i for i in range(1, k + 1)],
                            H, range(1, k + 1)),
-        lambda k: F(1, k - 1),
+        lambda k: reduced(1, k - 1),
         {"core"},
     )
     _add(
@@ -1231,7 +1236,7 @@ def _core_negative_orders():
         "cor-recip",
         "1/(k+1) = sum_i C(k,i) h(i+1,-i)",
         (IntRange("k", 0, 25),),
-        lambda k: F(1, k + 1),
+        lambda k: reduced(1, k + 1),
         lambda k: product_sum(((C(k, i), h(i + 1, -i)), ()) for i in range(k + 1)),
         {"core"},
     )
@@ -1248,7 +1253,7 @@ def _core_negative_orders():
         "H(k) = sum_i (-1)^(k-i) C(k,i) h(i,k+1); "
         "1/k = sum_i (-1)^(k-i) C(k,i) h(i,k)",
         (IntRange("part", 0, 1), IntRange("k", 1, 20)),
-        lambda part, k: _part((H, lambda k: F(1, k)), part)(k),
+        lambda part, k: _part((H, lambda k: reduced(1, k)), part)(k),
         lambda part, k: line_sum(signed_binomial_row(k)[1:], h, range(1, k + 1), k + 1 - part),
         {"core"},
     )
@@ -1293,7 +1298,7 @@ def _core_fibonacci():
 def _float_rows():
     def _hyp_direct(kind, k, x):
         twice = [_hyp_twice(x, i, kind) for i in range(k + 1)]
-        return _alternating_certified_sum(k, twice).scaled(F(1, 2))
+        return _alternating_certified_sum(k, twice).scaled(reduced(1, 2))
 
     for kind in ("sinh", "cosh"):
         _add(
@@ -1311,7 +1316,7 @@ def _float_rows():
         one = as_certified(1)
         sign = one if (k % 2 == 0) == (part == 1) else as_certified(-1)
         twice = math.prod([exp_ball(1) - one] * k, start=exp_ball(k) + sign)
-        return (twice * exp_ball(-k)).scaled(F(1, 2))
+        return (twice * exp_ball(-k)).scaled(reduced(1, 2))
 
     _add(
         "rem-one11-x0",
@@ -1431,8 +1436,8 @@ def _table1_rows():
 
     def _t1_z58_rhs(n, hw=h):
         head = F(4) ** n / C(2 * n, n)  # its ZeroDivisionError comes first
-        return product_sum([((head, Cg(F(2 * n - 1, 2), n), H(n)), ()),
-                            ((head, hw(n, F(1, 2))), ())])
+        return product_sum([((head, Cg(reduced(2 * n - 1, 2), n), H(n)), ()),
+                            ((head, hw(n, reduced(1, 2))), ())])
 
     _add(
         "t1-Z.58",
@@ -1456,7 +1461,7 @@ def _table2_rows():
             # <= (k+r)^r.  For k > K >= 2r consecutive bounds (k+r)^r/2^k
             # shrink by (1 + 1/(k+r))^r/2 <= e^(r/(3r+1))/2 < e^(1/3)/2 < 0.7,
             # so the tail is below (K+1+r)^r/2^(K+1) / 0.3 < 4 (K+1+r)^r/2^(K+1).
-            lambda K: F(4 * (K + 1 + r) ** r, 2 ** (K + 1)) if K >= 2 * r else math.inf,
+            lambda K: reduced(4 * (K + 1 + r) ** r, 2 ** (K + 1)) if K >= 2 * r else math.inf,
             1e-10,
         ),
         lambda r: ln2().scaled(2**r),
@@ -1479,7 +1484,7 @@ def _table2_rows():
         (IntRange("n", 1, 20), IntRange("r", 1, 12)),
         lambda n, r: line_sum([(-1) ** (k - 1) * C(n, k) for k in range(1, n + 1)],
                               _h_over_c2, range(1, n + 1), r),
-        lambda n, r: F(1, n + r - 1),
+        lambda n, r: reduced(1, n + r - 1),
         {"table2"},
     )
     _add(
@@ -1499,7 +1504,7 @@ def _table2_rows():
         # for k >= 5, so the tail beyond K >= 4 is below 2 (K+1+r)^r/(K+1)!.
         return sum_series(
             lambda k: h(k, r) / (C(r - 1 + k, k) ** 2 * factorial(k)),
-            lambda K: F(2 * (K + 1 + r) ** r, factorial(K + 1)) if K >= 4 else math.inf,
+            lambda K: reduced(2 * (K + 1 + r) ** r, factorial(K + 1)) if K >= 4 else math.inf,
             1e-16,
             start=1,
         )
@@ -1508,8 +1513,8 @@ def _table2_rows():
         # The series alternates with decreasing terms 1/((r+k)^2 k!), so its
         # tail beyond K is at most the first omitted term, 1/((r+K+1)^2 (K+1)!).
         return exp_ball(1) * sum_series(
-            lambda k: F((-1) ** k, (r + k) ** 2 * factorial(k)),
-            lambda K: F(1, (r + K + 1) ** 2 * factorial(K + 1)),
+            lambda k: reduced((-1) ** k, (r + k) ** 2 * factorial(k)),
+            lambda K: reduced(1, (r + K + 1) ** 2 * factorial(K + 1)),
             1e-16,
         )
 
@@ -1548,8 +1553,8 @@ def _table2_rows():
     def _t2_395_rhs(n, r, hw=h):
         c = C(r - 1 + n, n)
         head = F(4) ** n / c  # its ZeroDivisionError comes first
-        return product_sum([((head, hw(n, F(2 * r - 1, 2))), ()),
-                            ((-1, head, Cg(F(2 * (r + n) - 3, 2), n), h(n, r)), (c,))])
+        return product_sum([((head, hw(n, reduced(2 * r - 1, 2))), ()),
+                            ((-1, head, Cg(reduced(2 * (r + n) - 3, 2), n), h(n, r)), (c,))])
 
     _add(
         "t2-3.95",
@@ -1610,7 +1615,7 @@ def _table2_rows():
         lambda n, r: line_sum(
             [(-1) ** k * C(2 * n, k) * C(2 * n - k, n) ** 2 * k for k in range(1, n + 1)],
             _recip, range(r, n + r), 2),
-        lambda n, r: F(C(2 * n, n), C(r - 1 + n, n))
+        lambda n, r: reduced(C(2 * n, n), C(r - 1 + n, n))
         * (h(n, n + r) - C(2 * n + r - 1, n) * h(n, r) / C(r - 1 + n, n)),
         {"table2"},
     )
@@ -1630,7 +1635,8 @@ def _table2_rows():
     )
 
     def _t2_79_rhs(n, r, hw=h):
-        return product_sum([((F(4**n, 2 * n + 1), hw(n, F(2 * r - 1, 2))), (C(2 * n, n),))])
+        return product_sum([((reduced(4**n, 2 * n + 1), hw(n, reduced(2 * r - 1, 2))),
+                             (C(2 * n, n),))])
 
     _add(
         "t2-7.9",
@@ -1704,8 +1710,8 @@ def _table2_rows():
     )
 
     def _t2_z58_rhs(n, r, hw=h):
-        return product_sum([((4**n, Cg(F(2 * (n + r) - 3, 2), n), h(n, r)), ()),
-                            ((4**n, C(n + r - 1, n), hw(n, F(2 * r - 1, 2))), ())])
+        return product_sum([((4**n, Cg(reduced(2 * (n + r) - 3, 2), n), h(n, r)), ()),
+                            ((4**n, C(n + r - 1, n), hw(n, reduced(2 * r - 1, 2))), ())])
 
     _add(
         "t2-Z.58",

@@ -50,6 +50,7 @@ from .exactnum import (
     over_common_denominator,
     product_sum,
     reciprocal_partial_sums,
+    reduced,
     signed_binomial_row,
 )
 
@@ -73,7 +74,7 @@ def forward_difference(f: TermOracle, k: int, x: int) -> Fraction:
     row, d = over_common_denominator(vals)
     for _ in range(k):
         row = list(map(operator.sub, row[1:], row[:-1]))
-    iterated = _F(row[0], d)
+    iterated = reduced(row[0], d)
 
     alternating = product_sum(((c, v), ()) for c, v in zip(signed_binomial_row(k), vals))
     if iterated != alternating:
@@ -90,7 +91,7 @@ def binomial_transform(b: Sequence) -> list[Fraction]:
     out = []
     row = [1]  # binom(k, i) for i = 0..k, advanced by Pascal's rule
     for k in range(len(nums)):
-        out.append(_F(sum(map(operator.mul, row, nums)), d))
+        out.append(reduced(sum(map(operator.mul, row, nums)), d))
         row = [1, *map(operator.add, row, row[1:]), 1]
     return out
 
@@ -99,7 +100,7 @@ def inverse_binomial_transform(a: Sequence) -> list[Fraction]:
     """b_k = sum_i (-1)**(k+i) binom(k, i) a_i; inverse of the transform."""
     nums, d = over_common_denominator(a)
     return [
-        _F(sum(map(operator.mul, signed_binomial_row(k), nums)), d)
+        reduced(sum(map(operator.mul, signed_binomial_row(k), nums)), d)
         for k in range(len(nums))
     ]
 
@@ -114,7 +115,7 @@ def leaping_binomial(x, n: int, m: int) -> Fraction:
         raise DomainError(f"leaping binomial needs n >= 1 and m >= 1, got ({n}, {m})")
     p, q = _ratio(x, "leaping_binomial")
     prod = math.prod(p + i**m * q for i in range(1, n + 1))
-    return _F(prod, q**n * factorial(n) ** m)
+    return reduced(prod, q**n * factorial(n) ** m)
 
 
 def dx_reciprocal_rising(c, k: int) -> Fraction:
@@ -145,7 +146,7 @@ class PowerSeries(record("PowerSeries", ("coeffs",))):
 
     def __init__(self, coeffs: Iterable):
         coeffs = tuple(
-            c if type(c) is _F else _F(*_ratio(c, "PowerSeries")) for c in coeffs
+            c if type(c) is _F else reduced(*_ratio(c, "PowerSeries")) for c in coeffs
         )
         if not coeffs:
             raise ValueError("a power series needs at least the constant term")
@@ -173,7 +174,7 @@ class PowerSeries(record("PowerSeries", ("coeffs",))):
         d = da * db
         return PowerSeries(
             tuple(
-                _F(sum(map(operator.mul, a[: n + 1], b[n::-1])), d)
+                reduced(sum(map(operator.mul, a[: n + 1], b[n::-1])), d)
                 for n in range(order + 1)
             )
         )
@@ -192,7 +193,7 @@ def log_series(order: int) -> PowerSeries:
 
     Coefficients are emitted directly; no analytic logarithm is involved.
     """
-    return PowerSeries(tuple(_F(0) if k == 0 else _F(1, k) for k in range(order + 1)))
+    return PowerSeries(tuple(_F(0) if k == 0 else reduced(1, k) for k in range(order + 1)))
 
 
 def geom_power_series(r: int, order: int) -> PowerSeries:
@@ -217,7 +218,7 @@ def gf_hyperharmonic(r: int, order: int) -> PowerSeries:
     if r > order:
         return log_series(order) * geom_power_series(r, order)
     nums, d = reciprocal_partial_sums(r, order)
-    return PowerSeries(tuple(_F(c, d) for c in nums))
+    return PowerSeries(tuple(reduced(c, d) for c in nums))
 
 
 def gf_harmonic(order: int) -> PowerSeries:
@@ -229,7 +230,7 @@ def gf_beta(r: int, order: int) -> PowerSeries:
     """Truncation of 1/(r (1-z)**r); coefficient k is beta(k, r)."""
     if r < 1:
         raise DomainError(f"needs r >= 1, got {r}")
-    return geom_power_series(r, order).scale(_F(1, r))
+    return geom_power_series(r, order).scale(reduced(1, r))
 
 
 def gf_alpha(r: int, order: int) -> PowerSeries:

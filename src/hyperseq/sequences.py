@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .exactnum import _int, _ratio, binomial_general, binomial_int, derivative_at_zero
-from .exactnum import factorial, product_sum, reciprocal_partial_sums
+from .exactnum import factorial, product_sum, reciprocal_partial_sums, reduced
 
 _F = Fraction
 
@@ -75,7 +75,7 @@ def gen_harmonic(n: int, m: int) -> Fraction:
             row = _gen_harmonic_prefix.setdefault(m, [_F(0)])
             while len(row) <= n:
                 k = len(row)
-                term = _F(1, k**m) if m > 0 else _F(k ** (-m))
+                term = reduced(1, k**m) if m > 0 else _F(k ** (-m))
                 row.append(row[k - 1] + term)
     return row[n]
 
@@ -108,7 +108,7 @@ def _hyper_def(n: int, r: int) -> Fraction:
             row = _def_rows.get(r, [])
             if n >= len(row):
                 nums, d = reciprocal_partial_sums(r, n)
-                row = _def_rows[r] = row + [_F(c, d) for c in nums[len(row):]]
+                row = _def_rows[r] = row + [reduced(c, d) for c in nums[len(row):]]
     return row[n]
 
 
@@ -119,12 +119,12 @@ def _hyper_closed(n: int, r: int) -> Fraction:
     # H(n+r-1) - H(r-1) as n integers over their lcm: reading the H table
     # would first grow it to n + r - 1 entries, which never ends at r = 10**6
     d = math.lcm(*range(r, n + r))
-    return _F(c * sum([d // j for j in range(r, n + r)]), d)
+    return reduced(c * sum([d // j for j in range(r, n + r)]), d)
 
 
 def _hyper_conv(n: int, r: int) -> Fraction:
     d = math.lcm(*range(1, n + 1))
-    return _F(
+    return reduced(
         sum(binomial_int(n + r - k - 1, r - 1) * (d // k) for k in range(1, n + 1)), d
     )
 
@@ -145,7 +145,7 @@ def _hyper_rec_lower(n: int, r: int) -> Fraction:
         if m % _GCD_EVERY == 0:
             g = math.gcd(p, q)
             p, q = p // g, q // g
-    return _F(p, q)
+    return reduced(p, q)
 
 
 def _hyper_rec_upper(n: int, r: int) -> Fraction:
@@ -158,7 +158,7 @@ def _hyper_rec_upper(n: int, r: int) -> Fraction:
         if s % _GCD_EVERY == 0:
             g = math.gcd(p, q)
             p, q = p // g, q // g
-    return _F(p, q)
+    return reduced(p, q)
 
 
 _METHOD_IMPL = {
@@ -180,7 +180,7 @@ def hyperharmonic(
     if r == 0:
         if n == 0:
             raise DomainError("h(0, 0) is undefined")
-        return _F(1, n)
+        return reduced(1, n)
     if n == 0:
         return _F(0)
     return _METHOD_IMPL[method](n, r)
@@ -200,7 +200,7 @@ def hyperharmonic_neg(n: int, r: int) -> Fraction:
     if r >= n:
         return _F(0)
     sign = -1 if r % 2 else 1
-    return _F(sign, (r + 1) * binomial_int(n, r + 1))
+    return reduced(sign, (r + 1) * binomial_int(n, r + 1))
 
 
 def hyperharmonic_rational_order(n: int, w) -> Fraction:
@@ -224,7 +224,7 @@ def hyperharmonic_rational_order(n: int, w) -> Fraction:
             f"and h(n, 0) is hyperharmonic(n, 0){pole}"
         )
     # C(x+w+n-1, n) = prod_{i<n} (x + (p+iq)/q) / n!; no p + iq is 0 now
-    return derivative_at_zero([p + i * q for i in range(n)], q, _F(1, factorial(n)))
+    return derivative_at_zero([p + i * q for i in range(n)], q, reduced(1, factorial(n)))
 
 
 def hyperharmonic_half_integer_alt(n: int, w) -> Fraction:
@@ -240,12 +240,12 @@ def hyperharmonic_half_integer_alt(n: int, w) -> Fraction:
     p, q = _ratio(w, "hyperharmonic_half_integer_alt")
     if q != 2 or p < 1:
         raise DomainError(
-            f"order must be m + 1/2 with integer m >= 0, got {_F(p, q)}"
+            f"order must be m + 1/2 with integer m >= 0, got {reduced(p, q)}"
         )
     if n < 1:
         raise DomainError(f"needs n >= 1, got {n}")
     m = p // 2
-    c = binomial_general(_F(p + 2 * (n - 1), 2), n)  # C(w+n-1, n)
+    c = binomial_general(reduced(p + 2 * (n - 1), 2), n)  # C(w+n-1, n)
     return product_sum([((c, harmonic(2 * (m + n))), ()), ((-1, c, harmonic(2 * m)), ()),
                         ((-1, c, harmonic(m + n)), ()), ((c, harmonic(m)), ())])
 
@@ -255,7 +255,7 @@ def alpha(n: int, r: int) -> Fraction:
     n, r = _int(n, "alpha"), _int(r, "alpha")
     if n < 1 or r < 0:
         raise DomainError(f"alpha needs n >= 1 and r >= 0, got ({n}, {r})")
-    return _F(n + r, n)
+    return reduced(n + r, n)
 
 
 def beta(n: int, r: int) -> Fraction:
@@ -263,7 +263,7 @@ def beta(n: int, r: int) -> Fraction:
     n, r = _int(n, "beta"), _int(r, "beta")
     if n < 0 or r < 1:
         raise DomainError(f"beta needs n >= 0 and r >= 1, got ({n}, {r})")
-    return _F(binomial_int(n + r, r), n + r)
+    return reduced(binomial_int(n + r, r), n + r)
 
 
 def fibonacci(k: int) -> int:

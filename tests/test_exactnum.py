@@ -1,4 +1,5 @@
 import math
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from hyperseq.exactnum import (
     format_rational,
     parse_rational,
     product_sum,
+    reduced,
     rising_factorial,
     signed_binomial_row,
 )
@@ -176,6 +178,49 @@ class TestReducedClosure:
             assert math.gcd(abs(q.numerator), q.denominator) == 1
 
 
+# -- the one integer-pair constructor ----------------------------------------
+
+_wide = st.integers(min_value=-(2**256), max_value=2**256)
+
+
+class TestReducedConstructor:
+    """``reduced(p, q)`` fills a bare ``Fraction``'s two slots itself, so it
+    is checked against ``Fraction(p, q)`` on everything a caller can see."""
+
+    @given(_wide | st.just(0), _wide.filter(bool))
+    def test_matches_the_fraction_constructor(self, p, q):
+        got, want = reduced(p, q), F(p, q)
+        assert type(got) is F
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert type(got.numerator) is int and type(got.denominator) is int
+        assert hash(got) == hash(want)
+        assert got == want and want == got
+        assert repr(got) == repr(want)
+        back = pickle.loads(pickle.dumps(got))
+        assert type(back) is F and back == want
+        _assert_canonical(got)
+
+    @given(_wide)
+    def test_a_zero_denominator_is_a_zero_division_error(self, p):
+        with pytest.raises(ZeroDivisionError) as got:
+            reduced(p, 0)
+        with pytest.raises(ZeroDivisionError) as want:
+            F(p, 0)
+        assert type(got.value) is ZeroDivisionError
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "bad", [1.0, 0.5, 0.0, F(1, 2), F(3), "1", "1/2"],
+        ids=["integral-float", "float", "zero-float", "fraction", "integral-fraction",
+             "str", "str-ratio"],
+    )
+    def test_a_non_int_argument_is_a_type_error(self, bad):
+        # the type is checked before the zero, so (2, 0.0) is a TypeError too
+        for args in ((bad, 2), (2, bad), (bad, bad)):
+            with pytest.raises(TypeError):
+                reduced(*args)
+
+
 # -- the exact sum of products and quotients ----------------------------------
 
 _ints = st.integers(min_value=-(10**30), max_value=10**30)
@@ -316,7 +361,8 @@ class TestProductSum:
     @pytest.mark.parametrize("zero", [0, F(0), _Int(0)],
                              ids=["int", "fraction", "int-subclass"])
     def test_a_zero_divisor_is_a_zero_division_error(self, zero):
-        # a bug in the row, never a DomainError that would skip the case
+        # a bug in the row, never a DomainError that would skip the case; the
+        # one-term path raises it in ``reduced``, the many-term one in the lcm
         for terms in ([((1,), (zero,))], [((1,), (2,)), ((F(1, 3),), (5, zero))]):
             with pytest.raises(ZeroDivisionError) as exc:
                 product_sum(terms)
