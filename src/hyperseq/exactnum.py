@@ -26,15 +26,18 @@ with ``Fraction(p, 0)``'s message.
 ``product_sum(terms)`` is the exact sum of prod(up) / prod(down) over
 ``(up, down)`` pairs of factor sequences, for a sum of products and
 quotients that would otherwise normalize after every ``*``, ``/`` and
-``+``.  Each factor is read once: an int as it is, anything else through
-``_ratio``, so a float, a string, a ``Decimal`` or a certified float
-raises ``TypeError`` naming ``product_sum``, and an inexact value can
-never leak into an exact sum.  A term's numerator and denominator are
-multiplied out as plain integers, the terms are brought over one
-``math.lcm`` of their denominators, and the result is normalized once,
-by the single ``Fraction`` built at the end.  A zero divisor raises
-``ZeroDivisionError``: a row checks its poles before it sums.  An empty
-sum is 0.
+``+``.  Each factor is read once: an int as it is, a ``Fraction`` from
+its two slots, anything else through ``_ratio``, so a float, a string, a
+``Decimal`` or a certified float raises ``TypeError`` naming
+``product_sum``, and an inexact value can never leak into an exact sum.
+A term's numerator and denominator are multiplied out as plain integers,
+and the terms are summed in one pass over a running total / scale, where
+scale is the lcm of the denominators so far: a term over the scale is
+one integer addition, any other one gcd, two floor divisions and one
+multiply-add, and no list of terms is built.  The result is normalized
+once, by the single ``reduced`` at the end.  A zero divisor raises
+``ZeroDivisionError`` there: a row checks its poles before it sums.  An
+empty sum is 0.
 
 ``over_common_denominator(values)`` brings ints and ``Fraction``s to
 plain integers over one denominator: it returns ``(numerators, d)``
@@ -57,7 +60,8 @@ Every exact argument is read once, by ``_ratio(x, who)``: an int or
 where a ``Fraction``'s ``numerator`` and ``denominator`` are two
 Python-level getters.  Anything else, a float, a string or a ``Decimal``,
 raises ``TypeError`` naming ``who``; nothing goes through ``Fraction()``.
-Only ``product_sum``'s ``Fraction`` factors read their pair inline.
+Only ``product_sum``'s ``Fraction`` factors read their pair inline, from
+the ``_numerator`` and ``_denominator`` slots that ``reduced`` fills.
 Each integer argument of a ``sequences`` function is read by
 ``_int(x, who)``: an int (a subclass too) passes; anything else, a float
 equal to an int too, raises ``TypeError`` naming ``who``.
@@ -221,35 +225,40 @@ def signed_binomial_row(k: int) -> tuple:
 
 
 def product_sum(terms) -> Fraction:
-    """Exact sum of prod(up) / prod(down) over (up, down) terms, normalized once."""
-    nums = []
-    dens = []
+    """Exact sum of prod(up) / prod(down) over (up, down) terms, in one pass."""
+    total, scale = 0, 1  # the terms so far sum to total / scale
     for up, down in terms:
         p = q = 1
         for f in up:
             if type(f) is int:
                 p *= f
-                continue
-            a, b = f.as_integer_ratio() if type(f) is Fraction else _ratio(f, "product_sum")
-            p *= a
-            q *= b
+            elif type(f) is Fraction:
+                p *= f._numerator
+                q *= f._denominator
+            else:
+                a, b = _ratio(f, "product_sum")
+                p *= a
+                q *= b
         for f in down:
             if type(f) is int:
                 q *= f
-                continue
-            a, b = f.as_integer_ratio() if type(f) is Fraction else _ratio(f, "product_sum")
-            p *= b
-            q *= a
+            elif type(f) is Fraction:
+                p *= f._denominator
+                q *= f._numerator
+            else:
+                a, b = _ratio(f, "product_sum")
+                p *= b
+                q *= a
+        if q == scale:
+            total += p
+            continue
         if q < 0:
             p, q = -p, -q
-        nums.append(p)
-        dens.append(q)
-    if len(dens) == 1:
-        return reduced(nums[0], dens[0])
-    scale = math.lcm(*dens)  # a zero divisor is a ZeroDivisionError below
-    if scale == 1:
-        return Fraction(sum(nums))
-    return reduced(sum([p * (scale // q) for p, q in zip(nums, dens)]), scale)
+        g = math.gcd(scale, q)  # scale = 0 after a zero divisor, and stays 0
+        m = q // g
+        total = total * m + p * (scale // g)
+        scale *= m
+    return reduced(total, scale)  # a zero divisor is its ZeroDivisionError
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:

@@ -36,15 +36,22 @@ such a ``product_sum`` divisor with ``_nonzero`` first, so a pole is a
 ``valid`` filter drops cases uncounted, so a row has one only where it
 excludes a case of the row's default grid.  Every piece a row would
 rebuild case after case across an axis it does not read is memoized for
-that row's family only, keyed on exactly the parameters it reads:
-the n-free pieces of term k of an order-r sum (``_t2_129_k``), the
-pieces that read k and r only through k + r (``_t2_129_n``), a row of
-coefficients free of one parameter, always a tuple so no case can change
-it (``_c_pair_row``, ``_c_up_row``, ``_c_row``, ``_gould43_row``), a
-generating series built once per r (``_gf_series``) and the balls of a
-float row (``_hyp_twice``).  A piece keeps each case's
-first exception: a division it hoists goes through ``quot``, after the
-row's own pole checks.  A ``line_sum`` reads the row's line of its
+that row's family only, keyed on exactly the parameters it reads: a row
+of coefficients free of one parameter, always a tuple so no case can
+change it (``_c_pair_row``, ``_c_up_row``, ``_c_row``, ``_gould43_row``),
+and a generating series built once per r (``_gf_series``).  A memo keyed
+on a rational is read once per case, not once per term, since each read
+hashes the rational: Gould (4.3)'s powers are one tuple per (x, n)
+(``_gould43_power``), and the other such pieces are dicts that build a
+term's piece the first time a case reads it (``_Pieces``): Gould
+(12.9)'s n-free pieces of term k of the order-r sum, one dict per (x, r)
+(``_t2_129_k``), its pieces that read k and r only through s = k + r,
+one per (x, n) (``_t2_129_n``), and a float row's balls at x + i, one
+per (x, kind) (``_hyp_twice``).  A
+piece keeps each case's first exception: a case reads term k's pieces at
+term k, as the per-term sum did, a piece that raises is not stored, and
+a division it hoists goes through ``quot``, after the row's own pole
+checks.  A ``line_sum`` reads the row's line of its
 function: the values read so far, through the function itself, as
 integers over one common denominator, so the sum is one integer dot
 product; a function read only along a line (``_h_over_c2``,
@@ -656,9 +663,14 @@ def line_sum(coeffs, fn, *args) -> Fraction:
 
 def quot(a, b) -> Fraction:
     """a / b, a ``Fraction`` for two ints too; b = 0 is a pole of the row,
-    so a ``DomainError`` skips the case."""
-    if isinstance(a, int) and isinstance(b, int):
-        return reduced(a, _nonzero(b))
+    so a ``DomainError`` skips the case.
+
+    Two ints or ``Fraction``s divide as integer pairs, in one ``reduced``.
+    """
+    if isinstance(a, _EXACT_TYPES) and isinstance(b, _EXACT_TYPES):
+        s, t = b.as_integer_ratio()
+        p, q = a.as_integer_ratio()
+        return reduced(p * t, q * _nonzero(s))
     return a / _nonzero(b)
 
 
@@ -710,7 +722,8 @@ _falling = _row_memo(falling)
 
 def _h_over_c2(k: int, r: int) -> Fraction:
     """h(k, r) / C(r-1+k, k)^2, a function of (k, r) alone."""
-    return h(k, r) / C(r - 1 + k, k) ** 2
+    p, q = h(k, r).as_integer_ratio()
+    return reduced(p, q * C(r - 1 + k, k) ** 2)
 
 
 @_row_memo
@@ -727,7 +740,7 @@ def _recip(j: int, m: int) -> Fraction:
 
 def _inv_falling(x: int, m: int) -> Fraction:
     """1 / (x falling m), the ``prop-falling`` term."""
-    return 1 / falling(x, m)
+    return quot(1, falling(x, m))
 
 
 def _gould43_num(p: int, q: int, n: int, k: int) -> int:
@@ -736,10 +749,11 @@ def _gould43_num(p: int, q: int, n: int, k: int) -> int:
 
 
 @_row_memo
-def _gould43_power(x, n: int, k: int) -> Fraction:
-    """(x-k)^k (1-x+k)^(n-k), the Gould (4.3) power; free of the order r."""
+def _gould43_power(x, n: int) -> tuple:
+    """(x-k)^k (1-x+k)^(n-k) for k = 1..n, the Gould (4.3) powers; free of the
+    order r."""
     p, q = exactnum._ratio(x, "_gould43_power")
-    return reduced(_gould43_num(p, q, n, k), q**n)
+    return tuple(reduced(_gould43_num(p, q, n, k), q**n) for k in range(1, n + 1))
 
 
 def _t2_43_term(x, k: int, r: int) -> Fraction:
@@ -773,31 +787,56 @@ def _gould_coeff(upper: int, k: int) -> Fraction:
 _dx_reciprocal_rising = _row_memo(dx_reciprocal_rising)
 
 
+class _Pieces(dict):
+    """A row memo's pieces by key, each built by ``build(key)`` on its first
+    read; a build that raises stores nothing, so the next read raises too."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        piece = self[key] = self.build(key)
+        return piece
+
+
 @_row_memo
-def _t2_129_k(x, k: int, r: int) -> tuple:
-    """Term k's n-free pieces of Gould (12.9) at order r: C(x+k, k)/C(r-1+k, k),
+def _t2_129_k(x, r: int) -> _Pieces:
+    """Gould (12.9)'s n-free pieces at order r, by term k: C(x+k, k)/C(r-1+k, k),
     ratio = (x+r+2k)/(x+r+k), ratio h(k, r)/C(r-1+k, k) and k/(x+r+k)^2."""
     p, q = exactnum._ratio(x, "_t2_129_k")
-    c, a = C(r - 1 + k, k), p + (r + k) * q  # x + r + k = a/q
-    ratio = quot(a + k * q, a)
-    return (Cg(x + k, k) / c, ratio, product_sum([((ratio, h(k, r)), (c,))]),
-            reduced(k * q * q, a * a))
+
+    def build(k):
+        c, a = C(r - 1 + k, k), p + (r + k) * q  # x + r + k = a/q
+        ratio = quot(a + k * q, a)
+        return (Cg(x + k, k) / c, ratio, product_sum([((ratio, h(k, r)), (c,))]),
+                reduced(k * q * q, a * a))
+
+    return _Pieces(build)
 
 
 @_row_memo
-def _t2_129_n(x, n: int, s: int) -> tuple:
-    """C(x+s+n, n) and h(n, x+s+1)/C(x+s+n, n), Gould (12.9)'s pieces at s = k+r."""
+def _t2_129_n(x, n: int) -> _Pieces:
+    """Gould (12.9)'s pieces at s = k+r, by s: C(x+s+n, n) and
+    h(n, x+s+1)/C(x+s+n, n)."""
     exactnum._ratio(x, "_t2_129_n")  # refuse a float by this name
-    big = Cg(x + (s + n), n)
-    return big, quot(h(n, x + (s + 1)), big)
+
+    def build(s):
+        big = Cg(x + (s + n), n)
+        return big, quot(h(n, x + (s + 1)), big)
+
+    return _Pieces(build)
 
 
 def _t2_129a_lhs(n: int, r: int, x) -> Fraction:
     """The lhs of Gould (12.9), first form, at order r; ``t1-12.9a`` pins r = 1."""
+    ks, ns = _t2_129_k(x, r), _t2_129_n(x, n)
     terms = []
     for k in range(n + 1):
-        weight, ratio, head, tail = _t2_129_k(x, k, r)  # its poles come first
-        big, hn = _t2_129_n(x, n, k + r)
+        weight, ratio, head, tail = ks[k]  # its poles come first
+        big, hn = ns[k + r]
         c, down = C(n, k), (_nonzero(weight), big)  # C(n, k)/(weight big)'s pole
         terms += [((c, head), down), ((-c, ratio, hn), down), ((-c, tail), down)]
     return product_sum(terms)
@@ -806,10 +845,11 @@ def _t2_129a_lhs(n: int, r: int, x) -> Fraction:
 def _t2_129b_lhs(n: int, r: int, y, sign: int = 1) -> Fraction:
     """The lhs of Gould (12.9), second form, at order r; ``sign`` is the sign of its
     k/(y+r+k)^2 term: +1 in the order-r form, -1 as ``t1-12.9b`` transcribes it."""
+    ks, ns = _t2_129_k(y, r), _t2_129_n(y, n)
     terms = []
     for k in range(n + 1):
-        weight, ratio, head, tail = _t2_129_k(y, k, r)
-        big, hn = _t2_129_n(y, n, k + r)  # big = 0 is its pole, so none here
+        weight, ratio, head, tail = ks[k]
+        big, hn = ns[k + r]  # big = 0 is its pole, so none here
         up, down = (C(n, k), weight), (big,)
         terms += [(up + (head,), down), (up + (ratio, hn), down), (up + (sign, tail), down)]
     return product_sum(terms)
@@ -834,11 +874,11 @@ def _cg_diag(x, c: int, j: int) -> Fraction:
 
 
 @_row_memo
-def _hyp_twice(x, i: int, kind: str) -> CertifiedReal:
-    """2 sinh(x+i) = e^(x+i) - e^(-x-i), or 2 cosh(x+i) with +; free of k."""
+def _hyp_twice(x, kind: str) -> _Pieces:
+    """2 sinh(x+i) = e^(x+i) - e^(-x-i), or 2 cosh(x+i) with +, by i; free of k."""
     exactnum._ratio(x, "_hyp_twice")  # exp_ball would take a float
     op = CertifiedReal.__sub__ if kind == "sinh" else CertifiedReal.__add__
-    return op(exp_ball(x + i), exp_ball(-x - i))
+    return _Pieces(lambda i: op(exp_ball(x + i), exp_ball(-x - i)))
 
 
 def _alternating_certified_sum(k: int, values) -> CertifiedReal:
@@ -1022,7 +1062,7 @@ def _core_recurrences():
         "sum_{k=0..n} C(k+r,r)/(k+r)^falling(m) = C(n+r-m+1,n)/r^falling(m)",
         (IntRange("m", 1, 12), IntRange("r", 1, 12), IntRange("n", 0, 25)),
         lambda m, r, n: line_sum(_c_up_row(r, n), _inv_falling, range(r, n + r + 1), m),
-        lambda m, r, n: C(n + r - m + 1, n) / _falling(r, m),
+        lambda m, r, n: quot(C(n + r - m + 1, n), _falling(r, m)),
         {"core"},
         valid=lambda m, r, n: m <= r,
     )
@@ -1114,7 +1154,8 @@ def _core_differences():
         "prop-teo4",
         "Delta^n (x f(x)) = x Delta^n f(x) + n Delta^(n-1) f(x+1)",
         (IntRange("deg", 0, 6), IntRange("n", 1, 6), IntRange("x", 0, 10)),
-        lambda deg, n, x: forward_difference(lambda t: t * _poly_point(deg, t), n, x),
+        lambda deg, n, x: forward_difference(
+            lambda t: product_sum([((t, _poly_point(deg, t)), ())]), n, x),
         _teo4_rhs,
         {"core"},
     )
@@ -1297,7 +1338,8 @@ def _core_fibonacci():
 
 def _float_rows():
     def _hyp_direct(kind, k, x):
-        twice = [_hyp_twice(x, i, kind) for i in range(k + 1)]
+        balls = _hyp_twice(x, kind)
+        twice = [balls[i] for i in range(k + 1)]
         return _alternating_certified_sum(k, twice).scaled(reduced(1, 2))
 
     for kind in ("sinh", "cosh"):
@@ -1594,8 +1636,8 @@ def _table2_rows():
         (IntRange("n", 1, 15), IntRange("r", 1, 8),
          RationalChoice("x", SAMPLE_RATIONALS)),
         lambda n, r, x: line_sum(_c_row(n, -1), _t2_43_term, x, range(1, n + 1), r),
-        lambda n, r, x: product_sum(((w, _gould43_power(x, n, k)), ())
-                                    for k, w in enumerate(_gould43_row(n, r), 1)),
+        lambda n, r, x: product_sum(((w, power), ())
+                                    for w, power in zip(_gould43_row(n, r), _gould43_power(x, n))),
         {"table2"},
     )
     _add(

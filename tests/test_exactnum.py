@@ -200,6 +200,11 @@ class TestReducedConstructor:
         assert type(back) is F and back == want
         _assert_canonical(got)
 
+    def test_fraction_has_the_two_slots_it_fills(self):
+        # ``reduced`` fills these slots and ``product_sum`` reads them: a
+        # CPython that lays out ``Fraction`` otherwise must fail here
+        assert F.__slots__ == ("_numerator", "_denominator")
+
     @given(_wide)
     def test_a_zero_denominator_is_a_zero_division_error(self, p):
         with pytest.raises(ZeroDivisionError) as got:
@@ -255,6 +260,16 @@ _terms = st.lists(
 )
 
 
+_wide_factors = st.one_of(
+    _wide, st.builds(F, _wide, _wide.filter(bool)), st.booleans(),
+)
+_wide_terms = st.lists(
+    st.tuples(st.lists(_wide_factors, max_size=4),
+              st.lists(_wide_factors.filter(bool), max_size=3)),
+    max_size=12,
+)
+
+
 def _oracle_product_sum(terms):
     total = F(0)
     for up, down in terms:
@@ -284,6 +299,37 @@ class TestProductSum:
         got = product_sum(terms)
         assert got == _oracle_product_sum(terms)
         _assert_canonical(got)
+
+    @given(_wide_terms)
+    def test_matches_the_fraction_sum_at_any_size(self, terms):
+        # the one pass over a running lcm, against the term-by-term sum, on
+        # values of both signs up to 2**256, bools and empty factor lists
+        got = product_sum(terms)
+        assert got == _oracle_product_sum(terms)
+        _assert_canonical(got)
+
+    @given(_wide_terms.filter(bool), st.data())
+    def test_a_zero_divisor_anywhere_is_a_zero_division_error(self, terms, data):
+        i = data.draw(st.integers(0, len(terms) - 1), label="term")
+        up, down = terms[i]
+        j = data.draw(st.integers(0, len(down)), label="place")
+        zero = data.draw(st.sampled_from([0, F(0), False, _Int(0)]), label="zero")
+        terms[i] = (up, [*down[:j], zero, *down[j:]])
+        with pytest.raises(ZeroDivisionError) as exc:
+            product_sum(terms)
+        assert type(exc.value) is ZeroDivisionError
+
+    @given(_wide_terms, st.data())
+    def test_a_float_anywhere_is_refused_by_name(self, terms, data):
+        terms = terms + [((), ())]
+        i = data.draw(st.integers(0, len(terms) - 1), label="term")
+        side = data.draw(st.integers(0, 1), label="side")
+        factors = list(terms[i][side])
+        j = data.draw(st.integers(0, len(factors)), label="place")
+        factors.insert(j, data.draw(st.floats(), label="float"))
+        terms[i] = (factors, terms[i][1]) if side == 0 else (terms[i][0], factors)
+        with pytest.raises(TypeError, match="^product_sum needs ints or Fractions, got float$"):
+            product_sum(terms)
 
     @given(st.lists(st.tuples(_scalars | _subclassed, _scalars | _subclassed), max_size=40))
     def test_matches_the_fraction_sum_of_pair_products(self, pairs):
@@ -362,7 +408,7 @@ class TestProductSum:
                              ids=["int", "fraction", "int-subclass"])
     def test_a_zero_divisor_is_a_zero_division_error(self, zero):
         # a bug in the row, never a DomainError that would skip the case; the
-        # one-term path raises it in ``reduced``, the many-term one in the lcm
+        # running scale turns 0 and stays 0, so the final ``reduced`` raises
         for terms in ([((1,), (zero,))], [((1,), (2,)), ((F(1, 3),), (5, zero))]):
             with pytest.raises(ZeroDivisionError) as exc:
                 product_sum(terms)
