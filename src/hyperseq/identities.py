@@ -16,10 +16,10 @@ recorded as counterexamples, never exceptions, because part of the point
 of the audit is to document table rows that do not balance as printed.  A report passes only when every
 row is PASS: a row with no tested case (SKIPPED) proves nothing.
 
-Every evaluator (``lhs``, ``rhs``, ``alt_rhs``, ``valid``) takes its
-row's declared parameters first, in declared order, ``lambda n, r: ...``,
-and ``_add`` refuses one that does not; the engine calls it with a
-case's values by position and builds no dict per case.
+Every evaluator (``lhs``, ``rhs``, ``valid``, a reading's right side)
+takes its row's declared parameters first, in declared order,
+``lambda n, r: ...``, and ``_add`` refuses one that does not; the engine
+calls it with a case's values by position and builds no dict per case.
 Rows are written over one vocabulary, so that each reads like its
 anchor: ``h(n, w)`` at any order (integer of either sign, or rational),
 ``H``/``Hm`` (harmonic and generalized harmonic numbers), ``C``
@@ -88,12 +88,12 @@ tests pin how), whose closed form the paper derives (``cor-bih``,
 Half-integer hyperharmonic orders default to the exact digamma-telescoped
 evaluation, read through the memoized ``h`` like every other order.
 A row whose verdict depends on that convention is one row function with
-a keyword ``hw=h``; its ``alt_rhs`` is the same function with ``hw``
-bound to the alternative reading
-(:func:`hyperseq.sequences.hyperharmonic_half_integer_alt`), checked
-against the same left side; the report records the verdict under each.
-``verify`` evaluates each case once for both conventions: one lhs per
-case, compared with the rhs and the alt_rhs.
+a keyword ``hw=h``, and carries one further reading, ``"alternative"``:
+the same function called with ``hw=h_alt``
+(:func:`hyperseq.sequences.hyperharmonic_half_integer_alt`).  A row's
+``readings`` are ``(name, rhs)`` pairs, each checked against the row's
+left side and reported under its name.  ``verify`` evaluates each case's
+lhs once and compares it with the rhs and every reading's right side.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ from .sequences import (
     beta,
     fibonacci,
     hyperharmonic,
-    hyperharmonic_half_integer_alt,
+    hyperharmonic_half_integer_alt as h_alt,
     hyperharmonic_neg,
     hyperharmonic_rational_order,
 )
@@ -179,9 +179,9 @@ class Identity(
     record(
         "Identity",
         (
-            "key", "anchor", "params", "lhs", "rhs", "tags", "valid", "alt_rhs",
+            "key", "anchor", "params", "lhs", "rhs", "tags", "valid", "readings",
         ),
-        {"valid": None, "alt_rhs": None},
+        {"valid": None, "readings": ()},
     )
 ):
     """One registry row: two evaluators over a parameter domain; immutable.
@@ -189,10 +189,11 @@ class Identity(
     ``params`` is a tuple of :class:`IntRange`/:class:`RationalChoice`;
     ``lhs``/``rhs`` take the parameters' values positionally, in that
     order, and return a value.
-    ``valid`` filters assignments; ``alt_rhs``, when set, is the right
-    side under the alternative half-integer convention, checked against
-    ``lhs``.  ``mode`` follows from the tags: a ``float`` row's sides are
-    ``CertifiedReal`` balls, every other row's are exact rationals.
+    ``valid`` filters assignments; ``readings`` is a tuple of ``(name,
+    rhs)`` pairs, each a further right side checked against ``lhs`` and
+    reported under its name.  ``mode`` follows from the tags: a
+    ``float`` row's sides are ``CertifiedReal`` balls, every other row's
+    are exact rationals.
     """
 
     __slots__ = ()
@@ -201,15 +202,11 @@ class Identity(
     def mode(self) -> str:
         return "float" if "float" in self.tags else "exact"
 
-    @property
-    def dual_convention(self) -> bool:
-        return self.alt_rhs is not None
-
 
 class ConventionResult(
     record("ConventionResult", ("verdict", "tested", "skipped", "counterexamples"))
 ):
-    """The verdict of one row under the alternative convention."""
+    """The verdict of one row under one of its further readings."""
 
     __slots__ = ()
 
@@ -218,13 +215,15 @@ class IdentityReport(
     record(
         "IdentityReport",
         (
-            "key", "anchor", "mode", "verdict", "tested", "skipped",
-            "counterexamples", "skip_reasons", "alternative", "elapsed",
+            "key", "anchor", "mode", "verdict", "tested", "skipped", "failed",
+            "counterexamples", "skip_reasons", "readings", "elapsed",
         ),
-        {"skip_reasons": (), "alternative": None, "elapsed": 0.0},
+        {"skip_reasons": (), "readings": (), "elapsed": 0.0},
     )
 ):
-    """The outcome of verifying one row."""
+    """The outcome of verifying one row: ``failed`` counts every failing
+    case, ``counterexamples`` keeps the first few, and ``readings`` pairs
+    each further reading's name with its :class:`ConventionResult`."""
 
     __slots__ = ()
 
@@ -240,10 +239,8 @@ class IdentityReport(
         }
         if self.skip_reasons:
             obj["skip_reasons"] = self.skip_reasons
-        if self.alternative is not None:
-            obj["alternative"] = {
-                f: getattr(self.alternative, f) for f in ConventionResult._fields
-            }
+        for name, result in self.readings:
+            obj[name] = {f: getattr(result, f) for f in ConventionResult._fields}
         return obj
 
 
@@ -285,6 +282,7 @@ class AuditReport(record("AuditReport", ("entries",))):
             ]
         )
         for e in self.entries:
+            alternative = dict(e.readings).get("alternative")
             writer.writerow(
                 [
                     e.key,
@@ -293,7 +291,7 @@ class AuditReport(record("AuditReport", ("entries",))):
                     e.tested,
                     e.skipped,
                     len(e.counterexamples),
-                    e.alternative.verdict if e.alternative else "",
+                    alternative.verdict if alternative else "",
                 ]
             )
         return buf.getvalue()
@@ -301,12 +299,11 @@ class AuditReport(record("AuditReport", ("entries",))):
     def to_text(self) -> str:
         lines = []
         for e in self.entries:
-            extra = ""
-            if e.alternative is not None:
-                extra = f"  [alt: {e.alternative.verdict}]"
+            alternative = dict(e.readings).get("alternative")
+            extra = f"  [alt: {alternative.verdict}]" if alternative else ""
             lines.append(
                 f"{e.key:<16} {e.verdict:<7} tested={e.tested} "
-                f"skipped={e.skipped} fails={len(e.counterexamples)} "
+                f"skipped={e.skipped} fails={e.failed} "
                 f"({e.elapsed:.2f}s){extra}"
             )
         lines.append(self.summary_line())
@@ -408,24 +405,26 @@ def verify(
 ) -> IdentityReport:
     """Check one registered identity over its (possibly overridden) domain.
 
-    Each case is evaluated once for both conventions: the lhs, then the
-    rhs and, on a dual-convention row, the alt_rhs, each called with the
-    case's values in parameter order.  A side that raises ``DomainError``
-    skips the case under its convention; an lhs that raises skips it
-    under both, and no right side runs.
+    Each case is evaluated once for every reading: the lhs, then the rhs
+    and each further reading's right side, each called with the case's
+    values in parameter order.  A right side that raises ``DomainError``
+    skips the case under its reading; an lhs that raises skips it under
+    every reading, and no right side runs.
     """
     identity = get_identity(key)
-    lhs, rhs, alt_rhs = identity.lhs, identity.rhs, identity.alt_rhs
+    lhs, rhs = identity.lhs, identity.rhs
+    further = tuple(enumerate(identity.readings, 1))
     exact = identity.mode == "exact"
     # the types whose equal sides pass inline; every other outcome settles
     # through ``settle``, a float row's always
     inline = _EXACT_TYPES if exact else ()
     start = time.monotonic()
-    # the cases run and, per convention, main first: cases skipped and
+    # the cases run and, per right side, the rhs first: cases skipped and
     # failed, and the first counterexamples
-    cases, skipped, failed = 0, [0, 0], [0, 0]
-    examples = ([], [])
-    reasons = []  # the main convention's first skips
+    sides = range(1 + len(further))
+    cases, skipped, failed = 0, [0] * len(sides), [0] * len(sides)
+    examples = [[] for _ in sides]
+    reasons = []  # the rhs's first skips
 
     def settle(i, vals, lv, rv):
         if isinstance(rv, DomainError):
@@ -449,43 +448,40 @@ def verify(
             try:
                 lv = lhs(*vals)
             except DomainError as exc:
-                settle(0, vals, exc, exc)
-                if alt_rhs is not None:
-                    settle(1, vals, exc, exc)
+                for i in sides:
+                    settle(i, vals, exc, exc)
                 continue
             try:
                 rv = rhs(*vals)
             except DomainError as exc:
                 rv = exc
-            if alt_rhs is not None:
-                try:
-                    av = alt_rhs(*vals)
-                except DomainError as exc:
-                    av = exc
             if not (type(lv) in inline and type(rv) in inline
                     and lv.as_integer_ratio() == rv.as_integer_ratio()):
                 settle(0, vals, lv, rv)
-            if alt_rhs is not None:
-                settle(1, vals, lv, av)
+            for i, (_, reading) in further:
+                try:
+                    av = reading(*vals)
+                except DomainError as exc:
+                    av = exc
+                settle(i, vals, lv, av)
 
-    tested = [cases - n for n in skipped]
+    def result(i):
+        tested = cases - skipped[i]
+        verdict = "FAIL" if failed[i] else "PASS" if tested else "SKIPPED"
+        return ConventionResult(verdict, tested, skipped[i], examples[i])
 
-    def verdict(i):
-        return "FAIL" if failed[i] else "PASS" if tested[i] else "SKIPPED"
-
-    alternative = None
-    if identity.dual_convention:
-        alternative = ConventionResult(verdict(1), tested[1], skipped[1], examples[1])
+    main = result(0)
     return IdentityReport(
         key=identity.key,
         anchor=identity.anchor,
         mode=identity.mode,
-        verdict=verdict(0),
-        tested=tested[0],
-        skipped=skipped[0],
-        counterexamples=examples[0],
+        verdict=main.verdict,
+        tested=main.tested,
+        skipped=main.skipped,
+        failed=failed[0],
+        counterexamples=main.counterexamples,
         skip_reasons=reasons,
-        alternative=alternative,
+        readings=tuple((name, result(i)) for i, (name, _) in further),
         elapsed=time.monotonic() - start,
     )
 
@@ -899,30 +895,29 @@ _PINNED_SOURCE: dict[str, str] = {}
 
 
 def _positional_names(fn) -> tuple:
-    """The names of the parameters ``fn`` takes positionally, in order.
-
-    A ``functools.partial`` takes its function's, less those its
-    arguments fill; a keyword it binds ends the run, since a positional
-    value there would bind that parameter twice.
-    """
-    if isinstance(fn, functools.partial):
-        names = _positional_names(fn.func)[len(fn.args):]
-        bound = [i for i, name in enumerate(names) if name in fn.keywords]
-        return names[: bound[0]] if bound else names
+    """The names of the parameters ``fn`` takes positionally, in order."""
     code = fn.__code__
     return code.co_varnames[: code.co_argcount]
 
 
-def _add(key, anchor, params, lhs, rhs, tags, valid=None, alt_rhs=None):
-    """Register a row; each evaluator must take the row's parameters
-    positionally, in declared order, as the first of its own, since
-    ``verify`` passes a case's values by position."""
+def _add(key, anchor, params, lhs, rhs, tags, valid=None, readings=()):
+    """Register a row; each evaluator, and each reading's right side,
+    must take the row's parameters positionally, in declared order, as
+    the first of its own, since ``verify`` passes a case's values by
+    position.  A reading's name must be new to the row's JSON object,
+    which holds its result under that name."""
     if key in _REGISTRY:
         raise ValueError(f"duplicate identity key {key}")
     params = tuple(params)
+    readings = tuple(readings)
+    taken = {"identity_id", *IdentityReport._fields}
+    for name, _ in readings:
+        if name in taken:
+            raise ValueError(f"{key}: reading {name!r} would overwrite a report key")
+        taken.add(name)
     names = tuple(p.name for p in params)
-    evaluators = {"lhs": lhs, "rhs": rhs, "valid": valid, "alt_rhs": alt_rhs}
-    for role, fn in evaluators.items():
+    roles = [("lhs", lhs), ("rhs", rhs), ("valid", valid)]
+    for role, fn in roles + [(f"reading {name!r}", fn) for name, fn in readings]:
         if fn is None:
             continue
         takes = _positional_names(fn)
@@ -931,8 +926,7 @@ def _add(key, anchor, params, lhs, rhs, tags, valid=None, alt_rhs=None):
                 f"{key}: {role} takes {takes} positionally, "
                 f"not the row's parameters {names} first"
             )
-    _REGISTRY[key] = Identity(key=key, anchor=anchor, params=params,
-                              tags=frozenset(tags), **evaluators)
+    _REGISTRY[key] = Identity(key, anchor, params, lhs, rhs, frozenset(tags), valid, readings)
 
 
 def _add_pinned(key, anchor, params, tags, source, pins):
@@ -940,10 +934,10 @@ def _add_pinned(key, anchor, params, tags, source, pins):
 
     ``pins`` maps a parameter of ``source`` to an int, or to the name of
     the row's own parameter passed on under the source's name.  The
-    row's ``lhs``, ``rhs``, ``valid`` and ``alt_rhs`` are the source's,
-    each wrapped once in a function of the row's own parameters that
-    passes them and the pins on in the source's order, generated from
-    source as ``_records`` generates ``__init__``.
+    row's ``lhs``, ``rhs``, ``valid`` and each reading's right side are
+    the source's, each wrapped once in a function of the row's own
+    parameters that passes them and the pins on in the source's order,
+    generated from source as ``_records`` generates ``__init__``.
     """
     src = get_identity(source)  # so a source must be registered first
     names = [p.name for p in params]
@@ -961,8 +955,8 @@ def _add_pinned(key, anchor, params, tags, source, pins):
     def pin(fn):
         return None if fn is None else lift(fn)
 
-    _add(key, anchor, params, pin(src.lhs), pin(src.rhs), tags,
-         valid=pin(src.valid), alt_rhs=pin(src.alt_rhs))
+    _add(key, anchor, params, pin(src.lhs), pin(src.rhs), tags, valid=pin(src.valid),
+         readings=[(name, lift(fn)) for name, fn in src.readings])
     _PINNED_SOURCE[key] = source
 
 
@@ -1488,7 +1482,7 @@ def _table1_rows():
         lambda n: H(2 * n),
         _t1_z58_rhs,
         {"table1"},
-        alt_rhs=functools.partial(_t1_z58_rhs, hw=hyperharmonic_half_integer_alt),
+        readings=[("alternative", lambda n: _t1_z58_rhs(n, hw=h_alt))],
     )
 
 
@@ -1607,7 +1601,7 @@ def _table2_rows():
             _recip, range(r, n + r), 2),
         _t2_395_rhs,
         {"table2"},
-        alt_rhs=functools.partial(_t2_395_rhs, hw=hyperharmonic_half_integer_alt),
+        readings=[("alternative", lambda n, r: _t2_395_rhs(n, r, hw=h_alt))],
     )
     _add(
         "t2-3.100",
@@ -1688,7 +1682,7 @@ def _table2_rows():
                                   ((2 * k + 1) * C(2 * k, k),)) for k in range(1, n + 1)),
         _t2_79_rhs,
         {"table2"},
-        alt_rhs=functools.partial(_t2_79_rhs, hw=hyperharmonic_half_integer_alt),
+        readings=[("alternative", lambda n, r: _t2_79_rhs(n, r, hw=h_alt))],
     )
     _add(
         "t2-7.13",
@@ -1763,7 +1757,7 @@ def _table2_rows():
         lambda n, r: C(2 * n, n) * h(2 * n, 2 * r - 1),
         _t2_z58_rhs,
         {"table2"},
-        alt_rhs=functools.partial(_t2_z58_rhs, hw=hyperharmonic_half_integer_alt),
+        readings=[("alternative", lambda n, r: _t2_z58_rhs(n, r, hw=h_alt))],
     )
 
 

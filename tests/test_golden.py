@@ -5,10 +5,11 @@ Two fixtures pin the audit's results byte for byte:
 * ``fixtures/audit_full.json`` is the exact stdout of
   ``hyperseq audit --format json`` over the default domains.
 * ``fixtures/audit_rows.json`` maps every exact row (and ``<key>@alt``
-  for the alternative half-integer convention of a dual-convention row)
-  to a sha256 over the canonical ``p/q`` strings of both sides on every
-  case.  It catches an evaluator rewrite that changes a value while the
-  row still passes, e.g. a symmetric row whose two sides share a helper.
+  for a row's ``"alternative"`` reading, ``<key>@<name>`` for any other
+  reading) to a sha256 over the canonical ``p/q`` strings of both sides
+  on every case.  It catches an evaluator rewrite that changes a value
+  while the row still passes, e.g. a symmetric row whose two sides share
+  a helper.
 
 Both come from one run of the audit: ``hashing_cases`` wraps the sides
 of each row the engine runs while ``hyperseq audit --format json`` runs, so
@@ -48,6 +49,11 @@ AUDIT_JSON = FIXTURES / "audit_full.json"
 ROW_DIGESTS = FIXTURES / "audit_rows.json"
 
 
+def digest_key(key, reading):
+    """The row-digest key of row ``key``'s further reading ``reading``."""
+    return f"{key}@{'alt' if reading == 'alternative' else reading}"
+
+
 @contextlib.contextmanager
 def hashing_cases():
     """While open, every exact row the engine runs hashes its cases.
@@ -57,9 +63,9 @@ def hashing_cases():
     the value it returns, so the digests see the engine's own values.
     ``verify`` runs a case's lhs first, and its right sides only when the
     lhs has a value; a side that raises ``DomainError`` hashes a skip for
-    its convention, an lhs one for every convention.  Yields ``{key:
-    [sha256, number of cases]}``, with ``<key>@alt`` for the alternative
-    convention, filled as the rows run.
+    its reading, an lhs one for every reading.  Yields ``{key: [sha256,
+    number of cases]}``, with ``digest_key(key, name)`` for each further
+    reading, filled as the rows run.
     """
     hashes = {}
     get_identity = identities.get_identity
@@ -68,7 +74,8 @@ def hashing_cases():
         identity = get_identity(key)
         if identity.mode != "exact":
             return identity
-        keys = (identity.key, identity.key + "@alt")[: 1 + identity.dual_convention]
+        keys = [identity.key]
+        keys += (digest_key(identity.key, name) for name, _ in identity.readings)
         entries = [hashes.setdefault(k, [hashlib.sha256(), 0]) for k in keys]
         case = []  # the running case: its params line, then its lhs value
 
@@ -105,8 +112,10 @@ def hashing_cases():
         fields = {f: getattr(identity, f) for f in identity._fields}
         fields["lhs"] = lhs
         fields["rhs"] = right(entries[0], identity.rhs)
-        if identity.dual_convention:
-            fields["alt_rhs"] = right(entries[1], identity.alt_rhs)
+        fields["readings"] = tuple(
+            (name, right(entry, side))
+            for (name, side), entry in zip(identity.readings, entries[1:])
+        )
         return identities.Identity(**fields)
 
     identities.get_identity = hashed
@@ -153,7 +162,7 @@ class FullAudit:
 
     ``exit_code`` is what the command returned, ``stdout`` the report as
     printed, ``rows`` maps each identity id to its parsed row,
-    ``digests`` and ``cases`` map each exact row (and ``<key>@alt``) to
+    ``digests`` and ``cases`` map each exact row (and its readings) to
     the sha256 of its cases and their number, ``memo_sizes`` holds
     the size of every row memo right after the run, and ``memo_hits``
     maps each row memo's name to its hits over the run.
@@ -203,14 +212,13 @@ def test_exact_row_digests(full_audit):
 
 
 def test_digests_hash_every_case_the_report_counts(full_audit):
-    # the digests and the verdicts read the same cases, under each convention
+    # the digests and the verdicts read the same cases, under each reading
     expected = {}
     for key, row in full_audit.rows.items():
         if row["mode"] == "exact":
             expected[key] = row["tested"] + row["skipped"]
-            if "alternative" in row:
-                alt = row["alternative"]
-                expected[key + "@alt"] = alt["tested"] + alt["skipped"]
+            for name, _ in identities.get_identity(key).readings:
+                expected[digest_key(key, name)] = row[name]["tested"] + row[name]["skipped"]
     assert full_audit.cases == expected
 
 

@@ -35,10 +35,10 @@ class _Float(float):
 
 
 def _case_values(identity, vals):
-    """``[lhs, rhs]`` at one case, plus the alt_rhs on a dual-convention
-    row, as ``verify`` evaluates them: a side that raises ``DomainError``
-    holds the error, and when the lhs raises, every side does."""
-    rights = (identity.rhs, identity.alt_rhs)[: 1 + identity.dual_convention]
+    """``[lhs, rhs]`` at one case, plus each reading's right side, as
+    ``verify`` evaluates them: a side that raises ``DomainError`` holds
+    the error, and when the lhs raises, every side does."""
+    rights = [identity.rhs, *(fn for _, fn in identity.readings)]
     try:
         out = [identity.lhs(*vals)]
     except DomainError as exc:
@@ -49,6 +49,11 @@ def _case_values(identity, vals):
         except DomainError as exc:
             out.append(exc)
     return out
+
+
+def _side(identity, name):
+    """A row's ``lhs``, its ``rhs``, or the right side of its reading ``name``."""
+    return getattr(identity, name) if name in ("lhs", "rhs") else dict(identity.readings)[name]
 
 
 def _named_cases(identity):
@@ -163,8 +168,8 @@ class TestVerify:
         assert first["params"] == {"n": 1}
         assert first["lhs"] == "-2"
         assert first["rhs"] == "2"
-        assert rep.alternative is not None
-        assert rep.alternative.verdict == "FAIL"
+        assert [(name, alt.verdict) for name, alt in rep.readings] == [
+            ("alternative", "FAIL")]
 
     def test_t2_142_counterexample_values(self):
         rep = verify("t2-1.42", max_bound=4)
@@ -177,7 +182,7 @@ class TestVerify:
     def test_z58_passes_only_under_alternative(self):
         rep = verify("t1-Z.58", max_bound=8)
         assert rep.verdict == "FAIL"
-        assert rep.alternative.verdict == "PASS"
+        assert dict(rep.readings)["alternative"].verdict == "PASS"
 
     def test_domain_monotone(self):
         small = verify("t1-3.95", max_bound=1)
@@ -239,6 +244,15 @@ class TestVerify:
         h141, z58 = (line for line in text.splitlines() if line.startswith("t1-"))
         assert z58.startswith("t1-Z.58 ") and z58.endswith("  [alt: PASS]")
         assert h141.startswith("t1-1.41 ") and "[alt:" not in h141
+
+    def test_text_report_counts_every_failing_case(self):
+        # all nine cases fail, and the report keeps the first five
+        report = run_suite(only=["t2-Z.58"], max_bound=3)
+        (entry,) = report.entries
+        assert (entry.tested, entry.failed, len(entry.counterexamples)) == (9, 9, 5)
+        assert " fails=9 " in report.to_text()
+        assert "failed" not in entry.to_json_obj()
+        assert report.to_csv().splitlines()[1] == "t2-Z.58,exact,FAIL,9,0,5,PASS"
 
     def test_evaluator_bug_is_raised_not_skipped(self, monkeypatch):
         # Only DomainError marks a case as outside the domain; a division
@@ -580,34 +594,46 @@ def _shifted(d, n, r):
     return F(n + d)
 
 
-@pytest.mark.parametrize("role, fn", [
-    ("rhs", lambda r, n: F(n)),
-    ("valid", lambda r, n: True),
-    ("lhs", lambda n: F(n)),
-    ("lhs", lambda *vals: F(vals[0])),
-    ("alt_rhs", functools.partial(_shifted, 0, r=1)),
-], ids=["swapped", "swapped-valid", "too-few", "star-args", "partial-binds-r"])
+@pytest.mark.parametrize("arg, fn, role", [
+    ("rhs", lambda r, n: F(n), "rhs"),
+    ("valid", lambda r, n: True, "valid"),
+    ("lhs", lambda n: F(n), "lhs"),
+    ("lhs", lambda *vals: F(vals[0]), "lhs"),
+    ("readings", [("fine", _rhs_with), ("swapped", lambda r, n: F(n))], "reading 'swapped'"),
+], ids=["swapped", "swapped-valid", "too-few", "star-args", "swapped-reading"])
 def test_an_evaluator_not_taking_the_parameters_in_order_is_refused(
-    monkeypatch, role, fn
+    monkeypatch, arg, fn, role
 ):
     # verify passes a case's values by position, so an evaluator that
     # reads them in another order would silently check another identity
     monkeypatch.setattr(ident, "_REGISTRY", dict(ident._REGISTRY))
-    evaluators = {"lhs": _rhs_with, "rhs": _rhs_with, role: fn}
+    evaluators = {"lhs": _rhs_with, "rhs": _rhs_with, arg: fn}
     with pytest.raises(ValueError, match=rf"^probe-order: {role} takes .* \('n', 'r'\)"):
         ident._add("probe-order", "probe", (IntRange("n", 0, 2), IntRange("r", 1, 2)),
                    tags={"probe"}, **evaluators)
     assert "probe-order" not in list_identities()
 
 
+@pytest.mark.parametrize("names", [("verdict",), ("identity_id",), ("alt", "alt")])
+def test_a_reading_named_like_a_report_key_is_refused(monkeypatch, names):
+    # the JSON writes each reading's result under its name
+    monkeypatch.setattr(ident, "_REGISTRY", dict(ident._REGISTRY))
+    with pytest.raises(ValueError, match=rf"^probe-name: reading '{names[-1]}' would overwrite"):
+        ident._add("probe-name", "probe", (IntRange("n", 0, 2), IntRange("r", 1, 2)),
+                   _rhs_with, _rhs_with, {"probe"},
+                   readings=[(name, _rhs_with) for name in names])
+    assert "probe-name" not in list_identities()
+
+
 def test_an_evaluator_may_take_defaulted_arguments_after_the_parameters(monkeypatch):
     monkeypatch.setattr(ident, "_REGISTRY", dict(ident._REGISTRY))
     ident._add("probe-order", "probe", (IntRange("n", 0, 2), IntRange("r", 1, 2)),
-               _rhs_with, functools.partial(_shifted, 0), {"probe"},
+               _rhs_with, lambda n, r, d=0: _shifted(d, n, r), {"probe"},
                valid=lambda n, r, sign=1: True,
-               alt_rhs=functools.partial(_rhs_with, hw=hyperharmonic_half_integer_alt))
+               readings=[("alternative", _rhs_with)])
     rep = verify("probe-order")
-    assert (rep.verdict, rep.tested, rep.alternative.verdict) == ("PASS", 6, "PASS")
+    assert (rep.verdict, rep.tested) == ("PASS", 6)
+    assert [(name, alt.verdict) for name, alt in rep.readings] == [("alternative", "PASS")]
 
 
 # How each hand-written Table-1 row relates to its order-r twin at order
@@ -619,7 +645,7 @@ ORDER_ONE_RELATIONS = [
     ("t1-7.13", "t2-7.13", {"j": 1}, ("lhs", "rhs"),
      lambda pa, a, b: a == (-1) ** (pa["n"] + 1) * b),
     # One finding for two FAIL rows: the twin is the row times C(2n, n).
-    ("t1-Z.58", "t2-Z.58", {"r": 1}, ("lhs", "rhs", "alt_rhs"),
+    ("t1-Z.58", "t2-Z.58", {"r": 1}, ("lhs", "rhs", "alternative"),
      lambda pa, a, b: ident.C(2 * pa["n"], pa["n"]) * a == b),
     ("t1-4.3", "t2-4.3", {"r": 1}, ("lhs", "rhs"),
      lambda pa, a, b: a - b == pa["n"] * (1 - pa["x"]) ** (pa["n"] - 1)),
@@ -643,23 +669,26 @@ def test_table1_row_against_its_twin_at_order_one(row, twin, pin, sides, relatio
     with ident.row_scope():
         for pa in cases:
             for side in sides:
-                a = getattr(t1, side)(**pa)
-                b = getattr(t2, side)(**pa, **pin)
+                a = _side(t1, side)(**pa)
+                b = _side(t2, side)(**pa, **pin)
                 assert relation(pa, a, b), (side, pa)
 
 
-class TestOnePass:
-    """``verify`` evaluates each case once for both conventions."""
+class TestReadings:
+    """``verify`` evaluates each case's lhs once for the rhs and every
+    further reading, and reports each reading under its name."""
 
-    def _probe(self, monkeypatch, lhs, rhs, alt_rhs):
+    def _probe(self, monkeypatch, lhs, rhs, zeta, alpha):
+        # the names are out of alphabetical order, so the report's order
+        # shows it follows the declaration
         probe = Identity(
-            key="probe-dual",
-            anchor="n = n under two conventions",
+            key="probe-readings",
+            anchor="n = n under three readings",
             params=(IntRange("n", 0, 4),),
             lhs=lhs,
             rhs=rhs,
             tags=frozenset({"probe"}),
-            alt_rhs=alt_rhs,
+            readings=(("zeta", zeta), ("alpha", alpha)),
         )
         monkeypatch.setitem(ident._REGISTRY, probe.key, probe)
         return verify(probe.key)
@@ -677,6 +706,26 @@ class TestOnePass:
 
         return side
 
+    @staticmethod
+    def _results(rep):
+        return [(name, r.verdict, r.tested, r.skipped) for name, r in rep.readings]
+
+    def test_json_lists_each_reading_under_its_name_in_order(self, monkeypatch):
+        def wrong(n):
+            return F(n + (n == 3))
+
+        rep = self._probe(monkeypatch, self._value, self._value, wrong, self._raises_at(1))
+        obj = json.loads(json.dumps(rep.to_json_obj()))
+        assert list(obj)[-2:] == ["zeta", "alpha"]
+        assert (obj["verdict"], obj["tested"], obj["skipped"]) == ("PASS", 5, 0)
+        assert obj["zeta"] == {
+            "verdict": "FAIL", "tested": 5, "skipped": 0,
+            "counterexamples": [{"params": {"n": 3}, "lhs": "3", "rhs": "4"}],
+        }
+        assert obj["alpha"] == {
+            "verdict": "PASS", "tested": 4, "skipped": 1, "counterexamples": [],
+        }
+
     def test_lhs_is_called_once_per_case(self, monkeypatch):
         calls = []
 
@@ -684,43 +733,60 @@ class TestOnePass:
             calls.append(n)
             return F(n)
 
-        rep = self._probe(monkeypatch, lhs, self._value, self._value)
+        rep = self._probe(monkeypatch, lhs, self._value, self._value, self._value)
         assert calls == [0, 1, 2, 3, 4]
         assert (rep.verdict, rep.tested) == ("PASS", 5)
-        assert (rep.alternative.verdict, rep.alternative.tested) == ("PASS", 5)
+        assert self._results(rep) == [("zeta", "PASS", 5, 0), ("alpha", "PASS", 5, 0)]
 
-    def test_lhs_error_skips_both_conventions(self, monkeypatch):
+    def test_lhs_error_skips_every_reading(self, monkeypatch):
         rights = []
 
-        def rhs(n):
-            rights.append(n)
-            return F(n)
+        def right(name):
+            def side(n):
+                rights.append((name, n))
+                return F(n)
 
-        rep = self._probe(monkeypatch, self._raises_at(2), rhs, rhs)
-        assert rights == [0, 0, 1, 1, 3, 3, 4, 4]  # none at n = 2
+            return side
+
+        rep = self._probe(monkeypatch, self._raises_at(2), right("rhs"), right("zeta"),
+                          right("alpha"))
+        assert rights == [(name, n) for n in (0, 1, 3, 4) for name in ("rhs", "zeta", "alpha")]
         assert (rep.tested, rep.skipped) == (4, 1)
         assert rep.skip_reasons == [{"params": {"n": 2}, "reason": "no value at n = 2"}]
-        alt = rep.alternative
-        assert (alt.verdict, alt.tested, alt.skipped) == ("PASS", 4, 1)
+        assert self._results(rep) == [("zeta", "PASS", 4, 1), ("alpha", "PASS", 4, 1)]
 
-    def test_alt_rhs_error_skips_only_the_alternative(self, monkeypatch):
-        # the main rhs is wrong at n = 3, so the main verdict saw that case
+    def test_a_readings_error_skips_the_case_under_that_reading_only(self, monkeypatch):
+        # the rhs is wrong at n = 3, so the rhs's verdict saw that case
         def wrong(n):
             return F(n + (n == 3))
 
-        rep = self._probe(monkeypatch, self._value, wrong, self._raises_at(3))
-        assert (rep.verdict, rep.tested, rep.skipped) == ("FAIL", 5, 0)
+        rep = self._probe(monkeypatch, self._value, wrong, self._raises_at(3), self._value)
+        assert (rep.verdict, rep.tested, rep.skipped, rep.failed) == ("FAIL", 5, 0, 1)
         assert rep.counterexamples[0]["params"] == {"n": 3}
         assert rep.skip_reasons == []
-        alt = rep.alternative
-        assert (alt.verdict, alt.tested, alt.skipped) == ("PASS", 4, 1)
+        assert self._results(rep) == [("zeta", "PASS", 4, 1), ("alpha", "PASS", 5, 0)]
 
-    def test_rhs_error_skips_only_the_main_convention(self, monkeypatch):
-        rep = self._probe(monkeypatch, self._value, self._raises_at(0), self._value)
+    def test_rhs_error_skips_the_case_under_the_rhs_only(self, monkeypatch):
+        rep = self._probe(monkeypatch, self._value, self._raises_at(0), self._value,
+                          self._value)
         assert (rep.verdict, rep.tested, rep.skipped) == ("PASS", 4, 1)
         assert rep.skip_reasons[0]["params"] == {"n": 0}
-        alt = rep.alternative
-        assert (alt.verdict, alt.tested, alt.skipped) == ("PASS", 5, 0)
+        assert self._results(rep) == [("zeta", "PASS", 5, 0), ("alpha", "PASS", 5, 0)]
+
+    def test_a_pinned_row_reports_its_sources_readings(self, monkeypatch):
+        monkeypatch.setattr(ident, "_REGISTRY", dict(ident._REGISTRY))
+        monkeypatch.setattr(ident, "_PINNED_SOURCE", dict(ident._PINNED_SOURCE))
+        ident._add("probe-src", "probe", (IntRange("n", 0, 4), IntRange("r", 1, 3)),
+                   lambda n, r: F(n * r), lambda n, r: F(n * r), {"probe"},
+                   readings=[("shifted", lambda n, r: F(n * r + (n == 2))),
+                             ("scaled", lambda n, r: F(n * r * r))])
+        ident._add_pinned("probe-pin", "probe", (IntRange("n", 0, 4),), {"probe"},
+                          "probe-src", {"r": 1})
+        rep = verify("probe-pin")
+        assert (rep.verdict, rep.tested) == ("PASS", 5)
+        assert self._results(rep) == [("shifted", "FAIL", 5, 0), ("scaled", "PASS", 5, 0)]
+        assert dict(rep.readings)["shifted"].counterexamples == [
+            {"params": {"n": 2}, "lhs": "2", "rhs": "3"}]
 
 
 class TestRowMemos:
@@ -1016,9 +1082,9 @@ _EARLIER_FORMS = {
     ("t1-7.15", "rhs"): lambda n, r: C(r + n, n) * (Hm(n, 2) - Hm(n + r, 2) + Hm(r, 2))
     + (C(r + n, n) * H(n) - h(n, r + 1)) * (H(n) - H(n + r) + H(r)),
     ("t2-3.95", "rhs"): _form_395,
-    ("t2-3.95", "alt_rhs"): functools.partial(_form_395, hw=_half_alt),
+    ("t2-3.95", "alternative"): functools.partial(_form_395, hw=_half_alt),
     ("t1-3.95", "rhs"): lambda n: _form_395(n, 1),
-    ("t1-3.95", "alt_rhs"): lambda n: _form_395(n, 1, _half_alt),
+    ("t1-3.95", "alternative"): lambda n: _form_395(n, 1, _half_alt),
     ("t2-4.3", "lhs"): _form_43_lhs,
     ("t2-4.3", "rhs"): _form_43_rhs,
     ("t2-6.19", "rhs"): lambda n, r, j: h(r, j) * C(n + j - 1, n) + C(r + j - 1, r) * h(n, j),
@@ -1028,10 +1094,10 @@ _EARLIER_FORMS = {
     ("t1-7.2", "rhs"): lambda n, r: (C(r + n, n) * h(n, 1) / C(n, n) - h(n, r + 1)) / C(n, n),
     ("t2-7.9", "lhs"): _form_79_lhs,
     ("t2-7.9", "rhs"): _form_79_rhs,
-    ("t2-7.9", "alt_rhs"): functools.partial(_form_79_rhs, hw=_half_alt),
+    ("t2-7.9", "alternative"): functools.partial(_form_79_rhs, hw=_half_alt),
     ("t1-7.9", "lhs"): lambda n: _form_79_lhs(n, 1),
     ("t1-7.9", "rhs"): lambda n: _form_79_rhs(n, 1),
-    ("t1-7.9", "alt_rhs"): lambda n: _form_79_rhs(n, 1, _half_alt),
+    ("t1-7.9", "alternative"): lambda n: _form_79_rhs(n, 1, _half_alt),
     ("t2-7.29", "lhs"): lambda n, r: _form_hypergeom(n, r, -2 * n),
     ("t2-7.30", "lhs"): lambda n, r: _form_hypergeom(n, r, -(2 * n + 1)),
     ("t2-12.9a", "lhs"): _form_129a,
@@ -1039,9 +1105,9 @@ _EARLIER_FORMS = {
     ("t1-12.9a", "lhs"): lambda n, x: _form_129a(n, 1, x),
     ("t1-12.9b", "lhs"): lambda n, y: _form_129b(n, 1, y, -1),
     ("t1-Z.58", "rhs"): _form_t1_z58,
-    ("t1-Z.58", "alt_rhs"): functools.partial(_form_t1_z58, hw=_half_alt),
+    ("t1-Z.58", "alternative"): functools.partial(_form_t1_z58, hw=_half_alt),
     ("t2-Z.58", "rhs"): _form_z58,
-    ("t2-Z.58", "alt_rhs"): functools.partial(_form_z58, hw=_half_alt),
+    ("t2-Z.58", "alternative"): functools.partial(_form_z58, hw=_half_alt),
 }
 
 
@@ -1072,7 +1138,7 @@ def test_a_summed_side_keeps_the_earlier_forms_outcome(key, side):
     with ident.row_scope():
         want = [_outcome(_EARLIER_FORMS[key, side], pa) for pa in cases]
     with ident.row_scope():
-        got = [_outcome(getattr(get_identity(key), side), pa) for pa in cases]
+        got = [_outcome(_side(get_identity(key), side), pa) for pa in cases]
     assert [pa for pa, w, g in zip(cases, want, got) if w != g] == []
     assert {w[0] for w in want} & {F, DomainError}  # the grid reaches values
 

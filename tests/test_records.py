@@ -45,8 +45,8 @@ def _valid(pa):
 _CONVENTION = ConventionResult("FAIL", 4, 1, [{"params": {"n": 2}}])
 
 _IDENTITY_REPORT = IdentityReport(
-    "probe", "h = h", "exact", "PASS", 3, 1, [], [{"reason": "pole"}],
-    _CONVENTION, 0.25,
+    "probe", "h = h", "exact", "PASS", 3, 1, 0, [], [{"reason": "pole"}],
+    (("alternative", _CONVENTION),), 0.25,
 )
 
 #: class -> ((field name, value), ...) in declaration order, every field set.
@@ -63,7 +63,7 @@ RECORDS = {
         ("rhs", _rhs),
         ("tags", frozenset({"probe"})),
         ("valid", _valid),
-        ("alt_rhs", _rhs),
+        ("readings", (("alternative", _rhs),)),
     ),
     ConventionResult: (
         ("verdict", "FAIL"),
@@ -78,9 +78,10 @@ RECORDS = {
         ("verdict", "PASS"),
         ("tested", 3),
         ("skipped", 1),
+        ("failed", 0),
         ("counterexamples", []),
         ("skip_reasons", [{"reason": "pole"}]),
-        ("alternative", _CONVENTION),
+        ("readings", (("alternative", _CONVENTION),)),
         ("elapsed", 0.25),
     ),
     AuditReport: (("entries", [_IDENTITY_REPORT]),),
@@ -188,7 +189,7 @@ def test_the_reports_verify_and_run_suite_return_refuse_assignment():
         report.verdict = "FAIL"
     with pytest.raises(AttributeError):
         del report.counterexamples
-    alternative = verify("t1-Z.58", max_bound=3).alternative
+    ((_, alternative),) = verify("t1-Z.58", max_bound=3).readings
     with pytest.raises(AttributeError):
         alternative.verdict = "FAIL"
     audit = run_suite(only=["prop-5"], max_bound=3)
@@ -211,13 +212,10 @@ def test_a_record_holding_only_tuples_hashes():
 
 
 def test_defaults():
-    report = IdentityReport("k", "a", "exact", "PASS", 1, 0, [])
-    assert (report.skip_reasons, report.alternative, report.elapsed) == ((), None, 0.0)
+    report = IdentityReport("k", "a", "exact", "PASS", 1, 0, 0, [])
+    assert (report.skip_reasons, report.readings, report.elapsed) == ((), (), 0.0)
     identity = Identity("k", "a", (), _lhs, _rhs, frozenset())
-    assert (identity.mode, identity.valid, identity.alt_rhs) == (
-        "exact", None, None,
-    )
-    assert not identity.dual_convention
+    assert (identity.mode, identity.valid, identity.readings) == ("exact", None, ())
 
 
 def test_power_series_needs_a_constant_term():
