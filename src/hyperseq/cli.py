@@ -348,7 +348,8 @@ def _cmd_audit(args, bounds: dict, fmt: str, cap: int) -> int:
             return EXIT_IO
     else:
         sys.stdout.write(payload)
-    print(report.summary_line(), file=sys.stderr)
+    if fmt != "text" or args.out is not None:  # a text report ends with the line
+        print(report.summary_line(), file=sys.stderr)
     return EXIT_OK if report.all_pass else EXIT_AUDIT_FAIL
 
 

@@ -332,6 +332,22 @@ class TestAudit:
         assert verdicts == {"PASS", "SKIPPED"}
         assert "0 FAIL" in err
 
+    @pytest.mark.parametrize("fmt,out", [
+        ("text", None), ("json", None), ("csv", None), ("text", "report.txt"),
+    ])
+    def test_summary_line_is_printed_once(self, fmt, out, tmp_path, capsys):
+        # a text report on stdout ends with the summary line; every other
+        # report leaves it to stderr
+        argv = ["audit", "--only", "t2-Z.58", "--max", "3", "--format", fmt]
+        if out is not None:
+            argv += ["--out", str(tmp_path / out)]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        line = "1 identities: 0 PASS, 1 FAIL, 0 SKIPPED\n"
+        assert code == 3
+        assert (stdout + stderr).count(line) == 1
+        if out is not None:
+            assert (tmp_path / out).read_text().endswith(line)
+
     def test_workers_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["audit", "--only", "prop-5", "--max", "2", "--workers", "2"])
@@ -450,6 +466,16 @@ class TestAuditFlags:
         )
         assert code == 3
         assert len(json.loads(out)[0]["counterexamples"]) == 1
+
+    def test_a_pinned_pole_is_a_counted_skip(self, capsys):
+        # eq-pd's grid leaves out z = 0, the pole psi(0) of its rhs; pinned
+        # there, each case is skipped and counted, never dropped uncounted
+        code, out, _ = run_cli(capsys, "audit", "--only", "eq-pd", "--z", "0",
+                               "--format", "json")
+        (row,) = json.loads(out)
+        assert code == 3
+        assert (row["verdict"], row["tested"], row["skipped"]) == ("SKIPPED", 0, 10)
+        assert [r["reason"] for r in row["skip_reasons"]] == ["pole: division by zero"] * 3
 
     def test_pin_flags_name_registry_parameters(self):
         # a flag that pins no registry parameter (like a past --w) fails here

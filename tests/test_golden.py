@@ -19,10 +19,17 @@ once, in the ``full_audit`` fixture, and ``--check`` and ``--write``
 once each.  The same run counts each row memo's hits, and a memo that
 no row of the audit hits is a failure: it only costs.
 
+The benchmark keeps its own record of the report,
+``perfbench/expected_audit.json``: each row's verdict, counts,
+``alternative`` verdict and tags, and the ``core`` rows' counts at
+``--max 6``.  ``bench_disagreements`` holds it to the audit JSON fixture,
+the registry's tags and a fresh ``run_suite("core", max_bound=6)``, so a
+change to the report changes both records or neither.
+
 The module does not import pytest, so the check also runs without it;
-it prints each changed row digest, any change to the audit JSON and each
-row memo with no hit, and exits 1 on any of them or when the audit does
-not exit 3::
+it prints each changed row digest, any change to the audit JSON, each
+row memo with no hit and each disagreement with the benchmark's record,
+and exits 1 on any of them or when the audit does not exit 3::
 
     PYTHONPATH=src python tests/test_golden.py --check
 
@@ -47,6 +54,7 @@ from hyperseq.exactnum import format_rational
 FIXTURES = Path(__file__).parent / "fixtures"
 AUDIT_JSON = FIXTURES / "audit_full.json"
 ROW_DIGESTS = FIXTURES / "audit_rows.json"
+BENCH_RECORD = Path(__file__).parents[1] / "perfbench" / "expected_audit.json"
 
 
 def digest_key(key, reading):
@@ -201,6 +209,33 @@ def dead_memos(hits: dict) -> list:
     return [name for name, n in hits.items() if n == 0]
 
 
+def bench_disagreements() -> list:
+    """Each way the benchmark's record disagrees with the audit JSON
+    fixture, the registry's tags or ``run_suite("core", max_bound=6)``:
+    one line per row, in key order."""
+    record = json.loads(BENCH_RECORD.read_text())
+    golden = {row["identity_id"]: row for row in json.loads(AUDIT_JSON.read_text())}
+    core = identities.run_suite("core", max_bound=6)
+    pairs = [
+        ({key: {
+            "verdict": row["verdict"],
+            "tested": row["tested"],
+            "skipped": row["skipped"],
+            "alternative": row.get("alternative", {}).get("verdict"),
+            "tags": sorted(identities.get_identity(key).tags),
+        } for key, row in golden.items()}, record["rows"], "rows"),
+        ({r.key: (r.verdict, r.tested, r.skipped) for r in core.entries},
+         {key: ("PASS", tested, 0) for key, tested in record["core_max6"].items()},
+         "core_max6"),
+    ]
+    return [
+        f"{name} {key}: recorded {want.get(key)}, got {got.get(key)}"
+        for got, want, name in pairs
+        for key in sorted(got.keys() | want.keys())
+        if got.get(key) != want.get(key)
+    ]
+
+
 def test_full_audit_json_is_byte_identical(full_audit):
     assert full_audit.stdout == AUDIT_JSON.read_text()
     # exit 3: the shipped registry keeps its misprinted rows as FAIL
@@ -225,6 +260,10 @@ def test_digests_hash_every_case_the_report_counts(full_audit):
 def test_every_row_memo_is_hit(full_audit):
     assert len(full_audit.memo_hits) == len(identities._ROW_MEMOS)
     assert dead_memos(full_audit.memo_hits) == []
+
+
+def test_the_benchmarks_record_agrees_with_the_fixture():
+    assert bench_disagreements() == []
 
 
 def test_fixture_covers_every_exact_row_and_convention():
@@ -259,13 +298,17 @@ if __name__ == "__main__":
         dead = dead_memos(audit.memo_hits)
         for name in dead:
             print("row memo with no hit:", name, file=sys.stderr)
+        bench = bench_disagreements()
+        for line in bench:
+            print("benchmark record disagrees:", line, file=sys.stderr)
         print(
             f"{len(changed)} row digests changed; the audit JSON "
             + ("changed" if audit_diff else "is unchanged")
             + f"; {len(dead)} of {len(audit.memo_hits)} row memos have no hit"
+            + f"; {len(bench)} rows disagree with the benchmark's record"
             + ("" if audit.exit_code == 3 else f"; the audit exited {audit.exit_code}, not 3"),
             file=sys.stderr,
         )
-        sys.exit(1 if changed or audit_diff or dead or audit.exit_code != 3 else 0)
+        sys.exit(1 if changed or audit_diff or dead or bench or audit.exit_code != 3 else 0)
     else:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write|--check")

@@ -459,6 +459,13 @@ def test_every_filter_excludes_a_case(key):
     assert any(not identity.valid(*combo) for combo in combos)
 
 
+def test_only_five_rows_keep_a_filter():
+    # each states a region no product of the row's axes can: a filter
+    # drops cases uncounted, so a row whose domain is a grid declares the grid
+    assert {k for k in list_identities() if get_identity(k).valid is not None} == {
+        "prop-falling", "eq-hhr", "prop-one1-n", "prop-one1-r", "cor-hk-shift"}
+
+
 def test_eq_pd_differentiates_where_its_rhs_has_a_pole():
     # At z = 0 the lhs, D_z z(z+1)...(z+n-1), is (n-1)!, while the printed
     # rhs z^rising(n) sum 1/(z+i) divides by z
@@ -772,6 +779,23 @@ class TestReadings:
         assert (rep.verdict, rep.tested, rep.skipped) == ("PASS", 4, 1)
         assert rep.skip_reasons[0]["params"] == {"n": 0}
         assert self._results(rep) == [("zeta", "PASS", 5, 0), ("alpha", "PASS", 5, 0)]
+
+    def test_an_int_reading_equal_to_a_fraction_lhs_passes(self, monkeypatch):
+        # every right side, a reading's as well as the rhs's, passes an
+        # equal int/Fraction pair by its integer ratio
+        rep = self._probe(monkeypatch, self._value, int, int, lambda n: F(n + 1))
+        assert (rep.verdict, rep.tested, rep.failed) == ("PASS", 5, 0)
+        assert self._results(rep) == [("zeta", "PASS", 5, 0), ("alpha", "FAIL", 5, 0)]
+
+    def test_a_float_reading_raises_the_rhs_type_error(self, monkeypatch):
+        # an exact row's float side is an evaluator bug, not a FAIL, under
+        # any reading
+        messages = []
+        for sides in ((float, self._value, self._value), (self._value, float, self._value)):
+            with pytest.raises(TypeError) as exc:
+                self._probe(monkeypatch, self._value, *sides)
+            messages.append(str(exc.value))
+        assert messages == ["an exact side is float, not int or Fraction"] * 2
 
     def test_a_pinned_row_reports_its_sources_readings(self, monkeypatch):
         monkeypatch.setattr(ident, "_REGISTRY", dict(ident._REGISTRY))
