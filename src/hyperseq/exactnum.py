@@ -52,7 +52,9 @@ its own loop.
 
 ``reciprocal_partial_sums(r, n)`` is the definition of h(n, r): it
 returns ``(nums, d)`` with ``nums[i] / d == h(i, r)`` for i = 0..n, as r
-prefix sums of the integers d // k over d = lcm(1..n).  The DEF h(n, r)
+prefix sums of the integers d // k over d = lcm(1..n).  ``_lcm_upto``
+takes that lcm over n/2 < k <= n only, since every smaller k divides one
+of them; the convolution h(n, r) reads it too.  The DEF h(n, r)
 method and ``opcalc.gf_hyperharmonic`` both read it.
 
 Every exact argument is read once, by ``_ratio(x, who)``: an int or
@@ -269,9 +271,14 @@ def over_common_denominator(values) -> tuple[list[int], int]:
     return [p * (d // q) for p, q in ratios], d
 
 
+def _lcm_upto(n: int) -> int:
+    """lcm(1..n), 1 for n <= 0: every k <= n/2 divides some j in n/2 < j <= n."""
+    return math.lcm(*range(n // 2 + 1, n + 1))
+
+
 def reciprocal_partial_sums(r: int, n: int) -> tuple[list[int], int]:
     """(nums, d) with nums[i] / d = h(i, r), the r-fold partial sum of 1/k."""
-    d = math.lcm(*range(1, n + 1))
+    d = _lcm_upto(n)
     nums = [0, *(d // k for k in range(1, n + 1))]
     for _ in range(r):
         nums = list(accumulate(nums))

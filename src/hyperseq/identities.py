@@ -207,11 +207,30 @@ class Identity(
 
 
 class ConventionResult(
-    record("ConventionResult", ("verdict", "tested", "skipped", "counterexamples"))
+    record(
+        "ConventionResult",
+        ("verdict", "tested", "skipped", "counterexamples", "skip_reasons"),
+        {"skip_reasons": ()},
+    )
 ):
-    """The verdict of one row under one of its further readings."""
+    """The verdict of one row under one of its further readings, with
+    the reasons of its first few skips."""
 
     __slots__ = ()
+
+
+def _verdict_json(result) -> dict:
+    """The verdict fields of a report or a reading's result, as JSON writes
+    them: ``skip_reasons`` only when there are any."""
+    obj = {
+        "verdict": result.verdict,
+        "tested": result.tested,
+        "skipped": result.skipped,
+        "counterexamples": result.counterexamples,
+    }
+    if result.skip_reasons:
+        obj["skip_reasons"] = result.skip_reasons
+    return obj
 
 
 class IdentityReport(
@@ -235,15 +254,10 @@ class IdentityReport(
             "identity_id": self.key,
             "anchor": self.anchor,
             "mode": self.mode,
-            "verdict": self.verdict,
-            "tested": self.tested,
-            "skipped": self.skipped,
-            "counterexamples": self.counterexamples,
+            **_verdict_json(self),
         }
-        if self.skip_reasons:
-            obj["skip_reasons"] = self.skip_reasons
         for name, result in self.readings:
-            obj[name] = {f: getattr(result, f) for f in ConventionResult._fields}
+            obj[name] = _verdict_json(result)
         return obj
 
 
@@ -427,13 +441,13 @@ def verify(
     # failed, and the first counterexamples
     cases, skipped, failed = 0, [0] * len(sides), [0] * len(sides)
     examples = [[] for _ in sides]
-    reasons = []  # the rhs's first skips
+    reasons = [[] for _ in sides]  # the first skips
 
     def settle(i, vals, lv, rv):
         if isinstance(rv, DomainError):
             skipped[i] += 1
-            if i == 0 and len(reasons) < 3:
-                reasons.append({"params": _render_params(identity, vals), "reason": str(rv)})
+            if len(reasons[i]) < 3:
+                reasons[i].append({"params": _render_params(identity, vals), "reason": str(rv)})
         elif not _values_agree(exact, lv, rv):
             failed[i] += 1
             if len(examples[i]) < counterexample_cap:
@@ -466,7 +480,7 @@ def verify(
     def result(i):
         tested = cases - skipped[i]
         verdict = "FAIL" if failed[i] else "PASS" if tested else "SKIPPED"
-        return ConventionResult(verdict, tested, skipped[i], examples[i])
+        return ConventionResult(verdict, tested, skipped[i], examples[i], reasons[i])
 
     main = result(0)
     return IdentityReport(
@@ -478,7 +492,7 @@ def verify(
         skipped=main.skipped,
         failed=failed[0],
         counterexamples=main.counterexamples,
-        skip_reasons=reasons,
+        skip_reasons=main.skip_reasons,
         readings=tuple((name, result(i)) for i, (name, _) in enumerate(identity.readings, 1)),
         elapsed=time.monotonic() - start,
     )

@@ -21,8 +21,10 @@ The loops that add many terms stay on plain integers and build one
 lcm(1..n), the recurrences in n and in r each carry an unreduced
 numerator and denominator and divide out their gcd every 64 steps, and
 the rational order differentiates C(x+w+n-1, n) at x = 0 by the product
-rule on integers, in ``exactnum.derivative_at_zero``.  Each method still
-runs its own algorithm.
+rule on integers, in ``exactnum.derivative_at_zero``.  The convolution
+and both recurrences step their binomial weight from one term to the
+next, by one small multiply and an exact divide, instead of building
+each C(., .) afresh.  Each method still runs its own algorithm.
 
 H(n) is row 1 of the generalized harmonic table.  Each DEF row is built
 whole from ``exactnum.reciprocal_partial_sums``, one per order asked,
@@ -44,7 +46,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .exactnum import _int, _ratio, binomial_general, binomial_int, derivative_at_zero
-from .exactnum import factorial, product_sum, reciprocal_partial_sums, reduced
+from .exactnum import _lcm_upto, factorial, product_sum, reciprocal_partial_sums, reduced
 
 _F = Fraction
 
@@ -92,12 +94,13 @@ class HyperharmonicMethod(enum.Enum):
 
 # DEF memo table: _def_rows[r] is [h(0,r), ..., h(N,r)] for the largest n
 # asked at order r.  It stays for the process: a warm lookup takes about
-# 0.5 us, an integer r-fold sum per call 90-120 us at n <= 200, r <= 24,
-# which would add 2-3 ms to each 29 ms kernels-mix pass (scaled wall_s,
-# 2-vCPU VM).  A warm lookup reads row r without _lock; a row is replaced
-# whole, under it, and never mutated, so a reader sees an old row or a new
-# one.  A longer row reuses the old row's Fractions; rebuilding them
-# tripled DEF's kernels-mix time.
+# 0.13 us, an integer r-fold sum per call 115 us at (n, r) = (100, 24) and
+# 250 us at (200, 24), the largest pair kernels-mix draws; its 24 pairs
+# would add about 1.5 ms to each 27 ms kernels-mix pass (scaled wall_s;
+# best of 9, 2-vCPU VM, Python 3.11.7).  A warm lookup reads row r
+# without _lock; a row is replaced whole, under it, and never mutated, so
+# a reader sees an old row or a new one.  A longer row reuses the old
+# row's Fractions; rebuilding them tripled DEF's kernels-mix time.
 _def_rows: dict[int, list[Fraction]] = {}
 
 
@@ -123,25 +126,37 @@ def _hyper_closed(n: int, r: int) -> Fraction:
 
 
 def _hyper_conv(n: int, r: int) -> Fraction:
-    d = math.lcm(*range(1, n + 1))
-    return reduced(
-        sum(binomial_int(n + r - k - 1, r - 1) * (d // k) for k in range(1, n + 1)), d
-    )
+    d = _lcm_upto(n)
+    total, c = 0, 1  # c = C(r-1+j, j), the weight of 1/k at k = n - j
+    for j in range(n):
+        total += c * (d // (n - j))
+        c = c * (r + j) // (j + 1)
+    return reduced(total, d)
 
 
 #: Steps between gcd reductions in both recurrences.  Unreduced, the
-#: pair grows by about log2(m(m+r)) bits a step; at n = 4,000 never
-#: reducing is about 3x slower than reducing every 64 steps, and so is
-#: the recurrence in r at n = 200, r = 4,000 (174 ms against 64 ms).
+#: recurrence in n grows its pair by about log2(m) bits a step (q is m!)
+#: and the one in r by about log2(s) bits; at n = 4,000, r = 3 never
+#: reducing takes 12.0 ms against 5.8 ms reducing every 64 steps, and the
+#: recurrence in r at n = 200, r = 4,000 86 ms against 5.1 ms (best of 9,
+#: 2-vCPU VM, Python 3.11.7).  Every 128 steps is a little faster at
+#: n = 4,000 and no faster at the n <= 400 the tests and kernels-mix ask.
 _GCD_EVERY = 64
 
 
 def _hyper_rec_lower(n: int, r: int) -> Fraction:
+    """h(n, r) from h(0, r) = 0 by h(m) = alpha(m, r-1) h(m-1) + beta(m, r-1).
+
+    Scaled by m, with s = m + r - 1, a step is
+    m h(m) = s h(m-1) + C(s-1, r-1), and C(s-1, r-1) steps to the next
+    m's C(s, r-1) by one small multiply and an exact divide by m.
+    """
     p, q = 0, 1  # h = p/q, unreduced between gcd steps
+    c = 1  # C(s-1, r-1) at s = m + r - 1
     for m in range(1, n + 1):
         s = m + r - 1
-        # h(m) = (s/m) h(m-1) + C(s, r-1)/s
-        p, q = s * s * p + binomial_int(s, r - 1) * m * q, m * s * q
+        p, q = s * p + c * q, m * q
+        c = c * s // m
         if m % _GCD_EVERY == 0:
             g = math.gcd(p, q)
             p, q = p // g, q // g
@@ -151,10 +166,12 @@ def _hyper_rec_lower(n: int, r: int) -> Fraction:
 def _hyper_rec_upper(n: int, r: int) -> Fraction:
     h = harmonic(n)
     p, q = h.numerator, h.denominator  # h = p/q, unreduced between gcd steps
+    c = n  # C(n+s-1, s) at s = 1
     for s in range(1, r):
         # (alpha - 1) h(n, s+1) = alpha h(n, s) - beta with alpha - 1 = s/n,
         # so h(n, s+1) = ((n+s) h(n, s) - n beta)/s, and n beta = C(n+s-1, s)
-        p, q = (n + s) * p - binomial_int(n + s - 1, s) * q, s * q
+        p, q = (n + s) * p - c * q, s * q
+        c = c * (n + s) // (s + 1)
         if s % _GCD_EVERY == 0:
             g = math.gcd(p, q)
             p, q = p // g, q // g

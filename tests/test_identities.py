@@ -731,6 +731,7 @@ class TestReadings:
         }
         assert obj["alpha"] == {
             "verdict": "PASS", "tested": 4, "skipped": 1, "counterexamples": [],
+            "skip_reasons": [{"params": {"n": 1}, "reason": "no value at n = 1"}],
         }
 
     def test_lhs_is_called_once_per_case(self, monkeypatch):
@@ -772,6 +773,9 @@ class TestReadings:
         assert rep.counterexamples[0]["params"] == {"n": 3}
         assert rep.skip_reasons == []
         assert self._results(rep) == [("zeta", "PASS", 4, 1), ("alpha", "PASS", 5, 0)]
+        zeta, alpha = (result for _, result in rep.readings)
+        assert zeta.skip_reasons == [{"params": {"n": 3}, "reason": "no value at n = 3"}]
+        assert alpha.skip_reasons == []
 
     def test_rhs_error_skips_the_case_under_the_rhs_only(self, monkeypatch):
         rep = self._probe(monkeypatch, self._value, self._raises_at(0), self._value,

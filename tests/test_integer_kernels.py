@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperseq import identities
+from hyperseq import identities, sequences
 from hyperseq.analytic import CertifiedReal
 from hyperseq.errors import ComputationIntegrityError, DomainError
 from hyperseq.exactnum import (
+    _lcm_upto,
     binomial_general,
     binomial_int,
     derivative_at_zero,
@@ -370,9 +371,16 @@ class TestHyperharmonicKernels:
         values = {m: hyperharmonic(2000, 4, m) for m in HyperharmonicMethod}
         assert len(set(values.values())) == 1
 
-    @pytest.mark.parametrize("n, r", _sample(2028, 20, 400, 30) + [(64, 3), (65, 3), (128, 1)])
+    @pytest.mark.parametrize(
+        "n, r",
+        _sample(2028, 20, 400, 30)
+        + [(64, 3), (65, 3), (200, 24)]
+        + [(n, 1) for n in (63, 64, 65, 128, 129)]
+        + [(1, 24), (5, 24)],
+    )
     def test_equal_the_fraction_loops(self, n, r):
-        # n around multiples of the recurrence's gcd interval included
+        # n around multiples of the recurrence's gcd interval, the largest
+        # pair kernels-mix draws, and n < r included
         conv = hyperharmonic(n, r, HyperharmonicMethod.CONV)
         rec = hyperharmonic(n, r, HyperharmonicMethod.REC_LOWER)
         upper = hyperharmonic(n, r, HyperharmonicMethod.REC_UPPER)
@@ -383,6 +391,29 @@ class TestHyperharmonicKernels:
     @pytest.mark.parametrize("n, r", [(1, 200), (7, 129), (50, 300)])
     def test_upper_recurrence_past_its_gcd_steps(self, n, r):
         assert hyperharmonic(n, r, HyperharmonicMethod.REC_UPPER) == old_rec_upper(n, r)
+
+    def test_lcm_over_the_upper_half_is_lcm_1_to_n(self):
+        full = 1
+        for n in range(601):
+            full = math.lcm(full, max(n, 1))  # lcm(1..n)
+            assert _lcm_upto(n) == full, n
+
+    @pytest.mark.parametrize("method", list(HyperharmonicMethod), ids=lambda m: m.value)
+    def test_each_method_runs_its_own_algorithm(self, method):
+        # a method that read another method or the closed form would make
+        # the five-method agreement vacuous; rec-upper alone may start
+        # from harmonic(n), its base h(n, 1)
+        impl = sequences._METHOD_IMPL[method]
+        names, codes = set(), [impl.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            codes.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+        others = {f for f in vars(sequences) if f.startswith("_hyper_")} - {impl.__name__}
+        banned = others | {"hyperharmonic"}
+        if method not in (HyperharmonicMethod.CLOSED, HyperharmonicMethod.REC_UPPER):
+            banned |= {"harmonic", "gen_harmonic"}
+        assert not names & banned, sorted(names & banned)
 
 
 class TestRationalOrderKernel:

@@ -42,7 +42,7 @@ def _valid(pa):
     return pa["n"] > 0
 
 
-_CONVENTION = ConventionResult("FAIL", 4, 1, [{"params": {"n": 2}}])
+_CONVENTION = ConventionResult("FAIL", 4, 1, [{"params": {"n": 2}}], [{"reason": "pole"}])
 
 _IDENTITY_REPORT = IdentityReport(
     "probe", "h = h", "exact", "PASS", 3, 1, 0, [], [{"reason": "pole"}],
@@ -70,6 +70,7 @@ RECORDS = {
         ("tested", 4),
         ("skipped", 1),
         ("counterexamples", [{"params": {"n": 2}}]),
+        ("skip_reasons", [{"reason": "pole"}]),
     ),
     IdentityReport: (
         ("key", "probe"),
@@ -214,6 +215,7 @@ def test_a_record_holding_only_tuples_hashes():
 def test_defaults():
     report = IdentityReport("k", "a", "exact", "PASS", 1, 0, 0, [])
     assert (report.skip_reasons, report.readings, report.elapsed) == ((), (), 0.0)
+    assert ConventionResult("PASS", 1, 0, []).skip_reasons == ()
     identity = Identity("k", "a", (), _lhs, _rhs, frozenset())
     assert (identity.mode, identity.valid, identity.readings) == ("exact", None, ())
 
