@@ -41,22 +41,15 @@ read is memoized for that row's family only, keyed on exactly the
 parameters it reads: a row of coefficients free of one parameter, always
 a tuple so no case can change it (``_c_pair_row``, ``_c_up_row``,
 ``_c_row``, ``_gould43_row``), and a generating series built once per r
-(``_gf_series``).  A memo keyed
-on a rational is read once per case, not once per term, since each read
-hashes the rational: Gould (4.3)'s powers are one tuple per (x, n)
-(``_gould43_power``), and the other such pieces are dicts that build a
-term's piece the first time a case reads it (``_Pieces``): Gould
-(12.9)'s n-free pieces of term k of the order-r sum, one dict per (x, r)
-(``_t2_129_k``), its pieces that read k and r only through s = k + r,
-one per (x, n) (``_t2_129_n``), and a float row's balls at x + i, one
-per (x, kind) (``_hyp_twice``).  A
-piece keeps each case's first exception: a case reads term k's pieces at
-term k, as the per-term sum did, a piece that raises is not stored, and
-a division it hoists goes through ``quot``, after the row's own pole
-checks.  A ``line_sum`` reads the row's line of its
-function: the values read so far, through the function itself, as
-integers over one common denominator, so the sum is one integer dot
-product; a function read only along a line (``_h_over_c2``,
+(``_gf_series``).  A piece memo takes a rational x as its integer pair,
+which its row reads once per case (``_gould43_power``, ``_t2_129_k``,
+``_t2_129_n``, ``_hyp_twice``).  A piece keeps each case's first
+exception: a case reads term k's pieces at term k, as the per-term sum
+did, a piece that raises is not stored, and a division it hoists goes
+through ``quot``, after the row's own pole checks.  A ``line_sum`` reads
+the row's line of its function: the values read so far, through the
+function itself, as integers over one common denominator, so the sum is
+one integer dot product; a function read only along a line (``_h_over_c2``,
 ``_t2_43_term``) needs no memo of its own.  Nothing in a line or a memo
 assumes an identity, and every case still sums its own terms.
 ``verify`` runs each row in ``row_scope()``, and ``run_suite`` each family
@@ -757,10 +750,9 @@ def _gould43_num(p: int, q: int, n: int, k: int) -> int:
 
 
 @_row_memo
-def _gould43_power(x, n: int) -> tuple:
-    """(x-k)^k (1-x+k)^(n-k) for k = 1..n, the Gould (4.3) powers; free of the
-    order r."""
-    p, q = exactnum._ratio(x, "_gould43_power")
+def _gould43_power(p: int, q: int, n: int) -> tuple:
+    """(x-k)^k (1-x+k)^(n-k) at x = p/q for k = 1..n, the Gould (4.3) powers;
+    free of the order r."""
     return tuple(reduced(_gould43_num(p, q, n, k), q**n) for k in range(1, n + 1))
 
 
@@ -795,56 +787,32 @@ def _gould_coeff(upper: int, k: int) -> Fraction:
 _dx_reciprocal_rising = _row_memo(dx_reciprocal_rising)
 
 
-class _Pieces(dict):
-    """A row memo's pieces by key, each built by ``build(key)`` on its first
-    read; a build that raises stores nothing, so the next read raises too."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        piece = self[key] = self.build(key)
-        return piece
+@_row_memo
+def _t2_129_k(p: int, q: int, r: int, k: int) -> tuple:
+    """Term k of Gould (12.9)'s n-free pieces at order r and x = p/q:
+    C(x+k, k)/C(r-1+k, k), ratio = (x+r+2k)/(x+r+k), ratio h(k, r)/C(r-1+k, k)
+    and k/(x+r+k)^2."""
+    c, a = C(r - 1 + k, k), p + (r + k) * q  # x + r + k = a/q
+    ratio = quot(a + k * q, a)
+    return (Cg(reduced(p + k * q, q), k) / c, ratio, product_sum([((ratio, h(k, r)), (c,))]),
+            reduced(k * q * q, a * a))
 
 
 @_row_memo
-def _t2_129_k(x, r: int) -> _Pieces:
-    """Gould (12.9)'s n-free pieces at order r, by term k: C(x+k, k)/C(r-1+k, k),
-    ratio = (x+r+2k)/(x+r+k), ratio h(k, r)/C(r-1+k, k) and k/(x+r+k)^2."""
-    p, q = exactnum._ratio(x, "_t2_129_k")
-
-    def build(k):
-        c, a = C(r - 1 + k, k), p + (r + k) * q  # x + r + k = a/q
-        ratio = quot(a + k * q, a)
-        return (Cg(x + k, k) / c, ratio, product_sum([((ratio, h(k, r)), (c,))]),
-                reduced(k * q * q, a * a))
-
-    return _Pieces(build)
-
-
-@_row_memo
-def _t2_129_n(x, n: int) -> _Pieces:
-    """Gould (12.9)'s pieces at s = k+r, by s: C(x+s+n, n) and
-    h(n, x+s+1)/C(x+s+n, n)."""
-    exactnum._ratio(x, "_t2_129_n")  # refuse a float by this name
-
-    def build(s):
-        big = Cg(x + (s + n), n)
-        return big, quot(h(n, x + (s + 1)), big)
-
-    return _Pieces(build)
+def _t2_129_n(p: int, q: int, n: int, s: int) -> tuple:
+    """Gould (12.9)'s pieces at x = p/q that read k and r only through s = k+r:
+    C(x+s+n, n) and h(n, x+s+1)/C(x+s+n, n)."""
+    big = Cg(reduced(p + (s + n) * q, q), n)
+    return big, quot(h(n, reduced(p + (s + 1) * q, q)), big)
 
 
 def _t2_129a_lhs(n: int, r: int, x) -> Fraction:
     """The lhs of Gould (12.9), first form, at order r; ``t1-12.9a`` pins r = 1."""
-    ks, ns = _t2_129_k(x, r), _t2_129_n(x, n)
+    p, q = exactnum._ratio(x, "_t2_129_k")
     terms = []
     for k in range(n + 1):
-        weight, ratio, head, tail = ks[k]  # its poles come first
-        big, hn = ns[k + r]
+        weight, ratio, head, tail = _t2_129_k(p, q, r, k)  # its poles come first
+        big, hn = _t2_129_n(p, q, n, k + r)
         c, down = C(n, k), (_nonzero(weight), big)  # C(n, k)/(weight big)'s pole
         terms += [((c, head), down), ((-c, ratio, hn), down), ((-c, tail), down)]
     return product_sum(terms)
@@ -853,11 +821,11 @@ def _t2_129a_lhs(n: int, r: int, x) -> Fraction:
 def _t2_129b_lhs(n: int, r: int, y, sign: int = 1) -> Fraction:
     """The lhs of Gould (12.9), second form, at order r; ``sign`` is the sign of its
     k/(y+r+k)^2 term: +1 in the order-r form, -1 as ``t1-12.9b`` transcribes it."""
-    ks, ns = _t2_129_k(y, r), _t2_129_n(y, n)
+    p, q = exactnum._ratio(y, "_t2_129_k")
     terms = []
     for k in range(n + 1):
-        weight, ratio, head, tail = ks[k]
-        big, hn = ns[k + r]  # big = 0 is its pole, so none here
+        weight, ratio, head, tail = _t2_129_k(p, q, r, k)
+        big, hn = _t2_129_n(p, q, n, k + r)  # big = 0 is its pole, so none here
         up, down = (C(n, k), weight), (big,)
         terms += [(up + (head,), down), (up + (ratio, hn), down), (up + (sign, tail), down)]
     return product_sum(terms)
@@ -882,11 +850,11 @@ def _cg_diag(x, c: int, j: int) -> Fraction:
 
 
 @_row_memo
-def _hyp_twice(x, kind: str) -> _Pieces:
-    """2 sinh(x+i) = e^(x+i) - e^(-x-i), or 2 cosh(x+i) with +, by i; free of k."""
-    exactnum._ratio(x, "_hyp_twice")  # exp_ball would take a float
+def _hyp_twice(p: int, q: int, kind: str, i: int) -> CertifiedReal:
+    """2 sinh(x+i) = e^(x+i) - e^(-x-i) at x = p/q, or 2 cosh(x+i) with +; free of k."""
     op = CertifiedReal.__sub__ if kind == "sinh" else CertifiedReal.__add__
-    return _Pieces(lambda i: op(exp_ball(x + i), exp_ball(-x - i)))
+    a = p + i * q  # x + i = a/q
+    return op(exp_ball(reduced(a, q)), exp_ball(reduced(-a, q)))
 
 
 def _alternating_certified_sum(k: int, values) -> CertifiedReal:
@@ -1342,8 +1310,8 @@ def _core_fibonacci():
 
 def _float_rows():
     def _hyp_direct(kind, k, x):
-        balls = _hyp_twice(x, kind)
-        twice = [balls[i] for i in range(k + 1)]
+        p, q = exactnum._ratio(x, "_hyp_twice")  # exp_ball would take a float
+        twice = [_hyp_twice(p, q, kind, i) for i in range(k + 1)]
         return _alternating_certified_sum(k, twice).scaled(reduced(1, 2))
 
     for kind in ("sinh", "cosh"):
@@ -1634,14 +1602,18 @@ def _table2_rows():
         {"table2"},
     )
 
+    def _t2_43_rhs(n, r, x):
+        p, q = exactnum._ratio(x, "_gould43_power")
+        return product_sum(((w, power), ())
+                           for w, power in zip(_gould43_row(n, r), _gould43_power(p, q, n)))
+
     _add(
         "t2-4.3",
         "Gould (4.3), order-r form of the (x-k)^k (1-x+k)^(n-k) identity",
         (IntRange("n", 1, 15), IntRange("r", 1, 8),
          RationalChoice("x", SAMPLE_RATIONALS)),
         lambda n, r, x: line_sum(_c_row(n, -1), _t2_43_term, x, range(1, n + 1), r),
-        lambda n, r, x: product_sum(((w, power), ())
-                                    for w, power in zip(_gould43_row(n, r), _gould43_power(x, n))),
+        _t2_43_rhs,
         {"table2"},
     )
     _add(
